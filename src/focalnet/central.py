@@ -22,22 +22,21 @@ case) and computation is refused rather than returning huge values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from . import jet as jt
 from .errors import CanalDegenerate
 from .frames import FramePoint, pfaffian_values
-from .geometry import (PrincipalData, SurfaceJet, eval_surface,
-                       principal_data, vdot)
+from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "CentralPoint", "CentralFundamentals", "canal_threshold", "check_canal",
     "base_coframe_matrix", "focal_coframe_matrix", "central_point",
-    "central_ii_oracle", "central_pfaffian", "isothermic_divergence",
-    "divergence_closed_form", "divergence_scale", "w_jacobian",
+    "central_ii_oracle", "central_pfaffian", "connection_gradient",
+    "isothermic_divergence", "divergence_closed_form", "divergence_scale",
+    "w_jacobian",
 ]
 
 
@@ -90,8 +89,6 @@ class CentralPoint:
     """Closed-form data of one focal sheet at one base point."""
     sheet: int
     y: np.ndarray                 # ambient position of the focal point
-    coframe: np.ndarray           # (w1', w2') over (w1, w2), rows
-    coframe_det: float
     a: float
     b: float
     c: float
@@ -99,8 +96,7 @@ class CentralPoint:
     q2: float
 
 
-def central_point(fp: FramePoint, sj: Optional[SurfaceJet] = None,
-                  sheet: int = 1,
+def central_point(fp: FramePoint, sheet: int = 1,
                   tol: ToleranceSet = DEFAULT_TOLERANCES) -> CentralPoint:
     """Fundamental quantities of focal sheet `sheet` from the closed forms.
 
@@ -110,7 +106,6 @@ def central_point(fp: FramePoint, sj: Optional[SurfaceJet] = None,
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
     check_canal(fp, sheet, tol)
-    sj = sj if sj is not None else fp.pd.sj
     pd = fp.pd
     k1, k2 = fp.k1, fp.k2
     gap = k1 - k2
@@ -133,11 +128,8 @@ def central_point(fp: FramePoint, sj: Optional[SurfaceJet] = None,
 
     inv_k = 1.0 / k_jet.value
     y = np.array([p.value + inv_k * n.value
-                  for p, n in zip(sj.pos, pd.e3)])
-    coframe = focal_coframe_matrix(fp, sheet)
-    return CentralPoint(sheet=sheet, y=y, coframe=coframe,
-                        coframe_det=float(np.linalg.det(coframe)),
-                        a=a, b=b, c=c, q1=q1c, q2=q2c)
+                  for p, n in zip(pd.sj.pos, pd.e3)])
+    return CentralPoint(sheet=sheet, y=y, a=a, b=b, c=c, q1=q1c, q2=q2c)
 
 
 @dataclass
@@ -242,7 +234,7 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
             k2 * (d2k2 * d1f - d1k2 * d2f) / ((k2 - k1) * d2k2))
 
 
-def _connection_field_gradient(fp: FramePoint) -> Tuple[float, float]:
+def connection_gradient(fp: FramePoint) -> Tuple[float, float]:
     """Base Pfaffian gradient of Q = k1 k2 / (k1 - k2), the nonvanishing
     focal connection coefficient, computed on jets."""
     q_field = fp.k1_jet * fp.k2_jet / (fp.k1_jet - fp.k2_jet)
@@ -258,9 +250,8 @@ def isothermic_divergence(fp: FramePoint, sheet: int = 1,
     One coefficient vanishes identically per sheet, so only one term
     survives: sheet 1 -> nabla_1' Q, sheet 2 -> nabla_2' Q.
     """
-    grad_q = _connection_field_gradient(fp)
-    d1c, d2c = central_pfaffian(fp, grad_q, sheet, tol)
-    return d1c if sheet == 1 else d2c
+    return central_pfaffian(fp, connection_gradient(fp), sheet,
+                            tol)[sheet - 1]
 
 
 def w_jacobian(fp: FramePoint) -> float:

@@ -20,7 +20,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -303,8 +303,6 @@ def _synthetic_equal_gradient_point(rng) -> FramePoint:
          float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1))
     return FramePoint(u=0.0, v=0.0, pd=None, k1=k1, k2=k2, q1=0.0, q2=0.0,
                       grad_k1=g, grad_k2=g, k1_jet=None, k2_jet=None,
-                      q1_jet=None, q2_jet=None, d_k1_jets=None,
-                      d_k2_jets=None, hess_k1=None, hess_k2=None,
                       d2_q1=0.0, d1_q2=0.0)
 
 

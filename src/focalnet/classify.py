@@ -24,20 +24,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Tuple
 
-from .central import (check_canal, divergence_closed_form, divergence_scale,
-                      isothermic_divergence, w_jacobian)
+from .central import (central_pfaffian, check_canal, connection_gradient,
+                      divergence_closed_form, divergence_scale, w_jacobian)
 from .errors import CanalDegenerate
 from .frames import FramePoint
-from .nets import (NetForm, net_asymptotic_pullback, net_curvature_pullback,
-                   net_norm, spherical_image)
+from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
+                   spherical_image)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "CLASS_NAMES", "PropositionResidual", "DefectReport", "w_defect",
     "class_defects", "moulding_defect", "is_canal", "proposition_report",
-    "classify_point", "flags_from_defects",
+    "defect_report", "classify_point", "flags_from_defects",
 ]
 
 CLASS_NAMES = ("diff", "ratio", "radii_diff", "radii_sum", "mean", "gauss")
@@ -103,7 +103,10 @@ def _class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
 
 def class_defects(fp: FramePoint):
     """(raw, normalized) gradient-defect maps over the six classes."""
-    grads = _class_gradients(fp)
+    return _class_defects(fp, _class_gradients(fp))
+
+
+def _class_defects(fp: FramePoint, grads: Dict[str, Tuple[float, float]]):
     partials = _class_partials(fp.k1, fp.k2)
     g1 = math.hypot(*fp.grad_k1)
     g2 = math.hypot(*fp.grad_k2)
@@ -139,8 +142,6 @@ def _res(lhs_raw: float, rhs_raw: float, norm: float) -> PropositionResidual:
 
 
 def proposition_report(fp: FramePoint,
-                       cp1=None, cp2=None,
-                       nets: Optional[Mapping[str, NetForm]] = None,
                        tol: ToleranceSet = DEFAULT_TOLERANCES) -> DefectReport:
     """Full defect report at a non-canal point.
 
@@ -151,21 +152,49 @@ def proposition_report(fp: FramePoint,
     images) are listed in ``excluded``: their factor degenerates to zero
     there, so the two sides no longer determine each other.
     """
-    if nets is None:
-        nets = {
-            "13": net_asymptotic_pullback(fp, 1, tol),
-            "14": net_asymptotic_pullback(fp, 2, tol),
-            "17": net_curvature_pullback(fp, 1, tol),
-            "18": net_curvature_pullback(fp, 2, tol),
-        }
-    n13, n14, n17, n18 = nets["13"], nets["14"], nets["17"], nets["18"]
+    check_canal(fp, 1, tol)
+    check_canal(fp, 2, tol)
+    return _report(fp, False, False, tol)
+
+
+def defect_report(fp: FramePoint,
+                  tol: ToleranceSet = DEFAULT_TOLERANCES) -> DefectReport:
+    """Defects and flags at any frame point.  Where either sheet is
+    canal-degenerate the canal flags are set and ``prop_residuals`` stays
+    empty; elsewhere this is ``proposition_report``."""
+    return _report(fp, is_canal(fp, 1, tol), is_canal(fp, 2, tol), tol)
+
+
+def _report(fp: FramePoint, canal1: bool, canal2: bool,
+            tol: ToleranceSet) -> DefectReport:
+    grads = _class_gradients(fp)
+    raw, normed = _class_defects(fp, grads)
+    wd = w_defect(fp)
+    md = moulding_defect(fp, tol)
+    flags = flags_from_defects(wd, normed, md, canal1, canal2, tol)
+    res: Dict[str, PropositionResidual] = {}
+    excluded: Tuple[str, ...] = ()
+    if not (canal1 or canal2):
+        res = _prop_residuals(fp, grads, tol)
+        if flags["moulding"]:
+            excluded = ("prop5a", "prop5b", "prop6")
+    return DefectReport(point=fp.point, w_defect=wd, class_defects=raw,
+                        class_defects_normalized=normed, moulding_defect=md,
+                        flags=flags, prop_residuals=res, excluded=excluded)
+
+
+def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
+                    tol: ToleranceSet) -> Dict[str, PropositionResidual]:
+    n13 = net_asymptotic_pullback(fp, 1, tol)
+    n14 = net_asymptotic_pullback(fp, 2, tol)
+    n17 = net_curvature_pullback(fp, 1, tol)
+    n18 = net_curvature_pullback(fp, 2, tol)
     n15 = spherical_image(n13, fp)
     n16 = spherical_image(n14, fp)
     s17 = spherical_image(n17, fp)
     s18 = spherical_image(n18, fp)
 
     k1, k2, q1, q2 = fp.k1, fp.k2, fp.q1, fp.q2
-    grads = _class_gradients(fp)
     g_diff, g_ratio = grads["diff"], grads["ratio"]
     g_rdiff, g_rsum = grads["radii_diff"], grads["radii_sum"]
     g_mean, g_gauss = grads["mean"], grads["gauss"]
@@ -176,8 +205,9 @@ def proposition_report(fp: FramePoint,
     # Normalized by the term-magnitude scale, not |div| + |closed|: when the
     # curvatures are functionally dependent both sides cancel to noise and
     # their own magnitudes stop being a meaningful yardstick.
+    grad_q = connection_gradient(fp)
     for sheet, key in ((1, "prop1_s1"), (2, "prop1_s2")):
-        div = isothermic_divergence(fp, sheet, tol)
+        div = central_pfaffian(fp, grad_q, sheet, tol)[sheet - 1]
         closed = divergence_closed_form(fp, sheet, tol)
         scale = divergence_scale(fp, sheet, tol) + _FLOOR
         res[key] = PropositionResidual(abs(div) / scale, abs(closed) / scale,
@@ -209,16 +239,7 @@ def proposition_report(fp: FramePoint,
     # Their spherical images: orthogonality <-> -q_i d(1/k1 + 1/k2).
     res["prop6_17"] = _res(s17.a + s17.c, -q1 * g_rsum[0], net_norm(s17))
     res["prop6_18"] = _res(s18.a + s18.c, -q2 * g_rsum[1], net_norm(s18))
-
-    raw, normed = class_defects(fp)
-    wd = w_defect(fp)
-    md = moulding_defect(fp, tol)
-    flags = flags_from_defects(wd, normed, md, canal1=False, canal2=False,
-                              tol=tol)
-    excluded = (("prop5a", "prop5b", "prop6") if flags["moulding"] else ())
-    return DefectReport(point=fp.point, w_defect=wd, class_defects=raw,
-                        class_defects_normalized=normed, moulding_defect=md,
-                        flags=flags, prop_residuals=res, excluded=excluded)
+    return res
 
 
 def flags_from_defects(wd: float, normed: Dict[str, float], md: float,

@@ -16,7 +16,7 @@ from .errors import JetDomainError, UnboundIdentifierError
 
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call", "Node",
-    "evaluate", "substitute", "free_names", "to_source",
+    "evaluate", "free_names", "to_source",
     "FLOAT_FUNCTIONS", "FUNCTION_NAMES", "CONSTANT_NAMES",
 ]
 
@@ -96,23 +96,6 @@ def evaluate(node: Node, env: dict, funcs: dict):
         except KeyError:
             raise UnboundIdentifierError(f"unknown function '{node.func}'") from None
         return fn(evaluate(node.arg, env, funcs))
-    raise TypeError(f"not an expression node: {node!r}")
-
-
-def substitute(node: Node, mapping: dict) -> Node:
-    """Replace Var occurrences by AST nodes (capture is not a concern:
-    the language has no binders)."""
-    if isinstance(node, Num):
-        return node
-    if isinstance(node, Var):
-        return mapping.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(substitute(node.arg, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, substitute(node.left, mapping),
-                     substitute(node.right, mapping))
-    if isinstance(node, Call):
-        return Call(node.func, substitute(node.arg, mapping))
     raise TypeError(f"not an expression node: {node!r}")
 
 

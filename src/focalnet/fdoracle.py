@@ -18,7 +18,7 @@ alignment near umbilics is an error, never a guess.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 __all__ = [
     "fd_partial", "fd_partial_mp", "fd_surface_partial", "fd_surface_jet",
     "fd_directional", "fd_pfaffian", "fd_frame_field", "aligned_frame_point",
-    "richardson", "scalar_fn", "mp_scalar_fn", "jet_fd_error",
+    "scalar_fn", "mp_scalar_fn", "jet_fd_error",
 ]
 
 _OFFSETS = (-2, -1, 0, 1, 2)
@@ -147,11 +147,6 @@ def fd_directional(f: Callable[[float, float], float], u: float, v: float,
     for a, cu in zip(_DIR_OFFSETS, _DIR_NUMS):
         acc += cu * f(u + a * h * du, v + a * h * dv)
     return acc / (_DIR_DIV * h)
-
-
-def richardson(coarse: float, fine: float) -> float:
-    """Eliminate the O(h^2) term from two estimates at h and h/2."""
-    return (4.0 * fine - coarse) / 3.0
 
 
 def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,

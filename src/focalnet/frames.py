@@ -16,11 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
 from . import jet as jt
-from .geometry import (PrincipalData, SurfaceJet, eval_surface,
-                       principal_data, vdot)
+from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -45,9 +42,8 @@ def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
 class FramePoint:
     """Everything the focal-sheet and net layers need at one surface point.
 
-    hess_k1[a, b] holds nabla_{a+1}(nabla_{b+1} k1) (0-indexed); the mixed
-    entries differ because the Pfaffian derivatives do not commute.
-    """
+    d2_q1 and d1_q2 are nabla_2 q1 and nabla_1 q2, the derivatives the
+    Gauss equation reads."""
     u: float
     v: float
     pd: PrincipalData
@@ -59,12 +55,6 @@ class FramePoint:
     grad_k2: Tuple[float, float]
     k1_jet: jt.Jet4
     k2_jet: jt.Jet4
-    q1_jet: jt.Jet4
-    q2_jet: jt.Jet4
-    d_k1_jets: Tuple[jt.Jet4, jt.Jet4]
-    d_k2_jets: Tuple[jt.Jet4, jt.Jet4]
-    hess_k1: np.ndarray
-    hess_k2: np.ndarray
     d2_q1: float
     d1_q2: float
 
@@ -92,27 +82,17 @@ def frame_point_from_pd(pd: PrincipalData,
     q1_jet = vdot(d1_e1, pd.e2)
     q2_jet = vdot(d2_e1, pd.e2)
 
-    d1_k1, d2_k1 = pfaffian(k1_jet, pd)
-    d1_k2, d2_k2 = pfaffian(k2_jet, pd)
-
-    hess_k1 = np.array([pfaffian_values(d1_k1, pd),
-                        pfaffian_values(d2_k1, pd)]).T
-    hess_k2 = np.array([pfaffian_values(d1_k2, pd),
-                        pfaffian_values(d2_k2, pd)]).T
-
-    d2_q1 = pfaffian_values(q1_jet, pd)[1]
-    d1_q2 = pfaffian_values(q2_jet, pd)[0]
-
     sj = pd.sj
     return FramePoint(
         u=sj.u, v=sj.v, pd=pd,
         k1=k1_jet.value, k2=k2_jet.value,
         q1=q1_jet.value, q2=q2_jet.value,
-        grad_k1=(d1_k1.value, d2_k1.value),
-        grad_k2=(d1_k2.value, d2_k2.value),
-        k1_jet=k1_jet, k2_jet=k2_jet, q1_jet=q1_jet, q2_jet=q2_jet,
-        d_k1_jets=(d1_k1, d2_k1), d_k2_jets=(d1_k2, d2_k2),
-        hess_k1=hess_k1, hess_k2=hess_k2, d2_q1=d2_q1, d1_q2=d1_q2)
+        grad_k1=pfaffian_values(k1_jet, pd),
+        grad_k2=pfaffian_values(k2_jet, pd),
+        k1_jet=k1_jet, k2_jet=k2_jet,
+        # one component of each q gradient, as in `pfaffian`
+        d2_q1=(pd.xi2 * q1_jet.du() + pd.eta2 * q1_jet.dv()).value,
+        d1_q2=(pd.xi1 * q2_jet.du() + pd.eta1 * q2_jet.dv()).value)
 
 
 def frame_point(prog, u: float, v: float,

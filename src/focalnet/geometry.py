@@ -53,10 +53,6 @@ def _vscale(a: Vec3, s) -> Vec3:
     return (a[0] * s, a[1] * s, a[2] * s)
 
 
-def _values(a: Vec3):
-    return (a[0].value, a[1].value, a[2].value)
-
-
 @dataclass
 class SurfaceJet:
     """Order-4 jets of the position map at one parameter point."""
@@ -103,20 +99,6 @@ class PrincipalData:
     e1: Vec3
     e2: Vec3
     e1_flipped: bool
-
-    @property
-    def k1_value(self) -> float:
-        return self.k1.value
-
-    @property
-    def k2_value(self) -> float:
-        return self.k2.value
-
-    def position(self):
-        return _values(self.sj.pos)
-
-    def normal(self):
-        return _values(self.e3)
 
 
 def principal_data(sj: SurfaceJet,

@@ -13,7 +13,7 @@ Binary operations propagate the minimum of the two orders.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from . import expr as _expr
 
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
-    "jet_const", "jet_variables", "jet_eval", "jet_extract", "JET_FUNCTIONS",
+    "jet_variables", "jet_eval", "JET_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
 
@@ -297,15 +297,6 @@ JET_FUNCTIONS = {
     "sqrt": sqrt, "exp": exp, "ln": ln,
     "sin": sin, "cos": cos, "tan": tan, "sinh": sinh, "cosh": cosh,
 }
-
-
-def jet_const(value: Number, valid_order: int = MAX_ORDER) -> Jet4:
-    return Jet4.const(value, valid_order)
-
-
-def jet_extract(j: Jet4, order) -> float:
-    """Un-normalized partial derivative for multi-index order = (i, j)."""
-    return j.extract(*order)
 
 
 def jet_variables(u: Number, v: Number, valid_order: int = MAX_ORDER):

@@ -13,7 +13,6 @@ byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import json
-import math
 import os
 from typing import Dict, Iterable, List, Optional, Tuple
 

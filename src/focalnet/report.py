@@ -23,13 +23,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from .classify import (CLASS_NAMES, class_defects, flags_from_defects,
-                       is_canal, moulding_defect, proposition_report,
-                       w_defect)
+from .classify import CLASS_NAMES, defect_report
 from .errors import (DegenerateParametrization, JetDomainError,
                      ParabolicPoint, UmbilicPoint)
 from .frames import frame_point
@@ -80,45 +78,33 @@ def point_record(prog, u: float, v: float,
     except (DegenerateParametrization, JetDomainError):
         return _empty_record(u, v, "degenerate")
 
-    c1, c2 = is_canal(fp, 1, tol), is_canal(fp, 2, tol)
-    rec = _empty_record(u, v, "ok")
+    rep = defect_report(fp, tol)
+    c1, c2 = rep.flags["canal1"], rep.flags["canal2"]
+    if c1 or c2:
+        status = "canal12" if (c1 and c2) else ("canal1" if c1 else "canal2")
+    else:
+        status = "moulding" if rep.flags["moulding"] else "ok"
+    rec = _empty_record(u, v, status)
     rec.update({
         "k1": float(fp.k1), "k2": float(fp.k2),
         "h": float(0.5 * (fp.k1 + fp.k2)), "k": float(fp.k1 * fp.k2),
         "q1": float(fp.q1), "q2": float(fp.q2),
+        "flags": {k: bool(rep.flags[k]) for k in _FLAG_KEYS},
+        "defects": {
+            "w": float(rep.w_defect), "moulding": float(rep.moulding_defect),
+            "class": {n: float(rep.class_defects[n]) for n in CLASS_NAMES},
+            "class_normalized": {n: float(rep.class_defects_normalized[n])
+                                 for n in CLASS_NAMES},
+        },
     })
-
-    if c1 or c2:
-        rec["status"] = "canal12" if (c1 and c2) else ("canal1" if c1
-                                                       else "canal2")
-        raw, normed = class_defects(fp)
-        md = moulding_defect(fp, tol)
-        flags = flags_from_defects(w_defect(fp), normed, md, c1, c2, tol)
-        rec["flags"] = {k: bool(flags[k]) for k in _FLAG_KEYS}
-        rec["defects"] = {
-            "w": float(w_defect(fp)), "moulding": float(md),
-            "class": {n: float(raw[n]) for n in CLASS_NAMES},
-            "class_normalized": {n: float(normed[n]) for n in CLASS_NAMES},
+    if not (c1 or c2):
+        rec["prop_residuals"] = {
+            key: {"lhs_defect": float(r.lhs_defect),
+                  "rhs_defect": float(r.rhs_defect),
+                  "identity_residual": float(r.identity_residual)}
+            for key, r in sorted(rep.prop_residuals.items())
         }
-        return rec
-
-    rep = proposition_report(fp, tol=tol)
-    if rep.flags["moulding"]:
-        rec["status"] = "moulding"
-    rec["flags"] = {k: bool(rep.flags[k]) for k in _FLAG_KEYS}
-    rec["defects"] = {
-        "w": float(rep.w_defect), "moulding": float(rep.moulding_defect),
-        "class": {n: float(rep.class_defects[n]) for n in CLASS_NAMES},
-        "class_normalized": {n: float(rep.class_defects_normalized[n])
-                             for n in CLASS_NAMES},
-    }
-    rec["prop_residuals"] = {
-        key: {"lhs_defect": float(r.lhs_defect),
-              "rhs_defect": float(r.rhs_defect),
-              "identity_residual": float(r.identity_residual)}
-        for key, r in sorted(rep.prop_residuals.items())
-    }
-    rec["excluded"] = list(rep.excluded)
+        rec["excluded"] = list(rep.excluded)
     return rec
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import domain_points
 from focalnet.classify import (CLASS_NAMES, class_defects, classify_point,
-                               moulding_defect, proposition_report, w_defect)
+                               flags_from_defects, is_canal, moulding_defect,
+                               proposition_report, w_defect)
 from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point
 from focalnet.report import point_record
@@ -117,6 +118,44 @@ def test_torus_is_canal_and_moulding(prog, tol):
     assert rec["flags"]["moulding"] is True
     with pytest.raises(CanalDegenerate):
         proposition_report(frame_point(program, 0.4, 0.9, tol), tol=tol)
+
+
+@pytest.mark.parametrize("surface, u, v, status", [
+    ("torus", 0.4, 0.9, "canal12"),
+    ("swept", 0.5, 0.4, "moulding"),
+    ("graph_generic", 0.3, -0.2, "ok"),
+])
+def test_point_record_matches_classify_layer(prog, tol, surface, u, v,
+                                             status):
+    """point_record's flags and defects are exactly what the classify
+    functions give; off canal points they are also proposition_report's,
+    and so are the residuals and exclusions."""
+    program = load_surface(SWEPT_SRC) if surface == "swept" else prog(surface)
+    rec = point_record(program, u, v, tol)
+    assert rec["status"] == status
+    fp = frame_point(program, u, v, tol)
+    raw, normed = class_defects(fp)
+    wd, md = w_defect(fp), moulding_defect(fp, tol)
+    assert rec["flags"] == flags_from_defects(
+        wd, normed, md, is_canal(fp, 1, tol), is_canal(fp, 2, tol), tol)
+    assert rec["defects"] == {"w": wd, "moulding": md, "class": raw,
+                              "class_normalized": normed}
+    if status == "canal12":
+        assert rec["prop_residuals"] is None and rec["excluded"] is None
+        with pytest.raises(CanalDegenerate):
+            proposition_report(fp, tol=tol)
+        return
+    rep = proposition_report(fp, tol=tol)
+    assert rec["flags"] == rep.flags
+    assert rec["defects"] == {
+        "w": rep.w_defect, "moulding": rep.moulding_defect,
+        "class": rep.class_defects,
+        "class_normalized": rep.class_defects_normalized}
+    assert rec["prop_residuals"] == {
+        key: {"lhs_defect": r.lhs_defect, "rhs_defect": r.rhs_defect,
+              "identity_residual": r.identity_residual}
+        for key, r in rep.prop_residuals.items()}
+    assert rec["excluded"] == list(rep.excluded)
 
 
 def test_classify_point_roundtrip_and_threshold(prog, tol):

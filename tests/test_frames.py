@@ -7,7 +7,8 @@ from focalnet.errors import ParabolicPoint, UmbilicPoint
 from focalnet.fdoracle import fd_pfaffian
 from focalnet.frames import (check_codazzi, check_gauss, codazzi_scale,
                              commutator_residual, frame_point,
-                             frame_point_from_pd, gauss_scale)
+                             frame_point_from_pd, gauss_scale, pfaffian,
+                             pfaffian_values)
 from focalnet.geometry import flipped_principal
 
 from conftest import domain_points
@@ -53,7 +54,6 @@ def test_commutator_sign_convention(prog, tol, rng):
         assert abs(commutator_residual(fp, f)) < 1e-10
         # demonstrate the sign matters where q is non-negligible
         if abs(fp.q1) + abs(fp.q2) > 0.1:
-            from focalnet.frames import pfaffian, pfaffian_values
             d1f, d2f = pfaffian(f, fp.pd)
             d12 = pfaffian_values(d2f, fp.pd)[0]
             d21 = pfaffian_values(d1f, fp.pd)[1]
@@ -110,12 +110,16 @@ def test_connection_determined_by_curvature_gradients(prog, tol, rng):
 
 
 def test_hessian_mixed_entries_differ_by_commutator(prog, tol, rng):
-    """hess[0,1] - hess[1,0] = -(q1 grad[0] + q2 grad[1]) for k1."""
+    """hess[0,1] - hess[1,0] = -(q1 grad[0] + q2 grad[1]) for k1, where
+    hess[a, b] = nabla_{a+1}(nabla_{b+1} k1) (0-indexed)."""
     program = prog("graph_generic")
     for fp in _frame_points(program, 6, rng, tol):
-        lhs = fp.hess_k1[0, 1] - fp.hess_k1[1, 0]
+        d1k1, d2k1 = pfaffian(fp.k1_jet, fp.pd)
+        hess = np.array([pfaffian_values(d1k1, fp.pd),
+                         pfaffian_values(d2k1, fp.pd)]).T
+        lhs = hess[0, 1] - hess[1, 0]
         rhs = -(fp.q1 * fp.grad_k1[0] + fp.q2 * fp.grad_k1[1])
-        scale = abs(fp.hess_k1).max() + 1e-12
+        scale = abs(hess).max() + 1e-12
         assert abs(lhs - rhs) / scale < 1e-10
 
 
