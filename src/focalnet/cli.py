@@ -164,7 +164,7 @@ def cmd_grid(args, parser) -> int:
 
 def cmd_check(args, parser) -> int:
     try:
-        results = run_suite(args.suite, tol_mult=args.tol, seed=args.seed)
+        results = run_suite(args.suite, seed=args.seed)
     except ValueError as e:
         parser.error(str(e))
     for r in results:
@@ -242,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run self-check suites")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
-    p.add_argument("--tol", type=float, default=1.0,
-                   help="tolerance multiplier on the built-in bounds")
     p.add_argument("--seed", type=int, default=7, help="sampling seed")
     p.set_defaults(func=cmd_check)
 

@@ -26,7 +26,8 @@ from . import expr as ex
 from . import jet as jt
 from .errors import FocalnetError
 from .frames import FramePoint, frame_point_from_pd
-from .geometry import SurfaceJet, eval_surface, principal_data
+from .geometry import (SurfaceJet, eval_surface, flipped_principal,
+                       principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -72,18 +73,7 @@ def fd_partial_mp(f, u: float, v: float, i: int, j: int, h, dps: int = 50):
     """Same stencil with mpmath working precision (f takes and returns mpf)."""
     import mpmath as mp
     with mp.workdps(dps):
-        uu, vv, hh = mp.mpf(u), mp.mpf(v), mp.mpf(h)
-        nums_u, div_u = _STENCILS[i]
-        nums_v, div_v = _STENCILS[j]
-        acc = mp.mpf(0)
-        for a, cu in zip(_OFFSETS, nums_u):
-            if cu == 0:
-                continue
-            for b, cv in zip(_OFFSETS, nums_v):
-                if cv == 0:
-                    continue
-                acc += cu * cv * f(uu + a * hh, vv + b * hh)
-        return acc / (div_u * div_v * hh ** (i + j))
+        return fd_partial(f, mp.mpf(u), mp.mpf(v), i, j, mp.mpf(h))
 
 
 def scalar_fn(prog, coord: int) -> Callable[[float, float], float]:
@@ -161,7 +151,6 @@ def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
             f"principal-direction continuation ambiguous at ({u}, {v}): "
             f"|<e1, e1_ref>| = {abs(dot):.3f}")
     if dot < 0:
-        from .geometry import flipped_principal
         pd = flipped_principal(pd)
     return frame_point_from_pd(pd, tol)
 
@@ -170,17 +159,12 @@ def fd_pfaffian(prog, u: float, v: float,
                 sampler: Callable[[FramePoint], float], h: float,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> Tuple[float, float]:
     """(nabla_1 f, nabla_2 f) of a frame-dependent field by directional
-    differencing, with sign continuation against the center frame."""
-    center = frame_point_from_pd(
-        principal_data(eval_surface(prog, u, v), tol), tol)
-    d1 = (center.pd.xi1.value, center.pd.eta1.value)
-    d2 = (center.pd.xi2.value, center.pd.eta2.value)
-
-    def field(uu: float, vv: float) -> float:
-        return sampler(aligned_frame_point(prog, uu, vv, center, tol))
-
-    return (fd_directional(field, u, v, d1, h),
-            fd_directional(field, u, v, d2, h))
+    differencing along the center frame's principal directions."""
+    pd = principal_data(eval_surface(prog, u, v), tol)
+    d1 = (pd.xi1.value, pd.eta1.value)
+    d2 = (pd.xi2.value, pd.eta2.value)
+    return (fd_frame_field(prog, u, v, sampler, d1, h, tol),
+            fd_frame_field(prog, u, v, sampler, d2, h, tol))
 
 
 def fd_frame_field(prog, u: float, v: float,
@@ -188,7 +172,8 @@ def fd_frame_field(prog, u: float, v: float,
                    direction: Tuple[float, float], h: float,
                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
     """Directional derivative of a frame-dependent field along an arbitrary
-    parameter-space direction (used for focal coordinate curves)."""
+    parameter-space direction (principal or focal coordinate curves), with
+    sign continuation against the center frame."""
     center = frame_point_from_pd(
         principal_data(eval_surface(prog, u, v), tol), tol)
 

@@ -27,13 +27,3 @@ def tol():
 def rng():
     return np.random.default_rng(20260819)
 
-
-def domain_points(program, n, rng, margin=0.05):
-    """n random (u, v) pairs inside the domain box, shrunk per side."""
-    box = program.definition.domain
-    eu, ev = box.u_max - box.u_min, box.v_max - box.v_min
-    return [(float(rng.uniform(box.u_min + margin * eu,
-                               box.u_max - margin * eu)),
-             float(rng.uniform(box.v_min + margin * ev,
-                               box.v_max - margin * ev)))
-            for _ in range(n)]

@@ -1,14 +1,13 @@
-"""Focal sheets: closed forms vs. the direct oracle, sheet derivatives,
-and the divergence identity."""
+"""Focal sheets: canal degeneracy, connection structure, focal positions and
+sheet derivatives.  The sampled oracle, divergence and cubic-power sweeps
+live in `focalnet.checks` (asserted by test_acceptance)."""
 import numpy as np
 import pytest
 
 from focalnet.central import (base_coframe_matrix, canal_threshold,
                               central_ii_oracle, central_pfaffian,
                               central_point, check_canal,
-                              divergence_closed_form, divergence_scale,
-                              focal_coframe_matrix, isothermic_divergence,
-                              w_jacobian)
+                              focal_coframe_matrix, isothermic_divergence)
 from focalnet.checks import sample_frame_points
 from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point
@@ -61,36 +60,6 @@ def test_connection_coefficients_structure(prog, tol, rng):
             assert abs(cf.q2 - expect[1]) / scale < 1e-7
 
 
-def test_closed_form_matches_oracle(prog, tol, rng):
-    for name in ("graph_generic", "dini", "scherk"):
-        program = prog(name)
-        pts = sample_frame_points(program, 25, rng, tol, sheets=(1, 2),
-                                  healthy=10.0, min_k=0.05, min_gap=0.02)
-        for fp in pts:
-            for sheet in (1, 2):
-                cp = central_point(fp, sheet=sheet, tol=tol)
-                cf = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
-                closed = (cp.a, cp.b, cp.c, cp.q1, cp.q2)
-                oracle = (cf.a, cf.b, cf.c, cf.q1, cf.q2)
-                scale = max(abs(x) for x in closed + oracle) + 1e-30
-                assert max(abs(x - y) for x, y in zip(closed, oracle)) \
-                    / scale < 1e-7
-                assert cf.y == pytest.approx(cp.y, rel=1e-10, abs=1e-12)
-
-
-def test_coframe_projection_agreement(prog, tol, rng):
-    """The closed-form coframe over (du, dv) equals the projection of dy
-    onto the sheet frame vectors."""
-    program = prog("monkey_saddle")
-    for fp in sample_frame_points(program, 8, rng, tol, sheets=(1, 2),
-                                  healthy=10.0, min_k=0.05):
-        for sheet in (1, 2):
-            cf = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
-            scale = np.abs(cf.coframe_uv).max() + 1e-30
-            assert np.abs(cf.coframe_uv - cf.coframe_uv_projected).max() \
-                / scale < 1e-10
-
-
 def test_central_pfaffian_df_consistency(prog, tol, rng):
     """(D1'f, D2'f) composed with the sheet coframe over (du, dv) must
     reproduce the raw parameter-space differential (f_u, f_v)."""
@@ -107,49 +76,6 @@ def test_central_pfaffian_df_consistency(prog, tol, rng):
             back = d_sheet @ p_uv
             scale = np.abs(f_uv).sum() + 1e-30
             assert np.abs(back - f_uv).max() / scale < 1e-10
-
-
-def test_divergence_identity_both_sheets(prog, tol, rng):
-    program = prog("graph_generic")
-    for fp in sample_frame_points(program, 20, rng, tol, sheets=(1, 2),
-                                  healthy=10.0):
-        for sheet in (1, 2):
-            div = isothermic_divergence(fp, sheet, tol)
-            closed = divergence_closed_form(fp, sheet, tol)
-            scale = divergence_scale(fp, sheet, tol) + 1e-30
-            assert abs(div - closed) / scale < 1e-9
-
-
-def test_divergence_vanishes_with_jacobian(prog, tol, rng):
-    """Functional dependence of (k1, k2) kills the divergence pointwise:
-    on minimal and constant-K members both are noise-level."""
-    for name in ("helicoid", "enneper", "dini"):
-        program = prog(name)
-        for fp in sample_frame_points(program, 15, rng, tol, sheets=(1, 2),
-                                      healthy=10.0):
-            scale1 = divergence_scale(fp, 1, tol) + 1e-30
-            scale2 = divergence_scale(fp, 2, tol) + 1e-30
-            assert abs(isothermic_divergence(fp, 1, tol)) / scale1 < 1e-10
-            assert abs(isothermic_divergence(fp, 2, tol)) / scale2 < 1e-10
-            gscale = (np.hypot(*fp.grad_k1) * np.hypot(*fp.grad_k2) + 1e-30)
-            assert abs(w_jacobian(fp)) / gscale < 1e-12
-
-
-def test_cubic_curvature_power_is_forced(prog, tol, rng):
-    """div / (k_i^2 J / ((k1-k2)^3 D_i k_i)) reproduces k_i exactly: the
-    quadratic-power variant is off by one curvature factor."""
-    program = prog("graph_generic")
-    for fp in sample_frame_points(program, 10, rng, tol, sheets=(1, 2),
-                                  healthy=10.0, min_k=0.05, min_gap=0.02):
-        jac = w_jacobian(fp)
-        gap = fp.k1 - fp.k2
-        for sheet, k, dk in ((1, fp.k1, fp.grad_k1[0]),
-                             (2, fp.k2, fp.grad_k2[1])):
-            div = isothermic_divergence(fp, sheet, tol)
-            quad_variant = k ** 2 * jac / (gap ** 3 * dk)
-            if abs(quad_variant) < 1e-9:
-                continue
-            assert div / quad_variant == pytest.approx(k, rel=1e-6)
 
 
 def test_canal_detection_torus(prog, tol):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conftest import domain_points
+from focalnet.checks import domain_points
 from focalnet.classify import (CLASS_NAMES, class_defects, classify_point,
                                flags_from_defects, is_canal, moulding_defect,
                                proposition_report, w_defect)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from focalnet.checks import domain_points
 from focalnet.errors import UmbilicPoint, ParabolicPoint
 from focalnet.fdoracle import (fd_directional, fd_partial, fd_pfaffian,
                                fd_surface_jet, fd_surface_partial,
@@ -12,8 +13,6 @@ from focalnet.fdoracle import (fd_directional, fd_partial, fd_pfaffian,
 from focalnet.frames import frame_point, frame_point_from_pd
 from focalnet.geometry import principal_data
 from focalnet.sdl import compile_surface, parse_surface
-
-from conftest import domain_points
 
 
 def test_stencils_exact_on_quartics():

@@ -4,12 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from focalnet.checks import domain_points
 from focalnet.errors import (DegenerateParametrization, ParabolicPoint,
                              UmbilicPoint)
 from focalnet.geometry import (eval_surface, principal_data, vdot, vcross)
 from focalnet.sdl import compile_surface, parse_surface
-
-from conftest import domain_points
 
 
 def _pd(program, u, v, tol):
