@@ -18,6 +18,8 @@ finite-difference oracle; the df-consistency check is exact).
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
 case) and computation is refused rather than returning huge values.
+`is_canal` decides that and rejects a sheet other than 1 or 2; every sheet
+entry point goes through it by way of `check_canal`.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "CentralPoint", "CentralFundamentals", "canal_threshold", "check_canal",
+    "CentralPoint", "CentralFundamentals", "canal_threshold", "is_canal",
+    "check_canal",
     "base_coframe_matrix", "focal_coframe_matrix", "central_point",
     "central_ii_oracle", "central_pfaffian", "connection_gradient",
     "isothermic_divergence", "divergence_closed_form", "divergence_scale",
@@ -47,13 +50,28 @@ def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> f
     return tol.canal * (k ** 3 + tol.curvature_floor)
 
 
+def _own_gradient(fp: FramePoint, sheet: int) -> float:
+    """nabla_i k_i, the derivative sheet i divides by."""
+    return fp.grad_k1[0] if sheet == 1 else fp.grad_k2[1]
+
+
+def is_canal(fp: FramePoint, sheet: int,
+             tol: ToleranceSet = DEFAULT_TOLERANCES) -> bool:
+    """Whether focal sheet `sheet` (1 or 2, else ValueError) degenerates to
+    a curve at `fp`: |nabla_i k_i| at or below `canal_threshold`."""
+    if sheet not in (1, 2):
+        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    return abs(_own_gradient(fp, sheet)) <= canal_threshold(fp, tol)
+
+
 def check_canal(fp: FramePoint, sheet: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> None:
-    grad = fp.grad_k1[0] if sheet == 1 else fp.grad_k2[1]
-    if abs(grad) <= canal_threshold(fp, tol):
+    """Raise CanalDegenerate where `is_canal` holds."""
+    if is_canal(fp, sheet, tol):
         raise CanalDegenerate(
             f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
-            f"|nabla_{sheet} k{sheet}| = {abs(grad):.3e}", sheet, fp.point)
+            f"|nabla_{sheet} k{sheet}| = {abs(_own_gradient(fp, sheet)):.3e}",
+            sheet, fp.point)
 
 
 def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
@@ -103,8 +121,6 @@ def central_point(fp: FramePoint, sheet: int = 1,
     a, b, c are the coefficients of the sheet's second fundamental form in
     its adapted coframe; q1, q2 its connection coefficients (one vanishes
     identically, the other equals k1 k2 / (k1 - k2))."""
-    if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
     check_canal(fp, sheet, tol)
     pd = fp.pd
     k1, k2 = fp.k1, fp.k2
@@ -136,7 +152,6 @@ def central_point(fp: FramePoint, sheet: int = 1,
 class CentralFundamentals:
     """Direct (oracle) computation of a focal sheet's fundamental data."""
     sheet: int
-    y: np.ndarray
     a: float
     b: float
     c: float
@@ -205,9 +220,8 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int = 1,
     q1c, q2c = np.linalg.solve(p_uv.T, w)
 
     return CentralFundamentals(
-        sheet=sheet, y=np.array([c_.value for c_ in y]),
-        a=float(a), b=float(b), c=float(c), q1=float(q1c), q2=float(q2c),
-        coframe_uv=p_uv, coframe_uv_projected=p_proj)
+        sheet=sheet, a=float(a), b=float(b), c=float(c), q1=float(q1c),
+        q2=float(q2c), coframe_uv=p_uv, coframe_uv_projected=p_proj)
 
 
 def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],

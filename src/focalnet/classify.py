@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .central import (central_pfaffian, check_canal, connection_gradient,
-                      divergence_closed_form, divergence_scale, w_jacobian)
-from .errors import CanalDegenerate
+                      divergence_closed_form, divergence_scale, is_canal,
+                      w_jacobian)
 from .frames import FramePoint
 from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
                    spherical_image)
@@ -125,15 +125,6 @@ def moulding_defect(fp: FramePoint,
     scale = (abs(fp.k1) + abs(fp.k2) + abs(fp.q1) + abs(fp.q2)
              + tol.curvature_floor)
     return min(abs(fp.q1), abs(fp.q2)) / scale
-
-
-def is_canal(fp: FramePoint, sheet: int,
-             tol: ToleranceSet = DEFAULT_TOLERANCES) -> bool:
-    try:
-        check_canal(fp, sheet, tol)
-    except CanalDegenerate:
-        return True
-    return False
 
 
 def _res(lhs_raw: float, rhs_raw: float, norm: float) -> PropositionResidual:

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
-Degeneracy exceptions carry a short status code so report rows and exit codes
-can be derived without string matching on messages.
+Every exception a frame evaluation can raise (`FRAME_ERRORS`) carries a
+short `status` code, and report rows and exit codes read it from there
+rather than mapping exception classes again or matching on messages.
 """
 from __future__ import annotations
 
@@ -13,6 +14,8 @@ class FocalnetError(Exception):
 class JetDomainError(FocalnetError):
     """Elementary function evaluated outside its domain (ln/sqrt of a
     non-positive value, division by zero, non-finite result)."""
+
+    status = "degenerate"
 
 
 class JetOrderError(FocalnetError):
@@ -77,6 +80,11 @@ class CanalDegenerate(DegeneratePoint):
         super().__init__(message, point)
         self.sheet = int(sheet)
         self.status = f"canal{self.sheet}"
+
+
+# What evaluating a frame point (jets, principal data, frame) can raise.
+FRAME_ERRORS = (JetDomainError, DegenerateParametrization, UmbilicPoint,
+                ParabolicPoint)
 
 
 class ImaginaryNetError(FocalnetError):

@@ -5,9 +5,11 @@ surface jets; 4-point directional differences along principal directions
 check Pfaffian derivatives; the same machinery along the focal coframe's dual
 directions checks the focal-sheet derivative formulas.
 
-Oracle evaluation runs the plain (non-jet) expression evaluator.  For
-convergence-ratio studies the stencil sums are taken in mpmath: at step sizes
-near 1e-4, float64 cancellation noise exceeds the O(h^2) truncation error for
+Oracle samples are plain floats from `SurfaceProgram.evaluate` (through
+`prog.position` and `scalar_fn`), so no jet arithmetic enters them.  For
+convergence-ratio studies the stencil sums are taken in mpmath, with the
+program evaluated in mpmath numbers by `mp_scalar_fn`: at step sizes near
+1e-4, float64 cancellation noise exceeds the O(h^2) truncation error for
 second and higher derivatives, which would make ratio tests meaningless.
 mpmath is imported lazily; the library runtime never needs it.
 
@@ -55,7 +57,8 @@ _DIR_DIV = 12
 
 def fd_partial(f: Callable[[float, float], float], u: float, v: float,
                i: int, j: int, h: float) -> float:
-    """d^{i+j} f / du^i dv^j by a tensor-product 5x5 central stencil."""
+    """d^{i+j} f / du^i dv^j by a tensor-product 5x5 central stencil
+    (componentwise when f returns an array)."""
     nums_u, div_u = _STENCILS[i]
     nums_v, div_v = _STENCILS[j]
     acc = 0.0
@@ -78,19 +81,13 @@ def fd_partial_mp(f, u: float, v: float, i: int, j: int, h, dps: int = 50):
 
 def scalar_fn(prog, coord: int) -> Callable[[float, float], float]:
     """Plain float evaluator for one coordinate expression of a program."""
-    node = prog.exprs[coord]
-    params = prog.params
-
-    def f(u: float, v: float) -> float:
-        env = {"pi": math.pi, "e": math.e, "u": u, "v": v}
-        env.update(params)
-        return ex.evaluate(node, env, ex.FLOAT_FUNCTIONS)
-
-    return f
+    return lambda u, v: prog.evaluate(u, v, ex.FLOAT_FUNCTIONS)[coord]
 
 
 def mp_scalar_fn(prog, coord: int, dps: int = 50):
-    """mpmath evaluator for one coordinate expression of a program."""
+    """mpmath evaluator for one coordinate expression of a program: the
+    reference sampler, kept apart from `SurfaceProgram.evaluate` because
+    constants and parameters must be mpmath numbers too."""
     import mpmath as mp
     node = prog.exprs[coord]
     params = prog.params
@@ -108,8 +105,7 @@ def mp_scalar_fn(prog, coord: int, dps: int = 50):
 
 def fd_surface_partial(prog, u: float, v: float, i: int, j: int,
                        h: float) -> np.ndarray:
-    return np.array([fd_partial(scalar_fn(prog, c), u, v, i, j, h)
-                     for c in range(3)])
+    return fd_partial(prog.position, u, v, i, j, h)
 
 
 def fd_surface_jet(prog, u: float, v: float, h: float) -> SurfaceJet:
@@ -118,15 +114,11 @@ def fd_surface_jet(prog, u: float, v: float, h: float) -> SurfaceJet:
     Feeding it through principal_data/frame_point gives an end-to-end
     derivative path with no jet arithmetic anywhere.
     """
-    jets = []
-    for c in range(3):
-        f = scalar_fn(prog, c)
-        coeffs = np.zeros(jt.N_COEFFS)
-        for idx, (i, j) in enumerate(jt.MONOMIALS):
-            coeffs[idx] = (fd_partial(f, u, v, i, j, h)
-                           / (math.factorial(i) * math.factorial(j)))
-        jets.append(jt.Jet4(coeffs))
-    return SurfaceJet(float(u), float(v), jets[0], jets[1], jets[2])
+    coeffs = np.array([fd_partial(prog.position, u, v, i, j, h)
+                       / (math.factorial(i) * math.factorial(j))
+                       for i, j in jt.MONOMIALS])
+    return SurfaceJet(float(u), float(v),
+                      *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
 
 
 def fd_directional(f: Callable[[float, float], float], u: float, v: float,

@@ -62,10 +62,6 @@ class FramePoint:
     def point(self) -> Tuple[float, float]:
         return (self.u, self.v)
 
-    @property
-    def e1_flipped(self) -> bool:
-        return self.pd.e1_flipped
-
     def gradient(self, field: jt.Jet4) -> Tuple[float, float]:
         return pfaffian_values(field, self.pd)
 

@@ -86,7 +86,6 @@ class PrincipalData:
     E: jt.Jet4
     F: jt.Jet4
     G: jt.Jet4
-    W: jt.Jet4                       # sqrt(EG - F^2)
     xu: Vec3
     xv: Vec3
     e3: Vec3
@@ -181,7 +180,7 @@ def principal_data(sj: SurfaceJet,
     eta2 = (E * xi1 + F * eta1) * inv_w
     e2 = vcross(e3, e1)
 
-    return PrincipalData(sj=sj, E=E, F=F, G=G, W=W, xu=xu, xv=xv, e3=e3,
+    return PrincipalData(sj=sj, E=E, F=F, G=G, xu=xu, xv=xv, e3=e3,
                          k1=k1, k2=k2, xi1=xi1, eta1=eta1, xi2=xi2,
                          eta2=eta2, e1=e1, e2=e2, e1_flipped=flipped)
 
@@ -191,7 +190,7 @@ def flipped_principal(pd: PrincipalData) -> PrincipalData:
     Used to check that downstream quantities transform consistently."""
     neg = lambda vec: (-vec[0], -vec[1], -vec[2])
     return PrincipalData(
-        sj=pd.sj, E=pd.E, F=pd.F, G=pd.G, W=pd.W, xu=pd.xu, xv=pd.xv,
+        sj=pd.sj, E=pd.E, F=pd.F, G=pd.G, xu=pd.xu, xv=pd.xv,
         e3=pd.e3, k1=pd.k1, k2=pd.k2,
         xi1=-pd.xi1, eta1=-pd.eta1, xi2=-pd.xi2, eta2=-pd.eta2,
         e1=neg(pd.e1), e2=neg(pd.e2), e1_flipped=not pd.e1_flipped)

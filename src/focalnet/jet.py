@@ -9,6 +9,9 @@ univariate series composed with the nilpotent part of its argument.
 Each jet carries a `valid_order`: derivatives above it are meaningless
 (consumed by a derivative operator) and extraction past it raises.
 Binary operations propagate the minimum of the two orders.
+
+Expressions are turned into jets by `sdl.SurfaceProgram.jets`, which binds
+`jet_variables` and evaluates with `JET_FUNCTIONS`.
 """
 from __future__ import annotations
 
@@ -18,11 +21,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import JetDomainError, JetOrderError
-from . import expr as _expr
 
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
-    "jet_variables", "jet_eval", "JET_FUNCTIONS",
+    "jet_variables", "JET_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
 
@@ -83,12 +85,12 @@ class Jet4:
         return Jet4(c, valid_order)
 
     @staticmethod
-    def variable(value: Number, axis: int, valid_order: int = MAX_ORDER) -> "Jet4":
+    def variable(value: Number, axis: int) -> "Jet4":
         """Seed jet for the independent variable along `axis` (0 = u, 1 = v)."""
         c = np.zeros(N_COEFFS)
         c[0] = float(value)
         c[1 + axis] = 1.0
-        return Jet4(c, valid_order)
+        return Jet4(c)
 
     # -- access ------------------------------------------------------------
 
@@ -299,31 +301,5 @@ JET_FUNCTIONS = {
 }
 
 
-def jet_variables(u: Number, v: Number, valid_order: int = MAX_ORDER):
-    return (Jet4.variable(u, 0, valid_order), Jet4.variable(v, 1, valid_order))
-
-
-def jet_eval(node, point, bindings=None,
-             valid_order: int = MAX_ORDER) -> Jet4:
-    """Evaluate an expression AST to a Jet4 at point = (u, v).
-
-    `bindings` maps parameter names to floats.  Constant subexpressions fold
-    to plain floats and are promoted on contact with a jet, so a fully
-    constant expression returns a constant jet.
-    """
-    u, v = point
-    env = {"pi": math.pi, "e": math.e}
-    if bindings:
-        env.update({k: float(w) for k, w in bindings.items()})
-    env["u"], env["v"] = jet_variables(u, v, valid_order)
-    try:
-        out = _expr.evaluate(node, env, JET_FUNCTIONS)
-    except ZeroDivisionError as exc:
-        raise JetDomainError(str(exc)) from exc
-    except (ValueError, OverflowError) as exc:
-        raise JetDomainError(f"domain error at (u={u}, v={v}): {exc}") from exc
-    if not isinstance(out, Jet4):
-        out = Jet4.const(out, valid_order)
-    if not np.isfinite(out.c).all():
-        raise JetDomainError(f"non-finite jet coefficients at (u={u}, v={v})")
-    return out
+def jet_variables(u: Number, v: Number):
+    return (Jet4.variable(u, 0), Jet4.variable(v, 1))

@@ -4,11 +4,11 @@ fields over a parameter grid.
 Vertices are written with 9 significant digits, faces as two triangles per
 grid cell (1-based indices), and net directions as ``l i j`` segments of
 length 0.05 x the mean surface cell diagonal, centered at each sample.
-Vertices that cannot be computed (degenerate frame, canal sheet, imaginary
-directions) are dropped and the touching faces pruned.  A sheet or net with
-no computable vertices produces no file; the sidecar ``manifest.json``
-records what was written and why anything is absent.  Output is
-byte-deterministic for identical inputs.
+Vertices that cannot be computed (undefined position, degenerate frame,
+canal sheet, imaginary directions) are dropped and the touching faces
+pruned.  A sheet or net with no computable vertices produces no file; the
+sidecar ``manifest.json`` records what was written and why anything is
+absent.  Output is byte-deterministic for identical inputs.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .central import central_point
-from .errors import (CanalDegenerate, DegenerateNetError,
-                     DegenerateParametrization, ImaginaryNetError,
-                     JetDomainError, ParabolicPoint, UmbilicPoint)
+from .errors import (FRAME_ERRORS, CanalDegenerate, DegenerateNetError,
+                     ImaginaryNetError, JetDomainError)
 from .frames import frame_point
 from .nets import net_asymptotic_pullback, net_curvature_pullback, net_directions
 from .report import grid_points
@@ -102,8 +101,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             continue
         try:
             frames[key] = frame_point(prog, u, v, tol)
-        except (UmbilicPoint, ParabolicPoint, DegenerateParametrization,
-                JetDomainError):
+        except FRAME_ERRORS:
             pass
 
     os.makedirs(out_dir, exist_ok=True)

@@ -28,8 +28,7 @@ from typing import Dict, List
 import numpy as np
 
 from .classify import CLASS_NAMES, defect_report
-from .errors import (DegenerateParametrization, JetDomainError,
-                     ParabolicPoint, UmbilicPoint)
+from .errors import FRAME_ERRORS
 from .frames import frame_point
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -41,8 +40,6 @@ __all__ = [
 STATUSES = ("ok", "moulding", "canal1", "canal2", "canal12",
             "umbilic", "parabolic", "degenerate")
 
-# Statuses whose records carry frame values and defects.
-_VALUED = ("ok", "moulding", "canal1", "canal2", "canal12")
 # Statuses that enter the summary aggregates.
 _SUMMARIZED = ("ok", "moulding")
 
@@ -71,12 +68,8 @@ def point_record(prog, u: float, v: float,
     """Evaluate one parameter point into a JSON-ready record."""
     try:
         fp = frame_point(prog, float(u), float(v), tol)
-    except UmbilicPoint:
-        return _empty_record(u, v, "umbilic")
-    except ParabolicPoint:
-        return _empty_record(u, v, "parabolic")
-    except (DegenerateParametrization, JetDomainError):
-        return _empty_record(u, v, "degenerate")
+    except FRAME_ERRORS as exc:
+        return _empty_record(u, v, exc.status)
 
     rep = defect_report(fp, tol)
     c1, c2 = rep.flags["canal1"], rep.flags["canal2"]

@@ -14,6 +14,9 @@ Parameter defaults and domain bounds are constant expressions (pi and e
 allowed), coordinate expressions may use u, v, declared parameters, pi, e,
 and the built-in functions.  `#` starts a line comment.  Parsing then
 printing then parsing again reproduces the AST exactly.
+
+`SurfaceProgram.evaluate` is the one evaluator of a compiled surface (jets,
+positions and oracle samples); the parser evaluates only constants.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ import numpy as np
 
 from . import expr as ex
 from . import jet as jt
-from .errors import ParseError, UnknownParameterError, UnknownSurfaceError
+from .errors import (JetDomainError, ParseError, UnknownParameterError,
+                     UnknownSurfaceError)
 
 __all__ = [
     "Box", "SurfaceDef", "SurfaceProgram",
@@ -45,12 +49,6 @@ class Box:
     u_max: float
     v_min: float
     v_max: float
-
-    def contains(self, u: float, v: float, margin: float = 0.0) -> bool:
-        du = margin * (self.u_max - self.u_min)
-        dv = margin * (self.v_max - self.v_min)
-        return (self.u_min + du <= u <= self.u_max - du
-                and self.v_min + dv <= v <= self.v_max - dv)
 
 
 @dataclass(frozen=True)
@@ -330,24 +328,41 @@ class SurfaceProgram:
         self.name = definition.name
         self.params = dict(params)
         self.exprs = (definition.x, definition.y, definition.z)
-        self.domain = definition.domain
 
-    def jets(self, u: float, v: float, valid_order: int = jt.MAX_ORDER):
-        return tuple(jt.jet_eval(node, (u, v), self.params, valid_order)
-                     for node in self.exprs)
+    def evaluate(self, u, v, funcs) -> tuple:
+        """The (x, y, z) expressions with u and v bound to the given values:
+        floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`.
+        A function outside its domain, a division by zero, an overflow or a
+        non-finite result raises JetDomainError."""
+        env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
+        try:
+            out = tuple(ex.evaluate(node, env, funcs) for node in self.exprs)
+            if all(_finite(c) for c in out):
+                return out
+            problem = "not finite"
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            problem = f"undefined ({exc})"
+        at = (getattr(u, "value", u), getattr(v, "value", v))
+        raise JetDomainError(f"{self.name} {problem} at (u, v) = {at}")
+
+    def jets(self, u: float, v: float):
+        """Order-4 jets of (x, y, z) at (u, v), constants as constant jets."""
+        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS)
+        return tuple(c if isinstance(c, jt.Jet4) else jt.Jet4.const(c)
+                     for c in out)
 
     def position(self, u: float, v: float) -> np.ndarray:
-        env = {"pi": math.pi, "e": math.e, "u": float(u), "v": float(v)}
-        env.update(self.params)
-        return np.array([ex.evaluate(node, env, ex.FLOAT_FUNCTIONS)
-                         for node in self.exprs], dtype=float)
-
-    def contains(self, u: float, v: float, margin: float = 0.0) -> bool:
-        return self.domain.contains(u, v, margin)
+        return np.array(self.evaluate(float(u), float(v), ex.FLOAT_FUNCTIONS),
+                        dtype=float)
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         return f"SurfaceProgram({self.name}{', ' + ps if ps else ''})"
+
+
+def _finite(x) -> bool:
+    return (bool(np.isfinite(x.c).all()) if isinstance(x, jt.Jet4)
+            else math.isfinite(x))
 
 
 def compile_surface(sd: SurfaceDef,

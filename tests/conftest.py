@@ -19,6 +19,15 @@ def prog():
 
 
 @pytest.fixture
+def graph_source():
+    """Factory: surface source of the graph z = f(u, v) over [-1, 1]^2."""
+    def get(z):
+        return ("surface s {\n  x = u\n  y = v\n  z = " + z
+                + "\n  domain u in [-1, 1] v in [-1, 1]\n}\n")
+    return get
+
+
+@pytest.fixture
 def tol():
     return DEFAULT_TOLERANCES
 

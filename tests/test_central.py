@@ -1,16 +1,20 @@
-"""Focal sheets: canal degeneracy, connection structure, focal positions and
-sheet derivatives.  The sampled oracle, divergence and cubic-power sweeps
-live in `focalnet.checks` (asserted by test_acceptance)."""
+"""Focal sheets: canal degeneracy, the sheet-index gate, connection
+structure and sheet derivatives.  The sampled oracle, focal-position,
+divergence and cubic-power sweeps live in `focalnet.checks` (asserted by
+test_acceptance)."""
 import numpy as np
 import pytest
 
 from focalnet.central import (base_coframe_matrix, canal_threshold,
                               central_ii_oracle, central_pfaffian,
                               central_point, check_canal,
-                              focal_coframe_matrix, isothermic_divergence)
+                              divergence_closed_form, divergence_scale,
+                              focal_coframe_matrix, is_canal,
+                              isothermic_divergence)
 from focalnet.checks import sample_frame_points
 from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point
+from focalnet.nets import net_asymptotic_pullback, net_curvature_pullback
 
 
 def test_paraboloid_apex_is_canal_both_sheets(prog, tol):
@@ -20,25 +24,6 @@ def test_paraboloid_apex_is_canal_both_sheets(prog, tol):
     for sheet in (1, 2):
         with pytest.raises(CanalDegenerate):
             central_point(fp, sheet=sheet, tol=tol)
-
-
-def test_focal_point_position_jet_free(prog, tol):
-    """y_i = x + e3/k_i checked against a frame built purely from finite
-    differences of the position map (no jet arithmetic on that path)."""
-    from focalnet.fdoracle import fd_surface_jet
-    from focalnet.frames import frame_point_from_pd
-    from focalnet.geometry import principal_data
-    program = prog("graph_quad")
-    u, v = 0.31, -0.44
-    fp = frame_point(program, u, v, tol)
-    fq = frame_point_from_pd(
-        principal_data(fd_surface_jet(program, u, v, 0.01), tol), tol)
-    x = np.array(program.position(u, v))
-    for sheet, fqk in ((1, fq.k1), (2, fq.k2)):
-        cp = central_point(fp, sheet=sheet, tol=tol)
-        n = np.array([c.value for c in fq.pd.e3])
-        y_fd = x + n / fqk
-        assert cp.y == pytest.approx(y_fd, rel=1e-7, abs=1e-8)
 
 
 def test_connection_coefficients_structure(prog, tol, rng):
@@ -103,6 +88,30 @@ def test_canal_threshold_scales_with_curvature(prog, tol):
 
 
 def test_sheet_argument_validated(prog, tol):
-    fp = frame_point(prog("graph_generic"), 0.4, 0.3, tol)
-    with pytest.raises(ValueError):
-        central_point(fp, sheet=3, tol=tol)
+    """Every sheet entry point rejects a sheet other than 1 or 2 (the gate
+    is `is_canal`), rather than returning the other sheet's values."""
+    program = prog("graph_generic")
+    fp = frame_point(program, 0.4, 0.3, tol)
+    grad = fp.gradient(fp.k1_jet)
+    entries = {
+        "is_canal": lambda s: is_canal(fp, s, tol),
+        "check_canal": lambda s: check_canal(fp, s, tol),
+        "central_point": lambda s: central_point(fp, sheet=s, tol=tol),
+        "central_pfaffian": lambda s: central_pfaffian(fp, grad, s, tol),
+        "isothermic_divergence": lambda s: isothermic_divergence(fp, s, tol),
+        "divergence_closed_form": lambda s: divergence_closed_form(fp, s, tol),
+        "divergence_scale": lambda s: divergence_scale(fp, s, tol),
+        "net_asymptotic_pullback":
+            lambda s: net_asymptotic_pullback(fp, s, tol),
+        "net_curvature_pullback":
+            lambda s: net_curvature_pullback(fp, s, tol),
+        "central_ii_oracle":
+            lambda s: central_ii_oracle(program, 0.4, 0.3, s, tol),
+    }
+    for name, call in entries.items():
+        for sheet in (1, 2):
+            call(sheet)
+        for sheet in (0, 3):
+            with pytest.raises(ValueError, match="sheet must be 1 or 2"):
+                call(sheet)
+                pytest.fail(f"{name} accepted sheet {sheet}")

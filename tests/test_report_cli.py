@@ -8,6 +8,13 @@ from focalnet import cli
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
 from focalnet.mesh import export_obj
+from focalnet.sdl import compile_surface, parse_surface
+
+# z undefined on the u = 0 column of a 3x3 grid (ln also on u < 0), with
+# the number of grid points where it is defined
+UNDEFINED = pytest.mark.parametrize(
+    "z, defined", [("ln(u) + v^2", 3), ("1 / u + v^2", 6)],
+    ids=["log", "reciprocal"])
 
 CSV_HEADER = ("u,v,status,k1,k2,h,k,q1,q2,weingarten,cmc,const_gauss,"
               "moulding,canal1,canal2,w_defect,d_diff,d_ratio,d_radii_diff,"
@@ -123,6 +130,20 @@ def test_export_obj_generic_full(tmp_path, prog, tol):
         export_obj(prog("graph_generic"), 2, 2, str(tmp_path), central=(3,))
 
 
+@UNDEFINED
+def test_export_obj_drops_undefined_vertices(tmp_path, graph_source, z,
+                                             defined):
+    prog = compile_surface(parse_surface(graph_source(z)))
+    manifest = export_obj(prog, 3, 3, str(tmp_path), central=(1, 2),
+                          nets=("13", "17"))
+    surf = manifest["objects"]["surface"]
+    assert surf["written"] and surf["vertices"] == defined
+    assert surf["faces"] == 0          # every cell touches the u = 0 column
+    text = (tmp_path / "surface.obj").read_text()
+    assert text.count("v ") == defined and "v 0 " not in text
+    assert (tmp_path / "manifest.json").exists()
+
+
 # -- command line -------------------------------------------------------------
 
 def test_cli_list(capsys):
@@ -208,6 +229,21 @@ def test_cli_mesh(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "surface.obj" in stdout and "manifest.json" in stdout
     assert os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+@UNDEFINED
+def test_cli_mesh_undefined_points(tmp_path, capsys, graph_source, z,
+                                   defined):
+    src = tmp_path / "s.surf"
+    src.write_text(graph_source(z))
+    out_dir = tmp_path / "mesh"
+    code = cli.main(["mesh", "--file", str(src), "--nu", "3", "--nv", "3",
+                     "--out", str(out_dir)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.out + captured.err
+    assert (out_dir / "surface.obj").exists()
+    assert (out_dir / "manifest.json").exists()
 
 
 def test_cli_file_input(tmp_path, capsys):

@@ -116,12 +116,29 @@ def test_gallery_membership_and_errors():
         gallery_source("moebius")
 
 
-def test_domain_membership():
-    prog = compile_surface(parse_surface(BOWL))
-    assert prog.contains(0.0, 0.0)
-    assert prog.contains(1.0, -1.0)
-    assert not prog.contains(1.2, 0.0)
-    assert not prog.contains(0.0, -3.0)
+@pytest.mark.parametrize("z, z_at_1", [("ln(u) + v^2", 0.25),
+                                       ("1 / u + v^2", 1.25)],
+                         ids=["log", "reciprocal"])
+def test_undefined_position_is_a_domain_error(graph_source, z, z_at_1):
+    """Plain positions fail the way jets do: JetDomainError, not the float
+    evaluator's ValueError or ZeroDivisionError."""
+    prog = compile_surface(parse_surface(graph_source(z)))
+    with pytest.raises(JetDomainError):
+        prog.position(0.0, 0.5)
+    with pytest.raises(JetDomainError):
+        prog.jets(0.0, 0.5)
+    assert prog.position(1.0, 0.5)[2] == pytest.approx(z_at_1, rel=1e-15)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_position_is_a_domain_error(graph_source):
+    prog = compile_surface(parse_surface(
+        graph_source("exp(700 * u) * exp(700 * u)")))
+    with pytest.raises(JetDomainError, match="not finite"):
+        prog.position(1.0, 0.0)
+    with pytest.raises(JetDomainError, match="not finite"):
+        prog.jets(1.0, 0.0)
 
 
 def test_torus_positions_match_closed_form():
