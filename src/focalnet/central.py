@@ -29,7 +29,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import CanalDegenerate
-from .frames import FramePoint, pfaffian_values
+from .frames import FramePoint
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -250,9 +250,13 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
 
 def connection_gradient(fp: FramePoint) -> Tuple[float, float]:
     """Base Pfaffian gradient of Q = k1 k2 / (k1 - k2), the nonvanishing
-    focal connection coefficient, computed on jets."""
-    q_field = fp.k1_jet * fp.k2_jet / (fp.k1_jet - fp.k2_jet)
-    return pfaffian_values(q_field, fp.pd)
+    focal connection coefficient, by the chain rule:
+    nabla Q = (k1^2 nabla k2 - k2^2 nabla k1) / (k1 - k2)^2."""
+    k1_sq, k2_sq = fp.k1 ** 2, fp.k2 ** 2
+    gap_sq = (fp.k1 - fp.k2) ** 2
+    (d1k1, d2k1), (d1k2, d2k2) = fp.grad_k1, fp.grad_k2
+    return ((k1_sq * d1k2 - k2_sq * d1k1) / gap_sq,
+            (k1_sq * d2k2 - k2_sq * d2k1) / gap_sq)
 
 
 def isothermic_divergence(fp: FramePoint, sheet: int = 1,

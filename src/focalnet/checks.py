@@ -2,7 +2,8 @@
 ``check`` CLI subcommand and the test suite.
 
 Suites: ``jets`` (jet-vs-FD convergence and serialization round-trips),
-``structure`` (frame compatibility equations), ``central`` (focal-sheet
+``structure`` (frame compatibility equations, chain-rule curvature-function
+gradients against jet Pfaffians), ``central`` (focal-sheet
 fundamentals and coframes vs. the independent oracle, focal positions vs. a
 jet-free finite-difference build, focal derivatives vs. finite differences,
 the divergence identity and its cubic curvature power), ``nets`` (exact net
@@ -14,6 +15,13 @@ the test suite asserts on their results.  Every bound is pinned in the check
 that uses it, and ``seed`` drives all sampling.  Sampling guards (curvature
 floors, canal margins) keep oracle comparisons inside their well-conditioned
 regime; the identities themselves hold at every non-degenerate point.
+
+The library takes every curvature-function gradient by the chain rule from
+floats.  The checks whose curvature-function side would then be the same
+floats rearranged (the divergence identity, the cubic power, the net
+rearrangements and the spherical identity) take that side from
+`jet_gradients`, which builds each function as a jet field and
+differentiates it.
 """
 from __future__ import annotations
 
@@ -27,14 +35,15 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .central import (canal_threshold, central_ii_oracle, central_point,
-                      central_pfaffian, divergence_closed_form,
-                      divergence_scale, isothermic_divergence, w_jacobian,
+                      central_pfaffian, connection_gradient,
+                      divergence_closed_form, divergence_scale, w_jacobian,
                       base_coframe_matrix, focal_coframe_matrix)
-from .classify import moulding_defect, proposition_report
+from .classify import (class_gradients, class_partials, moulding_defect,
+                       prop_residuals, proposition_report)
 from .errors import FRAME_ERRORS, FocalnetError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
-                     frame_point, gauss_scale)
+                     frame_point, gauss_scale, pfaffian_values)
 from .geometry import principal_data
 from .mesh import export_obj
 from .nets import (net_asymptotic_pullback, net_curvature_pullback,
@@ -45,8 +54,8 @@ from .sdl import compile_surface, gallery, gallery_names, parse_surface, surface
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES", "domain_points",
-           "sample_frame_points", "check_structure", "check_central_oracle",
-           "check_central_pfaffian", "check_divergence",
+           "sample_frame_points", "jet_gradients", "check_structure",
+           "check_central_oracle", "check_central_pfaffian", "check_divergence",
            "check_rearrangements", "check_prop5_prop6", "check_degeneracies",
            "check_remarks", "check_toolchain", "check_gallery"]
 
@@ -128,13 +137,52 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     return out
 
 
+def jet_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
+    """Pfaffian gradients of the six class functions and of the focal
+    connection Q = k1 k2 / (k1 - k2) (key ``"connection"``), each built as a
+    jet field from the curvature jets ``fp.pd.k1``, ``fp.pd.k2`` and then
+    differentiated: the leg independent of the chain rule."""
+    k1j, k2j = fp.pd.k1, fp.pd.k2
+    fields = {
+        "diff": k1j - k2j,
+        "ratio": k1j / k2j,
+        "radii_diff": 1.0 / k1j - 1.0 / k2j,
+        "radii_sum": 1.0 / k1j + 1.0 / k2j,
+        "mean": k1j + k2j,
+        "gauss": k1j * k2j,
+        "connection": k1j * k2j / (k1j - k2j),
+    }
+    return {name: pfaffian_values(g, fp.pd) for name, g in fields.items()}
+
+
 # ---------------------------------------------------------------- structure
+
+def _chain_rule_mismatch(fp: FramePoint) -> float:
+    """Worst gap between the chain-rule gradients (`class_gradients`,
+    `connection_gradient`) and `jet_gradients`, each relative to
+    |g_k1| |grad k1| + |g_k2| |grad k2| of its function g."""
+    k1, k2 = fp.k1, fp.k2
+    partials = class_partials(k1, k2)
+    partials["connection"] = (-k2 ** 2 / (k1 - k2) ** 2,
+                              k1 ** 2 / (k1 - k2) ** 2)
+    chain = class_gradients(fp)
+    chain["connection"] = connection_gradient(fp)
+    g1, g2 = math.hypot(*fp.grad_k1), math.hypot(*fp.grad_k2)
+    worst = 0.0
+    for name, (a1, a2) in jet_gradients(fp).items():
+        p1, p2 = partials[name]
+        c1, c2 = chain[name]
+        scale = abs(p1) * g1 + abs(p2) * g2 + 1e-30
+        worst = max(worst, math.hypot(c1 - a1, c2 - a2) / scale)
+    return worst
+
 
 def check_structure(seed: int = 7) -> List[CheckResult]:
     """Compatibility-equation residuals on the five generic surfaces and the
-    torus."""
+    torus; at the same points, the chain-rule curvature-function gradients
+    against the jet Pfaffians."""
     rng = np.random.default_rng(seed)
-    bound = 1e-10
+    bound, bound_chain = 1e-10, 5e-15
     results = []
     t0 = perf_counter()
     for name in GENERIC5 + ("torus",):
@@ -149,6 +197,10 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
             f"structure.codazzi_gauss.{name}", ok,
             f"n={len(pts)} max_codazzi={max_cod:.3e} "
             f"max_gauss={max_gau:.3e} bound={bound:.1e}"))
+        chain = max(_chain_rule_mismatch(fp) for fp in pts)
+        results.append(CheckResult(
+            f"structure.chain_rule.{name}", chain <= bound_chain,
+            f"n={len(pts)}x7 max_rel={chain:.3e} bound={bound_chain:.1e}"))
     dt = perf_counter() - t0
     results.append(CheckResult("structure.runtime", dt <= 10.0,
                                f"elapsed={dt:.2f}s bound=10.0s"))
@@ -217,8 +269,8 @@ def _pfaffian_fields(fp: FramePoint):
     """(jet field, aligned-frame sampler) pairs for FD comparison."""
     sj = fp.pd.sj
     return (
-        ("k2", fp.k2_jet, lambda fq: fq.k2),
-        ("k1", fp.k1_jet, lambda fq: fq.k1),
+        ("k2", fp.pd.k2, lambda fq: fq.k2),
+        ("k1", fp.pd.k1, lambda fq: fq.k1),
         ("pos", sj.x + 2.0 * sj.y - sj.z,
          lambda fq: (fq.pd.sj.x.value + 2.0 * fq.pd.sj.y.value
                      - fq.pd.sj.z.value)),
@@ -242,7 +294,7 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
             for sheet in (1, 2):
                 p_uv = focal_coframe_matrix(fp, sheet) @ base
                 for _, jet_field, sampler in _pfaffian_fields(fp):
-                    grad = fp.gradient(jet_field)
+                    grad = pfaffian_values(jet_field, fp.pd)
                     ana = central_pfaffian(fp, grad, sheet, _TOL)
                     gscale = abs(ana[0]) + abs(ana[1]) + 1e-12
                     for i in (0, 1):
@@ -284,8 +336,9 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
                               sheets=(1, 2), healthy=10.0)
     worst = 0.0
     for fp in pts:
+        grad_q = jet_gradients(fp)["connection"]
         for sheet in (1, 2):
-            div = isothermic_divergence(fp, sheet, _TOL)
+            div = central_pfaffian(fp, grad_q, sheet, _TOL)[sheet - 1]
             closed = divergence_closed_form(fp, sheet, _TOL)
             scale = divergence_scale(fp, sheet, _TOL) + 1e-30
             worst = max(worst, abs(div - closed) / scale)
@@ -316,13 +369,14 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
     worst, used = 0.0, 0
     for fp in pts:
         jac = w_jacobian(fp)
+        grad_q = jet_gradients(fp)["connection"]
         for sheet, k, dk in ((1, fp.k1, fp.grad_k1[0]),
                              (2, fp.k2, fp.grad_k2[1])):
             quad_variant = k ** 2 * jac / ((fp.k1 - fp.k2) ** 3 * dk)
             if abs(quad_variant) < 1e-12:
                 continue
             used += 1
-            div = isothermic_divergence(fp, sheet, _TOL)
+            div = central_pfaffian(fp, grad_q, sheet, _TOL)[sheet - 1]
             worst = max(worst, abs(div / quad_variant - k) / abs(k))
     results.append(CheckResult(
         "central.cubic_power.graph_generic", used > 0 and worst <= bound_pow,
@@ -345,9 +399,9 @@ def check_rearrangements(seed: int = 7) -> List[CheckResult]:
                               sheets=(1, 2), healthy=5.0)
     worst = 0.0
     for fp in pts:
-        rep = proposition_report(fp, tol=_TOL)
+        res = prop_residuals(fp, jet_gradients(fp), _TOL)
         for key in _REARRANGEMENT_KEYS:
-            worst = max(worst, rep.prop_residuals[key].identity_residual)
+            worst = max(worst, res[key].identity_residual)
     return [CheckResult(
         "nets.rearrangements.graph_generic", worst <= bound,
         f"n={len(pts)} keys={len(_REARRANGEMENT_KEYS)} "
@@ -363,8 +417,7 @@ def _synthetic_equal_gradient_point(rng) -> FramePoint:
     g = (float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1),
          float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1))
     return FramePoint(u=0.0, v=0.0, pd=None, k1=k1, k2=k2, q1=0.0, q2=0.0,
-                      grad_k1=g, grad_k2=g, k1_jet=None, k2_jet=None,
-                      d2_q1=0.0, d1_q2=0.0)
+                      grad_k1=g, grad_k2=g, d2_q1=0.0, d1_q2=0.0)
 
 
 def check_remarks(seed: int = 7) -> List[CheckResult]:
@@ -439,9 +492,9 @@ def check_prop5_prop6(seed: int = 7) -> List[CheckResult]:
                               sheets=(1, 2), healthy=5.0)
     worst = 0.0
     for fp in pts:
-        rep = proposition_report(fp, tol=_TOL)
+        res = prop_residuals(fp, jet_gradients(fp), _TOL)
         for key in ("prop6_17", "prop6_18"):
-            worst = max(worst, rep.prop_residuals[key].identity_residual)
+            worst = max(worst, res[key].identity_residual)
     results.append(CheckResult(
         "props.spherical_identity.graph_generic", worst <= bound,
         f"n={len(pts)} max_residual={worst:.3e} bound={bound:.1e}"))

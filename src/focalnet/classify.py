@@ -9,6 +9,8 @@ Each curvature class tracks one function g(k1, k2):
     radii_diff  1/k1 - 1/k2       radii_sum  1/k1 + 1/k2
     mean        k1 + k2           gauss      k1 * k2
 
+Each gradient comes by the chain rule, nabla g = g_k1 nabla k1 +
+g_k2 nabla k2, from the floats of the frame point; no jet is built here.
 The raw class defect is the Pfaffian gradient norm sqrt((d1 g)^2 + (d2 g)^2);
 the normalized defect divides by |dg/dk1|*|grad k1| + |dg/dk2|*|grad k2| +
 floor so thresholds are scale-free across surfaces.
@@ -18,7 +20,10 @@ factor lambda times its curvature-gradient side, exactly (the factor comes
 from eliminating the cross derivatives with the compatibility equations);
 see docs/derivations.md for the factors.  Residuals are reported after
 dividing by the net's own coefficient scale, so "exact" means ~= machine
-epsilon relative to the participating terms.
+epsilon relative to the participating terms.  With chain-rule gradients
+the prop3-prop6 residuals compare two float arrangements of the same
+expression; the self-checks feed `prop_residuals` gradients built on jets
+instead, which keeps that identity an independent test.
 """
 from __future__ import annotations
 
@@ -36,8 +41,9 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "CLASS_NAMES", "PropositionResidual", "DefectReport", "w_defect",
-    "class_defects", "moulding_defect", "is_canal", "proposition_report",
-    "defect_report", "classify_point", "flags_from_defects",
+    "class_partials", "class_gradients", "class_defects", "moulding_defect",
+    "is_canal", "proposition_report", "defect_report", "prop_residuals",
+    "classify_point", "flags_from_defects",
 ]
 
 CLASS_NAMES = ("diff", "ratio", "radii_diff", "radii_sum", "mean", "gauss")
@@ -77,20 +83,8 @@ def w_defect(fp: FramePoint) -> float:
     return w_jacobian(fp) / (g1 * g2 + _FLOOR)
 
 
-def _class_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
-    k1j, k2j = fp.k1_jet, fp.k2_jet
-    fields = {
-        "diff": k1j - k2j,
-        "ratio": k1j / k2j,
-        "radii_diff": 1.0 / k1j - 1.0 / k2j,
-        "radii_sum": 1.0 / k1j + 1.0 / k2j,
-        "mean": k1j + k2j,
-        "gauss": k1j * k2j,
-    }
-    return {name: fp.gradient(g) for name, g in fields.items()}
-
-
-def _class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
+def class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
+    """(dg/dk1, dg/dk2) of each class function g."""
     return {
         "diff": (1.0, -1.0),
         "ratio": (1.0 / k2, -k1 / k2 ** 2),
@@ -101,13 +95,21 @@ def _class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
     }
 
 
+def class_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
+    """Pfaffian gradients (nabla_1 g, nabla_2 g) of the six class functions
+    by the chain rule, nabla_i g = g_k1 nabla_i k1 + g_k2 nabla_i k2."""
+    (d1k1, d2k1), (d1k2, d2k2) = fp.grad_k1, fp.grad_k2
+    return {name: (p1 * d1k1 + p2 * d1k2, p1 * d2k1 + p2 * d2k2)
+            for name, (p1, p2) in class_partials(fp.k1, fp.k2).items()}
+
+
 def class_defects(fp: FramePoint):
     """(raw, normalized) gradient-defect maps over the six classes."""
-    return _class_defects(fp, _class_gradients(fp))
+    return _class_defects(fp, class_gradients(fp))
 
 
 def _class_defects(fp: FramePoint, grads: Dict[str, Tuple[float, float]]):
-    partials = _class_partials(fp.k1, fp.k2)
+    partials = class_partials(fp.k1, fp.k2)
     g1 = math.hypot(*fp.grad_k1)
     g2 = math.hypot(*fp.grad_k2)
     raw, norm = {}, {}
@@ -158,7 +160,7 @@ def defect_report(fp: FramePoint,
 
 def _report(fp: FramePoint, canal1: bool, canal2: bool,
             tol: ToleranceSet) -> DefectReport:
-    grads = _class_gradients(fp)
+    grads = class_gradients(fp)
     raw, normed = _class_defects(fp, grads)
     wd = w_defect(fp)
     md = moulding_defect(fp, tol)
@@ -166,7 +168,7 @@ def _report(fp: FramePoint, canal1: bool, canal2: bool,
     res: Dict[str, PropositionResidual] = {}
     excluded: Tuple[str, ...] = ()
     if not (canal1 or canal2):
-        res = _prop_residuals(fp, grads, tol)
+        res = prop_residuals(fp, grads, tol)
         if flags["moulding"]:
             excluded = ("prop5a", "prop5b", "prop6")
     return DefectReport(point=fp.point, w_defect=wd, class_defects=raw,
@@ -174,8 +176,12 @@ def _report(fp: FramePoint, canal1: bool, canal2: bool,
                         flags=flags, prop_residuals=res, excluded=excluded)
 
 
-def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
-                    tol: ToleranceSet) -> Dict[str, PropositionResidual]:
+def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
+                   tol: ToleranceSet) -> Dict[str, PropositionResidual]:
+    """Per-statement residuals at a non-canal point.  ``grads`` maps each
+    class name to its gradient: `class_gradients` in reports, gradients of
+    jet fields in the self-checks.  The sheet divergences (prop1) always use
+    `connection_gradient`."""
     n13 = net_asymptotic_pullback(fp, 1, tol)
     n14 = net_asymptotic_pullback(fp, 2, tol)
     n17 = net_curvature_pullback(fp, 1, tol)

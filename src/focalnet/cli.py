@@ -15,26 +15,17 @@ import json
 import sys
 from typing import Dict, Optional, Tuple
 
+from .central import check_canal
 from .checks import SUITE_NAMES, run_suite
-from .errors import (FocalnetError, ParseError, UnknownParameterError,
-                     UnknownSurfaceError)
+from .errors import (FRAME_ERRORS, CanalDegenerate, FocalnetError,
+                     ParseError, UnknownParameterError, UnknownSurfaceError)
+from .frames import frame_point
 from .mesh import NET_LABELS, export_obj
 from .report import emit_csv, emit_json, grid_report, point_record
 from .sdl import compile_surface, gallery, gallery_names, load_surface
 from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = ["main"]
-
-# Display names for the condition behind each degenerate status.
-_STATUS_CONDITIONS = {
-    "umbilic": "UmbilicPoint",
-    "parabolic": "ParabolicPoint",
-    "degenerate": "DegenerateParametrization",
-    "canal1": "CanalDegenerate(sheet 1)",
-    "canal2": "CanalDegenerate(sheet 2)",
-    "canal12": "CanalDegenerate(sheets 1,2)",
-}
-
 
 def _add_surface_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--surface", metavar="NAME",
@@ -98,6 +89,25 @@ def cmd_list(args, parser) -> int:
     return 0
 
 
+def _condition(prog, u: float, v: float) -> str:
+    """Name of the exception behind a point that is neither ok nor moulding:
+    the one the frame evaluation raised, else the CanalDegenerate that
+    `check_canal` raises for the canal sheet(s)."""
+    try:
+        fp = frame_point(prog, u, v, DEFAULT_TOLERANCES)
+    except FRAME_ERRORS as exc:
+        return type(exc).__name__
+    raised = []
+    for sheet in (1, 2):
+        try:
+            check_canal(fp, sheet, DEFAULT_TOLERANCES)
+        except CanalDegenerate as exc:
+            raised.append(exc)
+    sheets = ",".join(str(exc.sheet) for exc in raised)
+    return (f"{type(raised[0]).__name__}"
+            f"(sheet{'s' if len(raised) > 1 else ''} {sheets})")
+
+
 def cmd_eval(args, parser) -> int:
     prog = _resolve_program(args, parser)
     u, v = _parse_at(args.at, parser)
@@ -111,8 +121,8 @@ def cmd_eval(args, parser) -> int:
               + (f" ({params})" if params else ""))
         print(f"point:   u={u:g}, v={v:g}")
         status = rec["status"]
-        cond = _STATUS_CONDITIONS.get(status)
-        print(f"status:  {status}" + (f" ({cond})" if cond else ""))
+        print(f"status:  {status}" + ("" if status in ("ok", "moulding")
+                                      else f" ({_condition(prog, u, v)})"))
         if rec["k1"] is not None:
             print(f"k1={_fmt(rec['k1'])}  k2={_fmt(rec['k2'])}  "
                   f"H={_fmt(rec['h'])}  K={_fmt(rec['k'])}")

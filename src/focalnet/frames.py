@@ -10,6 +10,12 @@ holds exactly (validated against the finite-difference oracle; see tests).
 The connection coefficients q1, q2 come from differentiating the frame
 vectors directly (q_i = <D_{e_i} e1, e2>), which keeps the compatibility
 checks below independent of the curvature gradients they constrain.
+
+`FramePoint` is the last layer that differentiates jets: it keeps only
+float values and first Pfaffians, and the curvature jets stay reachable as
+`pd.k1`/`pd.k2`.  The gradient of any curvature function g(k1, k2) follows
+by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
+`classify.class_gradients` and `central.connection_gradient`).
 """
 from __future__ import annotations
 
@@ -40,7 +46,8 @@ def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
 
 @dataclass
 class FramePoint:
-    """Everything the focal-sheet and net layers need at one surface point.
+    """Everything the focal-sheet and net layers need at one surface point,
+    as floats; `pd` is the only jet data it holds.
 
     d2_q1 and d1_q2 are nabla_2 q1 and nabla_1 q2, the derivatives the
     Gauss equation reads."""
@@ -53,8 +60,6 @@ class FramePoint:
     q2: float
     grad_k1: Tuple[float, float]
     grad_k2: Tuple[float, float]
-    k1_jet: jt.Jet4
-    k2_jet: jt.Jet4
     d2_q1: float
     d1_q2: float
 
@@ -62,14 +67,9 @@ class FramePoint:
     def point(self) -> Tuple[float, float]:
         return (self.u, self.v)
 
-    def gradient(self, field: jt.Jet4) -> Tuple[float, float]:
-        return pfaffian_values(field, self.pd)
-
 
 def frame_point_from_pd(pd: PrincipalData,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
-    k1_jet, k2_jet = pd.k1, pd.k2
-
     # q_i = <D_{e_i} e1, e2>: differentiate the ambient frame field.
     e1u = (pd.e1[0].du(), pd.e1[1].du(), pd.e1[2].du())
     e1v = (pd.e1[0].dv(), pd.e1[1].dv(), pd.e1[2].dv())
@@ -81,11 +81,10 @@ def frame_point_from_pd(pd: PrincipalData,
     sj = pd.sj
     return FramePoint(
         u=sj.u, v=sj.v, pd=pd,
-        k1=k1_jet.value, k2=k2_jet.value,
+        k1=pd.k1.value, k2=pd.k2.value,
         q1=q1_jet.value, q2=q2_jet.value,
-        grad_k1=pfaffian_values(k1_jet, pd),
-        grad_k2=pfaffian_values(k2_jet, pd),
-        k1_jet=k1_jet, k2_jet=k2_jet,
+        grad_k1=pfaffian_values(pd.k1, pd),
+        grad_k2=pfaffian_values(pd.k2, pd),
         # one component of each q gradient, as in `pfaffian`
         d2_q1=(pd.xi2 * q1_jet.du() + pd.eta2 * q1_jet.dv()).value,
         d1_q2=(pd.xi1 * q2_jet.du() + pd.eta1 * q2_jet.dv()).value)

@@ -110,8 +110,8 @@ def principal_data(sj: SurfaceJet,
     if W2.value <= tol.metric * trace_scale:
         raise DegenerateParametrization(
             f"EG - F^2 = {W2.value:.3e} at (u, v) = {point}", point)
-    W = jt.sqrt(W2)
-    e3 = _vscale(vcross(xu, xv), 1.0 / W)
+    inv_w = 1.0 / jt.sqrt(W2)
+    e3 = _vscale(vcross(xu, xv), inv_w)
 
     xuu, xuv, xvv = _vdu(xu), _vdv(xu), _vdv(xv)
     L, M, N = vdot(xuu, e3), vdot(xuv, e3), vdot(xvv, e3)
@@ -175,7 +175,6 @@ def principal_data(sj: SurfaceJet,
 
     # e2 = e3 x e1; its coordinate components come from rotating (xi1, eta1)
     # by 90 degrees in the tangent plane.
-    inv_w = 1.0 / W
     xi2 = (F * xi1 + G * eta1) * (-1) * inv_w
     eta2 = (E * xi1 + F * eta1) * inv_w
     e2 = vcross(e3, e1)

@@ -333,10 +333,14 @@ class SurfaceProgram:
         """The (x, y, z) expressions with u and v bound to the given values:
         floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`.
         A function outside its domain, a division by zero, an overflow or a
-        non-finite result raises JetDomainError."""
+        non-finite result raises JetDomainError.  numpy's overflow and
+        invalid-value warnings are silenced here, since the non-finite jet
+        they announce becomes that error."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
         try:
-            out = tuple(ex.evaluate(node, env, funcs) for node in self.exprs)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = tuple(ex.evaluate(node, env, funcs)
+                            for node in self.exprs)
             if all(_finite(c) for c in out):
                 return out
             problem = "not finite"

@@ -13,7 +13,8 @@ from focalnet.checks import run_suite
 
 # criterion test -> the check-name prefixes it asserts on
 CLAIMS = {
-    "test_criterion_1_structure_equations": ("structure.",),
+    "test_criterion_1_structure_equations": ("structure.codazzi_gauss.",
+                                             "structure.runtime"),
     "test_criterion_2_focal_fundamentals_match_oracle": ("central.oracle.",),
     "test_criterion_3_focal_pfaffians_fd_and_df": (
         "central.pfaffian_fd.", "central.df_consistency."),
@@ -28,6 +29,7 @@ CLAIMS = {
     "test_criterion_8_coincidence_and_imaginary_nets": (
         "nets.coincide_and_bisect.", "nets.reality."),
     "test_criterion_9_toolchain_and_budget": ("jets.",),
+    "test_criterion_10_chain_rule_gradients": ("structure.chain_rule.",),
     "test_classification_lattice_and_minimal_case": (
         "props.implication_lattice.", "props.moulding_exclusion."),
 }
@@ -123,6 +125,14 @@ def test_criterion_9_toolchain_and_budget(suite):
     _assert_claimed(suite, "test_criterion_9_toolchain_and_budget")
     _, dt = suite
     assert dt <= 60.0, f"self-check suite took {dt:.1f}s (budget 60s)"
+
+
+def test_criterion_10_chain_rule_gradients(suite):
+    """The chain-rule gradients of the six class functions and of the focal
+    connection k1 k2 / (k1 - k2) equal the Pfaffians of the same functions
+    built as jet fields, to 5e-15 relative to
+    |g_k1| |grad k1| + |g_k2| |grad k2|, at the structure-check points."""
+    _assert_claimed(suite, "test_criterion_10_chain_rule_gradients")
 
 
 def test_classification_lattice_and_minimal_case(suite):

@@ -8,7 +8,7 @@ from focalnet.classify import (CLASS_NAMES, class_defects, classify_point,
                                flags_from_defects, is_canal, moulding_defect,
                                proposition_report, w_defect)
 from focalnet.errors import CanalDegenerate
-from focalnet.frames import frame_point
+from focalnet.frames import frame_point, pfaffian_values
 from focalnet.report import point_record
 from focalnet.sdl import load_surface
 from focalnet.tolerances import DEFAULT_TOLERANCES
@@ -85,7 +85,7 @@ def test_class_defect_normalization(prog, tol):
     g1 = math.hypot(*fp.grad_k1)
     g2 = math.hypot(*fp.grad_k2)
     assert raw["diff"] == pytest.approx(
-        math.hypot(*fp.gradient(fp.k1_jet - fp.k2_jet)), rel=1e-14)
+        math.hypot(*pfaffian_values(fp.pd.k1 - fp.pd.k2, fp.pd)), rel=1e-14)
     assert normed["diff"] == pytest.approx(raw["diff"] / (g1 + g2 + 1e-30),
                                            rel=1e-14)
     for name in CLASS_NAMES:

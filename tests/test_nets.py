@@ -7,7 +7,7 @@ import pytest
 from focalnet.checks import sample_frame_points
 from focalnet.errors import (CanalDegenerate, DegenerateNetError,
                              ImaginaryNetError)
-from focalnet.frames import frame_point
+from focalnet.frames import frame_point, pfaffian_values
 from focalnet.nets import (NetForm, conjugacy_defect, net_asymptotic_pullback,
                            net_curvature_pullback, net_directions, net_norm,
                            orthogonality_defect, reality_discriminant,
@@ -91,9 +91,10 @@ def test_exact_rearrangements(prog, tol, rng):
     program = prog("graph_generic")
     for fp in sample_frame_points(program, 10, rng, tol, sheets=(1, 2),
                                   healthy=10.0, min_k=0.05):
-        g_diff = fp.gradient(fp.k1_jet - fp.k2_jet)
-        g_ratio = fp.gradient(fp.k1_jet / fp.k2_jet)
-        g_rdiff = fp.gradient(1.0 / fp.k1_jet - 1.0 / fp.k2_jet)
+        k1j, k2j = fp.pd.k1, fp.pd.k2
+        g_diff = pfaffian_values(k1j - k2j, fp.pd)
+        g_ratio = pfaffian_values(k1j / k2j, fp.pd)
+        g_rdiff = pfaffian_values(1.0 / k1j - 1.0 / k2j, fp.pd)
         for sheet, i in ((1, 0), (2, 1)):
             net = net_asymptotic_pullback(fp, sheet, tol)
             norm = net_norm(net)
@@ -117,8 +118,8 @@ def test_curvature_pullback_identities(prog, tol, rng):
     program = prog("graph_generic")
     for fp in sample_frame_points(program, 10, rng, tol, sheets=(1, 2),
                                   healthy=10.0):
-        g_mean = fp.gradient(fp.k1_jet + fp.k2_jet)
-        g_gauss = fp.gradient(fp.k1_jet * fp.k2_jet)
+        g_mean = pfaffian_values(fp.pd.k1 + fp.pd.k2, fp.pd)
+        g_gauss = pfaffian_values(fp.pd.k1 * fp.pd.k2, fp.pd)
         for sheet, i, q in ((1, 0, fp.q1), (2, 1, fp.q2)):
             net = net_curvature_pullback(fp, sheet, tol)
             norm = net_norm(net)

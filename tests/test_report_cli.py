@@ -166,7 +166,23 @@ def test_cli_eval_json(capsys):
 def test_cli_eval_degenerate_exits_nonzero(capsys):
     assert cli.main(["eval", "--surface", "sphere", "--at", "0.1,0.2"]) == 1
     out = capsys.readouterr().out
-    assert "umbilic" in out
+    assert "status:  umbilic (UmbilicPoint)" in out
+
+
+@pytest.mark.parametrize("x, z, condition", [
+    ("u", "ln(u) + v^2", "JetDomainError"),
+    ("u^3", "v^2", "DegenerateParametrization"),      # xu = 0 at u = 0
+], ids=["undefined", "not_immersed"])
+def test_cli_eval_names_the_raised_condition(tmp_path, capsys, x, z,
+                                             condition):
+    """Both conditions share the status `degenerate`; the display names
+    the exception that was raised."""
+    src = tmp_path / "s.surf"
+    src.write_text(f"surface s {{\n  x = {x}\n  y = v\n  z = {z}\n"
+                   "  domain u in [-1, 1] v in [-1, 1]\n}\n")
+    assert cli.main(["eval", "--file", str(src), "--at", "0,0.5"]) == 1
+    out = capsys.readouterr().out
+    assert f"status:  degenerate ({condition})" in out
 
 
 def test_cli_eval_param_override(capsys):
