@@ -3,9 +3,9 @@ parametric surfaces, on an exact truncated-Taylor derivative engine.
 
 Layers, bottom up:
 
-- ``jet`` / ``expr`` / ``sdl``: order-4 bivariate Taylor arithmetic, the
-  expression compiler, and the little surface-definition language with its
-  built-in gallery.
+- ``jet`` / ``expr`` / ``sdl``: order-4 bivariate Taylor arithmetic (at
+  one point, or at a batch of points in one pass), the expression compiler,
+  and the little surface-definition language with its built-in gallery.
 - ``geometry`` / ``frames``: principal curvatures and directions as jets;
   the moving frame with its structure functions (k1, k2, q1, q2), Pfaffian
   derivatives, and the compatibility checks.
@@ -30,7 +30,8 @@ from .errors import (CanalDegenerate, DegenerateNetError,
                      ImaginaryNetError, JetDomainError, ParabolicPoint,
                      ParseError, UmbilicPoint, UnknownParameterError,
                      UnknownSurfaceError)
-from .frames import (FramePoint, check_codazzi, check_gauss, frame_point)
+from .frames import (FramePoint, check_codazzi, check_gauss, frame_point,
+                     frame_points)
 from .geometry import PrincipalData, SurfaceJet, eval_surface, principal_data
 from .jet import Jet4
 from .mesh import export_obj
@@ -61,7 +62,8 @@ __all__ = [
     "compile_surface", "load_surface", "gallery", "gallery_names",
     "SurfaceJet", "eval_surface", "PrincipalData", "principal_data",
     # frames
-    "FramePoint", "frame_point", "check_codazzi", "check_gauss",
+    "FramePoint", "frame_point", "frame_points", "check_codazzi",
+    "check_gauss",
     # focal sheets
     "CentralPoint", "CentralFundamentals", "central_point",
     "central_ii_oracle", "central_pfaffian", "isothermic_divergence",

@@ -122,7 +122,6 @@ def central_point(fp: FramePoint, sheet: int = 1,
     its adapted coframe; q1, q2 its connection coefficients (one vanishes
     identically, the other equals k1 k2 / (k1 - k2))."""
     check_canal(fp, sheet, tol)
-    pd = fp.pd
     k1, k2 = fp.k1, fp.k2
     gap = k1 - k2
     qq = k1 * k2 / gap
@@ -133,18 +132,15 @@ def central_point(fp: FramePoint, sheet: int = 1,
         b = fp.q1 * k1 ** 2 / d1k1
         c = k1 ** 3 / d1k1
         q1c, q2c = qq, 0.0
-        k_jet = pd.k1
     else:
         d1k2, d2k2 = fp.grad_k2
         a = k2 ** 3 / d2k2
         b = -fp.q2 * k2 ** 2 / d2k2
         c = k2 * (fp.q2 * d1k2 - fp.q1 * d2k2) / (gap * d2k2)
         q1c, q2c = 0.0, qq
-        k_jet = pd.k2
 
-    inv_k = 1.0 / k_jet.value
-    y = np.array([p.value + inv_k * n.value
-                  for p, n in zip(pd.sj.pos, pd.e3)])
+    inv_k = 1.0 / (k1 if sheet == 1 else k2)
+    y = np.array([p + inv_k * n for p, n in zip(fp.x, fp.e3)])
     return CentralPoint(sheet=sheet, y=y, a=a, b=b, c=c, q1=q1c, q2=q2c)
 
 

@@ -417,7 +417,8 @@ def _synthetic_equal_gradient_point(rng) -> FramePoint:
     g = (float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1),
          float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1))
     return FramePoint(u=0.0, v=0.0, pd=None, k1=k1, k2=k2, q1=0.0, q2=0.0,
-                      grad_k1=g, grad_k2=g, d2_q1=0.0, d1_q2=0.0)
+                      grad_k1=g, grad_k2=g, d2_q1=0.0, d1_q2=0.0,
+                      x=None, e1=None, e2=None, e3=None)
 
 
 def check_remarks(seed: int = 7) -> List[CheckResult]:

@@ -16,18 +16,26 @@ float values and first Pfaffians, and the curvature jets stay reachable as
 `pd.k1`/`pd.k2`.  The gradient of any curvature function g(k1, k2) follows
 by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 `classify.class_gradients` and `central.connection_gradient`).
+
+`frame_points` evaluates many points in one pass, on jets with a batch axis
+(see `jet`), through the same `principal_data` and `frame_point_from_pd`
+as `frame_point`.  It returns each point's FramePoint, without its jets, or
+the exception `frame_point` would raise there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import jet as jt
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "FramePoint", "frame_point", "frame_point_from_pd", "pfaffian",
+    "FramePoint", "frame_point", "frame_points", "frame_point_from_pd",
+    "pfaffian",
     "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
     "gauss_scale", "commutator_residual",
 ]
@@ -47,13 +55,16 @@ def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
 @dataclass
 class FramePoint:
     """Everything the focal-sheet and net layers need at one surface point,
-    as floats; `pd` is the only jet data it holds.
+    as floats; `pd` is the only jet data it holds, and `frame_points`
+    entries hold none (`pd` is None).
 
     d2_q1 and d1_q2 are nabla_2 q1 and nabla_1 q2, the derivatives the
-    Gauss equation reads."""
+    Gauss equation reads.  x is the position and e1, e2, e3 the frame
+    vectors, each as three ambient components.  Built from a batch
+    `PrincipalData`, every float field holds an array of shape S."""
     u: float
     v: float
-    pd: PrincipalData
+    pd: Optional[PrincipalData]
     k1: float
     k2: float
     q1: float
@@ -62,10 +73,18 @@ class FramePoint:
     grad_k2: Tuple[float, float]
     d2_q1: float
     d1_q2: float
+    x: Tuple[float, float, float]
+    e1: Tuple[float, float, float]
+    e2: Tuple[float, float, float]
+    e3: Tuple[float, float, float]
 
     @property
     def point(self) -> Tuple[float, float]:
         return (self.u, self.v)
+
+
+def _values(vec) -> tuple:
+    return tuple(c.value for c in vec)
 
 
 def frame_point_from_pd(pd: PrincipalData,
@@ -87,13 +106,40 @@ def frame_point_from_pd(pd: PrincipalData,
         grad_k2=pfaffian_values(pd.k2, pd),
         # one component of each q gradient, as in `pfaffian`
         d2_q1=(pd.xi2 * q1_jet.du() + pd.eta2 * q1_jet.dv()).value,
-        d1_q2=(pd.xi1 * q2_jet.du() + pd.eta1 * q2_jet.dv()).value)
+        d1_q2=(pd.xi1 * q2_jet.du() + pd.eta1 * q2_jet.dv()).value,
+        x=_values(sj.pos), e1=_values(pd.e1), e2=_values(pd.e2),
+        e3=_values(pd.e3))
 
 
 def frame_point(prog, u: float, v: float,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
+    """The frame point at (u, v); a degenerate point raises one of
+    `errors.FRAME_ERRORS`.  The code `frame_points` runs, at S = ()."""
     sj = eval_surface(prog, u, v)
     return frame_point_from_pd(principal_data(sj, tol), tol)
+
+
+def frame_points(prog, us: Sequence[float], vs: Sequence[float],
+                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> list:
+    """Frame points at the points (us[i], vs[i]), evaluated in one pass on
+    jets with a batch axis.  Each entry is the FramePoint that `frame_point`
+    returns for that point (without `pd`), or the `errors.FRAME_ERRORS`
+    instance it raises."""
+    if len(us) == 0:
+        return []
+    # Failed points run through to the end on meaningless columns.
+    with np.errstate(all="ignore"):
+        pd = principal_data(eval_surface(prog, us, vs), tol)
+        fp = frame_point_from_pd(pd, tol)
+    cols = [fp.u, fp.v, fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1,
+            *fp.grad_k2, fp.d2_q1, fp.d1_q2, *fp.x, *fp.e1, *fp.e2, *fp.e3]
+    out = []
+    for exc, c in zip(pd.failed, zip(*(a.tolist() for a in cols))):
+        out.append(exc or FramePoint(
+            u=c[0], v=c[1], pd=None, k1=c[2], k2=c[3], q1=c[4], q2=c[5],
+            grad_k1=c[6:8], grad_k2=c[8:10], d2_q1=c[10], d1_q2=c[11],
+            x=c[12:15], e1=c[15:18], e2=c[18:21], e3=c[21:24]))
+    return out
 
 
 def check_codazzi(fp: FramePoint) -> Tuple[float, float]:

@@ -5,14 +5,20 @@ directional derivatives of any derived field (curvatures, frame vectors,
 connection coefficients) without finite differencing.
 
 The pipeline is generic: no assumption that (u, v) are curvature-line or
-even orthogonal coordinates.  Degeneracies raise typed exceptions in a
-fixed order: non-immersion point, then parabolic (a vanishing principal
-curvature), then umbilic.
+even orthogonal coordinates.  Degeneracies are decided in a fixed order:
+non-immersion point, then parabolic (a vanishing principal curvature),
+then umbilic.  At S = () (one point, see `jet`) the first one raises its
+typed exception.  With a batch axis every point is computed on its own
+column, each branch becomes a per-point mask taken in that same order,
+and each degenerate point keeps the exception it would raise in
+`PrincipalData.failed`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from . import jet as jt
 from .errors import (DegenerateParametrization, ParabolicPoint, UmbilicPoint)
@@ -55,21 +61,32 @@ def _vscale(a: Vec3, s) -> Vec3:
 
 @dataclass
 class SurfaceJet:
-    """Order-4 jets of the position map at one parameter point."""
+    """Order-4 jets of the position map at one parameter point, or at N
+    points when u and v are arrays of shape (N,) (see `eval_surface`)."""
     u: float
     v: float
     x: jt.Jet4
     y: jt.Jet4
     z: jt.Jet4
+    # With a batch axis: per point, what that point raises at S = (), or None.
+    failed: Optional[List[Exception]] = None
 
     @property
     def pos(self) -> Vec3:
         return (self.x, self.y, self.z)
 
 
-def eval_surface(prog, u: float, v: float) -> SurfaceJet:
-    xj, yj, zj = prog.jets(u, v)
-    return SurfaceJet(float(u), float(v), xj, yj, zj)
+def eval_surface(prog, u, v) -> SurfaceJet:
+    """Jets of the position at (u, v).  With floats an undefined point
+    raises JetDomainError; with arrays u, v of shape (N,) the jets carry a
+    batch axis and each undefined point's error is kept in `failed`."""
+    if np.ndim(u) == 0:
+        xj, yj, zj = prog.jets(u, v)
+        return SurfaceJet(float(u), float(v), xj, yj, zj)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    failed: List[Optional[Exception]] = [None] * u.size
+    xj, yj, zj = prog.jets(u, v, failed)
+    return SurfaceJet(u, v, xj, yj, zj, failed)
 
 
 @dataclass
@@ -81,6 +98,10 @@ class PrincipalData:
     components of e_i: e_i = xi_i * xu + eta_i * xv.  The e1 sign is
     canonicalized (first ambient component above the sign tolerance is
     positive) and e2 = e3 x e1 keeps the frame right-handed.
+
+    With a batch axis, `failed` holds per point the exception that
+    `principal_data` raises for it at S = () (or `sj` already held), else
+    None; the jet columns of failed points hold meaningless values.
     """
     sj: SurfaceJet
     E: jt.Jet4
@@ -97,19 +118,56 @@ class PrincipalData:
     eta2: jt.Jet4
     e1: Vec3
     e2: Vec3
-    e1_flipped: bool
+    failed: Optional[List[Exception]] = None
+
+
+class _Failures:
+    """The first failure of each point, in check order.  At S = () the
+    first failure raises; with a batch axis it is recorded per point."""
+
+    def __init__(self, sj: SurfaceJet):
+        self.sj = sj
+        self.errors = None if sj.failed is None else list(sj.failed)
+
+    def record(self, mask, build) -> None:
+        """Fail the points where `mask` holds with build(i, point): i is
+        the point's index on the batch axis (None at S = ()), point its
+        (u, v)."""
+        if self.errors is None:
+            if mask:
+                raise build(None, (self.sj.u, self.sj.v))
+            return
+        for i in np.flatnonzero(mask).tolist():
+            if self.errors[i] is None:
+                self.errors[i] = build(
+                    i, (float(self.sj.u[i]), float(self.sj.v[i])))
+
+
+def _at(x, i: Optional[int]) -> float:
+    """Point i's entry of a per-point value (x itself at S = ())."""
+    return x if i is None else float(x[i])
+
+
+def _parabolic(i, point) -> ParabolicPoint:
+    return ParabolicPoint(
+        f"principal curvature vanishes at (u, v) = {point}", point)
 
 
 def principal_data(sj: SurfaceJet,
                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> PrincipalData:
-    point = (sj.u, sj.v)
+    """The principal frame and curvatures.  At S = () a degenerate point
+    raises, in the order non-immersion, parabolic, umbilic (see the module
+    docstring); with a batch axis every point is computed and the
+    degenerate ones are listed in `failed`."""
+    failures = _Failures(sj)
     xu, xv = _vdu(sj.pos), _vdv(sj.pos)
     E, F, G = vdot(xu, xu), vdot(xu, xv), vdot(xv, xv)
     W2 = E * G - F * F
     trace_scale = (E.value + G.value) ** 2
-    if W2.value <= tol.metric * trace_scale:
-        raise DegenerateParametrization(
-            f"EG - F^2 = {W2.value:.3e} at (u, v) = {point}", point)
+    failures.record(
+        W2.value <= tol.metric * trace_scale,
+        lambda i, point: DegenerateParametrization(
+            f"EG - F^2 = {_at(W2.value, i):.3e} at (u, v) = {point}", point))
     inv_w = 1.0 / jt.sqrt(W2)
     e3 = _vscale(vcross(xu, xv), inv_w)
 
@@ -126,29 +184,31 @@ def principal_data(sj: SurfaceJet,
     kgauss = s11 * s22 - s12 * s21
     disc = h * h - kgauss
     gap_scale = 4 * abs(h.value) ** 2 + 4 * abs(disc.value) + tol.curvature_floor ** 2
-    if disc.value <= tol.umbilic * gap_scale:
-        # (k1 - k2)^2 = 4 disc; compare against the squared curvature scale
-        k1v = k2v = h.value
-        scale = (abs(k1v) + abs(k2v) + tol.curvature_floor) ** 2
-        if abs(kgauss.value) <= tol.parabolic * scale:
-            raise ParabolicPoint(
-                f"principal curvature vanishes at (u, v) = {point}", point)
-        raise UmbilicPoint(
-            f"k1 == k2 = {k1v:.6g} at (u, v) = {point}", point)
+    # (k1 - k2)^2 = 4 disc; at a near-umbilic point k1 = k2 = h, and the
+    # squared curvature scale decides whether that point is parabolic.
+    near = disc.value <= tol.umbilic * gap_scale
+    near_scale = (abs(h.value) + abs(h.value) + tol.curvature_floor) ** 2
+    failures.record(
+        near & (abs(kgauss.value) <= tol.parabolic * near_scale), _parabolic)
+    failures.record(
+        near,
+        lambda i, point: UmbilicPoint(
+            f"k1 == k2 = {_at(h.value, i):.6g} at (u, v) = {point}", point))
 
     root = jt.sqrt(disc)
     k1 = h + root
     k2 = h - root
-    scale = (abs(k1.value) + abs(k2.value) + tol.curvature_floor) ** 2
-    if abs(k1.value * k2.value) <= tol.parabolic * scale:
-        raise ParabolicPoint(
-            f"principal curvature vanishes at (u, v) = {point}", point)
-    if (k1.value - k2.value) ** 2 <= tol.umbilic * scale:
-        raise UmbilicPoint(
-            f"k1 == k2 within tolerance at (u, v) = {point}", point)
+    k1v, k2v = k1.value, k2.value
+    scale = (abs(k1v) + abs(k2v) + tol.curvature_floor) ** 2
+    failures.record(abs(k1v * k2v) <= tol.parabolic * scale, _parabolic)
+    failures.record(
+        (k1v - k2v) ** 2 <= tol.umbilic * scale,
+        lambda i, point: UmbilicPoint(
+            f"k1 == k2 within tolerance at (u, v) = {point}", point))
 
     # Eigenvector of the shape operator for k1: two algebraic candidates;
-    # keep the better-conditioned one (larger ambient norm at the point).
+    # keep the better-conditioned one (larger ambient norm at the point,
+    # the first one on a tie).
     cand_a = (s12, k1 - s11)
     cand_b = (k1 - s22, s21)
 
@@ -157,21 +217,24 @@ def principal_data(sj: SurfaceJet,
         return (E.value * xv_ * xv_ + 2 * F.value * xv_ * ev_
                 + G.value * ev_ * ev_)
 
-    xi1, eta1 = max((cand_a, cand_b), key=lambda c: _norm2_value(*c))
+    take_b = _norm2_value(*cand_b) > _norm2_value(*cand_a)
+    xi1 = jt.where(take_b, cand_b[0], cand_a[0])
+    eta1 = jt.where(take_b, cand_b[1], cand_a[1])
     norm = jt.sqrt(E * (xi1 * xi1) + F * (2 * (xi1 * eta1)) + G * (eta1 * eta1))
     inv_norm = 1.0 / norm
     xi1, eta1 = xi1 * inv_norm, eta1 * inv_norm
     e1 = vcomb(xi1, xu, eta1, xv)
 
-    flipped = False
+    # The first ambient component of e1 above the sign tolerance decides.
+    decided = flipped = np.zeros(k1.c.shape[1:], dtype=bool)
     for comp in e1:
-        if abs(comp.value) > tol.sign:
-            if comp.value < 0:
-                flipped = True
-            break
-    if flipped:
-        xi1, eta1 = -xi1, -eta1
-        e1 = (-e1[0], -e1[1], -e1[2])
+        here = (abs(comp.value) > tol.sign) & ~decided
+        flipped = flipped | (here & (comp.value < 0))
+        decided = decided | here
+    if flipped.any():
+        xi1, eta1 = (jt.where(flipped, -xi1, xi1),
+                     jt.where(flipped, -eta1, eta1))
+        e1 = tuple(jt.where(flipped, -c, c) for c in e1)
 
     # e2 = e3 x e1; its coordinate components come from rotating (xi1, eta1)
     # by 90 degrees in the tangent plane.
@@ -181,7 +244,7 @@ def principal_data(sj: SurfaceJet,
 
     return PrincipalData(sj=sj, E=E, F=F, G=G, xu=xu, xv=xv, e3=e3,
                          k1=k1, k2=k2, xi1=xi1, eta1=eta1, xi2=xi2,
-                         eta2=eta2, e1=e1, e2=e2, e1_flipped=flipped)
+                         eta2=eta2, e1=e1, e2=e2, failed=failures.errors)
 
 
 def flipped_principal(pd: PrincipalData) -> PrincipalData:
@@ -192,4 +255,4 @@ def flipped_principal(pd: PrincipalData) -> PrincipalData:
         sj=pd.sj, E=pd.E, F=pd.F, G=pd.G, xu=pd.xu, xv=pd.xv,
         e3=pd.e3, k1=pd.k1, k2=pd.k2,
         xi1=-pd.xi1, eta1=-pd.eta1, xi2=-pd.xi2, eta2=-pd.eta2,
-        e1=neg(pd.e1), e2=neg(pd.e2), e1_flipped=not pd.e1_flipped)
+        e1=neg(pd.e1), e2=neg(pd.e2), failed=pd.failed)

@@ -6,9 +6,22 @@ d^{i+j} f / (du^i dv^j) / (i! j!).  With that normalization multiplication
 is a truncated Cauchy convolution and every elementary function is a
 univariate series composed with the nilpotent part of its argument.
 
+The coefficients have shape (15,) + S.  S = () is one point; S = (N,) is a
+batch of N points, one per column, and every operation acts on each column
+exactly as it would on that point alone, with the same floating-point
+operations in the same order.  Values and extracted derivatives are floats
+at S = () and arrays of shape S otherwise.
+
 Each jet carries a `valid_order`: derivatives above it are meaningless
 (consumed by a derivative operator) and extraction past it raises.
-Binary operations propagate the minimum of the two orders.
+Binary operations propagate the minimum of the two orders, and a product
+computes only the coefficients up to its valid order (the rest are 0).
+
+An elementary function outside its domain (ln or sqrt of a non-positive
+value, division by zero, an overflowing series coefficient) raises
+JetDomainError at S = ().  With a batch axis it poisons only the columns
+concerned: all their coefficients become NaN, which every later operation
+keeps, and the other columns are computed as usual.
 
 Expressions are turned into jets by `sdl.SurfaceProgram.jets`, which binds
 `jet_variables` and evaluates with `JET_FUNCTIONS`.
@@ -16,7 +29,7 @@ Expressions are turned into jets by `sdl.SurfaceProgram.jets`, which binds
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+from typing import Callable, List
 
 import numpy as np
 
@@ -24,7 +37,7 @@ from .errors import JetDomainError, JetOrderError
 
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
-    "jet_variables", "JET_FUNCTIONS",
+    "jet_variables", "where", "JET_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
 
@@ -37,18 +50,26 @@ MONOMIALS: tuple = tuple(
 MONOMIAL_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
 N_COEFFS = len(MONOMIALS)  # 15
 
-# Scatter tables for truncated convolution: out[_MUL_OUT] += a[_MUL_A]*b[_MUL_B].
-_mul_a, _mul_b, _mul_out = [], [], []
-for _ka, (_pa, _qa) in enumerate(MONOMIALS):
-    for _kb, (_pb, _qb) in enumerate(MONOMIALS):
-        if _pa + _pb + _qa + _qb <= MAX_ORDER:
-            _mul_a.append(_ka)
-            _mul_b.append(_kb)
-            _mul_out.append(MONOMIAL_INDEX[(_pa + _pb, _qa + _qb)])
-_MUL_A = np.array(_mul_a, dtype=np.intp)
-_MUL_B = np.array(_mul_b, dtype=np.intp)
-_MUL_OUT = np.array(_mul_out, dtype=np.intp)
-del _mul_a, _mul_b, _mul_out
+
+# Convolution pair tables, one per valid order r: out[OUT] += a[A] * b[B]
+# over the pairs whose degrees sum to at most r (1, 5, 15, 35, 70 pairs).
+# Every table keeps the pairs in the order of the full one, so each output
+# coefficient sums the same terms in the same order whatever r is.
+def _pair_tables():
+    pairs = [(ka, kb, MONOMIAL_INDEX[(pa + pb, qa + qb)], pa + qa + pb + qb)
+             for ka, (pa, qa) in enumerate(MONOMIALS)
+             for kb, (pb, qb) in enumerate(MONOMIALS)
+             if pa + pb + qa + qb <= MAX_ORDER]
+    tables = []
+    for r in range(MAX_ORDER + 1):
+        kept = np.array([p[:3] for p in pairs if p[3] <= r], dtype=np.intp)
+        tables.append((kept[:, 0].copy(), kept[:, 1].copy(),
+                       kept[:, 2].copy()))
+    return tuple(tables)
+
+
+_PAIRS = _pair_tables()
+
 
 # d/du: result[(i, j)] = (i+1) * c[(i+1, j)]; slots with i+1 > 4 vanish.
 def _shift_table(axis: int):
@@ -66,11 +87,15 @@ _DV_SRC, _DV_FAC = _shift_table(1)
 
 _FACT = np.array([math.factorial(n) for n in range(MAX_ORDER + 1)])
 
-Number = Union[int, float, np.floating]
 
+def _slots(c: np.ndarray) -> tuple:
+    """Shape that broadcasts one value per slot against coefficients c."""
+    return (N_COEFFS,) + (1,) * (c.ndim - 1)
 
 class Jet4:
     __slots__ = ("c", "valid_order")
+    # numpy defers to the reflected operators: array * jet is jet.__rmul__
+    __array_ufunc__ = None
 
     def __init__(self, coeffs: np.ndarray, valid_order: int = MAX_ORDER):
         self.c = coeffs
@@ -79,53 +104,66 @@ class Jet4:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def const(value: Number, valid_order: int = MAX_ORDER) -> "Jet4":
-        c = np.zeros(N_COEFFS)
-        c[0] = float(value)
+    def const(value, valid_order: int = MAX_ORDER) -> "Jet4":
+        """Constant jet; `value` is a number, or an array of shape S."""
+        c = np.zeros((N_COEFFS,) + value.shape
+                     if isinstance(value, np.ndarray) else N_COEFFS)
+        c[0] = value
         return Jet4(c, valid_order)
 
     @staticmethod
-    def variable(value: Number, axis: int) -> "Jet4":
-        """Seed jet for the independent variable along `axis` (0 = u, 1 = v)."""
-        c = np.zeros(N_COEFFS)
-        c[0] = float(value)
+    def variable(value, axis: int) -> "Jet4":
+        """Seed jet for the independent variable along `axis` (0 = u, 1 = v);
+        `value` is a number, or an array of shape S."""
+        c = np.zeros((N_COEFFS,) + value.shape
+                     if isinstance(value, np.ndarray) else N_COEFFS)
+        c[0] = value
         c[1 + axis] = 1.0
         return Jet4(c)
 
     # -- access ------------------------------------------------------------
 
     @property
-    def value(self) -> float:
-        return float(self.c[0])
+    def value(self):
+        """The value: a float at S = (), else an array of shape S."""
+        c = self.c
+        return float(c[0]) if c.ndim == 1 else c[0]
 
-    def extract(self, i: int, j: int) -> float:
+    def extract(self, i: int, j: int):
         """Return d^{i+j} f / du^i dv^j (factorials restored)."""
         if i < 0 or j < 0:
             raise JetOrderError(f"negative derivative order ({i}, {j})")
         if i + j > self.valid_order:
             raise JetOrderError(
                 f"order ({i}, {j}) exceeds valid order {self.valid_order}")
-        return float(self.c[MONOMIAL_INDEX[(i, j)]] * _FACT[i] * _FACT[j])
+        d = self.c[MONOMIAL_INDEX[(i, j)]] * _FACT[i] * _FACT[j]
+        return float(d) if self.c.ndim == 1 else d
 
     def du(self) -> "Jet4":
         if self.valid_order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
-        return Jet4(self.c[_DU_SRC] * _DU_FAC, self.valid_order - 1)
+        c = self.c
+        fac = _DU_FAC if c.ndim == 1 else _DU_FAC.reshape(_slots(c))
+        return Jet4(c[_DU_SRC] * fac, self.valid_order - 1)
 
     def dv(self) -> "Jet4":
         if self.valid_order < 1:
             raise JetOrderError("cannot differentiate an order-0 jet")
-        return Jet4(self.c[_DV_SRC] * _DV_FAC, self.valid_order - 1)
+        c = self.c
+        fac = _DV_FAC if c.ndim == 1 else _DV_FAC.reshape(_slots(c))
+        return Jet4(c[_DV_SRC] * fac, self.valid_order - 1)
 
     def __repr__(self) -> str:
         return f"Jet4(value={self.c[0]!r}, valid_order={self.valid_order})"
 
     # -- ring operations ----------------------------------------------------
+    # A number operand may also be an array of shape S (one per point).
 
     def __add__(self, other):
         if isinstance(other, Jet4):
             return Jet4(self.c + other.c,
-                        min(self.valid_order, other.valid_order))
+                        self.valid_order if self.valid_order < other.valid_order
+                        else other.valid_order)
         return Jet4(_add_scalar(self.c, other), self.valid_order)
 
     __radd__ = __add__
@@ -133,7 +171,8 @@ class Jet4:
     def __sub__(self, other):
         if isinstance(other, Jet4):
             return Jet4(self.c - other.c,
-                        min(self.valid_order, other.valid_order))
+                        self.valid_order if self.valid_order < other.valid_order
+                        else other.valid_order)
         return Jet4(_add_scalar(self.c, -other), self.valid_order)
 
     def __rsub__(self, other):
@@ -144,10 +183,14 @@ class Jet4:
 
     def __mul__(self, other):
         if isinstance(other, Jet4):
-            out = np.bincount(_MUL_OUT, weights=self.c[_MUL_A] * other.c[_MUL_B],
-                              minlength=N_COEFFS)
-            return Jet4(out, min(self.valid_order, other.valid_order))
-        return Jet4(self.c * float(other), self.valid_order)
+            order = (self.valid_order if self.valid_order < other.valid_order
+                     else other.valid_order)
+            a, b = self.c, other.c
+            if a.ndim == 1:
+                ka, kb, out = _PAIRS[order]
+                return Jet4(np.bincount(out, a[ka] * b[kb], N_COEFFS), order)
+            return Jet4(_convolve_batch(a, b, order), order)
+        return Jet4(self.c * other, self.valid_order)
 
     __rmul__ = __mul__
 
@@ -176,14 +219,35 @@ class Jet4:
         return exp(self * math.log(b))
 
 
+def _convolve_batch(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Truncated product of two coefficient arrays with a batch axis: one
+    bincount over the bins slot * n + column, so every column sums its
+    terms in the order of the one-point product."""
+    ka, kb, out = _PAIRS[order]
+    n = a[0].size
+    terms = a.reshape(N_COEFFS, n)[ka] * b.reshape(N_COEFFS, n)[kb]
+    bins = (out[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(bins, terms.ravel(), N_COEFFS * n).reshape(a.shape)
+
+
 def _add_scalar(c: np.ndarray, s) -> np.ndarray:
     out = c.copy()
-    out[0] += float(s)
+    out[0] += s
     return out
 
 
-def _compose(g: Jet4, series: Sequence[float]) -> Jet4:
-    """Evaluate sum_k series[k] * (g - g.value)^k by Horner."""
+def where(mask, a: Jet4, b: Jet4) -> Jet4:
+    """Per point: `a` where `mask` holds, else `b` (mask has shape S); the
+    valid order is the lower of the two."""
+    order = min(a.valid_order, b.valid_order)
+    if a.c.ndim == 1:
+        return Jet4((a if mask else b).c, order)
+    return Jet4(np.where(mask, a.c, b.c), order)
+
+
+def _compose(g: Jet4, series) -> Jet4:
+    """Evaluate sum_k series[k] * (g - g.value)^k by Horner.  `series`
+    holds five numbers, or five arrays of shape S."""
     gh = Jet4(g.c.copy(), g.valid_order)
     gh.c[0] = 0.0
     acc = Jet4.const(series[MAX_ORDER], g.valid_order)
@@ -193,18 +257,44 @@ def _compose(g: Jet4, series: Sequence[float]) -> Jet4:
     return acc
 
 
-def _reciprocal(g: Jet4) -> Jet4:
-    g0 = g.value
+_NAN_SERIES = [math.nan] * (MAX_ORDER + 1)
+
+
+def _series(coeffs: Callable[[float], List[float]], g: Jet4):
+    """The five series coefficients `coeffs` gives at the value of g, by the
+    same float code at every point.  At S = () a failure raises; with a
+    batch axis a point where `coeffs` fails gets NaN coefficients."""
+    if g.c.ndim == 1:
+        return coeffs(g.value)
+    rows = []
+    for g0 in g.c[0].ravel().tolist():
+        try:
+            rows.append(coeffs(g0))
+        except (JetDomainError, ArithmeticError, ValueError):
+            rows.append(_NAN_SERIES)
+    return np.array(rows).T.reshape((MAX_ORDER + 1,) + g.c.shape[1:])
+
+
+def _reciprocal_series(g0: float) -> List[float]:
     if g0 == 0.0:
         raise JetDomainError("division by zero")
     inv = 1.0 / g0
-    return _compose(g, [inv, -inv**2, inv**3, -inv**4, inv**5])
+    return [inv, -inv**2, inv**3, -inv**4, inv**5]
+
+
+def _reciprocal(g: Jet4) -> Jet4:
+    return _compose(g, _series(_reciprocal_series, g))
 
 
 def _int_pow(g: Jet4, n: int) -> Jet4:
     if n < 0:
         return _int_pow(_reciprocal(g), -n)
-    result = Jet4.const(1.0, g.valid_order)
+    shape = g.c.shape[1:]
+    result = Jet4.const(np.ones(shape) if shape else 1.0, g.valid_order)
+    if n == 0:
+        # 1, except where the base is already undefined
+        result.c[..., np.isnan(g.c[0])] = math.nan
+        return result
     base = g
     while n:
         if n & 1:
@@ -216,37 +306,73 @@ def _int_pow(g: Jet4, n: int) -> Jet4:
 
 
 def _real_pow(g: Jet4, p: float) -> Jet4:
-    g0 = g.value
-    if g0 <= 0.0:
-        raise JetDomainError(f"non-integer power of non-positive value {g0}")
-    series = []
-    coeff = 1.0
-    for k in range(MAX_ORDER + 1):
-        series.append(coeff * g0 ** (p - k))
-        coeff *= (p - k) / (k + 1)
-    return _compose(g, series)
+    def coeffs(g0: float) -> List[float]:
+        if g0 <= 0.0:
+            raise JetDomainError(
+                f"non-integer power of non-positive value {g0}")
+        series = []
+        coeff = 1.0
+        for k in range(MAX_ORDER + 1):
+            series.append(coeff * g0 ** (p - k))
+            coeff *= (p - k) / (k + 1)
+        return series
+    return _compose(g, _series(coeffs, g))
 
 
 # -- elementary functions (accept Jet4 or plain numbers) --------------------
+
+def _sqrt_series(g0: float) -> List[float]:
+    if g0 <= 0.0:
+        raise JetDomainError(f"sqrt of non-positive value {g0} in jet")
+    r = math.sqrt(g0)
+    return [r, r / (2 * g0), -r / (8 * g0**2),
+            r / (16 * g0**3), -5 * r / (128 * g0**4)]
+
+
+def _exp_series(g0: float) -> List[float]:
+    e0 = math.exp(g0)
+    return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
+
+
+def _ln_series(g0: float) -> List[float]:
+    if g0 <= 0.0:
+        raise JetDomainError(f"ln of non-positive value {g0} in jet")
+    return [math.log(g0), 1 / g0, -1 / (2 * g0**2),
+            1 / (3 * g0**3), -1 / (4 * g0**4)]
+
+
+def _sin_series(g0: float) -> List[float]:
+    s, c = math.sin(g0), math.cos(g0)
+    return [s, c, -s / 2, -c / 6, s / 24]
+
+
+def _cos_series(g0: float) -> List[float]:
+    s, c = math.sin(g0), math.cos(g0)
+    return [c, -s, -c / 2, s / 6, c / 24]
+
+
+def _sinh_series(g0: float) -> List[float]:
+    s, c = math.sinh(g0), math.cosh(g0)
+    return [s, c, s / 2, c / 6, s / 24]
+
+
+def _cosh_series(g0: float) -> List[float]:
+    s, c = math.sinh(g0), math.cosh(g0)
+    return [c, s, c / 2, s / 6, c / 24]
+
 
 def sqrt(x):
     if not isinstance(x, Jet4):
         if x < 0:
             raise JetDomainError(f"sqrt of negative value {x}")
         return math.sqrt(x)
-    g0 = x.value
-    if g0 <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {g0} in jet")
-    r = math.sqrt(g0)
-    return _compose(x, [r, r / (2 * g0), -r / (8 * g0**2),
-                        r / (16 * g0**3), -5 * r / (128 * g0**4)])
+    return _compose(x, _series(_sqrt_series, x))
 
 
 def exp(x):
     if not isinstance(x, Jet4):
         return math.exp(x)
-    e0 = math.exp(x.value)
-    return _compose(x, [e0, e0, e0 / 2, e0 / 6, e0 / 24])
+    return _compose(x, _series(_exp_series, x))
 
 
 def ln(x):
@@ -254,25 +380,19 @@ def ln(x):
         if x <= 0:
             raise JetDomainError(f"ln of non-positive value {x}")
         return math.log(x)
-    g0 = x.value
-    if g0 <= 0.0:
-        raise JetDomainError(f"ln of non-positive value {g0} in jet")
-    return _compose(x, [math.log(g0), 1 / g0, -1 / (2 * g0**2),
-                        1 / (3 * g0**3), -1 / (4 * g0**4)])
+    return _compose(x, _series(_ln_series, x))
 
 
 def sin(x):
     if not isinstance(x, Jet4):
         return math.sin(x)
-    s, c = math.sin(x.value), math.cos(x.value)
-    return _compose(x, [s, c, -s / 2, -c / 6, s / 24])
+    return _compose(x, _series(_sin_series, x))
 
 
 def cos(x):
     if not isinstance(x, Jet4):
         return math.cos(x)
-    s, c = math.sin(x.value), math.cos(x.value)
-    return _compose(x, [c, -s, -c / 2, s / 6, c / 24])
+    return _compose(x, _series(_cos_series, x))
 
 
 def tan(x):
@@ -284,15 +404,13 @@ def tan(x):
 def sinh(x):
     if not isinstance(x, Jet4):
         return math.sinh(x)
-    s, c = math.sinh(x.value), math.cosh(x.value)
-    return _compose(x, [s, c, s / 2, c / 6, s / 24])
+    return _compose(x, _series(_sinh_series, x))
 
 
 def cosh(x):
     if not isinstance(x, Jet4):
         return math.cosh(x)
-    s, c = math.sinh(x.value), math.cosh(x.value)
-    return _compose(x, [c, s, c / 2, s / 6, c / 24])
+    return _compose(x, _series(_cosh_series, x))
 
 
 JET_FUNCTIONS = {
@@ -301,5 +419,6 @@ JET_FUNCTIONS = {
 }
 
 
-def jet_variables(u: Number, v: Number):
+def jet_variables(u, v):
+    """The seed jets of u and v: numbers, or arrays of shape S."""
     return (Jet4.variable(u, 0), Jet4.variable(v, 1))

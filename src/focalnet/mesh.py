@@ -9,6 +9,11 @@ canal sheet, imaginary directions) are dropped and the touching faces
 pruned.  A sheet or net with no computable vertices produces no file; the
 sidecar ``manifest.json`` records what was written and why anything is
 absent.  Output is byte-deterministic for identical inputs.
+
+Surface vertices come from `SurfaceProgram.position`.  The frames behind
+the focal sheets and net segments come from one batched
+`frames.frame_points` call over the grid; focal positions and segments are
+built from their float position and frame vectors, not from jets.
 """
 from __future__ import annotations
 
@@ -19,9 +24,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from .central import central_point
-from .errors import (FRAME_ERRORS, CanalDegenerate, DegenerateNetError,
-                     ImaginaryNetError, JetDomainError)
-from .frames import frame_point
+from .errors import (CanalDegenerate, DegenerateNetError, ImaginaryNetError,
+                     JetDomainError)
+from .frames import FramePoint, frame_points
 from .nets import net_asymptotic_pullback, net_curvature_pullback, net_directions
 from .report import grid_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -93,16 +98,15 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     index = [(iu, iv) for iu in range(nu) for iv in range(nv)]
 
     positions: Dict[Tuple[int, int], np.ndarray] = {}
-    frames: Dict[Tuple[int, int], object] = {}
-    for key, (u, v) in zip(index, pts):
+    frames: Dict[Tuple[int, int], FramePoint] = {}
+    batch = frame_points(prog, [u for u, _ in pts], [v for _, v in pts], tol)
+    for key, (u, v), fp in zip(index, pts, batch):
         try:
             positions[key] = prog.position(u, v)
         except JetDomainError:
             continue
-        try:
-            frames[key] = frame_point(prog, u, v, tol)
-        except FRAME_ERRORS:
-            pass
+        if isinstance(fp, FramePoint):
+            frames[key] = fp
 
     os.makedirs(out_dir, exist_ok=True)
     objects: Dict[str, dict] = {}
@@ -158,8 +162,8 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             except (CanalDegenerate, ImaginaryNetError, DegenerateNetError):
                 continue
             p = positions[key]
-            e1 = np.array([j.value for j in fp.pd.e1], dtype=float)
-            e2 = np.array([j.value for j in fp.pd.e2], dtype=float)
+            e1 = np.array(fp.e1, dtype=float)
+            e2 = np.array(fp.e2, dtype=float)
             for c1, c2 in dirs:
                 d = c1 * e1 + c2 * e2
                 half = 0.5 * seg_len * d

@@ -16,12 +16,19 @@ string instead of values — never NaN:
 Records are ordered u-major ((u index, v index) lexicographic).  All floats
 are emitted through ``repr`` (shortest round-trip form), so identical inputs
 produce byte-identical files.
+
+`grid_report` takes the frames of its whole grid from one batched
+`frames.frame_points` call; `point_record` evaluates its one point alone.
+Both build each record with the same function, so a grid record equals the
+`point_record` of its point byte for byte.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
+from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -29,7 +36,7 @@ import numpy as np
 
 from .classify import CLASS_NAMES, defect_report
 from .errors import FRAME_ERRORS
-from .frames import frame_point
+from .frames import frame_point, frame_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -69,8 +76,15 @@ def point_record(prog, u: float, v: float,
     try:
         fp = frame_point(prog, float(u), float(v), tol)
     except FRAME_ERRORS as exc:
-        return _empty_record(u, v, exc.status)
+        return _record(u, v, exc, tol)
+    return _record(u, v, fp, tol)
 
+
+def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
+    """The record of a point from its frame point, or from the
+    `FRAME_ERRORS` instance its frame evaluation raised."""
+    if isinstance(fp, FRAME_ERRORS):
+        return _empty_record(u, v, fp.status)
     rep = defect_report(fp, tol)
     c1, c2 = rep.flags["canal1"], rep.flags["canal2"]
     if c1 or c2:
@@ -176,15 +190,56 @@ class GridReport:
 
 def grid_report(prog, nu: int, nv: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> GridReport:
-    records = [point_record(prog, u, v, tol)
-               for u, v in grid_points(prog, nu, nv)]
+    pts = grid_points(prog, nu, nv)
+    fps = frame_points(prog, [u for u, _ in pts], [v for _, v in pts], tol)
+    records = [_record(u, v, fp, tol) for (u, v), fp in zip(pts, fps)]
     return GridReport(surface=prog.definition.name,
                       params=dict(prog.params), nu=nu, nv=nv,
                       records=records, summary=summarize(records))
 
 
 def emit_json(report: GridReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The report as JSON, byte for byte what
+    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"`` gives,
+    which runs the pure-Python encoder because of `indent`."""
+    return _json(report.to_dict(), "\n") + "\n"
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_JSON_INFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _json(o, newline: str) -> str:
+    """`o` as `json.dumps(o, sort_keys=True, indent=2)` spells it, nested at
+    the indent that `newline` ends in."""
+    t = type(o)
+    if t is float:
+        if o != o:
+            return "NaN"
+        return _JSON_INFINITE.get(o) or float.__repr__(o)
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_json_str(k) + ": " + _json(o[k], inner) for k in sorted(o)])
+            + newline + "}")
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join([_json(x, inner) for x in o])
+                + newline + "]")
+    if t is str:
+        return _json_str(o)
+    if o is None or o is True or o is False:
+        return _JSON_CONSTANTS[o]
+    if t is int:
+        return int.__repr__(o)
+    for base in (float, int, str):    # subclasses, such as numpy's float64
+        if isinstance(o, base):
+            return _json(base(o), newline)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def parse_json(text: str) -> GridReport:

@@ -329,30 +329,53 @@ class SurfaceProgram:
         self.params = dict(params)
         self.exprs = (definition.x, definition.y, definition.z)
 
-    def evaluate(self, u, v, funcs) -> tuple:
+    def evaluate(self, u, v, funcs, failed: Optional[list] = None) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
         floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`.
         A function outside its domain, a division by zero, an overflow or a
         non-finite result raises JetDomainError.  numpy's overflow and
         invalid-value warnings are silenced here, since the non-finite jet
-        they announce becomes that error."""
+        they announce becomes that error.
+
+        With jets that carry a batch axis of N points, pass a list `failed`
+        of N entries: each point whose column is not finite (an undefined
+        point poisons its column with NaN) gets its JetDomainError there in
+        place of raising, and a failure of the whole evaluation goes to
+        every point."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = tuple(ex.evaluate(node, env, funcs)
                             for node in self.exprs)
-            if all(_finite(c) for c in out):
-                return out
-            problem = "not finite"
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            finite, problem = _finite(out), "not finite"
+        except (JetDomainError, ZeroDivisionError, ValueError,
+                OverflowError) as exc:
+            if failed is None and isinstance(exc, JetDomainError):
+                raise
+            out, finite = (math.nan,) * 3, False
             problem = f"undefined ({exc})"
-        at = (getattr(u, "value", u), getattr(v, "value", v))
-        raise JetDomainError(f"{self.name} {problem} at (u, v) = {at}")
+        if failed is None:
+            if finite:
+                return out
+            at = (getattr(u, "value", u), getattr(v, "value", v))
+            raise JetDomainError(f"{self.name} {problem} at (u, v) = {at}")
+        us, vs = u.value, v.value
+        for i in np.flatnonzero(np.broadcast_to(np.logical_not(finite),
+                                                us.shape)).tolist():
+            at = (float(us[i]), float(vs[i]))
+            failed[i] = JetDomainError(
+                f"{self.name} {problem} at (u, v) = {at}")
+        return out
 
-    def jets(self, u: float, v: float):
-        """Order-4 jets of (x, y, z) at (u, v), constants as constant jets."""
-        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS)
-        return tuple(c if isinstance(c, jt.Jet4) else jt.Jet4.const(c)
+    def jets(self, u, v, failed: Optional[list] = None):
+        """Order-4 jets of (x, y, z) at (u, v), constants as constant jets.
+        u and v are numbers, or arrays of shape (N,) for a batch, which
+        `evaluate` records its per-point failures for in `failed`."""
+        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS,
+                            failed)
+        shape = np.shape(u)
+        return tuple(c if isinstance(c, jt.Jet4)
+                     else jt.Jet4.const(np.full(shape, c) if shape else c)
                      for c in out)
 
     def position(self, u: float, v: float) -> np.ndarray:
@@ -364,9 +387,14 @@ class SurfaceProgram:
         return f"SurfaceProgram({self.name}{', ' + ps if ps else ''})"
 
 
-def _finite(x) -> bool:
-    return (bool(np.isfinite(x.c).all()) if isinstance(x, jt.Jet4)
-            else math.isfinite(x))
+def _finite(out: tuple):
+    """Whether every coordinate and jet coefficient is finite: a bool, or
+    with a batch axis a bool array with one entry per point."""
+    ok = True
+    for x in out:
+        ok = ok & (np.isfinite(x.c).all(axis=0) if isinstance(x, jt.Jet4)
+                   else math.isfinite(x))
+    return ok
 
 
 def compile_surface(sd: SurfaceDef,

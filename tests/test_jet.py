@@ -119,3 +119,70 @@ def test_integer_power_negative_base_allowed():
     f = u ** 3
     assert f.value == pytest.approx(-3.375, rel=1e-15)
     assert f.extract(1, 0) == pytest.approx(3 * 1.5**2, rel=1e-15)
+
+
+# The full truncated convolution: every monomial pair of total degree <= 4.
+_FULL_PAIRS = [(ka, kb, jt.MONOMIAL_INDEX[(pa + pb, qa + qb)])
+               for ka, (pa, qa) in enumerate(jt.MONOMIALS)
+               for kb, (pb, qb) in enumerate(jt.MONOMIALS)
+               if pa + pb + qa + qb <= jt.MAX_ORDER]
+
+
+def _full_product(a, b):
+    ka, kb, out = (np.array(col) for col in zip(*_FULL_PAIRS))
+    return np.bincount(out, weights=a[ka] * b[kb], minlength=jt.N_COEFFS)
+
+
+def test_products_match_the_full_convolution_bitwise():
+    """A product computes the coefficients up to its valid order from that
+    order's pairs alone; they equal the 70-pair convolution bit for bit, at
+    S = () and in every column at S = (7,), and the rest are zero."""
+    rng = np.random.default_rng(3)
+    for ra in range(jt.MAX_ORDER + 1):
+        for rb in range(jt.MAX_ORDER + 1):
+            a = jt.Jet4(rng.normal(size=(jt.N_COEFFS, 7)), ra)
+            b = jt.Jet4(rng.normal(size=(jt.N_COEFFS, 7)), rb)
+            a.c[3, 2] = -0.0
+            order = min(ra, rb)
+            kept = (order + 1) * (order + 2) // 2
+            batch = a * b
+            assert batch.valid_order == order
+            assert not batch.c[kept:].any()
+            for i in range(7):
+                want = _full_product(a.c[:, i], b.c[:, i])[:kept].tobytes()
+                one = (jt.Jet4(a.c[:, i].copy(), ra)
+                       * jt.Jet4(b.c[:, i].copy(), rb))
+                assert one.valid_order == order
+                assert one.c[:kept].tobytes() == want
+                assert batch.c[:kept, i].tobytes() == want
+
+
+def test_batch_columns_equal_their_points_bitwise():
+    """Every elementary function, reciprocal and power of a batch jet gives
+    in each column the bits of the same operation on that column alone."""
+    rng = np.random.default_rng(11)
+    n = 400
+    coeffs = rng.normal(size=(jt.N_COEFFS, n)) * 0.3
+    coeffs[0] = rng.uniform(0.05, 3.0, n)
+    batch = jt.Jet4(coeffs)
+    ops = [*jt.JET_FUNCTIONS.values(), lambda g: 1.0 / g,
+           lambda g: g ** 2.5, lambda g: g ** -3, lambda g: 1.7 ** g]
+    for op in ops:
+        out = op(batch)
+        for i in range(n):
+            one = op(jt.Jet4(coeffs[:, i].copy()))
+            assert out.c[:, i].tobytes() == one.c.tobytes()
+
+
+def test_batch_domain_error_poisons_only_its_column():
+    """ln of a batch jet that is negative in one column, and a reciprocal
+    of one that is zero there, poison that column with NaN; every other
+    column equals the jet of its point alone."""
+    values = np.array([0.5, 1.5, -0.25, 2.0])
+    x, _ = jt.jet_variables(values, np.zeros(4))
+    for fn in (jt.ln, lambda g: 1.0 / (g + 0.25)):
+        out = fn(x)
+        assert np.isnan(out.c[:, 2]).all()
+        for i in (0, 1, 3):
+            one = fn(jt.Jet4.variable(values[i], 0))
+            assert out.c[:, i].tobytes() == one.c.tobytes()

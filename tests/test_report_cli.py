@@ -1,10 +1,14 @@
 """Grid reports, serialization, OBJ export, and the command line."""
+import dataclasses
+import gc
 import json
 import os
 
 import pytest
 
-from focalnet import cli
+from focalnet import cli, gallery_names
+from focalnet.errors import FRAME_ERRORS
+from focalnet.frames import frame_point, frame_points
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
 from focalnet.mesh import export_obj
@@ -84,11 +88,65 @@ def test_grid_statuses_on_special_surfaces(prog, tol):
     assert counts["ok"] == 16 and counts["canal12"] == 4
 
 
-def test_point_record_matches_grid(prog, tol):
-    program = prog("graph_generic")
-    rep = grid_report(program, 2, 2, tol)
-    u, v = grid_points(program, 2, 2)[3]
-    assert rep.records[3] == point_record(program, u, v, tol)
+def test_point_record_matches_grid(prog, graph_source, tol):
+    """grid_report evaluates its grid in one batched pass.  On 8 x 8 grids
+    of every gallery surface, of two graphs undefined on part of the box
+    and of one that uses the elementary functions the gallery does not,
+    each record serialises byte for byte as point_record's at that point,
+    and each frame_points entry is frame_point's result with the same
+    floats, or an exception of the type frame_point raises there."""
+    programs = [prog(name) for name in gallery_names()]
+    programs += [compile_surface(parse_surface(graph_source(z)))
+                 for z in ("ln(u) + v^2", "1 / u + v^2",
+                           "exp(u) * sinh(v) + cosh(u * v) / sqrt(2 + u)"
+                           " + (1.5 + v) ^ 1.5 + 2 ^ u")]
+    for program in programs:
+        pts = grid_points(program, 8, 8)
+        records = grid_report(program, 8, 8, tol).records
+        batch = frame_points(program, [u for u, _ in pts],
+                             [v for _, v in pts], tol)
+        assert len(records) == len(batch) == 64
+        for (u, v), rec, got in zip(pts, records, batch):
+            assert (json.dumps(rec, sort_keys=True)
+                    == json.dumps(point_record(program, u, v, tol),
+                                  sort_keys=True))
+            try:
+                want = frame_point(program, u, v, tol)
+            except FRAME_ERRORS as exc:
+                assert type(got) is type(exc), (program.name, u, v)
+                continue
+            assert repr(got) == repr(dataclasses.replace(want, pd=None))
+
+
+def test_point_record_leaves_no_reference_cycles(prog, tol):
+    """point_record keeps no frame error past its except clause: a kept
+    exception holds its traceback's frames in a reference cycle, which
+    waits for the garbage collector (and showed as a slower tail of
+    single-point calls)."""
+    programs = [prog(name) for name in ("sphere", "plane", "graph_generic")]
+    gc.collect()
+    gc.disable()
+    try:
+        for program in programs:
+            point_record(program, 0.3, 0.4, tol)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_emit_json_matches_json_dumps(prog, tol):
+    """emit_json writes what json.dumps(..., sort_keys=True, indent=2)
+    writes, here on reports with degenerate records (None fields, empty
+    ``excluded`` lists, booleans)."""
+    for name in ("graph_generic", "helicoid", "torus", "sphere", "dini"):
+        rep = grid_report(prog(name), 5, 4, tol)
+        want = json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n"
+        assert emit_json(rep) == want
+    odd = GridReport("s", {"a": 1.0}, 1, 1,
+                     [{"x": [float("nan"), float("inf"), -float("inf"), -0.0],
+                       "t": (), "d": {}, "n": None, "s": "\u00e9\"\n"}])
+    assert emit_json(odd) == json.dumps(odd.to_dict(), sort_keys=True,
+                                        indent=2) + "\n"
 
 
 def test_export_obj_plane(tmp_path, prog, tol):

@@ -1,0 +1,155 @@
+"""Benchmark the working tree against a base revision, in alternating pairs.
+
+    python3 tools/bench_ab.py --out BENCH_N.json [--base HEAD] [--pairs 10]
+        [--seed 100]
+
+Run from the repository root.  The base revision is exported with
+``git archive`` into a temporary directory, so it is measured from its
+committed files; the working tree is measured as it stands.  For each
+workload in BENCHMARK.json, pair i runs ``perfbench/run.py --seed SEED+i``
+for the benchmark's ``run_seconds`` once on each side, the side that goes
+first alternating from pair to pair, so slow spells of a shared machine
+fall on both sides alike.  Then one traced run (``--trace 1``, seed SEED)
+per side records the per-layer split and the jet-operation table.
+
+The output file holds, per workload and end-to-end metric (as listed in
+BENCHMARK.json), each side's runs, median and quartiles, and how many
+pairs each side won (ties count for neither); and per side the traced
+run's per-layer metrics, self times per layer and jet operations by valid
+order.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from typing import Dict, List
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("base", "tree")
+
+
+def export_revision(rev: str, dest: str) -> str:
+    """Unpack the committed files of `rev` into `dest`; returns the full
+    commit id."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = os.path.join(dest, "base.tar")
+    subprocess.run(["git", "archive", "--format=tar", "-o", archive, commit],
+                   cwd=ROOT, check=True)
+    checkout = os.path.join(dest, "base")
+    # The "data" filter where this Python has it: plain files only.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+    with tarfile.open(archive) as tar:
+        tar.extractall(checkout, **safe)
+    os.remove(archive)
+    return commit
+
+
+def run_bench(root: str, workload: str, seed: int, seconds: float,
+              trace: bool) -> dict:
+    """One perfbench run in checkout `root`; returns its result line, with
+    the environment line added under "env"."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", "1" if trace else "0"],
+        cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench failed in {root} ({workload}, seed "
+                           f"{seed}):\n{proc.stderr[-2000:]}")
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["env"] = json.loads(lines[0][len("env "):])
+    return result
+
+
+def summary(values: List[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "runs": values}
+
+
+def compare(runs: Dict[str, List[dict]], metrics: List[dict]) -> dict:
+    """Per end-to-end metric: both sides' summaries and wins per side."""
+    out = {}
+    for spec in metrics:
+        name, higher = spec["name"], spec["better"] == "higher"
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]]
+                for side in SIDES}
+        wins = {side: 0 for side in SIDES}
+        for b, t in zip(vals["base"], vals["tree"]):
+            if b != t:
+                wins["tree" if (t > b) == higher else "base"] += 1
+        out[name] = {"unit": spec["unit"], "better": spec["better"],
+                     **{side: summary(vals[side]) for side in SIDES},
+                     "wins": wins}
+    return out
+
+
+def traced(root: str, workload: str, seed: int) -> dict:
+    """One traced run: per-layer metrics plus, from the trace file it
+    writes, self times per layer and jet operations by valid order."""
+    result = run_bench(root, workload, seed, 1, trace=True)
+    path = os.path.join(root, ".perfbench_out",
+                        f"trace-{workload}-seed{seed}.json")
+    with open(path) as fh:
+        trace = json.load(fh)
+    return {"correct": result["correct"], "failed": result["failed"],
+            "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "self_raw_s": trace["self_raw_s"],
+            "layer_status_counts": trace["layer_status_counts"],
+            "jet_ops_by_valid_order": trace["jet_ops_by_valid_order"]}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--out", required=True, help="JSON file to write")
+    ap.add_argument("--base", default="HEAD", help="base revision")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=100)
+    args = ap.parse_args(argv)
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    seconds = spec["run_seconds"]
+    report = {"base": None, "pairs": args.pairs, "seconds": seconds,
+              "seeds": [args.seed, args.seed + args.pairs - 1],
+              "python": platform.python_version(), "workloads": {}}
+    with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
+        report["base"] = export_revision(args.base, tmp)
+        roots = {"base": os.path.join(tmp, "base"), "tree": ROOT}
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    res = run_bench(roots[side], workload, args.seed + i,
+                                    seconds, trace=False)
+                    runs[side].append(res)
+                    print(f"{workload} pair {i} {side}: " + " ".join(
+                        f"{k}={v['value']:.4g}"
+                        for k, v in sorted(res["metrics"].items())),
+                        flush=True)
+            report["env"] = runs["tree"][0]["env"]
+            report["workloads"][workload] = {
+                "failed": {side: sum(r["failed"] for r in runs[side])
+                           for side in SIDES},
+                "attempted": {side: sum(r["attempted"] for r in runs[side])
+                              for side in SIDES},
+                "end_to_end": compare(runs, spec["end_to_end"]),
+                "traced": {side: traced(roots[side], workload, args.seed)
+                           for side in SIDES},
+            }
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
