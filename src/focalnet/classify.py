@@ -64,7 +64,6 @@ class PropositionResidual:
 
 @dataclass(frozen=True)
 class DefectReport:
-    point: Tuple[float, float]
     w_defect: float
     class_defects: Dict[str, float]
     class_defects_normalized: Dict[str, float]
@@ -171,7 +170,7 @@ def _report(fp: FramePoint, canal1: bool, canal2: bool,
         res = prop_residuals(fp, grads, tol)
         if flags["moulding"]:
             excluded = ("prop5a", "prop5b", "prop6")
-    return DefectReport(point=fp.point, w_defect=wd, class_defects=raw,
+    return DefectReport(w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
 

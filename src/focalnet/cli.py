@@ -15,7 +15,6 @@ import json
 import sys
 from typing import Dict, Optional, Tuple
 
-from .central import check_canal
 from .checks import SUITE_NAMES, run_suite
 from .errors import (FRAME_ERRORS, CanalDegenerate, FocalnetError,
                      ParseError, UnknownParameterError, UnknownSurfaceError)
@@ -89,23 +88,18 @@ def cmd_list(args, parser) -> int:
     return 0
 
 
-def _condition(prog, u: float, v: float) -> str:
-    """Name of the exception behind a point that is neither ok nor moulding:
-    the one the frame evaluation raised, else the CanalDegenerate that
-    `check_canal` raises for the canal sheet(s)."""
-    try:
-        fp = frame_point(prog, u, v, DEFAULT_TOLERANCES)
-    except FRAME_ERRORS as exc:
-        return type(exc).__name__
-    raised = []
-    for sheet in (1, 2):
+def _condition(prog, rec: dict) -> str:
+    """Name of the exception behind a record that is neither ok nor
+    moulding: the one its frame evaluation raises, else CanalDegenerate
+    for the canal sheet(s) its flags name."""
+    if rec["flags"] is None:
         try:
-            check_canal(fp, sheet, DEFAULT_TOLERANCES)
-        except CanalDegenerate as exc:
-            raised.append(exc)
-    sheets = ",".join(str(exc.sheet) for exc in raised)
-    return (f"{type(raised[0]).__name__}"
-            f"(sheet{'s' if len(raised) > 1 else ''} {sheets})")
+            frame_point(prog, rec["u"], rec["v"], DEFAULT_TOLERANCES)
+        except FRAME_ERRORS as exc:
+            return type(exc).__name__
+    sheets = [s for s in ("1", "2") if rec["flags"]["canal" + s]]
+    return (f"{CanalDegenerate.__name__}"
+            f"(sheet{'s' if len(sheets) > 1 else ''} {','.join(sheets)})")
 
 
 def cmd_eval(args, parser) -> int:
@@ -122,7 +116,7 @@ def cmd_eval(args, parser) -> int:
         print(f"point:   u={u:g}, v={v:g}")
         status = rec["status"]
         print(f"status:  {status}" + ("" if status in ("ok", "moulding")
-                                      else f" ({_condition(prog, u, v)})"))
+                                      else f" ({_condition(prog, rec)})"))
         if rec["k1"] is not None:
             print(f"k1={_fmt(rec['k1'])}  k2={_fmt(rec['k2'])}  "
                   f"H={_fmt(rec['h'])}  K={_fmt(rec['k'])}")

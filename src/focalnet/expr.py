@@ -8,11 +8,11 @@ floats, jets, or mpmath values.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 from .errors import JetDomainError, UnboundIdentifierError
+from .jet import ELEMENTARY
 
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call", "Node",
@@ -51,11 +51,7 @@ class Call:
 
 Node = Union[Num, Var, Neg, BinOp, Call]
 
-FLOAT_FUNCTIONS = {
-    "sqrt": math.sqrt, "exp": math.exp, "ln": math.log,
-    "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh,
-}
+FLOAT_FUNCTIONS = {f.name: f.float_fn for f in ELEMENTARY}
 FUNCTION_NAMES = frozenset(FLOAT_FUNCTIONS)
 CONSTANT_NAMES = frozenset({"pi", "e"})
 

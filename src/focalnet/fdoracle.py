@@ -91,8 +91,7 @@ def mp_scalar_fn(prog, coord: int, dps: int = 50):
     import mpmath as mp
     node = prog.exprs[coord]
     params = prog.params
-    funcs = {"sqrt": mp.sqrt, "exp": mp.exp, "ln": mp.log, "sin": mp.sin,
-             "cos": mp.cos, "tan": mp.tan, "sinh": mp.sinh, "cosh": mp.cosh}
+    funcs = {f.name: getattr(mp, f.mp_name) for f in jt.ELEMENTARY}
 
     def f(u, v):
         with mp.workdps(dps):

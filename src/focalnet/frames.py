@@ -20,7 +20,7 @@ by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 `frame_points` evaluates many points in one pass, on jets with a batch axis
 (see `jet`), through the same `principal_data` and `frame_point_from_pd`
 as `frame_point`.  It returns each point's FramePoint, without its jets, or
-the exception `frame_point` would raise there.
+the class of the exception `frame_point` would raise there.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import jet as jt
+from .errors import JetDomainError
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -123,23 +124,26 @@ def frame_points(prog, us: Sequence[float], vs: Sequence[float],
                  tol: ToleranceSet = DEFAULT_TOLERANCES) -> list:
     """Frame points at the points (us[i], vs[i]), evaluated in one pass on
     jets with a batch axis.  Each entry is the FramePoint that `frame_point`
-    returns for that point (without `pd`), or the `errors.FRAME_ERRORS`
-    instance it raises."""
+    returns for that point (without `pd`), or the class of the
+    `errors.FRAME_ERRORS` exception it raises; a failure of the whole
+    evaluation is JetDomainError at every point."""
     if len(us) == 0:
         return []
     # Failed points run through to the end on meaningless columns.
     with np.errstate(all="ignore"):
-        pd = principal_data(eval_surface(prog, us, vs), tol)
+        try:
+            sj = eval_surface(prog, us, vs)
+        except JetDomainError:
+            return [JetDomainError] * len(us)
+        pd = principal_data(sj, tol)
         fp = frame_point_from_pd(pd, tol)
     cols = [fp.u, fp.v, fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1,
             *fp.grad_k2, fp.d2_q1, fp.d1_q2, *fp.x, *fp.e1, *fp.e2, *fp.e3]
-    out = []
-    for exc, c in zip(pd.failed, zip(*(a.tolist() for a in cols))):
-        out.append(exc or FramePoint(
-            u=c[0], v=c[1], pd=None, k1=c[2], k2=c[3], q1=c[4], q2=c[5],
-            grad_k1=c[6:8], grad_k2=c[8:10], d2_q1=c[10], d1_q2=c[11],
-            x=c[12:15], e1=c[15:18], e2=c[18:21], e3=c[21:24]))
-    return out
+    return [kind or FramePoint(
+        u=c[0], v=c[1], pd=None, k1=c[2], k2=c[3], q1=c[4], q2=c[5],
+        grad_k1=c[6:8], grad_k2=c[8:10], d2_q1=c[10], d1_q2=c[11],
+        x=c[12:15], e1=c[15:18], e2=c[18:21], e3=c[21:24])
+        for kind, c in zip(pd.failed, zip(*(a.tolist() for a in cols)))]
 
 
 def check_codazzi(fp: FramePoint) -> Tuple[float, float]:

@@ -10,18 +10,20 @@ non-immersion point, then parabolic (a vanishing principal curvature),
 then umbilic.  At S = () (one point, see `jet`) the first one raises its
 typed exception.  With a batch axis every point is computed on its own
 column, each branch becomes a per-point mask taken in that same order,
-and each degenerate point keeps the exception it would raise in
-`PrincipalData.failed`.
+after a first one for the points whose surface jet is not finite (their
+JetDomainError), and `PrincipalData.failed` keeps per point the class of
+the exception it would raise; no exception is built for a batch point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import jet as jt
-from .errors import (DegenerateParametrization, ParabolicPoint, UmbilicPoint)
+from .errors import (DegenerateParametrization, JetDomainError,
+                     ParabolicPoint, UmbilicPoint)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -68,8 +70,6 @@ class SurfaceJet:
     x: jt.Jet4
     y: jt.Jet4
     z: jt.Jet4
-    # With a batch axis: per point, what that point raises at S = (), or None.
-    failed: Optional[List[Exception]] = None
 
     @property
     def pos(self) -> Vec3:
@@ -79,14 +79,12 @@ class SurfaceJet:
 def eval_surface(prog, u, v) -> SurfaceJet:
     """Jets of the position at (u, v).  With floats an undefined point
     raises JetDomainError; with arrays u, v of shape (N,) the jets carry a
-    batch axis and each undefined point's error is kept in `failed`."""
+    batch axis and an undefined point leaves its column non-finite.  A
+    failure of the whole evaluation raises JetDomainError at every shape."""
     if np.ndim(u) == 0:
-        xj, yj, zj = prog.jets(u, v)
-        return SurfaceJet(float(u), float(v), xj, yj, zj)
+        return SurfaceJet(float(u), float(v), *prog.jets(u, v))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    failed: List[Optional[Exception]] = [None] * u.size
-    xj, yj, zj = prog.jets(u, v, failed)
-    return SurfaceJet(u, v, xj, yj, zj, failed)
+    return SurfaceJet(u, v, *prog.jets(u, v))
 
 
 @dataclass
@@ -99,8 +97,8 @@ class PrincipalData:
     canonicalized (first ambient component above the sign tolerance is
     positive) and e2 = e3 x e1 keeps the frame right-handed.
 
-    With a batch axis, `failed` holds per point the exception that
-    `principal_data` raises for it at S = () (or `sj` already held), else
+    With a batch axis, `failed` holds per point the class of the exception
+    that `eval_surface` or `principal_data` raises for it at S = (), else
     None; the jet columns of failed points hold meaningless values.
     """
     sj: SurfaceJet
@@ -118,56 +116,46 @@ class PrincipalData:
     eta2: jt.Jet4
     e1: Vec3
     e2: Vec3
-    failed: Optional[List[Exception]] = None
+    failed: Optional[np.ndarray] = None
 
 
 class _Failures:
-    """The first failure of each point, in check order.  At S = () the
-    first failure raises; with a batch axis it is recorded per point."""
+    """The first failure of each point, in check order.  At S = () it
+    raises; with a batch axis its class is recorded per point, starting
+    with JetDomainError where the surface jet is not finite."""
 
     def __init__(self, sj: SurfaceJet):
         self.sj = sj
-        self.errors = None if sj.failed is None else list(sj.failed)
+        self.kinds = None
+        if np.ndim(sj.u):
+            self.kinds = np.full(np.shape(sj.u), None, dtype=object)
+            self.record(~jt.finite(sj.pos), JetDomainError, None)
 
-    def record(self, mask, build) -> None:
-        """Fail the points where `mask` holds with build(i, point): i is
-        the point's index on the batch axis (None at S = ()), point its
-        (u, v)."""
-        if self.errors is None:
+    def record(self, mask, kind, message) -> None:
+        """Fail the points where `mask` holds with `kind`, at S = () by
+        raising it with the text that `message` returns."""
+        if self.kinds is None:
             if mask:
-                raise build(None, (self.sj.u, self.sj.v))
+                point = (self.sj.u, self.sj.v)
+                raise kind(f"{message()} at (u, v) = {point}", point)
             return
-        for i in np.flatnonzero(mask).tolist():
-            if self.errors[i] is None:
-                self.errors[i] = build(
-                    i, (float(self.sj.u[i]), float(self.sj.v[i])))
-
-
-def _at(x, i: Optional[int]) -> float:
-    """Point i's entry of a per-point value (x itself at S = ())."""
-    return x if i is None else float(x[i])
-
-
-def _parabolic(i, point) -> ParabolicPoint:
-    return ParabolicPoint(
-        f"principal curvature vanishes at (u, v) = {point}", point)
+        self.kinds[mask & np.equal(self.kinds, None)] = kind
 
 
 def principal_data(sj: SurfaceJet,
                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> PrincipalData:
     """The principal frame and curvatures.  At S = () a degenerate point
     raises, in the order non-immersion, parabolic, umbilic (see the module
-    docstring); with a batch axis every point is computed and the
-    degenerate ones are listed in `failed`."""
+    docstring); with a batch axis every point is computed and each
+    degenerate one has its exception class in `failed`."""
     failures = _Failures(sj)
     xu, xv = _vdu(sj.pos), _vdv(sj.pos)
     E, F, G = vdot(xu, xu), vdot(xu, xv), vdot(xv, xv)
     W2 = E * G - F * F
     trace_scale = (E.value + G.value) ** 2
-    failures.record(
-        W2.value <= tol.metric * trace_scale,
-        lambda i, point: DegenerateParametrization(
-            f"EG - F^2 = {_at(W2.value, i):.3e} at (u, v) = {point}", point))
+    failures.record(W2.value <= tol.metric * trace_scale,
+                    DegenerateParametrization,
+                    lambda: f"EG - F^2 = {W2.value:.3e}")
     inv_w = 1.0 / jt.sqrt(W2)
     e3 = _vscale(vcross(xu, xv), inv_w)
 
@@ -188,23 +176,19 @@ def principal_data(sj: SurfaceJet,
     # squared curvature scale decides whether that point is parabolic.
     near = disc.value <= tol.umbilic * gap_scale
     near_scale = (abs(h.value) + abs(h.value) + tol.curvature_floor) ** 2
-    failures.record(
-        near & (abs(kgauss.value) <= tol.parabolic * near_scale), _parabolic)
-    failures.record(
-        near,
-        lambda i, point: UmbilicPoint(
-            f"k1 == k2 = {_at(h.value, i):.6g} at (u, v) = {point}", point))
+    failures.record(near & (abs(kgauss.value) <= tol.parabolic * near_scale),
+                    ParabolicPoint, lambda: "principal curvature vanishes")
+    failures.record(near, UmbilicPoint, lambda: f"k1 == k2 = {h.value:.6g}")
 
     root = jt.sqrt(disc)
     k1 = h + root
     k2 = h - root
     k1v, k2v = k1.value, k2.value
     scale = (abs(k1v) + abs(k2v) + tol.curvature_floor) ** 2
-    failures.record(abs(k1v * k2v) <= tol.parabolic * scale, _parabolic)
-    failures.record(
-        (k1v - k2v) ** 2 <= tol.umbilic * scale,
-        lambda i, point: UmbilicPoint(
-            f"k1 == k2 within tolerance at (u, v) = {point}", point))
+    failures.record(abs(k1v * k2v) <= tol.parabolic * scale,
+                    ParabolicPoint, lambda: "principal curvature vanishes")
+    failures.record((k1v - k2v) ** 2 <= tol.umbilic * scale, UmbilicPoint,
+                    lambda: "k1 == k2 within tolerance")
 
     # Eigenvector of the shape operator for k1: two algebraic candidates;
     # keep the better-conditioned one (larger ambient norm at the point,
@@ -244,7 +228,7 @@ def principal_data(sj: SurfaceJet,
 
     return PrincipalData(sj=sj, E=E, F=F, G=G, xu=xu, xv=xv, e3=e3,
                          k1=k1, k2=k2, xi1=xi1, eta1=eta1, xi2=xi2,
-                         eta2=eta2, e1=e1, e2=e2, failed=failures.errors)
+                         eta2=eta2, e1=e1, e2=e2, failed=failures.kinds)
 
 
 def flipped_principal(pd: PrincipalData) -> PrincipalData:

@@ -20,16 +20,18 @@ computes only the coefficients up to its valid order (the rest are 0).
 An elementary function outside its domain (ln or sqrt of a non-positive
 value, division by zero, an overflowing series coefficient) raises
 JetDomainError at S = ().  With a batch axis it poisons only the columns
-concerned: all their coefficients become NaN, which every later operation
-keeps, and the other columns are computed as usual.
+concerned, and builds no exception for them: all their coefficients become
+NaN, which every later operation keeps, and `finite` tells them apart.
 
+The elementary functions are the rows of one table, `ELEMENTARY`, which
+also gives `expr.FLOAT_FUNCTIONS` and the mpmath functions of `fdoracle`.
 Expressions are turned into jets by `sdl.SurfaceProgram.jets`, which binds
 `jet_variables` and evaluates with `JET_FUNCTIONS`.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,7 +39,8 @@ from .errors import JetDomainError, JetOrderError
 
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
-    "jet_variables", "where", "JET_FUNCTIONS",
+    "jet_variables", "where", "finite", "Elementary", "ELEMENTARY",
+    "JET_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
 
@@ -106,8 +109,7 @@ class Jet4:
     @staticmethod
     def const(value, valid_order: int = MAX_ORDER) -> "Jet4":
         """Constant jet; `value` is a number, or an array of shape S."""
-        c = np.zeros((N_COEFFS,) + value.shape
-                     if isinstance(value, np.ndarray) else N_COEFFS)
+        c = np.zeros((N_COEFFS,) + getattr(value, "shape", ()))
         c[0] = value
         return Jet4(c, valid_order)
 
@@ -115,11 +117,9 @@ class Jet4:
     def variable(value, axis: int) -> "Jet4":
         """Seed jet for the independent variable along `axis` (0 = u, 1 = v);
         `value` is a number, or an array of shape S."""
-        c = np.zeros((N_COEFFS,) + value.shape
-                     if isinstance(value, np.ndarray) else N_COEFFS)
-        c[0] = value
-        c[1 + axis] = 1.0
-        return Jet4(c)
+        jet = Jet4.const(value)
+        jet.c[1 + axis] = 1.0
+        return jet
 
     # -- access ------------------------------------------------------------
 
@@ -239,10 +239,8 @@ def _add_scalar(c: np.ndarray, s) -> np.ndarray:
 def where(mask, a: Jet4, b: Jet4) -> Jet4:
     """Per point: `a` where `mask` holds, else `b` (mask has shape S); the
     valid order is the lower of the two."""
-    order = min(a.valid_order, b.valid_order)
-    if a.c.ndim == 1:
-        return Jet4((a if mask else b).c, order)
-    return Jet4(np.where(mask, a.c, b.c), order)
+    c = (a if mask else b).c if a.c.ndim == 1 else np.where(mask, a.c, b.c)
+    return Jet4(c, min(a.valid_order, b.valid_order))
 
 
 def _compose(g: Jet4, series) -> Jet4:
@@ -260,37 +258,41 @@ def _compose(g: Jet4, series) -> Jet4:
 _NAN_SERIES = [math.nan] * (MAX_ORDER + 1)
 
 
-def _series(coeffs: Callable[[float], List[float]], g: Jet4):
+def _series(coeffs: Callable[[float], Optional[List[float]]], g: Jet4,
+            name: str):
     """The five series coefficients `coeffs` gives at the value of g, by the
-    same float code at every point.  At S = () a failure raises; with a
-    batch axis a point where `coeffs` fails gets NaN coefficients."""
+    same float code at every point; `coeffs` returns None outside the
+    domain of function `name`.  At S = () that, or a failure of the float
+    code, raises; with a batch axis such a point gets NaN coefficients."""
     if g.c.ndim == 1:
-        return coeffs(g.value)
+        row = coeffs(g.value)
+        if row is None:
+            raise JetDomainError(f"{name} undefined at value {g.value} in jet")
+        return row
     rows = []
     for g0 in g.c[0].ravel().tolist():
         try:
-            rows.append(coeffs(g0))
-        except (JetDomainError, ArithmeticError, ValueError):
+            rows.append(coeffs(g0) or _NAN_SERIES)
+        except (ArithmeticError, ValueError):
             rows.append(_NAN_SERIES)
     return np.array(rows).T.reshape((MAX_ORDER + 1,) + g.c.shape[1:])
 
 
-def _reciprocal_series(g0: float) -> List[float]:
+def _reciprocal_series(g0: float) -> Optional[List[float]]:
     if g0 == 0.0:
-        raise JetDomainError("division by zero")
+        return None
     inv = 1.0 / g0
     return [inv, -inv**2, inv**3, -inv**4, inv**5]
 
 
 def _reciprocal(g: Jet4) -> Jet4:
-    return _compose(g, _series(_reciprocal_series, g))
+    return _compose(g, _series(_reciprocal_series, g, "1 / x"))
 
 
 def _int_pow(g: Jet4, n: int) -> Jet4:
     if n < 0:
         return _int_pow(_reciprocal(g), -n)
-    shape = g.c.shape[1:]
-    result = Jet4.const(np.ones(shape) if shape else 1.0, g.valid_order)
+    result = Jet4.const(np.ones(g.c.shape[1:]), g.valid_order)
     if n == 0:
         # 1, except where the base is already undefined
         result.c[..., np.isnan(g.c[0])] = math.nan
@@ -306,24 +308,26 @@ def _int_pow(g: Jet4, n: int) -> Jet4:
 
 
 def _real_pow(g: Jet4, p: float) -> Jet4:
-    def coeffs(g0: float) -> List[float]:
+    def coeffs(g0: float) -> Optional[List[float]]:
         if g0 <= 0.0:
-            raise JetDomainError(
-                f"non-integer power of non-positive value {g0}")
+            return None
         series = []
         coeff = 1.0
         for k in range(MAX_ORDER + 1):
             series.append(coeff * g0 ** (p - k))
             coeff *= (p - k) / (k + 1)
         return series
-    return _compose(g, _series(coeffs, g))
+    return _compose(g, _series(coeffs, g, "non-integer power"))
 
 
-# -- elementary functions (accept Jet4 or plain numbers) --------------------
+# -- elementary functions ----------------------------------------------------
+# Each series function gives the five Taylor coefficients of the function at
+# a value, the same float code for one point and for every batch column, or
+# None outside the function's domain.
 
-def _sqrt_series(g0: float) -> List[float]:
+def _sqrt_series(g0: float) -> Optional[List[float]]:
     if g0 <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive value {g0} in jet")
+        return None
     r = math.sqrt(g0)
     return [r, r / (2 * g0), -r / (8 * g0**2),
             r / (16 * g0**3), -5 * r / (128 * g0**4)]
@@ -334,9 +338,9 @@ def _exp_series(g0: float) -> List[float]:
     return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
 
 
-def _ln_series(g0: float) -> List[float]:
+def _ln_series(g0: float) -> Optional[List[float]]:
     if g0 <= 0.0:
-        raise JetDomainError(f"ln of non-positive value {g0} in jet")
+        return None
     return [math.log(g0), 1 / g0, -1 / (2 * g0**2),
             1 / (3 * g0**3), -1 / (4 * g0**4)]
 
@@ -361,62 +365,58 @@ def _cosh_series(g0: float) -> List[float]:
     return [c, s, c / 2, s / 6, c / 24]
 
 
-def sqrt(x):
-    if not isinstance(x, Jet4):
-        if x < 0:
-            raise JetDomainError(f"sqrt of negative value {x}")
-        return math.sqrt(x)
-    return _compose(x, _series(_sqrt_series, x))
+class Elementary(NamedTuple):
+    """A function of the surface language: its name there, its float
+    version, its series coefficients at a value (None for tan, which is
+    sin / cos on jets) and the name of its mpmath version."""
+    name: str
+    float_fn: Callable[[float], float]
+    series: Optional[Callable[[float], Optional[List[float]]]]
+    mp_name: str
 
 
-def exp(x):
-    if not isinstance(x, Jet4):
-        return math.exp(x)
-    return _compose(x, _series(_exp_series, x))
+ELEMENTARY = (
+    Elementary("sqrt", math.sqrt, _sqrt_series, "sqrt"),
+    Elementary("exp", math.exp, _exp_series, "exp"),
+    Elementary("ln", math.log, _ln_series, "log"),
+    Elementary("sin", math.sin, _sin_series, "sin"),
+    Elementary("cos", math.cos, _cos_series, "cos"),
+    Elementary("tan", math.tan, None, "tan"),
+    Elementary("sinh", math.sinh, _sinh_series, "sinh"),
+    Elementary("cosh", math.cosh, _cosh_series, "cosh"),
+)
 
 
-def ln(x):
-    if not isinstance(x, Jet4):
-        if x <= 0:
-            raise JetDomainError(f"ln of non-positive value {x}")
-        return math.log(x)
-    return _compose(x, _series(_ln_series, x))
+def _jet_function(f: Elementary) -> Callable:
+    """`f` on a Jet4 or a plain number; a number outside the domain of the
+    float function raises JetDomainError."""
+    def fn(x):
+        if isinstance(x, Jet4):
+            if f.series is None:
+                return sin(x) / cos(x)
+            return _compose(x, _series(f.series, x, f.name))
+        try:
+            return f.float_fn(x)
+        except (ValueError, OverflowError) as exc:
+            raise JetDomainError(f"{f.name}({x!r}): {exc}") from None
+    fn.__name__ = fn.__qualname__ = f.name
+    return fn
 
 
-def sin(x):
-    if not isinstance(x, Jet4):
-        return math.sin(x)
-    return _compose(x, _series(_sin_series, x))
+JET_FUNCTIONS = {f.name: _jet_function(f) for f in ELEMENTARY}
+sqrt, exp, ln, sin, cos, tan, sinh, cosh = (
+    JET_FUNCTIONS[name]
+    for name in ("sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh"))
 
 
-def cos(x):
-    if not isinstance(x, Jet4):
-        return math.cos(x)
-    return _compose(x, _series(_cos_series, x))
-
-
-def tan(x):
-    if not isinstance(x, Jet4):
-        return math.tan(x)
-    return sin(x) / cos(x)
-
-
-def sinh(x):
-    if not isinstance(x, Jet4):
-        return math.sinh(x)
-    return _compose(x, _series(_sinh_series, x))
-
-
-def cosh(x):
-    if not isinstance(x, Jet4):
-        return math.cosh(x)
-    return _compose(x, _series(_cosh_series, x))
-
-
-JET_FUNCTIONS = {
-    "sqrt": sqrt, "exp": exp, "ln": ln,
-    "sin": sin, "cos": cos, "tan": tan, "sinh": sinh, "cosh": cosh,
-}
+def finite(values):
+    """Whether every number and jet coefficient in `values` is finite: a
+    bool, or with a batch axis a bool array with one entry per point."""
+    ok = True
+    for x in values:
+        ok = ok & (np.isfinite(x.c).all(axis=0) if isinstance(x, Jet4)
+                   else math.isfinite(x))
+    return ok
 
 
 def jet_variables(u, v):

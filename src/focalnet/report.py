@@ -19,8 +19,10 @@ produce byte-identical files.
 
 `grid_report` takes the frames of its whole grid from one batched
 `frames.frame_points` call; `point_record` evaluates its one point alone.
-Both build each record with the same function, so a grid record equals the
-`point_record` of its point byte for byte.
+Both build each record with the same function, which reads a failed
+frame's `status` alike from the class a batch gives and the exception a
+single point raises, so a grid record equals the `point_record` of its
+point byte for byte.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import numpy as np
 
 from .classify import CLASS_NAMES, defect_report
 from .errors import FRAME_ERRORS
-from .frames import frame_point, frame_points
+from .frames import FramePoint, frame_point, frame_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -82,8 +84,8 @@ def point_record(prog, u: float, v: float,
 
 def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
     """The record of a point from its frame point, or from the
-    `FRAME_ERRORS` instance its frame evaluation raised."""
-    if isinstance(fp, FRAME_ERRORS):
+    `FRAME_ERRORS` class or instance its frame evaluation failed with."""
+    if not isinstance(fp, FramePoint):
         return _empty_record(u, v, fp.status)
     rep = defect_report(fp, tol)
     c1, c2 = rep.flags["canal1"], rep.flags["canal2"]

@@ -16,7 +16,9 @@ and the built-in functions.  `#` starts a line comment.  Parsing then
 printing then parsing again reproduces the AST exactly.
 
 `SurfaceProgram.evaluate` is the one evaluator of a compiled surface (jets,
-positions and oracle samples); the parser evaluates only constants.
+positions and oracle samples); the parser evaluates only constants.  An
+undefined point raises JetDomainError; in a batch it only leaves its jet
+column non-finite, and `geometry.principal_data` gives it that class.
 """
 from __future__ import annotations
 
@@ -329,54 +331,34 @@ class SurfaceProgram:
         self.params = dict(params)
         self.exprs = (definition.x, definition.y, definition.z)
 
-    def evaluate(self, u, v, funcs, failed: Optional[list] = None) -> tuple:
+    def evaluate(self, u, v, funcs) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
         floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`.
-        A function outside its domain, a division by zero, an overflow or a
-        non-finite result raises JetDomainError.  numpy's overflow and
-        invalid-value warnings are silenced here, since the non-finite jet
-        they announce becomes that error.
-
-        With jets that carry a batch axis of N points, pass a list `failed`
-        of N entries: each point whose column is not finite (an undefined
-        point poisons its column with NaN) gets its JetDomainError there in
-        place of raising, and a failure of the whole evaluation goes to
-        every point."""
+        A failure of the whole evaluation (a function outside its domain, a
+        division by zero, an overflow) raises JetDomainError, and so does a
+        result that `jet.finite` rejects at one point; in a batch such a
+        point only leaves its column non-finite.  numpy's overflow and
+        invalid-value warnings are silenced, as those values are the
+        failure."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
+        at = (getattr(u, "value", u), getattr(v, "value", v))
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = tuple(ex.evaluate(node, env, funcs)
                             for node in self.exprs)
-            finite, problem = _finite(out), "not finite"
-        except (JetDomainError, ZeroDivisionError, ValueError,
-                OverflowError) as exc:
-            if failed is None and isinstance(exc, JetDomainError):
-                raise
-            out, finite = (math.nan,) * 3, False
-            problem = f"undefined ({exc})"
-        if failed is None:
-            if finite:
-                return out
-            at = (getattr(u, "value", u), getattr(v, "value", v))
-            raise JetDomainError(f"{self.name} {problem} at (u, v) = {at}")
-        us, vs = u.value, v.value
-        for i in np.flatnonzero(np.broadcast_to(np.logical_not(finite),
-                                                us.shape)).tolist():
-            at = (float(us[i]), float(vs[i]))
-            failed[i] = JetDomainError(
-                f"{self.name} {problem} at (u, v) = {at}")
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise JetDomainError(
+                f"{self.name} undefined ({exc}) at (u, v) = {at}") from None
+        if np.ndim(at[0]) == 0 and not jt.finite(out):
+            raise JetDomainError(f"{self.name} not finite at (u, v) = {at}")
         return out
 
-    def jets(self, u, v, failed: Optional[list] = None):
+    def jets(self, u, v):
         """Order-4 jets of (x, y, z) at (u, v), constants as constant jets.
-        u and v are numbers, or arrays of shape (N,) for a batch, which
-        `evaluate` records its per-point failures for in `failed`."""
-        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS,
-                            failed)
-        shape = np.shape(u)
+        u and v are numbers, or arrays of shape (N,) for a batch."""
+        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS)
         return tuple(c if isinstance(c, jt.Jet4)
-                     else jt.Jet4.const(np.full(shape, c) if shape else c)
-                     for c in out)
+                     else jt.Jet4.const(np.full(np.shape(u), c)) for c in out)
 
     def position(self, u: float, v: float) -> np.ndarray:
         return np.array(self.evaluate(float(u), float(v), ex.FLOAT_FUNCTIONS),
@@ -385,16 +367,6 @@ class SurfaceProgram:
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
         return f"SurfaceProgram({self.name}{', ' + ps if ps else ''})"
-
-
-def _finite(out: tuple):
-    """Whether every coordinate and jet coefficient is finite: a bool, or
-    with a batch axis a bool array with one entry per point."""
-    ok = True
-    for x in out:
-        ok = ok & (np.isfinite(x.c).all(axis=0) if isinstance(x, jt.Jet4)
-                   else math.isfinite(x))
-    return ok
 
 
 def compile_surface(sd: SurfaceDef,

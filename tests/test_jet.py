@@ -98,6 +98,9 @@ def test_domain_errors():
         1.0 / u                       # 1/0
     with pytest.raises(JetDomainError):
         (u - 2.0) ** 0.5
+    for fn, x in ((jt.ln, 0.0), (jt.sqrt, -1.0), (jt.exp, 1e3)):
+        with pytest.raises(JetDomainError):
+            fn(x)                     # plain numbers fail the same way
 
 
 def test_scalar_interop():

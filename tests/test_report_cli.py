@@ -7,7 +7,7 @@ import os
 import pytest
 
 from focalnet import cli, gallery_names
-from focalnet.errors import FRAME_ERRORS
+from focalnet.errors import FRAME_ERRORS, FocalnetError
 from focalnet.frames import frame_point, frame_points
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
@@ -90,14 +90,16 @@ def test_grid_statuses_on_special_surfaces(prog, tol):
 
 def test_point_record_matches_grid(prog, graph_source, tol):
     """grid_report evaluates its grid in one batched pass.  On 8 x 8 grids
-    of every gallery surface, of two graphs undefined on part of the box
-    and of one that uses the elementary functions the gallery does not,
-    each record serialises byte for byte as point_record's at that point,
-    and each frame_points entry is frame_point's result with the same
-    floats, or an exception of the type frame_point raises there."""
+    of every gallery surface, of two graphs undefined on part of the box,
+    of two undefined everywhere (the whole evaluation fails) and of one
+    that uses the elementary functions the gallery does not, each record
+    serialises byte for byte as point_record's at that point, and each
+    frame_points entry is frame_point's result with the same floats, or
+    the class of the exception frame_point raises there."""
     programs = [prog(name) for name in gallery_names()]
     programs += [compile_surface(parse_surface(graph_source(z)))
                  for z in ("ln(u) + v^2", "1 / u + v^2",
+                           "ln(0 - 1) + u", "u / 0",
                            "exp(u) * sinh(v) + cosh(u * v) / sqrt(2 + u)"
                            " + (1.5 + v) ^ 1.5 + 2 ^ u")]
     for program in programs:
@@ -113,9 +115,27 @@ def test_point_record_matches_grid(prog, graph_source, tol):
             try:
                 want = frame_point(program, u, v, tol)
             except FRAME_ERRORS as exc:
-                assert type(got) is type(exc), (program.name, u, v)
+                assert got is type(exc), (program.name, u, v)
                 continue
             assert repr(got) == repr(dataclasses.replace(want, pd=None))
+
+
+def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
+                                                   monkeypatch):
+    """A degenerate point of a batch is its exception's class: on umbilic,
+    parabolic and partly undefined grids no library exception is built."""
+    built = []
+    init = FocalnetError.__init__
+    monkeypatch.setattr(FocalnetError, "__init__",
+                        lambda self, *a: built.append(self) or init(self, *a))
+    programs = [prog("sphere"), prog("plane"),
+                compile_surface(parse_surface(graph_source("ln(u) + v^2")))]
+    for program in programs:
+        pts = grid_points(program, 8, 8)
+        batch = frame_points(program, [u for u, _ in pts],
+                             [v for _, v in pts], tol)
+        assert all(isinstance(fp, type) for fp in batch[:8]), program.name
+    assert built == []
 
 
 def test_point_record_leaves_no_reference_cycles(prog, tol):
