@@ -23,8 +23,8 @@ from .central import (CentralFundamentals, CentralPoint, central_ii_oracle,
                       central_pfaffian, central_point, divergence_closed_form,
                       divergence_scale, isothermic_divergence, w_jacobian)
 from .classify import (CLASS_NAMES, DefectReport, PropositionResidual,
-                       class_defects, classify_point, moulding_defect,
-                       proposition_report, w_defect)
+                       class_defects, moulding_defect, proposition_report,
+                       w_defect)
 from .errors import (CanalDegenerate, DegenerateNetError,
                      DegenerateParametrization, FocalnetError,
                      ImaginaryNetError, JetDomainError, ParabolicPoint,
@@ -75,7 +75,6 @@ __all__ = [
     # classification
     "CLASS_NAMES", "DefectReport", "PropositionResidual", "w_defect",
     "class_defects", "moulding_defect", "proposition_report",
-    "classify_point",
     # reports, mesh, checks
     "GridReport", "point_record", "grid_report", "emit_json", "parse_json",
     "emit_csv", "export_obj", "CheckResult", "run_suite",

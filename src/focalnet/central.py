@@ -11,9 +11,9 @@ sheet).  In the base principal coframe (w1, w2):
 
 The closed forms for the sheet's fundamental quantities (a, b, c) and
 connection coefficients, and the transformed Pfaffian derivatives, follow
-from those coframes; the sheet-2 derivative formulas are the 1<->2 mirror of
-the sheet-1 ones (derived from the coframe above and validated against the
-finite-difference oracle; the df-consistency check is exact).
+from those coframes (written out for both sheets in docs/derivations.md,
+and validated against the finite-difference oracle).  A formula that reads
+only k_i and nabla k_i is written once, on `own_curvature`.
 
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
@@ -29,13 +29,13 @@ from typing import Tuple
 import numpy as np
 
 from .errors import CanalDegenerate
-from .frames import FramePoint
+from .frames import FramePoint, frame_point_from_pd
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "CentralPoint", "CentralFundamentals", "canal_threshold", "is_canal",
-    "check_canal",
+    "check_canal", "own_curvature",
     "base_coframe_matrix", "focal_coframe_matrix", "central_point",
     "central_ii_oracle", "central_pfaffian", "connection_gradient",
     "isothermic_divergence", "divergence_closed_form", "divergence_scale",
@@ -50,9 +50,11 @@ def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> f
     return tol.canal * (k ** 3 + tol.curvature_floor)
 
 
-def _own_gradient(fp: FramePoint, sheet: int) -> float:
-    """nabla_i k_i, the derivative sheet i divides by."""
-    return fp.grad_k1[0] if sheet == 1 else fp.grad_k2[1]
+def own_curvature(fp: FramePoint,
+                  sheet: int) -> Tuple[float, Tuple[float, float]]:
+    """(k_i, nabla k_i): the principal curvature whose radius places focal
+    sheet i, and its Pfaffian gradient."""
+    return (fp.k1, fp.grad_k1) if sheet == 1 else (fp.k2, fp.grad_k2)
 
 
 def is_canal(fp: FramePoint, sheet: int,
@@ -61,17 +63,18 @@ def is_canal(fp: FramePoint, sheet: int,
     a curve at `fp`: |nabla_i k_i| at or below `canal_threshold`."""
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    return abs(_own_gradient(fp, sheet)) <= canal_threshold(fp, tol)
+    _, grad_k = own_curvature(fp, sheet)
+    return abs(grad_k[sheet - 1]) <= canal_threshold(fp, tol)
 
 
 def check_canal(fp: FramePoint, sheet: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> None:
     """Raise CanalDegenerate where `is_canal` holds."""
     if is_canal(fp, sheet, tol):
+        own = own_curvature(fp, sheet)[1][sheet - 1]
         raise CanalDegenerate(
             f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
-            f"|nabla_{sheet} k{sheet}| = {abs(_own_gradient(fp, sheet)):.3e}",
-            sheet, fp.point)
+            f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet, fp.point)
 
 
 def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
@@ -87,7 +90,8 @@ def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
 
 
 def focal_coframe_matrix(fp: FramePoint, sheet: int) -> np.ndarray:
-    """Rows = (w1', w2') of the sheet's coframe over the base (w1, w2)."""
+    """Rows = (w1', w2') of the sheet's coframe over the base (w1, w2);
+    sheet 2's frame {e3, e1; e2} permutes the two rows."""
     k1, k2 = fp.k1, fp.k2
     if sheet == 1:
         d1, d2 = fp.grad_k1
@@ -120,7 +124,8 @@ def central_point(fp: FramePoint, sheet: int = 1,
 
     a, b, c are the coefficients of the sheet's second fundamental form in
     its adapted coframe; q1, q2 its connection coefficients (one vanishes
-    identically, the other equals k1 k2 / (k1 - k2))."""
+    identically, the other equals k1 k2 / (k1 - k2)).  Sheet 2's frame
+    {e3, e1; e2} puts the k_i^3 term in a, not c, and flips b's sign."""
     check_canal(fp, sheet, tol)
     k1, k2 = fp.k1, fp.k2
     gap = k1 - k2
@@ -166,16 +171,14 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int = 1,
     Consumes order-4 surface jets: the focal position differentiates the
     curvature, and its second fundamental form differentiates it again.
     """
-    from .frames import frame_point_from_pd
     sj = eval_surface(prog, u, v)
     pd = principal_data(sj, tol)
     fp = frame_point_from_pd(pd, tol)
     check_canal(fp, sheet, tol)
 
-    k_jet = pd.k1 if sheet == 1 else pd.k2
-    normal = pd.e1 if sheet == 1 else pd.e2        # sheet normal
-    first = pd.e2 if sheet == 1 else pd.e3         # first sheet frame vector
-    second = pd.e3 if sheet == 1 else pd.e1        # second sheet frame vector
+    # the sheet frame {first, second; normal}
+    k_jet, first, second, normal = ((pd.k1, pd.e2, pd.e3, pd.e1) if sheet == 1
+                                    else (pd.k2, pd.e3, pd.e1, pd.e2))
 
     inv_k = 1.0 / k_jet
     y = tuple(p + inv_k * n for p, n in zip(sj.pos, pd.e3))
@@ -230,7 +233,7 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
     Sheet 1:  nabla_1' f = k1 (nabla_1 k1 nabla_2 f - nabla_2 k1 nabla_1 f)
                            / ((k1 - k2) nabla_1 k1)
               nabla_2' f = -k1^2 nabla_1 f / nabla_1 k1
-    Sheet 2 is the 1<->2 mirror.
+    Sheet 2's frame {e3, e1; e2} permutes the two components.
     """
     check_canal(fp, sheet, tol)
     d1f, d2f = grad_f
@@ -280,11 +283,10 @@ def divergence_closed_form(fp: FramePoint, sheet: int = 1,
     forms of the sheet connection and derivatives (see docs/derivations.md);
     a k_i^2 variant fails by exactly one factor of k_i."""
     check_canal(fp, sheet, tol)
+    k, grad_k = own_curvature(fp, sheet)
     jac = w_jacobian(fp)
     gap = fp.k1 - fp.k2
-    if sheet == 1:
-        return fp.k1 ** 3 * jac / (gap ** 3 * fp.grad_k1[0])
-    return fp.k2 ** 3 * jac / (gap ** 3 * fp.grad_k2[1])
+    return k ** 3 * jac / (gap ** 3 * grad_k[sheet - 1])
 
 
 def divergence_scale(fp: FramePoint, sheet: int = 1,
@@ -295,9 +297,8 @@ def divergence_scale(fp: FramePoint, sheet: int = 1,
     dependent the Jacobian cancels to machine noise, so the result itself
     is a useless scale."""
     check_canal(fp, sheet, tol)
+    k, grad_k = own_curvature(fp, sheet)
     num = (abs(fp.grad_k1[0] * fp.grad_k2[1])
            + abs(fp.grad_k1[1] * fp.grad_k2[0]))
     gap = abs(fp.k1 - fp.k2)
-    if sheet == 1:
-        return abs(fp.k1) ** 3 * num / (gap ** 3 * abs(fp.grad_k1[0]))
-    return abs(fp.k2) ** 3 * num / (gap ** 3 * abs(fp.grad_k2[1]))
+    return abs(k) ** 3 * num / (gap ** 3 * abs(grad_k[sheet - 1]))

@@ -37,7 +37,7 @@ import numpy as np
 from .central import (canal_threshold, central_ii_oracle, central_point,
                       central_pfaffian, connection_gradient,
                       divergence_closed_form, divergence_scale, w_jacobian,
-                      base_coframe_matrix, focal_coframe_matrix)
+                      base_coframe_matrix, focal_coframe_matrix, own_curvature)
 from .classify import (class_gradients, class_partials, moulding_defect,
                        prop_residuals, proposition_report)
 from .errors import FRAME_ERRORS, FocalnetError
@@ -122,11 +122,9 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
             continue
         if abs(fp.k1 - fp.k2) < min_gap * (abs(fp.k1) + abs(fp.k2)):
             continue
-        if sheets:
-            thr = canal_threshold(fp, tol)
-            diag = {1: abs(fp.grad_k1[0]), 2: abs(fp.grad_k2[1])}
-            if any(diag[s] < healthy * thr for s in sheets):
-                continue
+        thr = healthy * canal_threshold(fp, tol)
+        if any(abs(own_curvature(fp, s)[1][s - 1]) < thr for s in sheets):
+            continue
         if nonmoulding and moulding_defect(fp, tol) <= nonmoulding:
             continue
         out.append(fp)

@@ -20,7 +20,7 @@ from .errors import (FRAME_ERRORS, CanalDegenerate, FocalnetError,
                      ParseError, UnknownParameterError, UnknownSurfaceError)
 from .frames import frame_point
 from .mesh import NET_LABELS, export_obj
-from .report import emit_csv, emit_json, grid_report, point_record
+from .report import USABLE, emit_csv, emit_json, grid_report, point_record
 from .sdl import compile_surface, gallery, gallery_names, load_surface
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -115,7 +115,7 @@ def cmd_eval(args, parser) -> int:
               + (f" ({params})" if params else ""))
         print(f"point:   u={u:g}, v={v:g}")
         status = rec["status"]
-        print(f"status:  {status}" + ("" if status in ("ok", "moulding")
+        print(f"status:  {status}" + ("" if status in USABLE
                                       else f" ({_condition(prog, rec)})"))
         if rec["k1"] is not None:
             print(f"k1={_fmt(rec['k1'])}  k2={_fmt(rec['k2'])}  "
@@ -135,7 +135,7 @@ def cmd_eval(args, parser) -> int:
             print(f"max identity residual: {worst:.3e}"
                   + (f"  (excluded: {', '.join(rec['excluded'])})"
                      if rec["excluded"] else ""))
-    return 0 if rec["status"] in ("ok", "moulding") else 1
+    return 0 if rec["status"] in USABLE else 1
 
 
 def cmd_grid(args, parser) -> int:
@@ -153,7 +153,7 @@ def cmd_grid(args, parser) -> int:
         with open(args.csv, "w") as fh:
             fh.write(emit_csv(rep))
     counts = rep.summary["status_counts"]
-    usable = counts["ok"] + counts["moulding"]
+    usable = sum(counts[s] for s in USABLE)
     note = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v)
     if args.out:
         print(f"wrote {args.out}"

@@ -134,7 +134,7 @@ def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
     """Frame at (u, v) with the e1 sign continued from a reference frame."""
     pd = principal_data(eval_surface(prog, u, v), tol)
-    ref_e1 = np.array([c.value for c in ref.pd.e1])
+    ref_e1 = np.array(ref.e1)
     e1 = np.array([c.value for c in pd.e1])
     dot = float(ref_e1 @ e1)
     if abs(dot) < 0.1:

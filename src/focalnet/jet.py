@@ -262,19 +262,20 @@ def _series(coeffs: Callable[[float], Optional[List[float]]], g: Jet4,
             name: str):
     """The five series coefficients `coeffs` gives at the value of g, by the
     same float code at every point; `coeffs` returns None outside the
-    domain of function `name`.  At S = () that, or a failure of the float
-    code, raises; with a batch axis such a point gets NaN coefficients."""
-    if g.c.ndim == 1:
-        row = coeffs(g.value)
-        if row is None:
-            raise JetDomainError(f"{name} undefined at value {g.value} in jet")
-        return row
-    rows = []
-    for g0 in g.c[0].ravel().tolist():
+    domain of function `name`.  That, or a failure of the float code (an
+    overflow, say), raises JetDomainError at S = (); with a batch axis such
+    a point gets NaN coefficients."""
+    def row(g0: float) -> Optional[List[float]]:
         try:
-            rows.append(coeffs(g0) or _NAN_SERIES)
+            return coeffs(g0)
         except (ArithmeticError, ValueError):
-            rows.append(_NAN_SERIES)
+            return None
+    if g.c.ndim == 1:
+        series = row(g.value)
+        if series is None:
+            raise JetDomainError(f"{name} undefined at value {g.value} in jet")
+        return series
+    rows = [row(g0) or _NAN_SERIES for g0 in g.c[0].ravel().tolist()]
     return np.array(rows).T.reshape((MAX_ORDER + 1,) + g.c.shape[1:])
 
 

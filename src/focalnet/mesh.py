@@ -27,17 +27,13 @@ from .central import central_point
 from .errors import (CanalDegenerate, DegenerateNetError, ImaginaryNetError,
                      JetDomainError)
 from .frames import FramePoint, frame_points
-from .nets import net_asymptotic_pullback, net_curvature_pullback, net_directions
+from .nets import NETS, net_directions
 from .report import grid_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = ["export_obj", "NET_LABELS"]
 
-NET_LABELS = ("13", "14", "17", "18")
-
-_NET_SHEET = {"13": 1, "14": 2, "17": 1, "18": 2}
-_NET_BUILDER = {"13": net_asymptotic_pullback, "14": net_asymptotic_pullback,
-                "17": net_curvature_pullback, "18": net_curvature_pullback}
+NET_LABELS = tuple(NETS)
 
 
 def _fmt(x: float) -> str:
@@ -148,8 +144,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
                {"vertices": len(verts), "faces": len(faces)})
 
     for label in nets:
-        sheet = _NET_SHEET[label]
-        builder = _NET_BUILDER[label]
+        builder, sheet = NETS[label]
         verts: List[np.ndarray] = []
         segments: List[Tuple[int, int]] = []
         for key in index:

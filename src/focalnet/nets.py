@@ -11,6 +11,8 @@ the pair is real iff B^2 - AC >= 0.
 Net labels: "13"/"14" are the focal-sheet asymptotic nets pulled back to the
 base surface, "15"/"16" their spherical images, "17"/"18" the focal-sheet
 curvature-line nets pulled back, "sph17"/"sph18" their spherical images.
+Each builder states its net once for both sheets; `NETS` maps each
+pulled-back net's label to its builder and sheet.
 """
 from __future__ import annotations
 
@@ -19,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .central import check_canal
+from .central import check_canal, own_curvature
 from .errors import DegenerateNetError, ImaginaryNetError
 from .frames import FramePoint
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "NetForm", "net_asymptotic_pullback", "net_curvature_pullback",
+    "NetForm", "NETS", "net_asymptotic_pullback", "net_curvature_pullback",
     "spherical_image", "orthogonality_defect", "conjugacy_defect",
     "reality_discriminant", "net_directions", "net_norm",
 ]
@@ -52,27 +54,26 @@ def net_norm(net: NetForm) -> float:
 def net_asymptotic_pullback(fp: FramePoint, sheet: int = 1,
                             tol: ToleranceSet = DEFAULT_TOLERANCES) -> NetForm:
     """Asymptotic directions of focal sheet i pulled back to the base:
-    sheet 1 -> nabla_1 k1 w1^2 - nabla_1 k2 w2^2 = 0,
-    sheet 2 -> nabla_2 k1 w1^2 - nabla_2 k2 w2^2 = 0."""
+    nabla_i k1 w1^2 - nabla_i k2 w2^2 = 0 (net "13" or "14")."""
     check_canal(fp, sheet, tol)
-    if sheet == 1:
-        return NetForm(fp.grad_k1[0], 0.0, -fp.grad_k2[0], "13")
-    return NetForm(fp.grad_k1[1], 0.0, -fp.grad_k2[1], "14")
+    i = sheet - 1
+    return NetForm(fp.grad_k1[i], 0.0, -fp.grad_k2[i], ("13", "14")[i])
 
 
 def net_curvature_pullback(fp: FramePoint, sheet: int = 1,
                            tol: ToleranceSet = DEFAULT_TOLERANCES) -> NetForm:
-    """Curvature lines of focal sheet i pulled back to the base surface."""
+    """Curvature lines of focal sheet i pulled back to the base surface
+    (net "17" or "18"): with (d1, d2) = nabla k_i,
+    q1 d1 w1^2 + (k_i^2 (k1 - k2) + q2 d1 + q1 d2) w1 w2 + q2 d2 w2^2 = 0."""
     check_canal(fp, sheet, tol)
+    k, (d1, d2) = own_curvature(fp, sheet)
     k1, k2, q1, q2 = fp.k1, fp.k2, fp.q1, fp.q2
-    if sheet == 1:
-        d1, d2 = fp.grad_k1
-        two_b = k1 ** 2 * (k1 - k2) + q2 * d1 + q1 * d2
-        return NetForm(q1 * d1, 0.5 * two_b, q2 * d2, "17")
-    d1, d2 = fp.grad_k2
-    two_b = k2 ** 2 * (k1 - k2) + q2 * d1 + q1 * d2
-    return NetForm(q1 * d1, 0.5 * two_b, q2 * d2, "18")
+    two_b = k ** 2 * (k1 - k2) + q2 * d1 + q1 * d2
+    return NetForm(q1 * d1, 0.5 * two_b, q2 * d2, ("17", "18")[sheet - 1])
 
+
+NETS = {"13": (net_asymptotic_pullback, 1), "14": (net_asymptotic_pullback, 2),
+        "17": (net_curvature_pullback, 1), "18": (net_curvature_pullback, 2)}
 
 _SPH_LABEL = {"13": "15", "14": "16", "17": "sph17", "18": "sph18"}
 
@@ -83,7 +84,7 @@ def spherical_image(net: NetForm, fp: FramePoint) -> NetForm:
     orthonormal on the unit sphere."""
     k1, k2 = fp.k1, fp.k2
     return NetForm(net.a / k1 ** 2, net.b / (k1 * k2), net.c / k2 ** 2,
-                   _SPH_LABEL.get(net.label, f"sph({net.label})"),
+                   _SPH_LABEL.get(net.label) or f"sph({net.label})",
                    coframe="spherical")
 
 

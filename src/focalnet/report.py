@@ -42,15 +42,15 @@ from .frames import FramePoint, frame_point, frame_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "GridReport", "STATUSES", "point_record", "grid_report", "grid_points",
-    "emit_json", "parse_json", "emit_csv", "summarize",
+    "GridReport", "STATUSES", "USABLE", "point_record", "grid_report",
+    "grid_points", "emit_json", "parse_json", "emit_csv", "summarize",
 ]
 
 STATUSES = ("ok", "moulding", "canal1", "canal2", "canal12",
             "umbilic", "parabolic", "degenerate")
 
-# Statuses that enter the summary aggregates.
-_SUMMARIZED = ("ok", "moulding")
+# Statuses of a full record: the ones that enter the summary aggregates.
+USABLE = ("ok", "moulding")
 
 _FLAG_KEYS = tuple(CLASS_NAMES) + ("weingarten", "cmc", "const_gauss",
                                    "moulding", "canal1", "canal2")
@@ -133,7 +133,7 @@ def summarize(records: List[dict]) -> dict:
     for rec in records:
         counts[rec["status"]] += 1
 
-    live = [r for r in records if r["status"] in _SUMMARIZED]
+    live = [r for r in records if r["status"] in USABLE]
 
     def _agg(values: List[float]) -> dict:
         if not values:

@@ -6,7 +6,7 @@ tolerances work for surfaces of very different size.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -19,9 +19,6 @@ class ToleranceSet:
     canal: float = 1e-6            # |grad_i k_i| vs |k_i|^3 + floor
     classify: float = 1e-6         # normalized class/W defects
     moulding: float = 1e-6         # min(|q1|,|q2|) vs |k1|+|k2|+floor
-
-    def with_(self, **kwargs) -> "ToleranceSet":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = ToleranceSet()

@@ -4,9 +4,9 @@ import math
 import pytest
 
 from focalnet.checks import domain_points
-from focalnet.classify import (CLASS_NAMES, class_defects, classify_point,
-                               flags_from_defects, is_canal, moulding_defect,
-                               proposition_report, w_defect)
+from focalnet.classify import (CLASS_NAMES, class_defects, flags_from_defects,
+                               is_canal, moulding_defect, proposition_report,
+                               w_defect)
 from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point, pfaffian_values
 from focalnet.report import point_record
@@ -156,16 +156,6 @@ def test_point_record_matches_classify_layer(prog, tol, surface, u, v,
               "identity_residual": r.identity_residual}
         for key, r in rep.prop_residuals.items()}
     assert rec["excluded"] == list(rep.excluded)
-
-
-def test_classify_point_roundtrip_and_threshold(prog, tol):
-    fp = frame_point(prog("graph_generic"), 0.3, -0.2, tol)
-    rep = proposition_report(fp, tol=tol)
-    assert classify_point(rep, tol) == rep.flags
-    wide = classify_point(rep, tol.with_(classify=1e3))
-    assert all(wide[name] for name in CLASS_NAMES)
-    assert wide["weingarten"]
-    assert wide["canal1"] is rep.flags["canal1"]
 
 
 def test_residual_keys_and_magnitudes(prog, tol, rng):

@@ -189,3 +189,21 @@ def test_batch_domain_error_poisons_only_its_column():
         for i in (0, 1, 3):
             one = fn(jt.Jet4.variable(values[i], 0))
             assert out.c[:, i].tobytes() == one.c.tobytes()
+
+
+_OVERFLOWING = (
+    (jt.exp, 800.0), (jt.sinh, 800.0),
+    (lambda g: 1.0 / g, 1e-80), (lambda g: g ** -1.5, 1e-80),
+)
+
+
+def test_series_overflow_is_a_domain_error():
+    """A series whose float coefficients overflow raises JetDomainError at
+    one point and poisons only its own column in a batch."""
+    for fn, bad in _OVERFLOWING:
+        with pytest.raises(JetDomainError):
+            fn(jt.Jet4.variable(bad, 0))
+        out = fn(jt.Jet4.variable(np.array([bad, 0.5]), 0))
+        assert np.isnan(out.c[:, 0]).all()
+        one = fn(jt.Jet4.variable(0.5, 0))
+        assert out.c[:, 1].tobytes() == one.c.tobytes()
