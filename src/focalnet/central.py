@@ -9,17 +9,17 @@ sheet).  In the base principal coframe (w1, w2):
     sheet 1:  w1' = (1 - k2/k1) w2,            w2' = -dk1 / k1^2
     sheet 2:  w1' = -dk2 / k2^2,               w2' = (1 - k1/k2) w1
 
-The closed forms for the sheet's fundamental quantities (a, b, c) and
-connection coefficients, and the transformed Pfaffian derivatives, follow
-from those coframes (written out for both sheets in docs/derivations.md,
-and validated against the finite-difference oracle).  A formula that reads
-only k_i and nabla k_i is written once, on `own_curvature`.
+Each closed form (coframe, fundamental quantities, Pfaffian derivatives)
+is written once, as sheet 1's, and gives sheet 2 by the relabelling rule of
+docs/derivations.md: `_relabelled` swaps the inputs 1 <-> 2 and
+`_in_sheet_order` reverses each pair.  Every formula takes (k_i, nabla k_i)
+from `own_curvature`, the one place a sheet number is checked.
 
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
 case) and computation is refused rather than returning huge values.
-`is_canal` decides that and rejects a sheet other than 1 or 2; every sheet
-entry point goes through it by way of `check_canal`.
+`is_canal` decides that; every sheet entry point goes through it by way of
+`check_canal`.
 """
 from __future__ import annotations
 
@@ -53,16 +53,32 @@ def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> f
 def own_curvature(fp: FramePoint,
                   sheet: int) -> Tuple[float, Tuple[float, float]]:
     """(k_i, nabla k_i): the principal curvature whose radius places focal
-    sheet i, and its Pfaffian gradient."""
+    sheet i, and its Pfaffian gradient; ValueError unless i is 1 or 2."""
+    if sheet not in (1, 2):
+        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
     return (fp.k1, fp.grad_k1) if sheet == 1 else (fp.k2, fp.grad_k2)
+
+
+def _relabelled(fp: FramePoint, sheet: int):
+    """(k_i, k_other, q1, q2, nabla k_i) for a sheet-1 closed form; for
+    sheet 2 relabelled 1 <-> 2, which reverses the orientation of (e1, e2)
+    and so turns (q1, q2) into (-q2, -q1)."""
+    k, grad_k = own_curvature(fp, sheet)
+    if sheet == 1:
+        return k, fp.k2, fp.q1, fp.q2, grad_k
+    return k, fp.k1, -fp.q2, -fp.q1, grad_k[::-1]
+
+
+def _in_sheet_order(pair, sheet: int):
+    """`pair` reversed for sheet 2: a base pair relabelled, or a sheet pair
+    in the order of sheet 2's frame {e3, e1; e2}."""
+    return pair if sheet == 1 else pair[::-1]
 
 
 def is_canal(fp: FramePoint, sheet: int,
              tol: ToleranceSet = DEFAULT_TOLERANCES) -> bool:
-    """Whether focal sheet `sheet` (1 or 2, else ValueError) degenerates to
-    a curve at `fp`: |nabla_i k_i| at or below `canal_threshold`."""
-    if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    """Whether focal sheet `sheet` degenerates to a curve at `fp`:
+    |nabla_i k_i| at or below `canal_threshold`."""
     _, grad_k = own_curvature(fp, sheet)
     return abs(grad_k[sheet - 1]) <= canal_threshold(fp, tol)
 
@@ -91,25 +107,16 @@ def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
 
 def focal_coframe_matrix(fp: FramePoint, sheet: int) -> np.ndarray:
     """Rows = (w1', w2') of the sheet's coframe over the base (w1, w2);
-    sheet 2's frame {e3, e1; e2} permutes the two rows."""
-    k1, k2 = fp.k1, fp.k2
-    if sheet == 1:
-        d1, d2 = fp.grad_k1
-        return np.array([
-            [0.0, (k1 - k2) / k1],
-            [-d1 / k1 ** 2, -d2 / k1 ** 2],
-        ])
-    d1, d2 = fp.grad_k2
-    return np.array([
-        [-d1 / k2 ** 2, -d2 / k2 ** 2],
-        [(k2 - k1) / k2, 0.0],
-    ])
+    relabelling reverses both the rows and the base columns."""
+    k, k_other, _, _, (d1, d2) = _relabelled(fp, sheet)
+    rows = ((0.0, (k - k_other) / k), (-d1 / k ** 2, -d2 / k ** 2))
+    return np.array(_in_sheet_order(
+        [_in_sheet_order(row, sheet) for row in rows], sheet))
 
 
 @dataclass
 class CentralPoint:
     """Closed-form data of one focal sheet at one base point."""
-    sheet: int
     y: np.ndarray                 # ambient position of the focal point
     a: float
     b: float
@@ -118,41 +125,30 @@ class CentralPoint:
     q2: float
 
 
-def central_point(fp: FramePoint, sheet: int = 1,
+def central_point(fp: FramePoint, sheet: int,
                   tol: ToleranceSet = DEFAULT_TOLERANCES) -> CentralPoint:
     """Fundamental quantities of focal sheet `sheet` from the closed forms.
 
     a, b, c are the coefficients of the sheet's second fundamental form in
-    its adapted coframe; q1, q2 its connection coefficients (one vanishes
-    identically, the other equals k1 k2 / (k1 - k2)).  Sheet 2's frame
-    {e3, e1; e2} puts the k_i^3 term in a, not c, and flips b's sign."""
+    its adapted coframe; q1, q2 its connection coefficients, (Q, 0) on
+    sheet 1 with Q = k1 k2 / (k1 - k2).  The relabelling negates both Q and
+    the sheet's coefficients, so Q is taken as is."""
     check_canal(fp, sheet, tol)
-    k1, k2 = fp.k1, fp.k2
-    gap = k1 - k2
-    qq = k1 * k2 / gap
+    k, k_other, q1, q2, (d1k, d2k) = _relabelled(fp, sheet)
+    a = k * (q1 * d2k - q2 * d1k) / ((k - k_other) * d1k)
+    b = q1 * k ** 2 / d1k
+    c = k ** 3 / d1k
+    a, c = _in_sheet_order((a, c), sheet)
+    q1c, q2c = _in_sheet_order((fp.k1 * fp.k2 / (fp.k1 - fp.k2), 0.0), sheet)
 
-    if sheet == 1:
-        d1k1, d2k1 = fp.grad_k1
-        a = k1 * (fp.q1 * d2k1 - fp.q2 * d1k1) / (gap * d1k1)
-        b = fp.q1 * k1 ** 2 / d1k1
-        c = k1 ** 3 / d1k1
-        q1c, q2c = qq, 0.0
-    else:
-        d1k2, d2k2 = fp.grad_k2
-        a = k2 ** 3 / d2k2
-        b = -fp.q2 * k2 ** 2 / d2k2
-        c = k2 * (fp.q2 * d1k2 - fp.q1 * d2k2) / (gap * d2k2)
-        q1c, q2c = 0.0, qq
-
-    inv_k = 1.0 / (k1 if sheet == 1 else k2)
+    inv_k = 1.0 / k
     y = np.array([p + inv_k * n for p, n in zip(fp.x, fp.e3)])
-    return CentralPoint(sheet=sheet, y=y, a=a, b=b, c=c, q1=q1c, q2=q2c)
+    return CentralPoint(y=y, a=a, b=b, c=c, q1=q1c, q2=q2c)
 
 
 @dataclass
 class CentralFundamentals:
     """Direct (oracle) computation of a focal sheet's fundamental data."""
-    sheet: int
     a: float
     b: float
     c: float
@@ -162,7 +158,7 @@ class CentralFundamentals:
     coframe_uv_projected: np.ndarray  # same, via <dy, frame vector>
 
 
-def central_ii_oracle(prog, u: float, v: float, sheet: int = 1,
+def central_ii_oracle(prog, u: float, v: float, sheet: int,
                       tol: ToleranceSet = DEFAULT_TOLERANCES) -> CentralFundamentals:
     """Second fundamental form and connection of a focal sheet computed
     directly from order-2 jets of its position field, bypassing the closed
@@ -219,12 +215,12 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int = 1,
     q1c, q2c = np.linalg.solve(p_uv.T, w)
 
     return CentralFundamentals(
-        sheet=sheet, a=float(a), b=float(b), c=float(c), q1=float(q1c),
-        q2=float(q2c), coframe_uv=p_uv, coframe_uv_projected=p_proj)
+        a=float(a), b=float(b), c=float(c), q1=float(q1c), q2=float(q2c),
+        coframe_uv=p_uv, coframe_uv_projected=p_proj)
 
 
 def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
-                     sheet: int = 1,
+                     sheet: int,
                      tol: ToleranceSet = DEFAULT_TOLERANCES) -> Tuple[float, float]:
     """Pfaffian derivatives of a base-surface field along the focal sheet's
     coordinate curves, from its base derivatives grad_f = (nabla_1 f,
@@ -233,18 +229,14 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
     Sheet 1:  nabla_1' f = k1 (nabla_1 k1 nabla_2 f - nabla_2 k1 nabla_1 f)
                            / ((k1 - k2) nabla_1 k1)
               nabla_2' f = -k1^2 nabla_1 f / nabla_1 k1
-    Sheet 2's frame {e3, e1; e2} permutes the two components.
+    Relabelling reverses grad_f and the two components.
     """
     check_canal(fp, sheet, tol)
-    d1f, d2f = grad_f
-    k1, k2 = fp.k1, fp.k2
-    if sheet == 1:
-        d1k1, d2k1 = fp.grad_k1
-        return (k1 * (d1k1 * d2f - d2k1 * d1f) / ((k1 - k2) * d1k1),
-                -k1 ** 2 * d1f / d1k1)
-    d1k2, d2k2 = fp.grad_k2
-    return (-k2 ** 2 * d2f / d2k2,
-            k2 * (d2k2 * d1f - d1k2 * d2f) / ((k2 - k1) * d2k2))
+    k, k_other, _, _, (d1k, d2k) = _relabelled(fp, sheet)
+    d1f, d2f = _in_sheet_order(grad_f, sheet)
+    return _in_sheet_order(
+        (k * (d1k * d2f - d2k * d1f) / ((k - k_other) * d1k),
+         -k ** 2 * d1f / d1k), sheet)
 
 
 def connection_gradient(fp: FramePoint) -> Tuple[float, float]:
@@ -258,17 +250,18 @@ def connection_gradient(fp: FramePoint) -> Tuple[float, float]:
             (k1_sq * d2k2 - k2_sq * d2k1) / gap_sq)
 
 
-def isothermic_divergence(fp: FramePoint, sheet: int = 1,
+def isothermic_divergence(fp: FramePoint, grad_q: Tuple[float, float],
+                          sheet: int,
                           tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
     """Divergence nabla_1' q1' + nabla_2' q2' of the focal sheet's
-    connection coefficients; its vanishing is the isothermic criterion for
-    the sheet's coordinate net.
+    connection coefficients from grad_q = nabla Q (`connection_gradient`
+    or jet-built); its vanishing is the isothermic criterion for the
+    sheet's coordinate net.
 
     One coefficient vanishes identically per sheet, so only one term
     survives: sheet 1 -> nabla_1' Q, sheet 2 -> nabla_2' Q.
     """
-    return central_pfaffian(fp, connection_gradient(fp), sheet,
-                            tol)[sheet - 1]
+    return central_pfaffian(fp, grad_q, sheet, tol)[sheet - 1]
 
 
 def w_jacobian(fp: FramePoint) -> float:
@@ -276,7 +269,7 @@ def w_jacobian(fp: FramePoint) -> float:
     return (fp.grad_k1[0] * fp.grad_k2[1] - fp.grad_k1[1] * fp.grad_k2[0])
 
 
-def divergence_closed_form(fp: FramePoint, sheet: int = 1,
+def divergence_closed_form(fp: FramePoint, sheet: int,
                            tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
     """Closed form of the divergence: k_i^3 J / ((k1 - k2)^3 nabla_i k_i)
     with J the (k1, k2) Jacobian.  The k_i^3 power is forced by the closed
@@ -289,7 +282,7 @@ def divergence_closed_form(fp: FramePoint, sheet: int = 1,
     return k ** 3 * jac / (gap ** 3 * grad_k[sheet - 1])
 
 
-def divergence_scale(fp: FramePoint, sheet: int = 1,
+def divergence_scale(fp: FramePoint, sheet: int,
                      tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
     """Magnitude scale of the divergence's constituent terms: the closed
     form with every product taken in absolute value.  The right yardstick

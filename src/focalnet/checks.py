@@ -36,8 +36,9 @@ import numpy as np
 
 from .central import (canal_threshold, central_ii_oracle, central_point,
                       central_pfaffian, connection_gradient,
-                      divergence_closed_form, divergence_scale, w_jacobian,
-                      base_coframe_matrix, focal_coframe_matrix, own_curvature)
+                      divergence_closed_form, divergence_scale,
+                      isothermic_divergence, w_jacobian, base_coframe_matrix,
+                      focal_coframe_matrix, own_curvature)
 from .classify import (class_gradients, class_partials, moulding_defect,
                        prop_residuals, proposition_report)
 from .errors import FRAME_ERRORS, FocalnetError
@@ -63,6 +64,8 @@ GENERIC5 = ("graph_generic", "helicoid", "enneper", "scherk", "dini")
 CENTRAL7 = GENERIC5 + ("graph_quad", "monkey_saddle")
 
 _TOL = DEFAULT_TOLERANCES
+# Share of the domain box's width left out on each side when sampling.
+_MARGIN = 0.05
 
 
 @dataclass(frozen=True)
@@ -84,28 +87,26 @@ def _prog(name: str):
     return _PROG_CACHE[name]
 
 
-def domain_points(prog, n: int, rng,
-                  margin: float = 0.05) -> List[Tuple[float, float]]:
-    """n random (u, v) pairs inside the domain box, shrunk by ``margin`` of
+def domain_points(prog, n: int, rng) -> List[Tuple[float, float]]:
+    """n random (u, v) pairs inside the domain box, shrunk by `_MARGIN` of
     its width per side; u is drawn before v for each pair."""
     box = prog.definition.domain
     eu, ev = box.u_max - box.u_min, box.v_max - box.v_min
-    return [(float(rng.uniform(box.u_min + margin * eu,
-                               box.u_max - margin * eu)),
-             float(rng.uniform(box.v_min + margin * ev,
-                               box.v_max - margin * ev)))
+    return [(float(rng.uniform(box.u_min + _MARGIN * eu,
+                               box.u_max - _MARGIN * eu)),
+             float(rng.uniform(box.v_min + _MARGIN * ev,
+                               box.v_max - _MARGIN * ev)))
             for _ in range(n)]
 
 
 def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCES,
-                        *, margin: float = 0.05,
-                        sheets: Sequence[int] = (),
+                        *, sheets: Sequence[int] = (),
                         healthy: float = 10.0,
                         min_k: float = 0.0,
                         min_gap: float = 0.0,
                         nonmoulding: float = 0.0) -> List[FramePoint]:
     """Rejection-sample n non-degenerate frame points in the domain box
-    (shrunk by ``margin`` per side).  ``sheets`` demands |nabla_i k_i| >=
+    (shrunk by `_MARGIN` per side).  ``sheets`` demands |nabla_i k_i| >=
     healthy x canal threshold for those sheets; ``min_k`` floors min(|k1|,
     |k2|); ``min_gap`` floors |k1-k2| relative to |k1|+|k2|; ``nonmoulding``
     floors the moulding defect."""
@@ -113,7 +114,7 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     draws, cap = 0, max(4000, 400 * n)
     while len(out) < n and draws < cap:
         draws += 1
-        (u, v), = domain_points(prog, 1, rng, margin)
+        (u, v), = domain_points(prog, 1, rng)
         try:
             fp = frame_point(prog, u, v, tol)
         except FRAME_ERRORS:
@@ -336,7 +337,7 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
     for fp in pts:
         grad_q = jet_gradients(fp)["connection"]
         for sheet in (1, 2):
-            div = central_pfaffian(fp, grad_q, sheet, _TOL)[sheet - 1]
+            div = isothermic_divergence(fp, grad_q, sheet, _TOL)
             closed = divergence_closed_form(fp, sheet, _TOL)
             scale = divergence_scale(fp, sheet, _TOL) + 1e-30
             worst = max(worst, abs(div - closed) / scale)
@@ -368,13 +369,14 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
     for fp in pts:
         jac = w_jacobian(fp)
         grad_q = jet_gradients(fp)["connection"]
-        for sheet, k, dk in ((1, fp.k1, fp.grad_k1[0]),
-                             (2, fp.k2, fp.grad_k2[1])):
-            quad_variant = k ** 2 * jac / ((fp.k1 - fp.k2) ** 3 * dk)
+        for sheet in (1, 2):
+            k, grad_k = own_curvature(fp, sheet)
+            quad_variant = (k ** 2 * jac
+                            / ((fp.k1 - fp.k2) ** 3 * grad_k[sheet - 1]))
             if abs(quad_variant) < 1e-12:
                 continue
             used += 1
-            div = central_pfaffian(fp, grad_q, sheet, _TOL)[sheet - 1]
+            div = isothermic_divergence(fp, grad_q, sheet, _TOL)
             worst = max(worst, abs(div / quad_variant - k) / abs(k))
     results.append(CheckResult(
         "central.cubic_power.graph_generic", used > 0 and worst <= bound_pow,

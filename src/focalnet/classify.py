@@ -24,7 +24,7 @@ the participating terms.  With chain-rule gradients the prop3-prop6
 residuals compare two float arrangements of the same expression; the
 self-checks feed `prop_residuals` gradients built on jets instead, which
 keeps that identity an independent test.  `defect_report` builds every
-report.
+report and decides its record status.
 """
 from __future__ import annotations
 
@@ -32,9 +32,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .central import (central_pfaffian, check_canal, connection_gradient,
+from .central import (check_canal, connection_gradient,
                       divergence_closed_form, divergence_scale, is_canal,
-                      w_jacobian)
+                      isothermic_divergence, w_jacobian)
 from .frames import FramePoint
 from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
                    spherical_image)
@@ -65,6 +65,7 @@ class PropositionResidual:
 
 @dataclass(frozen=True)
 class DefectReport:
+    status: str                   # ok, moulding, canal1, canal2 or canal12
     w_defect: float
     class_defects: Dict[str, float]
     class_defects_normalized: Dict[str, float]
@@ -151,11 +152,12 @@ def proposition_report(fp: FramePoint,
 
 def defect_report(fp: FramePoint,
                   tol: ToleranceSet = DEFAULT_TOLERANCES) -> DefectReport:
-    """Defects and flags at any frame point.  Where either sheet is
-    canal-degenerate the canal flags are set and ``prop_residuals`` stays
-    empty.  At moulding points the statements whose conversion factor is a
-    q coefficient (prop5, prop6) are listed in ``excluded``: the factor
-    vanishes there, so the two sides no longer determine each other."""
+    """Defects, flags and status at any frame point.  Where either sheet is
+    canal-degenerate the status is canal1, canal2 or canal12 and
+    ``prop_residuals`` stays empty.  At moulding points the statements whose
+    conversion factor is a q coefficient (prop5, prop6) are listed in
+    ``excluded``: the factor vanishes there, so the two sides no longer
+    determine each other."""
     partials = class_partials(fp.k1, fp.k2)
     grads = _chain_rule(fp, partials)
     raw, normed = _class_defects(fp, partials, grads)
@@ -165,11 +167,15 @@ def defect_report(fp: FramePoint,
     flags = flags_from_defects(wd, normed, md, canal1, canal2, tol)
     res: Dict[str, PropositionResidual] = {}
     excluded: Tuple[str, ...] = ()
-    if not (canal1 or canal2):
+    if canal1 or canal2:
+        status = "canal12" if canal1 and canal2 else (
+            "canal1" if canal1 else "canal2")
+    else:
+        status = "moulding" if flags["moulding"] else "ok"
         res = prop_residuals(fp, grads, tol)
         if flags["moulding"]:
             excluded = ("prop5a", "prop5b", "prop6")
-    return DefectReport(w_defect=wd, class_defects=raw,
+    return DefectReport(status=status, w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
 
@@ -198,7 +204,7 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
         # The divergence against its closed form (the isothermic criterion),
         # on the scale of its terms: where the curvatures are functionally
         # dependent both sides cancel to noise.
-        div = central_pfaffian(fp, grad_q, sheet, tol)[i]
+        div = isothermic_divergence(fp, grad_q, sheet, tol)
         closed = divergence_closed_form(fp, sheet, tol)
         scale = divergence_scale(fp, sheet, tol) + _FLOOR
         res[p1] = PropositionResidual(abs(div) / scale, abs(closed) / scale,

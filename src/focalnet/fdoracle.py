@@ -40,6 +40,9 @@ __all__ = [
 
 _OFFSETS = (-2, -1, 0, 1, 2)
 
+# mpmath working precision of the reference stencils, in decimal digits
+_MP_DPS = 50
+
 # numerators and divisor of the 5-point central stencil per derivative order
 _STENCILS = {
     0: ((0, 0, 1, 0, 0), 1),
@@ -72,10 +75,10 @@ def fd_partial(f: Callable[[float, float], float], u: float, v: float,
     return acc / (div_u * div_v * h ** (i + j))
 
 
-def fd_partial_mp(f, u: float, v: float, i: int, j: int, h, dps: int = 50):
-    """Same stencil with mpmath working precision (f takes and returns mpf)."""
+def fd_partial_mp(f, u: float, v: float, i: int, j: int, h):
+    """Same stencil at `_MP_DPS` digits (f takes and returns mpf)."""
     import mpmath as mp
-    with mp.workdps(dps):
+    with mp.workdps(_MP_DPS):
         return fd_partial(f, mp.mpf(u), mp.mpf(v), i, j, mp.mpf(h))
 
 
@@ -84,7 +87,7 @@ def scalar_fn(prog, coord: int) -> Callable[[float, float], float]:
     return lambda u, v: prog.evaluate(u, v, ex.FLOAT_FUNCTIONS)[coord]
 
 
-def mp_scalar_fn(prog, coord: int, dps: int = 50):
+def mp_scalar_fn(prog, coord: int):
     """mpmath evaluator for one coordinate expression of a program: the
     reference sampler, kept apart from `SurfaceProgram.evaluate` because
     constants and parameters must be mpmath numbers too."""
@@ -94,7 +97,7 @@ def mp_scalar_fn(prog, coord: int, dps: int = 50):
     funcs = {f.name: getattr(mp, f.mp_name) for f in jt.ELEMENTARY}
 
     def f(u, v):
-        with mp.workdps(dps):
+        with mp.workdps(_MP_DPS):
             env = {"pi": mp.pi, "e": mp.e, "u": u, "v": v}
             env.update({k: mp.mpf(w) for k, w in params.items()})
             return ex.evaluate(node, env, funcs)
@@ -175,10 +178,10 @@ def fd_frame_field(prog, u: float, v: float,
 
 
 def jet_fd_error(prog, u: float, v: float, coord: int, i: int, j: int,
-                 h: float, dps: int = 50) -> float:
+                 h: float) -> float:
     """|finite difference - jet coefficient| with the stencil computed in
     mpmath, so the result reflects truncation error, not float64 noise."""
     sj = eval_surface(prog, u, v)
     exact = sj.pos[coord].extract(i, j)
-    approx = fd_partial_mp(mp_scalar_fn(prog, coord, dps), u, v, i, j, h, dps)
+    approx = fd_partial_mp(mp_scalar_fn(prog, coord), u, v, i, j, h)
     return abs(float(approx - exact))

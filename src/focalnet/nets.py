@@ -33,6 +33,8 @@ __all__ = [
 ]
 
 _NORM_FLOOR = 1e-30
+# Discriminant and zero tolerance of `net_directions` on the normalized net.
+_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ def net_norm(net: NetForm) -> float:
     return max(abs(net.a), abs(net.b), abs(net.c)) + _NORM_FLOOR
 
 
-def net_asymptotic_pullback(fp: FramePoint, sheet: int = 1,
+def net_asymptotic_pullback(fp: FramePoint, sheet: int,
                             tol: ToleranceSet = DEFAULT_TOLERANCES) -> NetForm:
     """Asymptotic directions of focal sheet i pulled back to the base:
     nabla_i k1 w1^2 - nabla_i k2 w2^2 = 0 (net "13" or "14")."""
@@ -60,7 +62,7 @@ def net_asymptotic_pullback(fp: FramePoint, sheet: int = 1,
     return NetForm(fp.grad_k1[i], 0.0, -fp.grad_k2[i], ("13", "14")[i])
 
 
-def net_curvature_pullback(fp: FramePoint, sheet: int = 1,
+def net_curvature_pullback(fp: FramePoint, sheet: int,
                            tol: ToleranceSet = DEFAULT_TOLERANCES) -> NetForm:
     """Curvature lines of focal sheet i pulled back to the base surface
     (net "17" or "18"): with (d1, d2) = nabla k_i,
@@ -105,7 +107,7 @@ def reality_discriminant(net: NetForm) -> float:
     return (net.b * net.b - net.a * net.c) / (n * n)
 
 
-def net_directions(net: NetForm, tol: float = 1e-12):
+def net_directions(net: NetForm):
     """The two direction pairs as unit vectors in the (e1, e2) basis.
 
     Roots of A t^2 + 2B t + C = 0 (t = w2-slope handled projectively to
@@ -119,7 +121,7 @@ def net_directions(net: NetForm, tol: float = 1e-12):
         raise DegenerateNetError(f"net {net.label} is identically zero")
     a, b, c = a / n, b / n, c / n
     disc = b * b - a * c
-    if disc < -tol:
+    if disc < -_ROOT_TOL:
         raise ImaginaryNetError(
             f"net {net.label} has imaginary directions "
             f"(discriminant {disc:.3e})")
@@ -127,7 +129,7 @@ def net_directions(net: NetForm, tol: float = 1e-12):
 
     # direction (x, y) solves a x^2 + 2b x y + c y^2 = 0.
     if abs(a) >= abs(c):
-        if abs(a) < tol:
+        if abs(a) < _ROOT_TOL:
             # a ~ c ~ 0, b != 0: the pair of coordinate axes
             pairs = [(1.0, 0.0), (0.0, 1.0)]
         else:
@@ -149,7 +151,7 @@ def net_directions(net: NetForm, tol: float = 1e-12):
     for x, y in pairs:
         s = math.hypot(x, y)
         x, y = x / s, y / s
-        if x < -tol or (abs(x) <= tol and y < 0):
+        if x < -_ROOT_TOL or (abs(x) <= _ROOT_TOL and y < 0):
             x, y = -x, -y
         out.append((x, y))
     out.sort(key=lambda d: (-d[0], -d[1]))

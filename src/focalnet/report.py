@@ -52,9 +52,6 @@ STATUSES = ("ok", "moulding", "canal1", "canal2", "canal12",
 # Statuses of a full record: the ones that enter the summary aggregates.
 USABLE = ("ok", "moulding")
 
-_FLAG_KEYS = tuple(CLASS_NAMES) + ("weingarten", "cmc", "const_gauss",
-                                   "moulding", "canal1", "canal2")
-
 _CSV_COLUMNS = (
     "u", "v", "status", "k1", "k2", "h", "k", "q1", "q2",
     "weingarten", "cmc", "const_gauss", "moulding", "canal1", "canal2",
@@ -88,17 +85,12 @@ def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
     if not isinstance(fp, FramePoint):
         return _empty_record(u, v, fp.status)
     rep = defect_report(fp, tol)
-    c1, c2 = rep.flags["canal1"], rep.flags["canal2"]
-    if c1 or c2:
-        status = "canal12" if (c1 and c2) else ("canal1" if c1 else "canal2")
-    else:
-        status = "moulding" if rep.flags["moulding"] else "ok"
-    rec = _empty_record(u, v, status)
+    rec = _empty_record(u, v, rep.status)
     rec.update({
         "k1": float(fp.k1), "k2": float(fp.k2),
         "h": float(0.5 * (fp.k1 + fp.k2)), "k": float(fp.k1 * fp.k2),
         "q1": float(fp.q1), "q2": float(fp.q2),
-        "flags": {k: bool(rep.flags[k]) for k in _FLAG_KEYS},
+        "flags": {k: bool(flag) for k, flag in rep.flags.items()},
         "defects": {
             "w": float(rep.w_defect), "moulding": float(rep.moulding_defect),
             "class": {n: float(rep.class_defects[n]) for n in CLASS_NAMES},
@@ -106,7 +98,7 @@ def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
                                  for n in CLASS_NAMES},
         },
     })
-    if not (c1 or c2):
+    if rep.status in USABLE:
         rec["prop_residuals"] = {
             key: {"lhs_defect": float(r.lhs_defect),
                   "rhs_defect": float(r.rhs_defect),

@@ -8,9 +8,9 @@ import pytest
 from focalnet.central import (base_coframe_matrix, canal_threshold,
                               central_ii_oracle, central_pfaffian,
                               central_point, check_canal,
-                              divergence_closed_form, divergence_scale,
-                              focal_coframe_matrix, is_canal,
-                              isothermic_divergence)
+                              connection_gradient, divergence_closed_form,
+                              divergence_scale, focal_coframe_matrix,
+                              is_canal, isothermic_divergence, own_curvature)
 from focalnet.checks import sample_frame_points
 from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point, pfaffian_values
@@ -75,7 +75,7 @@ def test_canal_detection_torus(prog, tol):
     with pytest.raises(CanalDegenerate):
         central_ii_oracle(prog("torus"), 0.5, 1.1, sheet=2, tol=tol)
     with pytest.raises(CanalDegenerate):
-        isothermic_divergence(fp, 2, tol)
+        isothermic_divergence(fp, connection_gradient(fp), 2, tol)
 
 
 def test_canal_threshold_scales_with_curvature(prog, tol):
@@ -89,16 +89,20 @@ def test_canal_threshold_scales_with_curvature(prog, tol):
 
 def test_sheet_argument_validated(prog, tol):
     """Every sheet entry point rejects a sheet other than 1 or 2 (the gate
-    is `is_canal`), rather than returning the other sheet's values."""
+    is `own_curvature`), rather than returning the other sheet's values."""
     program = prog("graph_generic")
     fp = frame_point(program, 0.4, 0.3, tol)
     grad = pfaffian_values(fp.pd.k1, fp.pd)
+    grad_q = connection_gradient(fp)
     entries = {
+        "own_curvature": lambda s: own_curvature(fp, s),
+        "focal_coframe_matrix": lambda s: focal_coframe_matrix(fp, s),
         "is_canal": lambda s: is_canal(fp, s, tol),
         "check_canal": lambda s: check_canal(fp, s, tol),
         "central_point": lambda s: central_point(fp, sheet=s, tol=tol),
         "central_pfaffian": lambda s: central_pfaffian(fp, grad, s, tol),
-        "isothermic_divergence": lambda s: isothermic_divergence(fp, s, tol),
+        "isothermic_divergence":
+            lambda s: isothermic_divergence(fp, grad_q, s, tol),
         "divergence_closed_form": lambda s: divergence_closed_form(fp, s, tol),
         "divergence_scale": lambda s: divergence_scale(fp, s, tol),
         "net_asymptotic_pullback":
