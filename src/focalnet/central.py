@@ -12,8 +12,8 @@ sheet).  In the base principal coframe (w1, w2):
 Each closed form (coframe, fundamental quantities, Pfaffian derivatives)
 is written once, as sheet 1's, and gives sheet 2 by the relabelling rule of
 docs/derivations.md: `_relabelled` swaps the inputs 1 <-> 2 and
-`_in_sheet_order` reverses each pair.  Every formula takes (k_i, nabla k_i)
-from `own_curvature`, the one place a sheet number is checked.
+`_in_sheet_order` reverses each pair.  Every formula reads k_i, nabla k_i and
+nabla_i k_i from `own_curvature`, the one place a sheet number is checked.
 
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
@@ -51,19 +51,22 @@ def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> f
 
 
 def own_curvature(fp: FramePoint,
-                  sheet: int) -> Tuple[float, Tuple[float, float]]:
-    """(k_i, nabla k_i): the principal curvature whose radius places focal
-    sheet i, and its Pfaffian gradient; ValueError unless i is 1 or 2."""
+                  sheet: int) -> Tuple[float, Tuple[float, float], float]:
+    """(k_i, nabla k_i, nabla_i k_i): the principal curvature whose radius
+    places focal sheet i, its Pfaffian gradient and the sheet's own
+    derivative of it; ValueError unless i is 1 or 2."""
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    return (fp.k1, fp.grad_k1) if sheet == 1 else (fp.k2, fp.grad_k2)
+    if sheet == 1:
+        return fp.k1, fp.grad_k1, fp.grad_k1[0]
+    return fp.k2, fp.grad_k2, fp.grad_k2[1]
 
 
 def _relabelled(fp: FramePoint, sheet: int):
     """(k_i, k_other, q1, q2, nabla k_i) for a sheet-1 closed form; for
     sheet 2 relabelled 1 <-> 2, which reverses the orientation of (e1, e2)
     and so turns (q1, q2) into (-q2, -q1)."""
-    k, grad_k = own_curvature(fp, sheet)
+    k, grad_k, _ = own_curvature(fp, sheet)
     if sheet == 1:
         return k, fp.k2, fp.q1, fp.q2, grad_k
     return k, fp.k1, -fp.q2, -fp.q1, grad_k[::-1]
@@ -79,18 +82,17 @@ def is_canal(fp: FramePoint, sheet: int,
              tol: ToleranceSet = DEFAULT_TOLERANCES) -> bool:
     """Whether focal sheet `sheet` degenerates to a curve at `fp`:
     |nabla_i k_i| at or below `canal_threshold`."""
-    _, grad_k = own_curvature(fp, sheet)
-    return abs(grad_k[sheet - 1]) <= canal_threshold(fp, tol)
+    return abs(own_curvature(fp, sheet)[2]) <= canal_threshold(fp, tol)
 
 
 def check_canal(fp: FramePoint, sheet: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> None:
     """Raise CanalDegenerate where `is_canal` holds."""
     if is_canal(fp, sheet, tol):
-        own = own_curvature(fp, sheet)[1][sheet - 1]
+        own = own_curvature(fp, sheet)[2]
         raise CanalDegenerate(
             f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
-            f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet, fp.point)
+            f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet)
 
 
 def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
@@ -202,7 +204,7 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int,
     if abs(det) < 1e-300:
         raise CanalDegenerate(
             f"singular focal coframe for sheet {sheet} at ({u}, {v})",
-            sheet, (sj.u, sj.v))
+            sheet)
     p_inv = np.linalg.inv(p_uv)
     form = p_inv.T @ t_mat @ p_inv
     a, b, c = form[0, 0], 0.5 * (form[0, 1] + form[1, 0]), form[1, 1]
@@ -276,10 +278,10 @@ def divergence_closed_form(fp: FramePoint, sheet: int,
     forms of the sheet connection and derivatives (see docs/derivations.md);
     a k_i^2 variant fails by exactly one factor of k_i."""
     check_canal(fp, sheet, tol)
-    k, grad_k = own_curvature(fp, sheet)
+    k, _, own = own_curvature(fp, sheet)
     jac = w_jacobian(fp)
     gap = fp.k1 - fp.k2
-    return k ** 3 * jac / (gap ** 3 * grad_k[sheet - 1])
+    return k ** 3 * jac / (gap ** 3 * own)
 
 
 def divergence_scale(fp: FramePoint, sheet: int,
@@ -290,8 +292,8 @@ def divergence_scale(fp: FramePoint, sheet: int,
     dependent the Jacobian cancels to machine noise, so the result itself
     is a useless scale."""
     check_canal(fp, sheet, tol)
-    k, grad_k = own_curvature(fp, sheet)
+    k, _, own = own_curvature(fp, sheet)
     num = (abs(fp.grad_k1[0] * fp.grad_k2[1])
            + abs(fp.grad_k1[1] * fp.grad_k2[0]))
     gap = abs(fp.k1 - fp.k2)
-    return abs(k) ** 3 * num / (gap ** 3 * abs(grad_k[sheet - 1]))
+    return abs(k) ** 3 * num / (gap ** 3 * abs(own))

@@ -10,8 +10,8 @@ the divergence identity and its cubic curvature power), ``nets`` (exact net
 rearrangements, coincidence/bisection, reality), ``props`` (forward
 statement checks, degeneracy statuses, flag implications), and ``all``.
 
-These routines are the only place an identity is swept over sampled points;
-the test suite asserts on their results.  Every bound is pinned in the check
+These routines are where an identity is swept over sampled points at its
+bound; the test suite asserts on their results.  Every bound is pinned in the check
 that uses it, and ``seed`` drives all sampling.  Sampling guards (curvature
 floors, canal margins) keep oracle comparisons inside their well-conditioned
 regime; the identities themselves hold at every non-degenerate point.
@@ -124,7 +124,7 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
         if abs(fp.k1 - fp.k2) < min_gap * (abs(fp.k1) + abs(fp.k2)):
             continue
         thr = healthy * canal_threshold(fp, tol)
-        if any(abs(own_curvature(fp, s)[1][s - 1]) < thr for s in sheets):
+        if any(abs(own_curvature(fp, s)[2]) < thr for s in sheets):
             continue
         if nonmoulding and moulding_defect(fp, tol) <= nonmoulding:
             continue
@@ -370,9 +370,8 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
         jac = w_jacobian(fp)
         grad_q = jet_gradients(fp)["connection"]
         for sheet in (1, 2):
-            k, grad_k = own_curvature(fp, sheet)
-            quad_variant = (k ** 2 * jac
-                            / ((fp.k1 - fp.k2) ** 3 * grad_k[sheet - 1]))
+            k, _, own = own_curvature(fp, sheet)
+            quad_variant = k ** 2 * jac / ((fp.k1 - fp.k2) ** 3 * own)
             if abs(quad_variant) < 1e-12:
                 continue
             used += 1

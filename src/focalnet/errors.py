@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-Every exception a frame evaluation can raise (`FRAME_ERRORS`) carries a
-short `status` code, and report rows and exit codes read it from there
-rather than mapping exception classes again or matching on messages.
+Every library error derives from `FocalnetError`.  The pointwise ones,
+what a frame evaluation can raise (`FRAME_ERRORS`) and `CanalDegenerate`,
+carry a short `status` code, and report rows and exit codes read it from
+there rather than mapping exception classes again or matching on messages.
+A pointwise error names its point (u, v) in its message only.
 """
 from __future__ import annotations
 
@@ -43,41 +45,31 @@ class UnboundIdentifierError(FocalnetError):
     """Expression references a name with no binding at evaluation time."""
 
 
-class DegeneratePoint(FocalnetError):
-    """Base for pointwise degeneracies. `status` is a short machine code."""
-
-    status = "degenerate"
-
-    def __init__(self, message: str, point=None):
-        super().__init__(message)
-        self.point = point
-
-
-class DegenerateParametrization(DegeneratePoint):
+class DegenerateParametrization(FocalnetError):
     """Metric determinant EG - F^2 vanishes: (u, v) is not an immersion point."""
 
     status = "degenerate"
 
 
-class UmbilicPoint(DegeneratePoint):
+class UmbilicPoint(FocalnetError):
     """k1 == k2 within tolerance: principal directions undefined."""
 
     status = "umbilic"
 
 
-class ParabolicPoint(DegeneratePoint):
+class ParabolicPoint(FocalnetError):
     """A principal curvature vanishes within tolerance: a focal sheet
     escapes to infinity and curvature-reciprocal quantities blow up."""
 
     status = "parabolic"
 
 
-class CanalDegenerate(DegeneratePoint):
+class CanalDegenerate(FocalnetError):
     """The focal sheet for `sheet` degenerates to a curve: the defining
     Pfaffian derivative of its curvature vanishes along its own line."""
 
-    def __init__(self, message: str, sheet: int, point=None):
-        super().__init__(message, point)
+    def __init__(self, message: str, sheet: int):
+        super().__init__(message)
         self.sheet = int(sheet)
         self.status = f"canal{self.sheet}"
 

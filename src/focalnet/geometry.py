@@ -6,13 +6,14 @@ connection coefficients) without finite differencing.
 
 The pipeline is generic: no assumption that (u, v) are curvature-line or
 even orthogonal coordinates.  Degeneracies are decided in a fixed order:
-non-immersion point, then parabolic (a vanishing principal curvature),
-then umbilic.  At S = () (one point, see `jet`) the first one raises its
-typed exception.  With a batch axis every point is computed on its own
-column, each branch becomes a per-point mask taken in that same order,
-after a first one for the points whose surface jet is not finite (their
-JetDomainError), and `PrincipalData.failed` keeps per point the class of
-the exception it would raise; no exception is built for a batch point.
+non-immersion point, near-umbilic (parabolic if a curvature vanishes
+there, else umbilic), then parabolic.  At S = () (one point, see `jet`)
+the first one raises its typed exception.  With a batch axis every point
+is computed on its own column, each branch becomes a per-point mask taken
+in that same order, after a first one for the points whose surface jet is
+not finite (their JetDomainError), and `PrincipalData.failed` keeps per
+point the class of the exception it would raise; no exception is built
+for a batch point.
 """
 from __future__ import annotations
 
@@ -136,8 +137,7 @@ class _Failures:
         raising it with the text that `message` returns."""
         if self.kinds is None:
             if mask:
-                point = (self.sj.u, self.sj.v)
-                raise kind(f"{message()} at (u, v) = {point}", point)
+                raise kind(f"{message()} at (u, v) = {(self.sj.u, self.sj.v)}")
             return
         self.kinds[mask & np.equal(self.kinds, None)] = kind
 
@@ -145,9 +145,9 @@ class _Failures:
 def principal_data(sj: SurfaceJet,
                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> PrincipalData:
     """The principal frame and curvatures.  At S = () a degenerate point
-    raises, in the order non-immersion, parabolic, umbilic (see the module
-    docstring); with a batch axis every point is computed and each
-    degenerate one has its exception class in `failed`."""
+    raises, in the order of the module docstring; with a batch axis every
+    point is computed and each degenerate one has its exception class in
+    `failed`."""
     failures = _Failures(sj)
     xu, xv = _vdu(sj.pos), _vdv(sj.pos)
     E, F, G = vdot(xu, xu), vdot(xu, xv), vdot(xv, xv)
@@ -174,6 +174,10 @@ def principal_data(sj: SurfaceJet,
     gap_scale = 4 * abs(h.value) ** 2 + 4 * abs(disc.value) + tol.curvature_floor ** 2
     # (k1 - k2)^2 = 4 disc; at a near-umbilic point k1 = k2 = h, and the
     # squared curvature scale decides whether that point is parabolic.
+    # It is the only umbilic test: past it the roots are real, so
+    # (|k1| + |k2| + floor)^2 = (2 max(|h|, sqrt(disc)) + floor)^2 <=
+    # 2 gap_scale, and (k1 - k2)^2 <= umbilic (|k1| + |k2| + floor)^2
+    # would need disc <= (umbilic / 2) gap_scale, where `near` holds.
     near = disc.value <= tol.umbilic * gap_scale
     near_scale = (abs(h.value) + abs(h.value) + tol.curvature_floor) ** 2
     failures.record(near & (abs(kgauss.value) <= tol.parabolic * near_scale),
@@ -187,8 +191,6 @@ def principal_data(sj: SurfaceJet,
     scale = (abs(k1v) + abs(k2v) + tol.curvature_floor) ** 2
     failures.record(abs(k1v * k2v) <= tol.parabolic * scale,
                     ParabolicPoint, lambda: "principal curvature vanishes")
-    failures.record((k1v - k2v) ** 2 <= tol.umbilic * scale, UmbilicPoint,
-                    lambda: "k1 == k2 within tolerance")
 
     # Eigenvector of the shape operator for k1: two algebraic candidates;
     # keep the better-conditioned one (larger ambient norm at the point,

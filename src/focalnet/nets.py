@@ -8,11 +8,12 @@ orthogonality of the direction pair is A + C = 0; conjugacy with respect to
 the diagonal second fundamental form k1 w1^2 + k2 w2^2 is k2 A + k1 C = 0;
 the pair is real iff B^2 - AC >= 0.
 
-Net labels: "13"/"14" are the focal-sheet asymptotic nets pulled back to the
-base surface, "15"/"16" their spherical images, "17"/"18" the focal-sheet
-curvature-line nets pulled back, "sph17"/"sph18" their spherical images.
-Each builder states its net once for both sheets; `NETS` maps each
-pulled-back net's label to its builder and sheet.
+A `NetForm` is (A, B, C) and a label, and the label says which coframe the
+coefficients are in.  "13"/"14" are the focal-sheet asymptotic nets pulled
+back to the base surface and "17"/"18" the focal-sheet curvature-line nets
+pulled back, all in (w1, w2); "15"/"16" and "sph17"/"sph18" are their
+spherical images, in (w31, w32).  Each builder states its net once for both
+sheets; `NETS` maps each pulled-back net's label to its builder and sheet.
 """
 from __future__ import annotations
 
@@ -43,7 +44,6 @@ class NetForm:
     b: float
     c: float
     label: str
-    coframe: str = "principal"   # or "spherical"
 
     def triple(self):
         return (self.a, self.b, self.c)
@@ -68,7 +68,7 @@ def net_curvature_pullback(fp: FramePoint, sheet: int,
     (net "17" or "18"): with (d1, d2) = nabla k_i,
     q1 d1 w1^2 + (k_i^2 (k1 - k2) + q2 d1 + q1 d2) w1 w2 + q2 d2 w2^2 = 0."""
     check_canal(fp, sheet, tol)
-    k, (d1, d2) = own_curvature(fp, sheet)
+    k, (d1, d2), _ = own_curvature(fp, sheet)
     k1, k2, q1, q2 = fp.k1, fp.k2, fp.q1, fp.q2
     two_b = k ** 2 * (k1 - k2) + q2 * d1 + q1 * d2
     return NetForm(q1 * d1, 0.5 * two_b, q2 * d2, ("17", "18")[sheet - 1])
@@ -86,8 +86,7 @@ def spherical_image(net: NetForm, fp: FramePoint) -> NetForm:
     orthonormal on the unit sphere."""
     k1, k2 = fp.k1, fp.k2
     return NetForm(net.a / k1 ** 2, net.b / (k1 * k2), net.c / k2 ** 2,
-                   _SPH_LABEL.get(net.label) or f"sph({net.label})",
-                   coframe="spherical")
+                   _SPH_LABEL.get(net.label) or f"sph({net.label})")
 
 
 def orthogonality_defect(net: NetForm) -> float:

@@ -1,13 +1,11 @@
 """Focal sheets: canal degeneracy, the sheet-index gate, connection
 structure and sheet derivatives.  The sampled oracle, focal-position,
-divergence and cubic-power sweeps live in `focalnet.checks` (asserted by
-test_acceptance)."""
-import numpy as np
+sheet-derivative (finite-difference and df-consistency), divergence and
+cubic-power sweeps live in `focalnet.checks` (asserted by test_acceptance)."""
 import pytest
 
-from focalnet.central import (base_coframe_matrix, canal_threshold,
-                              central_ii_oracle, central_pfaffian,
-                              central_point, check_canal,
+from focalnet.central import (canal_threshold, central_ii_oracle,
+                              central_pfaffian, central_point, check_canal,
                               connection_gradient, divergence_closed_form,
                               divergence_scale, focal_coframe_matrix,
                               is_canal, isothermic_divergence, own_curvature)
@@ -45,24 +43,6 @@ def test_connection_coefficients_structure(prog, tol, rng):
             assert abs(cf.q2 - expect[1]) / scale < 1e-7
 
 
-def test_central_pfaffian_df_consistency(prog, tol, rng):
-    """(D1'f, D2'f) composed with the sheet coframe over (du, dv) must
-    reproduce the raw parameter-space differential (f_u, f_v)."""
-    program = prog("graph_generic")
-    for fp in sample_frame_points(program, 8, rng, tol, sheets=(1, 2),
-                                  healthy=10.0):
-        base = base_coframe_matrix(fp.pd)
-        field = fp.pd.k2 * fp.pd.k1 + fp.pd.sj.x    # arbitrary scalar jet
-        grad = pfaffian_values(field, fp.pd)
-        f_uv = np.array([field.extract(1, 0), field.extract(0, 1)])
-        for sheet in (1, 2):
-            p_uv = focal_coframe_matrix(fp, sheet) @ base
-            d_sheet = np.array(central_pfaffian(fp, grad, sheet, tol))
-            back = d_sheet @ p_uv
-            scale = np.abs(f_uv).sum() + 1e-30
-            assert np.abs(back - f_uv).max() / scale < 1e-10
-
-
 def test_canal_detection_torus(prog, tol):
     """Tube sheet of the torus: curvature constant along its own line."""
     fp = frame_point(prog("torus"), 0.5, 1.1, tol)
@@ -70,6 +50,8 @@ def test_canal_detection_torus(prog, tol):
         check_canal(fp, 2, tol)
     assert ei.value.sheet == 2
     assert ei.value.status == "canal2"
+    assert "(u, v) = (0.5, 1.1)" in str(ei.value)
+    assert own_curvature(fp, 2) == (fp.k2, fp.grad_k2, fp.grad_k2[1])
     with pytest.raises(CanalDegenerate):
         central_point(fp, sheet=2, tol=tol)
     with pytest.raises(CanalDegenerate):

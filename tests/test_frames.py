@@ -89,18 +89,6 @@ def test_sign_flip_covariance(prog, tol, rng):
         assert max(abs(r1), abs(r2)) / codazzi_scale(fq) < 1e-10
 
 
-def test_connection_determined_by_curvature_gradients(prog, tol, rng):
-    """q_i measured from frame rotation equals the compatibility quotient
-    nabla_2 k1/(k1 - k2) resp. nabla_1 k2/(k1 - k2)."""
-    program = prog("enneper")
-    for fp in _frame_points(program, 8, rng, tol):
-        gap = fp.k1 - fp.k2
-        assert fp.q1 == pytest.approx(fp.grad_k1[1] / gap,
-                                      rel=1e-10, abs=1e-12)
-        assert fp.q2 == pytest.approx(fp.grad_k2[0] / gap,
-                                      rel=1e-10, abs=1e-12)
-
-
 def test_hessian_mixed_entries_differ_by_commutator(prog, tol, rng):
     """hess[0,1] - hess[1,0] = -(q1 grad[0] + q2 grad[1]) for k1, where
     hess[a, b] = nabla_{a+1}(nabla_{b+1} k1) (0-indexed)."""

@@ -124,6 +124,23 @@ def test_integer_power_negative_base_allowed():
     assert f.extract(1, 0) == pytest.approx(3 * 1.5**2, rel=1e-15)
 
 
+def test_jet_exponent_and_zero_power():
+    """u ^ v is exp(v ln u); g ^ 0 is 1, except in a column where the base
+    is already undefined."""
+    u, v = _vars(1.5, 0.7)
+    f = u ** v
+    assert f.value == pytest.approx(1.5 ** 0.7, rel=1e-15)
+    assert f.extract(1, 0) == pytest.approx(0.7 * 1.5 ** -0.3, rel=1e-14)
+    assert f.extract(0, 1) == pytest.approx(1.5 ** 0.7 * math.log(1.5),
+                                            rel=1e-14)
+    one = u ** 0
+    assert one.value == 1.0 and not one.c[1:].any()
+    x, _ = jt.jet_variables(np.array([0.5, -1.0]), np.zeros(2))
+    out = jt.ln(x) ** 0
+    assert out.c[0, 0] == 1.0 and not out.c[1:, 0].any()
+    assert np.isnan(out.c[:, 1]).all()
+
+
 # The full truncated convolution: every monomial pair of total degree <= 4.
 _FULL_PAIRS = [(ka, kb, jt.MONOMIAL_INDEX[(pa + pb, qa + qb)])
                for ka, (pa, qa) in enumerate(jt.MONOMIALS)

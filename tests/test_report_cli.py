@@ -138,6 +138,10 @@ def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
     assert built == []
 
 
+def test_frame_points_of_no_points(prog, tol):
+    assert frame_points(prog("graph_generic"), [], [], tol) == []
+
+
 def test_point_record_leaves_no_reference_cycles(prog, tol):
     """point_record keeps no frame error past its except clause: a kept
     exception holds its traceback's frames in a reference cycle, which
@@ -241,10 +245,21 @@ def test_cli_eval_json(capsys):
     assert rec["k1"] == pytest.approx(-rec["k2"])
 
 
-def test_cli_eval_degenerate_exits_nonzero(capsys):
-    assert cli.main(["eval", "--surface", "sphere", "--at", "0.1,0.2"]) == 1
+def test_cli_eval_text(capsys):
+    assert cli.main(["eval", "--surface", "graph_generic",
+                     "--at", "0.3,0.4"]) == 0
     out = capsys.readouterr().out
-    assert "status:  umbilic (UmbilicPoint)" in out
+    assert "status:  ok\n" in out
+    for start in ("flags:   none", "defects: w=", "max identity residual: "):
+        assert "\n" + start in out, start
+
+
+def test_cli_eval_degenerate_exits_nonzero(capsys):
+    for surface, at, status in (
+            ("sphere", "0.1,0.2", "umbilic (UmbilicPoint)"),
+            ("torus", "0.4,0.9", "canal12 (CanalDegenerate(sheets 1,2))")):
+        assert cli.main(["eval", "--surface", surface, "--at", at]) == 1
+        assert f"status:  {status}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("x, z, condition", [
@@ -323,6 +338,25 @@ def test_cli_mesh(tmp_path, capsys):
     stdout = capsys.readouterr().out
     assert "surface.obj" in stdout and "manifest.json" in stdout
     assert os.path.exists(os.path.join(out_dir, "manifest.json"))
+
+
+def test_cli_mesh_skipped_objects(tmp_path, capsys, graph_source):
+    """Torus sheets are canal at every vertex, so their files are skipped;
+    a surface with no evaluable point exits 1."""
+    code = cli.main(["mesh", "--surface", "torus", "--nu", "4", "--nv", "4",
+                     "--central", "1,2", "--out", str(tmp_path / "torus")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "skipped central1.obj: no non-degenerate vertices" in out
+    assert "wrote " + str(tmp_path / "torus" / "surface.obj") in out
+    src = tmp_path / "s.surf"
+    src.write_text(graph_source("u / 0"))
+    code = cli.main(["mesh", "--file", str(src), "--nu", "3", "--nv", "3",
+                     "--out", str(tmp_path / "none")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "skipped surface.obj" in captured.out
+    assert "no evaluable points" in captured.err
 
 
 @UNDEFINED

@@ -8,7 +8,7 @@ from focalnet.errors import (JetDomainError, ParseError,
                              UnknownParameterError, UnknownSurfaceError)
 from focalnet.sdl import (compile_surface, gallery, gallery_names,
                           gallery_source, load_surface, parse_program,
-                          parse_surface, surface_source)
+                          parse_surface)
 
 BOWL = """
 surface bowl {
@@ -99,12 +99,6 @@ def test_multi_block_selection():
         load_surface(two)                      # ambiguous
     with pytest.raises(UnknownSurfaceError):
         load_surface(two, "nonesuch")
-
-
-def test_gallery_roundtrip_exact():
-    for name in gallery_names():
-        sd = gallery(name)
-        assert parse_surface(surface_source(sd)) == sd
 
 
 def test_gallery_membership_and_errors():
