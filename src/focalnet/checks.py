@@ -51,14 +51,16 @@ from .nets import (net_asymptotic_pullback, net_curvature_pullback,
                    net_directions, net_norm, orthogonality_defect,
                    conjugacy_defect, reality_discriminant)
 from .report import grid_report, emit_json, parse_json, point_record
-from .sdl import compile_surface, gallery, gallery_names, parse_surface, surface_source
+from .sdl import (compile_surface, gallery, gallery_names, load_surface,
+                  parse_surface, surface_source)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
-__all__ = ["CheckResult", "run_suite", "SUITE_NAMES", "domain_points",
-           "sample_frame_points", "jet_gradients", "check_structure",
-           "check_central_oracle", "check_central_pfaffian", "check_divergence",
-           "check_rearrangements", "check_prop5_prop6", "check_degeneracies",
-           "check_remarks", "check_toolchain", "check_gallery"]
+__all__ = ["CheckResult", "run_suite", "SUITE_NAMES", "SWEPT_SRC",
+           "domain_points", "sample_frame_points", "jet_gradients",
+           "check_structure", "check_central_oracle", "check_central_pfaffian",
+           "check_divergence", "check_rearrangements", "check_prop5_prop6",
+           "check_degeneracies", "check_remarks", "check_toolchain",
+           "check_gallery"]
 
 GENERIC5 = ("graph_generic", "helicoid", "enneper", "scherk", "dini")
 CENTRAL7 = GENERIC5 + ("graph_quad", "monkey_saddle")
@@ -551,20 +553,41 @@ _IMPLICATION_PREMISES = ("mean", "gauss", "diff", "ratio",
                          "radii_diff", "radii_sum")
 
 
+# A profile curve swept perpendicular to a planar base curve: one family of
+# curvature lines stays planar and geodesic (q1 = 0 identically), while the
+# curvature gradients stay generic, so every point is moulding and no sheet
+# is canal.
+SWEPT_SRC = """
+surface swept {
+  param a = 0.3
+  param b = 0.5
+  x = u - 2.0 * a * u * v / sqrt(1.0 + 4.0 * a * a * u * u)
+  y = a * u * u + v / sqrt(1.0 + 4.0 * a * a * u * u)
+  z = b * v * v
+  domain u in [-1.2, 1.2] v in [0.1, 1.0]
+}
+"""
+
+
 def check_gallery(seed: int = 7) -> List[CheckResult]:
-    """Two guards over one sweep of 40 random points per gallery surface.
+    """Two guards over one sweep of 40 random points per gallery surface,
+    and then of 40 on the `SWEPT_SRC` surface, where the moulding guard
+    has points to check: no gallery surface is moulding with both sheets
+    non-canal.
 
     Implication lattice: any stationary curvature function forces the
     functional-relation defect down (premise at tol.classify, conclusion at
     10 x tol.classify).  Moulding exclusion: at a geodesic-family (moulding)
     point, an orthogonal curvature-line pullback forces canal degeneracy, so
     no sample combines the moulding flag, a vanishing orthogonality side,
-    and both canal flags clear."""
+    and both canal flags clear; the line fails when no sample is moulding
+    with both canal flags clear."""
     rng = np.random.default_rng(seed)
     violations, offenders = [], []
-    checked = 0
-    for name in gallery_names():
-        prog = _prog(name)
+    checked = moulding_checked = 0
+    surfaces = [(name, _prog(name)) for name in gallery_names()]
+    surfaces.append(("swept", load_surface(SWEPT_SRC)))
+    for name, prog in surfaces:
         for u, v in domain_points(prog, 40, rng):
             rec = point_record(prog, u, v, _TOL)
             if rec["defects"] is None:
@@ -578,6 +601,7 @@ def check_gallery(seed: int = 7) -> List[CheckResult]:
             flags = rec["flags"]
             if flags["canal1"] or flags["canal2"] or not flags["moulding"]:
                 continue
+            moulding_checked += 1
             lhs = max(rec["prop_residuals"]["prop5a_17"]["lhs_defect"],
                       rec["prop_residuals"]["prop5a_18"]["lhs_defect"])
             if lhs <= 10 * _TOL.classify:
@@ -588,8 +612,10 @@ def check_gallery(seed: int = 7) -> List[CheckResult]:
             f"checked={checked} points, violations={len(violations)}"
             + (f" first={violations[0]!r}" if violations else "")),
         CheckResult(
-            "props.moulding_exclusion.gallery", not offenders,
-            f"checked={checked} points, offenders={len(offenders)}"
+            "props.moulding_exclusion.gallery",
+            moulding_checked > 0 and not offenders,
+            f"checked={checked} points, moulding_checked={moulding_checked},"
+            f" offenders={len(offenders)}"
             + (f" first={offenders[0]!r}" if offenders else "")),
     ]
 

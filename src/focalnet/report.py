@@ -13,9 +13,11 @@ string instead of values — never NaN:
     umbilic / parabolic / degenerate
                 coordinates and status only
 
-Records are ordered u-major ((u index, v index) lexicographic).  All floats
-are emitted through ``repr`` (shortest round-trip form), so identical inputs
-produce byte-identical files.
+Records are ordered u-major ((u index, v index) lexicographic).  The JSON
+is ``json.dumps(..., sort_keys=True)`` (the standard library's C encoder) on
+one line; ``python -m json.tool`` indents it for reading.  The CSV is
+``csv.writer``'s.  Both write every float as its ``repr`` (shortest
+round-trip form), so identical inputs produce byte-identical files.
 
 `grid_report` takes the frames of its whole grid from one batched
 `frames.frame_points` call; `point_record` evaluates its one point alone.
@@ -29,8 +31,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from json.encoder import encode_basestring_ascii as _json_str
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -52,12 +52,11 @@ STATUSES = ("ok", "moulding", "canal1", "canal2", "canal12",
 # Statuses of a full record: the ones that enter the summary aggregates.
 USABLE = ("ok", "moulding")
 
-_CSV_COLUMNS = (
-    "u", "v", "status", "k1", "k2", "h", "k", "q1", "q2",
-    "weingarten", "cmc", "const_gauss", "moulding", "canal1", "canal2",
-    "w_defect", "d_diff", "d_ratio", "d_radii_diff", "d_radii_sum",
-    "d_mean", "d_gauss",
-)
+_CSV_VALUES = ("u", "v", "status", "k1", "k2", "h", "k", "q1", "q2")
+_CSV_FLAGS = ("weingarten", "cmc", "const_gauss", "moulding", "canal1",
+              "canal2")
+_CSV_COLUMNS = (_CSV_VALUES + _CSV_FLAGS + ("w_defect",)
+                + tuple("d_" + n for n in CLASS_NAMES))
 
 
 def _empty_record(u: float, v: float, status: str) -> dict:
@@ -87,22 +86,20 @@ def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
     rep = defect_report(fp, tol)
     rec = _empty_record(u, v, rep.status)
     rec.update({
-        "k1": float(fp.k1), "k2": float(fp.k2),
-        "h": float(0.5 * (fp.k1 + fp.k2)), "k": float(fp.k1 * fp.k2),
-        "q1": float(fp.q1), "q2": float(fp.q2),
-        "flags": {k: bool(flag) for k, flag in rep.flags.items()},
+        "k1": fp.k1, "k2": fp.k2,
+        "h": 0.5 * (fp.k1 + fp.k2), "k": fp.k1 * fp.k2,
+        "q1": fp.q1, "q2": fp.q2,
+        "flags": rep.flags,
         "defects": {
-            "w": float(rep.w_defect), "moulding": float(rep.moulding_defect),
-            "class": {n: float(rep.class_defects[n]) for n in CLASS_NAMES},
-            "class_normalized": {n: float(rep.class_defects_normalized[n])
-                                 for n in CLASS_NAMES},
+            "w": rep.w_defect, "moulding": rep.moulding_defect,
+            "class": rep.class_defects,
+            "class_normalized": rep.class_defects_normalized,
         },
     })
     if rep.status in USABLE:
         rec["prop_residuals"] = {
-            key: {"lhs_defect": float(r.lhs_defect),
-                  "rhs_defect": float(r.rhs_defect),
-                  "identity_residual": float(r.identity_residual)}
+            key: {"lhs_defect": r.lhs_defect, "rhs_defect": r.rhs_defect,
+                  "identity_residual": r.identity_residual}
             for key, r in sorted(rep.prop_residuals.items())
         }
         rec["excluded"] = list(rep.excluded)
@@ -130,8 +127,7 @@ def summarize(records: List[dict]) -> dict:
     def _agg(values: List[float]) -> dict:
         if not values:
             return {"max": None, "mean": None}
-        return {"max": float(max(values)),
-                "mean": float(sum(values) / len(values))}
+        return {"max": max(values), "mean": sum(values) / len(values)}
 
     defects: Dict[str, dict] = {
         "w_abs": _agg([abs(r["defects"]["w"]) for r in live]),
@@ -193,77 +189,30 @@ def grid_report(prog, nu: int, nv: int,
 
 
 def emit_json(report: GridReport) -> str:
-    """The report as JSON, byte for byte what
-    ``json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\\n"`` gives,
-    which runs the pure-Python encoder because of `indent`."""
-    return _json(report.to_dict(), "\n") + "\n"
-
-
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-_JSON_INFINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
-
-
-def _json(o, newline: str) -> str:
-    """`o` as `json.dumps(o, sort_keys=True, indent=2)` spells it, nested at
-    the indent that `newline` ends in."""
-    t = type(o)
-    if t is float:
-        if o != o:
-            return "NaN"
-        return _JSON_INFINITE.get(o) or float.__repr__(o)
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = newline + "  "
-        return ("{" + inner + ("," + inner).join(
-            [_json_str(k) + ": " + _json(o[k], inner) for k in sorted(o)])
-            + newline + "}")
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = newline + "  "
-        return ("[" + inner + ("," + inner).join([_json(x, inner) for x in o])
-                + newline + "]")
-    if t is str:
-        return _json_str(o)
-    if o is None or o is True or o is False:
-        return _JSON_CONSTANTS[o]
-    if t is int:
-        return int.__repr__(o)
-    for base in (float, int, str):    # subclasses, such as numpy's float64
-        if isinstance(o, base):
-            return _json(base(o), newline)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    """The report as one line of JSON with sorted keys, written by the
+    standard library's C encoder (``indent`` would force the pure-Python
+    one); ``python -m json.tool`` indents it for reading."""
+    return json.dumps(report.to_dict(), sort_keys=True) + "\n"
 
 
 def parse_json(text: str) -> GridReport:
     return GridReport.from_dict(json.loads(text))
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_csv(report: GridReport) -> str:
+    """One row per record.  `csv.writer` writes a float as its ``repr`` and
+    ``None`` as an empty cell; flags are written as 1/0."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_COLUMNS)
     for rec in report.records:
-        flags = rec["flags"] or {}
-        defects = rec["defects"] or {}
-        normed = defects.get("class_normalized", {})
-        row = [rec["u"], rec["v"], rec["status"],
-               rec["k1"], rec["k2"], rec["h"], rec["k"],
-               rec["q1"], rec["q2"]]
-        row += [flags.get(k) for k in ("weingarten", "cmc", "const_gauss",
-                                       "moulding", "canal1", "canal2")]
-        row += [defects.get("w")]
-        row += [normed.get(n) for n in CLASS_NAMES]
-        writer.writerow([_csv_cell(x) for x in row])
+        row = [rec[k] for k in _CSV_VALUES]
+        flags, defects = rec["flags"], rec["defects"]
+        if flags is None:
+            row += [None] * (len(_CSV_COLUMNS) - len(row))
+        else:
+            row += [int(flags[k]) for k in _CSV_FLAGS]
+            row.append(defects["w"])
+            row += [defects["class_normalized"][n] for n in CLASS_NAMES]
+        writer.writerow(row)
     return buf.getvalue()

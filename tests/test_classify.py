@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from focalnet.checks import domain_points
+from focalnet.checks import SWEPT_SRC, domain_points
 from focalnet.classify import (CLASS_NAMES, class_defects, flags_from_defects,
                                is_canal, moulding_defect, proposition_report,
                                w_defect)
@@ -12,20 +12,6 @@ from focalnet.frames import frame_point, pfaffian_values
 from focalnet.report import point_record
 from focalnet.sdl import load_surface
 from focalnet.tolerances import DEFAULT_TOLERANCES
-
-# A profile curve swept perpendicular to a planar base curve: one family of
-# curvature lines stays planar and geodesic (q1 = 0 identically), while the
-# curvature gradients stay generic.
-SWEPT_SRC = """
-surface swept {
-  param a = 0.3
-  param b = 0.5
-  x = u - 2.0 * a * u * v / sqrt(1.0 + 4.0 * a * a * u * u)
-  y = a * u * u + v / sqrt(1.0 + 4.0 * a * a * u * u)
-  z = b * v * v
-  domain u in [-1.2, 1.2] v in [0.1, 1.0]
-}
-"""
 
 RESIDUAL_KEYS = {
     "prop1_s1", "prop1_s2",

@@ -1,18 +1,19 @@
 """Finite-difference oracles: stencil correctness and agreement with the
 jet engine along every derivative path the library uses."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from focalnet.checks import domain_points
-from focalnet.errors import UmbilicPoint, ParabolicPoint
-from focalnet.fdoracle import (fd_directional, fd_partial, fd_pfaffian,
-                               fd_surface_jet, fd_surface_partial,
-                               jet_fd_error, scalar_fn)
+from focalnet.errors import FocalnetError, ParabolicPoint, UmbilicPoint
+from focalnet.fdoracle import (aligned_frame_point, fd_directional,
+                               fd_partial, fd_pfaffian, fd_surface_jet,
+                               fd_surface_partial, jet_fd_error, scalar_fn)
 from focalnet.frames import (frame_point, frame_point_from_pd,
                              pfaffian_values)
-from focalnet.geometry import principal_data
+from focalnet.geometry import flipped_principal, principal_data
 from focalnet.sdl import compile_surface, parse_surface
 
 
@@ -74,23 +75,45 @@ def test_fd_surface_jet_reproduces_frame(prog, tol):
     assert fq.q2 == pytest.approx(fp.q2, rel=2e-3, abs=1e-4)
 
 
-def test_fd_pfaffian_matches_jet_gradient(prog, tol, rng):
-    program = prog("scherk")
+@pytest.mark.parametrize("surface, field, n, bound", [
+    ("monkey_saddle", "k1", 4, 1e-7), ("scherk", "k2", 5, 1e-6)],
+    ids=["monkey_saddle-k1", "scherk-k2"])
+def test_fd_pfaffian_matches_jet_gradient(prog, tol, rng, surface, field, n,
+                                          bound):
+    """The jet Pfaffian gradient of a curvature against directional finite
+    differences, at the first n non-degenerate points of 12 random ones."""
+    program = prog(surface)
     count = 0
     for u, v in domain_points(program, 12, rng):
         try:
             fp = frame_point(program, u, v, tol)
         except (UmbilicPoint, ParabolicPoint):
             continue
-        ana = pfaffian_values(fp.pd.k2, fp.pd)
-        fd = fd_pfaffian(program, u, v, lambda g: g.k2, 1e-4, tol)
+        ana = pfaffian_values(getattr(fp.pd, field), fp.pd)
+        fd = fd_pfaffian(program, u, v, lambda g: getattr(g, field), 1e-4,
+                         tol)
         scale = abs(ana[0]) + abs(ana[1]) + 1e-9
-        assert abs(ana[0] - fd[0]) / scale < 1e-6
-        assert abs(ana[1] - fd[1]) / scale < 1e-6
+        assert abs(ana[0] - fd[0]) / scale < bound
+        assert abs(ana[1] - fd[1]) / scale < bound
         count += 1
-        if count == 5:
+        if count == n:
             break
-    assert count == 5
+    assert count == n
+
+
+def test_aligned_frame_point_continues_e1(prog, tol):
+    """A reference with e1 flipped flips the frame it continues to; a
+    reference orthogonal to e1 leaves the sign undecided and raises."""
+    program = prog("graph_generic")
+    ref = frame_point_from_pd(
+        flipped_principal(frame_point(program, 0.3, -0.4, tol).pd), tol)
+    plain = frame_point(program, 0.301, -0.4, tol)
+    got = aligned_frame_point(program, 0.301, -0.4, ref, tol)
+    assert got.e1 == tuple(-c for c in plain.e1)
+    assert got.q1 == -plain.q1
+    with pytest.raises(FocalnetError, match=r"\|<e1, e1_ref>\| = 0\.000"):
+        aligned_frame_point(program, 0.301, -0.4,
+                            dataclasses.replace(plain, e1=plain.e2), tol)
 
 
 def test_jet_fd_error_is_truncation_sized():

@@ -70,6 +70,53 @@ def test_parse_error_carries_location():
     assert "line" in str(ei.value)
 
 
+_X, _Y, _Z = "x = u", "y = v", "z = u * v"
+_D = "domain u in [0, 1] v in [0, 1]"
+
+
+def _block(*clauses):
+    return "surface s {\n" + "".join(f"  {c}\n" for c in clauses) + "}\n"
+
+
+@pytest.mark.parametrize("source, message, line, col", [
+    (_block("x = u @ v", _Y, _Z, _D), "unexpected character '@'", 2, 9),
+    ("surface s\n  x = u\n", "expected '{', found 'x'", 2, 3),
+    ("surface {\n}\n", "expected identifier, found '{'", 1, 9),
+    (_block("x = sin(u, v)", _Y, _Z, _D),
+     "function 'sin' takes one argument", 2, 12),
+    (_block("param a = u", _X, _Y, _Z, _D),
+     "default of 'a' must be constant; found identifier 'u'", 2, 13),
+    (_block("param a = ln(0)", _X, _Y, _Z, _D),
+     "cannot evaluate default of 'a'", 2, 13),
+    (_block("param a = 1e308 * 10", _X, _Y, _Z, _D),
+     "default of 'a' is not finite", 2, 13),
+    (_block("1", _X, _Y, _Z, _D),
+     "expected 'param', 'x', 'y', 'z', 'domain' or '}'", 2, 3),
+    (_block("param u = 1", _X, _Y, _Z, _D),
+     "'u' cannot be a parameter name", 2, 9),
+    (_block("param a = 1", "param a = 2", _X, _Y, _Z, _D),
+     "duplicate parameter 'a'", 3, 9),
+    (_block(_X, "x = v", _Y, _Z, _D), "duplicate coordinate 'x'", 3, 3),
+    (_block(_X, _Y, _Z, _D, _D), "duplicate domain clause", 6, 3),
+    (_block("w = u", _X, _Y, _Z, _D), "unknown clause 'w'", 2, 3),
+    (_block(_X, _Y, _D), "missing coordinate clause 'z'", 1, 9),
+    (_block(_X, _Y, _Z), "missing domain clause", 1, 9),
+    (_block(_X, _Y, _Z, "domain u in [1, 1] v in [0, 1]"),
+     "domain intervals must have min < max", 5, 3),
+    (_block(_X, _Y, _Z, _D) * 2, "expected exactly one surface, found 2",
+     1, 1),
+], ids=["character", "brace", "identifier", "arity", "not_constant",
+        "not_evaluable", "not_finite", "clause_token", "reserved",
+        "duplicate_param", "duplicate_coord", "duplicate_domain",
+        "unknown_clause", "missing_coord", "missing_domain", "empty_interval",
+        "two_blocks"])
+def test_parse_error_message_and_location(source, message, line, col):
+    with pytest.raises(ParseError) as ei:
+        parse_surface(source)
+    assert message in str(ei.value)
+    assert (ei.value.line, ei.value.col) == (line, col)
+
+
 def test_parse_rejects_unknown_function_and_identifier():
     with pytest.raises(ParseError):
         parse_surface("""surface f {
@@ -99,6 +146,10 @@ def test_multi_block_selection():
         load_surface(two)                      # ambiguous
     with pytest.raises(UnknownSurfaceError):
         load_surface(two, "nonesuch")
+    with pytest.raises(ParseError) as ei:
+        load_surface("# nothing here\n")
+    assert "no surface definitions found" in str(ei.value)
+    assert (ei.value.line, ei.value.col) == (1, 1)
 
 
 def test_gallery_membership_and_errors():

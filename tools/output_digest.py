@@ -1,16 +1,18 @@
 """Print sha256 digests of focalnet's emitted outputs over a fixed corpus.
 
-Two digests, one per line:
+Three digests, one per line:
 
-- grid: ``emit_json`` followed by ``emit_csv`` of ``grid_report`` 25x25 for
-  each of the ten surfaces in ``GRID_SURFACES``, in that order (a fixed
-  list, so the digest stays comparable when the gallery grows);
+- json: ``emit_json`` of ``grid_report`` 25x25 for each of the ten surfaces
+  in ``GRID_SURFACES``, in that order (a fixed list, so the digest stays
+  comparable when the gallery grows);
+- csv: ``emit_csv`` of the same ten reports, in the same order;
 - mesh: the name and then the bytes of every file ``export_obj`` writes
   (sorted by name) for a 20x20 grid with both focal sheets and nets
   13/14/17/18 on graph_generic, dini, graph_quad and torus.
 
 A change that claims to leave the library's outputs unchanged should print
-the same two digests before and after.  Run from the repository root:
+the same three digests before and after; one that changes only the JSON
+layout should move the json line alone.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/output_digest.py
 """
@@ -29,13 +31,14 @@ GRID_SURFACES = ("plane", "sphere", "graph_quad", "graph_generic",
 MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus")
 
 
-def grid_digest() -> str:
-    h = hashlib.sha256()
+def grid_digests() -> tuple:
+    """(json, csv) digests over the ten reports."""
+    hj, hc = hashlib.sha256(), hashlib.sha256()
     for name in GRID_SURFACES:
         rep = grid_report(compile_surface(gallery(name)), 25, 25)
-        h.update(emit_json(rep).encode())
-        h.update(emit_csv(rep).encode())
-    return h.hexdigest()
+        hj.update(emit_json(rep).encode())
+        hc.update(emit_csv(rep).encode())
+    return hj.hexdigest(), hc.hexdigest()
 
 
 def mesh_digest() -> str:
@@ -53,5 +56,7 @@ def mesh_digest() -> str:
 
 
 if __name__ == "__main__":
-    print(f"grid {grid_digest()}")
+    json_digest, csv_digest = grid_digests()
+    print(f"json {json_digest}")
+    print(f"csv {csv_digest}")
     print(f"mesh {mesh_digest()}")
