@@ -1,6 +1,7 @@
 """Frame fields: connection coefficients, Pfaffian derivatives, and the
 compatibility identities (the sampled Codazzi/Gauss sweep is the
 `structure` check in `focalnet.checks`)."""
+import numpy as np
 import pytest
 
 from focalnet.checks import domain_points
@@ -36,14 +37,12 @@ def test_graph_quad_origin_flat_connection(prog, tol):
 
 
 def test_commutator_sign_convention(prog, tol, rng):
-    """[nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f), for an
-    arbitrary scalar and for k1; with the opposite sign the residual is
-    O(1)."""
+    """[nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f); with the
+    opposite sign the residual is O(1)."""
     program = prog("graph_generic")
     for fp in _frame_points(program, 6, rng, tol):
         f = fp.pd.sj.x * fp.pd.sj.z + fp.pd.sj.y      # arbitrary scalar
         assert abs(commutator_residual(fp, f)) < 1e-10
-        assert abs(commutator_residual(fp, fp.pd.k1)) < 1e-10
         # demonstrate the sign matters where q is non-negligible
         if abs(fp.q1) + abs(fp.q2) > 0.1:
             d1f, d2f = pfaffian(f, fp.pd)
@@ -75,6 +74,20 @@ def test_sign_flip_covariance(prog, tol, rng):
         assert abs(check_gauss(fq)) / gauss_scale(fq) < 1e-10
         r1, r2 = check_codazzi(fq)
         assert max(abs(r1), abs(r2)) / codazzi_scale(fq) < 1e-10
+
+
+def test_hessian_mixed_entries_differ_by_commutator(prog, tol, rng):
+    """hess[0,1] - hess[1,0] = -(q1 grad[0] + q2 grad[1]) for k1, where
+    hess[a, b] = nabla_{a+1}(nabla_{b+1} k1) (0-indexed)."""
+    program = prog("graph_generic")
+    for fp in _frame_points(program, 6, rng, tol):
+        d1k1, d2k1 = pfaffian(fp.pd.k1, fp.pd)
+        hess = np.array([pfaffian_values(d1k1, fp.pd),
+                         pfaffian_values(d2k1, fp.pd)]).T
+        lhs = hess[0, 1] - hess[1, 0]
+        rhs = -(fp.q1 * fp.grad_k1[0] + fp.q2 * fp.grad_k1[1])
+        scale = abs(hess).max() + 1e-12
+        assert abs(lhs - rhs) / scale < 1e-10
 
 
 def test_helicoid_frame_values(prog, tol):
