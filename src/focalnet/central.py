@@ -19,7 +19,9 @@ Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
 case) and computation is refused rather than returning huge values.
 `is_canal` decides that; every sheet entry point goes through it by way of
-`check_canal`.
+`check_canal`.  That raises at a point only: these formulas also run on
+a batch `FramePoint` of arrays (`classify.defect_report`), which marks its
+canal points in their status instead.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from typing import Tuple
 
 import numpy as np
 
+from . import jet as jt
 from .errors import CanalDegenerate
 from .frames import FramePoint, frame_point_from_pd
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
@@ -46,8 +49,8 @@ __all__ = [
 def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
     """Degeneracy scale for |nabla_i k_i|: curvature^3 has the right units
     (the closed forms divide k_i^3 by it)."""
-    k = max(abs(fp.k1), abs(fp.k2))
-    return tol.canal * (k ** 3 + tol.curvature_floor)
+    k = jt.largest(abs(fp.k1), abs(fp.k2))
+    return tol.canal * (jt.power(k, 3) + tol.curvature_floor)
 
 
 def own_curvature(fp: FramePoint,
@@ -87,8 +90,10 @@ def is_canal(fp: FramePoint, sheet: int,
 
 def check_canal(fp: FramePoint, sheet: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> None:
-    """Raise CanalDegenerate where `is_canal` holds."""
-    if is_canal(fp, sheet, tol):
+    """Raise CanalDegenerate where `is_canal` holds at a point; a batch
+    never raises."""
+    canal = is_canal(fp, sheet, tol)
+    if not isinstance(canal, np.ndarray) and canal:
         own = own_curvature(fp, sheet)[2]
         raise CanalDegenerate(
             f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
@@ -238,15 +243,15 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
     d1f, d2f = _in_sheet_order(grad_f, sheet)
     return _in_sheet_order(
         (k * (d1k * d2f - d2k * d1f) / ((k - k_other) * d1k),
-         -k ** 2 * d1f / d1k), sheet)
+         -jt.power(k, 2) * d1f / d1k), sheet)
 
 
 def connection_gradient(fp: FramePoint) -> Tuple[float, float]:
     """Base Pfaffian gradient of Q = k1 k2 / (k1 - k2), the nonvanishing
     focal connection coefficient, by the chain rule:
     nabla Q = (k1^2 nabla k2 - k2^2 nabla k1) / (k1 - k2)^2."""
-    k1_sq, k2_sq = fp.k1 ** 2, fp.k2 ** 2
-    gap_sq = (fp.k1 - fp.k2) ** 2
+    k1_sq, k2_sq = jt.power(fp.k1, 2), jt.power(fp.k2, 2)
+    gap_sq = jt.power(fp.k1 - fp.k2, 2)
     (d1k1, d2k1), (d1k2, d2k2) = fp.grad_k1, fp.grad_k2
     return ((k1_sq * d1k2 - k2_sq * d1k1) / gap_sq,
             (k1_sq * d2k2 - k2_sq * d2k1) / gap_sq)
@@ -281,7 +286,7 @@ def divergence_closed_form(fp: FramePoint, sheet: int,
     k, _, own = own_curvature(fp, sheet)
     jac = w_jacobian(fp)
     gap = fp.k1 - fp.k2
-    return k ** 3 * jac / (gap ** 3 * own)
+    return jt.power(k, 3) * jac / (jt.power(gap, 3) * own)
 
 
 def divergence_scale(fp: FramePoint, sheet: int,
@@ -296,4 +301,4 @@ def divergence_scale(fp: FramePoint, sheet: int,
     num = (abs(fp.grad_k1[0] * fp.grad_k2[1])
            + abs(fp.grad_k1[1] * fp.grad_k2[0]))
     gap = abs(fp.k1 - fp.k2)
-    return abs(k) ** 3 * num / (gap ** 3 * abs(own))
+    return jt.power(abs(k), 3) * num / (jt.power(gap, 3) * abs(own))

@@ -25,13 +25,18 @@ residuals compare two float arrangements of the same expression; the
 self-checks feed `prop_residuals` gradients built on jets instead, which
 keeps that identity an independent test.  `defect_report` builds every
 report and decides its record status.
+
+Every formula runs on a point's floats and, unchanged and with the same
+bits, on a batch `FramePoint` of arrays, by way of `jet`'s shape helpers.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
+from . import jet as jt
 from .central import (check_canal, connection_gradient,
                       divergence_closed_form, divergence_scale, is_canal,
                       isothermic_divergence, w_jacobian)
@@ -79,18 +84,19 @@ def w_defect(fp: FramePoint) -> float:
     """Jacobian determinant d1k1*d2k2 - d2k1*d1k2, normalized by
     |grad k1|*|grad k2| + floor.  Zero iff k1 and k2 are functionally
     dependent at the point (the pointwise functional-relation test)."""
-    g1 = math.hypot(*fp.grad_k1)
-    g2 = math.hypot(*fp.grad_k2)
+    g1 = jt.hypot(*fp.grad_k1)
+    g2 = jt.hypot(*fp.grad_k2)
     return w_jacobian(fp) / (g1 * g2 + _FLOOR)
 
 
 def class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
     """(dg/dk1, dg/dk2) of each class function g."""
+    k1_sq, k2_sq = jt.power(k1, 2), jt.power(k2, 2)
     return {
         "diff": (1.0, -1.0),
-        "ratio": (1.0 / k2, -k1 / k2 ** 2),
-        "radii_diff": (-1.0 / k1 ** 2, 1.0 / k2 ** 2),
-        "radii_sum": (-1.0 / k1 ** 2, -1.0 / k2 ** 2),
+        "ratio": (1.0 / k2, -k1 / k2_sq),
+        "radii_diff": (-1.0 / k1_sq, 1.0 / k2_sq),
+        "radii_sum": (-1.0 / k1_sq, -1.0 / k2_sq),
         "mean": (1.0, 1.0),
         "gauss": (k2, k1),
     }
@@ -116,12 +122,12 @@ def class_defects(fp: FramePoint):
 
 def _class_defects(fp: FramePoint, partials: Dict[str, Tuple[float, float]],
                    grads: Dict[str, Tuple[float, float]]):
-    g1 = math.hypot(*fp.grad_k1)
-    g2 = math.hypot(*fp.grad_k2)
+    g1 = jt.hypot(*fp.grad_k1)
+    g2 = jt.hypot(*fp.grad_k2)
     raw, norm = {}, {}
     for name in CLASS_NAMES:
         p1, p2 = partials[name]
-        raw[name] = math.hypot(*grads[name])
+        raw[name] = jt.hypot(*grads[name])
         norm[name] = raw[name] / (abs(p1) * g1 + abs(p2) * g2 + _FLOOR)
     return raw, norm
 
@@ -132,7 +138,7 @@ def moulding_defect(fp: FramePoint,
     Small at points where one family of curvature lines is geodesic."""
     scale = (abs(fp.k1) + abs(fp.k2) + abs(fp.q1) + abs(fp.q2)
              + tol.curvature_floor)
-    return min(abs(fp.q1), abs(fp.q2)) / scale
+    return jt.smallest(abs(fp.q1), abs(fp.q2)) / scale
 
 
 def _res(lhs_raw: float, rhs_raw: float, norm: float) -> PropositionResidual:
@@ -157,7 +163,8 @@ def defect_report(fp: FramePoint,
     ``prop_residuals`` stays empty.  At moulding points the statements whose
     conversion factor is a q coefficient (prop5, prop6) are listed in
     ``excluded``: the factor vanishes there, so the two sides no longer
-    determine each other."""
+    determine each other.  On a batch every field holds arrays, and the
+    residuals, computed at every point, are meaningless at canal points."""
     partials = class_partials(fp.k1, fp.k2)
     grads = _chain_rule(fp, partials)
     raw, normed = _class_defects(fp, partials, grads)
@@ -165,16 +172,14 @@ def defect_report(fp: FramePoint,
     wd = w_defect(fp)
     md = moulding_defect(fp, tol)
     flags = flags_from_defects(wd, normed, md, canal1, canal2, tol)
+    status = jt.pick(canal1, jt.pick(canal2, "canal12", "canal1"),
+                     jt.pick(canal2, "canal2",
+                             jt.pick(flags["moulding"], "moulding", "ok")))
+    excluded = jt.pick(status == "moulding", ("prop5a", "prop5b", "prop6"),
+                       ())
     res: Dict[str, PropositionResidual] = {}
-    excluded: Tuple[str, ...] = ()
-    if canal1 or canal2:
-        status = "canal12" if canal1 and canal2 else (
-            "canal1" if canal1 else "canal2")
-    else:
-        status = "moulding" if flags["moulding"] else "ok"
+    if isinstance(status, np.ndarray) or status in ("ok", "moulding"):
         res = prop_residuals(fp, grads, tol)
-        if flags["moulding"]:
-            excluded = ("prop5a", "prop5b", "prop6")
     return DefectReport(status=status, w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
@@ -215,7 +220,8 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
         net = net_asymptotic_pullback(fp, sheet, tol)
         nm = net_norm(net)
         res[p3a] = _res(net.a + net.c, g_diff[i], nm)
-        res[p3b] = _res(k2 * net.a + k1 * net.c, k2 ** 2 * g_ratio[i], nm)
+        res[p3b] = _res(k2 * net.a + k1 * net.c,
+                        jt.power(k2, 2) * g_ratio[i], nm)
         sph = spherical_image(net, fp)
         res[p4] = _res(sph.a + sph.c, -g_rdiff[i], net_norm(sph))
         # Curvature-line net: orthogonality <-> q_i d_i(k1 + k2), conjugacy

@@ -39,7 +39,8 @@ from .errors import JetDomainError, JetOrderError
 
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
-    "jet_variables", "where", "finite", "Elementary", "ELEMENTARY",
+    "jet_variables", "where", "finite", "power", "hypot", "pick", "largest",
+    "smallest", "Elementary", "ELEMENTARY",
     "JET_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
@@ -125,9 +126,10 @@ class Jet4:
 
     @property
     def value(self):
-        """The value: a float at S = (), else an array of shape S."""
+        """The value: a float at S = (), else an array of shape S (a copy,
+        which does not keep the jet's coefficients alive)."""
         c = self.c
-        return float(c[0]) if c.ndim == 1 else c[0]
+        return float(c[0]) if c.ndim == 1 else c[0].copy()
 
     def extract(self, i: int, j: int):
         """Return d^{i+j} f / du^i dv^j (factorials restored)."""
@@ -418,6 +420,58 @@ def finite(values):
         ok = ok & (np.isfinite(x.c).all(axis=0) if isinstance(x, Jet4)
                    else math.isfinite(x))
     return ok
+
+
+# -- values at either shape ----------------------------------------------
+# A formula on point values (floats at S = (), arrays of shape S) is written
+# once.  Arithmetic and abs give the same bits at both shapes; these helpers
+# give Python's bits in a batch too, and turn an `if` into a mask.  A float
+# is tested first, which is the cheap test and the one a point passes.
+
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+
+
+def power(x, n):
+    """x ** n; in a batch `np.float_power`, the libm pow that Python calls
+    (array ``**`` multiplies instead, and can differ in the last bit)."""
+    return x ** n if isinstance(x, float) else np.float_power(x, n)
+
+
+def hypot(a, b):
+    """math.hypot, point by point in a batch (np.hypot rounds otherwise)."""
+    if isinstance(a, float) and isinstance(b, float):
+        return math.hypot(a, b)
+    return np.asarray(_HYPOT(a, b), dtype=float)
+
+
+def pick(mask, a, b):
+    """`a` if `mask` holds, else `b`: by `if` at S = (), by `np.where` in a
+    batch, where a tuple choice is one object per point."""
+    if isinstance(mask, bool) or not isinstance(mask, np.ndarray):
+        return a if mask else b
+    return np.where(mask, *map(_choice, (a, b)))
+
+
+def _choice(x):
+    if not isinstance(x, tuple):
+        return x
+    box = np.empty((), dtype=object)
+    box[()] = x
+    return box
+
+
+def largest(a, b):
+    """max(a, b), point by point in a batch: `a` unless `b` is greater."""
+    if isinstance(a, float) and isinstance(b, float):
+        return b if b > a else a
+    return np.where(b > a, b, a)
+
+
+def smallest(a, b):
+    """min(a, b), point by point in a batch: `a` unless `b` is less."""
+    if isinstance(a, float) and isinstance(b, float):
+        return b if b < a else a
+    return np.where(b < a, b, a)
 
 
 def jet_variables(u, v):

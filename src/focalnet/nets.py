@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import jet as jt
 from .central import check_canal, own_curvature
 from .errors import DegenerateNetError, ImaginaryNetError
 from .frames import FramePoint
@@ -50,7 +51,8 @@ class NetForm:
 
 
 def net_norm(net: NetForm) -> float:
-    return max(abs(net.a), abs(net.b), abs(net.c)) + _NORM_FLOOR
+    return (jt.largest(jt.largest(abs(net.a), abs(net.b)), abs(net.c))
+            + _NORM_FLOOR)
 
 
 def net_asymptotic_pullback(fp: FramePoint, sheet: int,
@@ -70,7 +72,7 @@ def net_curvature_pullback(fp: FramePoint, sheet: int,
     check_canal(fp, sheet, tol)
     k, (d1, d2), _ = own_curvature(fp, sheet)
     k1, k2, q1, q2 = fp.k1, fp.k2, fp.q1, fp.q2
-    two_b = k ** 2 * (k1 - k2) + q2 * d1 + q1 * d2
+    two_b = jt.power(k, 2) * (k1 - k2) + q2 * d1 + q1 * d2
     return NetForm(q1 * d1, 0.5 * two_b, q2 * d2, ("17", "18")[sheet - 1])
 
 
@@ -85,7 +87,8 @@ def spherical_image(net: NetForm, fp: FramePoint) -> NetForm:
     (A, B, C) into (A/k1^2, B/(k1 k2), C/k2^2) in the coframe (w31, w32),
     orthonormal on the unit sphere."""
     k1, k2 = fp.k1, fp.k2
-    return NetForm(net.a / k1 ** 2, net.b / (k1 * k2), net.c / k2 ** 2,
+    return NetForm(net.a / jt.power(k1, 2), net.b / (k1 * k2),
+                   net.c / jt.power(k2, 2),
                    _SPH_LABEL.get(net.label) or f"sph({net.label})")
 
 

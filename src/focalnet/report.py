@@ -19,12 +19,12 @@ one line; ``python -m json.tool`` indents it for reading.  The CSV is
 ``csv.writer``'s.  Both write every float as its ``repr`` (shortest
 round-trip form), so identical inputs produce byte-identical files.
 
-`grid_report` takes the frames of its whole grid from one batched
-`frames.frame_points` call; `point_record` evaluates its one point alone.
-Both build each record with the same function, which reads a failed
-frame's `status` alike from the class a batch gives and the exception a
-single point raises, so a grid record equals the `point_record` of its
-point byte for byte.
+`grid_report` evaluates and classifies its whole grid as one batch
+(`frames.frame_batch`, then `classify.defect_report` on arrays);
+`point_record` runs the same code on one point's floats.  Both build their
+records with `_records`, from columns, and a failed frame's `status` comes
+alike from the class a batch gives and the exception a point raises, so a
+grid record equals the `point_record` of its point byte for byte.
 """
 from __future__ import annotations
 
@@ -32,13 +32,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Dict, List
 
 import numpy as np
 
-from .classify import CLASS_NAMES, defect_report
+from .classify import CLASS_NAMES, DefectReport, defect_report
 from .errors import FRAME_ERRORS
-from .frames import FramePoint, frame_point, frame_points
+from .frames import frame_batch, frame_point
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -71,39 +72,63 @@ def _empty_record(u: float, v: float, status: str) -> dict:
 def point_record(prog, u: float, v: float,
                  tol: ToleranceSet = DEFAULT_TOLERANCES) -> dict:
     """Evaluate one parameter point into a JSON-ready record."""
+    u, v = float(u), float(v)
     try:
-        fp = frame_point(prog, float(u), float(v), tol)
+        fp = frame_point(prog, u, v, tol)
     except FRAME_ERRORS as exc:
-        return _record(u, v, exc, tol)
-    return _record(u, v, fp, tol)
+        return _empty_record(u, v, exc.status)
+    return _records([(u, v)], [None], fp, defect_report(fp, tol))[0]
 
 
-def _record(u: float, v: float, fp, tol: ToleranceSet) -> dict:
-    """The record of a point from its frame point, or from the
-    `FRAME_ERRORS` class or instance its frame evaluation failed with."""
-    if not isinstance(fp, FramePoint):
-        return _empty_record(u, v, fp.status)
-    rep = defect_report(fp, tol)
-    rec = _empty_record(u, v, rep.status)
-    rec.update({
-        "k1": fp.k1, "k2": fp.k2,
-        "h": 0.5 * (fp.k1 + fp.k2), "k": fp.k1 * fp.k2,
-        "q1": fp.q1, "q2": fp.q2,
-        "flags": rep.flags,
-        "defects": {
-            "w": rep.w_defect, "moulding": rep.moulding_defect,
-            "class": rep.class_defects,
-            "class_normalized": rep.class_defects_normalized,
-        },
-    })
-    if rep.status in USABLE:
-        rec["prop_residuals"] = {
-            key: {"lhs_defect": r.lhs_defect, "rhs_defect": r.rhs_defect,
-                  "identity_residual": r.identity_residual}
-            for key, r in sorted(rep.prop_residuals.items())
-        }
-        rec["excluded"] = list(rep.excluded)
-    return rec
+def _records(pts, failed, fp, rep: DefectReport) -> List[dict]:
+    """The records at `pts` from their frame point `fp` (floats at one
+    point, arrays for a batch) and its `defect_report`, built from columns;
+    failed[i] is None or the class point i's frame evaluation failed with."""
+    batch = isinstance(fp.k1, np.ndarray)
+
+    def column(x) -> list:
+        return x.tolist() if batch else [x]
+
+    def per_point(d: dict) -> list:
+        if not batch:
+            return [d]
+        return [dict(zip(d, vals)) for vals in zip(*map(column, d.values()))]
+
+    keys, nums = sorted(rep.prop_residuals), []
+    for key in keys:
+        r = rep.prop_residuals[key]
+        nums += (r.lhs_defect, r.rhs_defect, r.identity_residual)
+    records = []
+    for ((u, v), kind, status, excluded, k1, k2, q1, q2, w, md, flags, raw,
+         normed, row) in zip(
+            pts, failed, column(rep.status), column(rep.excluded),
+            *map(column, (fp.k1, fp.k2, fp.q1, fp.q2, rep.w_defect,
+                          rep.moulding_defect)),
+            per_point(rep.flags), per_point(rep.class_defects),
+            per_point(rep.class_defects_normalized),
+            zip(*map(column, nums)) if batch and nums else repeat(nums)):
+        if kind:
+            records.append(_empty_record(u, v, kind.status))
+            continue
+        usable = status in USABLE
+        records.append({
+            "u": u, "v": v, "status": status, "k1": k1, "k2": k2,
+            "h": 0.5 * (k1 + k2), "k": k1 * k2, "q1": q1, "q2": q2,
+            "flags": flags,
+            "defects": {"w": w, "moulding": md, "class": raw,
+                        "class_normalized": normed},
+            "prop_residuals": _residuals(keys, row) if usable else None,
+            "excluded": list(excluded) if usable else None,
+        })
+    return records
+
+
+def _residuals(keys, row) -> dict:
+    """A record's residual entries from its three numbers per key."""
+    nums = iter(row)
+    return {key: {"lhs_defect": lhs, "rhs_defect": rhs,
+                  "identity_residual": res}
+            for key, lhs, rhs, res in zip(keys, nums, nums, nums)}
 
 
 def grid_points(prog, nu: int, nv: int):
@@ -118,36 +143,37 @@ def summarize(records: List[dict]) -> dict:
     """Aggregate a record list: status counts plus max/mean of each defect
     and identity residual over the non-degenerate (ok/moulding) records.
     Deterministic; recomputable from the records alone."""
-    counts = {s: 0 for s in STATUSES}
-    for rec in records:
-        counts[rec["status"]] += 1
-
     live = [r for r in records if r["status"] in USABLE]
+    defects = [r["defects"] for r in live]
+    return _summary(
+        [r["status"] for r in records], [d["w"] for d in defects],
+        [d["moulding"] for d in defects],
+        {n: [d["class"][n] for d in defects] for n in CLASS_NAMES},
+        {n: [d["class_normalized"][n] for d in defects] for n in CLASS_NAMES},
+        {key: [r["prop_residuals"][key]["identity_residual"] for r in live]
+         for key in (sorted(live[0]["prop_residuals"]) if live else [])})
 
-    def _agg(values: List[float]) -> dict:
+
+def _summary(statuses: List[str], w: list, moulding: list, raw: dict,
+             normed: dict, identity: dict) -> dict:
+    """`summarize` from the statuses of all records and, per aggregate, its
+    values over the usable ones in record order.  Python's max and
+    left-to-right sum: np.sum adds pairwise, and would move the bits."""
+    def agg(values: list) -> dict:
         if not values:
             return {"max": None, "mean": None}
         return {"max": max(values), "mean": sum(values) / len(values)}
 
-    defects: Dict[str, dict] = {
-        "w_abs": _agg([abs(r["defects"]["w"]) for r in live]),
-        "moulding": _agg([r["defects"]["moulding"] for r in live]),
-    }
+    counts = {s: 0 for s in STATUSES}
+    for status in statuses:
+        counts[status] += 1
+    defects = {"w_abs": agg([abs(x) for x in w]), "moulding": agg(moulding)}
     for n in CLASS_NAMES:
-        defects["class_" + n] = _agg(
-            [r["defects"]["class"][n] for r in live])
-        defects["class_normalized_" + n] = _agg(
-            [r["defects"]["class_normalized"][n] for r in live])
-
-    prop_keys = sorted(live[0]["prop_residuals"]) if live else []
-    identity = {
-        key: _agg([r["prop_residuals"][key]["identity_residual"]
-                   for r in live])
-        for key in prop_keys
-    }
+        defects["class_" + n] = agg(raw[n])
+        defects["class_normalized_" + n] = agg(normed[n])
     return {"status_counts": counts, "defects": defects,
-            "identity_residuals": identity,
-            "n_records": len(records), "n_summarized": len(live)}
+            "identity_residuals": {k: agg(v) for k, v in identity.items()},
+            "n_records": len(statuses), "n_summarized": len(w)}
 
 
 @dataclass
@@ -180,12 +206,37 @@ class GridReport:
 
 def grid_report(prog, nu: int, nv: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> GridReport:
+    """The report of the nu x nv grid, classified as one batch: records and
+    summary come from the columns of `defect_report` over the grid's
+    `frames.frame_batch`."""
     pts = grid_points(prog, nu, nv)
-    fps = frame_points(prog, [u for u, _ in pts], [v for _, v in pts], tol)
-    records = [_record(u, v, fp, tol) for (u, v), fp in zip(pts, fps)]
+    fp, failed = frame_batch(prog, [u for u, _ in pts], [v for _, v in pts],
+                             tol)
+    if fp is None:
+        records = [_empty_record(u, v, kind.status)
+                   for (u, v), kind in zip(pts, failed)]
+        summary = summarize(records)
+    else:
+        with np.errstate(all="ignore"):
+            rep = defect_report(fp, tol)
+        statuses = [kind.status if kind else status
+                    for kind, status in zip(failed, rep.status.tolist())]
+        live = np.isin(statuses, USABLE)
+
+        def col(values) -> list:
+            return values[live].tolist()
+
+        summary = _summary(
+            statuses, col(rep.w_defect), col(rep.moulding_defect),
+            {n: col(a) for n, a in rep.class_defects.items()},
+            {n: col(a) for n, a in rep.class_defects_normalized.items()},
+            {k: col(r.identity_residual)
+             for k, r in sorted(rep.prop_residuals.items())}
+            if live.any() else {})
+        records = _records(pts, failed, fp, rep)
     return GridReport(surface=prog.definition.name,
                       params=dict(prog.params), nu=nu, nv=nv,
-                      records=records, summary=summarize(records))
+                      records=records, summary=summary)
 
 
 def emit_json(report: GridReport) -> str:

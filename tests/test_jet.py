@@ -224,3 +224,21 @@ def test_series_overflow_is_a_domain_error():
         assert np.isnan(out.c[:, 0]).all()
         one = fn(jt.Jet4.variable(0.5, 0))
         assert out.c[:, 1].tobytes() == one.c.tobytes()
+
+
+def test_value_helpers_give_python_bits_on_arrays(rng):
+    """power, hypot, largest/smallest and pick give, point by point on
+    arrays, exactly what they give on the point's floats."""
+    x = rng.standard_normal(4000) * np.exp(rng.uniform(-20, 20, 4000))
+    y = rng.standard_normal(4000)
+    xs, ys = x.tolist(), y.tolist()
+    for n in (2, 3):
+        assert jt.power(x, n).tolist() == [jt.power(a, n) for a in xs]
+    assert jt.hypot(x, y).tolist() == [jt.hypot(a, b) for a, b in zip(xs, ys)]
+    for f, py in ((jt.largest, max), (jt.smallest, min)):
+        got = f(abs(x), abs(y))
+        assert got.dtype == float
+        assert got.tolist() == [py(abs(a), abs(b)) for a, b in zip(xs, ys)]
+    got = jt.pick(x > y, ("a", "b"), jt.pick(y > 0, "c", ())).tolist()
+    assert got == [("a", "b") if a > b else ("c" if b > 0 else ())
+                   for a, b in zip(xs, ys)]

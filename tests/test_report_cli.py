@@ -7,6 +7,7 @@ import os
 import pytest
 
 from focalnet import cli, gallery_names
+from focalnet.checks import SWEPT_SRC
 from focalnet.errors import FRAME_ERRORS, FocalnetError
 from focalnet.frames import frame_point, frame_points
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
@@ -92,26 +93,41 @@ def test_grid_statuses_on_special_surfaces(prog, tol):
 
 
 def test_point_record_matches_grid(prog, graph_source, tol):
-    """grid_report evaluates its grid in one batched pass.  On 8 x 8 grids
-    of every gallery surface, of two graphs undefined on part of the box,
-    of two undefined everywhere (the whole evaluation fails) and of one
-    that uses the elementary functions the gallery does not, each record
-    serialises byte for byte as point_record's at that point, and each
-    frame_points entry is frame_point's result with the same floats, or
-    the class of the exception frame_point raises there."""
-    programs = [prog(name) for name in gallery_names()]
-    programs += [compile_surface(parse_surface(graph_source(z)))
-                 for z in ("ln(u) + v^2", "1 / u + v^2",
-                           "ln(0 - 1) + u", "u / 0",
-                           "exp(u) * sinh(v) + cosh(u * v) / sqrt(2 + u)"
-                           " + (1.5 + v) ^ 1.5 + 2 ^ u")]
-    for program in programs:
-        pts = grid_points(program, 8, 8)
-        records = grid_report(program, 8, 8, tol).records
+    """grid_report evaluates and classifies its grid as one batch.  On 8 x 8
+    grids of every gallery surface, of two graphs undefined on part of the
+    box, of two undefined everywhere (the whole evaluation fails), of one
+    that uses the elementary functions the gallery does not, and on grids
+    whose batches take every status branch (all canal1, all canal2, all
+    moulding, and ok next to canal12), each record serialises byte for
+    byte as point_record's at that point, the summary is summarize's of
+    the records, and each frame_points entry is frame_point's result with
+    the same floats, or the class of the exception frame_point raises
+    there."""
+    def graph(z):
+        return compile_surface(parse_surface(graph_source(z)))
+
+    grids = [(prog(name), 8, 8, None) for name in gallery_names()]
+    grids += [(graph(z), 8, 8, None)
+              for z in ("ln(u) + v^2", "1 / u + v^2", "ln(0 - 1) + u",
+                        "u / 0",
+                        "exp(u) * sinh(v) + cosh(u * v) / sqrt(2 + u)"
+                        " + (1.5 + v) ^ 1.5 + 2 ^ u")]
+    grids += [(graph("u^2 + v^2"), 8, 8, {"canal1": 64}),
+              (graph("0 - (u^2 + v^2)"), 8, 8, {"canal2": 64}),
+              (compile_surface(parse_surface(SWEPT_SRC)), 8, 8,
+               {"moulding": 64}),
+              (prog("helicoid"), 4, 5, {"ok": 16, "canal12": 4})]
+    for program, nu, nv, counts in grids:
+        pts = grid_points(program, nu, nv)
+        rep = grid_report(program, nu, nv, tol)
+        assert rep.summary == summarize(rep.records)
+        if counts is not None:
+            assert {status: n for status, n
+                    in rep.summary["status_counts"].items() if n} == counts
         batch = frame_points(program, [u for u, _ in pts],
                              [v for _, v in pts], tol)
-        assert len(records) == len(batch) == 64
-        for (u, v), rec, got in zip(pts, records, batch):
+        assert len(rep.records) == len(batch) == nu * nv
+        for (u, v), rec, got in zip(pts, rep.records, batch):
             assert (json.dumps(rec, sort_keys=True)
                     == json.dumps(point_record(program, u, v, tol),
                                   sort_keys=True))
@@ -125,8 +141,10 @@ def test_point_record_matches_grid(prog, graph_source, tol):
 
 def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
                                                    monkeypatch):
-    """A degenerate point of a batch is its exception's class: on umbilic,
-    parabolic and partly undefined grids no library exception is built."""
+    """A degenerate point of a batch is its exception's class and a canal
+    point its status: on umbilic, parabolic and partly undefined grids
+    `frame_points`, and on canal12, canal1 and umbilic grids `grid_report`,
+    build no library exception (no CanalDegenerate either)."""
     built = []
     init = FocalnetError.__init__
     monkeypatch.setattr(FocalnetError, "__init__",
@@ -138,6 +156,13 @@ def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
         batch = frame_points(program, [u for u, _ in pts],
                              [v for _, v in pts], tol)
         assert all(isinstance(fp, type) for fp in batch[:8]), program.name
+    for program, status in (
+            (prog("torus"), "canal12"),
+            (compile_surface(parse_surface(graph_source("u^2 + v^2"))),
+             "canal1"),
+            (prog("sphere"), "umbilic")):
+        counts = grid_report(program, 8, 8, tol).summary["status_counts"]
+        assert counts[status] == 64, program.name
     assert built == []
 
 

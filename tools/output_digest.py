@@ -1,6 +1,6 @@
 """Print sha256 digests of focalnet's emitted outputs over a fixed corpus.
 
-Three digests, one per line:
+Four digests, one per line:
 
 - json: ``emit_json`` of ``grid_report`` 25x25 for each of the ten surfaces
   in ``GRID_SURFACES``, in that order (a fixed list, so the digest stays
@@ -8,10 +8,14 @@ Three digests, one per line:
 - csv: ``emit_csv`` of the same ten reports, in the same order;
 - mesh: the name and then the bytes of every file ``export_obj`` writes
   (sorted by name) for a 20x20 grid with both focal sheets and nets
-  13/14/17/18 on graph_generic, dini, graph_quad and torus.
+  13/14/17/18 on graph_generic, dini, graph_quad and torus;
+- point: ``json.dumps(point_record(...), sort_keys=True)`` at the 5x5
+  interior points of a 7x7 sampling of the domain box of each surface in
+  ``GRID_SURFACES``, u-major (the set meets umbilic, parabolic and canal
+  points: sphere, plane and torus).
 
 A change that claims to leave the library's outputs unchanged should print
-the same three digests before and after; one that changes only the JSON
+the same four digests before and after; one that changes only the JSON
 layout should move the json line alone.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/output_digest.py
@@ -19,11 +23,14 @@ layout should move the json line alone.  Run from the repository root:
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import tempfile
 
+import numpy as np
+
 from focalnet import (compile_surface, emit_csv, emit_json, export_obj,
-                      gallery, grid_report)
+                      gallery, grid_report, point_record)
 
 GRID_SURFACES = ("plane", "sphere", "graph_quad", "graph_generic",
                  "monkey_saddle", "helicoid", "torus", "enneper", "scherk",
@@ -55,8 +62,23 @@ def mesh_digest() -> str:
     return h.hexdigest()
 
 
+def point_digest() -> str:
+    h = hashlib.sha256()
+    for name in GRID_SURFACES:
+        prog = compile_surface(gallery(name))
+        box = prog.definition.domain
+        us = np.linspace(box.u_min, box.u_max, 7)[1:-1].tolist()
+        vs = np.linspace(box.v_min, box.v_max, 7)[1:-1].tolist()
+        for u in us:
+            for v in vs:
+                rec = point_record(prog, u, v)
+                h.update(json.dumps(rec, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     json_digest, csv_digest = grid_digests()
     print(f"json {json_digest}")
     print(f"csv {csv_digest}")
     print(f"mesh {mesh_digest()}")
+    print(f"point {point_digest()}")
