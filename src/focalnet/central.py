@@ -20,8 +20,8 @@ When that derivative vanishes the sheet degenerates toward a curve (canal
 case) and computation is refused rather than returning huge values.
 `is_canal` decides that; every sheet entry point goes through it by way of
 `check_canal`.  That raises at a point only: these formulas also run on
-a batch `FramePoint` of arrays (`classify.defect_report`), which marks its
-canal points in their status instead.
+a batch `FramePoint` of arrays, whose canal points `classify.defect_report`
+marks in their status and `mesh.export_obj` drops by `is_canal`'s mask.
 """
 from __future__ import annotations
 

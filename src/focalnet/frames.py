@@ -19,10 +19,10 @@ by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 
 `frame_batch` evaluates many points in one pass, on jets with a batch axis
 (see `jet`), through the same `principal_data` and `frame_point_from_pd`
-as `frame_point`.  It returns one FramePoint of arrays, which the classify
-formulas read as it is (`report.grid_report`), and per point the class of
-the exception `frame_point` would raise there.  `frame_points` splits it
-into each point's FramePoint, without its jets, or that class.
+as `frame_point`.  It returns one FramePoint of arrays, which the classify,
+focal-sheet and net formulas read as it is (`report.grid_report`,
+`mesh.export_obj`), and per point the class of the exception `frame_point`
+would raise there.
 """
 from __future__ import annotations
 
@@ -33,12 +33,13 @@ import numpy as np
 
 from . import jet as jt
 from .errors import JetDomainError
-from .geometry import PrincipalData, eval_surface, principal_data, vdot
+from .geometry import (PrincipalData, SurfaceJet, eval_surface,
+                       principal_data, vdot)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "FramePoint", "frame_point", "frame_batch", "frame_points",
-    "frame_point_from_pd", "pfaffian",
+    "FramePoint", "frame_point", "frame_batch", "frame_point_from_pd",
+    "pfaffian",
     "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
     "gauss_scale", "commutator_residual",
 ]
@@ -58,8 +59,8 @@ def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
 @dataclass
 class FramePoint:
     """Everything the focal-sheet and net layers need at one surface point,
-    as floats; `pd` is the only jet data it holds, and those of
-    `frame_batch` and `frame_points` hold none (`pd` is None).
+    as floats; `pd` is the only jet data it holds, and that of
+    `frame_batch` holds none (`pd` is None).
 
     d2_q1 and d1_q2 are nabla_2 q1 and nabla_1 q2, the derivatives the
     Gauss equation reads.  x is the position and e1, e2, e3 the frame
@@ -117,7 +118,7 @@ def frame_point_from_pd(pd: PrincipalData,
 def frame_point(prog, u: float, v: float,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
     """The frame point at (u, v); a degenerate point raises one of
-    `errors.FRAME_ERRORS`.  The code `frame_points` runs, at S = ()."""
+    `errors.FRAME_ERRORS`.  The code `frame_batch` runs, at S = ()."""
     sj = eval_surface(prog, u, v)
     return frame_point_from_pd(principal_data(sj, tol), tol)
 
@@ -127,37 +128,20 @@ def frame_batch(prog, us: Sequence[float], vs: Sequence[float],
     """(fp, failed) at the points (us[i], vs[i]), in one pass: fp is a
     FramePoint of arrays of shape (N,), without `pd`, and failed[i] is None
     or the class of the exception `frame_point` raises at point i (whose
-    columns are meaningless).  fp is None without points, or when the whole
-    evaluation fails (JetDomainError at every point)."""
-    if len(us) == 0:
-        return None, []
+    columns are meaningless).  When the whole evaluation fails, every
+    column is non-finite and so every point JetDomainError."""
+    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     # Failed points run through to the end on meaningless columns.
     with np.errstate(all="ignore"):
         try:
             sj = eval_surface(prog, us, vs)
         except JetDomainError:
-            return None, [JetDomainError] * len(us)
+            sj = SurfaceJet(us, vs, *(jt.Jet4.const(np.full(us.shape, np.nan))
+                                      for _ in range(3)))
         pd = principal_data(sj, tol)
         fp = frame_point_from_pd(pd, tol)
     fp.pd = None
     return fp, pd.failed.tolist()
-
-
-def frame_points(prog, us: Sequence[float], vs: Sequence[float],
-                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> list:
-    """Each point's entry of `frame_batch`: the FramePoint that
-    `frame_point` returns there (without `pd`), or the class of the
-    exception it raises."""
-    fp, failed = frame_batch(prog, us, vs, tol)
-    if fp is None:
-        return failed
-    cols = [fp.u, fp.v, fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1,
-            *fp.grad_k2, fp.d2_q1, fp.d1_q2, *fp.x, *fp.e1, *fp.e2, *fp.e3]
-    return [kind or FramePoint(
-        u=c[0], v=c[1], pd=None, k1=c[2], k2=c[3], q1=c[4], q2=c[5],
-        grad_k1=c[6:8], grad_k2=c[8:10], d2_q1=c[10], d1_q2=c[11],
-        x=c[12:15], e1=c[15:18], e2=c[18:21], e3=c[21:24])
-        for kind, c in zip(failed, zip(*(a.tolist() for a in cols)))]
 
 
 def check_codazzi(fp: FramePoint) -> Tuple[float, float]:

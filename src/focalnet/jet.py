@@ -224,12 +224,14 @@ class Jet4:
 def _convolve_batch(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     """Truncated product of two coefficient arrays with a batch axis: one
     bincount over the bins slot * n + column, so every column sums its
-    terms in the order of the one-point product."""
+    terms in the order of the one-point product.  Without points bincount
+    returns integers, hence the cast."""
     ka, kb, out = _PAIRS[order]
     n = a[0].size
     terms = a.reshape(N_COEFFS, n)[ka] * b.reshape(N_COEFFS, n)[kb]
     bins = (out[:, None] * n + np.arange(n)).ravel()
-    return np.bincount(bins, terms.ravel(), N_COEFFS * n).reshape(a.shape)
+    return np.bincount(bins, terms.ravel(), N_COEFFS * n).astype(
+        float, copy=False).reshape(a.shape)
 
 
 def _add_scalar(c: np.ndarray, s) -> np.ndarray:

@@ -11,9 +11,12 @@ sidecar ``manifest.json`` records what was written and why anything is
 absent.  Output is byte-deterministic for identical inputs.
 
 Surface vertices come from `SurfaceProgram.position`.  The frames behind
-the focal sheets and net segments come from one batched
-`frames.frame_points` call over the grid; focal positions and segments are
-built from their float position and frame vectors, not from jets.
+the focal sheets and net segments come from one `frames.frame_batch` call
+over the grid, and each sheet and net is computed once on its arrays:
+`central.is_canal` masks the canal points of a sheet, `central_point`
+gives all its positions and a net builder all its coefficients, so no
+exception is built for a canal point.  Only `nets.net_directions` solves
+point by point, on each point's floats.
 """
 from __future__ import annotations
 
@@ -23,11 +26,10 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .central import central_point
-from .errors import (CanalDegenerate, DegenerateNetError, ImaginaryNetError,
-                     JetDomainError)
-from .frames import FramePoint, frame_points
-from .nets import NETS, net_directions
+from .central import central_point, is_canal
+from .errors import DegenerateNetError, ImaginaryNetError, JetDomainError
+from .frames import frame_batch
+from .nets import NETS, NetForm, net_directions
 from .report import grid_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -52,21 +54,21 @@ def _obj_text(vertices: List[np.ndarray], faces: Iterable[Tuple[int, ...]],
     return "".join(parts)
 
 
-def _grid_mesh(points: Dict[Tuple[int, int], np.ndarray], nu: int, nv: int):
-    """Collect present vertices in (iu, iv) order and triangulate the cells
-    whose four corners are all present."""
-    vid: Dict[Tuple[int, int], int] = {}
-    verts: List[np.ndarray] = []
-    for iu in range(nu):
-        for iv in range(nv):
-            p = points.get((iu, iv))
-            if p is not None:
-                vid[(iu, iv)] = len(verts) + 1
-                verts.append(p)
+def _grid_mesh(points: list, nu: int, nv: int):
+    """Collect the present vertices (points[iu * nv + iv] is not None) in
+    grid order and triangulate the cells whose four corners are all
+    present."""
+    vid: Dict[int, int] = {}
+    verts = []
+    for i, p in enumerate(points):
+        if p is not None:
+            vid[i] = len(verts) + 1
+            verts.append(p)
     faces: List[Tuple[int, int, int]] = []
     for iu in range(nu - 1):
         for iv in range(nv - 1):
-            corners = ((iu, iv), (iu + 1, iv), (iu + 1, iv + 1), (iu, iv + 1))
+            i = iu * nv + iv
+            corners = (i, i + nv, i + nv + 1, i + 1)
             if all(c in vid for c in corners):
                 a, b, c, d = (vid[c] for c in corners)
                 faces.append((a, b, c))
@@ -91,18 +93,17 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
                              f"(expected one of {', '.join(NET_LABELS)})")
 
     pts = grid_points(prog, nu, nv)
-    index = [(iu, iv) for iu in range(nu) for iv in range(nv)]
-
-    positions: Dict[Tuple[int, int], np.ndarray] = {}
-    frames: Dict[Tuple[int, int], FramePoint] = {}
-    batch = frame_points(prog, [u for u, _ in pts], [v for _, v in pts], tol)
-    for key, (u, v), fp in zip(index, pts, batch):
+    positions: List[Optional[np.ndarray]] = []
+    for u, v in pts:
         try:
-            positions[key] = prog.position(u, v)
+            positions.append(prog.position(u, v))
         except JetDomainError:
-            continue
-        if isinstance(fp, FramePoint):
-            frames[key] = fp
+            positions.append(None)
+    fp, failed = frame_batch(prog, [u for u, _ in pts], [v for _, v in pts],
+                             tol)
+    # the points with a position and a frame
+    framed = np.array([kind is None and p is not None
+                       for kind, p in zip(failed, positions)], dtype=bool)
 
     os.makedirs(out_dir, exist_ok=True)
     objects: Dict[str, dict] = {}
@@ -126,47 +127,51 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     diags = []
     for iu in range(nu - 1):
         for iv in range(nv - 1):
-            a, b = positions.get((iu, iv)), positions.get((iu + 1, iv + 1))
+            i = iu * nv + iv
+            a, b = positions[i], positions[i + nv + 1]
             if a is not None and b is not None:
                 diags.append(float(np.linalg.norm(b - a)))
     seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
 
-    for sheet in central:
-        cpts: Dict[Tuple[int, int], np.ndarray] = {}
-        for key, fp in frames.items():
-            try:
-                cpts[key] = central_point(fp, sheet=sheet, tol=tol).y
-            except CanalDegenerate:
-                continue
-        verts, faces = _grid_mesh(cpts, nu, nv)
-        text = _obj_text(verts, faces, ()) if verts else None
-        _write(f"central{sheet}", text,
-               {"vertices": len(verts), "faces": len(faces)})
+    # Each sheet and net is computed once over the batch and then masked:
+    # the points without a frame and the sheet's canal points are dropped.
+    with np.errstate(all="ignore"):
+        usable = {sheet: (framed & ~is_canal(fp, sheet, tol)).tolist()
+                  for sheet in {*central, *(NETS[n][1] for n in nets)}}
 
-    for label in nets:
-        builder, sheet = NETS[label]
-        verts: List[np.ndarray] = []
-        segments: List[Tuple[int, int]] = []
-        for key in index:
-            fp = frames.get(key)
-            if fp is None:
-                continue
-            try:
-                net = builder(fp, sheet, tol)
-                dirs = net_directions(net)
-            except (CanalDegenerate, ImaginaryNetError, DegenerateNetError):
-                continue
-            p = positions[key]
-            e1 = np.array(fp.e1, dtype=float)
-            e2 = np.array(fp.e2, dtype=float)
-            for c1, c2 in dirs:
-                d = c1 * e1 + c2 * e2
-                half = 0.5 * seg_len * d
-                verts.append(p - half)
-                verts.append(p + half)
-                segments.append((len(verts) - 1, len(verts)))
-        text = _obj_text(verts, (), segments) if verts else None
-        _write(f"net{label}", text, {"segments": len(segments)})
+        for sheet in central:
+            ys = central_point(fp, sheet, tol).y.T.tolist()
+            verts, faces = _grid_mesh(
+                [y if ok else None for y, ok in zip(ys, usable[sheet])],
+                nu, nv)
+            text = _obj_text(verts, faces, ()) if verts else None
+            _write(f"central{sheet}", text,
+                   {"vertices": len(verts), "faces": len(faces)})
+
+        e1s, e2s = np.array(fp.e1).T, np.array(fp.e2).T
+        for label in nets:
+            builder, sheet = NETS[label]
+            net = builder(fp, sheet, tol)
+            coeffs = zip(*(np.broadcast_to(x, framed.shape).tolist()
+                           for x in net.triple()))
+            verts: List[np.ndarray] = []
+            segments: List[Tuple[int, int]] = []
+            for ok, (a, b, c), p, e1, e2 in zip(usable[sheet], coeffs,
+                                                positions, e1s, e2s):
+                if not ok:
+                    continue
+                try:
+                    dirs = net_directions(NetForm(a, b, c, net.label))
+                except (ImaginaryNetError, DegenerateNetError):
+                    continue
+                for c1, c2 in dirs:
+                    d = c1 * e1 + c2 * e2
+                    half = 0.5 * seg_len * d
+                    verts.append(p - half)
+                    verts.append(p + half)
+                    segments.append((len(verts) - 1, len(verts)))
+            text = _obj_text(verts, (), segments) if verts else None
+            _write(f"net{label}", text, {"segments": len(segments)})
 
     manifest = {
         "schema": 1,

@@ -208,32 +208,27 @@ def grid_report(prog, nu: int, nv: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> GridReport:
     """The report of the nu x nv grid, classified as one batch: records and
     summary come from the columns of `defect_report` over the grid's
-    `frames.frame_batch`."""
+    `frames.frame_batch`, whose failed points keep their status."""
     pts = grid_points(prog, nu, nv)
     fp, failed = frame_batch(prog, [u for u, _ in pts], [v for _, v in pts],
                              tol)
-    if fp is None:
-        records = [_empty_record(u, v, kind.status)
-                   for (u, v), kind in zip(pts, failed)]
-        summary = summarize(records)
-    else:
-        with np.errstate(all="ignore"):
-            rep = defect_report(fp, tol)
-        statuses = [kind.status if kind else status
-                    for kind, status in zip(failed, rep.status.tolist())]
-        live = np.isin(statuses, USABLE)
+    with np.errstate(all="ignore"):
+        rep = defect_report(fp, tol)
+    statuses = [kind.status if kind else status
+                for kind, status in zip(failed, rep.status.tolist())]
+    live = np.isin(statuses, USABLE)
 
-        def col(values) -> list:
-            return values[live].tolist()
+    def col(values) -> list:
+        return values[live].tolist()
 
-        summary = _summary(
-            statuses, col(rep.w_defect), col(rep.moulding_defect),
-            {n: col(a) for n, a in rep.class_defects.items()},
-            {n: col(a) for n, a in rep.class_defects_normalized.items()},
-            {k: col(r.identity_residual)
-             for k, r in sorted(rep.prop_residuals.items())}
-            if live.any() else {})
-        records = _records(pts, failed, fp, rep)
+    summary = _summary(
+        statuses, col(rep.w_defect), col(rep.moulding_defect),
+        {n: col(a) for n, a in rep.class_defects.items()},
+        {n: col(a) for n, a in rep.class_defects_normalized.items()},
+        {k: col(r.identity_residual)
+         for k, r in sorted(rep.prop_residuals.items())}
+        if live.any() else {})
+    records = _records(pts, failed, fp, rep)
     return GridReport(surface=prog.definition.name,
                       params=dict(prog.params), nu=nu, nv=nv,
                       records=records, summary=summary)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from focalnet import gallery_names
 from focalnet.checks import domain_points
 from focalnet.errors import (DegenerateParametrization, ParabolicPoint,
                              UmbilicPoint)
@@ -169,3 +170,13 @@ def test_normal_orientation_consistent(prog, tol):
     n = _vec(vcross(pd.xu, pd.xv))
     n /= np.linalg.norm(n)
     assert _vec(pd.e3) == pytest.approx(n, abs=1e-12)
+
+
+def test_batch_of_no_points_gives_float_jets(prog):
+    """An empty batch is a batch like any other: every gallery surface
+    gives float position jets of shape (15, 0) (`np.bincount`, behind a
+    batch product, counts in integers when it has nothing to add)."""
+    for name in gallery_names():
+        sj = eval_surface(prog(name), [], [])
+        for jet in sj.pos:
+            assert jet.c.dtype == np.float64 and jet.c.shape == (15, 0), name

@@ -4,12 +4,16 @@ import gc
 import json
 import os
 
+import numpy as np
 import pytest
 
 from focalnet import cli, gallery_names
+from focalnet.central import central_point
 from focalnet.checks import SWEPT_SRC
-from focalnet.errors import FRAME_ERRORS, FocalnetError
-from focalnet.frames import frame_point, frame_points
+from focalnet.errors import (FRAME_ERRORS, CanalDegenerate, DegenerateNetError,
+                             FocalnetError, ImaginaryNetError)
+from focalnet.frames import frame_batch, frame_point
+from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
 from focalnet.mesh import export_obj
@@ -24,6 +28,17 @@ UNDEFINED = pytest.mark.parametrize(
 CSV_HEADER = ("u,v,status,k1,k2,h,k,q1,q2,weingarten,cmc,const_gauss,"
               "moulding,canal1,canal2,w_defect,d_diff,d_ratio,d_radii_diff,"
               "d_radii_sum,d_mean,d_gauss")
+
+
+def _floats(fp) -> list:
+    """A FramePoint's floats (arrays in a batch) in field order, with
+    gradients and vectors flattened; `pd` left out."""
+    out = []
+    for f in dataclasses.fields(fp):
+        if f.name != "pd":
+            value = getattr(fp, f.name)
+            out += value if isinstance(value, tuple) else [value]
+    return out
 
 
 def test_grid_points_order_and_bounds(prog):
@@ -100,9 +115,9 @@ def test_point_record_matches_grid(prog, graph_source, tol):
     whose batches take every status branch (all canal1, all canal2, all
     moulding, and ok next to canal12), each record serialises byte for
     byte as point_record's at that point, the summary is summarize's of
-    the records, and each frame_points entry is frame_point's result with
-    the same floats, or the class of the exception frame_point raises
-    there."""
+    the records, and each column entry of frame_batch is frame_point's
+    float at that point, or failed[i] the class of the exception
+    frame_point raises there."""
     def graph(z):
         return compile_surface(parse_surface(graph_source(z)))
 
@@ -124,27 +139,32 @@ def test_point_record_matches_grid(prog, graph_source, tol):
         if counts is not None:
             assert {status: n for status, n
                     in rep.summary["status_counts"].items() if n} == counts
-        batch = frame_points(program, [u for u, _ in pts],
-                             [v for _, v in pts], tol)
-        assert len(rep.records) == len(batch) == nu * nv
-        for (u, v), rec, got in zip(pts, rep.records, batch):
+        fp, failed = frame_batch(program, [u for u, _ in pts],
+                                 [v for _, v in pts], tol)
+        columns = [c.tolist() for c in _floats(fp)]
+        assert len(rep.records) == len(failed) == nu * nv
+        for i, ((u, v), rec) in enumerate(zip(pts, rep.records)):
             assert (json.dumps(rec, sort_keys=True)
                     == json.dumps(point_record(program, u, v, tol),
                                   sort_keys=True))
             try:
                 want = frame_point(program, u, v, tol)
             except FRAME_ERRORS as exc:
-                assert got is type(exc), (program.name, u, v)
+                assert failed[i] is type(exc), (program.name, u, v)
                 continue
-            assert repr(got) == repr(dataclasses.replace(want, pd=None))
+            assert failed[i] is None, (program.name, u, v)
+            assert (repr([c[i] for c in columns])
+                    == repr([float(x) for x in _floats(want)]))
 
 
-def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
-                                                   monkeypatch):
+def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
+                                             tol, monkeypatch):
     """A degenerate point of a batch is its exception's class and a canal
-    point its status: on umbilic, parabolic and partly undefined grids
-    `frame_points`, and on canal12, canal1 and umbilic grids `grid_report`,
-    build no library exception (no CanalDegenerate either)."""
+    point its status or a masked vertex: on umbilic, parabolic and partly
+    undefined grids `frame_batch`, on canal12, canal1 and umbilic grids
+    `grid_report`, and on the canal12 and canal1 grids `export_obj` with
+    both sheets and all four nets, build no library exception (no
+    CanalDegenerate either)."""
     built = []
     init = FocalnetError.__init__
     monkeypatch.setattr(FocalnetError, "__init__",
@@ -153,21 +173,26 @@ def test_frame_points_builds_no_exception_per_point(prog, graph_source, tol,
                 compile_surface(parse_surface(graph_source("ln(u) + v^2")))]
     for program in programs:
         pts = grid_points(program, 8, 8)
-        batch = frame_points(program, [u for u, _ in pts],
-                             [v for _, v in pts], tol)
-        assert all(isinstance(fp, type) for fp in batch[:8]), program.name
-    for program, status in (
-            (prog("torus"), "canal12"),
-            (compile_surface(parse_surface(graph_source("u^2 + v^2"))),
-             "canal1"),
-            (prog("sphere"), "umbilic")):
+        _, failed = frame_batch(program, [u for u, _ in pts],
+                                [v for _, v in pts], tol)
+        assert all(isinstance(kind, type) for kind in failed[:8]), \
+            program.name
+    canal = [(prog("torus"), "canal12"),
+             (compile_surface(parse_surface(graph_source("u^2 + v^2"))),
+              "canal1")]
+    for program, status in canal + [(prog("sphere"), "umbilic")]:
         counts = grid_report(program, 8, 8, tol).summary["status_counts"]
         assert counts[status] == 64, program.name
+    for i, (program, _) in enumerate(canal):
+        export_obj(program, 8, 8, str(tmp_path / str(i)), central=(1, 2),
+                   nets=NETS, tol=tol)
     assert built == []
 
 
-def test_frame_points_of_no_points(prog, tol):
-    assert frame_points(prog("graph_generic"), [], [], tol) == []
+def test_frame_batch_of_no_points(prog, tol):
+    fp, failed = frame_batch(prog("graph_generic"), [], [], tol)
+    assert failed == []
+    assert all(np.shape(c) == (0,) for c in _floats(fp))
 
 
 def test_point_record_leaves_no_reference_cycles(prog, tol):
@@ -223,6 +248,56 @@ def test_export_obj_generic_full(tmp_path, prog, tol):
         export_obj(prog("graph_generic"), 2, 2, str(tmp_path), nets=("99",))
     with pytest.raises(ValueError):
         export_obj(prog("graph_generic"), 2, 2, str(tmp_path), central=(3,))
+
+
+def test_export_obj_matches_point_api(tmp_path, prog, graph_source, tol):
+    """export_obj computes each sheet and net once over the grid's batch and
+    masks the canal points; what it writes is what the point API gives.
+    On 5 x 5 grids meeting canal points (torus; helicoid's axis v = 0),
+    imaginary nets (helicoid 13/14), undefined points and a whole failed
+    evaluation, each manifest count is the number of grid points where
+    frame_point and then central_point, or a net builder and
+    net_directions, return without raising, and each focal vertex is
+    central_point's position there, in grid order."""
+    programs = [prog(name) for name in ("graph_generic", "dini", "torus",
+                                        "helicoid")]
+    programs += [compile_surface(parse_surface(graph_source(z)))
+                 for z in ("ln(u) + v^2", "1 / u + v^2", "u / 0")]
+    for k, program in enumerate(programs):
+        out = tmp_path / str(k)
+        objects = export_obj(program, 5, 5, str(out), central=(1, 2),
+                             nets=NETS, tol=tol)["objects"]
+        frames = []
+        for u, v in grid_points(program, 5, 5):
+            try:
+                frames.append(frame_point(program, u, v, tol))
+            except FRAME_ERRORS:
+                pass
+        for sheet in (1, 2):
+            want = []
+            for fp in frames:
+                try:
+                    y = central_point(fp, sheet, tol).y
+                except CanalDegenerate:
+                    continue
+                want.append("v %.9g %.9g %.9g" % tuple(y))
+            assert objects[f"central{sheet}"]["vertices"] == len(want), \
+                (program.name, sheet)
+            if want:
+                text = (out / f"central{sheet}.obj").read_text()
+                assert [line for line in text.splitlines()
+                        if line.startswith("v ")] == want, program.name
+        for label in NETS:
+            builder, sheet = NETS[label]
+            segments = 0
+            for fp in frames:
+                try:
+                    segments += len(net_directions(builder(fp, sheet, tol)))
+                except (CanalDegenerate, ImaginaryNetError,
+                        DegenerateNetError):
+                    pass
+            assert objects[f"net{label}"]["segments"] == segments, \
+                (program.name, label)
 
 
 @UNDEFINED
