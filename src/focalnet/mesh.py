@@ -10,26 +10,32 @@ pruned.  A sheet or net with no computable vertices produces no file; the
 sidecar ``manifest.json`` records what was written and why anything is
 absent.  Output is byte-deterministic for identical inputs.
 
-Surface vertices come from `SurfaceProgram.position`.  The frames behind
-the focal sheets and net segments come from one `frames.frame_batch` call
-over the grid, and each sheet and net is computed once on its arrays:
-`central.is_canal` masks the canal points of a sheet, `central_point`
-gives all its positions and a net builder all its coefficients, so no
-exception is built for a canal point.  Only `nets.net_directions` solves
-point by point, on each point's floats.
+Surface vertices come from `SurfaceProgram.position`, point by point.
+`frame_batch` holds positions too, in `fp.x`, but the jet evaluator's
+floats differ from the float evaluator's in the last bit at some points
+(195, 204 and 515 of the 1600 points of 40 x 40 monkey_saddle, enneper and
+dini), and the manifest writes `segment_length` by `repr` (monkey_saddle's
+would move).  The frames behind the focal sheets and net segments come from
+one `frames.frame_batch` call over the grid, and everything after it runs
+on whole arrays: `central.is_canal` masks the canal points of a sheet,
+`central_point` gives all its positions, a net builder all its
+coefficients and `nets.net_directions` all its directions with the class of
+each point that has none, so no exception is built for a canal point or an
+imaginary net.  Faces come from a mask of the present vertices, and each
+file's text from one % format per kind of line.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
 from .central import central_point, is_canal
-from .errors import DegenerateNetError, ImaginaryNetError, JetDomainError
+from .errors import JetDomainError
 from .frames import frame_batch
-from .nets import NETS, NetForm, net_directions
+from .nets import NETS, net_directions
 from .report import grid_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -38,42 +44,31 @@ __all__ = ["export_obj", "NET_LABELS"]
 NET_LABELS = tuple(NETS)
 
 
-def _fmt(x: float) -> str:
-    return "%.9g" % x
+def _obj_text(vertices: np.ndarray, faces: np.ndarray,
+              segments: np.ndarray) -> str:
+    """Rows of (n, 3) vertices, then of 1-based (m, 3) faces and (k, 2)
+    segments (or empty ()), each kind of line by one % format."""
+    return "".join(fmt * len(rows) % tuple(np.ravel(rows).tolist())
+                   for fmt, rows in (("v %.9g %.9g %.9g\n", vertices),
+                                     ("f %d %d %d\n", faces),
+                                     ("l %d %d\n", segments)))
 
 
-def _obj_text(vertices: List[np.ndarray], faces: Iterable[Tuple[int, ...]],
-              segments: Iterable[Tuple[int, int]]) -> str:
-    parts = []
-    for p in vertices:
-        parts.append(f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}\n")
-    for f in faces:
-        parts.append("f %d %d %d\n" % f)
-    for s in segments:
-        parts.append("l %d %d\n" % s)
-    return "".join(parts)
+def _cells(nu: int, nv: int) -> np.ndarray:
+    """The corners (i, i + nv, i + nv + 1, i + 1) of each grid cell, with
+    i = iu * nv + iv, as rows in grid order."""
+    i = (np.arange(nu - 1)[:, None] * nv + np.arange(nv - 1)).ravel()
+    return np.stack([i, i + nv, i + nv + 1, i + 1], axis=1)
 
 
-def _grid_mesh(points: list, nu: int, nv: int):
-    """Collect the present vertices (points[iu * nv + iv] is not None) in
-    grid order and triangulate the cells whose four corners are all
-    present."""
-    vid: Dict[int, int] = {}
-    verts = []
-    for i, p in enumerate(points):
-        if p is not None:
-            vid[i] = len(verts) + 1
-            verts.append(p)
-    faces: List[Tuple[int, int, int]] = []
-    for iu in range(nu - 1):
-        for iv in range(nv - 1):
-            i = iu * nv + iv
-            corners = (i, i + nv, i + nv + 1, i + 1)
-            if all(c in vid for c in corners):
-                a, b, c, d = (vid[c] for c in corners)
-                faces.append((a, b, c))
-                faces.append((a, c, d))
-    return verts, faces
+def _grid_mesh(points: np.ndarray, present: np.ndarray, nu: int, nv: int):
+    """The present rows of `points` (row iu * nv + iv) in grid order, and
+    two triangles for each cell whose four corners are present."""
+    cells = _cells(nu, nv)
+    vid = np.cumsum(present)     # the 1-based vertex number of a present row
+    a, b, c, d = vid[cells[present[cells].all(axis=1)]].T
+    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    return points[present], faces
 
 
 def export_obj(prog, nu: int, nv: int, out_dir: str,
@@ -93,17 +88,17 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
                              f"(expected one of {', '.join(NET_LABELS)})")
 
     pts = grid_points(prog, nu, nv)
-    positions: List[Optional[np.ndarray]] = []
-    for u, v in pts:
+    positions = np.zeros((len(pts), 3))
+    defined = np.ones(len(pts), dtype=bool)
+    for i, (u, v) in enumerate(pts):
         try:
-            positions.append(prog.position(u, v))
+            positions[i] = prog.position(u, v)
         except JetDomainError:
-            positions.append(None)
+            defined[i] = False
     fp, failed = frame_batch(prog, [u for u, _ in pts], [v for _, v in pts],
                              tol)
     # the points with a position and a frame
-    framed = np.array([kind is None and p is not None
-                       for kind, p in zip(failed, positions)], dtype=bool)
+    framed = defined & np.equal(np.array(failed, dtype=object), None)
 
     os.makedirs(out_dir, exist_ok=True)
     objects: Dict[str, dict] = {}
@@ -118,59 +113,46 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
                 fh.write(text)
         objects[name] = entry
 
+    def _write_mesh(name: str, points: np.ndarray, present: np.ndarray):
+        verts, faces = _grid_mesh(points, present, nu, nv)
+        text = _obj_text(verts, faces, ()) if len(verts) else None
+        _write(name, text, {"vertices": len(verts), "faces": len(faces)})
+
     # Base surface: every point with a computable position.
-    verts, faces = _grid_mesh(positions, nu, nv)
-    text = _obj_text(verts, faces, ()) if verts else None
-    _write("surface", text, {"vertices": len(verts), "faces": len(faces)})
+    _write_mesh("surface", positions, defined)
 
     # Segment length: 0.05 x mean cell diagonal of the surface grid.
-    diags = []
-    for iu in range(nu - 1):
-        for iv in range(nv - 1):
-            i = iu * nv + iv
-            a, b = positions[i], positions[i + nv + 1]
-            if a is not None and b is not None:
-                diags.append(float(np.linalg.norm(b - a)))
+    a, _, b, _ = _cells(nu, nv).T
+    both = defined[a] & defined[b]
+    diags = [float(np.linalg.norm(d))
+             for d in positions[b[both]] - positions[a[both]]]
     seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
 
     # Each sheet and net is computed once over the batch and then masked:
-    # the points without a frame and the sheet's canal points are dropped.
+    # the points without a frame, the sheet's canal points and, for a net,
+    # the points without real directions are dropped.
     with np.errstate(all="ignore"):
-        usable = {sheet: (framed & ~is_canal(fp, sheet, tol)).tolist()
+        usable = {sheet: framed & ~is_canal(fp, sheet, tol)
                   for sheet in {*central, *(NETS[n][1] for n in nets)}}
 
         for sheet in central:
-            ys = central_point(fp, sheet, tol).y.T.tolist()
-            verts, faces = _grid_mesh(
-                [y if ok else None for y, ok in zip(ys, usable[sheet])],
-                nu, nv)
-            text = _obj_text(verts, faces, ()) if verts else None
-            _write(f"central{sheet}", text,
-                   {"vertices": len(verts), "faces": len(faces)})
+            _write_mesh(f"central{sheet}", central_point(fp, sheet, tol).y.T,
+                        usable[sheet])
 
         e1s, e2s = np.array(fp.e1).T, np.array(fp.e2).T
         for label in nets:
             builder, sheet = NETS[label]
-            net = builder(fp, sheet, tol)
-            coeffs = zip(*(np.broadcast_to(x, framed.shape).tolist()
-                           for x in net.triple()))
-            verts: List[np.ndarray] = []
-            segments: List[Tuple[int, int]] = []
-            for ok, (a, b, c), p, e1, e2 in zip(usable[sheet], coeffs,
-                                                positions, e1s, e2s):
-                if not ok:
-                    continue
-                try:
-                    dirs = net_directions(NetForm(a, b, c, net.label))
-                except (ImaginaryNetError, DegenerateNetError):
-                    continue
-                for c1, c2 in dirs:
-                    d = c1 * e1 + c2 * e2
-                    half = 0.5 * seg_len * d
-                    verts.append(p - half)
-                    verts.append(p + half)
-                    segments.append((len(verts) - 1, len(verts)))
-            text = _obj_text(verts, (), segments) if verts else None
+            d0, d1, kinds = net_directions(builder(fp, sheet, tol))
+            ok = usable[sheet] & np.equal(kinds, None)
+            p, e1, e2 = positions[ok], e1s[ok], e2s[ok]
+            # per point the segments along d0 and d1, each as (p - h, p + h)
+            ends = []
+            for c1, c2 in (d0[:, ok], d1[:, ok]):
+                half = 0.5 * seg_len * (c1[:, None] * e1 + c2[:, None] * e2)
+                ends += [p - half, p + half]
+            verts = np.stack(ends, axis=1).reshape(-1, 3)
+            segments = np.arange(1, len(verts) + 1).reshape(-1, 2)
+            text = _obj_text(verts, (), segments) if len(verts) else None
             _write(f"net{label}", text, {"segments": len(segments)})
 
     manifest = {

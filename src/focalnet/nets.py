@@ -17,7 +17,6 @@ sheets; `NETS` maps each pulled-back net's label to its builder and sheet.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,45 +115,55 @@ def net_directions(net: NetForm):
     tolerate A = 0 or C = 0).  Deterministic: each direction's first nonzero
     component is positive; the pair is ordered by descending first component,
     ties by descending second.
+
+    At a point: two arrays of shape (2,), or DegenerateNetError for the zero
+    form and ImaginaryNetError for imaginary directions.  On a net of arrays
+    of shape (N,): (d0, d1, failed), d0 and d1 of shape (2, N) and failed[i]
+    None or the class point i would raise (its directions are meaningless);
+    no exception is built.  Both shapes run one solve on numpy floats, whose
+    arithmetic gives Python's bits and divides by zero without raising, so
+    every branch is computed and `jt.pick` chooses.
     """
-    a, b, c = net.a, net.b, net.c
-    n = net_norm(net)
-    if n <= 2 * _NORM_FLOOR:
+    with np.errstate(all="ignore"):
+        n = net_norm(net)
+        a, b, c = (np.float64(x) / n for x in net.triple())
+        disc = b * b - a * c
+        failed = jt.pick(n <= 2 * _NORM_FLOOR, DegenerateNetError,
+                         jt.pick(disc < -_ROOT_TOL, ImaginaryNetError, None))
+        root = np.sqrt(jt.largest(disc, 0.0))
+        # stable quadratic branch
+        q = jt.pick(b != 0, -(b + np.copysign(root, b)), -root)
+
+        # Direction (x, y) solves a x^2 + 2b x y + c y^2 = 0.  With the
+        # larger of |a|, |c| in the denominator the slopes are q / big and
+        # small / q (-b / big twice at a double root), x/y where a leads and
+        # y/x where c leads; a ~ c ~ 0 (b != 0) is the pair of axes.
+        a_leads = abs(a) >= abs(c)
+        big, small = jt.pick(a_leads, a, c), jt.pick(a_leads, c, a)
+        double = q == 0.0
+        slopes = (jt.pick(double, -b / big, q / big),
+                  jt.pick(double, -b / big, small / q))
+        axes = a_leads & (abs(a) < _ROOT_TOL)
+        pairs = []
+        for slope, (ax, ay) in zip(slopes, ((1.0, 0.0), (0.0, 1.0))):
+            x = jt.pick(axes, ax, jt.pick(a_leads, slope, 1.0))
+            y = jt.pick(axes, ay, jt.pick(a_leads, 1.0, slope))
+            s = jt.hypot(x, y)
+            x, y = x / s, y / s
+            flip = (x < -_ROOT_TOL) | ((abs(x) <= _ROOT_TOL) & (y < 0))
+            pairs.append((jt.pick(flip, -x, x), jt.pick(flip, -y, y)))
+        # a stable sort by (-x, -y): the second goes first only when its
+        # key is smaller (-0.0 and 0.0 tie)
+        (x0, y0), (x1, y1) = pairs
+        swap = (x1 > x0) | ((x1 == x0) & (y1 > y0))
+        d0 = np.array([jt.pick(swap, x1, x0), jt.pick(swap, y1, y0)])
+        d1 = np.array([jt.pick(swap, x0, x1), jt.pick(swap, y0, y1)])
+    if isinstance(failed, np.ndarray):
+        return d0, d1, failed
+    if failed is DegenerateNetError:
         raise DegenerateNetError(f"net {net.label} is identically zero")
-    a, b, c = a / n, b / n, c / n
-    disc = b * b - a * c
-    if disc < -_ROOT_TOL:
+    if failed is ImaginaryNetError:
         raise ImaginaryNetError(
             f"net {net.label} has imaginary directions "
             f"(discriminant {disc:.3e})")
-    root = math.sqrt(max(disc, 0.0))
-
-    # direction (x, y) solves a x^2 + 2b x y + c y^2 = 0.
-    if abs(a) >= abs(c):
-        if abs(a) < _ROOT_TOL:
-            # a ~ c ~ 0, b != 0: the pair of coordinate axes
-            pairs = [(1.0, 0.0), (0.0, 1.0)]
-        else:
-            # x/y roots with the stable quadratic branch
-            q = -(b + math.copysign(root, b)) if b != 0 else -root
-            if q == 0.0:
-                pairs = [(-b / a, 1.0)] * 2
-            else:
-                pairs = [(q / a, 1.0), (c / q, 1.0)]
-    else:
-        # solve for y/x to keep the large coefficient in the denominator
-        q = -(b + math.copysign(root, b)) if b != 0 else -root
-        if q == 0.0:
-            pairs = [(1.0, -b / c)] * 2
-        else:
-            pairs = [(1.0, q / c), (1.0, a / q)]
-
-    out = []
-    for x, y in pairs:
-        s = math.hypot(x, y)
-        x, y = x / s, y / s
-        if x < -_ROOT_TOL or (abs(x) <= _ROOT_TOL and y < 0):
-            x, y = -x, -y
-        out.append((x, y))
-    out.sort(key=lambda d: (-d[0], -d[1]))
-    return (np.array(out[0]), np.array(out[1]))
+    return d0, d1

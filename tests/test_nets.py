@@ -1,4 +1,5 @@
 """Quadratic direction nets: defects, directions, spherical transport."""
+import itertools
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from focalnet.checks import sample_frame_points
 from focalnet.errors import (CanalDegenerate, DegenerateNetError,
                              ImaginaryNetError)
-from focalnet.frames import frame_point, pfaffian_values
-from focalnet.nets import (NetForm, conjugacy_defect, net_asymptotic_pullback,
-                           net_curvature_pullback, net_directions, net_norm,
-                           orthogonality_defect, reality_discriminant,
-                           spherical_image)
+from focalnet.frames import frame_batch, frame_point, pfaffian_values
+from focalnet.nets import (NETS, NetForm, conjugacy_defect,
+                           net_asymptotic_pullback, net_curvature_pullback,
+                           net_directions, net_norm, orthogonality_defect,
+                           reality_discriminant, spherical_image)
+from focalnet.report import grid_points
 
 SQ2 = math.sqrt(0.5)
 
@@ -74,6 +76,56 @@ def test_directions_deterministic_ordering():
     # first components positive, descending order
     assert first[0][0] >= first[1][0] - 1e-15
     assert first[0][0] > 0 and first[1][0] >= 0
+
+
+def _assert_batch_matches_points(a, b, c):
+    """net_directions on the columns (a, b, c) gives at each point the
+    directions, bit for bit, or the failure class of net_directions on that
+    point's floats."""
+    a, b, c = (x.tolist() for x in np.broadcast_arrays(a, b, c))
+    d0, d1, failed = net_directions(_net(np.array(a), np.array(b),
+                                         np.array(c)))
+    assert d0.shape == d1.shape == (2, len(a))
+    for i, abc in enumerate(zip(a, b, c)):
+        try:
+            want = net_directions(_net(*abc))
+        except (DegenerateNetError, ImaginaryNetError) as exc:
+            assert failed[i] is type(exc), abc
+            continue
+        assert failed[i] is None, abc
+        assert (repr([x.tolist() for x in want])
+                == repr([d0[:, i].tolist(), d1[:, i].tolist()])), abc
+
+
+def test_batch_directions_match_points(rng):
+    """Every branch of the root solve: the axes (a = c = 0), a = 0, c = 0,
+    b = 0, the double root q = 0, a discriminant in (-1e-12, 0) taken as 0,
+    imaginary directions, the zero form, signed zeros and random scales."""
+    values = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e-13, -1e-13, 1e-31)
+    triples = list(itertools.product(values, repeat=3))
+    triples += [(1.0, 1.0, 1.0), (4.0, -2.0, 1.0), (1.0, 3.0, 9.0),
+                (1.0, 1.0, 1.0 + 1e-13), (1e-13, 0.0, 1.0),
+                (1.0, 0.0, 5e-13), (1.0, 0.5, 1.0), (-2.0, 0.3, -1.0)]
+    scales = 10.0 ** rng.uniform(-14, 2, size=(3, 400))
+    triples += (rng.normal(size=(3, 400)) * scales).T.tolist()
+    a, b, c = np.array(triples).T
+    _assert_batch_matches_points(a, b, c)
+    failed = net_directions(_net(a, b, c))[2].tolist()
+    assert {DegenerateNetError, ImaginaryNetError, None} <= set(failed)
+
+
+def test_batch_directions_on_grids(prog, tol):
+    """The four pulled-back nets of 5 x 5 batches, canal points and failed
+    frames included."""
+    for name in ("graph_generic", "dini", "helicoid", "torus"):
+        program = prog(name)
+        pts = grid_points(program, 5, 5)
+        fp, _ = frame_batch(program, [u for u, _ in pts],
+                            [v for _, v in pts], tol)
+        for builder, sheet in NETS.values():
+            with np.errstate(all="ignore"):
+                net = builder(fp, sheet, tol)
+            _assert_batch_matches_points(*net.triple())
 
 
 def test_asymptotic_pullback_forms(prog, tol, rng):

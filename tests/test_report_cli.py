@@ -162,9 +162,11 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
     """A degenerate point of a batch is its exception's class and a canal
     point its status or a masked vertex: on umbilic, parabolic and partly
     undefined grids `frame_batch`, on canal12, canal1 and umbilic grids
-    `grid_report`, and on the canal12 and canal1 grids `export_obj` with
-    both sheets and all four nets, build no library exception (no
-    CanalDegenerate either)."""
+    `grid_report`, and on the canal12 and canal1 grids and on grids with
+    imaginary net directions (helicoid everywhere for nets 13/14,
+    graph_generic in part) `export_obj` with both sheets and all four nets,
+    build no library exception (no CanalDegenerate or ImaginaryNetError
+    either)."""
     built = []
     init = FocalnetError.__init__
     monkeypatch.setattr(FocalnetError, "__init__",
@@ -183,7 +185,8 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
     for program, status in canal + [(prog("sphere"), "umbilic")]:
         counts = grid_report(program, 8, 8, tol).summary["status_counts"]
         assert counts[status] == 64, program.name
-    for i, (program, _) in enumerate(canal):
+    imaginary = [prog("helicoid"), prog("graph_generic")]
+    for i, program in enumerate([p for p, _ in canal] + imaginary):
         export_obj(program, 8, 8, str(tmp_path / str(i)), central=(1, 2),
                    nets=NETS, tol=tol)
     assert built == []

@@ -9,8 +9,9 @@ Four digests, one per line:
 - mesh: the name and then the bytes of every file ``export_obj`` writes
   (sorted by name) for a 20x20 grid with both focal sheets and nets
   13/14/17/18 on each surface in ``MESH_SURFACES`` (both torus sheets are
-  canal at every point, helicoid's nets 13/14 are imaginary, and every
-  frame of sphere fails);
+  canal at every point, helicoid's nets 13/14 are imaginary, every frame
+  of sphere fails, and monkey_saddle and enneper meet more branches of the
+  direction solve);
 - point: ``json.dumps(point_record(...), sort_keys=True)`` at the 5x5
   interior points of a 7x7 sampling of the domain box of each surface in
   ``GRID_SURFACES``, u-major (the set meets umbilic, parabolic and canal
@@ -38,7 +39,7 @@ GRID_SURFACES = ("plane", "sphere", "graph_quad", "graph_generic",
                  "monkey_saddle", "helicoid", "torus", "enneper", "scherk",
                  "dini")
 MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
-                 "sphere")
+                 "sphere", "monkey_saddle", "enneper")
 
 
 def grid_digests() -> tuple:
