@@ -24,9 +24,16 @@ concerned, and builds no exception for them: all their coefficients become
 NaN, which every later operation keeps, and `finite` tells them apart.
 
 The elementary functions are the rows of one table, `ELEMENTARY`, which
-also gives `expr.FLOAT_FUNCTIONS` and the mpmath functions of `fdoracle`.
-Expressions are turned into jets by `sdl.SurfaceProgram.jets`, which binds
-`jet_variables` and evaluates with `JET_FUNCTIONS`.
+also gives `expr.FLOAT_FUNCTIONS`, the mpmath functions of `fdoracle` and
+`FLOATS_FUNCTIONS`.  Each row's array version gives the float function's
+bits on arrays: a numpy function where numpy rounds as `math` does (sqrt,
+sin, cos), else the float function called entry by entry.  The series
+coefficients of a batch are the float code's expressions on `Floats`,
+Python's float arithmetic on arrays with a mask of the entries where the
+float code raises; `sdl.SurfaceProgram.position` evaluates a batch of
+positions the same way.  Expressions are turned into jets by
+`sdl.SurfaceProgram.jets`, which binds `jet_variables` and evaluates with
+`JET_FUNCTIONS`.
 """
 from __future__ import annotations
 
@@ -40,8 +47,8 @@ from .errors import JetDomainError, JetOrderError
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
     "jet_variables", "where", "finite", "power", "hypot", "pick", "largest",
-    "smallest", "Elementary", "ELEMENTARY",
-    "JET_FUNCTIONS",
+    "smallest", "Floats", "Series", "Elementary", "ELEMENTARY",
+    "JET_FUNCTIONS", "FLOATS_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
 
@@ -259,39 +266,173 @@ def _compose(g: Jet4, series) -> Jet4:
     return acc
 
 
-_NAN_SERIES = [math.nan] * (MAX_ORDER + 1)
+# -- Python's float arithmetic on arrays --------------------------------------
+# On float64 arrays numpy's + - * / and `float_power` (the libm pow that
+# Python's ** calls) give Python's bits, and so do np.sqrt, np.sin and
+# np.cos; tests/test_jet.py asserts the functions over 10^6 inputs, so a
+# numpy that rounds them differently fails there.  What numpy does not give
+# is Python's verdict: where the float code raises, numpy returns inf or NaN,
+# or a number (pow(nan, 0) and pow(1, nan) are 1).  `Floats` carries that
+# verdict as a mask through every operation.
+
+class Floats:
+    """Python's float arithmetic on an array of shape S: `value` holds at
+    each entry the bits of the float code at that entry, and `failed` marks
+    the entries where the float code raises (their values mean nothing).
+    The operators take Floats and numbers.  `/` fails where the divisor is
+    0; `**` fails where finite operands give a non-finite power (an
+    overflow, 0 to a negative power, a negative base to a non-integer one);
+    + - * never fail.  Run under `np.errstate(all="ignore")`."""
+    __slots__ = ("value", "failed")
+    # numpy defers to the reflected operators: array * Floats is __rmul__
+    __array_ufunc__ = None
+
+    def __init__(self, value, failed=False):
+        self.value = value
+        self.failed = failed
+
+    def failing(self, mask) -> "Floats":
+        """These values, failing also where `mask` holds (a domain guard)."""
+        return Floats(self.value, self.failed | mask)
+
+    def map(self, array_fn) -> "Floats":
+        """An `Elementary.array_fn` applied entry by entry."""
+        value, failed = array_fn(self.value)
+        return Floats(value, self.failed | failed)
+
+    def __neg__(self):
+        return Floats(-self.value, self.failed)
+
+    def __add__(self, other):
+        return _binary(np.add, self, other)
+
+    def __radd__(self, other):
+        return _binary(np.add, other, self)
+
+    def __sub__(self, other):
+        return _binary(np.subtract, self, other)
+
+    def __rsub__(self, other):
+        return _binary(np.subtract, other, self)
+
+    def __mul__(self, other):
+        return _binary(np.multiply, self, other)
+
+    def __rmul__(self, other):
+        return _binary(np.multiply, other, self)
+
+    def __truediv__(self, other):
+        return _binary(np.divide, self, other, _zero_divisor)
+
+    def __rtruediv__(self, other):
+        return _binary(np.divide, other, self, _zero_divisor)
+
+    def __pow__(self, other):
+        return _binary(np.float_power, self, other, _non_finite_power)
+
+    def __rpow__(self, other):
+        return _binary(np.float_power, other, self, _non_finite_power)
 
 
-def _series(coeffs: Callable[[float], Optional[List[float]]], g: Jet4,
-            name: str):
-    """The five series coefficients `coeffs` gives at the value of g, by the
-    same float code at every point; `coeffs` returns None outside the
-    domain of function `name`.  That, or a failure of the float code (an
-    overflow, say), raises JetDomainError at S = (); with a batch axis such
-    a point gets NaN coefficients."""
-    def row(g0: float) -> Optional[List[float]]:
-        try:
-            return coeffs(g0)
-        except (ArithmeticError, ValueError):
-            return None
+def _binary(op, a, b, fails=None) -> Floats:
+    x, fa = (a.value, a.failed) if isinstance(a, Floats) else (a, False)
+    y, fb = (b.value, b.failed) if isinstance(b, Floats) else (b, False)
+    out = op(x, y)
+    failed = fa | fb
+    return Floats(out, failed if fails is None else failed | fails(x, y, out))
+
+
+def _zero_divisor(x, y, out):
+    return y == 0       # ZeroDivisionError
+
+
+def _non_finite_power(x, y, out):
+    return np.isfinite(x) & np.isfinite(y) & ~np.isfinite(out)
+
+
+def _native(ufunc):
+    """The array function of a numpy ufunc with math's bits.  Its verdict is
+    CPython's rule for the one-argument math functions: they raise where a
+    non-NaN argument gives NaN or a finite one an infinity."""
+    def array_fn(x):
+        y = ufunc(x)
+        return y, (np.isnan(y) & ~np.isnan(x)) | (np.isinf(y) & np.isfinite(x))
+    return array_fn
+
+
+def _per_entry(float_fn, ufunc):
+    """The array function that calls the float function entry by entry,
+    where numpy's `ufunc` rounds differently.  The verdict is `ufunc`'s by
+    CPython's rule (see `_native`), so `float_fn` is only called where it
+    returns and no exception is built; a failed entry holds NaN."""
+    verdict = _native(ufunc)
+    call = np.frompyfunc(float_fn, 1, 1)
+
+    def array_fn(x):
+        failed = verdict(x)[1]
+        y = call(np.where(failed, 1.0, x)).astype(float)
+        y[failed] = math.nan
+        return y, failed
+    return array_fn
+
+
+_SQRT, _SIN, _COS = map(_native, (np.sqrt, np.sin, np.cos))
+_EXP, _LN, _TAN, _SINH, _COSH = (
+    _per_entry(f, u) for f, u in ((math.exp, np.exp), (math.log, np.log),
+                                  (math.tan, np.tan), (math.sinh, np.sinh),
+                                  (math.cosh, np.cosh)))
+
+
+# -- series coefficients -----------------------------------------------------
+# Each function's five Taylor coefficients at a value, as a `Series`: the
+# float code for one point (None outside the domain, and an exception where
+# the float code fails) and the same expressions on `Floats` for a batch,
+# whose masks give the same verdict without raising (the reciprocal and the
+# non-integer power run one code on both).  tests/test_jet.py compares the
+# two codes by bits and verdict over 10^6 values and the edges.
+
+class Series(NamedTuple):
+    """The five Taylor coefficients of a function at a value, by two codes
+    that give the same bits: `point` on a float (None outside the domain)
+    and `batch` on the `Floats` of a batch's values."""
+    point: Callable[[float], Optional[List[float]]]
+    batch: Callable[[Floats], list]
+
+
+def _series(series: Series, g: Jet4, name: str):
+    """The series coefficients at the value of g.  At S = () they come from
+    the float code, and a value outside the domain, or one where the float
+    code fails (an overflow, say), raises JetDomainError.  With a batch axis
+    the array code runs on all columns at once, and a column where the
+    float code would fail gets NaN coefficients."""
     if g.c.ndim == 1:
-        series = row(g.value)
-        if series is None:
+        try:
+            coeffs = series.point(g.value)
+        except (ArithmeticError, ValueError):
+            coeffs = None
+        if coeffs is None:
             raise JetDomainError(f"{name} undefined at value {g.value} in jet")
-        return series
-    rows = [row(g0) or _NAN_SERIES for g0 in g.c[0].ravel().tolist()]
-    return np.array(rows).T.reshape((MAX_ORDER + 1,) + g.c.shape[1:])
+        return coeffs
+    g0 = g.c[0]
+    with np.errstate(all="ignore"):
+        terms = series.batch(Floats(g0, np.zeros(g0.shape, dtype=bool)))
+    coeffs = np.array([t.value for t in terms])
+    coeffs[:, np.logical_or.reduce([t.failed for t in terms])] = math.nan
+    return coeffs
 
 
-def _reciprocal_series(g0: float) -> Optional[List[float]]:
-    if g0 == 0.0:
-        return None
+def _reciprocal_series(g0):
+    """The reciprocal's series on a float or `Floats`; at 0 the float code
+    raises ZeroDivisionError and the batch code fails by the same rule."""
     inv = 1.0 / g0
     return [inv, -inv**2, inv**3, -inv**4, inv**5]
 
 
+_RECIPROCAL = Series(_reciprocal_series, _reciprocal_series)
+
+
 def _reciprocal(g: Jet4) -> Jet4:
-    return _compose(g, _series(_reciprocal_series, g, "1 / x"))
+    return _compose(g, _series(_RECIPROCAL, g, "1 / x"))
 
 
 def _int_pow(g: Jet4, n: int) -> Jet4:
@@ -312,23 +453,23 @@ def _int_pow(g: Jet4, n: int) -> Jet4:
     return result
 
 
-def _real_pow(g: Jet4, p: float) -> Jet4:
-    def coeffs(g0: float) -> Optional[List[float]]:
-        if g0 <= 0.0:
-            return None
+def _power_series(p: float) -> Series:
+    """The series of x ** p for a non-integer p, for x > 0 only (a negative
+    float base would give a complex power)."""
+    def terms(g0) -> list:
         series = []
         coeff = 1.0
         for k in range(MAX_ORDER + 1):
             series.append(coeff * g0 ** (p - k))
             coeff *= (p - k) / (k + 1)
         return series
-    return _compose(g, _series(coeffs, g, "non-integer power"))
+    return Series(lambda g0: None if g0 <= 0.0 else terms(g0),
+                  lambda g0: terms(g0.failing(g0.value <= 0.0)))
 
 
-# -- elementary functions ----------------------------------------------------
-# Each series function gives the five Taylor coefficients of the function at
-# a value, the same float code for one point and for every batch column, or
-# None outside the function's domain.
+def _real_pow(g: Jet4, p: float) -> Jet4:
+    return _compose(g, _series(_power_series(p), g, "non-integer power"))
+
 
 def _sqrt_series(g0: float) -> Optional[List[float]]:
     if g0 <= 0.0:
@@ -338,8 +479,20 @@ def _sqrt_series(g0: float) -> Optional[List[float]]:
             r / (16 * g0**3), -5 * r / (128 * g0**4)]
 
 
+def _sqrt_batch(g0: Floats) -> list:
+    g0 = g0.failing(g0.value <= 0.0)
+    r = g0.map(_SQRT)
+    return [r, r / (2 * g0), -r / (8 * g0**2),
+            r / (16 * g0**3), -5 * r / (128 * g0**4)]
+
+
 def _exp_series(g0: float) -> List[float]:
     e0 = math.exp(g0)
+    return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
+
+
+def _exp_batch(g0: Floats) -> list:
+    e0 = g0.map(_EXP)
     return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
 
 
@@ -350,8 +503,19 @@ def _ln_series(g0: float) -> Optional[List[float]]:
             1 / (3 * g0**3), -1 / (4 * g0**4)]
 
 
+def _ln_batch(g0: Floats) -> list:
+    g0 = g0.failing(g0.value <= 0.0)
+    return [g0.map(_LN), 1 / g0, -1 / (2 * g0**2),
+            1 / (3 * g0**3), -1 / (4 * g0**4)]
+
+
 def _sin_series(g0: float) -> List[float]:
     s, c = math.sin(g0), math.cos(g0)
+    return [s, c, -s / 2, -c / 6, s / 24]
+
+
+def _sin_batch(g0: Floats) -> list:
+    s, c = g0.map(_SIN), g0.map(_COS)
     return [s, c, -s / 2, -c / 6, s / 24]
 
 
@@ -360,8 +524,18 @@ def _cos_series(g0: float) -> List[float]:
     return [c, -s, -c / 2, s / 6, c / 24]
 
 
+def _cos_batch(g0: Floats) -> list:
+    s, c = g0.map(_SIN), g0.map(_COS)
+    return [c, -s, -c / 2, s / 6, c / 24]
+
+
 def _sinh_series(g0: float) -> List[float]:
     s, c = math.sinh(g0), math.cosh(g0)
+    return [s, c, s / 2, c / 6, s / 24]
+
+
+def _sinh_batch(g0: Floats) -> list:
+    s, c = g0.map(_SINH), g0.map(_COSH)
     return [s, c, s / 2, c / 6, s / 24]
 
 
@@ -370,25 +544,38 @@ def _cosh_series(g0: float) -> List[float]:
     return [c, s, c / 2, s / 6, c / 24]
 
 
+def _cosh_batch(g0: Floats) -> list:
+    s, c = g0.map(_SINH), g0.map(_COSH)
+    return [c, s, c / 2, s / 6, c / 24]
+
+
+# -- elementary functions ----------------------------------------------------
+
 class Elementary(NamedTuple):
     """A function of the surface language: its name there, its float
-    version, its series coefficients at a value (None for tan, which is
-    sin / cos on jets) and the name of its mpmath version."""
+    version, its array version (`array_fn(x)` gives the float version's
+    bits entry by entry and the mask of entries where it raises), its
+    series coefficients at a value (None for tan, which is sin / cos on
+    jets) and the name of its mpmath version."""
     name: str
     float_fn: Callable[[float], float]
-    series: Optional[Callable[[float], Optional[List[float]]]]
+    array_fn: Callable[[np.ndarray], tuple]
+    series: Optional[Series]
     mp_name: str
 
 
 ELEMENTARY = (
-    Elementary("sqrt", math.sqrt, _sqrt_series, "sqrt"),
-    Elementary("exp", math.exp, _exp_series, "exp"),
-    Elementary("ln", math.log, _ln_series, "log"),
-    Elementary("sin", math.sin, _sin_series, "sin"),
-    Elementary("cos", math.cos, _cos_series, "cos"),
-    Elementary("tan", math.tan, None, "tan"),
-    Elementary("sinh", math.sinh, _sinh_series, "sinh"),
-    Elementary("cosh", math.cosh, _cosh_series, "cosh"),
+    Elementary("sqrt", math.sqrt, _SQRT, Series(_sqrt_series, _sqrt_batch),
+               "sqrt"),
+    Elementary("exp", math.exp, _EXP, Series(_exp_series, _exp_batch), "exp"),
+    Elementary("ln", math.log, _LN, Series(_ln_series, _ln_batch), "log"),
+    Elementary("sin", math.sin, _SIN, Series(_sin_series, _sin_batch), "sin"),
+    Elementary("cos", math.cos, _COS, Series(_cos_series, _cos_batch), "cos"),
+    Elementary("tan", math.tan, _TAN, None, "tan"),
+    Elementary("sinh", math.sinh, _SINH, Series(_sinh_series, _sinh_batch),
+               "sinh"),
+    Elementary("cosh", math.cosh, _COSH, Series(_cosh_series, _cosh_batch),
+               "cosh"),
 )
 
 
@@ -408,7 +595,17 @@ def _jet_function(f: Elementary) -> Callable:
     return fn
 
 
+def _floats_function(f: Elementary) -> Callable:
+    """`f` on `Floats` (its array version) or on a plain number (its float
+    version, which raises outside its domain)."""
+    def fn(x):
+        return x.map(f.array_fn) if isinstance(x, Floats) else f.float_fn(x)
+    fn.__name__ = fn.__qualname__ = f.name
+    return fn
+
+
 JET_FUNCTIONS = {f.name: _jet_function(f) for f in ELEMENTARY}
+FLOATS_FUNCTIONS = {f.name: _floats_function(f) for f in ELEMENTARY}
 sqrt, exp, ln, sin, cos, tan, sinh, cosh = (
     JET_FUNCTIONS[name]
     for name in ("sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh"))

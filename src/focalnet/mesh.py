@@ -10,19 +10,23 @@ pruned.  A sheet or net with no computable vertices produces no file; the
 sidecar ``manifest.json`` records what was written and why anything is
 absent.  Output is byte-deterministic for identical inputs.
 
-Surface vertices come from `SurfaceProgram.position`, point by point.
-`frame_batch` holds positions too, in `fp.x`, but the jet evaluator's
-floats differ from the float evaluator's in the last bit at some points
-(195, 204 and 515 of the 1600 points of 40 x 40 monkey_saddle, enneper and
-dini), and the manifest writes `segment_length` by `repr` (monkey_saddle's
-would move).  The frames behind the focal sheets and net segments come from
-one `frames.frame_batch` call over the grid, and everything after it runs
-on whole arrays: `central.is_canal` masks the canal points of a sheet,
-`central_point` gives all its positions, a net builder all its
-coefficients and `nets.net_directions` all its directions with the class of
-each point that has none, so no exception is built for a canal point or an
-imaginary net.  Faces come from a mask of the present vertices, and each
-file's text from one % format per kind of line.
+Surface vertices come from one `SurfaceProgram.position` call on the
+grid's arrays, which gives every point the bits of the float evaluator at
+that point and NaN where it would raise.  `frame_batch` holds positions
+too, in `fp.x`, but the jet evaluator's floats differ from the float
+evaluator's in the last bit at some points (195, 204 and 515 of the 1600
+points of 40 x 40 monkey_saddle, enneper and dini), and the manifest writes
+`segment_length` by `repr` (monkey_saddle's would move).  The segment length
+is the mean of the cell diagonals' lengths, each with the bits of
+`np.linalg.norm` of its row, summed left to right.  The frames behind the
+focal sheets and net segments come from one `frames.frame_batch` call over
+the grid, and everything after it runs on whole arrays: `central.is_canal`
+masks the canal points of a sheet, `central_point` gives all its positions,
+a net builder all its coefficients and `nets.net_directions` all its
+directions with the class of each point that has none, so no exception is
+built for an undefined position, a canal point or an imaginary net.  Faces
+come from a mask of the present vertices, and each file's text from one %
+format per kind of line.
 """
 from __future__ import annotations
 
@@ -33,7 +37,6 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from .central import central_point, is_canal
-from .errors import JetDomainError
 from .frames import frame_batch
 from .nets import NETS, net_directions
 from .report import grid_points
@@ -87,16 +90,10 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             raise ValueError(f"unknown net label '{n}' "
                              f"(expected one of {', '.join(NET_LABELS)})")
 
-    pts = grid_points(prog, nu, nv)
-    positions = np.zeros((len(pts), 3))
-    defined = np.ones(len(pts), dtype=bool)
-    for i, (u, v) in enumerate(pts):
-        try:
-            positions[i] = prog.position(u, v)
-        except JetDomainError:
-            defined[i] = False
-    fp, failed = frame_batch(prog, [u for u, _ in pts], [v for _, v in pts],
-                             tol)
+    us, vs = np.array(grid_points(prog, nu, nv)).T
+    positions = prog.position(us, vs).T
+    defined = np.isfinite(positions).all(axis=1)
+    fp, failed = frame_batch(prog, us.tolist(), vs.tolist(), tol)
     # the points with a position and a frame
     framed = defined & np.equal(np.array(failed, dtype=object), None)
 
@@ -124,8 +121,9 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     # Segment length: 0.05 x mean cell diagonal of the surface grid.
     a, _, b, _ = _cells(nu, nv).T
     both = defined[a] & defined[b]
-    diags = [float(np.linalg.norm(d))
-             for d in positions[b[both]] - positions[a[both]]]
+    d = positions[b[both]] - positions[a[both]]
+    # the bits of np.linalg.norm per row: norm(axis=1) and einsum differ
+    diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
     seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
 
     # Each sheet and net is computed once over the batch and then masked:

@@ -333,17 +333,17 @@ class SurfaceProgram:
 
     def evaluate(self, u, v, funcs) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
-        floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`.
-        A failure of the whole evaluation (a function outside its domain, a
-        division by zero, an overflow) raises JetDomainError, and so does a
-        result that `jet.finite` rejects at one point; in a batch such a
-        point only leaves its column non-finite.  numpy's overflow and
-        invalid-value warnings are silenced, as those values are the
-        failure."""
+        floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`,
+        `jet.Floats` with `jet.FLOATS_FUNCTIONS`.  A failure of the whole
+        evaluation (a function outside its domain, a division by zero, an
+        overflow) raises JetDomainError, and so does a result that
+        `jet.finite` rejects at one point; in a batch such a point only
+        leaves its jet column non-finite, or its `Floats` entry failed.
+        numpy's warnings are silenced, as those values are the failure."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
         at = (getattr(u, "value", u), getattr(v, "value", v))
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(all="ignore"):
                 out = tuple(ex.evaluate(node, env, funcs)
                             for node in self.exprs)
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
@@ -360,9 +360,28 @@ class SurfaceProgram:
         return tuple(c if isinstance(c, jt.Jet4)
                      else jt.Jet4.const(np.full(np.shape(u), c)) for c in out)
 
-    def position(self, u: float, v: float) -> np.ndarray:
-        return np.array(self.evaluate(float(u), float(v), ex.FLOAT_FUNCTIONS),
-                        dtype=float)
+    def position(self, u, v) -> np.ndarray:
+        """(x, y, z) at (u, v) by the float evaluator.  At numbers a (3,)
+        array; an undefined or non-finite point raises JetDomainError.  At
+        arrays of shape S a (3,) + S array with, at each point, the bits of
+        that point's position (through `jet.Floats`), and NaN in all three
+        coordinates where the point's position would raise."""
+        if np.ndim(u) == 0:
+            return np.array(self.evaluate(float(u), float(v),
+                                          ex.FLOAT_FUNCTIONS), dtype=float)
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        xyz = np.empty((3,) + u.shape)
+        failed = np.zeros(u.shape, dtype=bool)
+        try:
+            out = self.evaluate(jt.Floats(u), jt.Floats(v),
+                                jt.FLOATS_FUNCTIONS)
+        except JetDomainError:      # the whole evaluation fails
+            out = (math.nan,) * 3
+        for row, c in zip(xyz, out):
+            row[...] = getattr(c, "value", c)
+            failed |= getattr(c, "failed", False)
+        xyz[:, failed | ~np.isfinite(xyz).all(axis=0)] = math.nan
+        return xyz
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v!r}" for k, v in self.params.items())

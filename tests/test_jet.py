@@ -242,3 +242,106 @@ def test_value_helpers_give_python_bits_on_arrays(rng):
     got = jt.pick(x > y, ("a", "b"), jt.pick(y > 0, "c", ())).tolist()
     assert got == [("a", "b") if a > b else ("c" if b > 0 else ())
                    for a, b in zip(xs, ys)]
+
+
+def _overflow_edge(fn):
+    """The largest x > 0 at which the float function fn does not overflow."""
+    lo, hi = 1.0, 1e3
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2
+        try:
+            fn(mid)
+            lo = mid
+        except OverflowError:
+            hi = mid
+    return lo
+
+
+def _table_inputs():
+    """10^6 random values (every scale from subnormal to near overflow, the
+    moderate ones, the overflow ranges of exp, sinh and cosh and of the
+    series' powers) and the edges: signed zeros, subnormals, 7e-155 and
+    1.3e154 (a square overflows), 1e-160 (a cube underflows to 0), the
+    overflow edges of exp, sinh and cosh and the values next to them, the
+    largest float, infinities and NaN."""
+    rng = np.random.default_rng(16)
+    k = 250_000
+    mags = np.concatenate([10.0 ** rng.uniform(-330, 308, k),
+                           rng.uniform(0.0, 20.0, k),
+                           rng.uniform(700.0, 720.0, k),
+                           10.0 ** rng.uniform(-170.0, 170.0, k)])
+    edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 7e-155,
+             1e-80, 1.0, 1.3e154, 1e300, 1.7976931348623157e308, math.inf]
+    for fn in (math.exp, math.sinh, math.cosh):
+        edge = _overflow_edge(fn)
+        edges += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1e3)]
+    values = np.concatenate([mags * rng.choice([-1.0, 1.0], mags.size),
+                             edges, np.negative(edges), [math.nan]])
+    return values
+
+
+def _float_rows(fn, xs):
+    """fn at each value, or None where it raises as the batch code should
+    say it fails (ArithmeticError covers overflow and division by zero)."""
+    rows = []
+    for x in xs:
+        try:
+            rows.append(fn(x))
+        except (ArithmeticError, ValueError):
+            rows.append(None)
+    return rows
+
+
+def _assert_same(got, failed, rows, what):
+    """The verdicts agree, and the values of every column that does not
+    fail agree by bits (any NaN equals any NaN)."""
+    want_failed = np.array([r is None for r in rows])
+    bad = np.flatnonzero(failed != want_failed)
+    assert bad.size == 0, (what, bad.size, got.T[bad[0]], rows[bad[0]])
+    want = np.array([r for r in rows if r is not None], dtype=float).T
+    got = got[..., ~failed]
+    same = (got.view(np.int64) == want.view(np.int64)) | (
+        np.isnan(got) & np.isnan(want))
+    if same.ndim > 1:
+        same = same.all(axis=0)
+    bad = np.flatnonzero(~same)
+    assert bad.size == 0, (what, bad.size, got.T[bad[0]], want.T[bad[0]])
+
+
+_CHUNK = 100_000
+
+
+def test_array_functions_have_the_float_bits_and_verdict():
+    """Each row of ELEMENTARY: its array function gives, on 10^6 values and
+    the edges, the float function's bits and fails exactly where the float
+    function raises.  np.sqrt, np.sin and np.cos are used as they are, so
+    a numpy that rounds them otherwise fails here."""
+    values = _table_inputs()
+    for f in jt.ELEMENTARY:
+        for at in range(0, values.size, _CHUNK):
+            x = values[at:at + _CHUNK]
+            with np.errstate(all="ignore"):
+                got, failed = f.array_fn(x)
+            _assert_same(got, failed, _float_rows(f.float_fn, x.tolist()),
+                         f.name)
+
+
+def test_batch_series_have_the_float_bits_and_verdict():
+    """Every series (the table's, the reciprocal's and x ** 2.5's, whose
+    exponents 2.5 - k take both signs): the array code gives, on 10^6
+    values and the edges, the float code's bits and fails exactly at the
+    values where the float code returns None or raises.  At 1e-160 sqrt's
+    g0**3 underflows to 0, so the float code raises ZeroDivisionError where
+    numpy's division would give inf."""
+    values = _table_inputs()
+    series = [(f.name, f.series) for f in jt.ELEMENTARY if f.series]
+    series += [("1 / x", jt._RECIPROCAL)]
+    series += [("x ** 2.5", jt._power_series(2.5))]
+    for name, s in series:
+        for at in range(0, values.size, _CHUNK):
+            x = values[at:at + _CHUNK]
+            with np.errstate(all="ignore"):
+                terms = s.batch(jt.Floats(x, np.zeros(x.size, dtype=bool)))
+            got = np.array([t.value for t in terms])
+            failed = np.logical_or.reduce([t.failed for t in terms])
+            _assert_same(got, failed, _float_rows(s.point, x.tolist()), name)

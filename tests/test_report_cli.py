@@ -11,7 +11,8 @@ from focalnet import cli, gallery_names
 from focalnet.central import central_point
 from focalnet.checks import SWEPT_SRC
 from focalnet.errors import (FRAME_ERRORS, CanalDegenerate, DegenerateNetError,
-                             FocalnetError, ImaginaryNetError)
+                             FocalnetError, ImaginaryNetError,
+                             JetDomainError)
 from focalnet.frames import frame_batch, frame_point
 from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
@@ -301,6 +302,36 @@ def test_export_obj_matches_point_api(tmp_path, prog, graph_source, tol):
                     pass
             assert objects[f"net{label}"]["segments"] == segments, \
                 (program.name, label)
+
+
+def test_segment_length_is_the_per_row_norm(tmp_path, prog):
+    """The manifest's segment_length, written by repr, is 0.05 x the
+    left-to-right mean of np.linalg.norm per cell diagonal over the
+    positions prog.position gives point by point, on each surface of the
+    mesh digest's corpus at 20 x 20 and 40 x 40.  At 40 x 40 monkey_saddle
+    the positions of the jet evaluation (frame_batch's x) would move it in
+    the last digit."""
+    for name in ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
+                 "sphere", "monkey_saddle", "enneper"):
+        program = prog(name)
+        for n in (20, 40):
+            pts = grid_points(program, n, n)
+            positions = {}
+            for u, v in pts:
+                try:
+                    positions[(u, v)] = program.position(u, v)
+                except JetDomainError:
+                    pass
+            diags = []
+            for iu in range(n - 1):
+                for iv in range(n - 1):
+                    a, b = pts[iu * n + iv], pts[(iu + 1) * n + iv + 1]
+                    if a in positions and b in positions:
+                        diags.append(float(np.linalg.norm(
+                            positions[b] - positions[a])))
+            want = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
+            got = export_obj(program, n, n, str(tmp_path / f"{name}{n}"))
+            assert repr(got["segment_length"]) == repr(want), (name, n)
 
 
 @UNDEFINED

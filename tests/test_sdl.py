@@ -2,6 +2,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from focalnet.errors import (JetDomainError, ParseError,
@@ -9,6 +10,7 @@ from focalnet.errors import (JetDomainError, ParseError,
 from focalnet.sdl import (compile_surface, gallery, gallery_names,
                           gallery_source, load_surface, parse_program,
                           parse_surface)
+from focalnet.report import grid_points
 
 BOWL = """
 surface bowl {
@@ -197,3 +199,50 @@ def test_torus_positions_match_closed_form():
     assert x == pytest.approx((R + r * math.cos(v)) * math.cos(u), rel=1e-14)
     assert y == pytest.approx((R + r * math.cos(v)) * math.sin(u), rel=1e-14)
     assert z == pytest.approx(r * math.sin(v), rel=1e-14)
+
+
+# z of graphs over [-1, 1]^2 whose float positions raise at some points of a
+# 41 x 41 grid (which holds u = 0, v = 0 and u = v), or at every point; a
+# power 0 or a base 1 hides a failure from NaN propagation
+_FAILING_Z = ("1 / (u - v)", "u ^ v", "(u - 2) ^ (v + 0.5)", "(u ^ v) ^ 0",
+              "ln(v)", "exp(800 * u)", "exp(800 * u) ^ 0", "1 / (1 / u)",
+              "(1 / u) ^ 0", "1 ^ (1 / u)", "u / 0", "ln(0 - 1) + u")
+
+
+def _point_positions(prog, us, vs):
+    """Per point: prog.position, or NaN where it raises JetDomainError."""
+    rows = []
+    for u, v in zip(us, vs):
+        try:
+            rows.append(prog.position(u, v))
+        except JetDomainError:
+            rows.append(np.full(3, np.nan))
+    return np.array(rows).T
+
+
+def test_batch_positions_equal_point_positions(graph_source):
+    """position on arrays gives each point's float position by bits, and
+    NaN in all three coordinates exactly where the point's position raises,
+    without a RuntimeWarning: the ten gallery surfaces at 40 x 40 (where
+    monkey_saddle, enneper and dini hold points at which the jet value
+    differs in the last bit), graphs whose positions fail at some or all
+    points at 41 x 41, and a surface with a constant coordinate."""
+    programs = [(compile_surface(gallery(name)), 40)
+                for name in gallery_names()]
+    programs += [(compile_surface(parse_surface(graph_source(z))), 41)
+                 for z in _FAILING_Z]
+    programs.append((compile_surface(parse_surface(
+        "surface wall {\n  x = 0\n  y = v\n  z = u * v\n"
+        "  domain u in [-1, 1] v in [-1, 1]\n}\n")), 41))
+    for prog, n in programs:
+        us, vs = np.array(grid_points(prog, n, n)).T
+        want = _point_positions(prog, us.tolist(), vs.tolist())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = prog.position(us, vs)
+        assert got.shape == (3, n * n)
+        defined = ~np.isnan(want[0])
+        assert (np.isfinite(got).all(axis=0) == defined).all(), prog.name
+        assert got[:, defined].tobytes() == want[:, defined].tobytes(), \
+            prog.name
+        assert np.isnan(got[:, ~defined]).all(), prog.name

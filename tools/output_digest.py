@@ -21,13 +21,20 @@ A change that claims to leave the library's outputs unchanged should print
 the same four digests before and after; one that changes only the JSON
 layout should move the json line alone.  Run from the repository root:
 
-    PYTHONPATH=src python3 tools/output_digest.py
+    PYTHONPATH=src python3 tools/output_digest.py [--expect FILE]
+
+With ``--expect FILE`` the printed lines are compared with FILE's and the
+exit status is 1 if any differs.  ``tools/output_digests.txt`` pins the
+current digests; CI runs the tool against it, so a change that moves an
+output must update that file and say why.
 """
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -80,9 +87,26 @@ def point_digest() -> str:
     return h.hexdigest()
 
 
-if __name__ == "__main__":
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Print sha256 digests of focalnet's emitted outputs.")
+    parser.add_argument("--expect", metavar="FILE",
+                        help="compare the printed lines with FILE's and exit "
+                             "with status 1 if any differs")
+    args = parser.parse_args(argv)
     json_digest, csv_digest = grid_digests()
-    print(f"json {json_digest}")
-    print(f"csv {csv_digest}")
-    print(f"mesh {mesh_digest()}")
-    print(f"point {point_digest()}")
+    lines = [f"json {json_digest}", f"csv {csv_digest}",
+             f"mesh {mesh_digest()}", f"point {point_digest()}"]
+    print("\n".join(lines))
+    if args.expect is not None:
+        with open(args.expect) as fh:
+            expected = fh.read().splitlines()
+        if lines != expected:
+            print(f"the digests differ from {args.expect}, which holds:",
+                  *expected, sep="\n", file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
