@@ -82,6 +82,33 @@ def _pair_tables():
 _PAIRS = _pair_tables()
 
 
+# Rank-stage tables of a batch product, one per valid order r.  Slot (i, j)
+# sums (i+1)(j+1) terms at every order that keeps it, so once the slots are
+# ranked by falling term count (ties in slot order) the slots with a k-th
+# term are a prefix of the ranking, and stage k adds the k-th term of each
+# of them in one slice add; slot (2, 2) has the most terms, 9.  `ka` and
+# `kb` list the terms stage by stage, each slot's in the order of `_PAIRS`;
+# `stages` holds (first term, slots) per stage and `back` each slot's rank
+# (the slots above r rank last, with no terms).
+def _stage_tables():
+    tables = []
+    for ka, kb, out in _PAIRS:
+        count = np.bincount(out, minlength=N_COEFFS)
+        rank = np.argsort(-count, kind="stable")
+        slot_pairs = [np.flatnonzero(out == slot) for slot in rank]
+        listed, stages = [], []
+        for k in range(count.max()):
+            kth = [p[k] for p in slot_pairs if len(p) > k]
+            stages.append((len(listed), len(kth)))
+            listed += kth
+        tables.append((ka[listed], kb[listed], tuple(stages),
+                       np.argsort(rank)))
+    return tuple(tables)
+
+
+_STAGES = _stage_tables()
+
+
 # d/du: result[(i, j)] = (i+1) * c[(i+1, j)]; slots with i+1 > 4 vanish.
 def _shift_table(axis: int):
     src = np.zeros(N_COEFFS, dtype=np.intp)
@@ -229,16 +256,24 @@ class Jet4:
 
 
 def _convolve_batch(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """Truncated product of two coefficient arrays with a batch axis: one
-    bincount over the bins slot * n + column, so every column sums its
-    terms in the order of the one-point product.  Without points bincount
-    returns integers, hence the cast."""
-    ka, kb, out = _PAIRS[order]
+    """Truncated product of two coefficient arrays with a batch axis, summed
+    in rank stages (`_STAGES`): one gather-multiply makes every term, each
+    stage adds one term to each slot that has it, and a gather puts the
+    slots back in order.  Every slot starts at +0.0 and adds its terms in
+    the order of the one-point product, which is bincount's order, so each
+    column has the bits of its point; only where two NaNs meet may the sum
+    keep the other one's sign, a choice IEEE 754 leaves open.  The adds are
+    silent, as bincount's are: a sum that overflows or meets inf - inf
+    gives inf or NaN without a warning."""
+    ka, kb, stages, back = _STAGES[order]
     n = a[0].size
-    terms = a.reshape(N_COEFFS, n)[ka] * b.reshape(N_COEFFS, n)[kb]
-    bins = (out[:, None] * n + np.arange(n)).ravel()
-    return np.bincount(bins, terms.ravel(), N_COEFFS * n).astype(
-        float, copy=False).reshape(a.shape)
+    terms = a.reshape(N_COEFFS, n)[ka]
+    terms *= b.reshape(N_COEFFS, n)[kb]
+    sums = np.zeros((N_COEFFS, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, count in stages:
+            sums[:count] += terms[start:start + count]
+    return sums[back].reshape(a.shape)
 
 
 def _add_scalar(c: np.ndarray, s) -> np.ndarray:
@@ -259,8 +294,16 @@ def _compose(g: Jet4, series) -> Jet4:
     holds five numbers, or five arrays of shape S."""
     gh = Jet4(g.c.copy(), g.valid_order)
     gh.c[0] = 0.0
-    acc = Jet4.const(series[MAX_ORDER], g.valid_order)
-    for k in range(MAX_ORDER - 1, -1, -1):
+    # The first step, series[4] * gh, is a scaled copy: the one nonzero term
+    # of each slot of the product with the constant jet series[4].  Where
+    # the product has +0.0 the copy may have -0.0, and it keeps the slots
+    # above the valid order, but the products below see neither: they sum
+    # from +0.0 and read no slot above the valid order.  Where gh holds inf
+    # or NaN up to the valid order the product has NaN in more slots; the
+    # result is non-finite either way, with the same slot 0.
+    acc = Jet4(series[MAX_ORDER] * gh.c, g.valid_order)
+    acc.c[0] += series[MAX_ORDER - 1]
+    for k in range(MAX_ORDER - 2, -1, -1):
         acc = acc * gh
         acc.c[0] += series[k]
     return acc

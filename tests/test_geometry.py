@@ -174,8 +174,7 @@ def test_normal_orientation_consistent(prog, tol):
 
 def test_batch_of_no_points_gives_float_jets(prog):
     """An empty batch is a batch like any other: every gallery surface
-    gives float position jets of shape (15, 0) (`np.bincount`, behind a
-    batch product, counts in integers when it has nothing to add)."""
+    gives float position jets of shape (15, 0)."""
     for name in gallery_names():
         sj = eval_surface(prog(name), [], [])
         for jet in sj.pos:

@@ -1,5 +1,6 @@
 """Order-4 bivariate jet arithmetic."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,28 +154,134 @@ def _full_product(a, b):
     return np.bincount(out, weights=a[ka] * b[kb], minlength=jt.N_COEFFS)
 
 
+_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308, 1.7e308,
+                   -1.7e308, math.nan, math.inf, -math.inf])
+
+
+def _edge_coeffs(rng, shape, edge_frac):
+    """Coefficients of shape (15,) + shape.  Each column has its own scale,
+    10^-160 to 10^160, so that products underflow, overflow, or sum finite
+    terms past the largest float; a fraction `edge_frac` of the entries are
+    edges: signed zeros, subnormals, the largest floats, NaN and +-inf."""
+    size = (jt.N_COEFFS,) + shape
+    scale = rng.uniform(-160, 160, shape) + rng.uniform(-2, 2, size)
+    c = rng.normal(size=size) * 10.0 ** scale
+    edge = rng.random(size) < edge_frac
+    c[edge] = rng.choice(_EDGES, edge.sum())
+    return c
+
+
+def _same_bits(got, want) -> bool:
+    """Equal bit for bit, except that any NaN equals any NaN: where two NaNs
+    meet in a sum, IEEE 754 leaves open whose sign the result keeps, and
+    bincount and numpy's add loop keep different ones."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    return got.shape == want.shape and bool((
+        (got.view(np.int64) == want.view(np.int64))
+        | (np.isnan(got) & np.isnan(want))).all())
+
+
 def test_products_match_the_full_convolution_bitwise():
     """A product computes the coefficients up to its valid order from that
-    order's pairs alone; they equal the 70-pair convolution bit for bit, at
-    S = () and in every column at S = (7,), and the rest are zero."""
+    order's pairs alone; they equal the 70-pair convolution bit for bit in
+    every column, at S = () and in batches of 0, 7 and 1600 points and of
+    3 x 5 points, over columns with signed zeros, subnormals, sums that
+    overflow, NaN and +-inf (a batch NaN may differ in sign), and the rest
+    are zero."""
     rng = np.random.default_rng(3)
-    for ra in range(jt.MAX_ORDER + 1):
-        for rb in range(jt.MAX_ORDER + 1):
-            a = jt.Jet4(rng.normal(size=(jt.N_COEFFS, 7)), ra)
-            b = jt.Jet4(rng.normal(size=(jt.N_COEFFS, 7)), rb)
-            a.c[3, 2] = -0.0
-            order = min(ra, rb)
-            kept = (order + 1) * (order + 2) // 2
-            batch = a * b
-            assert batch.valid_order == order
-            assert not batch.c[kept:].any()
-            for i in range(7):
-                want = _full_product(a.c[:, i], b.c[:, i])[:kept].tobytes()
-                one = (jt.Jet4(a.c[:, i].copy(), ra)
-                       * jt.Jet4(b.c[:, i].copy(), rb))
-                assert one.valid_order == order
-                assert one.c[:kept].tobytes() == want
-                assert batch.c[:kept, i].tobytes() == want
+    for shape in ((0,), (7,), (1600,), (3, 5)):
+        for ra in range(jt.MAX_ORDER + 1):
+            for rb in range(jt.MAX_ORDER + 1):
+                a = jt.Jet4(_edge_coeffs(rng, shape, 0.1), ra)
+                b = jt.Jet4(_edge_coeffs(rng, shape, 0.1), rb)
+                order = min(ra, rb)
+                kept = (order + 1) * (order + 2) // 2
+                with np.errstate(all="ignore"):
+                    batch = a * b
+                assert batch.valid_order == order
+                assert batch.c.shape == a.c.shape
+                assert not batch.c[kept:].any()
+                for i in np.ndindex(shape):
+                    col = (slice(None),) + i
+                    with np.errstate(all="ignore"):
+                        want = _full_product(a.c[col], b.c[col])[:kept]
+                        one = (jt.Jet4(a.c[col].copy(), ra)
+                               * jt.Jet4(b.c[col].copy(), rb))
+                    assert one.valid_order == order
+                    assert one.c[:kept].tobytes() == want.tobytes()
+                    assert _same_bits(batch.c[col][:kept], want)
+
+
+def test_batch_products_add_without_warnings():
+    """A batch product adds its terms as silently as the one-point product
+    (bincount): finite terms whose sum overflows give inf, and inf + -inf
+    gives NaN, with no warning even where warnings are errors."""
+    big = np.full((jt.N_COEFFS, 3), 1e154)
+    clash = np.zeros((jt.N_COEFFS, 3))
+    clash[:2] = [[math.inf], [-math.inf]]
+    ones = np.ones((jt.N_COEFFS, 3))
+    with np.errstate(all="warn"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        overflow = (jt.Jet4(big) * jt.Jet4(big)).c
+        nan = (jt.Jet4(clash) * jt.Jet4(ones)).c
+        for a, b, got in ((big, big, overflow), (clash, ones, nan)):
+            for i in range(3):
+                want = _full_product(a[:, i], b[:, i])
+                assert _same_bits(got[:, i], want)
+    # every slot past the value sums two or more terms of 1e308
+    assert (overflow[0] == 1e308).all() and np.isposinf(overflow[1:]).all()
+    assert np.isnan(nan[1]).all()      # slot (1, 0): inf * 1 + -inf * 1
+
+
+def _compose_by_products(g, series, order):
+    """The Horner loop of `_compose` on one column, started from the product
+    of the constant jet series[4] with g - g.value."""
+    kept = (order + 1) * (order + 2) // 2
+    gh = g.copy()
+    gh[0] = 0.0
+    acc = np.zeros(jt.N_COEFFS)
+    acc[0] = series[jt.MAX_ORDER]
+    for k in range(jt.MAX_ORDER - 1, -1, -1):
+        acc = _full_product(acc, gh)
+        acc[kept:] = 0.0
+        acc[0] += series[k]
+    return acc
+
+
+def test_compose_starts_from_the_scaled_series_bitwise():
+    """`_compose` starts Horner from the scaled copy series[4] * (g -
+    g.value), not from a product with a constant jet.  Per column, at every
+    valid order, at S = () and in a batch, over columns with signed zeros,
+    subnormals, overflows, NaN and +-inf: slot 0 has the product start's
+    bits (a batch NaN may differ in sign), a column is finite exactly where
+    the product start's is, and a finite column has all its bits.  A point
+    fails where its surface jet is not finite and otherwise on values
+    (slot 0), so every poisoned column keeps its failure class."""
+    rng = np.random.default_rng(17)
+    n = 1600
+    for order in range(jt.MAX_ORDER + 1):
+        g = _edge_coeffs(rng, (n,), 0.01)
+        g[:, : n // 2] = rng.normal(size=(jt.N_COEFFS, n // 2))
+        g[:, : n // 4][rng.random((jt.N_COEFFS, n // 4)) < 0.2] = 0.0
+        series = rng.normal(size=(jt.MAX_ORDER + 1, n))
+        series[rng.random(series.shape) < 0.1] = -0.0
+        edge = rng.random(series.shape) < 0.01
+        series[edge] = rng.choice(_EDGES, edge.sum())
+        with np.errstate(all="ignore"):
+            batch = jt._compose(jt.Jet4(g, order), series).c
+        finite = 0
+        for i in range(n):
+            with np.errstate(all="ignore"):
+                want = _compose_by_products(g[:, i], series[:, i], order)
+                one = jt._compose(jt.Jet4(g[:, i].copy(), order),
+                                  series[:, i].tolist()).c
+            for got in (one, batch[:, i]):
+                assert _same_bits(got[0], want[0])
+                assert np.isfinite(got).all() == np.isfinite(want).all()
+                if np.isfinite(want).all():
+                    assert got.tobytes() == want.tobytes()
+            finite += bool(np.isfinite(want).all())
+        assert n // 2 <= finite < n
 
 
 def test_batch_columns_equal_their_points_bitwise():
