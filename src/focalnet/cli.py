@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, Optional, Tuple
 
@@ -35,16 +36,25 @@ def _add_surface_args(p: argparse.ArgumentParser) -> None:
                    help="override a surface parameter (repeatable)")
 
 
+def _number(text: str, what: str, parser) -> float:
+    """`text` as a finite float; anything else is a usage error, since NaN
+    and infinities have no place in a report's JSON."""
+    try:
+        x = float(text)
+    except ValueError:
+        parser.error(f"{what}: '{text}' is not a number")
+    if not math.isfinite(x):
+        parser.error(f"{what}: '{text}' is not finite")
+    return x
+
+
 def _parse_params(pairs, parser) -> Dict[str, float]:
     out: Dict[str, float] = {}
     for item in pairs:
         name, eq, value = item.partition("=")
         if not eq or not name:
             parser.error(f"--param expects k=v, got '{item}'")
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            parser.error(f"--param {name}: '{value}' is not a number")
+        out[name.strip()] = _number(value, f"--param {name}", parser)
     return out
 
 
@@ -67,10 +77,8 @@ def _parse_at(text: str, parser) -> Tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         parser.error(f"--at expects u,v, got '{text}'")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        parser.error(f"--at expects two numbers, got '{text}'")
+    return (_number(parts[0], "--at u", parser),
+            _number(parts[1], "--at v", parser))
 
 
 def _fmt(x: Optional[float]) -> str:

@@ -17,7 +17,7 @@ from .jet import ELEMENTARY
 __all__ = [
     "Num", "Var", "Neg", "BinOp", "Call", "Node",
     "evaluate", "free_names", "to_source",
-    "FLOAT_FUNCTIONS", "FUNCTION_NAMES", "CONSTANT_NAMES",
+    "FUNCTION_NAMES", "CONSTANT_NAMES",
 ]
 
 
@@ -51,8 +51,7 @@ class Call:
 
 Node = Union[Num, Var, Neg, BinOp, Call]
 
-FLOAT_FUNCTIONS = {f.name: f.float_fn for f in ELEMENTARY}
-FUNCTION_NAMES = frozenset(FLOAT_FUNCTIONS)
+FUNCTION_NAMES = frozenset(f.name for f in ELEMENTARY)
 CONSTANT_NAMES = frozenset({"pi", "e"})
 
 

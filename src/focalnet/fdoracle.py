@@ -84,23 +84,23 @@ def fd_partial_mp(f, u: float, v: float, i: int, j: int, h):
 
 def scalar_fn(prog, coord: int) -> Callable[[float, float], float]:
     """Plain float evaluator for one coordinate expression of a program."""
-    return lambda u, v: prog.evaluate(u, v, ex.FLOAT_FUNCTIONS)[coord]
+    return lambda u, v: prog.evaluate(u, v)[coord]
 
 
 def mp_scalar_fn(prog, coord: int):
-    """mpmath evaluator for one coordinate expression of a program: the
-    reference sampler, kept apart from `SurfaceProgram.evaluate` because
-    constants and parameters must be mpmath numbers too."""
+    """mpmath evaluator for one coordinate expression of a program, at the
+    caller's working precision: the reference sampler, kept apart from
+    `SurfaceProgram.evaluate` because constants and parameters must be
+    mpmath numbers too."""
     import mpmath as mp
     node = prog.exprs[coord]
     params = prog.params
     funcs = {f.name: getattr(mp, f.mp_name) for f in jt.ELEMENTARY}
 
     def f(u, v):
-        with mp.workdps(_MP_DPS):
-            env = {"pi": mp.pi, "e": mp.e, "u": u, "v": v}
-            env.update({k: mp.mpf(w) for k, w in params.items()})
-            return ex.evaluate(node, env, funcs)
+        env = {"pi": mp.pi, "e": mp.e, "u": u, "v": v}
+        env.update({k: mp.mpf(w) for k, w in params.items()})
+        return ex.evaluate(node, env, funcs)
 
     return f
 

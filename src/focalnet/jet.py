@@ -24,21 +24,23 @@ concerned, and builds no exception for them: all their coefficients become
 NaN, which every later operation keeps, and `finite` tells them apart.
 
 The elementary functions are the rows of one table, `ELEMENTARY`, which
-also gives `expr.FLOAT_FUNCTIONS`, the mpmath functions of `fdoracle` and
-`FLOATS_FUNCTIONS`.  Each row's array version gives the float function's
-bits on arrays: a numpy function where numpy rounds as `math` does (sqrt,
-sin, cos), else the float function called entry by entry.  The series
-coefficients of a batch are the float code's expressions on `Floats`,
-Python's float arithmetic on arrays with a mask of the entries where the
-float code raises; `sdl.SurfaceProgram.position` evaluates a batch of
-positions the same way.  Expressions are turned into jets by
-`sdl.SurfaceProgram.jets`, which binds `jet_variables` and evaluates with
-`JET_FUNCTIONS`.
+also gives `JET_FUNCTIONS`, the mpmath functions of `fdoracle` and the
+float-function map `FLOATS_FUNCTIONS`: a row's float function on a float,
+its array version on `Floats` (Python's float arithmetic on arrays, with a
+mask of the entries where the float code raises).  Each row's array
+version gives the float function's bits on arrays: a numpy function where
+numpy rounds as `math` does (sqrt, sin, cos), else the float function
+called entry by entry.  Each row's series coefficients are one code on a
+float or on `Floats`, which calls its functions through the map, so a
+batch column gets its point's bits.  `sdl.SurfaceProgram.evaluate` runs a
+surface's expressions on jets with `JET_FUNCTIONS`, and on floats or
+`Floats` (a batch of positions) with the map; `SurfaceProgram.jets` binds
+`jet_variables`.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +49,7 @@ from .errors import JetDomainError, JetOrderError
 __all__ = [
     "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
     "jet_variables", "where", "finite", "power", "hypot", "pick", "largest",
-    "smallest", "Floats", "Series", "Elementary", "ELEMENTARY",
+    "smallest", "Floats", "Elementary", "ELEMENTARY",
     "JET_FUNCTIONS", "FLOATS_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
 ]
@@ -419,63 +421,56 @@ def _per_entry(float_fn, ufunc):
     return array_fn
 
 
-_SQRT, _SIN, _COS = map(_native, (np.sqrt, np.sin, np.cos))
-_EXP, _LN, _TAN, _SINH, _COSH = (
-    _per_entry(f, u) for f, u in ((math.exp, np.exp), (math.log, np.log),
-                                  (math.tan, np.tan), (math.sinh, np.sinh),
-                                  (math.cosh, np.cosh)))
-
-
 # -- series coefficients -----------------------------------------------------
-# Each function's five Taylor coefficients at a value, as a `Series`: the
-# float code for one point (None outside the domain, and an exception where
-# the float code fails) and the same expressions on `Floats` for a batch,
-# whose masks give the same verdict without raising (the reciprocal and the
-# non-integer power run one code on both).  tests/test_jet.py compares the
-# two codes by bits and verdict over 10^6 values and the edges.
+# Each function's five Taylor coefficients at a value g0, written once for a
+# float (one point) and for the `Floats` of a batch's values.  They reach
+# their row's functions through the float-function map (`_SQRT` ... bound
+# below), which calls the float function on a float and the array function
+# on `Floats`, so a point runs Python's float operations and each column of
+# a batch the same operations, with their bits and their verdict.  Outside
+# the domain the float code raises and the column fails: at a division by
+# zero or an overflow, and where `_positive` guards sqrt, ln and x ** p.
+# tests/test_jet.py runs every series at both shapes over 10^6 values and
+# the edges, and checks its coefficients against mpmath's.
 
-class Series(NamedTuple):
-    """The five Taylor coefficients of a function at a value, by two codes
-    that give the same bits: `point` on a float (None outside the domain)
-    and `batch` on the `Floats` of a batch's values."""
-    point: Callable[[float], Optional[List[float]]]
-    batch: Callable[[Floats], list]
+def _positive(g0):
+    """g0 on the domain x > 0 of sqrt, ln and x ** p (a negative float base
+    would give a complex power): a float outside it raises ValueError, and
+    `Floats` fail there."""
+    if isinstance(g0, Floats):
+        return g0.failing(g0.value <= 0.0)
+    if g0 <= 0.0:
+        raise ValueError(f"{g0!r} is not positive")
+    return g0
 
 
-def _series(series: Series, g: Jet4, name: str):
-    """The series coefficients at the value of g.  At S = () they come from
-    the float code, and a value outside the domain, or one where the float
-    code fails (an overflow, say), raises JetDomainError.  With a batch axis
-    the array code runs on all columns at once, and a column where the
-    float code would fail gets NaN coefficients."""
+def _series(series: Callable, g: Jet4, name: str):
+    """The series coefficients at the value of g.  At S = () a value where
+    the float code raises (outside the domain, or an overflow) raises
+    JetDomainError.  With a batch axis the code runs on all columns at
+    once, and a column where the float code would raise gets NaN
+    coefficients."""
     if g.c.ndim == 1:
         try:
-            coeffs = series.point(g.value)
+            return series(g.value)
         except (ArithmeticError, ValueError):
-            coeffs = None
-        if coeffs is None:
-            raise JetDomainError(f"{name} undefined at value {g.value} in jet")
-        return coeffs
+            raise JetDomainError(
+                f"{name} undefined at value {g.value} in jet") from None
     g0 = g.c[0]
     with np.errstate(all="ignore"):
-        terms = series.batch(Floats(g0, np.zeros(g0.shape, dtype=bool)))
+        terms = series(Floats(g0, np.zeros(g0.shape, dtype=bool)))
     coeffs = np.array([t.value for t in terms])
     coeffs[:, np.logical_or.reduce([t.failed for t in terms])] = math.nan
     return coeffs
 
 
-def _reciprocal_series(g0):
-    """The reciprocal's series on a float or `Floats`; at 0 the float code
-    raises ZeroDivisionError and the batch code fails by the same rule."""
+def _reciprocal_series(g0) -> list:
     inv = 1.0 / g0
     return [inv, -inv**2, inv**3, -inv**4, inv**5]
 
 
-_RECIPROCAL = Series(_reciprocal_series, _reciprocal_series)
-
-
 def _reciprocal(g: Jet4) -> Jet4:
-    return _compose(g, _series(_RECIPROCAL, g, "1 / x"))
+    return _compose(g, _series(_reciprocal_series, g, "1 / x"))
 
 
 def _int_pow(g: Jet4, n: int) -> Jet4:
@@ -496,99 +491,58 @@ def _int_pow(g: Jet4, n: int) -> Jet4:
     return result
 
 
-def _power_series(p: float) -> Series:
-    """The series of x ** p for a non-integer p, for x > 0 only (a negative
-    float base would give a complex power)."""
-    def terms(g0) -> list:
-        series = []
+def _power_series(p: float) -> Callable:
+    """The series of x ** p for a non-integer p."""
+    def series(g0) -> list:
+        g0 = _positive(g0)
+        terms = []
         coeff = 1.0
         for k in range(MAX_ORDER + 1):
-            series.append(coeff * g0 ** (p - k))
+            terms.append(coeff * g0 ** (p - k))
             coeff *= (p - k) / (k + 1)
-        return series
-    return Series(lambda g0: None if g0 <= 0.0 else terms(g0),
-                  lambda g0: terms(g0.failing(g0.value <= 0.0)))
+        return terms
+    return series
 
 
 def _real_pow(g: Jet4, p: float) -> Jet4:
     return _compose(g, _series(_power_series(p), g, "non-integer power"))
 
 
-def _sqrt_series(g0: float) -> Optional[List[float]]:
-    if g0 <= 0.0:
-        return None
-    r = math.sqrt(g0)
+def _sqrt_series(g0) -> list:
+    g0 = _positive(g0)
+    r = _SQRT(g0)
     return [r, r / (2 * g0), -r / (8 * g0**2),
             r / (16 * g0**3), -5 * r / (128 * g0**4)]
 
 
-def _sqrt_batch(g0: Floats) -> list:
-    g0 = g0.failing(g0.value <= 0.0)
-    r = g0.map(_SQRT)
-    return [r, r / (2 * g0), -r / (8 * g0**2),
-            r / (16 * g0**3), -5 * r / (128 * g0**4)]
-
-
-def _exp_series(g0: float) -> List[float]:
-    e0 = math.exp(g0)
+def _exp_series(g0) -> list:
+    e0 = _EXP(g0)
     return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
 
 
-def _exp_batch(g0: Floats) -> list:
-    e0 = g0.map(_EXP)
-    return [e0, e0, e0 / 2, e0 / 6, e0 / 24]
-
-
-def _ln_series(g0: float) -> Optional[List[float]]:
-    if g0 <= 0.0:
-        return None
-    return [math.log(g0), 1 / g0, -1 / (2 * g0**2),
+def _ln_series(g0) -> list:
+    g0 = _positive(g0)
+    return [_LN(g0), 1 / g0, -1 / (2 * g0**2),
             1 / (3 * g0**3), -1 / (4 * g0**4)]
 
 
-def _ln_batch(g0: Floats) -> list:
-    g0 = g0.failing(g0.value <= 0.0)
-    return [g0.map(_LN), 1 / g0, -1 / (2 * g0**2),
-            1 / (3 * g0**3), -1 / (4 * g0**4)]
-
-
-def _sin_series(g0: float) -> List[float]:
-    s, c = math.sin(g0), math.cos(g0)
+def _sin_series(g0) -> list:
+    s, c = _SIN(g0), _COS(g0)
     return [s, c, -s / 2, -c / 6, s / 24]
 
 
-def _sin_batch(g0: Floats) -> list:
-    s, c = g0.map(_SIN), g0.map(_COS)
-    return [s, c, -s / 2, -c / 6, s / 24]
-
-
-def _cos_series(g0: float) -> List[float]:
-    s, c = math.sin(g0), math.cos(g0)
+def _cos_series(g0) -> list:
+    s, c = _SIN(g0), _COS(g0)
     return [c, -s, -c / 2, s / 6, c / 24]
 
 
-def _cos_batch(g0: Floats) -> list:
-    s, c = g0.map(_SIN), g0.map(_COS)
-    return [c, -s, -c / 2, s / 6, c / 24]
-
-
-def _sinh_series(g0: float) -> List[float]:
-    s, c = math.sinh(g0), math.cosh(g0)
+def _sinh_series(g0) -> list:
+    s, c = _SINH(g0), _COSH(g0)
     return [s, c, s / 2, c / 6, s / 24]
 
 
-def _sinh_batch(g0: Floats) -> list:
-    s, c = g0.map(_SINH), g0.map(_COSH)
-    return [s, c, s / 2, c / 6, s / 24]
-
-
-def _cosh_series(g0: float) -> List[float]:
-    s, c = math.sinh(g0), math.cosh(g0)
-    return [c, s, c / 2, s / 6, c / 24]
-
-
-def _cosh_batch(g0: Floats) -> list:
-    s, c = g0.map(_SINH), g0.map(_COSH)
+def _cosh_series(g0) -> list:
+    s, c = _SINH(g0), _COSH(g0)
     return [c, s, c / 2, s / 6, c / 24]
 
 
@@ -598,27 +552,28 @@ class Elementary(NamedTuple):
     """A function of the surface language: its name there, its float
     version, its array version (`array_fn(x)` gives the float version's
     bits entry by entry and the mask of entries where it raises), its
-    series coefficients at a value (None for tan, which is sin / cos on
-    jets) and the name of its mpmath version."""
+    series coefficients at a float or `Floats` value (None for tan, which
+    is sin / cos on jets) and the name of its mpmath version."""
     name: str
     float_fn: Callable[[float], float]
     array_fn: Callable[[np.ndarray], tuple]
-    series: Optional[Series]
+    series: Optional[Callable]
     mp_name: str
 
 
 ELEMENTARY = (
-    Elementary("sqrt", math.sqrt, _SQRT, Series(_sqrt_series, _sqrt_batch),
-               "sqrt"),
-    Elementary("exp", math.exp, _EXP, Series(_exp_series, _exp_batch), "exp"),
-    Elementary("ln", math.log, _LN, Series(_ln_series, _ln_batch), "log"),
-    Elementary("sin", math.sin, _SIN, Series(_sin_series, _sin_batch), "sin"),
-    Elementary("cos", math.cos, _COS, Series(_cos_series, _cos_batch), "cos"),
-    Elementary("tan", math.tan, _TAN, None, "tan"),
-    Elementary("sinh", math.sinh, _SINH, Series(_sinh_series, _sinh_batch),
-               "sinh"),
-    Elementary("cosh", math.cosh, _COSH, Series(_cosh_series, _cosh_batch),
-               "cosh"),
+    Elementary("sqrt", math.sqrt, _native(np.sqrt), _sqrt_series, "sqrt"),
+    Elementary("exp", math.exp, _per_entry(math.exp, np.exp), _exp_series,
+               "exp"),
+    Elementary("ln", math.log, _per_entry(math.log, np.log), _ln_series,
+               "log"),
+    Elementary("sin", math.sin, _native(np.sin), _sin_series, "sin"),
+    Elementary("cos", math.cos, _native(np.cos), _cos_series, "cos"),
+    Elementary("tan", math.tan, _per_entry(math.tan, np.tan), None, "tan"),
+    Elementary("sinh", math.sinh, _per_entry(math.sinh, np.sinh),
+               _sinh_series, "sinh"),
+    Elementary("cosh", math.cosh, _per_entry(math.cosh, np.cosh),
+               _cosh_series, "cosh"),
 )
 
 
@@ -641,8 +596,10 @@ def _jet_function(f: Elementary) -> Callable:
 def _floats_function(f: Elementary) -> Callable:
     """`f` on `Floats` (its array version) or on a plain number (its float
     version, which raises outside its domain)."""
+    float_fn, array_fn = f.float_fn, f.array_fn
+
     def fn(x):
-        return x.map(f.array_fn) if isinstance(x, Floats) else f.float_fn(x)
+        return x.map(array_fn) if isinstance(x, Floats) else float_fn(x)
     fn.__name__ = fn.__qualname__ = f.name
     return fn
 
@@ -652,6 +609,10 @@ FLOATS_FUNCTIONS = {f.name: _floats_function(f) for f in ELEMENTARY}
 sqrt, exp, ln, sin, cos, tan, sinh, cosh = (
     JET_FUNCTIONS[name]
     for name in ("sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh"))
+# the series' functions, bound once rather than looked up per call
+_SQRT, _EXP, _LN, _SIN, _COS, _SINH, _COSH = (
+    FLOATS_FUNCTIONS[name]
+    for name in ("sqrt", "exp", "ln", "sin", "cos", "sinh", "cosh"))
 
 
 def finite(values):

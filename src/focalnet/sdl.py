@@ -16,9 +16,12 @@ and the built-in functions.  `#` starts a line comment.  Parsing then
 printing then parsing again reproduces the AST exactly.
 
 `SurfaceProgram.evaluate` is the one evaluator of a compiled surface (jets,
-positions and oracle samples); the parser evaluates only constants.  An
-undefined point raises JetDomainError; in a batch it only leaves its jet
-column non-finite, and `geometry.principal_data` gives it that class.
+positions and oracle samples), and its arguments pick its functions: jets
+take `jet.JET_FUNCTIONS`, floats and `jet.Floats` the float-function map
+`jet.FLOATS_FUNCTIONS`.  The parser evaluates only constants, with the
+same map.  An undefined point raises JetDomainError; in a batch it only
+leaves its jet column non-finite, and `geometry.principal_data` gives it
+that class.
 """
 from __future__ import annotations
 
@@ -206,7 +209,7 @@ class _Parser:
                        f"'{sorted(extra)[0]}'", tok)
         try:
             value = ex.evaluate(node, {"pi": math.pi, "e": math.e},
-                                ex.FLOAT_FUNCTIONS)
+                                jt.FLOATS_FUNCTIONS)
         except Exception as exc:
             self.error(f"cannot evaluate {what}: {exc}", tok)
         if not math.isfinite(value):
@@ -331,16 +334,18 @@ class SurfaceProgram:
         self.params = dict(params)
         self.exprs = (definition.x, definition.y, definition.z)
 
-    def evaluate(self, u, v, funcs) -> tuple:
+    def evaluate(self, u, v) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
-        floats with `expr.FLOAT_FUNCTIONS`, jets with `jet.JET_FUNCTIONS`,
-        `jet.Floats` with `jet.FLOATS_FUNCTIONS`.  A failure of the whole
+        jets with `jet.JET_FUNCTIONS`, floats or `jet.Floats` with the
+        float-function map `jet.FLOATS_FUNCTIONS`.  A failure of the whole
         evaluation (a function outside its domain, a division by zero, an
         overflow) raises JetDomainError, and so does a result that
         `jet.finite` rejects at one point; in a batch such a point only
         leaves its jet column non-finite, or its `Floats` entry failed.
         numpy's warnings are silenced, as those values are the failure."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
+        funcs = (jt.JET_FUNCTIONS if isinstance(u, jt.Jet4)
+                 else jt.FLOATS_FUNCTIONS)
         at = (getattr(u, "value", u), getattr(v, "value", v))
         try:
             with np.errstate(all="ignore"):
@@ -356,7 +361,7 @@ class SurfaceProgram:
     def jets(self, u, v):
         """Order-4 jets of (x, y, z) at (u, v), constants as constant jets.
         u and v are numbers, or arrays of shape (N,) for a batch."""
-        out = self.evaluate(*jt.jet_variables(u, v), jt.JET_FUNCTIONS)
+        out = self.evaluate(*jt.jet_variables(u, v))
         return tuple(c if isinstance(c, jt.Jet4)
                      else jt.Jet4.const(np.full(np.shape(u), c)) for c in out)
 
@@ -367,14 +372,12 @@ class SurfaceProgram:
         that point's position (through `jet.Floats`), and NaN in all three
         coordinates where the point's position would raise."""
         if np.ndim(u) == 0:
-            return np.array(self.evaluate(float(u), float(v),
-                                          ex.FLOAT_FUNCTIONS), dtype=float)
+            return np.array(self.evaluate(float(u), float(v)), dtype=float)
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         xyz = np.empty((3,) + u.shape)
         failed = np.zeros(u.shape, dtype=bool)
         try:
-            out = self.evaluate(jt.Floats(u), jt.Floats(v),
-                                jt.FLOATS_FUNCTIONS)
+            out = self.evaluate(jt.Floats(u), jt.Floats(v))
         except JetDomainError:      # the whole evaluation fails
             out = (math.nan,) * 3
         for row, c in zip(xyz, out):

@@ -418,37 +418,68 @@ def _assert_same(got, failed, rows, what):
 _CHUNK = 100_000
 
 
+def _floats(x):
+    """The values x as `Floats` that fail nowhere."""
+    return jt.Floats(x, np.zeros(x.size, dtype=bool))
+
+
 def test_array_functions_have_the_float_bits_and_verdict():
-    """Each row of ELEMENTARY: its array function gives, on 10^6 values and
-    the edges, the float function's bits and fails exactly where the float
+    """Each function of the float-function map (a row of ELEMENTARY): on
+    the `Floats` of 10^6 values and the edges it gives, by the row's array
+    function, the float function's bits and fails exactly where the float
     function raises.  np.sqrt, np.sin and np.cos are used as they are, so
     a numpy that rounds them otherwise fails here."""
     values = _table_inputs()
-    for f in jt.ELEMENTARY:
+    for name, fn in jt.FLOATS_FUNCTIONS.items():
         for at in range(0, values.size, _CHUNK):
             x = values[at:at + _CHUNK]
             with np.errstate(all="ignore"):
-                got, failed = f.array_fn(x)
-            _assert_same(got, failed, _float_rows(f.float_fn, x.tolist()),
-                         f.name)
+                out = fn(_floats(x))
+            _assert_same(out.value, out.failed, _float_rows(fn, x.tolist()),
+                         name)
+
+
+def _all_series():
+    """(name, series) of the table's rows, the reciprocal and x ** 2.5,
+    whose exponents 2.5 - k take both signs."""
+    series = [(f.name, f.series) for f in jt.ELEMENTARY if f.series]
+    return series + [("1 / x", jt._reciprocal_series),
+                     ("x ** 2.5", jt._power_series(2.5))]
 
 
 def test_batch_series_have_the_float_bits_and_verdict():
-    """Every series (the table's, the reciprocal's and x ** 2.5's, whose
-    exponents 2.5 - k take both signs): the array code gives, on 10^6
-    values and the edges, the float code's bits and fails exactly at the
-    values where the float code returns None or raises.  At 1e-160 sqrt's
-    g0**3 underflows to 0, so the float code raises ZeroDivisionError where
-    numpy's division would give inf."""
+    """Every series: on the `Floats` of 10^6 values and the edges it gives
+    the bits it gives on each value as a float, and fails exactly at the
+    values where the float code raises (outside the domain, at a division
+    by zero or an overflow).  At 1e-160 sqrt's g0**3 underflows to 0, so
+    the float code raises ZeroDivisionError where numpy's division would
+    give inf."""
     values = _table_inputs()
-    series = [(f.name, f.series) for f in jt.ELEMENTARY if f.series]
-    series += [("1 / x", jt._RECIPROCAL)]
-    series += [("x ** 2.5", jt._power_series(2.5))]
-    for name, s in series:
+    for name, s in _all_series():
         for at in range(0, values.size, _CHUNK):
             x = values[at:at + _CHUNK]
             with np.errstate(all="ignore"):
-                terms = s.batch(jt.Floats(x, np.zeros(x.size, dtype=bool)))
+                terms = s(_floats(x))
             got = np.array([t.value for t in terms])
             failed = np.logical_or.reduce([t.failed for t in terms])
-            _assert_same(got, failed, _float_rows(s.point, x.tolist()), name)
+            _assert_same(got, failed, _float_rows(s, x.tolist()), name)
+
+
+def test_series_match_mpmath_taylor():
+    """Every series' five coefficients lie within 4 ulp of the Taylor
+    coefficients mpmath computes at 50 digits, at 0.3, 1.7 and 4.0 and at
+    their negatives where the domain has them: a reference apart from the
+    float code, which the point and the batch share."""
+    import mpmath as mp
+    refs = {f.name: getattr(mp, f.mp_name) for f in jt.ELEMENTARY}
+    refs.update({"1 / x": lambda x: 1 / x, "x ** 2.5": lambda x: x ** 2.5})
+    positive = ("sqrt", "ln", "x ** 2.5")
+    for name, series in _all_series():
+        for x in (0.3, 1.7, 4.0) + (() if name in positive
+                                    else (-0.3, -1.7, -4.0)):
+            got = series(x)
+            with mp.workdps(50):
+                want = mp.taylor(refs[name], mp.mpf(x), jt.MAX_ORDER)
+                for k, (g, w) in enumerate(zip(got, want)):
+                    ulp = math.ulp(float(w))
+                    assert abs(g - w) <= 4 * ulp, (name, x, k, g, w)

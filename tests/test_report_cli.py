@@ -416,6 +416,12 @@ def test_cli_usage_errors():
                  ["eval", "--surface", "helicoid", "--param", "a=x",
                   "--at", "0,0"],
                  ["eval", "--surface", "helicoid", "--at", "1"],
+                 ["grid", "--surface", "helicoid", "--param", "c=nan",
+                  "--nu", "3", "--nv", "3"],
+                 ["grid", "--surface", "helicoid", "--param", "c=inf",
+                  "--nu", "3", "--nv", "3"],
+                 ["eval", "--surface", "helicoid", "--at", "nan,0.5"],
+                 ["eval", "--surface", "helicoid", "--at", "0,inf"],
                  ["grid", "--surface", "helicoid", "--nu", "1", "--nv", "3"],
                  ["mesh", "--surface", "helicoid", "--nu", "3", "--nv", "3",
                   "--nets", "99", "--out", "/tmp/x"],

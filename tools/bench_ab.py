@@ -111,9 +111,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--base", default="HEAD", help="base revision")
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=int, default=10,
+                    help="alternating pairs per workload (at least 2, "
+                         "for the quartiles)")
     ap.add_argument("--seed", type=int, default=100)
     args = ap.parse_args(argv)
+    if args.pairs < 2:
+        ap.error("--pairs must be at least 2: quartiles need two runs "
+                 "per side")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = spec["run_seconds"]
