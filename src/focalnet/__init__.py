@@ -3,7 +3,7 @@ parametric surfaces, on an exact truncated-Taylor derivative engine.
 
 Layers, bottom up:
 
-- ``jet`` / ``expr`` / ``sdl``: order-4 bivariate Taylor arithmetic (at
+- ``jet`` / ``expr`` / ``sdl``: bivariate Taylor arithmetic to order 4 (at
   one point, or at a batch of points in one pass), the expression compiler,
   and the little surface-definition language with its built-in gallery.
 - ``geometry`` / ``frames``: principal curvatures and directions as jets;

@@ -174,7 +174,7 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int,
     Consumes order-4 surface jets: the focal position differentiates the
     curvature, and its second fundamental form differentiates it again.
     """
-    sj = eval_surface(prog, u, v)
+    sj = eval_surface(prog, u, v, jt.MAX_ORDER)
     pd = principal_data(sj, tol)
     fp = frame_point_from_pd(pd, tol)
     check_canal(fp, sheet, tol)

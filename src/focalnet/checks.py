@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from . import jet as jt
 from .central import (canal_threshold, central_ii_oracle, central_point,
                       central_pfaffian, connection_gradient,
                       divergence_closed_form, divergence_scale,
@@ -44,7 +45,7 @@ from .classify import (class_gradients, class_partials, moulding_defect,
 from .errors import FRAME_ERRORS, FocalnetError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
-                     frame_point, gauss_scale, pfaffian_values)
+                     frame_point, pfaffian_values)
 from .geometry import principal_data
 from .mesh import export_obj
 from .nets import (net_asymptotic_pullback, net_curvature_pullback,
@@ -108,17 +109,19 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
                         min_gap: float = 0.0,
                         nonmoulding: float = 0.0) -> List[FramePoint]:
     """Rejection-sample n non-degenerate frame points in the domain box
-    (shrunk by `_MARGIN` per side).  ``sheets`` demands |nabla_i k_i| >=
-    healthy x canal threshold for those sheets; ``min_k`` floors min(|k1|,
-    |k2|); ``min_gap`` floors |k1-k2| relative to |k1|+|k2|; ``nonmoulding``
-    floors the moulding defect."""
+    (shrunk by `_MARGIN` per side), from surface jets of `jt.MAX_ORDER`,
+    so that the Gauss equation and second Pfaffians of `fp.pd` can be
+    taken.  ``sheets`` demands |nabla_i k_i| >= healthy x canal threshold
+    for those sheets; ``min_k`` floors min(|k1|, |k2|); ``min_gap`` floors
+    |k1-k2| relative to |k1|+|k2|; ``nonmoulding`` floors the moulding
+    defect."""
     out: List[FramePoint] = []
     draws, cap = 0, max(4000, 400 * n)
     while len(out) < n and draws < cap:
         draws += 1
         (u, v), = domain_points(prog, 1, rng)
         try:
-            fp = frame_point(prog, u, v, tol)
+            fp = frame_point(prog, u, v, tol, jt.MAX_ORDER)
         except FRAME_ERRORS:
             continue
         if min(abs(fp.k1), abs(fp.k2)) < min_k:
@@ -192,7 +195,8 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
         for fp in pts:
             r1, r2 = check_codazzi(fp)
             max_cod = max(max_cod, max(abs(r1), abs(r2)) / codazzi_scale(fp))
-            max_gau = max(max_gau, abs(check_gauss(fp)) / gauss_scale(fp))
+            res, scale = check_gauss(fp)
+            max_gau = max(max_gau, abs(res) / scale)
         ok = max_cod <= bound and max_gau <= bound
         results.append(CheckResult(
             f"structure.codazzi_gauss.{name}", ok,
@@ -418,8 +422,7 @@ def _synthetic_equal_gradient_point(rng) -> FramePoint:
     g = (float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1),
          float(rng.uniform(0.3, 1.5)) * (1 if rng.uniform() < 0.5 else -1))
     return FramePoint(u=0.0, v=0.0, pd=None, k1=k1, k2=k2, q1=0.0, q2=0.0,
-                      grad_k1=g, grad_k2=g, d2_q1=0.0, d1_q2=0.0,
-                      x=None, e1=None, e2=None, e3=None)
+                      grad_k1=g, grad_k2=g, x=None, e1=None, e2=None, e3=None)
 
 
 def check_remarks(seed: int = 7) -> List[CheckResult]:

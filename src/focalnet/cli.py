@@ -232,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("list", help="print the surface gallery")
-    p.set_defaults(func=cmd_list)
+    p.set_defaults(func=cmd_list, parser=p)
 
     p = sub.add_parser("eval", help="evaluate one parameter point")
     _add_surface_args(p)
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="parameter point")
     p.add_argument("--json", action="store_true",
                    help="emit the full record as JSON")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, parser=p)
 
     p = sub.add_parser("grid", help="evaluate a grid and write a report")
     _add_surface_args(p)
@@ -250,12 +250,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON output path (default: stdout)")
     p.add_argument("--csv", metavar="report.csv",
                    help="also write a flat CSV")
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_grid, parser=p)
 
     p = sub.add_parser("check", help="run self-check suites")
     p.add_argument("--suite", choices=SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=7, help="sampling seed")
-    p.set_defaults(func=cmd_check)
+    p.set_defaults(func=cmd_check, parser=p)
 
     p = sub.add_parser("mesh", help="export OBJ meshes")
     _add_surface_args(p)
@@ -267,15 +267,15 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="net direction fields to export")
     p.add_argument("--out", required=True, metavar="DIR",
                    help="output directory")
-    p.set_defaults(func=cmd_mesh)
+    p.set_defaults(func=cmd_mesh, parser=p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        # a usage error shows the subcommand's usage line
+        return args.func(args, args.parser)
     except FocalnetError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

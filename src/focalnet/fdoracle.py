@@ -15,7 +15,9 @@ mpmath is imported lazily; the library runtime never needs it.
 
 Frame-dependent field sampling realigns the e1 sign at every stencil node
 against the center frame (nearest-neighbor continuation); ambiguous
-alignment near umbilics is an error, never a guess.
+alignment near umbilics is an error, never a guess.  The samplers read
+frame values only, so the stencil frames evaluate at the outputs' order,
+`eval_surface`'s default.
 """
 from __future__ import annotations
 
@@ -184,7 +186,7 @@ def jet_fd_error(prog, u: float, v: float, coord: int, i: int, j: int,
                  h: float) -> float:
     """|finite difference - jet coefficient| with the stencil computed in
     mpmath, so the result reflects truncation error, not float64 noise."""
-    sj = eval_surface(prog, u, v)
+    sj = eval_surface(prog, u, v, jt.MAX_ORDER)
     exact = sj.pos[coord].extract(i, j)
     approx = fd_partial_mp(mp_scalar_fn(prog, coord), u, v, i, j, h)
     return abs(float(approx - exact))

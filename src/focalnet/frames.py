@@ -13,8 +13,12 @@ checks below independent of the curvature gradients they constrain.
 
 `FramePoint` is the last layer that differentiates jets: it keeps only
 float values and first Pfaffians, and the curvature jets stay reachable as
-`pd.k1`/`pd.k2`.  The gradient of any curvature function g(k1, k2) follows
-by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
+`pd.k1`/`pd.k2`.  Its fields read derivatives of the position up to the
+third, so `frame_point` and `frame_batch` evaluate at `jt.OUTPUT_ORDER`;
+a check that differentiates `pd` twice (the Gauss equation, the
+commutator) asks for `jt.MAX_ORDER`.  The gradient of any curvature
+function g(k1, k2) follows by the chain rule,
+nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 `classify.class_gradients` and `central.connection_gradient`).
 
 `frame_batch` evaluates many points in one pass, on jets with a batch axis
@@ -41,7 +45,7 @@ __all__ = [
     "FramePoint", "frame_point", "frame_batch", "frame_point_from_pd",
     "pfaffian",
     "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
-    "gauss_scale", "commutator_residual",
+    "commutator_residual",
 ]
 
 
@@ -62,8 +66,9 @@ class FramePoint:
     as floats; `pd` is the only jet data it holds, and that of
     `frame_batch` holds none (`pd` is None).
 
-    d2_q1 and d1_q2 are nabla_2 q1 and nabla_1 q2, the derivatives the
-    Gauss equation reads.  x is the position and e1, e2, e3 the frame
+    q1 and q2 are the connection coefficients and grad_k1, grad_k2 the
+    Pfaffian gradients of the curvatures, the highest derivatives here
+    (third of the position).  x is the position and e1, e2, e3 the frame
     vectors, each as three ambient components.  Built from a batch
     `PrincipalData`, every float field holds an array of shape S."""
     u: float
@@ -75,8 +80,6 @@ class FramePoint:
     q2: float
     grad_k1: Tuple[float, float]
     grad_k2: Tuple[float, float]
-    d2_q1: float
-    d1_q2: float
     x: Tuple[float, float, float]
     e1: Tuple[float, float, float]
     e2: Tuple[float, float, float]
@@ -91,16 +94,19 @@ def _values(vec) -> tuple:
     return tuple(c.value for c in vec)
 
 
-def frame_point_from_pd(pd: PrincipalData,
-                        tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
-    # q_i = <D_{e_i} e1, e2>: differentiate the ambient frame field.
+def _connection(pd: PrincipalData) -> Tuple[jt.Jet4, jt.Jet4]:
+    """(q1, q2) as jets, q_i = <D_{e_i} e1, e2>: the ambient frame field
+    differentiated along the principal directions."""
     e1u = (pd.e1[0].du(), pd.e1[1].du(), pd.e1[2].du())
     e1v = (pd.e1[0].dv(), pd.e1[1].dv(), pd.e1[2].dv())
     d1_e1 = tuple(pd.xi1 * a + pd.eta1 * b for a, b in zip(e1u, e1v))
     d2_e1 = tuple(pd.xi2 * a + pd.eta2 * b for a, b in zip(e1u, e1v))
-    q1_jet = vdot(d1_e1, pd.e2)
-    q2_jet = vdot(d2_e1, pd.e2)
+    return vdot(d1_e1, pd.e2), vdot(d2_e1, pd.e2)
 
+
+def frame_point_from_pd(pd: PrincipalData,
+                        tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
+    q1_jet, q2_jet = _connection(pd)
     sj = pd.sj
     return FramePoint(
         u=sj.u, v=sj.v, pd=pd,
@@ -108,35 +114,36 @@ def frame_point_from_pd(pd: PrincipalData,
         q1=q1_jet.value, q2=q2_jet.value,
         grad_k1=pfaffian_values(pd.k1, pd),
         grad_k2=pfaffian_values(pd.k2, pd),
-        # one component of each q gradient, as in `pfaffian`
-        d2_q1=(pd.xi2 * q1_jet.du() + pd.eta2 * q1_jet.dv()).value,
-        d1_q2=(pd.xi1 * q2_jet.du() + pd.eta1 * q2_jet.dv()).value,
         x=_values(sj.pos), e1=_values(pd.e1), e2=_values(pd.e2),
         e3=_values(pd.e3))
 
 
 def frame_point(prog, u: float, v: float,
-                tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
-    """The frame point at (u, v); a degenerate point raises one of
-    `errors.FRAME_ERRORS`.  The code `frame_batch` runs, at S = ()."""
-    sj = eval_surface(prog, u, v)
+                tol: ToleranceSet = DEFAULT_TOLERANCES,
+                order: int = jt.OUTPUT_ORDER) -> FramePoint:
+    """The frame point at (u, v), with `pd` of the surface jets of valid
+    order `order`; a degenerate point raises one of `errors.FRAME_ERRORS`.
+    The code `frame_batch` runs, at S = ()."""
+    sj = eval_surface(prog, u, v, order)
     return frame_point_from_pd(principal_data(sj, tol), tol)
 
 
 def frame_batch(prog, us: Sequence[float], vs: Sequence[float],
                 tol: ToleranceSet = DEFAULT_TOLERANCES):
-    """(fp, failed) at the points (us[i], vs[i]), in one pass: fp is a
-    FramePoint of arrays of shape (N,), without `pd`, and failed[i] is None
-    or the class of the exception `frame_point` raises at point i (whose
-    columns are meaningless).  When the whole evaluation fails, every
-    column is non-finite and so every point JetDomainError."""
+    """(fp, failed) at the points (us[i], vs[i]), in one pass from surface
+    jets of `jt.OUTPUT_ORDER`: fp is a FramePoint of arrays of shape
+    (N,), without `pd`, and failed[i] is None or the class of the exception
+    `frame_point` raises at point i (whose columns are meaningless).  When
+    the whole evaluation fails, every column is non-finite and so every
+    point JetDomainError."""
     us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
     # Failed points run through to the end on meaningless columns.
     with np.errstate(all="ignore"):
         try:
             sj = eval_surface(prog, us, vs)
         except JetDomainError:
-            sj = SurfaceJet(us, vs, *(jt.Jet4.const(np.full(us.shape, np.nan))
+            nan = np.full(us.shape, np.nan)
+            sj = SurfaceJet(us, vs, *(jt.Jet4.const(nan, jt.OUTPUT_ORDER)
                                       for _ in range(3)))
         pd = principal_data(sj, tol)
         fp = frame_point_from_pd(pd, tol)
@@ -157,20 +164,26 @@ def codazzi_scale(fp: FramePoint) -> float:
             + abs(fp.grad_k1[1]) + abs(fp.grad_k2[0]) + 1e-12)
 
 
-def check_gauss(fp: FramePoint) -> float:
-    """Raw residual of nabla_2 q1 - nabla_1 q2 = q1^2 + q2^2 + k1 k2."""
-    return (fp.d2_q1 - fp.d1_q2
-            - (fp.q1 ** 2 + fp.q2 ** 2 + fp.k1 * fp.k2))
-
-
-def gauss_scale(fp: FramePoint) -> float:
-    return (abs(fp.d2_q1) + abs(fp.d1_q2) + fp.q1 ** 2 + fp.q2 ** 2
+def check_gauss(fp: FramePoint) -> Tuple[float, float]:
+    """(raw residual, scale) of the Gauss equation
+    nabla_2 q1 - nabla_1 q2 = q1^2 + q2^2 + k1 k2; divide the residual by
+    the scale for a relative figure.  nabla_2 q1 and nabla_1 q2 (one
+    component of each q gradient, as in `pfaffian`) are fourth derivatives
+    of the position, so `fp.pd` must be of `jt.MAX_ORDER`."""
+    pd = fp.pd
+    q1, q2 = _connection(pd)
+    d2_q1 = (pd.xi2 * q1.du() + pd.eta2 * q1.dv()).value
+    d1_q2 = (pd.xi1 * q2.du() + pd.eta1 * q2.dv()).value
+    return (d2_q1 - d1_q2 - (fp.q1 ** 2 + fp.q2 ** 2 + fp.k1 * fp.k2),
+            abs(d2_q1) + abs(d1_q2) + fp.q1 ** 2 + fp.q2 ** 2
             + abs(fp.k1 * fp.k2) + 1e-12)
 
 
 def commutator_residual(fp: FramePoint, field: jt.Jet4) -> float:
     """Scale-relative residual of
-    nabla_1 nabla_2 f - nabla_2 nabla_1 f = -(q1 nabla_1 f + q2 nabla_2 f)."""
+    nabla_1 nabla_2 f - nabla_2 nabla_1 f = -(q1 nabla_1 f + q2 nabla_2 f),
+    for a field of valid order 2 or more (of `jt.MAX_ORDER` surface jets
+    when f is a curvature)."""
     d1f, d2f = pfaffian(field, fp.pd)
     d12 = pfaffian_values(d2f, fp.pd)[0]
     d21 = pfaffian_values(d1f, fp.pd)[1]

@@ -64,8 +64,9 @@ def _vscale(a: Vec3, s) -> Vec3:
 
 @dataclass
 class SurfaceJet:
-    """Order-4 jets of the position map at one parameter point, or at N
-    points when u and v are arrays of shape (N,) (see `eval_surface`)."""
+    """Jets of the position map at one parameter point, or at N points when
+    u and v are arrays of shape (N,) (see `eval_surface`), all three of the
+    valid order `eval_surface` was asked for."""
     u: float
     v: float
     x: jt.Jet4
@@ -77,15 +78,17 @@ class SurfaceJet:
         return (self.x, self.y, self.z)
 
 
-def eval_surface(prog, u, v) -> SurfaceJet:
-    """Jets of the position at (u, v).  With floats an undefined point
-    raises JetDomainError; with arrays u, v of shape (N,) the jets carry a
-    batch axis and an undefined point leaves its column non-finite.  A
-    failure of the whole evaluation raises JetDomainError at every shape."""
+def eval_surface(prog, u, v, order: int = jt.OUTPUT_ORDER) -> SurfaceJet:
+    """Jets of the position at (u, v), of valid order `order`: the outputs'
+    order, `jt.MAX_ORDER` for a check that differentiates the frame twice.
+    With floats an undefined point raises JetDomainError; with arrays u, v
+    of shape (N,) the jets carry a batch axis and an undefined point leaves
+    its column non-finite.  A failure of the whole evaluation raises
+    JetDomainError at every shape."""
     if np.ndim(u) == 0:
-        return SurfaceJet(float(u), float(v), *prog.jets(u, v))
+        return SurfaceJet(float(u), float(v), *prog.jets(u, v, order))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    return SurfaceJet(u, v, *prog.jets(u, v))
+    return SurfaceJet(u, v, *prog.jets(u, v, order))
 
 
 @dataclass

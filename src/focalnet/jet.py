@@ -1,21 +1,27 @@
 """Truncated bivariate Taylor arithmetic up to total order 4.
 
-A Jet4 stores the value and all partial derivatives of a scalar f(u, v)
-through total degree 4, Taylor-normalized: slot (i, j) holds
+A Jet4 stores the value and the partial derivatives of a scalar f(u, v)
+through its `valid_order` r <= 4, Taylor-normalized: slot (i, j) holds
 d^{i+j} f / (du^i dv^j) / (i! j!).  With that normalization multiplication
 is a truncated Cauchy convolution and every elementary function is a
 univariate series composed with the nilpotent part of its argument.
 
-The coefficients have shape (15,) + S.  S = () is one point; S = (N,) is a
-batch of N points, one per column, and every operation acts on each column
-exactly as it would on that point alone, with the same floating-point
-operations in the same order.  Values and extracted derivatives are floats
-at S = () and arrays of shape S otherwise.
+The slots are in graded order (`MONOMIALS`), and a jet stores exactly the
+prefix up to its valid order: its coefficients have shape
+(N_SLOTS[r],) + S, 15/10/6/3/1 slots for r = 4..0.  S = () is one point;
+S = (N,) is a batch of N points, one per column, and every operation acts
+on each column exactly as it would on that point alone, with the same
+floating-point operations in the same order.  Values and extracted
+derivatives are floats at S = () and arrays of shape S otherwise.
 
-Each jet carries a `valid_order`: derivatives above it are meaningless
-(consumed by a derivative operator) and extraction past it raises.
-Binary operations propagate the minimum of the two orders, and a product
-computes only the coefficients up to its valid order (the rest are 0).
+A derivative operator lowers the valid order by one, and extraction past
+it raises.  Binary operations propagate the minimum of the two orders and
+read only that order's slots.  A slot depends only on slots of no higher
+degree, and a product sums each slot's terms in the same order at every
+valid order, so a slot has the same bits whatever order the computation
+runs at: the library's outputs read third derivatives of the position and
+evaluate at `OUTPUT_ORDER`, and the self-checks that read a fourth at
+`MAX_ORDER`.
 
 An elementary function outside its domain (ln or sqrt of a non-positive
 value, division by zero, an overflowing series coefficient) raises
@@ -35,7 +41,7 @@ float or on `Floats`, which calls its functions through the map, so a
 batch column gets its point's bits.  `sdl.SurfaceProgram.evaluate` runs a
 surface's expressions on jets with `JET_FUNCTIONS`, and on floats or
 `Floats` (a batch of positions) with the map; `SurfaceProgram.jets` binds
-`jet_variables`.
+`jet_variables`, seeded at the order it is asked for.
 """
 from __future__ import annotations
 
@@ -47,7 +53,8 @@ import numpy as np
 from .errors import JetDomainError, JetOrderError
 
 __all__ = [
-    "MAX_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_COEFFS", "Jet4",
+    "MAX_ORDER", "OUTPUT_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_SLOTS",
+    "N_COEFFS", "Jet4",
     "jet_variables", "where", "finite", "power", "hypot", "pick", "largest",
     "smallest", "Floats", "Elementary", "ELEMENTARY",
     "JET_FUNCTIONS", "FLOATS_FUNCTIONS",
@@ -55,13 +62,19 @@ __all__ = [
 ]
 
 MAX_ORDER = 4
+# The order the library's outputs read: the principal frame, its connection
+# coefficients and the curvature gradients are third derivatives of the
+# position (see `frames.FramePoint`).
+OUTPUT_ORDER = 3
 
 # Graded order, u-power descending inside each degree.
 MONOMIALS: tuple = tuple(
     (d - j, j) for d in range(MAX_ORDER + 1) for j in range(d + 1)
 )
 MONOMIAL_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
-N_COEFFS = len(MONOMIALS)  # 15
+# Slots of a jet of valid order r: the monomials of degree <= r.
+N_SLOTS = tuple((r + 1) * (r + 2) // 2 for r in range(MAX_ORDER + 1))
+N_COEFFS = N_SLOTS[MAX_ORDER]  # 15
 
 
 # Convolution pair tables, one per valid order r: out[OUT] += a[A] * b[B]
@@ -85,17 +98,17 @@ _PAIRS = _pair_tables()
 
 
 # Rank-stage tables of a batch product, one per valid order r.  Slot (i, j)
-# sums (i+1)(j+1) terms at every order that keeps it, so once the slots are
-# ranked by falling term count (ties in slot order) the slots with a k-th
-# term are a prefix of the ranking, and stage k adds the k-th term of each
-# of them in one slice add; slot (2, 2) has the most terms, 9.  `ka` and
-# `kb` list the terms stage by stage, each slot's in the order of `_PAIRS`;
-# `stages` holds (first term, slots) per stage and `back` each slot's rank
-# (the slots above r rank last, with no terms).
+# sums (i+1)(j+1) terms at every order that keeps it, so once the r-th
+# prefix of slots is ranked by falling term count (ties in slot order) the
+# slots with a k-th term are a prefix of the ranking, and stage k adds the
+# k-th term of each of them in one slice add; slot (2, 2) has the most
+# terms, 9.  `ka` and `kb` list the terms stage by stage, each slot's in
+# the order of `_PAIRS`; `stages` holds (first term, slots) per stage and
+# `back` each slot's rank.
 def _stage_tables():
     tables = []
     for ka, kb, out in _PAIRS:
-        count = np.bincount(out, minlength=N_COEFFS)
+        count = np.bincount(out)
         rank = np.argsort(-count, kind="stable")
         slot_pairs = [np.flatnonzero(out == slot) for slot in rank]
         listed, stages = [], []
@@ -111,28 +124,28 @@ def _stage_tables():
 _STAGES = _stage_tables()
 
 
-# d/du: result[(i, j)] = (i+1) * c[(i+1, j)]; slots with i+1 > 4 vanish.
-def _shift_table(axis: int):
-    src = np.zeros(N_COEFFS, dtype=np.intp)
-    fac = np.zeros(N_COEFFS)
-    for k, (i, j) in enumerate(MONOMIALS):
-        up = (i + 1, j) if axis == 0 else (i, j + 1)
-        if up in MONOMIAL_INDEX:
-            src[k] = MONOMIAL_INDEX[up]
-            fac[k] = up[axis]
-    return src, fac
+# d/du of a jet of valid order r, one (source slots, factors) table per
+# r >= 1: slot (i, j) of the result, of valid order r - 1, is
+# (i+1) * c[(i+1, j)], a slot of the r-th prefix.
+def _shift_tables(axis: int):
+    tables = [None]
+    for r in range(1, MAX_ORDER + 1):
+        ups = [(i + 1, j) if axis == 0 else (i, j + 1)
+               for i, j in MONOMIALS[:N_SLOTS[r - 1]]]
+        tables.append((np.array([MONOMIAL_INDEX[up] for up in ups]),
+                       np.array([float(up[axis]) for up in ups])))
+    return tuple(tables)
 
-_DU_SRC, _DU_FAC = _shift_table(0)
-_DV_SRC, _DV_FAC = _shift_table(1)
+
+_DU = _shift_tables(0)
+_DV = _shift_tables(1)
 
 _FACT = np.array([math.factorial(n) for n in range(MAX_ORDER + 1)])
 
 
-def _slots(c: np.ndarray) -> tuple:
-    """Shape that broadcasts one value per slot against coefficients c."""
-    return (N_COEFFS,) + (1,) * (c.ndim - 1)
-
 class Jet4:
+    """A truncated Taylor jet: `c` holds the N_SLOTS[valid_order] slots up
+    to the valid order, with the batch shape S after them."""
     __slots__ = ("c", "valid_order")
     # numpy defers to the reflected operators: array * jet is jet.__rmul__
     __array_ufunc__ = None
@@ -146,15 +159,16 @@ class Jet4:
     @staticmethod
     def const(value, valid_order: int = MAX_ORDER) -> "Jet4":
         """Constant jet; `value` is a number, or an array of shape S."""
-        c = np.zeros((N_COEFFS,) + getattr(value, "shape", ()))
+        c = np.zeros((N_SLOTS[valid_order],) + getattr(value, "shape", ()))
         c[0] = value
         return Jet4(c, valid_order)
 
     @staticmethod
-    def variable(value, axis: int) -> "Jet4":
-        """Seed jet for the independent variable along `axis` (0 = u, 1 = v);
-        `value` is a number, or an array of shape S."""
-        jet = Jet4.const(value)
+    def variable(value, axis: int, valid_order: int) -> "Jet4":
+        """Seed jet for the independent variable along `axis` (0 = u, 1 = v),
+        of valid order 1 or more; `value` is a number, or an array of
+        shape S."""
+        jet = Jet4.const(value, valid_order)
         jet.c[1 + axis] = 1.0
         return jet
 
@@ -178,18 +192,10 @@ class Jet4:
         return float(d) if self.c.ndim == 1 else d
 
     def du(self) -> "Jet4":
-        if self.valid_order < 1:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        c = self.c
-        fac = _DU_FAC if c.ndim == 1 else _DU_FAC.reshape(_slots(c))
-        return Jet4(c[_DU_SRC] * fac, self.valid_order - 1)
+        return _shifted(self, _DU)
 
     def dv(self) -> "Jet4":
-        if self.valid_order < 1:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        c = self.c
-        fac = _DV_FAC if c.ndim == 1 else _DV_FAC.reshape(_slots(c))
-        return Jet4(c[_DV_SRC] * fac, self.valid_order - 1)
+        return _shifted(self, _DV)
 
     def __repr__(self) -> str:
         return f"Jet4(value={self.c[0]!r}, valid_order={self.valid_order})"
@@ -199,18 +205,16 @@ class Jet4:
 
     def __add__(self, other):
         if isinstance(other, Jet4):
-            return Jet4(self.c + other.c,
-                        self.valid_order if self.valid_order < other.valid_order
-                        else other.valid_order)
+            a, b, order = _common(self, other)
+            return Jet4(a + b, order)
         return Jet4(_add_scalar(self.c, other), self.valid_order)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet4):
-            return Jet4(self.c - other.c,
-                        self.valid_order if self.valid_order < other.valid_order
-                        else other.valid_order)
+            a, b, order = _common(self, other)
+            return Jet4(a - b, order)
         return Jet4(_add_scalar(self.c, -other), self.valid_order)
 
     def __rsub__(self, other):
@@ -226,7 +230,7 @@ class Jet4:
             a, b = self.c, other.c
             if a.ndim == 1:
                 ka, kb, out = _PAIRS[order]
-                return Jet4(np.bincount(out, a[ka] * b[kb], N_COEFFS), order)
+                return Jet4(np.bincount(out, a[ka] * b[kb]), order)
             return Jet4(_convolve_batch(a, b, order), order)
         return Jet4(self.c * other, self.valid_order)
 
@@ -269,13 +273,35 @@ def _convolve_batch(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     gives inf or NaN without a warning."""
     ka, kb, stages, back = _STAGES[order]
     n = a[0].size
-    terms = a.reshape(N_COEFFS, n)[ka]
-    terms *= b.reshape(N_COEFFS, n)[kb]
-    sums = np.zeros((N_COEFFS, n))
+    terms = a.reshape(len(a), n)[ka]
+    terms *= b.reshape(len(b), n)[kb]
+    sums = np.zeros((len(back), n))
     with np.errstate(over="ignore", invalid="ignore"):
         for start, count in stages:
             sums[:count] += terms[start:start + count]
-    return sums[back].reshape(a.shape)
+    return sums[back].reshape(back.shape + a.shape[1:])
+
+
+def _common(a: Jet4, b: Jet4) -> tuple:
+    """The coefficients of a and b cut to the slots of the lower valid
+    order, and that order.  Operands of one order pass as they are, so an
+    operation on them costs no slicing."""
+    ca, cb = a.c, b.c
+    order = a.valid_order if a.valid_order < b.valid_order else b.valid_order
+    if len(ca) != len(cb):
+        ca, cb = ca[:N_SLOTS[order]], cb[:N_SLOTS[order]]
+    return ca, cb, order
+
+
+def _shifted(g: Jet4, tables) -> Jet4:
+    """d/du or d/dv of g by its order's shift table (`_DU`, `_DV`)."""
+    if g.valid_order < 1:
+        raise JetOrderError("cannot differentiate an order-0 jet")
+    src, fac = tables[g.valid_order]
+    c = g.c
+    if c.ndim > 1:
+        fac = fac.reshape(fac.shape + (1,) * (c.ndim - 1))
+    return Jet4(c[src] * fac, g.valid_order - 1)
 
 
 def _add_scalar(c: np.ndarray, s) -> np.ndarray:
@@ -287,8 +313,9 @@ def _add_scalar(c: np.ndarray, s) -> np.ndarray:
 def where(mask, a: Jet4, b: Jet4) -> Jet4:
     """Per point: `a` where `mask` holds, else `b` (mask has shape S); the
     valid order is the lower of the two."""
-    c = (a if mask else b).c if a.c.ndim == 1 else np.where(mask, a.c, b.c)
-    return Jet4(c, min(a.valid_order, b.valid_order))
+    ca, cb, order = _common(a, b)
+    return Jet4((ca if mask else cb) if ca.ndim == 1
+                else np.where(mask, ca, cb), order)
 
 
 def _compose(g: Jet4, series) -> Jet4:
@@ -298,11 +325,10 @@ def _compose(g: Jet4, series) -> Jet4:
     gh.c[0] = 0.0
     # The first step, series[4] * gh, is a scaled copy: the one nonzero term
     # of each slot of the product with the constant jet series[4].  Where
-    # the product has +0.0 the copy may have -0.0, and it keeps the slots
-    # above the valid order, but the products below see neither: they sum
-    # from +0.0 and read no slot above the valid order.  Where gh holds inf
-    # or NaN up to the valid order the product has NaN in more slots; the
-    # result is non-finite either way, with the same slot 0.
+    # the product has +0.0 the copy may have -0.0, but the products below do
+    # not see it: they sum from +0.0.  Where gh holds inf or NaN the product
+    # has NaN in more slots; the result is non-finite either way, with the
+    # same slot 0.
     acc = Jet4(series[MAX_ORDER] * gh.c, g.valid_order)
     acc.c[0] += series[MAX_ORDER - 1]
     for k in range(MAX_ORDER - 2, -1, -1):
@@ -677,6 +703,7 @@ def smallest(a, b):
     return np.where(b < a, b, a)
 
 
-def jet_variables(u, v):
-    """The seed jets of u and v: numbers, or arrays of shape S."""
-    return (Jet4.variable(u, 0), Jet4.variable(v, 1))
+def jet_variables(u, v, order: int):
+    """The seed jets of u and v at valid order `order`: numbers, or arrays
+    of shape S."""
+    return (Jet4.variable(u, 0, order), Jet4.variable(v, 1, order))

@@ -358,12 +358,14 @@ class SurfaceProgram:
             raise JetDomainError(f"{self.name} not finite at (u, v) = {at}")
         return out
 
-    def jets(self, u, v):
-        """Order-4 jets of (x, y, z) at (u, v), constants as constant jets.
-        u and v are numbers, or arrays of shape (N,) for a batch."""
-        out = self.evaluate(*jt.jet_variables(u, v))
+    def jets(self, u, v, order: int = jt.OUTPUT_ORDER):
+        """Jets of (x, y, z) at (u, v) of valid order `order` (the outputs'
+        order unless asked for more), constants as constant jets.  u and v
+        are numbers, or arrays of shape (N,) for a batch."""
+        out = self.evaluate(*jt.jet_variables(u, v, order))
         return tuple(c if isinstance(c, jt.Jet4)
-                     else jt.Jet4.const(np.full(np.shape(u), c)) for c in out)
+                     else jt.Jet4.const(np.full(np.shape(u), c), order)
+                     for c in out)
 
     def position(self, u, v) -> np.ndarray:
         """(x, y, z) at (u, v) by the float evaluator.  At numbers a (3,)

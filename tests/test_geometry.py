@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import focalnet.jet as jt
 from focalnet import gallery_names
 from focalnet.checks import domain_points
 from focalnet.errors import (DegenerateParametrization, ParabolicPoint,
@@ -174,8 +175,13 @@ def test_normal_orientation_consistent(prog, tol):
 
 def test_batch_of_no_points_gives_float_jets(prog):
     """An empty batch is a batch like any other: every gallery surface
-    gives float position jets of shape (15, 0)."""
+    gives float position jets of shape (10, 0) at the outputs' order, the
+    default, and (15, 0) at `jt.MAX_ORDER`."""
     for name in gallery_names():
-        sj = eval_surface(prog(name), [], [])
-        for jet in sj.pos:
-            assert jet.c.dtype == np.float64 and jet.c.shape == (15, 0), name
+        for order, shape in ((None, (10, 0)), (jt.OUTPUT_ORDER, (10, 0)),
+                             (jt.MAX_ORDER, (15, 0))):
+            sj = (eval_surface(prog(name), [], []) if order is None
+                  else eval_surface(prog(name), [], [], order))
+            for jet in sj.pos:
+                assert jet.c.dtype == np.float64 and jet.c.shape == shape, \
+                    name

@@ -10,7 +10,7 @@ from focalnet.errors import JetDomainError, JetOrderError
 
 
 def _vars(u, v):
-    return jt.jet_variables(u, v)
+    return jt.jet_variables(u, v, jt.MAX_ORDER)
 
 
 def test_polynomial_jets_are_exact():
@@ -136,7 +136,8 @@ def test_jet_exponent_and_zero_power():
                                             rel=1e-14)
     one = u ** 0
     assert one.value == 1.0 and not one.c[1:].any()
-    x, _ = jt.jet_variables(np.array([0.5, -1.0]), np.zeros(2))
+    x, _ = jt.jet_variables(np.array([0.5, -1.0]), np.zeros(2),
+                            jt.MAX_ORDER)
     out = jt.ln(x) ** 0
     assert out.c[0, 0] == 1.0 and not out.c[1:, 0].any()
     assert np.isnan(out.c[:, 1]).all()
@@ -182,34 +183,49 @@ def _same_bits(got, want) -> bool:
 
 
 def test_products_match_the_full_convolution_bitwise():
-    """A product computes the coefficients up to its valid order from that
-    order's pairs alone; they equal the 70-pair convolution bit for bit in
-    every column, at S = () and in batches of 0, 7 and 1600 points and of
-    3 x 5 points, over columns with signed zeros, subnormals, sums that
-    overflow, NaN and +-inf (a batch NaN may differ in sign), and the rest
-    are zero."""
+    """A jet stores the slots up to its valid order and no more.  A product
+    computes them from that order's pairs alone; they equal the 70-pair
+    convolution of the full coefficients (whatever the slots above the
+    operands' orders held) bit for bit in every column, at S = () and in
+    batches of 0, 7 and 1600 points and of 3 x 5 points, over columns with
+    signed zeros, subnormals, sums that overflow, NaN and +-inf (a batch
+    NaN may differ in sign).  A sum, a difference, a `where` and the
+    derivatives of operands of unequal orders keep their order's slots."""
     rng = np.random.default_rng(3)
     for shape in ((0,), (7,), (1600,), (3, 5)):
         for ra in range(jt.MAX_ORDER + 1):
             for rb in range(jt.MAX_ORDER + 1):
-                a = jt.Jet4(_edge_coeffs(rng, shape, 0.1), ra)
-                b = jt.Jet4(_edge_coeffs(rng, shape, 0.1), rb)
+                full_a = _edge_coeffs(rng, shape, 0.1)
+                full_b = _edge_coeffs(rng, shape, 0.1)
+                a = jt.Jet4(full_a[:jt.N_SLOTS[ra]], ra)
+                b = jt.Jet4(full_b[:jt.N_SLOTS[rb]], rb)
                 order = min(ra, rb)
                 kept = (order + 1) * (order + 2) // 2
+                assert jt.N_SLOTS[order] == kept
                 with np.errstate(all="ignore"):
                     batch = a * b
+                    mask = rng.random(shape) < 0.5
+                    for op, want in (
+                            (a + b, full_a[:kept] + full_b[:kept]),
+                            (a - b, full_a[:kept] - full_b[:kept]),
+                            (jt.where(mask, a, b),
+                             np.where(mask, full_a[:kept], full_b[:kept]))):
+                        assert op.valid_order == order
+                        assert _same_bits(op.c, want)
+                    for d in (a.du(), a.dv()) if ra else ():
+                        assert d.valid_order == ra - 1
+                        assert d.c.shape == (jt.N_SLOTS[ra - 1],) + shape
                 assert batch.valid_order == order
-                assert batch.c.shape == a.c.shape
-                assert not batch.c[kept:].any()
+                assert batch.c.shape == (kept,) + shape
                 for i in np.ndindex(shape):
                     col = (slice(None),) + i
                     with np.errstate(all="ignore"):
-                        want = _full_product(a.c[col], b.c[col])[:kept]
+                        want = _full_product(full_a[col], full_b[col])[:kept]
                         one = (jt.Jet4(a.c[col].copy(), ra)
                                * jt.Jet4(b.c[col].copy(), rb))
                     assert one.valid_order == order
-                    assert one.c[:kept].tobytes() == want.tobytes()
-                    assert _same_bits(batch.c[col][:kept], want)
+                    assert one.c.tobytes() == want.tobytes()
+                    assert _same_bits(batch.c[col], want)
 
 
 def test_batch_products_add_without_warnings():
@@ -234,8 +250,9 @@ def test_batch_products_add_without_warnings():
 
 
 def _compose_by_products(g, series, order):
-    """The Horner loop of `_compose` on one column, started from the product
-    of the constant jet series[4] with g - g.value."""
+    """The Horner loop of `_compose` on the full slots of one column,
+    started from the product of the constant jet series[4] with
+    g - g.value; the slots above `order` are zero."""
     kept = (order + 1) * (order + 2) // 2
     gh = g.copy()
     gh[0] = 0.0
@@ -252,14 +269,16 @@ def test_compose_starts_from_the_scaled_series_bitwise():
     """`_compose` starts Horner from the scaled copy series[4] * (g -
     g.value), not from a product with a constant jet.  Per column, at every
     valid order, at S = () and in a batch, over columns with signed zeros,
-    subnormals, overflows, NaN and +-inf: slot 0 has the product start's
-    bits (a batch NaN may differ in sign), a column is finite exactly where
-    the product start's is, and a finite column has all its bits.  A point
-    fails where its surface jet is not finite and otherwise on values
-    (slot 0), so every poisoned column keeps its failure class."""
+    subnormals, overflows, NaN and +-inf: the result stores the slots up
+    to the valid order, slot 0 has the product start's bits (a batch NaN
+    may differ in sign), a column is finite exactly where the product
+    start's is, and a finite column has all its bits.  A point fails where
+    its surface jet is not finite and otherwise on values (slot 0), so
+    every poisoned column keeps its failure class."""
     rng = np.random.default_rng(17)
     n = 1600
     for order in range(jt.MAX_ORDER + 1):
+        kept = jt.N_SLOTS[order]
         g = _edge_coeffs(rng, (n,), 0.01)
         g[:, : n // 2] = rng.normal(size=(jt.N_COEFFS, n // 2))
         g[:, : n // 4][rng.random((jt.N_COEFFS, n // 4)) < 0.2] = 0.0
@@ -268,12 +287,14 @@ def test_compose_starts_from_the_scaled_series_bitwise():
         edge = rng.random(series.shape) < 0.01
         series[edge] = rng.choice(_EDGES, edge.sum())
         with np.errstate(all="ignore"):
-            batch = jt._compose(jt.Jet4(g, order), series).c
+            batch = jt._compose(jt.Jet4(g[:kept], order), series).c
+        assert batch.shape == (kept, n)
         finite = 0
         for i in range(n):
             with np.errstate(all="ignore"):
-                want = _compose_by_products(g[:, i], series[:, i], order)
-                one = jt._compose(jt.Jet4(g[:, i].copy(), order),
+                want = _compose_by_products(g[:, i], series[:, i],
+                                            order)[:kept]
+                one = jt._compose(jt.Jet4(g[:kept, i].copy(), order),
                                   series[:, i].tolist()).c
             for got in (one, batch[:, i]):
                 assert _same_bits(got[0], want[0])
@@ -306,12 +327,12 @@ def test_batch_domain_error_poisons_only_its_column():
     of one that is zero there, poison that column with NaN; every other
     column equals the jet of its point alone."""
     values = np.array([0.5, 1.5, -0.25, 2.0])
-    x, _ = jt.jet_variables(values, np.zeros(4))
+    x, _ = jt.jet_variables(values, np.zeros(4), jt.MAX_ORDER)
     for fn in (jt.ln, lambda g: 1.0 / (g + 0.25)):
         out = fn(x)
         assert np.isnan(out.c[:, 2]).all()
         for i in (0, 1, 3):
-            one = fn(jt.Jet4.variable(values[i], 0))
+            one = fn(jt.Jet4.variable(values[i], 0, jt.MAX_ORDER))
             assert out.c[:, i].tobytes() == one.c.tobytes()
 
 
@@ -326,10 +347,10 @@ def test_series_overflow_is_a_domain_error():
     one point and poisons only its own column in a batch."""
     for fn, bad in _OVERFLOWING:
         with pytest.raises(JetDomainError):
-            fn(jt.Jet4.variable(bad, 0))
-        out = fn(jt.Jet4.variable(np.array([bad, 0.5]), 0))
+            fn(jt.Jet4.variable(bad, 0, jt.MAX_ORDER))
+        out = fn(jt.Jet4.variable(np.array([bad, 0.5]), 0, jt.MAX_ORDER))
         assert np.isnan(out.c[:, 0]).all()
-        one = fn(jt.Jet4.variable(0.5, 0))
+        one = fn(jt.Jet4.variable(0.5, 0, jt.MAX_ORDER))
         assert out.c[:, 1].tobytes() == one.c.tobytes()
 
 

@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import focalnet.jet as jt
 from focalnet import cli, gallery_names
 from focalnet.central import central_point
 from focalnet.checks import SWEPT_SRC
-from focalnet.errors import (FRAME_ERRORS, CanalDegenerate, DegenerateNetError,
+from focalnet.errors import (FRAME_ERRORS, CanalDegenerate,
+                             DegenerateNetError, DegenerateParametrization,
                              FocalnetError, ImaginaryNetError,
                              JetDomainError)
 from focalnet.frames import frame_batch, frame_point
@@ -158,6 +160,41 @@ def test_point_record_matches_grid(prog, graph_source, tol):
                     == repr([float(x) for x in _floats(want)]))
 
 
+def test_frames_have_the_same_bits_at_the_outputs_order(prog, tol):
+    """No FramePoint field reads a fourth derivative of the position, so
+    `jt.OUTPUT_ORDER` jets give every field bit for bit as `jt.MAX_ORDER`
+    jets do: at each point of a 12 x 12 interior grid of every gallery
+    surface, frame_point gives the same bits or raises the same class, and
+    one frame_batch of the grid fails at the same points with the same
+    classes and gives the same bits in every other column as frame_point
+    at `jt.MAX_ORDER`."""
+    orders = (jt.OUTPUT_ORDER, jt.MAX_ORDER)
+    for name in gallery_names():
+        program = prog(name)
+        pts = [p for k, p in enumerate(grid_points(program, 14, 14))
+               if 0 < k // 14 < 13 and 0 < k % 14 < 13]
+        full = []
+        for u, v in pts:
+            got = []
+            for order in orders:
+                try:
+                    fp = frame_point(program, u, v, tol, order)
+                except FRAME_ERRORS as exc:
+                    got.append(type(exc))
+                    continue
+                got.append([np.float64(x).tobytes() for x in _floats(fp)])
+            assert got[0] == got[1], (name, u, v)
+            full.append(got[1])
+        fp, failed = frame_batch(program, [u for u, _ in pts],
+                                 [v for _, v in pts], tol)
+        for i, want in enumerate(full):
+            if isinstance(want, type):
+                assert failed[i] is want, (name, pts[i])
+            else:
+                assert failed[i] is None, (name, pts[i])
+                assert [x[i].tobytes() for x in _floats(fp)] == want, name
+
+
 def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
                                              tol, monkeypatch):
     """A degenerate point of a batch is its exception's class and a canal
@@ -191,6 +228,24 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
         export_obj(program, 8, 8, str(tmp_path / str(i)), central=(1, 2),
                    nets=NETS, tol=tol)
     assert built == []
+
+
+def test_overflow_past_the_outputs_order_is_not_read(graph_source, tol):
+    """z = exp(1e80 u) / 1e10 overflows at u = 0 only in its degree-4
+    slots (1e320 / 24 / 1e10), which no output reads.  At the outputs'
+    order frame_point and frame_batch both fail there with
+    DegenerateParametrization (xu = (1, 0, 1e70)), and point_record gives
+    the status `degenerate`; frame_point at `jt.MAX_ORDER`, which forms
+    those slots, fails with JetDomainError."""
+    program = compile_surface(parse_surface(
+        graph_source("exp(1e80 * u) / 1e10")))
+    for order, kind in ((jt.OUTPUT_ORDER, DegenerateParametrization),
+                        (jt.MAX_ORDER, JetDomainError)):
+        with pytest.raises(kind):
+            frame_point(program, 0.0, 0.3, tol, order)
+    assert (frame_batch(program, [0.0], [0.3], tol)[1]
+            == [DegenerateParametrization])
+    assert point_record(program, 0.0, 0.3, tol)["status"] == "degenerate"
 
 
 def test_frame_batch_of_no_points(prog, tol):
@@ -387,10 +442,12 @@ def test_cli_eval_degenerate_exits_nonzero(capsys):
 @pytest.mark.parametrize("x, z, condition", [
     ("u", "ln(u) + v^2", "JetDomainError"),
     ("u^3", "v^2", "DegenerateParametrization"),      # xu = 0 at u = 0
-], ids=["undefined", "not_immersed"])
+    # d^4 z / du^4 overflows, but the report's order stops below it
+    ("u", "exp(1e80 * u) / 1e10", "DegenerateParametrization"),
+], ids=["undefined", "not_immersed", "overflow_past_the_outputs_order"])
 def test_cli_eval_names_the_raised_condition(tmp_path, capsys, x, z,
                                              condition):
-    """Both conditions share the status `degenerate`; the display names
+    """The conditions share the status `degenerate`; the display names
     the exception that was raised."""
     src = tmp_path / "s.surf"
     src.write_text(f"surface s {{\n  x = {x}\n  y = v\n  z = {z}\n"
@@ -407,7 +464,10 @@ def test_cli_eval_param_override(capsys):
     assert rec["k1"] == pytest.approx(2.0 / (4.0 + 0.64))
 
 
-def test_cli_usage_errors():
+def test_cli_usage_errors(capsys):
+    """Each usage error exits 2 and shows the usage line of the command it
+    concerns: the subcommand's, also for errors found while it runs, and
+    the top level's for an unknown subcommand."""
     for argv in (["eval", "--surface", "nope", "--at", "0,0"],
                  ["eval", "--surface", "helicoid", "--at", "zero,zero"],
                  ["eval", "--at", "0,0"],
@@ -432,6 +492,9 @@ def test_cli_usage_errors():
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
+        usage = ("usage: focalnet [-h] {" if argv[0] == "frobnicate"
+                 else f"usage: focalnet {argv[0]} [-h]")
+        assert capsys.readouterr().err.startswith(usage), argv
 
 
 def test_cli_grid_files(tmp_path, capsys):

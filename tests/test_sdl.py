@@ -9,7 +9,7 @@ from focalnet.errors import (JetDomainError, ParseError,
                              UnknownParameterError, UnknownSurfaceError)
 from focalnet.fdoracle import mp_scalar_fn
 from focalnet.geometry import eval_surface
-from focalnet.jet import MONOMIALS
+from focalnet.jet import MAX_ORDER, MONOMIALS
 from focalnet.sdl import (compile_surface, gallery, gallery_names,
                           gallery_source, load_surface, parse_program,
                           parse_surface)
@@ -205,9 +205,9 @@ def test_torus_positions_match_closed_form():
 
 
 def test_position_jets_match_mpmath_derivatives():
-    """All 15 slots of each position jet (`prog.jets` as `eval_surface`
-    hands them to the geometry), degree 4 included (no digest reads
-    those), agree with mpmath's derivatives of the coordinate expression
+    """All 15 slots of each position jet at `MAX_ORDER` (`prog.jets` as
+    `eval_surface` hands them to the geometry), degree 4 included (no
+    output reads those; the checks do), agree with mpmath's derivatives of the coordinate expression
     at 40 digits, to 4e-15 of the coordinate's largest slot: the ten
     gallery surfaces at two interior points each."""
     import mpmath as mp
@@ -217,8 +217,9 @@ def test_position_jets_match_mpmath_derivatives():
         for fu, fv in ((0.31, 0.62), (0.73, 0.27)):
             u = box.u_min + fu * (box.u_max - box.u_min)
             v = box.v_min + fv * (box.v_max - box.v_min)
-            sj = eval_surface(prog, u, v)
+            sj = eval_surface(prog, u, v, MAX_ORDER)
             for coord, jet in enumerate((sj.x, sj.y, sj.z)):
+                assert len(jet.c) == len(MONOMIALS)
                 f = mp_scalar_fn(prog, coord)
                 with mp.workdps(40):
                     want = [float(mp.diff(f, (u, v), (i, j))
