@@ -1,6 +1,6 @@
 """Print sha256 digests of focalnet's emitted outputs over a fixed corpus.
 
-Four digests, one per line:
+Six digests, one per line:
 
 - json: ``emit_json`` of ``grid_report`` 25x25 for each of the ten surfaces
   in ``GRID_SURFACES``, in that order (a fixed list, so the digest stays
@@ -15,11 +15,18 @@ Four digests, one per line:
 - point: ``json.dumps(point_record(...), sort_keys=True)`` at the 5x5
   interior points of a 7x7 sampling of the domain box of each surface in
   ``GRID_SURFACES``, u-major (the set meets umbilic, parabolic and canal
-  points: sphere, plane and torus).
+  points: sphere, plane and torus);
+- json_shapes and csv_shapes: ``emit_json`` and ``emit_csv`` of the
+  reports in ``SHAPE_GRIDS``, in that order, which take the record shapes
+  the ten gallery grids do not: moulding with its excluded statements,
+  canal1, canal2, ok next to canal12, graphs undefined on part of the box
+  (9x9, so that u = 0 is on the grid), and one undefined everywhere (the
+  whole evaluation fails).
 
 A change that claims to leave the library's outputs unchanged should print
-the same four digests before and after; one that changes only the JSON
-layout should move the json line alone.  Run from the repository root:
+the same digests before and after; one that changes only the JSON
+layout should move the json and json_shapes lines alone.  Run from the
+repository root:
 
     PYTHONPATH=src python3 tools/output_digest.py [--expect FILE]
 
@@ -40,11 +47,28 @@ import tempfile
 import numpy as np
 
 from focalnet import (compile_surface, emit_csv, emit_json, export_obj,
-                      gallery, grid_report, point_record)
+                      gallery, grid_report, parse_surface, point_record)
+from focalnet.checks import SWEPT_SRC
 
 GRID_SURFACES = ("plane", "sphere", "graph_quad", "graph_generic",
                  "monkey_saddle", "helicoid", "torus", "enneper", "scherk",
                  "dini")
+
+
+def _graph(z: str):
+    """The graph z = f(u, v) over [-1, 1]^2."""
+    return parse_surface("surface s {\n  x = u\n  y = v\n  z = " + z
+                         + "\n  domain u in [-1, 1] v in [-1, 1]\n}\n")
+
+
+SHAPE_GRIDS = ((parse_surface(SWEPT_SRC), 8, 8),
+               (_graph("u^2 + v^2"), 8, 8),
+               (_graph("0 - (u^2 + v^2)"), 8, 8),
+               (gallery("helicoid"), 4, 5),
+               (_graph("ln(u) + v^2"), 9, 9),
+               (_graph("1 / u + v^2"), 9, 9),
+               (_graph("u / 0"), 8, 8))
+
 MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
                  "sphere", "monkey_saddle", "enneper")
 
@@ -54,6 +78,16 @@ def grid_digests() -> tuple:
     hj, hc = hashlib.sha256(), hashlib.sha256()
     for name in GRID_SURFACES:
         rep = grid_report(compile_surface(gallery(name)), 25, 25)
+        hj.update(emit_json(rep).encode())
+        hc.update(emit_csv(rep).encode())
+    return hj.hexdigest(), hc.hexdigest()
+
+
+def shape_digests() -> tuple:
+    """(json, csv) digests over the reports of `SHAPE_GRIDS`."""
+    hj, hc = hashlib.sha256(), hashlib.sha256()
+    for surface, nu, nv in SHAPE_GRIDS:
+        rep = grid_report(compile_surface(surface), nu, nv)
         hj.update(emit_json(rep).encode())
         hc.update(emit_csv(rep).encode())
     return hj.hexdigest(), hc.hexdigest()
@@ -95,8 +129,10 @@ def main(argv=None) -> int:
                              "with status 1 if any differs")
     args = parser.parse_args(argv)
     json_digest, csv_digest = grid_digests()
+    json_shapes, csv_shapes = shape_digests()
     lines = [f"json {json_digest}", f"csv {csv_digest}",
-             f"mesh {mesh_digest()}", f"point {point_digest()}"]
+             f"mesh {mesh_digest()}", f"point {point_digest()}",
+             f"json_shapes {json_shapes}", f"csv_shapes {csv_shapes}"]
     print("\n".join(lines))
     if args.expect is not None:
         with open(args.expect) as fh:
