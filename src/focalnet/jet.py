@@ -320,20 +320,31 @@ def where(mask, a: Jet4, b: Jet4) -> Jet4:
 
 def _compose(g: Jet4, series) -> Jet4:
     """Evaluate sum_k series[k] * (g - g.value)^k by Horner.  `series`
-    holds five numbers, or five arrays of shape S."""
-    gh = Jet4(g.c.copy(), g.valid_order)
-    gh.c[0] = 0.0
-    # The first step, series[4] * gh, is a scaled copy: the one nonzero term
-    # of each slot of the product with the constant jet series[4].  Where
-    # the product has +0.0 the copy may have -0.0, but the products below do
-    # not see it: they sum from +0.0.  Where gh holds inf or NaN the product
-    # has NaN in more slots; the result is non-finite either way, with the
-    # same slot 0.
-    acc = Jet4(series[MAX_ORDER] * gh.c, g.valid_order)
-    acc.c[0] += series[MAX_ORDER - 1]
-    for k in range(MAX_ORDER - 2, -1, -1):
-        acc = acc * gh
-        acc.c[0] += series[k]
+    holds five numbers, or five arrays of shape S.  (g - g.value)^k starts
+    at degree k, so at valid order r Horner starts from series[r] and forms
+    r - 1 products (none below order 2): each term it leaves out reaches a
+    stored slot only as a product with the zero value slot of g - g.value,
+    and sums start at +0.0, so wherever Horner over all five terms is
+    finite this one has its bits.  Where a left-out term is inf or NaN (a
+    non-finite series[k] for k > r, or a product of one that overflows) the
+    five-term Horner gets NaN from that zero; this one does not form it."""
+    r = g.valid_order
+    if r == 0:
+        acc = Jet4(np.zeros_like(g.c), 0)
+    else:
+        gh = Jet4(g.c.copy(), r)
+        gh.c[0] = 0.0
+        # The first step, series[r] * gh, is a scaled copy: the one nonzero
+        # term of each slot of the product with the constant jet series[r].
+        # Adding +0.0 turns the copy's -0.0 into the product's +0.0, which
+        # an order-1 result keeps (no product follows).  Where gh holds inf
+        # or NaN the product has NaN in more slots; the result is non-finite
+        # either way, with the same slot 0.
+        acc = Jet4(series[r] * gh.c + 0.0, r)
+        for k in range(r - 1, 0, -1):
+            acc.c[0] += series[k]
+            acc = acc * gh
+    acc.c[0] += series[0]
     return acc
 
 

@@ -249,16 +249,16 @@ def test_batch_products_add_without_warnings():
     assert np.isnan(nan[1]).all()      # slot (1, 0): inf * 1 + -inf * 1
 
 
-def _compose_by_products(g, series, order):
-    """The Horner loop of `_compose` on the full slots of one column,
-    started from the product of the constant jet series[4] with
-    g - g.value; the slots above `order` are zero."""
+def _compose_by_products(g, series, order, top=jt.MAX_ORDER):
+    """Horner by products on the full slots of one column, from the zero
+    jet: series[top], ..., series[0] each added after a product with
+    g - g.value; the slots above `order` are zero.  top = 4 gives all five
+    terms, top = order the ones that start at a stored degree."""
     kept = (order + 1) * (order + 2) // 2
     gh = g.copy()
     gh[0] = 0.0
     acc = np.zeros(jt.N_COEFFS)
-    acc[0] = series[jt.MAX_ORDER]
-    for k in range(jt.MAX_ORDER - 1, -1, -1):
+    for k in range(top, -1, -1):
         acc = _full_product(acc, gh)
         acc[kept:] = 0.0
         acc[0] += series[k]
@@ -266,15 +266,20 @@ def _compose_by_products(g, series, order):
 
 
 def test_compose_starts_from_the_scaled_series_bitwise():
-    """`_compose` starts Horner from the scaled copy series[4] * (g -
-    g.value), not from a product with a constant jet.  Per column, at every
-    valid order, at S = () and in a batch, over columns with signed zeros,
-    subnormals, overflows, NaN and +-inf: the result stores the slots up
-    to the valid order, slot 0 has the product start's bits (a batch NaN
-    may differ in sign), a column is finite exactly where the product
-    start's is, and a finite column has all its bits.  A point fails where
-    its surface jet is not finite and otherwise on values (slot 0), so
-    every poisoned column keeps its failure class."""
+    """`_compose` at valid order r starts Horner from the scaled copy
+    series[r] * (g - g.value), not from a product with a constant jet, and
+    leaves out the terms k > r.  Per column, at every valid order 0-4, at
+    S = () and in a batch, over columns with signed zeros, subnormals,
+    overflows, NaN and +-inf: the result stores the slots up to the valid
+    order, and against Horner by products from series[r] slot 0 has the same
+    bits (a batch NaN may differ in sign), a column is finite exactly where
+    that reference's is, and then has all its bits.  Against the full
+    five-term Horner a column has all its bits wherever that one is finite
+    (at least the half of the columns with normal inputs); below order 4 it
+    is finite in more columns, where a left-out term is inf or NaN or
+    overflows (the five-term Horner multiplies it by the zero value slot).  A
+    point fails where its surface jet is not finite and otherwise on values
+    (slot 0), so every poisoned column keeps its failure class."""
     rng = np.random.default_rng(17)
     n = 1600
     for order in range(jt.MAX_ORDER + 1):
@@ -289,10 +294,12 @@ def test_compose_starts_from_the_scaled_series_bitwise():
         with np.errstate(all="ignore"):
             batch = jt._compose(jt.Jet4(g[:kept], order), series).c
         assert batch.shape == (kept, n)
-        finite = 0
+        finite = five = 0
         for i in range(n):
             with np.errstate(all="ignore"):
-                want = _compose_by_products(g[:, i], series[:, i],
+                want = _compose_by_products(g[:, i], series[:, i], order,
+                                            order)[:kept]
+                full = _compose_by_products(g[:, i], series[:, i],
                                             order)[:kept]
                 one = jt._compose(jt.Jet4(g[:kept, i].copy(), order),
                                   series[:, i].tolist()).c
@@ -301,8 +308,12 @@ def test_compose_starts_from_the_scaled_series_bitwise():
                 assert np.isfinite(got).all() == np.isfinite(want).all()
                 if np.isfinite(want).all():
                     assert got.tobytes() == want.tobytes()
+                if np.isfinite(full).all():
+                    assert got.tobytes() == full.tobytes()
             finite += bool(np.isfinite(want).all())
-        assert n // 2 <= finite < n
+            five += bool(np.isfinite(full).all())
+        assert n // 2 <= five <= finite < n
+        assert (five < finite) == (order < jt.MAX_ORDER)
 
 
 def test_batch_columns_equal_their_points_bitwise():

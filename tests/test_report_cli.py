@@ -1,7 +1,10 @@
 """Grid reports, serialization, OBJ export, and the command line."""
+import csv
 import dataclasses
 import gc
+import io
 import json
+import math
 import os
 
 import numpy as np
@@ -9,8 +12,10 @@ import pytest
 
 import focalnet.jet as jt
 from focalnet import cli, gallery_names
+from focalnet import report as report_module
 from focalnet.central import central_point
 from focalnet.checks import SWEPT_SRC
+from focalnet.classify import CLASS_NAMES
 from focalnet.errors import (FRAME_ERRORS, CanalDegenerate,
                              DegenerateNetError, DegenerateParametrization,
                              FocalnetError, ImaginaryNetError,
@@ -31,6 +36,28 @@ UNDEFINED = pytest.mark.parametrize(
 CSV_HEADER = ("u,v,status,k1,k2,h,k,q1,q2,weingarten,cmc,const_gauss,"
               "moulding,canal1,canal2,w_defect,d_diff,d_ratio,d_radii_diff,"
               "d_radii_sum,d_mean,d_gauss")
+
+
+def _csv_by_writer(rep) -> str:
+    """The CSV that `csv.writer` writes of a report's records: a float as
+    its repr, None as an empty cell, a flag as 1 or 0.  `emit_csv` must
+    give these bytes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    for rec in rep.records:
+        row = [rec[k] for k in ("u", "v", "status", "k1", "k2", "h", "k",
+                                "q1", "q2")]
+        flags, defects = rec["flags"], rec["defects"]
+        if flags is None:
+            row += [None] * 13
+        else:
+            row += [int(flags[k]) for k in ("weingarten", "cmc", "const_gauss",
+                                            "moulding", "canal1", "canal2")]
+            row.append(defects["w"])
+            row += [defects["class_normalized"][n] for n in CLASS_NAMES]
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def _floats(fp) -> list:
@@ -120,7 +147,10 @@ def test_point_record_matches_grid(prog, graph_source, tol):
     byte as point_record's at that point, the summary is summarize's of
     the records, and each column entry of frame_batch is frame_point's
     float at that point, or failed[i] the class of the exception
-    frame_point raises there."""
+    frame_point raises there.  The emitters, which write from the report's
+    columns, give byte for byte what the standard library's encoders write
+    of the records (json.dumps, csv.writer), and a parsed report emits the
+    text it was parsed from."""
     def graph(z):
         return compile_surface(parse_surface(graph_source(z)))
 
@@ -138,6 +168,11 @@ def test_point_record_matches_grid(prog, graph_source, tol):
     for program, nu, nv, counts in grids:
         pts = grid_points(program, nu, nv)
         rep = grid_report(program, nu, nv, tol)
+        text, table = emit_json(rep), emit_csv(rep)
+        assert text == json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+        assert table == _csv_by_writer(rep)
+        back = parse_json(text)
+        assert emit_json(back) == text and emit_csv(back) == table
         assert rep.summary == summarize(rep.records)
         if counts is not None:
             assert {status: n for status, n
@@ -158,6 +193,60 @@ def test_point_record_matches_grid(prog, graph_source, tol):
             assert failed[i] is None, (program.name, u, v)
             assert (repr([c[i] for c in columns])
                     == repr([float(x) for x in _floats(want)]))
+
+
+def test_non_finite_and_signed_zero_leaves_emit_as_the_encoders_do(prog,
+                                                                   tol):
+    """A parsed report whose leaves hold NaN, +-Infinity and -0.0 (in ok,
+    canal12 and umbilic records) emits the JSON text it was parsed from,
+    which is json.dumps' of its records, and csv.writer's CSV of them
+    (nan, inf, -inf, -0.0).  A NaN with its sign bit set is written alike."""
+    d = json.loads(emit_json(grid_report(prog("helicoid"), 4, 5, tol)))
+    records = d["records"]
+    i = next(k for k, r in enumerate(records) if r["status"] == "ok")
+    ok, canal = records[i], next(r for r in records
+                                 if r["status"] == "canal12")
+    ok.update(u=-0.0, k1=math.nan, k2=math.inf, q2=-math.inf)
+    ok["defects"]["class_normalized"]["mean"] = math.nan
+    ok["prop_residuals"]["prop1_s1"]["lhs_defect"] = -math.inf
+    ok["prop_residuals"]["prop3a_13"]["rhs_defect"] = -0.0
+    canal.update(h=math.inf, v=-0.0)
+    canal["defects"]["w"] = -0.0
+    records.append({**records[-1], "status": "umbilic", "u": math.nan})
+    for key in ("k1", "k2", "h", "k", "q1", "q2", "flags", "defects",
+                "prop_residuals", "excluded"):
+        records[-1][key] = None
+    text = json.dumps(d, sort_keys=True) + "\n"
+    for sign in (1.0, -1.0):
+        rep = parse_json(text)
+        rep.columns["k1"][i] = math.copysign(math.nan, sign)
+        assert emit_json(rep) == text
+        assert json.dumps(rep.to_dict(), sort_keys=True) + "\n" == text
+        table = emit_csv(rep)
+        assert table == _csv_by_writer(rep)
+        row = table.splitlines()[1 + i].split(",")
+        assert ([row[k] for k in (0, 2, 3, 4, 8, 20)]
+                == ["-0.0", "ok", "nan", "inf", "-inf", "nan"])
+        assert table.splitlines()[-1].startswith("nan,")
+
+
+def test_records_are_built_once(prog, tol, monkeypatch):
+    """A report's records are a view of its columns: emitting builds none,
+    and the first reading builds all of them in one `_records` call, which
+    a second reading and per-point indexing (as perfbench's replay does)
+    do not repeat."""
+    rep = grid_report(prog("helicoid"), 4, 5, tol)
+    emit_json(rep), emit_csv(rep)
+    assert "records" not in vars(rep)
+    calls = []
+    build = report_module._records
+    monkeypatch.setattr(report_module, "_records",
+                        lambda *args: calls.append(args) or build(*args))
+    first = rep.records
+    assert [rep.records[k]["status"] for k in range(20)] == rep.status
+    assert rep.records is first and rep.to_dict()["records"] is first
+    assert len(calls) == 1 and len(first) == 20
+    assert first == build(rep.status, rep.excluded, rep.columns)
 
 
 def test_frames_have_the_same_bits_at_the_outputs_order(prog, tol):
