@@ -340,7 +340,8 @@ def _compose(g: Jet4, series) -> Jet4:
         # an order-1 result keeps (no product follows).  Where gh holds inf
         # or NaN the product has NaN in more slots; the result is non-finite
         # either way, with the same slot 0.
-        acc = Jet4(series[r] * gh.c + 0.0, r)
+        acc = Jet4(series[r] * gh.c, r)
+        acc.c += 0.0
         for k in range(r - 1, 0, -1):
             acc.c[0] += series[k]
             acc = acc * gh
