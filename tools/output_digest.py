@@ -73,21 +73,10 @@ MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
                  "sphere", "monkey_saddle", "enneper")
 
 
-def grid_digests() -> tuple:
-    """(json, csv) digests over the ten reports."""
+def report_digests(reports) -> tuple:
+    """(json, csv) digests over the files each report emits, in order."""
     hj, hc = hashlib.sha256(), hashlib.sha256()
-    for name in GRID_SURFACES:
-        rep = grid_report(compile_surface(gallery(name)), 25, 25)
-        hj.update(emit_json(rep).encode())
-        hc.update(emit_csv(rep).encode())
-    return hj.hexdigest(), hc.hexdigest()
-
-
-def shape_digests() -> tuple:
-    """(json, csv) digests over the reports of `SHAPE_GRIDS`."""
-    hj, hc = hashlib.sha256(), hashlib.sha256()
-    for surface, nu, nv in SHAPE_GRIDS:
-        rep = grid_report(compile_surface(surface), nu, nv)
+    for rep in reports:
         hj.update(emit_json(rep).encode())
         hc.update(emit_csv(rep).encode())
     return hj.hexdigest(), hc.hexdigest()
@@ -128,8 +117,12 @@ def main(argv=None) -> int:
                         help="compare the printed lines with FILE's and exit "
                              "with status 1 if any differs")
     args = parser.parse_args(argv)
-    json_digest, csv_digest = grid_digests()
-    json_shapes, csv_shapes = shape_digests()
+    json_digest, csv_digest = report_digests(
+        grid_report(compile_surface(gallery(name)), 25, 25)
+        for name in GRID_SURFACES)
+    json_shapes, csv_shapes = report_digests(
+        grid_report(compile_surface(surface), nu, nv)
+        for surface, nu, nv in SHAPE_GRIDS)
     lines = [f"json {json_digest}", f"csv {csv_digest}",
              f"mesh {mesh_digest()}", f"point {point_digest()}",
              f"json_shapes {json_shapes}", f"csv_shapes {csv_shapes}"]
