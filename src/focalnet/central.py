@@ -32,8 +32,8 @@ import numpy as np
 
 from . import jet as jt
 from .errors import CanalDegenerate
-from .frames import FramePoint, frame_point_from_pd
-from .geometry import PrincipalData, eval_surface, principal_data, vdot
+from .frames import FramePoint, frame_point
+from .geometry import PrincipalData, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -100,24 +100,30 @@ def check_canal(fp: FramePoint, sheet: int,
             f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet)
 
 
+def _matrix(rows) -> np.ndarray:
+    """The 2x2 matrix of two rows of numbers; of entries of shape S, the
+    stack of shape S + (2, 2)."""
+    m = np.stack(np.broadcast_arrays(*rows[0], *rows[1]), axis=-1)
+    return m.reshape(m.shape[:-1] + (2, 2))
+
+
 def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
     """Rows = (w1, w2) as covectors over (du, dv): w_i = <e_i, .> via the
     first fundamental form."""
     E, F, G = pd.E.value, pd.F.value, pd.G.value
     xi1, eta1 = pd.xi1.value, pd.eta1.value
     xi2, eta2 = pd.xi2.value, pd.eta2.value
-    return np.array([
-        [E * xi1 + F * eta1, F * xi1 + G * eta1],
-        [E * xi2 + F * eta2, F * xi2 + G * eta2],
-    ])
+    return _matrix(((E * xi1 + F * eta1, F * xi1 + G * eta1),
+                    (E * xi2 + F * eta2, F * xi2 + G * eta2)))
 
 
 def focal_coframe_matrix(fp: FramePoint, sheet: int) -> np.ndarray:
     """Rows = (w1', w2') of the sheet's coframe over the base (w1, w2);
     relabelling reverses both the rows and the base columns."""
     k, k_other, _, _, (d1, d2) = _relabelled(fp, sheet)
-    rows = ((0.0, (k - k_other) / k), (-d1 / k ** 2, -d2 / k ** 2))
-    return np.array(_in_sheet_order(
+    k_sq = jt.power(k, 2)
+    rows = ((0.0, (k - k_other) / k), (-d1 / k_sq, -d2 / k_sq))
+    return _matrix(_in_sheet_order(
         [_in_sheet_order(row, sheet) for row in rows], sheet))
 
 
@@ -143,8 +149,8 @@ def central_point(fp: FramePoint, sheet: int,
     check_canal(fp, sheet, tol)
     k, k_other, q1, q2, (d1k, d2k) = _relabelled(fp, sheet)
     a = k * (q1 * d2k - q2 * d1k) / ((k - k_other) * d1k)
-    b = q1 * k ** 2 / d1k
-    c = k ** 3 / d1k
+    b = q1 * jt.power(k, 2) / d1k
+    c = jt.power(k, 3) / d1k
     a, c = _in_sheet_order((a, c), sheet)
     q1c, q2c = _in_sheet_order((fp.k1 * fp.k2 / (fp.k1 - fp.k2), 0.0), sheet)
 
@@ -173,10 +179,11 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int,
 
     Consumes order-4 surface jets: the focal position differentiates the
     curvature, and its second fundamental form differentiates it again.
+    At arrays u, v every field has one entry per point, its bits; nothing
+    raises.
     """
-    sj = eval_surface(prog, u, v, jt.MAX_ORDER)
-    pd = principal_data(sj, tol)
-    fp = frame_point_from_pd(pd, tol)
+    fp = frame_point(prog, u, v, tol, jt.MAX_ORDER)
+    pd, sj = fp.pd, fp.pd.sj
     check_canal(fp, sheet, tol)
 
     # the sheet frame {first, second; normal}
@@ -194,36 +201,34 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int,
     t_uu = -vdot(y_u, n_u).value
     t_vv = -vdot(y_v, n_v).value
     t_uv = -0.5 * (vdot(y_u, n_v).value + vdot(y_v, n_u).value)
-    t_mat = np.array([[t_uu, t_uv], [t_uv, t_vv]])
+    t_mat = _matrix(((t_uu, t_uv), (t_uv, t_vv)))
 
     # sheet coframe over (du, dv): closed-form rows composed with the base
     # coframe, and independently by projecting dy on the sheet frame
     omega = base_coframe_matrix(pd)
     p_uv = focal_coframe_matrix(fp, sheet) @ omega
-    p_proj = np.array([
-        [vdot(y_u, first).value, vdot(y_v, first).value],
-        [vdot(y_u, second).value, vdot(y_v, second).value],
-    ])
+    p_proj = _matrix(((vdot(y_u, first).value, vdot(y_v, first).value),
+                      (vdot(y_u, second).value, vdot(y_v, second).value)))
 
     det = np.linalg.det(p_uv)
-    if abs(det) < 1e-300:
+    if np.ndim(det) == 0 and abs(det) < 1e-300:
         raise CanalDegenerate(
             f"singular focal coframe for sheet {sheet} at ({u}, {v})",
             sheet)
     p_inv = np.linalg.inv(p_uv)
-    form = p_inv.T @ t_mat @ p_inv
-    a, b, c = form[0, 0], 0.5 * (form[0, 1] + form[1, 0]), form[1, 1]
+    form = np.swapaxes(p_inv, -1, -2) @ t_mat @ p_inv
 
     # sheet connection form w12' = <d(first), second> over (du, dv),
     # re-expressed in the sheet coframe
     f_u = tuple(comp.du() for comp in first)
     f_v = tuple(comp.dv() for comp in first)
-    w = np.array([vdot(f_u, second).value, vdot(f_v, second).value])
-    q1c, q2c = np.linalg.solve(p_uv.T, w)
+    w = np.stack([vdot(f_u, second).value, vdot(f_v, second).value], axis=-1)
+    q = np.linalg.solve(np.swapaxes(p_uv, -1, -2), w[..., None])[..., 0]
 
-    return CentralFundamentals(
-        a=float(a), b=float(b), c=float(c), q1=float(q1c), q2=float(q2c),
-        coframe_uv=p_uv, coframe_uv_projected=p_proj)
+    abcq = (form[..., 0, 0], 0.5 * (form[..., 0, 1] + form[..., 1, 0]),
+            form[..., 1, 1], q[..., 0], q[..., 1])
+    return CentralFundamentals(*(x if np.ndim(x) else float(x) for x in abcq),
+                               coframe_uv=p_uv, coframe_uv_projected=p_proj)
 
 
 def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],

@@ -10,11 +10,13 @@ the divergence identity and its cubic curvature power), ``nets`` (exact net
 rearrangements, coincidence/bisection, reality), ``props`` (forward
 statement checks, degeneracy statuses, flag implications), and ``all``.
 
-These routines are where an identity is swept over sampled points at its
-bound; the test suite asserts on their results.  Every bound is pinned in the check
+These routines sweep each identity over sampled points at its bound; the
+test suite asserts on their results.  Every bound is pinned in the check
 that uses it, and ``seed`` drives all sampling.  Sampling guards (curvature
-floors, canal margins) keep oracle comparisons inside their well-conditioned
-regime; the identities themselves hold at every non-degenerate point.
+floors, canal margins) keep oracle comparisons well-conditioned; the
+identities hold at every non-degenerate point.  The samples are one batch
+FramePoint, run through the formulas reports and meshes run; only
+`check_degeneracies` and `check_gallery` call `point_record` per point.
 
 The library takes every curvature-function gradient by the chain rule from
 floats.  The checks whose curvature-function side would then be the same
@@ -29,6 +31,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import reduce
+from pathlib import Path
 from time import perf_counter
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -42,7 +46,7 @@ from .central import (canal_threshold, central_ii_oracle, central_point,
                       focal_coframe_matrix, own_curvature)
 from .classify import (class_gradients, class_partials, moulding_defect,
                        prop_residuals, proposition_report)
-from .errors import FRAME_ERRORS, FocalnetError
+from .errors import FocalnetError, JetDomainError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
                      frame_point, pfaffian_values)
@@ -103,42 +107,61 @@ def domain_points(prog, n: int, rng) -> List[Tuple[float, float]]:
 
 
 def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCES,
-                        *, sheets: Sequence[int] = (),
-                        healthy: float = 10.0,
-                        min_k: float = 0.0,
-                        min_gap: float = 0.0,
-                        nonmoulding: float = 0.0) -> List[FramePoint]:
+                        *, sheets: Sequence[int] = (), healthy: float = 10.0,
+                        min_k: float = 0.0, min_gap: float = 0.0,
+                        nonmoulding: float = 0.0) -> FramePoint:
     """Rejection-sample n non-degenerate frame points in the domain box
     (shrunk by `_MARGIN` per side), from surface jets of `jt.MAX_ORDER`,
     so that the Gauss equation and second Pfaffians of `fp.pd` can be
-    taken.  ``sheets`` demands |nabla_i k_i| >= healthy x canal threshold
-    for those sheets; ``min_k`` floors min(|k1|, |k2|); ``min_gap`` floors
-    |k1-k2| relative to |k1|+|k2|; ``nonmoulding`` floors the moulding
-    defect."""
-    out: List[FramePoint] = []
-    draws, cap = 0, max(4000, 400 * n)
-    while len(out) < n and draws < cap:
-        draws += 1
-        (u, v), = domain_points(prog, 1, rng)
+    taken: one batch FramePoint of shape (n,), with its `pd`.  ``sheets``
+    demands |nabla_i k_i| >= healthy x canal threshold for those sheets;
+    ``min_k`` floors min(|k1|, |k2|); ``min_gap`` floors |k1-k2| relative
+    to |k1|+|k2|; ``nonmoulding`` floors the moulding defect.  Chunks of
+    max(16, 2 x still needed) draws of `domain_points` are judged as one
+    batch each, and the rng is rewound to just past the last draw kept, so
+    the points and the rng state are those of judging one draw at a time,
+    up to max(4000, 400 n) draws."""
+    def usable(uv: np.ndarray) -> np.ndarray:
         try:
-            fp = frame_point(prog, u, v, tol, jt.MAX_ORDER)
-        except FRAME_ERRORS:
-            continue
-        if min(abs(fp.k1), abs(fp.k2)) < min_k:
-            continue
-        if abs(fp.k1 - fp.k2) < min_gap * (abs(fp.k1) + abs(fp.k2)):
-            continue
+            fp = frame_point(prog, uv[:, 0], uv[:, 1], tol, jt.MAX_ORDER)
+        except JetDomainError:          # the whole evaluation fails
+            return np.zeros(len(uv), dtype=bool)
+        k1, k2 = abs(fp.k1), abs(fp.k2)
+        reject = ~np.equal(fp.pd.failed, None)
+        reject |= jt.smallest(k1, k2) < min_k
+        reject |= abs(fp.k1 - fp.k2) < min_gap * (k1 + k2)
         thr = healthy * canal_threshold(fp, tol)
-        if any(abs(own_curvature(fp, s)[2]) < thr for s in sheets):
-            continue
-        if nonmoulding and moulding_defect(fp, tol) <= nonmoulding:
-            continue
-        out.append(fp)
-    if len(out) < n:
+        for s in sheets:
+            reject |= abs(own_curvature(fp, s)[2]) < thr
+        if nonmoulding:
+            reject |= moulding_defect(fp, tol) <= nonmoulding
+        return ~reject
+
+    kept, found, draws, cap = [], 0, 0, max(4000, 400 * n)
+    while found < n and draws < cap:
+        need, state = n - found, rng.bit_generator.state
+        chunk = np.array(domain_points(prog, min(max(16, 2 * need),
+                                                 cap - draws), rng))
+        with np.errstate(all="ignore"):
+            hits = np.flatnonzero(usable(chunk))[:need]
+        if len(hits) == need:
+            rng.bit_generator.state = state
+            chunk = np.array(domain_points(prog, hits[-1] + 1, rng))
+        draws += len(chunk)
+        found += len(hits)
+        kept.append(chunk[hits])
+    if found < n:
         raise FocalnetError(
             f"sampling exhausted on {prog.definition.name}: "
-            f"{len(out)}/{n} points after {draws} draws")
-    return out
+            f"{found}/{n} points after {draws} draws")
+    us, vs = np.concatenate(kept).T
+    return frame_point(prog, us, vs, tol, jt.MAX_ORDER)
+
+
+def _worst(*values) -> float:
+    """The largest entry of `values` (numbers or arrays), at least 0.0; a
+    NaN entry gives NaN, which fails every bound."""
+    return float(np.max([np.max(x, initial=0.0) for x in values]))
 
 
 def jet_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
@@ -147,15 +170,11 @@ def jet_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
     jet field from the curvature jets ``fp.pd.k1``, ``fp.pd.k2`` and then
     differentiated: the leg independent of the chain rule."""
     k1j, k2j = fp.pd.k1, fp.pd.k2
-    fields = {
-        "diff": k1j - k2j,
-        "ratio": k1j / k2j,
-        "radii_diff": 1.0 / k1j - 1.0 / k2j,
-        "radii_sum": 1.0 / k1j + 1.0 / k2j,
-        "mean": k1j + k2j,
-        "gauss": k1j * k2j,
-        "connection": k1j * k2j / (k1j - k2j),
-    }
+    fields = {"diff": k1j - k2j, "ratio": k1j / k2j,
+              "radii_diff": 1.0 / k1j - 1.0 / k2j,
+              "radii_sum": 1.0 / k1j + 1.0 / k2j,
+              "mean": k1j + k2j, "gauss": k1j * k2j,
+              "connection": k1j * k2j / (k1j - k2j)}
     return {name: pfaffian_values(g, fp.pd) for name, g in fields.items()}
 
 
@@ -167,18 +186,19 @@ def _chain_rule_mismatch(fp: FramePoint) -> float:
     |g_k1| |grad k1| + |g_k2| |grad k2| of its function g."""
     k1, k2 = fp.k1, fp.k2
     partials = class_partials(k1, k2)
-    partials["connection"] = (-k2 ** 2 / (k1 - k2) ** 2,
-                              k1 ** 2 / (k1 - k2) ** 2)
+    gap_sq = jt.power(k1 - k2, 2)
+    partials["connection"] = (-jt.power(k2, 2) / gap_sq,
+                              jt.power(k1, 2) / gap_sq)
     chain = class_gradients(fp)
     chain["connection"] = connection_gradient(fp)
-    g1, g2 = math.hypot(*fp.grad_k1), math.hypot(*fp.grad_k2)
-    worst = 0.0
+    g1, g2 = jt.hypot(*fp.grad_k1), jt.hypot(*fp.grad_k2)
+    gaps = []
     for name, (a1, a2) in jet_gradients(fp).items():
         p1, p2 = partials[name]
         c1, c2 = chain[name]
         scale = abs(p1) * g1 + abs(p2) * g2 + 1e-30
-        worst = max(worst, math.hypot(c1 - a1, c2 - a2) / scale)
-    return worst
+        gaps.append(jt.hypot(c1 - a1, c2 - a2) / scale)
+    return _worst(*gaps)
 
 
 def check_structure(seed: int = 7) -> List[CheckResult]:
@@ -190,22 +210,20 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
     results = []
     t0 = perf_counter()
     for name in GENERIC5 + ("torus",):
-        pts = sample_frame_points(_prog(name), 220, rng, _TOL)
-        max_cod = max_gau = 0.0
-        for fp in pts:
-            r1, r2 = check_codazzi(fp)
-            max_cod = max(max_cod, max(abs(r1), abs(r2)) / codazzi_scale(fp))
-            res, scale = check_gauss(fp)
-            max_gau = max(max_gau, abs(res) / scale)
+        fp = sample_frame_points(_prog(name), 220, rng, _TOL)
+        r1, r2 = check_codazzi(fp)
+        max_cod = _worst(jt.largest(abs(r1), abs(r2)) / codazzi_scale(fp))
+        res, scale = check_gauss(fp)
+        max_gau = _worst(abs(res) / scale)
         ok = max_cod <= bound and max_gau <= bound
         results.append(CheckResult(
             f"structure.codazzi_gauss.{name}", ok,
-            f"n={len(pts)} max_codazzi={max_cod:.3e} "
+            f"n={len(fp.u)} max_codazzi={max_cod:.3e} "
             f"max_gauss={max_gau:.3e} bound={bound:.1e}"))
-        chain = max(_chain_rule_mismatch(fp) for fp in pts)
+        chain = _chain_rule_mismatch(fp)
         results.append(CheckResult(
             f"structure.chain_rule.{name}", chain <= bound_chain,
-            f"n={len(pts)}x7 max_rel={chain:.3e} bound={bound_chain:.1e}"))
+            f"n={len(fp.u)}x7 max_rel={chain:.3e} bound={bound_chain:.1e}"))
     dt = perf_counter() - t0
     results.append(CheckResult("structure.runtime", dt <= 10.0,
                                f"elapsed={dt:.2f}s bound=10.0s"))
@@ -214,36 +232,37 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
 
 # ------------------------------------------------------------------ central
 
-def _oracle_mismatch(prog, fp: FramePoint,
-                     sheet: int) -> Tuple[float, float]:
-    """Closed form vs. oracle at one point of one sheet: relative mismatch
-    of (a, b, c, q1, q2), and of the coframe against the projection of dy."""
+def _oracle_mismatch(prog, fp: FramePoint, sheet: int) -> Tuple[float, float]:
+    """Closed form vs. oracle on one sheet: the worst relative mismatch of
+    (a, b, c, q1, q2), and of the coframe against the projection of dy."""
     cp = central_point(fp, sheet=sheet, tol=_TOL)
     cf = central_ii_oracle(prog, fp.u, fp.v, sheet=sheet, tol=_TOL)
     closed = (cp.a, cp.b, cp.c, cp.q1, cp.q2)
     oracle = (cf.a, cf.b, cf.c, cf.q1, cf.q2)
-    scale = max(abs(x) for x in closed + oracle) + 1e-30
-    fundamentals = max(abs(x - y) for x, y in zip(closed, oracle)) / scale
-    coframe = float(np.abs(cf.coframe_uv - cf.coframe_uv_projected).max()
-                    / (np.abs(cf.coframe_uv).max() + 1e-30))
-    return fundamentals, coframe
+    scale = reduce(jt.largest, (abs(x) for x in closed + oracle)) + 1e-30
+    fundamentals = reduce(jt.largest, (abs(x - y) for x, y
+                                       in zip(closed, oracle))) / scale
+    coframe = (np.abs(cf.coframe_uv - cf.coframe_uv_projected).max((-2, -1))
+               / (np.abs(cf.coframe_uv).max((-2, -1)) + 1e-30))
+    return _worst(fundamentals), _worst(coframe)
 
 
 _Y_POINTS, _Y_STEP = 20, 3e-3
 
 
 def _position_mismatch(prog, fp: FramePoint) -> float:
-    """Closed-form focal positions of both sheets vs. x + e3/k_i with x from
-    `prog.position` and e3, k_i from a finite-difference surface jet, so no
-    jet arithmetic enters that side; per component, relative to
-    max(|y_i|, 1e-2)."""
-    pd = principal_data(fd_surface_jet(prog, fp.u, fp.v, _Y_STEP), _TOL)
-    x = prog.position(fp.u, fp.v)
+    """Closed-form focal positions of both sheets at the first `_Y_POINTS`
+    points vs. x + e3/k_i with x from `prog.position` and e3, k_i from a
+    finite-difference surface jet, so no jet arithmetic enters that side;
+    per component, relative to max(|y_i|, 1e-2)."""
+    u, v = fp.u[:_Y_POINTS], fp.v[:_Y_POINTS]
+    pd = principal_data(fd_surface_jet(prog, u, v, _Y_STEP), _TOL)
+    x = prog.position(u, v)
     normal = np.array([c.value for c in pd.e3])
-    ys = (central_point(fp, sheet=s, tol=_TOL).y for s in (1, 2))
-    return max(float(np.max(np.abs(x + normal / k.value - y)
-                            / np.maximum(np.abs(y), 1e-2)))
-               for k, y in zip((pd.k1, pd.k2), ys))
+    ys = (central_point(fp, s, _TOL).y[:, :_Y_POINTS] for s in (1, 2))
+    return _worst(*(np.abs(x + normal / k.value - y)
+                    / np.maximum(np.abs(y), 1e-2)
+                    for k, y in zip((pd.k1, pd.k2), ys)))
 
 
 def check_central_oracle(seed: int = 7) -> List[CheckResult]:
@@ -255,70 +274,58 @@ def check_central_oracle(seed: int = 7) -> List[CheckResult]:
     results = []
     for name in CENTRAL7:
         prog = _prog(name)
-        pts = sample_frame_points(prog, 100, rng, _TOL, sheets=(1, 2),
-                                  healthy=10.0, min_k=0.05, min_gap=0.02)
+        fp = sample_frame_points(prog, 100, rng, _TOL, sheets=(1, 2),
+                                 healthy=10.0, min_k=0.05, min_gap=0.02)
         rel, coframe = (max(col) for col in zip(
-            *(_oracle_mismatch(prog, fp, sheet)
-              for fp in pts for sheet in (1, 2))))
-        y = max(_position_mismatch(prog, fp) for fp in pts[:_Y_POINTS])
+            *(_oracle_mismatch(prog, fp, sheet) for sheet in (1, 2))))
+        y = _position_mismatch(prog, fp)
         results.append(CheckResult(
             f"central.oracle.{name}",
             rel <= bound and y <= bound_y and coframe <= bound_coframe,
-            f"n={len(pts)}x2 sheets max_rel={rel:.3e} bound={bound:.1e} "
+            f"n={len(fp.u)}x2 sheets max_rel={rel:.3e} bound={bound:.1e} "
             f"max_y={y:.3e} n_y={_Y_POINTS} bound_y={bound_y:.1e} "
             f"max_coframe={coframe:.3e} bound_coframe={bound_coframe:.1e}"))
     return results
-
-
-def _pfaffian_fields(fp: FramePoint):
-    """(jet field, aligned-frame sampler) pairs for FD comparison."""
-    sj = fp.pd.sj
-    return (
-        ("k2", fp.pd.k2, lambda fq: fq.k2),
-        ("k1", fp.pd.k1, lambda fq: fq.k1),
-        ("pos", sj.x + 2.0 * sj.y - sj.z,
-         lambda fq: (fq.pd.sj.x.value + 2.0 * fq.pd.sj.y.value
-                     - fq.pd.sj.z.value)),
-    )
 
 
 def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
     """Focal-sheet derivatives vs. finite differences along the focal
     coordinate directions, plus the df-consistency identity."""
     rng = np.random.default_rng(seed)
-    bound_fd = 1e-6
-    bound_df = 1e-10
+    bound_fd, bound_df = 1e-6, 1e-10
     results = []
     for name in ("graph_generic", "monkey_saddle"):
         prog = _prog(name)
-        pts = sample_frame_points(prog, 8, rng, _TOL, sheets=(1, 2),
-                                  healthy=20.0, min_k=0.08, min_gap=0.05)
-        worst_fd = worst_df = 0.0
-        for fp in pts:
-            base = base_coframe_matrix(fp.pd)
-            for sheet in (1, 2):
-                p_uv = focal_coframe_matrix(fp, sheet) @ base
-                for _, jet_field, sampler in _pfaffian_fields(fp):
-                    grad = pfaffian_values(jet_field, fp.pd)
-                    ana = central_pfaffian(fp, grad, sheet, _TOL)
-                    gscale = abs(ana[0]) + abs(ana[1]) + 1e-12
-                    for i in (0, 1):
-                        direction = np.linalg.solve(p_uv, np.eye(2)[:, i])
-                        speed = float(np.linalg.norm(direction))
-                        fd = fd_frame_field(prog, fp.u, fp.v, sampler,
-                                            tuple(direction / speed),
-                                            5e-4, _TOL)
-                        worst_fd = max(worst_fd,
-                                       abs(ana[i] - speed * fd) / gscale)
-                    duv = np.array(ana) @ p_uv
-                    f_u = jet_field.extract(1, 0)
-                    f_v = jet_field.extract(0, 1)
-                    dfres = (abs(duv[0] - f_u) + abs(duv[1] - f_v)) \
-                        / (abs(f_u) + abs(f_v) + 1e-30)
-                    worst_df = max(worst_df, dfres)
+        fp = sample_frame_points(prog, 8, rng, _TOL, sheets=(1, 2),
+                                 healthy=20.0, min_k=0.08, min_gap=0.05)
+        sj = fp.pd.sj
+        fields = ((fp.pd.k2, lambda fq: fq.k2), (fp.pd.k1, lambda fq: fq.k1),
+                  (sj.x + 2.0 * sj.y - sj.z,
+                   lambda fq: (fq.pd.sj.x.value + 2.0 * fq.pd.sj.y.value
+                               - fq.pd.sj.z.value)))
+        base = base_coframe_matrix(fp.pd)
+        fd_gaps, df_gaps = [], []
+        for sheet in (1, 2):
+            p_uv = focal_coframe_matrix(fp, sheet) @ base
+            for jet_field, sampler in fields:
+                ana = central_pfaffian(fp, pfaffian_values(jet_field, fp.pd),
+                                       sheet, _TOL)
+                gscale = abs(ana[0]) + abs(ana[1]) + 1e-12
+                for i in (0, 1):
+                    direction = np.linalg.solve(p_uv, np.eye(2)[:, i])
+                    speed = np.sqrt(np.vecdot(direction, direction))
+                    unit = direction / speed[:, None]
+                    fd = fd_frame_field(prog, fp.u, fp.v, sampler,
+                                        (unit[:, 0], unit[:, 1]), 5e-4, _TOL)
+                    fd_gaps.append(abs(ana[i] - speed * fd) / gscale)
+                duv = (np.stack(ana, axis=-1)[:, None, :] @ p_uv)[:, 0]
+                f_u, f_v = jet_field.extract(1, 0), jet_field.extract(0, 1)
+                df_gaps.append((abs(duv[:, 0] - f_u) + abs(duv[:, 1] - f_v))
+                               / (abs(f_u) + abs(f_v) + 1e-30))
+        worst_fd, worst_df = _worst(*fd_gaps), _worst(*df_gaps)
         results.append(CheckResult(
             f"central.pfaffian_fd.{name}", worst_fd <= bound_fd,
-            f"n={len(pts)}x2x3 max_rel={worst_fd:.3e} bound={bound_fd:.1e}"))
+            f"n={len(fp.u)}x2x3 max_rel={worst_fd:.3e} bound={bound_fd:.1e}"))
         results.append(CheckResult(
             f"central.df_consistency.{name}", worst_df <= bound_df,
             f"max_rel={worst_df:.3e} bound={bound_df:.1e}"))
@@ -332,60 +339,51 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
     the k_i^2 variant of the closed form misses the divergence by exactly
     one factor k_i."""
     rng = np.random.default_rng(seed)
-    bound_id = 1e-9
-    bound_div, bound_w = 1e-10, 1e-12
-    bound_pow = 1e-6
+    bound_id, bound_div, bound_w, bound_pow = 1e-9, 1e-10, 1e-12, 1e-6
     results = []
 
-    pts = sample_frame_points(_prog("graph_generic"), 60, rng, _TOL,
-                              sheets=(1, 2), healthy=10.0)
-    worst = 0.0
-    for fp in pts:
-        grad_q = jet_gradients(fp)["connection"]
-        for sheet in (1, 2):
-            div = isothermic_divergence(fp, grad_q, sheet, _TOL)
-            closed = divergence_closed_form(fp, sheet, _TOL)
-            scale = divergence_scale(fp, sheet, _TOL) + 1e-30
-            worst = max(worst, abs(div - closed) / scale)
+    fp = sample_frame_points(_prog("graph_generic"), 60, rng, _TOL,
+                             sheets=(1, 2), healthy=10.0)
+    grad_q = jet_gradients(fp)["connection"]
+    worst = _worst(*(abs(isothermic_divergence(fp, grad_q, sheet, _TOL)
+                         - divergence_closed_form(fp, sheet, _TOL))
+                     / (divergence_scale(fp, sheet, _TOL) + 1e-30)
+                     for sheet in (1, 2)))
     results.append(CheckResult(
         "central.divergence_identity.graph_generic", worst <= bound_id,
-        f"n={len(pts)}x2 max_rel={worst:.3e} bound={bound_id:.1e}"))
+        f"n={len(fp.u)}x2 max_rel={worst:.3e} bound={bound_id:.1e}"))
 
     for name in ("helicoid", "enneper", "dini"):
-        pts = sample_frame_points(_prog(name), 100, rng, _TOL,
-                                  sheets=(1, 2), healthy=10.0)
-        worst_div = worst_w = 0.0
-        for fp in pts:
-            rep = proposition_report(fp, tol=_TOL)
-            for key in ("prop1_s1", "prop1_s2"):
-                worst_div = max(worst_div,
-                                rep.prop_residuals[key].lhs_defect)
-            worst_w = max(worst_w, abs(rep.w_defect))
+        fp = sample_frame_points(_prog(name), 100, rng, _TOL,
+                                 sheets=(1, 2), healthy=10.0)
+        rep = proposition_report(fp, tol=_TOL)
+        worst_div = _worst(*(rep.prop_residuals[key].lhs_defect
+                             for key in ("prop1_s1", "prop1_s2")))
+        worst_w = _worst(abs(rep.w_defect))
         results.append(CheckResult(
             f"central.divergence_and_w_defect.{name}",
             worst_div <= bound_div and worst_w <= bound_w,
-            f"n={len(pts)} max_div_defect={worst_div:.3e} "
+            f"n={len(fp.u)} max_div_defect={worst_div:.3e} "
             f"bound={bound_div:.1e} max_w_defect={worst_w:.3e} "
             f"bound_w={bound_w:.1e}"))
 
-    pts = sample_frame_points(_prog("graph_generic"), 12, rng, _TOL,
-                              sheets=(1, 2), healthy=10.0, min_k=0.05,
-                              min_gap=0.02)
-    worst, used = 0.0, 0
-    for fp in pts:
-        jac = w_jacobian(fp)
-        grad_q = jet_gradients(fp)["connection"]
-        for sheet in (1, 2):
-            k, _, own = own_curvature(fp, sheet)
-            quad_variant = k ** 2 * jac / ((fp.k1 - fp.k2) ** 3 * own)
-            if abs(quad_variant) < 1e-12:
-                continue
-            used += 1
-            div = isothermic_divergence(fp, grad_q, sheet, _TOL)
-            worst = max(worst, abs(div / quad_variant - k) / abs(k))
+    fp = sample_frame_points(_prog("graph_generic"), 12, rng, _TOL,
+                             sheets=(1, 2), healthy=10.0, min_k=0.05,
+                             min_gap=0.02)
+    jac = w_jacobian(fp)
+    grad_q = jet_gradients(fp)["connection"]
+    misses, used = [], 0
+    for sheet in (1, 2):
+        k, _, own = own_curvature(fp, sheet)
+        quad_variant = jt.power(k, 2) * jac / (jt.power(fp.k1 - fp.k2, 3) * own)
+        kept = ~(abs(quad_variant) < 1e-12)
+        used += int(np.count_nonzero(kept))
+        div = isothermic_divergence(fp, grad_q, sheet, _TOL)
+        misses.append((abs(div / quad_variant - k) / abs(k))[kept])
+    worst = _worst(*misses)
     results.append(CheckResult(
         "central.cubic_power.graph_generic", used > 0 and worst <= bound_pow,
-        f"n={len(pts)}x2 used={used} max_rel={worst:.3e} "
+        f"n={len(fp.u)}x2 used={used} max_rel={worst:.3e} "
         f"bound={bound_pow:.1e}"))
     return results
 
@@ -400,16 +398,14 @@ def check_rearrangements(seed: int = 7) -> List[CheckResult]:
     """Exact net rearrangements at 50 generic points."""
     rng = np.random.default_rng(seed)
     bound = 1e-12
-    pts = sample_frame_points(_prog("graph_generic"), 50, rng, _TOL,
-                              sheets=(1, 2), healthy=5.0)
-    worst = 0.0
-    for fp in pts:
-        res = prop_residuals(fp, jet_gradients(fp), _TOL)
-        for key in _REARRANGEMENT_KEYS:
-            worst = max(worst, res[key].identity_residual)
+    fp = sample_frame_points(_prog("graph_generic"), 50, rng, _TOL,
+                             sheets=(1, 2), healthy=5.0)
+    res = prop_residuals(fp, jet_gradients(fp), _TOL)
+    worst = _worst(*(res[key].identity_residual
+                     for key in _REARRANGEMENT_KEYS))
     return [CheckResult(
         "nets.rearrangements.graph_generic", worst <= bound,
-        f"n={len(pts)} keys={len(_REARRANGEMENT_KEYS)} "
+        f"n={len(fp.u)} keys={len(_REARRANGEMENT_KEYS)} "
         f"max_residual={worst:.3e} bound={bound:.1e}")]
 
 
@@ -450,13 +446,13 @@ def check_remarks(seed: int = 7) -> List[CheckResult]:
         f"n=40 max_coincidence={worst_coin:.3e} "
         f"max_bisection_rad={worst_bis:.3e} bound={bound:.1e}")]
 
-    pts = sample_frame_points(_prog("helicoid"), 100, rng, _TOL,
-                              sheets=(1,), healthy=10.0)
-    discs = [reality_discriminant(net_asymptotic_pullback(fp, 1, _TOL))
-             for fp in pts]
+    fp = sample_frame_points(_prog("helicoid"), 100, rng, _TOL,
+                             sheets=(1,), healthy=10.0)
+    disc = float(np.max(reality_discriminant(
+        net_asymptotic_pullback(fp, 1, _TOL))))
     results.append(CheckResult(
-        "nets.reality.helicoid", max(discs) < 0.0,
-        f"n={len(pts)} max_discriminant={max(discs):.3e} (must be < 0)"))
+        "nets.reality.helicoid", disc < 0.0,
+        f"n={len(fp.u)} max_discriminant={disc:.3e} (must be < 0)"))
     return results
 
 
@@ -470,39 +466,32 @@ def check_prop5_prop6(seed: int = 7) -> List[CheckResult]:
     bound = 1e-8
     results = []
 
-    pts = sample_frame_points(_prog("helicoid"), 100, rng, _TOL,
-                              sheets=(1, 2), healthy=10.0)
-    worst = 0.0
-    for fp in pts:
-        for sheet in (1, 2):
-            net = net_curvature_pullback(fp, sheet, _TOL)
-            worst = max(worst, abs(orthogonality_defect(net)))
+    fp = sample_frame_points(_prog("helicoid"), 100, rng, _TOL,
+                             sheets=(1, 2), healthy=10.0)
+    worst = _worst(*(abs(orthogonality_defect(
+        net_curvature_pullback(fp, sheet, _TOL))) for sheet in (1, 2)))
     results.append(CheckResult(
         "props.orthogonality.helicoid", worst <= bound,
-        f"n={len(pts)}x2 max_orth_defect={worst:.3e} bound={bound:.1e}"))
+        f"n={len(fp.u)}x2 max_orth_defect={worst:.3e} bound={bound:.1e}"))
 
-    pts = sample_frame_points(_prog("dini"), 100, rng, _TOL,
-                              sheets=(1, 2), healthy=10.0,
-                              nonmoulding=10.0 * _TOL.moulding)
-    worst = 0.0
-    for fp in pts:
-        for sheet in (1, 2):
-            net = net_curvature_pullback(fp, sheet, _TOL)
-            worst = max(worst, abs(conjugacy_defect(net, fp.k1, fp.k2)))
+    fp = sample_frame_points(_prog("dini"), 100, rng, _TOL,
+                             sheets=(1, 2), healthy=10.0,
+                             nonmoulding=10.0 * _TOL.moulding)
+    worst = _worst(*(abs(conjugacy_defect(
+        net_curvature_pullback(fp, sheet, _TOL), fp.k1, fp.k2))
+        for sheet in (1, 2)))
     results.append(CheckResult(
         "props.conjugacy.dini", worst <= bound,
-        f"n={len(pts)}x2 max_conj_defect={worst:.3e} bound={bound:.1e}"))
+        f"n={len(fp.u)}x2 max_conj_defect={worst:.3e} bound={bound:.1e}"))
 
-    pts = sample_frame_points(_prog("graph_generic"), 50, rng, _TOL,
-                              sheets=(1, 2), healthy=5.0)
-    worst = 0.0
-    for fp in pts:
-        res = prop_residuals(fp, jet_gradients(fp), _TOL)
-        for key in ("prop6_17", "prop6_18"):
-            worst = max(worst, res[key].identity_residual)
+    fp = sample_frame_points(_prog("graph_generic"), 50, rng, _TOL,
+                             sheets=(1, 2), healthy=5.0)
+    res = prop_residuals(fp, jet_gradients(fp), _TOL)
+    worst = _worst(*(res[key].identity_residual
+                     for key in ("prop6_17", "prop6_18")))
     results.append(CheckResult(
         "props.spherical_identity.graph_generic", worst <= bound,
-        f"n={len(pts)} max_residual={worst:.3e} bound={bound:.1e}"))
+        f"n={len(fp.u)} max_residual={worst:.3e} bound={bound:.1e}"))
     return results
 
 
@@ -537,9 +526,8 @@ def check_degeneracies(seed: int = 7) -> List[CheckResult]:
              for r in recs)
     results.append(CheckResult(
         "props.status.torus_tube_canal", ok,
-        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})} "
-        "canal2 flag everywhere" if ok else
-        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})}"))
+        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})}"
+        + " canal2 flag everywhere" * ok))
 
     recs = [point_record(_prog("helicoid"), u, 0.0, _TOL)
             for u in (-2.0, -0.5, 0.7, 2.4)]
@@ -694,7 +682,7 @@ def check_toolchain(seed: int = 7) -> List[CheckResult]:
                    nets=("13", "17"), tol=_TOL)
         names = sorted(os.listdir(d1))
         same = names == sorted(os.listdir(d2)) and all(
-            open(os.path.join(d1, f)).read() == open(os.path.join(d2, f)).read()
+            Path(d1, f).read_bytes() == Path(d2, f).read_bytes()
             for f in names)
     results.append(CheckResult(
         "jets.mesh_determinism", same,

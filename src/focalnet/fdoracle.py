@@ -13,15 +13,18 @@ program evaluated in mpmath numbers by `mp_scalar_fn`: at step sizes near
 second and higher derivatives, which would make ratio tests meaningless.
 mpmath is imported lazily; the library runtime never needs it.
 
-Frame-dependent field sampling realigns the e1 sign at every stencil node
-against the center frame (nearest-neighbor continuation); ambiguous
-alignment near umbilics is an error, never a guess.  The samplers read
-frame values only, so the stencil frames evaluate at the outputs' order,
-`eval_surface`'s default.
+The float oracles take a point or arrays u, v of shape (N,); a batch
+evaluates each stencil node for all N points at once, and each column gets
+its point's bits.  Frame-dependent field sampling realigns the e1 sign at
+every stencil node against the center frame, column by column
+(nearest-neighbor continuation); ambiguous alignment near umbilics is an
+error, never a guess.  The samplers read frame values only, so the stencil
+frames evaluate at the outputs' order, `eval_surface`'s default.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -29,9 +32,8 @@ import numpy as np
 from . import expr as ex
 from . import jet as jt
 from .errors import FocalnetError
-from .frames import FramePoint, frame_point_from_pd
-from .geometry import (SurfaceJet, eval_surface, flipped_principal,
-                       principal_data)
+from .frames import FramePoint, frame_point, frame_point_from_pd
+from .geometry import SurfaceJet, eval_surface, principal_data
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -63,7 +65,7 @@ _DIR_DIV = 12
 def fd_partial(f: Callable[[float, float], float], u: float, v: float,
                i: int, j: int, h: float) -> float:
     """d^{i+j} f / du^i dv^j by a tensor-product 5x5 central stencil
-    (componentwise when f returns an array)."""
+    (componentwise when f returns an array, as it does at arrays u, v)."""
     nums_u, div_u = _STENCILS[i]
     nums_v, div_v = _STENCILS[j]
     acc = 0.0
@@ -116,13 +118,15 @@ def fd_surface_jet(prog, u: float, v: float, h: float) -> SurfaceJet:
     """A SurfaceJet built purely from finite differences.
 
     Feeding it through principal_data/frame_point gives an end-to-end
-    derivative path with no jet arithmetic anywhere.
+    derivative path with no jet arithmetic anywhere.  At arrays u, v of
+    shape (N,) the jets carry a batch axis.
     """
     coeffs = np.array([fd_partial(prog.position, u, v, i, j, h)
                        / (math.factorial(i) * math.factorial(j))
                        for i, j in jt.MONOMIALS])
-    return SurfaceJet(float(u), float(v),
-                      *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
+    u, v = (np.asarray(w, dtype=float) if np.ndim(w) else float(w)
+            for w in (u, v))
+    return SurfaceJet(u, v, *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
 
 
 def fd_directional(f: Callable[[float, float], float], u: float, v: float,
@@ -137,18 +141,23 @@ def fd_directional(f: Callable[[float, float], float], u: float, v: float,
 
 def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
-    """Frame at (u, v) with the e1 sign continued from a reference frame."""
+    """Frame at (u, v) with the e1 sign continued from a reference frame:
+    e1, e2 negated as by `flipped_principal` where they turn against it,
+    column by column at arrays u, v (and a batch reference).  An ambiguous
+    sign raises, at the first such column of a batch."""
     pd = principal_data(eval_surface(prog, u, v), tol)
-    ref_e1 = np.array(ref.e1)
-    e1 = np.array([c.value for c in pd.e1])
-    dot = float(ref_e1 @ e1)
-    if abs(dot) < 0.1:
-        raise FocalnetError(
-            f"principal-direction continuation ambiguous at ({u}, {v}): "
-            f"|<e1, e1_ref>| = {abs(dot):.3f}")
-    if dot < 0:
-        pd = flipped_principal(pd)
-    return frame_point_from_pd(pd, tol)
+    dot = np.vecdot(np.stack(ref.e1, axis=-1),
+                    np.stack([c.value for c in pd.e1], axis=-1))
+    ambiguous = np.flatnonzero(abs(dot) < 0.1)
+    if ambiguous.size:
+        u0, v0, dot0 = (np.ravel(x)[ambiguous[0]] for x in (u, v, dot))
+        raise FocalnetError(f"principal-direction continuation ambiguous at "
+                            f"({u0}, {v0}): |<e1, e1_ref>| = {abs(dot0):.3f}")
+    neg = lambda jet: jt.where(dot < 0, -jet, jet)
+    return frame_point_from_pd(replace(
+        pd, xi1=neg(pd.xi1), eta1=neg(pd.eta1), xi2=neg(pd.xi2),
+        eta2=neg(pd.eta2), e1=tuple(map(neg, pd.e1)),
+        e2=tuple(map(neg, pd.e2))), tol)
 
 
 def fd_pfaffian(prog, u: float, v: float,
@@ -157,10 +166,9 @@ def fd_pfaffian(prog, u: float, v: float,
     """(nabla_1 f, nabla_2 f) of a frame-dependent field by directional
     differencing along the center frame's principal directions."""
     pd = principal_data(eval_surface(prog, u, v), tol)
-    d1 = (pd.xi1.value, pd.eta1.value)
-    d2 = (pd.xi2.value, pd.eta2.value)
-    return (fd_frame_field(prog, u, v, sampler, d1, h, tol),
-            fd_frame_field(prog, u, v, sampler, d2, h, tol))
+    return tuple(fd_frame_field(prog, u, v, sampler, d, h, tol)
+                 for d in ((pd.xi1.value, pd.eta1.value),
+                           (pd.xi2.value, pd.eta2.value)))
 
 
 def fd_frame_field(prog, u: float, v: float,
@@ -172,8 +180,7 @@ def fd_frame_field(prog, u: float, v: float,
     sign continuation against the center frame; the Richardson pair
     (16 D(h/2) - D(h)) / 15 cancels the 4-point stencil's O(h^4) error,
     which dominates where the frame turns fast (a small curvature gap)."""
-    center = frame_point_from_pd(
-        principal_data(eval_surface(prog, u, v), tol), tol)
+    center = frame_point(prog, u, v, tol)
 
     def field(uu: float, vv: float) -> float:
         return sampler(aligned_frame_point(prog, uu, vv, center, tol))

@@ -174,9 +174,10 @@ def check_gauss(fp: FramePoint) -> Tuple[float, float]:
     q1, q2 = _connection(pd)
     d2_q1 = (pd.xi2 * q1.du() + pd.eta2 * q1.dv()).value
     d1_q2 = (pd.xi1 * q2.du() + pd.eta1 * q2.dv()).value
-    return (d2_q1 - d1_q2 - (fp.q1 ** 2 + fp.q2 ** 2 + fp.k1 * fp.k2),
-            abs(d2_q1) + abs(d1_q2) + fp.q1 ** 2 + fp.q2 ** 2
-            + abs(fp.k1 * fp.k2) + 1e-12)
+    q1_sq, q2_sq = jt.power(fp.q1, 2), jt.power(fp.q2, 2)
+    return (d2_q1 - d1_q2 - (q1_sq + q2_sq + fp.k1 * fp.k2),
+            abs(d2_q1) + abs(d1_q2) + q1_sq + q2_sq + abs(fp.k1 * fp.k2)
+            + 1e-12)
 
 
 def commutator_residual(fp: FramePoint, field: jt.Jet4) -> float:

@@ -2,6 +2,7 @@
 structure and sheet derivatives.  The sampled oracle, focal-position,
 sheet-derivative (finite-difference and df-consistency), divergence and
 cubic-power sweeps live in `focalnet.checks` (asserted by test_acceptance)."""
+import numpy as np
 import pytest
 
 from focalnet.central import (canal_threshold, central_ii_oracle,
@@ -11,6 +12,7 @@ from focalnet.central import (canal_threshold, central_ii_oracle,
                               is_canal, isothermic_divergence, own_curvature)
 from focalnet.checks import sample_frame_points
 from focalnet.errors import CanalDegenerate
+from focalnet.fdoracle import fd_frame_field
 from focalnet.frames import frame_point, pfaffian_values
 from focalnet.nets import net_asymptotic_pullback, net_curvature_pullback
 
@@ -26,21 +28,47 @@ def test_paraboloid_apex_is_canal_both_sheets(prog, tol):
 
 def test_connection_coefficients_structure(prog, tol, rng):
     """Per sheet one connection coefficient vanishes identically and the
-    other equals k1 k2/(k1 - k2) — in the closed form AND the oracle."""
+    other equals k1 k2/(k1 - k2) — in the closed form AND the oracle, at
+    each point of one sampled batch."""
     program = prog("graph_generic")
-    for fp in sample_frame_points(program, 6, rng, tol, sheets=(1, 2),
-                                  healthy=10.0, min_k=0.05, min_gap=0.02):
-        qq = fp.k1 * fp.k2 / (fp.k1 - fp.k2)
-        cp1 = central_point(fp, sheet=1, tol=tol)
-        cp2 = central_point(fp, sheet=2, tol=tol)
-        assert cp1.q2 == 0.0 and cp2.q1 == 0.0
-        assert cp1.q1 == pytest.approx(qq, rel=1e-12)
-        assert cp2.q2 == pytest.approx(qq, rel=1e-12)
-        for sheet, expect in ((1, (qq, 0.0)), (2, (0.0, qq))):
-            cf = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
-            scale = abs(qq) + 1e-9
-            assert abs(cf.q1 - expect[0]) / scale < 1e-7
-            assert abs(cf.q2 - expect[1]) / scale < 1e-7
+    fp = sample_frame_points(program, 6, rng, tol, sheets=(1, 2),
+                             healthy=10.0, min_k=0.05, min_gap=0.02)
+    qq = fp.k1 * fp.k2 / (fp.k1 - fp.k2)
+    cp1 = central_point(fp, sheet=1, tol=tol)
+    cp2 = central_point(fp, sheet=2, tol=tol)
+    assert cp1.q2 == 0.0 and cp2.q1 == 0.0
+    assert cp1.q1 == pytest.approx(qq, rel=1e-12)
+    assert cp2.q2 == pytest.approx(qq, rel=1e-12)
+    for sheet, expect in ((1, (qq, 0.0)), (2, (0.0, qq))):
+        cf = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
+        scale = abs(qq) + 1e-9
+        assert np.all(abs(cf.q1 - expect[0]) / scale < 1e-7)
+        assert np.all(abs(cf.q2 - expect[1]) / scale < 1e-7)
+
+
+def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
+    """`central_ii_oracle` and `fd_frame_field` on a batch give, column by
+    column, the bits of their calls at each point (the e1 sign continued
+    per column)."""
+    program = prog("graph_generic")
+    fp = sample_frame_points(program, 5, rng, tol, sheets=(1, 2))
+    for sheet in (1, 2):
+        batch = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
+        for i, (u, v) in enumerate(zip(fp.u.tolist(), fp.v.tolist())):
+            point = central_ii_oracle(program, u, v, sheet, tol)
+            for name in ("a", "b", "c", "q1", "q2"):
+                assert getattr(batch, name)[i] == getattr(point, name)
+            for name in ("coframe_uv", "coframe_uv_projected"):
+                assert np.array_equal(getattr(batch, name)[i],
+                                      getattr(point, name))
+    direction = (np.cos(fp.u), np.sin(fp.u))
+    for sampler in (lambda fq: fq.k2, lambda fq: fq.e1[0]):
+        batch = fd_frame_field(program, fp.u, fp.v, sampler, direction,
+                               5e-4, tol)
+        for i, (u, v) in enumerate(zip(fp.u.tolist(), fp.v.tolist())):
+            assert batch[i] == fd_frame_field(
+                program, u, v, sampler,
+                (direction[0][i], direction[1][i]), 5e-4, tol)
 
 
 def test_canal_detection_torus(prog, tol):

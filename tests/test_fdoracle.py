@@ -116,6 +116,29 @@ def test_aligned_frame_point_continues_e1(prog, tol):
                             dataclasses.replace(plain, e1=plain.e2), tol)
 
 
+def test_aligned_frame_point_flips_per_column(prog, tol):
+    """In a batch whose reference e1 is reversed at every other column,
+    each column continues to its own reference: the bits of the call at
+    that point, flipped exactly where the reference is."""
+    program = prog("graph_generic")
+    u = np.array([0.3, -0.2, 0.45, 0.1])
+    v = np.array([-0.4, 0.25, 0.05, 0.6])
+    reversed_ = np.array([True, False, True, False])
+    plain = frame_point(program, u, v, tol)
+    ref = dataclasses.replace(plain, e1=tuple(
+        np.where(reversed_, -c, c) for c in plain.e1))
+    got = aligned_frame_point(program, u + 1e-3, v, ref, tol)
+    for i in range(len(u)):
+        ref_i = frame_point(program, float(u[i]), float(v[i]), tol)
+        if reversed_[i]:
+            ref_i = frame_point_from_pd(flipped_principal(ref_i.pd), tol)
+        want = aligned_frame_point(program, float(u[i]) + 1e-3,
+                                   float(v[i]), ref_i, tol)
+        assert (got.e1[0][i], got.e2[1][i], got.q1[i], got.grad_k1[0][i]) \
+            == (want.e1[0], want.e2[1], want.q1, want.grad_k1[0])
+        assert (got.e1[0][i] < 0) == bool(reversed_[i])
+
+
 def test_jet_fd_error_is_truncation_sized():
     program = compile_surface(parse_surface("""surface t {
       x = exp(u / 3) * cos(v)

@@ -128,37 +128,43 @@ def test_batch_directions_on_grids(prog, tol):
             _assert_batch_matches_points(*net.triple())
 
 
+def _same(got, want) -> bool:
+    """Whether two tuples of numbers or arrays are equal entry by entry."""
+    return len(got) == len(want) and all(
+        np.array_equal(g, w) for g, w in zip(got, want))
+
+
 def test_asymptotic_pullback_forms(prog, tol, rng):
     """Coefficients are exactly (D_i k1, 0, -D_i k2), and the spherical
     images of nets 13/14 are labelled 15/16."""
     program = prog("graph_generic")
-    for fp in sample_frame_points(program, 6, rng, tol, sheets=(1, 2),
-                                  healthy=10.0):
-        n13 = net_asymptotic_pullback(fp, 1, tol)
-        assert n13.label == "13"
-        assert n13.triple() == (fp.grad_k1[0], 0.0, -fp.grad_k2[0])
-        n14 = net_asymptotic_pullback(fp, 2, tol)
-        assert n14.label == "14"
-        assert n14.triple() == (fp.grad_k1[1], 0.0, -fp.grad_k2[1])
-        assert spherical_image(n13, fp).label == "15"
-        assert spherical_image(n14, fp).label == "16"
+    fp = sample_frame_points(program, 6, rng, tol, sheets=(1, 2),
+                             healthy=10.0)
+    n13 = net_asymptotic_pullback(fp, 1, tol)
+    assert n13.label == "13"
+    assert _same(n13.triple(), (fp.grad_k1[0], 0.0, -fp.grad_k2[0]))
+    n14 = net_asymptotic_pullback(fp, 2, tol)
+    assert n14.label == "14"
+    assert _same(n14.triple(), (fp.grad_k1[1], 0.0, -fp.grad_k2[1]))
+    assert spherical_image(n13, fp).label == "15"
+    assert spherical_image(n14, fp).label == "16"
 
 
 def test_curvature_pullback_identities(prog, tol, rng):
     """A + C of 17/18 equals q_i D_i(k1 + k2); k2 A + k1 C equals
     q_i D_i(k1 k2)."""
     program = prog("graph_generic")
-    for fp in sample_frame_points(program, 10, rng, tol, sheets=(1, 2),
-                                  healthy=10.0):
-        g_mean = pfaffian_values(fp.pd.k1 + fp.pd.k2, fp.pd)
-        g_gauss = pfaffian_values(fp.pd.k1 * fp.pd.k2, fp.pd)
-        for sheet, i, q in ((1, 0, fp.q1), (2, 1, fp.q2)):
-            net = net_curvature_pullback(fp, sheet, tol)
-            norm = net_norm(net)
-            assert orthogonality_defect(net) == pytest.approx(
-                q * g_mean[i] / norm, rel=1e-10, abs=1e-12)
-            assert conjugacy_defect(net, fp.k1, fp.k2) == pytest.approx(
-                q * g_gauss[i] / norm, rel=1e-10, abs=1e-12)
+    fp = sample_frame_points(program, 10, rng, tol, sheets=(1, 2),
+                             healthy=10.0)
+    g_mean = pfaffian_values(fp.pd.k1 + fp.pd.k2, fp.pd)
+    g_gauss = pfaffian_values(fp.pd.k1 * fp.pd.k2, fp.pd)
+    for sheet, i, q in ((1, 0, fp.q1), (2, 1, fp.q2)):
+        net = net_curvature_pullback(fp, sheet, tol)
+        norm = net_norm(net)
+        assert orthogonality_defect(net) == pytest.approx(
+            q * g_mean[i] / norm, rel=1e-10, abs=1e-12)
+        assert conjugacy_defect(net, fp.k1, fp.k2) == pytest.approx(
+            q * g_gauss[i] / norm, rel=1e-10, abs=1e-12)
 
 
 def test_principal_axes_net_orthogonal_and_conjugate():
