@@ -10,13 +10,14 @@ the divergence identity and its cubic curvature power), ``nets`` (exact net
 rearrangements, coincidence/bisection, reality), ``props`` (forward
 statement checks, degeneracy statuses, flag implications), and ``all``.
 
-These routines sweep each identity over sampled points at its bound; the
-test suite asserts on their results.  Every bound is pinned in the check
+These routines are where an identity is swept over sampled points at its
+bound; the test suite asserts on their results.  Every bound is pinned in the check
 that uses it, and ``seed`` drives all sampling.  Sampling guards (curvature
-floors, canal margins) keep oracle comparisons well-conditioned; the
-identities hold at every non-degenerate point.  The samples are one batch
-FramePoint, run through the formulas reports and meshes run; only
-`check_degeneracies` and `check_gallery` call `point_record` per point.
+floors, canal margins) keep oracle comparisons inside their well-conditioned
+regime; the identities themselves hold at every non-degenerate point.  The
+samples are one batch FramePoint, run through the formulas reports and
+meshes run; only `check_degeneracies` and `check_gallery` call
+`point_record` per point.
 
 The library takes every curvature-function gradient by the chain rule from
 floats.  The checks whose curvature-function side would then be the same
@@ -107,8 +108,10 @@ def domain_points(prog, n: int, rng) -> List[Tuple[float, float]]:
 
 
 def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCES,
-                        *, sheets: Sequence[int] = (), healthy: float = 10.0,
-                        min_k: float = 0.0, min_gap: float = 0.0,
+                        *, sheets: Sequence[int] = (),
+                        healthy: float = 10.0,
+                        min_k: float = 0.0,
+                        min_gap: float = 0.0,
                         nonmoulding: float = 0.0) -> FramePoint:
     """Rejection-sample n non-degenerate frame points in the domain box
     (shrunk by `_MARGIN` per side), from surface jets of `jt.MAX_ORDER`,
@@ -170,11 +173,15 @@ def jet_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
     jet field from the curvature jets ``fp.pd.k1``, ``fp.pd.k2`` and then
     differentiated: the leg independent of the chain rule."""
     k1j, k2j = fp.pd.k1, fp.pd.k2
-    fields = {"diff": k1j - k2j, "ratio": k1j / k2j,
-              "radii_diff": 1.0 / k1j - 1.0 / k2j,
-              "radii_sum": 1.0 / k1j + 1.0 / k2j,
-              "mean": k1j + k2j, "gauss": k1j * k2j,
-              "connection": k1j * k2j / (k1j - k2j)}
+    fields = {
+        "diff": k1j - k2j,
+        "ratio": k1j / k2j,
+        "radii_diff": 1.0 / k1j - 1.0 / k2j,
+        "radii_sum": 1.0 / k1j + 1.0 / k2j,
+        "mean": k1j + k2j,
+        "gauss": k1j * k2j,
+        "connection": k1j * k2j / (k1j - k2j),
+    }
     return {name: pfaffian_values(g, fp.pd) for name, g in fields.items()}
 
 
@@ -232,7 +239,8 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
 
 # ------------------------------------------------------------------ central
 
-def _oracle_mismatch(prog, fp: FramePoint, sheet: int) -> Tuple[float, float]:
+def _oracle_mismatch(prog, fp: FramePoint,
+                     sheet: int) -> Tuple[float, float]:
     """Closed form vs. oracle on one sheet: the worst relative mismatch of
     (a, b, c, q1, q2), and of the coframe against the projection of dy."""
     cp = central_point(fp, sheet=sheet, tol=_TOL)
@@ -276,7 +284,7 @@ def check_central_oracle(seed: int = 7) -> List[CheckResult]:
         prog = _prog(name)
         fp = sample_frame_points(prog, 100, rng, _TOL, sheets=(1, 2),
                                  healthy=10.0, min_k=0.05, min_gap=0.02)
-        rel, coframe = (max(col) for col in zip(
+        rel, coframe = (_worst(*col) for col in zip(
             *(_oracle_mismatch(prog, fp, sheet) for sheet in (1, 2))))
         y = _position_mismatch(prog, fp)
         results.append(CheckResult(
@@ -292,7 +300,8 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
     """Focal-sheet derivatives vs. finite differences along the focal
     coordinate directions, plus the df-consistency identity."""
     rng = np.random.default_rng(seed)
-    bound_fd, bound_df = 1e-6, 1e-10
+    bound_fd = 1e-6
+    bound_df = 1e-10
     results = []
     for name in ("graph_generic", "monkey_saddle"):
         prog = _prog(name)
@@ -312,8 +321,10 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
                                        sheet, _TOL)
                 gscale = abs(ana[0]) + abs(ana[1]) + 1e-12
                 for i in (0, 1):
-                    direction = np.linalg.solve(p_uv, np.eye(2)[:, i])
-                    speed = np.sqrt(np.vecdot(direction, direction))
+                    direction = np.linalg.solve(
+                        p_uv, np.eye(2)[:, i, None])[..., 0]
+                    speed = np.sqrt(direction[:, None, :]
+                                    @ direction[:, :, None])[:, 0, 0]
                     unit = direction / speed[:, None]
                     fd = fd_frame_field(prog, fp.u, fp.v, sampler,
                                         (unit[:, 0], unit[:, 1]), 5e-4, _TOL)
@@ -339,7 +350,9 @@ def check_divergence(seed: int = 7) -> List[CheckResult]:
     the k_i^2 variant of the closed form misses the divergence by exactly
     one factor k_i."""
     rng = np.random.default_rng(seed)
-    bound_id, bound_div, bound_w, bound_pow = 1e-9, 1e-10, 1e-12, 1e-6
+    bound_id = 1e-9
+    bound_div, bound_w = 1e-10, 1e-12
+    bound_pow = 1e-6
     results = []
 
     fp = sample_frame_points(_prog("graph_generic"), 60, rng, _TOL,
@@ -526,8 +539,9 @@ def check_degeneracies(seed: int = 7) -> List[CheckResult]:
              for r in recs)
     results.append(CheckResult(
         "props.status.torus_tube_canal", ok,
-        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})}"
-        + " canal2 flag everywhere" * ok))
+        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})} "
+        "canal2 flag everywhere" if ok else
+        f"n={len(recs)} statuses={sorted({r['status'] for r in recs})}"))
 
     recs = [point_record(_prog("helicoid"), u, 0.0, _TOL)
             for u in (-2.0, -0.5, 0.7, 2.4)]

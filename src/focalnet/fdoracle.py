@@ -24,7 +24,6 @@ frames evaluate at the outputs' order, `eval_surface`'s default.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, Tuple
 
 import numpy as np
@@ -33,7 +32,8 @@ from . import expr as ex
 from . import jet as jt
 from .errors import FocalnetError
 from .frames import FramePoint, frame_point, frame_point_from_pd
-from .geometry import SurfaceJet, eval_surface, principal_data
+from .geometry import (SurfaceJet, eval_surface, flipped_principal,
+                       principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -141,23 +141,19 @@ def fd_directional(f: Callable[[float, float], float], u: float, v: float,
 
 def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
-    """Frame at (u, v) with the e1 sign continued from a reference frame:
-    e1, e2 negated as by `flipped_principal` where they turn against it,
+    """Frame at (u, v) with the e1 sign continued from a reference frame,
     column by column at arrays u, v (and a batch reference).  An ambiguous
     sign raises, at the first such column of a batch."""
     pd = principal_data(eval_surface(prog, u, v), tol)
-    dot = np.vecdot(np.stack(ref.e1, axis=-1),
-                    np.stack([c.value for c in pd.e1], axis=-1))
+    ref_e1 = np.stack(ref.e1, axis=-1)[..., None, :]
+    e1 = np.stack([c.value for c in pd.e1], axis=-1)[..., :, None]
+    dot = (ref_e1 @ e1)[..., 0, 0]
     ambiguous = np.flatnonzero(abs(dot) < 0.1)
     if ambiguous.size:
         u0, v0, dot0 = (np.ravel(x)[ambiguous[0]] for x in (u, v, dot))
         raise FocalnetError(f"principal-direction continuation ambiguous at "
                             f"({u0}, {v0}): |<e1, e1_ref>| = {abs(dot0):.3f}")
-    neg = lambda jet: jt.where(dot < 0, -jet, jet)
-    return frame_point_from_pd(replace(
-        pd, xi1=neg(pd.xi1), eta1=neg(pd.eta1), xi2=neg(pd.xi2),
-        eta2=neg(pd.eta2), e1=tuple(map(neg, pd.e1)),
-        e2=tuple(map(neg, pd.e2))), tol)
+    return frame_point_from_pd(flipped_principal(pd, dot < 0), tol)
 
 
 def fd_pfaffian(prog, u: float, v: float,
@@ -166,9 +162,10 @@ def fd_pfaffian(prog, u: float, v: float,
     """(nabla_1 f, nabla_2 f) of a frame-dependent field by directional
     differencing along the center frame's principal directions."""
     pd = principal_data(eval_surface(prog, u, v), tol)
-    return tuple(fd_frame_field(prog, u, v, sampler, d, h, tol)
-                 for d in ((pd.xi1.value, pd.eta1.value),
-                           (pd.xi2.value, pd.eta2.value)))
+    d1 = (pd.xi1.value, pd.eta1.value)
+    d2 = (pd.xi2.value, pd.eta2.value)
+    return (fd_frame_field(prog, u, v, sampler, d1, h, tol),
+            fd_frame_field(prog, u, v, sampler, d2, h, tol))
 
 
 def fd_frame_field(prog, u: float, v: float,

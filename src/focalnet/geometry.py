@@ -236,12 +236,15 @@ def principal_data(sj: SurfaceJet,
                          eta2=eta2, e1=e1, e2=e2, failed=failures.kinds)
 
 
-def flipped_principal(pd: PrincipalData) -> PrincipalData:
-    """The same frame with e1 -> -e1, e2 -> -e2 (orientation preserved).
-    Used to check that downstream quantities transform consistently."""
-    neg = lambda vec: (-vec[0], -vec[1], -vec[2])
+def flipped_principal(pd: PrincipalData, mask=True) -> PrincipalData:
+    """The same frame with e1 -> -e1, e2 -> -e2 (orientation preserved)
+    where `mask` (of shape S) holds, by default everywhere.  Used to check
+    that downstream quantities transform consistently, and to continue the
+    e1 sign from a reference frame."""
+    neg = lambda jet: jt.where(mask, -jet, jet)
     return PrincipalData(
         sj=pd.sj, E=pd.E, F=pd.F, G=pd.G, xu=pd.xu, xv=pd.xv,
         e3=pd.e3, k1=pd.k1, k2=pd.k2,
-        xi1=-pd.xi1, eta1=-pd.eta1, xi2=-pd.xi2, eta2=-pd.eta2,
-        e1=neg(pd.e1), e2=neg(pd.e2), failed=pd.failed)
+        xi1=neg(pd.xi1), eta1=neg(pd.eta1), xi2=neg(pd.xi2),
+        eta2=neg(pd.eta2), e1=tuple(map(neg, pd.e1)),
+        e2=tuple(map(neg, pd.e2)), failed=pd.failed)
