@@ -6,16 +6,17 @@ Pfaffian derivatives along principal directions and the focal-sheet
 derivative formulas along the focal coframe's dual directions.
 
 Oracle samples are plain floats from `SurfaceProgram.evaluate` (through
-`prog.position` and `scalar_fn`), so no jet arithmetic enters them.  For
-convergence-ratio studies the stencil sums are taken in mpmath, with the
-program evaluated in mpmath numbers by `mp_scalar_fn`: at step sizes near
-1e-4, float64 cancellation noise exceeds the O(h^2) truncation error for
-second and higher derivatives, which would make ratio tests meaningless.
-mpmath is imported lazily; the library runtime never needs it.
+`prog.position`), so no jet arithmetic enters them.  For convergence-ratio
+studies the stencil sums are taken in mpmath, with the program evaluated
+in mpmath numbers by `mp_scalar_fn`: at step sizes near 1e-4, float64
+cancellation noise exceeds the O(h^2) truncation error for second and
+higher derivatives, which would make ratio tests meaningless.  mpmath is
+imported lazily; the library runtime never needs it.
 
-The float oracles take a point or arrays u, v of shape (N,); a batch
-evaluates each stencil node for all N points at once, and each column gets
-its point's bits.  Frame-dependent field sampling realigns the e1 sign at
+The float oracles take a point or arrays u, v of shape (N,) and evaluate
+the nodes of a stencil for every point in one call, summed by the code of
+the per-node `fd_partial` and `fd_directional`, so each column gets its
+point's bits.  Frame-dependent field sampling realigns the e1 sign at
 every stencil node against the center frame, column by column
 (nearest-neighbor continuation); ambiguous alignment near umbilics is an
 error, never a guess.  The samplers read frame values only, so the stencil
@@ -30,16 +31,15 @@ import numpy as np
 
 from . import expr as ex
 from . import jet as jt
-from .errors import FocalnetError
+from .errors import FocalnetError, JetDomainError
 from .frames import FramePoint, frame_point, frame_point_from_pd
 from .geometry import (SurfaceJet, eval_surface, flipped_principal,
                        principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "fd_partial", "fd_partial_mp", "fd_surface_partial", "fd_surface_jet",
-    "fd_directional", "fd_pfaffian", "fd_frame_field", "aligned_frame_point",
-    "scalar_fn", "mp_scalar_fn", "jet_fd_error",
+    "fd_partial", "fd_surface_jet", "fd_directional", "fd_frame_field",
+    "aligned_frame_point", "mp_scalar_fn", "jet_fd_error",
 ]
 
 _OFFSETS = (-2, -1, 0, 1, 2)
@@ -62,10 +62,9 @@ _DIR_NUMS = (1, -8, 8, -1)
 _DIR_DIV = 12
 
 
-def fd_partial(f: Callable[[float, float], float], u: float, v: float,
-               i: int, j: int, h: float) -> float:
-    """d^{i+j} f / du^i dv^j by a tensor-product 5x5 central stencil
-    (componentwise when f returns an array, as it does at arrays u, v)."""
+def _stencil_sum(node, i: int, j: int, h: float):
+    """d^{i+j} / du^i dv^j by the tensor-product 5x5 central stencil from
+    node(a, b), the sample at offsets (a h, b h), summed u-major."""
     nums_u, div_u = _STENCILS[i]
     nums_v, div_v = _STENCILS[j]
     acc = 0.0
@@ -75,20 +74,15 @@ def fd_partial(f: Callable[[float, float], float], u: float, v: float,
         for b, cv in zip(_OFFSETS, nums_v):
             if cv == 0:
                 continue
-            acc += cu * cv * f(u + a * h, v + b * h)
+            acc += cu * cv * node(a, b)
     return acc / (div_u * div_v * h ** (i + j))
 
 
-def fd_partial_mp(f, u: float, v: float, i: int, j: int, h):
-    """Same stencil at `_MP_DPS` digits (f takes and returns mpf)."""
-    import mpmath as mp
-    with mp.workdps(_MP_DPS):
-        return fd_partial(f, mp.mpf(u), mp.mpf(v), i, j, mp.mpf(h))
-
-
-def scalar_fn(prog, coord: int) -> Callable[[float, float], float]:
-    """Plain float evaluator for one coordinate expression of a program."""
-    return lambda u, v: prog.evaluate(u, v)[coord]
+def fd_partial(f: Callable[[float, float], float], u: float, v: float,
+               i: int, j: int, h: float) -> float:
+    """d^{i+j} f / du^i dv^j by a tensor-product 5x5 central stencil
+    (componentwise when f returns an array, as it does at arrays u, v)."""
+    return _stencil_sum(lambda a, b: f(u + a * h, v + b * h), i, j, h)
 
 
 def mp_scalar_fn(prog, coord: int):
@@ -109,41 +103,51 @@ def mp_scalar_fn(prog, coord: int):
     return f
 
 
-def fd_surface_partial(prog, u: float, v: float, i: int, j: int,
-                       h: float) -> np.ndarray:
-    return fd_partial(prog.position, u, v, i, j, h)
-
-
 def fd_surface_jet(prog, u: float, v: float, h: float) -> SurfaceJet:
     """A SurfaceJet built purely from finite differences.
 
     Feeding it through principal_data/frame_point gives an end-to-end
     derivative path with no jet arithmetic anywhere.  At arrays u, v of
-    shape (N,) the jets carry a batch axis.
+    shape (N,) the jets carry a batch axis.  One `prog.position` call
+    takes the 5x5 nodes of every point, and each coefficient has the bits
+    of `fd_partial(prog.position, ...)`: an undefined node raises
+    JetDomainError at a point and leaves NaN in a batch.
     """
-    coeffs = np.array([fd_partial(prog.position, u, v, i, j, h)
+    nd = np.ndim(u)
+    step = np.reshape(_OFFSETS, (5,) + (1,) * nd) * h
+    xyz = prog.position(*np.broadcast_arrays(u + step[:, None], v + step))
+    if not nd and np.isnan(xyz).any():
+        raise JetDomainError(f"stencil node undefined near (u, v) = {(u, v)}")
+    coeffs = np.array([_stencil_sum(lambda a, b: xyz[:, a + 2, b + 2],
+                                    i, j, h)
                        / (math.factorial(i) * math.factorial(j))
                        for i, j in jt.MONOMIALS])
-    u, v = (np.asarray(w, dtype=float) if np.ndim(w) else float(w)
-            for w in (u, v))
+    u, v = (np.asarray(w, dtype=float) if nd else float(w) for w in (u, v))
     return SurfaceJet(u, v, *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
+
+
+def _directional_sum(samples, h: float):
+    """First derivative from the samples at `_DIR_OFFSETS` x h (4-point)."""
+    acc = 0.0
+    for cu, sample in zip(_DIR_NUMS, samples):
+        acc += cu * sample
+    return acc / (_DIR_DIV * h)
 
 
 def fd_directional(f: Callable[[float, float], float], u: float, v: float,
                    direction: Tuple[float, float], h: float) -> float:
     """First derivative of f along a parameter-space direction (4-point)."""
     du, dv = direction
-    acc = 0.0
-    for a, cu in zip(_DIR_OFFSETS, _DIR_NUMS):
-        acc += cu * f(u + a * h * du, v + a * h * dv)
-    return acc / (_DIR_DIV * h)
+    return _directional_sum((f(u + a * h * du, v + a * h * dv)
+                             for a in _DIR_OFFSETS), h)
 
 
 def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
     """Frame at (u, v) with the e1 sign continued from a reference frame,
-    column by column at arrays u, v (and a batch reference).  An ambiguous
-    sign raises, at the first such column of a batch."""
+    column by column at arrays u, v (and a reference of their shape, or
+    one that broadcasts against it).  An ambiguous sign raises, at the
+    first such column of a batch."""
     pd = principal_data(eval_surface(prog, u, v), tol)
     ref_e1 = np.stack(ref.e1, axis=-1)[..., None, :]
     e1 = np.stack([c.value for c in pd.e1], axis=-1)[..., :, None]
@@ -156,41 +160,45 @@ def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
     return frame_point_from_pd(flipped_principal(pd, dot < 0), tol)
 
 
-def fd_pfaffian(prog, u: float, v: float,
-                sampler: Callable[[FramePoint], float], h: float,
-                tol: ToleranceSet = DEFAULT_TOLERANCES) -> Tuple[float, float]:
-    """(nabla_1 f, nabla_2 f) of a frame-dependent field by directional
-    differencing along the center frame's principal directions."""
-    pd = principal_data(eval_surface(prog, u, v), tol)
-    d1 = (pd.xi1.value, pd.eta1.value)
-    d2 = (pd.xi2.value, pd.eta2.value)
-    return (fd_frame_field(prog, u, v, sampler, d1, h, tol),
-            fd_frame_field(prog, u, v, sampler, d2, h, tol))
-
-
-def fd_frame_field(prog, u: float, v: float,
-                   sampler: Callable[[FramePoint], float],
+def fd_frame_field(prog, u: float, v: float, sampler: Callable,
                    direction: Tuple[float, float], h: float,
-                   tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
+                   tol: ToleranceSet = DEFAULT_TOLERANCES):
     """Directional derivative of a frame-dependent field along an arbitrary
     parameter-space direction (principal or focal coordinate curves), with
     sign continuation against the center frame; the Richardson pair
     (16 D(h/2) - D(h)) / 15 cancels the 4-point stencil's O(h^4) error,
-    which dominates where the frame turns fast (a small curvature gap)."""
+    which dominates where the frame turns fast (a small curvature gap).
+
+    The direction components broadcast against u, v (stacked directions
+    go in front).  The eight nodes, D(h/2)'s then D(h)'s, are one
+    node-major `aligned_frame_point` batch, which `sampler` maps to a
+    field or to a tuple of fields; each derivative has the bits of
+    `fd_directional` over per-node calls.  At a point a degenerate node
+    raises its `principal_data` exception."""
     center = frame_point(prog, u, v, tol)
-
-    def field(uu: float, vv: float) -> float:
-        return sampler(aligned_frame_point(prog, uu, vv, center, tol))
-
-    return (16 * fd_directional(field, u, v, direction, h / 2)
-            - fd_directional(field, u, v, direction, h)) / 15
+    du, dv = direction
+    steps = np.reshape([a * step for step in (h / 2, h) for a in _DIR_OFFSETS],
+                       (8,) + (1,) * np.broadcast(u, v, du, dv).ndim)
+    nodes = aligned_frame_point(prog, u + steps * du, v + steps * dv,
+                                center, tol)
+    failed = next(filter(None, nodes.pd.failed.flat), None)
+    if failed and np.ndim(u) == 0:
+        raise failed(f"stencil node degenerate near (u, v) = {(u, v)}")
+    fields = sampler(nodes)
+    out = [(16 * _directional_sum(f[:4], h / 2) - _directional_sum(f[4:], h))
+           / 15 for f in (fields if isinstance(fields, tuple) else [fields])]
+    return tuple(out) if isinstance(fields, tuple) else out[0]
 
 
 def jet_fd_error(prog, u: float, v: float, coord: int, i: int, j: int,
                  h: float) -> float:
     """|finite difference - jet coefficient| with the stencil computed in
-    mpmath, so the result reflects truncation error, not float64 noise."""
+    mpmath at `_MP_DPS` digits, so the result reflects truncation error,
+    not float64 noise."""
+    import mpmath as mp
     sj = eval_surface(prog, u, v, jt.MAX_ORDER)
     exact = sj.pos[coord].extract(i, j)
-    approx = fd_partial_mp(mp_scalar_fn(prog, coord), u, v, i, j, h)
+    with mp.workdps(_MP_DPS):
+        approx = fd_partial(mp_scalar_fn(prog, coord), mp.mpf(u), mp.mpf(v),
+                            i, j, mp.mpf(h))
     return abs(float(approx - exact))

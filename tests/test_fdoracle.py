@@ -6,11 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from focalnet import jet as jt
 from focalnet.checks import domain_points
-from focalnet.errors import FocalnetError, ParabolicPoint, UmbilicPoint
+from focalnet.errors import (FocalnetError, JetDomainError,
+                             ParabolicPoint, UmbilicPoint)
 from focalnet.fdoracle import (aligned_frame_point, fd_directional,
-                               fd_partial, fd_pfaffian, fd_surface_jet,
-                               fd_surface_partial, jet_fd_error, scalar_fn)
+                               fd_frame_field, fd_partial, fd_surface_jet,
+                               jet_fd_error)
 from focalnet.frames import (frame_point, frame_point_from_pd,
                              pfaffian_values)
 from focalnet.geometry import flipped_principal, principal_data
@@ -54,7 +56,7 @@ def test_fd_surface_partial_matches_jets(prog):
     u, v = 0.9, 1.4
     sj = program.jets(u, v)
     for (i, j) in ((1, 0), (0, 1), (1, 1), (2, 0), (0, 2)):
-        fd = fd_surface_partial(program, u, v, i, j, 1e-3)
+        fd = fd_partial(program.position, u, v, i, j, 1e-3)
         exact = np.array([sj[c].extract(i, j) for c in range(3)])
         assert fd == pytest.approx(exact, rel=1e-7, abs=1e-8)
 
@@ -81,7 +83,8 @@ def test_fd_surface_jet_reproduces_frame(prog, tol):
 def test_fd_pfaffian_matches_jet_gradient(prog, tol, rng, surface, field, n,
                                           bound):
     """The jet Pfaffian gradient of a curvature against directional finite
-    differences, at the first n non-degenerate points of 12 random ones."""
+    differences along both principal directions, stacked in one call, at
+    the first n non-degenerate points of 12 random ones."""
     program = prog(surface)
     count = 0
     for u, v in domain_points(program, 12, rng):
@@ -89,9 +92,12 @@ def test_fd_pfaffian_matches_jet_gradient(prog, tol, rng, surface, field, n,
             fp = frame_point(program, u, v, tol)
         except (UmbilicPoint, ParabolicPoint):
             continue
-        ana = pfaffian_values(getattr(fp.pd, field), fp.pd)
-        fd = fd_pfaffian(program, u, v, lambda g: getattr(g, field), 1e-4,
-                         tol)
+        pd = fp.pd
+        ana = pfaffian_values(getattr(pd, field), pd)
+        fd = fd_frame_field(program, u, v, lambda g: getattr(g, field),
+                            (np.array([pd.xi1.value, pd.xi2.value]),
+                             np.array([pd.eta1.value, pd.eta2.value])),
+                            1e-4, tol)
         scale = abs(ana[0]) + abs(ana[1]) + 1e-9
         assert abs(ana[0] - fd[0]) / scale < bound
         assert abs(ana[1] - fd[1]) / scale < bound
@@ -153,8 +159,87 @@ def test_jet_fd_error_is_truncation_sized():
     assert e3 < 1e-6
 
 
-def test_scalar_fn_matches_position(prog):
-    program = prog("torus")
-    f = scalar_fn(program, 2)
-    assert f(0.5, 1.0) == pytest.approx(program.position(0.5, 1.0)[2],
-                                        rel=1e-15)
+
+# ------------------------------------------- one batch per stencil, bitwise
+
+def _per_node_frame_field(program, u, v, sampler, direction, h, tol):
+    """The Richardson pair of `fd_directional` over one
+    `aligned_frame_point` call per stencil node: the per-node reference
+    for `fd_frame_field`, for one field and one direction."""
+    center = frame_point(program, u, v, tol)
+
+    def field(uu, vv):
+        return sampler(aligned_frame_point(program, uu, vv, center, tol))
+
+    return (16 * fd_directional(field, u, v, direction, h / 2)
+            - fd_directional(field, u, v, direction, h)) / 15
+
+
+_FIELDS = (lambda g: g.k1, lambda g: g.q2,
+           lambda g: (g.pd.sj.x.value + 2.0 * g.pd.sj.y.value
+                      - g.pd.sj.z.value))
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "batch"])
+def test_fd_frame_field_is_the_per_node_richardson_pair(prog, tol, batch):
+    """Three fields from one sampler along three stacked directions: each
+    derivative has the bits of the per-node reference at that direction
+    (and point), and a single-field sampler gives one array."""
+    program = prog("graph_generic")
+    u = np.array([0.3, -0.2, 0.45, 0.1])
+    v = np.array([-0.4, 0.25, 0.05, 0.6])
+    if not batch:
+        u, v = float(u[0]), float(v[0])
+    angles = np.array([0.3, 1.9, -2.4])[:, None] + np.zeros(np.shape(u))
+    direction = (np.cos(angles), np.sin(angles))
+    got = fd_frame_field(program, u, v,
+                         lambda g: tuple(f(g) for f in _FIELDS),
+                         direction, 5e-4, tol)
+    assert len(got) == len(_FIELDS)
+    for d, (du, dv) in enumerate(zip(*direction)):
+        for f, field in zip(_FIELDS, got):
+            want = _per_node_frame_field(program, u, v, f, (du, dv), 5e-4,
+                                         tol)
+            assert np.array_equal(field[d], want)
+    single = fd_frame_field(program, u, v, _FIELDS[0], direction, 5e-4, tol)
+    assert np.array_equal(single, got[0])
+
+
+def test_stencil_node_outside_the_domain():
+    """A stencil node where sqrt(u) is undefined raises JetDomainError at
+    a point, as a per-node call there does, and leaves NaN in a batch:
+    for `fd_frame_field` and `fd_surface_jet`."""
+    program = compile_surface(parse_surface("""surface s {
+      x = u
+      y = v
+      z = sqrt(u) + u * v + v * v / 3
+      domain u in [0, 1] v in [-1, 1]
+    }"""))
+    k1 = lambda g: g.k1
+    assert np.isfinite(fd_frame_field(program, 0.05, 0.2, k1, (1.0, 0.0),
+                                      0.02))
+    with pytest.raises(JetDomainError, match="stencil node"):
+        fd_frame_field(program, 0.05, 0.2, k1, (1.0, 0.0), 0.03)
+    with np.errstate(all="ignore"):
+        got = fd_frame_field(program, np.array([0.05]), np.array([0.2]), k1,
+                             (1.0, 0.0), 0.03)
+    assert np.isnan(got).all()
+    with pytest.raises(JetDomainError, match="stencil node"):
+        fd_surface_jet(program, 0.05, 0.2, 0.03)
+    got = fd_surface_jet(program, np.array([0.05]), np.array([0.2]), 0.03)
+    assert np.isnan(got.z.c).any()
+
+
+@pytest.mark.parametrize("surface", ["graph_generic", "dini"])
+def test_fd_surface_jet_is_fd_partial_per_monomial(prog, surface):
+    """Every coefficient, at a point and in a batch, has the bits of
+    `fd_partial(prog.position, ...)` divided by i! j!."""
+    program = prog(surface)
+    us, vs = np.array(domain_points(program, 6, np.random.default_rng(5))).T
+    for u, v in ((float(us[0]), float(vs[0])), (us, vs)):
+        sj = fd_surface_jet(program, u, v, 0.02)
+        for slot, (i, j) in enumerate(jt.MONOMIALS):
+            want = (fd_partial(program.position, u, v, i, j, 0.02)
+                    / (math.factorial(i) * math.factorial(j)))
+            got = np.array([c.c[slot] for c in sj.pos])
+            assert np.array_equal(got, want)

@@ -4,17 +4,15 @@ exhaustion error, under each of its filters."""
 import numpy as np
 import pytest
 
-from focalnet import DEFAULT_TOLERANCES
 from focalnet import jet as jt
 from focalnet.central import canal_threshold, own_curvature
 from focalnet.checks import domain_points, sample_frame_points
-from focalnet.classify import moulding_defect
 from focalnet.errors import FRAME_ERRORS, FocalnetError
 from focalnet.frames import frame_point
 
 
 def _reference_sample(prog, n, rng, tol, *, sheets=(), healthy=10.0,
-                      min_k=0.0, min_gap=0.0, nonmoulding=0.0):
+                      min_k=0.0, min_gap=0.0):
     """(kept (u, v) pairs, draws): one draw, one `frame_point` and one test
     per filter at a time."""
     out = []
@@ -33,8 +31,6 @@ def _reference_sample(prog, n, rng, tol, *, sheets=(), healthy=10.0,
         thr = healthy * canal_threshold(fp, tol)
         if any(abs(own_curvature(fp, s)[2]) < thr for s in sheets):
             continue
-        if nonmoulding and moulding_defect(fp, tol) <= nonmoulding:
-            continue
         out.append((u, v))
     if len(out) < n:
         raise FocalnetError(
@@ -49,11 +45,6 @@ CASES = {
     "one_sheet": ("helicoid", 20, {"sheets": (1,), "healthy": 1e6}),
     "min_k": ("graph_generic", 20, {"min_k": 0.3}),
     "min_gap": ("graph_generic", 20, {"min_gap": 0.5}),
-    # as `check_prop5_prop6` samples dini; no draw is that close to
-    # moulding, so the next case makes the floor reject some
-    "nonmoulding": ("dini", 20, {
-        "sheets": (1, 2), "nonmoulding": 10.0 * DEFAULT_TOLERANCES.moulding}),
-    "nonmoulding_rejects": ("dini", 20, {"nonmoulding": 0.03}),
 }
 
 
