@@ -30,8 +30,7 @@ from .errors import (CanalDegenerate, DegenerateNetError,
                      ImaginaryNetError, JetDomainError, ParabolicPoint,
                      ParseError, UmbilicPoint, UnknownParameterError,
                      UnknownSurfaceError)
-from .frames import (FramePoint, check_codazzi, check_gauss, frame_batch,
-                     frame_point)
+from .frames import FramePoint, check_codazzi, check_gauss, frame_point
 from .geometry import PrincipalData, SurfaceJet, eval_surface, principal_data
 from .jet import Jet4
 from .mesh import export_obj
@@ -62,8 +61,7 @@ __all__ = [
     "compile_surface", "load_surface", "gallery", "gallery_names",
     "SurfaceJet", "eval_surface", "PrincipalData", "principal_data",
     # frames
-    "FramePoint", "frame_point", "frame_batch", "check_codazzi",
-    "check_gauss",
+    "FramePoint", "frame_point", "check_codazzi", "check_gauss",
     # focal sheets
     "CentralPoint", "CentralFundamentals", "central_point",
     "central_ii_oracle", "central_pfaffian", "isothermic_divergence",

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import jet as jt
 from .errors import CanalDegenerate
-from .frames import FramePoint, frame_point
+from .frames import FramePoint
 from .geometry import PrincipalData, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -171,18 +171,18 @@ class CentralFundamentals:
     coframe_uv_projected: np.ndarray  # same, via <dy, frame vector>
 
 
-def central_ii_oracle(prog, u: float, v: float, sheet: int,
+def central_ii_oracle(fp: FramePoint, sheet: int,
                       tol: ToleranceSet = DEFAULT_TOLERANCES) -> CentralFundamentals:
     """Second fundamental form and connection of a focal sheet computed
-    directly from order-2 jets of its position field, bypassing the closed
+    directly from the jets of its position field, bypassing the closed
     forms entirely.  The sheet's normal is e1 (sheet 1) or e2 (sheet 2).
 
-    Consumes order-4 surface jets: the focal position differentiates the
-    curvature, and its second fundamental form differentiates it again.
-    At arrays u, v every field has one entry per point, its bits; nothing
-    raises.
+    Reads the jets of `fp.pd`, differentiated once past the curvature:
+    third derivatives of the position, so a frame of `jt.OUTPUT_ORDER`
+    gives the bits of one of `jt.MAX_ORDER` (the samples of `checks`).
+    On a batch FramePoint every field has one entry per point, its bits;
+    nothing raises.
     """
-    fp = frame_point(prog, u, v, tol, jt.MAX_ORDER)
     pd, sj = fp.pd, fp.pd.sj
     check_canal(fp, sheet, tol)
 
@@ -213,7 +213,7 @@ def central_ii_oracle(prog, u: float, v: float, sheet: int,
     det = np.linalg.det(p_uv)
     if np.ndim(det) == 0 and abs(det) < 1e-300:
         raise CanalDegenerate(
-            f"singular focal coframe for sheet {sheet} at ({u}, {v})",
+            f"singular focal coframe for sheet {sheet} at {fp.point}",
             sheet)
     p_inv = np.linalg.inv(p_uv)
     form = np.swapaxes(p_inv, -1, -2) @ t_mat @ p_inv

@@ -48,7 +48,7 @@ from .central import (canal_threshold, central_ii_oracle, central_point,
                       focal_coframe_matrix, own_curvature)
 from .classify import (class_gradients, class_partials, prop_residuals,
                        proposition_report)
-from .errors import FocalnetError, JetDomainError
+from .errors import FocalnetError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
                      frame_point, pfaffian_values)
@@ -124,10 +124,7 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     to just past the last draw kept, so the points and the rng state are
     those of judging one draw at a time, up to max(4000, 400 n) draws."""
     def usable(uv: np.ndarray) -> np.ndarray:
-        try:
-            fp = frame_point(prog, uv[:, 0], uv[:, 1], tol, jt.MAX_ORDER)
-        except JetDomainError:          # the whole evaluation fails
-            return np.zeros(len(uv), dtype=bool)
+        fp = frame_point(prog, uv[:, 0], uv[:, 1], tol, jt.MAX_ORDER)
         k1, k2 = abs(fp.k1), abs(fp.k2)
         reject = ~np.equal(fp.pd.failed, None)
         reject |= jt.smallest(k1, k2) < min_k
@@ -236,12 +233,11 @@ def check_structure(seed: int = 7) -> List[CheckResult]:
 
 # ------------------------------------------------------------------ central
 
-def _oracle_mismatch(prog, fp: FramePoint,
-                     sheet: int) -> Tuple[float, float]:
+def _oracle_mismatch(fp: FramePoint, sheet: int) -> Tuple[float, float]:
     """Closed form vs. oracle on one sheet: the worst relative mismatch of
     (a, b, c, q1, q2), and of the coframe against the projection of dy."""
     cp = central_point(fp, sheet=sheet, tol=_TOL)
-    cf = central_ii_oracle(prog, fp.u, fp.v, sheet=sheet, tol=_TOL)
+    cf = central_ii_oracle(fp, sheet=sheet, tol=_TOL)
     closed = (cp.a, cp.b, cp.c, cp.q1, cp.q2)
     oracle = (cf.a, cf.b, cf.c, cf.q1, cf.q2)
     scale = reduce(jt.largest, (abs(x) for x in closed + oracle)) + 1e-30
@@ -282,7 +278,7 @@ def check_central_oracle(seed: int = 7) -> List[CheckResult]:
         fp = sample_frame_points(prog, 100, rng, _TOL, sheets=(1, 2),
                                  healthy=10.0, min_k=0.05, min_gap=0.02)
         rel, coframe = (_worst(*col) for col in zip(
-            *(_oracle_mismatch(prog, fp, sheet) for sheet in (1, 2))))
+            *(_oracle_mismatch(fp, sheet) for sheet in (1, 2))))
         y = _position_mismatch(prog, fp)
         results.append(CheckResult(
             f"central.oracle.{name}",
@@ -314,7 +310,7 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
         speed = np.sqrt(direction[..., None, :]
                         @ direction[..., :, None])[..., 0, 0]
         unit = direction / speed[..., None]
-        fds = fd_frame_field(prog, fp.u, fp.v,
+        fds = fd_frame_field(prog, fp,
                              lambda fq: tuple(f.value for f in fields(fq.pd)),
                              (unit[..., 0], unit[..., 1]), 5e-4, _TOL)
         fd_gaps, df_gaps = [], []
@@ -636,11 +632,16 @@ def _expr_prog(expr: str):
     return compile_surface(parse_surface(src))
 
 
-def check_toolchain(seed: int = 7) -> List[CheckResult]:
-    """Jet-vs-FD convergence, parser round-trip, report round-trip, and
-    byte-determinism of emitted files (nothing here is sampled)."""
-    results = []
-
+def _fd_convergence() -> CheckResult:
+    """Jet coefficients against finite differences taken in mpmath, whose
+    error must shrink at least 3x per halving of h.  Without mpmath (an
+    install without the ``test`` extra) the line fails and names it."""
+    try:
+        import mpmath  # noqa: F401  (the stencils of `jet_fd_error`)
+    except ImportError as exc:
+        return CheckResult("jets.fd_convergence", False,
+                           f"needs the {exc.name} module, not installed "
+                           "(pip install '.[test]')")
     min_ratio = math.inf
     worst = ""
     informative = 0
@@ -658,11 +659,17 @@ def check_toolchain(seed: int = 7) -> List[CheckResult]:
                 if ratio < min_ratio:
                     min_ratio = ratio
                     worst = f"{expr!r} d({i},{j})"
-    results.append(CheckResult(
+    return CheckResult(
         "jets.fd_convergence", min_ratio >= 3.0 and informative >= 15,
         f"exprs={len(_CONV_EXPRS)} orders={len(_CONV_ORDERS)} "
         f"informative_pairs={informative} min_halving_ratio={min_ratio:.2f} "
-        f"(>=3 required) at {worst}"))
+        f"(>=3 required) at {worst}")
+
+
+def check_toolchain(seed: int = 7) -> List[CheckResult]:
+    """Jet-vs-FD convergence, parser round-trip, report round-trip, and
+    byte-determinism of emitted files (nothing here is sampled)."""
+    results = [_fd_convergence()]
 
     mismatch = [name for name in gallery_names()
                 if parse_surface(surface_source(gallery(name)))

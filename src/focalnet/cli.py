@@ -5,8 +5,9 @@ Subcommands: ``list`` (gallery), ``eval`` (single-point report), ``grid``
 of the surface, focal sheets, and net direction fields).
 
 Exit codes: 0 success; 1 check-suite failure, degenerate evaluation point,
-or a grid/mesh with no usable points; 2 usage error (bad flags, unknown
-surface or parameter, unparsable ``.surf`` input).
+a grid/mesh with no usable points, or an output that cannot be written;
+2 usage error (bad flags, unknown surface or parameter, unparsable
+``.surf`` input).
 """
 from __future__ import annotations
 
@@ -276,7 +277,7 @@ def main(argv=None) -> int:
     try:
         # a usage error shows the subcommand's usage line
         return args.func(args, args.parser)
-    except FocalnetError as e:
+    except (FocalnetError, OSError) as e:     # OSError: an output write
         print(f"error: {e}", file=sys.stderr)
         return 1
 

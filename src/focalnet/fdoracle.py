@@ -16,11 +16,12 @@ imported lazily; the library runtime never needs it.
 The float oracles take a point or arrays u, v of shape (N,) and evaluate
 the nodes of a stencil for every point in one call, summed by the code of
 the per-node `fd_partial` and `fd_directional`, so each column gets its
-point's bits.  Frame-dependent field sampling realigns the e1 sign at
-every stencil node against the center frame, column by column
-(nearest-neighbor continuation); ambiguous alignment near umbilics is an
-error, never a guess.  The samplers read frame values only, so the stencil
-frames evaluate at the outputs' order, `eval_surface`'s default.
+point's bits.  Frame-dependent field sampling takes the frame at the
+stencil's center from its caller and realigns the e1 sign at every
+stencil node against it, column by column (nearest-neighbor
+continuation); ambiguous alignment near umbilics is an error, never a
+guess.  The samplers read frame values only, so the stencil frames
+evaluate at the outputs' order, `eval_surface`'s default.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ import numpy as np
 from . import expr as ex
 from . import jet as jt
 from .errors import FocalnetError, JetDomainError
-from .frames import FramePoint, frame_point, frame_point_from_pd
+from .frames import FramePoint, frame_point_from_pd
 from .geometry import (SurfaceJet, eval_surface, flipped_principal,
                        principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -160,27 +161,28 @@ def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
     return frame_point_from_pd(flipped_principal(pd, dot < 0), tol)
 
 
-def fd_frame_field(prog, u: float, v: float, sampler: Callable,
+def fd_frame_field(prog, ref: FramePoint, sampler: Callable,
                    direction: Tuple[float, float], h: float,
                    tol: ToleranceSet = DEFAULT_TOLERANCES):
     """Directional derivative of a frame-dependent field along an arbitrary
-    parameter-space direction (principal or focal coordinate curves), with
-    sign continuation against the center frame; the Richardson pair
+    parameter-space direction (principal or focal coordinate curves) at
+    the point of the frame `ref`, a point or a batch, with sign
+    continuation against `ref`; the Richardson pair
     (16 D(h/2) - D(h)) / 15 cancels the 4-point stencil's O(h^4) error,
     which dominates where the frame turns fast (a small curvature gap).
 
-    The direction components broadcast against u, v (stacked directions
-    go in front).  The eight nodes, D(h/2)'s then D(h)'s, are one
-    node-major `aligned_frame_point` batch, which `sampler` maps to a
+    The direction components broadcast against ref.u, ref.v (stacked
+    directions go in front).  The eight nodes, D(h/2)'s then D(h)'s, are
+    one node-major `aligned_frame_point` batch, which `sampler` maps to a
     field or to a tuple of fields; each derivative has the bits of
     `fd_directional` over per-node calls.  At a point a degenerate node
     raises its `principal_data` exception."""
-    center = frame_point(prog, u, v, tol)
+    u, v = ref.u, ref.v
     du, dv = direction
     steps = np.reshape([a * step for step in (h / 2, h) for a in _DIR_OFFSETS],
                        (8,) + (1,) * np.broadcast(u, v, du, dv).ndim)
     nodes = aligned_frame_point(prog, u + steps * du, v + steps * dv,
-                                center, tol)
+                                ref, tol)
     failed = next(filter(None, nodes.pd.failed.flat), None)
     if failed and np.ndim(u) == 0:
         raise failed(f"stencil node degenerate near (u, v) = {(u, v)}")

@@ -14,36 +14,34 @@ checks below independent of the curvature gradients they constrain.
 `FramePoint` is the last layer that differentiates jets: it keeps only
 float values and first Pfaffians, and the curvature jets stay reachable as
 `pd.k1`/`pd.k2`.  Its fields read derivatives of the position up to the
-third, so `frame_point` and `frame_batch` evaluate at `jt.OUTPUT_ORDER`;
-a check that differentiates `pd` twice (the Gauss equation, the
-commutator) asks for `jt.MAX_ORDER`.  The gradient of any curvature
-function g(k1, k2) follows by the chain rule,
-nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
+third, so `frame_point` evaluates at `jt.OUTPUT_ORDER` by default; a check
+that differentiates `pd` twice (the Gauss equation, the commutator) asks
+for `jt.MAX_ORDER`.  The gradient of any curvature function g(k1, k2)
+follows by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 `classify.class_gradients` and `central.connection_gradient`).
 
-`frame_batch` evaluates many points in one pass, on jets with a batch axis
-(see `jet`), through the same `principal_data` and `frame_point_from_pd`
-as `frame_point`.  It returns one FramePoint of arrays, which the classify,
-focal-sheet and net formulas read as it is (`report.grid_report`,
-`mesh.export_obj`), and per point the class of the exception `frame_point`
-would raise there.
+`frame_point` is the one frame entry, for a point and for a batch.  At
+arrays u, v it evaluates every point in one pass, on jets with a batch
+axis (see `jet`), through the same `principal_data` and
+`frame_point_from_pd`, and returns one FramePoint of arrays, which the
+classify, focal-sheet and net formulas read as it is
+(`report.grid_report`, `mesh.export_obj`, the samples of `checks`).  A
+batch never raises: `pd.failed` gives per point the class of the
+exception the call at that point raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import jet as jt
-from .errors import JetDomainError
-from .geometry import (PrincipalData, SurfaceJet, eval_surface,
-                       principal_data, vdot)
+from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "FramePoint", "frame_point", "frame_batch", "frame_point_from_pd",
-    "pfaffian",
+    "FramePoint", "frame_point", "frame_point_from_pd", "pfaffian",
     "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
     "commutator_residual",
 ]
@@ -63,8 +61,8 @@ def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
 @dataclass
 class FramePoint:
     """Everything the focal-sheet and net layers need at one surface point,
-    as floats; `pd` is the only jet data it holds, and that of
-    `frame_batch` holds none (`pd` is None).
+    as floats; `pd` is the only jet data it holds (None once a caller done
+    with the jets has released it, as grid reports and meshes do).
 
     q1 and q2 are the connection coefficients and grad_k1, grad_k2 the
     Pfaffian gradients of the curvatures, the highest derivatives here
@@ -118,37 +116,20 @@ def frame_point_from_pd(pd: PrincipalData,
         e3=_values(pd.e3))
 
 
-def frame_point(prog, u: float, v: float,
-                tol: ToleranceSet = DEFAULT_TOLERANCES,
+def frame_point(prog, u, v, tol: ToleranceSet = DEFAULT_TOLERANCES,
                 order: int = jt.OUTPUT_ORDER) -> FramePoint:
     """The frame point at (u, v), with `pd` of the surface jets of valid
-    order `order`; a degenerate point raises one of `errors.FRAME_ERRORS`.
-    The code `frame_batch` runs, at S = ()."""
+    order `order`.  At numbers a degenerate point raises one of
+    `errors.FRAME_ERRORS`.  At arrays u, v of shape (N,) it is one
+    FramePoint of arrays of shape (N,) and nothing raises: `pd.failed[i]`
+    is None or the class of the exception the call at point i raises, and
+    that point's columns are meaningless."""
     sj = eval_surface(prog, u, v, order)
-    return frame_point_from_pd(principal_data(sj, tol), tol)
-
-
-def frame_batch(prog, us: Sequence[float], vs: Sequence[float],
-                tol: ToleranceSet = DEFAULT_TOLERANCES):
-    """(fp, failed) at the points (us[i], vs[i]), in one pass from surface
-    jets of `jt.OUTPUT_ORDER`: fp is a FramePoint of arrays of shape
-    (N,), without `pd`, and failed[i] is None or the class of the exception
-    `frame_point` raises at point i (whose columns are meaningless).  When
-    the whole evaluation fails, every column is non-finite and so every
-    point JetDomainError."""
-    us, vs = np.asarray(us, dtype=float), np.asarray(vs, dtype=float)
+    if isinstance(sj.u, float):
+        return frame_point_from_pd(principal_data(sj, tol), tol)
     # Failed points run through to the end on meaningless columns.
     with np.errstate(all="ignore"):
-        try:
-            sj = eval_surface(prog, us, vs)
-        except JetDomainError:
-            nan = np.full(us.shape, np.nan)
-            sj = SurfaceJet(us, vs, *(jt.Jet4.const(nan, jt.OUTPUT_ORDER)
-                                      for _ in range(3)))
-        pd = principal_data(sj, tol)
-        fp = frame_point_from_pd(pd, tol)
-    fp.pd = None
-    return fp, pd.failed.tolist()
+        return frame_point_from_pd(principal_data(sj, tol), tol)
 
 
 def check_codazzi(fp: FramePoint) -> Tuple[float, float]:

@@ -82,9 +82,9 @@ def eval_surface(prog, u, v, order: int = jt.OUTPUT_ORDER) -> SurfaceJet:
     """Jets of the position at (u, v), of valid order `order`: the outputs'
     order, `jt.MAX_ORDER` for a check that differentiates the frame twice.
     With floats an undefined point raises JetDomainError; with arrays u, v
-    of shape (N,) the jets carry a batch axis and an undefined point leaves
-    its column non-finite.  A failure of the whole evaluation raises
-    JetDomainError at every shape."""
+    of shape (N,) the jets carry a batch axis, nothing raises, and an
+    undefined point leaves its column non-finite (every column, where the
+    whole evaluation fails)."""
     if np.ndim(u) == 0:
         return SurfaceJet(float(u), float(v), *prog.jets(u, v, order))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)

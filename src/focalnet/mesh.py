@@ -12,21 +12,21 @@ absent.  Output is byte-deterministic for identical inputs.
 
 Surface vertices come from one `SurfaceProgram.position` call on the
 grid's arrays, which gives every point the bits of the float evaluator at
-that point and NaN where it would raise.  `frame_batch` holds positions
-too, in `fp.x`, but the jet evaluator's floats differ from the float
-evaluator's in the last bit at some points (195, 204 and 515 of the 1600
-points of 40 x 40 monkey_saddle, enneper and dini), and the manifest writes
-`segment_length` by `repr` (monkey_saddle's would move).  The segment length
-is the mean of the cell diagonals' lengths, each with the bits of
-`np.linalg.norm` of its row, summed left to right.  The frames behind the
-focal sheets and net segments come from one `frames.frame_batch` call over
-the grid, and everything after it runs on whole arrays: `central.is_canal`
-masks the canal points of a sheet, `central_point` gives all its positions,
-a net builder all its coefficients and `nets.net_directions` all its
-directions with the class of each point that has none, so no exception is
-built for an undefined position, a canal point or an imaginary net.  Faces
-come from a mask of the present vertices, and each file's text from one %
-format per kind of line.
+that point and NaN where it would raise.  The grid's frame point holds
+positions too, in `fp.x`, but the jet evaluator's floats differ from the
+float evaluator's in the last bit at some points (195, 204 and 515 of the
+1600 points of 40 x 40 monkey_saddle, enneper and dini), and the manifest
+writes `segment_length` by `repr` (monkey_saddle's would move).  The
+segment length is the mean of the cell diagonals' lengths, each with the
+bits of `np.linalg.norm` of its row, summed left to right.  The frames
+behind the focal sheets and net segments come from one `frames.frame_point`
+call on the grid's arrays, and everything after it runs on whole arrays:
+`central.is_canal` masks the canal points of a sheet, `central_point` gives
+all its positions, a net builder all its coefficients and
+`nets.net_directions` all its directions with the class of each point that
+has none, so no exception is built for an undefined position, a canal
+point or an imaginary net.  Faces come from a mask of the present
+vertices, and each file's text from one % format per kind of line.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ from typing import Dict, Iterable, Optional
 import numpy as np
 
 from .central import central_point, is_canal
-from .frames import frame_batch
+from .frames import frame_point
 from .nets import NETS, net_directions
 from .report import grid_points
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -93,9 +93,10 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     us, vs = np.array(grid_points(prog, nu, nv)).T
     positions = prog.position(us, vs).T
     defined = np.isfinite(positions).all(axis=1)
-    fp, failed = frame_batch(prog, us.tolist(), vs.tolist(), tol)
-    # the points with a position and a frame
-    framed = defined & np.equal(np.array(failed, dtype=object), None)
+    fp = frame_point(prog, us, vs, tol)
+    # the points with a position and a frame; the jets are not read again
+    framed = defined & np.equal(fp.pd.failed, None)
+    fp.pd = None
 
     os.makedirs(out_dir, exist_ok=True)
     objects: Dict[str, dict] = {}

@@ -16,7 +16,7 @@ string instead of values — never NaN:
 Records are ordered u-major ((u index, v index) lexicographic).
 
 `grid_report` evaluates and classifies its whole grid as one batch
-(`frames.frame_batch`, then `classify.defect_report` on arrays) and keeps
+(`frames.frame_point` on arrays, then `classify.defect_report`) and keeps
 the result as columns: a `GridReport` holds one float64 or bool array per
 leaf of a record (``k1``, ``flags.cmc``, ``defects.class.mean``,
 ``prop_residuals.prop1_s1.lhs_defect``, ...), nested as in a record, next
@@ -52,7 +52,7 @@ import numpy as np
 
 from .classify import CLASS_NAMES, DefectReport, defect_report
 from .errors import FRAME_ERRORS
-from .frames import frame_batch, frame_point
+from .frames import frame_point
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -302,11 +302,13 @@ def grid_report(prog, nu: int, nv: int,
                 tol: ToleranceSet = DEFAULT_TOLERANCES) -> GridReport:
     """The report of the nu x nv grid, classified as one batch: its
     columns and summary come from the columns of `defect_report` over the
-    grid's `frames.frame_batch`, whose failed points keep their status."""
+    grid's `frames.frame_point`, whose failed points keep their status.
+    The frame's jets are released before the classification runs."""
     pts = grid_points(prog, nu, nv)
     us = np.array([u for u, _ in pts])
     vs = np.array([v for _, v in pts])
-    fp, failed = frame_batch(prog, us, vs, tol)
+    fp = frame_point(prog, us, vs, tol)
+    failed, fp.pd = fp.pd.failed, None
     with np.errstate(all="ignore"):
         rep = defect_report(fp, tol)
         columns = _columns(us, vs, fp, rep)

@@ -19,9 +19,9 @@ printing then parsing again reproduces the AST exactly.
 positions and oracle samples), and its arguments pick its functions: jets
 take `jet.JET_FUNCTIONS`, floats and `jet.Floats` the float-function map
 `jet.FLOATS_FUNCTIONS`.  The parser evaluates only constants, with the
-same map.  An undefined point raises JetDomainError; in a batch it only
-leaves its jet column non-finite, and `geometry.principal_data` gives it
-that class.
+same map.  An undefined point raises JetDomainError; a batch never
+raises, an undefined point only leaves its jet column non-finite, and
+`geometry.principal_data` gives it that class.
 """
 from __future__ import annotations
 
@@ -337,12 +337,14 @@ class SurfaceProgram:
     def evaluate(self, u, v) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
         jets with `jet.JET_FUNCTIONS`, floats or `jet.Floats` with the
-        float-function map `jet.FLOATS_FUNCTIONS`.  A failure of the whole
-        evaluation (a function outside its domain, a division by zero, an
-        overflow) raises JetDomainError, and so does a result that
-        `jet.finite` rejects at one point; in a batch such a point only
-        leaves its jet column non-finite, or its `Floats` entry failed.
-        numpy's warnings are silenced, as those values are the failure."""
+        float-function map `jet.FLOATS_FUNCTIONS`.  At a point a failure
+        (a function outside its domain, a division by zero, an overflow,
+        a result that `jet.finite` rejects) raises JetDomainError.  A
+        batch never raises: a failing point leaves its jet column
+        non-finite, or its `Floats` entry failed, and a failure of the
+        whole evaluation (say of a constant subexpression) fails every
+        point.  numpy's warnings are silenced, as those values are the
+        failure."""
         env = {"pi": math.pi, "e": math.e, **self.params, "u": u, "v": v}
         funcs = (jt.JET_FUNCTIONS if isinstance(u, jt.Jet4)
                  else jt.FLOATS_FUNCTIONS)
@@ -351,7 +353,14 @@ class SurfaceProgram:
             with np.errstate(all="ignore"):
                 out = tuple(ex.evaluate(node, env, funcs)
                             for node in self.exprs)
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+        except (ZeroDivisionError, ValueError, OverflowError,
+                JetDomainError) as exc:
+            if np.ndim(at[0]):          # a batch: every point fails
+                nan = u * math.nan
+                return (nan if isinstance(u, jt.Jet4)
+                        else nan.failing(True),) * 3
+            if isinstance(exc, JetDomainError):
+                raise
             raise JetDomainError(
                 f"{self.name} undefined ({exc}) at (u, v) = {at}") from None
         if np.ndim(at[0]) == 0 and not jt.finite(out):
@@ -378,10 +387,7 @@ class SurfaceProgram:
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
         xyz = np.empty((3,) + u.shape)
         failed = np.zeros(u.shape, dtype=bool)
-        try:
-            out = self.evaluate(jt.Floats(u), jt.Floats(v))
-        except JetDomainError:      # the whole evaluation fails
-            out = (math.nan,) * 3
+        out = self.evaluate(jt.Floats(u), jt.Floats(v))
         for row, c in zip(xyz, out):
             row[...] = getattr(c, "value", c)
             failed |= getattr(c, "failed", False)

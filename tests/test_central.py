@@ -40,22 +40,25 @@ def test_connection_coefficients_structure(prog, tol, rng):
     assert cp1.q1 == pytest.approx(qq, rel=1e-12)
     assert cp2.q2 == pytest.approx(qq, rel=1e-12)
     for sheet, expect in ((1, (qq, 0.0)), (2, (0.0, qq))):
-        cf = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
+        cf = central_ii_oracle(fp, sheet, tol)
         scale = abs(qq) + 1e-9
         assert np.all(abs(cf.q1 - expect[0]) / scale < 1e-7)
         assert np.all(abs(cf.q2 - expect[1]) / scale < 1e-7)
 
 
 def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
-    """`central_ii_oracle` and `fd_frame_field` on a batch give, column by
-    column, the bits of their calls at each point (the e1 sign continued
+    """`central_ii_oracle` and `fd_frame_field` on a sampled batch frame
+    (of `jt.MAX_ORDER`) give, column by column, the bits of their calls on
+    the frame at each point, of the outputs' order (the e1 sign continued
     per column)."""
     program = prog("graph_generic")
     fp = sample_frame_points(program, 5, rng, tol, sheets=(1, 2))
+    points = list(zip(fp.u.tolist(), fp.v.tolist()))
     for sheet in (1, 2):
-        batch = central_ii_oracle(program, fp.u, fp.v, sheet, tol)
-        for i, (u, v) in enumerate(zip(fp.u.tolist(), fp.v.tolist())):
-            point = central_ii_oracle(program, u, v, sheet, tol)
+        batch = central_ii_oracle(fp, sheet, tol)
+        for i, (u, v) in enumerate(points):
+            point = central_ii_oracle(frame_point(program, u, v, tol),
+                                      sheet, tol)
             for name in ("a", "b", "c", "q1", "q2"):
                 assert getattr(batch, name)[i] == getattr(point, name)
             for name in ("coframe_uv", "coframe_uv_projected"):
@@ -63,11 +66,10 @@ def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
                                       getattr(point, name))
     direction = (np.cos(fp.u), np.sin(fp.u))
     for sampler in (lambda fq: fq.k2, lambda fq: fq.e1[0]):
-        batch = fd_frame_field(program, fp.u, fp.v, sampler, direction,
-                               5e-4, tol)
-        for i, (u, v) in enumerate(zip(fp.u.tolist(), fp.v.tolist())):
+        batch = fd_frame_field(program, fp, sampler, direction, 5e-4, tol)
+        for i, (u, v) in enumerate(points):
             assert batch[i] == fd_frame_field(
-                program, u, v, sampler,
+                program, frame_point(program, u, v, tol), sampler,
                 (direction[0][i], direction[1][i]), 5e-4, tol)
 
 
@@ -83,7 +85,7 @@ def test_canal_detection_torus(prog, tol):
     with pytest.raises(CanalDegenerate):
         central_point(fp, sheet=2, tol=tol)
     with pytest.raises(CanalDegenerate):
-        central_ii_oracle(prog("torus"), 0.5, 1.1, sheet=2, tol=tol)
+        central_ii_oracle(fp, sheet=2, tol=tol)
     with pytest.raises(CanalDegenerate):
         isothermic_divergence(fp, connection_gradient(fp), 2, tol)
 
@@ -120,7 +122,7 @@ def test_sheet_argument_validated(prog, tol):
         "net_curvature_pullback":
             lambda s: net_curvature_pullback(fp, s, tol),
         "central_ii_oracle":
-            lambda s: central_ii_oracle(program, 0.4, 0.3, s, tol),
+            lambda s: central_ii_oracle(fp, s, tol),
     }
     for name, call in entries.items():
         for sheet in (1, 2):

@@ -94,7 +94,7 @@ def test_fd_pfaffian_matches_jet_gradient(prog, tol, rng, surface, field, n,
             continue
         pd = fp.pd
         ana = pfaffian_values(getattr(pd, field), pd)
-        fd = fd_frame_field(program, u, v, lambda g: getattr(g, field),
+        fd = fd_frame_field(program, fp, lambda g: getattr(g, field),
                             (np.array([pd.xi1.value, pd.xi2.value]),
                              np.array([pd.eta1.value, pd.eta2.value])),
                             1e-4, tol)
@@ -192,7 +192,8 @@ def test_fd_frame_field_is_the_per_node_richardson_pair(prog, tol, batch):
         u, v = float(u[0]), float(v[0])
     angles = np.array([0.3, 1.9, -2.4])[:, None] + np.zeros(np.shape(u))
     direction = (np.cos(angles), np.sin(angles))
-    got = fd_frame_field(program, u, v,
+    ref = frame_point(program, u, v, tol)
+    got = fd_frame_field(program, ref,
                          lambda g: tuple(f(g) for f in _FIELDS),
                          direction, 5e-4, tol)
     assert len(got) == len(_FIELDS)
@@ -201,7 +202,7 @@ def test_fd_frame_field_is_the_per_node_richardson_pair(prog, tol, batch):
             want = _per_node_frame_field(program, u, v, f, (du, dv), 5e-4,
                                          tol)
             assert np.array_equal(field[d], want)
-    single = fd_frame_field(program, u, v, _FIELDS[0], direction, 5e-4, tol)
+    single = fd_frame_field(program, ref, _FIELDS[0], direction, 5e-4, tol)
     assert np.array_equal(single, got[0])
 
 
@@ -216,13 +217,14 @@ def test_stencil_node_outside_the_domain():
       domain u in [0, 1] v in [-1, 1]
     }"""))
     k1 = lambda g: g.k1
-    assert np.isfinite(fd_frame_field(program, 0.05, 0.2, k1, (1.0, 0.0),
-                                      0.02))
+    ref = frame_point(program, 0.05, 0.2)
+    assert np.isfinite(fd_frame_field(program, ref, k1, (1.0, 0.0), 0.02))
     with pytest.raises(JetDomainError, match="stencil node"):
-        fd_frame_field(program, 0.05, 0.2, k1, (1.0, 0.0), 0.03)
+        fd_frame_field(program, ref, k1, (1.0, 0.0), 0.03)
     with np.errstate(all="ignore"):
-        got = fd_frame_field(program, np.array([0.05]), np.array([0.2]), k1,
-                             (1.0, 0.0), 0.03)
+        got = fd_frame_field(
+            program, frame_point(program, np.array([0.05]), np.array([0.2])),
+            k1, (1.0, 0.0), 0.03)
     assert np.isnan(got).all()
     with pytest.raises(JetDomainError, match="stencil node"):
         fd_surface_jet(program, 0.05, 0.2, 0.03)

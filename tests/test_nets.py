@@ -8,7 +8,7 @@ import pytest
 from focalnet.checks import sample_frame_points
 from focalnet.errors import (CanalDegenerate, DegenerateNetError,
                              ImaginaryNetError)
-from focalnet.frames import frame_batch, frame_point, pfaffian_values
+from focalnet.frames import frame_point, pfaffian_values
 from focalnet.nets import (NETS, NetForm, conjugacy_defect,
                            net_asymptotic_pullback, net_curvature_pullback,
                            net_directions, net_norm, orthogonality_defect,
@@ -120,8 +120,7 @@ def test_batch_directions_on_grids(prog, tol):
     for name in ("graph_generic", "dini", "helicoid", "torus"):
         program = prog(name)
         pts = grid_points(program, 5, 5)
-        fp, _ = frame_batch(program, [u for u, _ in pts],
-                            [v for _, v in pts], tol)
+        fp = frame_point(program, *np.array(pts).T, tol)
         for builder, sheet in NETS.values():
             with np.errstate(all="ignore"):
                 net = builder(fp, sheet, tol)

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from focalnet.errors import (FRAME_ERRORS, CanalDegenerate,
                              DegenerateNetError, DegenerateParametrization,
                              FocalnetError, ImaginaryNetError,
                              JetDomainError)
-from focalnet.frames import frame_batch, frame_point
+from focalnet.frames import frame_point
 from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
@@ -145,12 +146,12 @@ def test_point_record_matches_grid(prog, graph_source, tol):
     whose batches take every status branch (all canal1, all canal2, all
     moulding, and ok next to canal12), each record serialises byte for
     byte as point_record's at that point, the summary is summarize's of
-    the records, and each column entry of frame_batch is frame_point's
-    float at that point, or failed[i] the class of the exception
-    frame_point raises there.  The emitters, which write from the report's
-    columns, give byte for byte what the standard library's encoders write
-    of the records (json.dumps, csv.writer), and a parsed report emits the
-    text it was parsed from."""
+    the records, and each column entry of frame_point on the grid's arrays
+    is frame_point's float at that point, or its pd.failed[i] the class
+    of the exception frame_point raises there.  The emitters, which write
+    from the report's columns, give byte for byte what the standard
+    library's encoders write of the records (json.dumps, csv.writer), and
+    a parsed report emits the text it was parsed from."""
     def graph(z):
         return compile_surface(parse_surface(graph_source(z)))
 
@@ -177,8 +178,8 @@ def test_point_record_matches_grid(prog, graph_source, tol):
         if counts is not None:
             assert {status: n for status, n
                     in rep.summary["status_counts"].items() if n} == counts
-        fp, failed = frame_batch(program, [u for u, _ in pts],
-                                 [v for _, v in pts], tol)
+        fp = frame_point(program, *np.array(pts).T, tol)
+        failed = fp.pd.failed
         columns = [c.tolist() for c in _floats(fp)]
         assert len(rep.records) == len(failed) == nu * nv
         for i, ((u, v), rec) in enumerate(zip(pts, rep.records)):
@@ -254,9 +255,9 @@ def test_frames_have_the_same_bits_at_the_outputs_order(prog, tol):
     `jt.OUTPUT_ORDER` jets give every field bit for bit as `jt.MAX_ORDER`
     jets do: at each point of a 12 x 12 interior grid of every gallery
     surface, frame_point gives the same bits or raises the same class, and
-    one frame_batch of the grid fails at the same points with the same
-    classes and gives the same bits in every other column as frame_point
-    at `jt.MAX_ORDER`."""
+    one frame_point on the grid's arrays fails at the same points with the
+    same classes and gives the same bits in every other column as
+    frame_point at `jt.MAX_ORDER`."""
     orders = (jt.OUTPUT_ORDER, jt.MAX_ORDER)
     for name in gallery_names():
         program = prog(name)
@@ -274,8 +275,8 @@ def test_frames_have_the_same_bits_at_the_outputs_order(prog, tol):
                 got.append([np.float64(x).tobytes() for x in _floats(fp)])
             assert got[0] == got[1], (name, u, v)
             full.append(got[1])
-        fp, failed = frame_batch(program, [u for u, _ in pts],
-                                 [v for _, v in pts], tol)
+        fp = frame_point(program, *np.array(pts).T, tol)
+        failed = fp.pd.failed
         for i, want in enumerate(full):
             if isinstance(want, type):
                 assert failed[i] is want, (name, pts[i])
@@ -288,7 +289,7 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
                                              tol, monkeypatch):
     """A degenerate point of a batch is its exception's class and a canal
     point its status or a masked vertex: on umbilic, parabolic and partly
-    undefined grids `frame_batch`, on canal12, canal1 and umbilic grids
+    undefined grids `frame_point`, on canal12, canal1 and umbilic grids
     `grid_report`, and on the canal12 and canal1 grids and on grids with
     imaginary net directions (helicoid everywhere for nets 13/14,
     graph_generic in part) `export_obj` with both sheets and all four nets,
@@ -302,8 +303,7 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
                 compile_surface(parse_surface(graph_source("ln(u) + v^2")))]
     for program in programs:
         pts = grid_points(program, 8, 8)
-        _, failed = frame_batch(program, [u for u, _ in pts],
-                                [v for _, v in pts], tol)
+        failed = frame_point(program, *np.array(pts).T, tol).pd.failed
         assert all(isinstance(kind, type) for kind in failed[:8]), \
             program.name
     canal = [(prog("torus"), "canal12"),
@@ -322,7 +322,7 @@ def test_batch_builds_no_exception_per_point(tmp_path, prog, graph_source,
 def test_overflow_past_the_outputs_order_is_not_read(graph_source, tol):
     """z = exp(1e80 u) / 1e10 overflows at u = 0 only in its degree-4
     slots (1e320 / 24 / 1e10), which no output reads.  At the outputs'
-    order frame_point and frame_batch both fail there with
+    order frame_point at the point and at arrays both fail there with
     DegenerateParametrization (xu = (1, 0, 1e70)), and point_record gives
     the status `degenerate`; frame_point at `jt.MAX_ORDER`, which forms
     those slots, fails with JetDomainError."""
@@ -332,14 +332,14 @@ def test_overflow_past_the_outputs_order_is_not_read(graph_source, tol):
                         (jt.MAX_ORDER, JetDomainError)):
         with pytest.raises(kind):
             frame_point(program, 0.0, 0.3, tol, order)
-    assert (frame_batch(program, [0.0], [0.3], tol)[1]
+    assert (frame_point(program, [0.0], [0.3], tol).pd.failed.tolist()
             == [DegenerateParametrization])
     assert point_record(program, 0.0, 0.3, tol)["status"] == "degenerate"
 
 
-def test_frame_batch_of_no_points(prog, tol):
-    fp, failed = frame_batch(prog("graph_generic"), [], [], tol)
-    assert failed == []
+def test_frame_point_of_no_points(prog, tol):
+    fp = frame_point(prog("graph_generic"), [], [], tol)
+    assert fp.pd.failed.tolist() == []
     assert all(np.shape(c) == (0,) for c in _floats(fp))
 
 
@@ -453,8 +453,8 @@ def test_segment_length_is_the_per_row_norm(tmp_path, prog):
     left-to-right mean of np.linalg.norm per cell diagonal over the
     positions prog.position gives point by point, on each surface of the
     mesh digest's corpus at 20 x 20 and 40 x 40.  At 40 x 40 monkey_saddle
-    the positions of the jet evaluation (frame_batch's x) would move it in
-    the last digit."""
+    the positions of the jet evaluation (the grid frame's x) would move it
+    in the last digit."""
     for name in ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
                  "sphere", "monkey_saddle", "enneper"):
         program = prog(name)
@@ -598,6 +598,39 @@ def test_cli_grid_files(tmp_path, capsys):
     rep = parse_json(open(out).read())
     assert rep.nu == 3 and rep.nv == 2
     assert open(csv_path).readline().strip() == CSV_HEADER
+
+
+def test_cli_write_failures_are_error_lines(tmp_path, capsys):
+    """An output that cannot be written is the CLI's error line with exit
+    1, not a traceback: a grid's JSON or CSV in a missing directory, and a
+    mesh whose output directory is an existing file."""
+    missing = str(tmp_path / "missing")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    grid = ["grid", "--surface", "graph_generic", "--nu", "2", "--nv", "2"]
+    for argv, path in (
+            (grid + ["--out", f"{missing}/r.json"], f"{missing}/r.json"),
+            (grid + ["--out", str(tmp_path / "r.json"),
+                     "--csv", f"{missing}/r.csv"], f"{missing}/r.csv"),
+            (["mesh", "--surface", "graph_quad", "--nu", "3", "--nv", "3",
+              "--out", str(taken)], str(taken))):
+        assert cli.main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and path in err, argv
+
+
+def test_cli_check_without_mpmath(capsys, monkeypatch):
+    """On an install without mpmath the jets suite still runs: its
+    convergence line fails and names the module, the other lines pass, and
+    the exit status is 1."""
+    monkeypatch.setitem(sys.modules, "mpmath", None)
+    assert cli.main(["check", "--suite", "jets"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[FAIL] jets.fd_convergence: needs the "
+                               "mpmath module")
+    assert [line.split(":")[0] for line in lines[1:]] == [
+        "[PASS] jets.dsl_roundtrip", "[PASS] jets.json_roundtrip",
+        "[PASS] jets.mesh_determinism", "suite 'jets'"]
 
 
 def test_cli_grid_stdout_and_degenerate_exit(tmp_path, capsys):

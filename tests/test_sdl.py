@@ -8,8 +8,9 @@ import pytest
 from focalnet.errors import (JetDomainError, ParseError,
                              UnknownParameterError, UnknownSurfaceError)
 from focalnet.fdoracle import mp_scalar_fn
+from focalnet.frames import frame_point
 from focalnet.geometry import eval_surface
-from focalnet.jet import MAX_ORDER, MONOMIALS
+from focalnet.jet import MAX_ORDER, MONOMIALS, finite
 from focalnet.sdl import (compile_surface, gallery, gallery_names,
                           gallery_source, load_surface, parse_program,
                           parse_surface)
@@ -247,6 +248,37 @@ def _point_positions(prog, us, vs):
         except JetDomainError:
             rows.append(np.full(3, np.nan))
     return np.array(rows).T
+
+
+@pytest.mark.parametrize("z, point_error", [
+    ("ln(0 - 1) + u", (r"ln\(-1\.0\): math domain error",
+                       r"s undefined \(math domain error\) at")),
+    ("u / 0", ("division by zero",
+               r"s undefined \(float division by zero\) at"))],
+    ids=["log", "division"])
+def test_whole_evaluation_failure_fails_every_batch_point(graph_source, z,
+                                                          point_error):
+    """A constant subexpression outside its domain fails the whole
+    evaluation.  At arrays eval_surface, frame_point and prog.position
+    raise nothing and warn nothing, every jet column is non-finite, every
+    point JetDomainError and every position NaN; at a point each raises
+    its JetDomainError."""
+    prog = compile_surface(parse_surface(graph_source(z)))
+    us, vs = np.array([0.0, 0.5, -0.7]), np.array([0.3, 0.0, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sj = eval_surface(prog, us, vs)
+        fp = frame_point(prog, us, vs)
+        xyz = prog.position(us, vs)
+    assert all(jet.c.shape == (10, 3) for jet in sj.pos)
+    assert not finite(sj.pos).any()
+    assert fp.pd.failed.tolist() == [JetDomainError] * 3
+    assert xyz.shape == (3, 3) and np.isnan(xyz).all()
+    jet_error, position_error = point_error
+    for call, match in ((eval_surface, jet_error), (frame_point, jet_error),
+                        (lambda p, u, v: p.position(u, v), position_error)):
+        with pytest.raises(JetDomainError, match=match):
+            call(prog, 0.0, 0.3)
 
 
 def test_batch_positions_equal_point_positions(graph_source):
