@@ -89,15 +89,16 @@ def is_canal(fp: FramePoint, sheet: int,
 
 
 def check_canal(fp: FramePoint, sheet: int,
-                tol: ToleranceSet = DEFAULT_TOLERANCES) -> None:
-    """Raise CanalDegenerate where `is_canal` holds at a point; a batch
-    never raises."""
+                tol: ToleranceSet = DEFAULT_TOLERANCES):
+    """`is_canal`'s verdict, having raised CanalDegenerate where it holds at
+    a point; a batch never raises."""
     canal = is_canal(fp, sheet, tol)
     if not isinstance(canal, np.ndarray) and canal:
         own = own_curvature(fp, sheet)[2]
         raise CanalDegenerate(
             f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
             f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet)
+    return canal
 
 
 def _matrix(rows) -> np.ndarray:
@@ -180,11 +181,11 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
     Reads the jets of `fp.pd`, differentiated once past the curvature:
     third derivatives of the position, so a frame of `jt.OUTPUT_ORDER`
     gives the bits of one of `jt.MAX_ORDER` (the samples of `checks`).
-    On a batch FramePoint every field has one entry per point, its bits;
-    nothing raises.
+    Every field has the frame's shape and each point's bits; a batch
+    passes `check_canal`, and its canal columns (singular coframes) read NaN.
     """
     pd, sj = fp.pd, fp.pd.sj
-    check_canal(fp, sheet, tol)
+    canal = check_canal(fp, sheet, tol)
 
     # the sheet frame {first, second; normal}
     k_jet, first, second, normal = ((pd.k1, pd.e2, pd.e3, pd.e1) if sheet == 1
@@ -210,12 +211,8 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
     p_proj = _matrix(((vdot(y_u, first).value, vdot(y_v, first).value),
                       (vdot(y_u, second).value, vdot(y_v, second).value)))
 
-    det = np.linalg.det(p_uv)
-    if np.ndim(det) == 0 and abs(det) < 1e-300:
-        raise CanalDegenerate(
-            f"singular focal coframe for sheet {sheet} at {fp.point}",
-            sheet)
-    p_inv = np.linalg.inv(p_uv)
+    p_live = np.where(np.expand_dims(canal, (-2, -1)), np.nan, p_uv)
+    p_inv = np.linalg.inv(p_live)
     form = np.swapaxes(p_inv, -1, -2) @ t_mat @ p_inv
 
     # sheet connection form w12' = <d(first), second> over (du, dv),
@@ -223,12 +220,12 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
     f_u = tuple(comp.du() for comp in first)
     f_v = tuple(comp.dv() for comp in first)
     w = np.stack([vdot(f_u, second).value, vdot(f_v, second).value], axis=-1)
-    q = np.linalg.solve(np.swapaxes(p_uv, -1, -2), w[..., None])[..., 0]
+    q = np.linalg.solve(np.swapaxes(p_live, -1, -2), w[..., None])[..., 0]
 
-    abcq = (form[..., 0, 0], 0.5 * (form[..., 0, 1] + form[..., 1, 0]),
-            form[..., 1, 1], q[..., 0], q[..., 1])
-    return CentralFundamentals(*(x if np.ndim(x) else float(x) for x in abcq),
-                               coframe_uv=p_uv, coframe_uv_projected=p_proj)
+    return CentralFundamentals(
+        form[..., 0, 0], 0.5 * (form[..., 0, 1] + form[..., 1, 0]),
+        form[..., 1, 1], q[..., 0], q[..., 1],
+        coframe_uv=p_uv, coframe_uv_projected=p_proj)
 
 
 def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],

@@ -96,16 +96,14 @@ def _prog(name: str):
     return _PROG_CACHE[name]
 
 
-def domain_points(prog, n: int, rng) -> List[Tuple[float, float]]:
-    """n random (u, v) pairs inside the domain box, shrunk by `_MARGIN` of
-    its width per side; u is drawn before v for each pair."""
+def domain_points(prog, n: int, rng) -> np.ndarray:
+    """n random (u, v) rows of an (n, 2) array inside the domain box, shrunk
+    by `_MARGIN` of its width per side; u is drawn before v in each row."""
     box = prog.definition.domain
     eu, ev = box.u_max - box.u_min, box.v_max - box.v_min
-    return [(float(rng.uniform(box.u_min + _MARGIN * eu,
-                               box.u_max - _MARGIN * eu)),
-             float(rng.uniform(box.v_min + _MARGIN * ev,
-                               box.v_max - _MARGIN * ev)))
-            for _ in range(n)]
+    return rng.uniform((box.u_min + _MARGIN * eu, box.v_min + _MARGIN * ev),
+                       (box.u_max - _MARGIN * eu, box.v_max - _MARGIN * ev),
+                       (n, 2))
 
 
 def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCES,
@@ -137,13 +135,12 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     kept, found, draws, cap = [], 0, 0, max(4000, 400 * n)
     while found < n and draws < cap:
         need, state = n - found, rng.bit_generator.state
-        chunk = np.array(domain_points(prog, min(max(16, 2 * need),
-                                                 cap - draws), rng))
+        chunk = domain_points(prog, min(max(16, 2 * need), cap - draws), rng)
         with np.errstate(all="ignore"):
             hits = np.flatnonzero(usable(chunk))[:need]
         if len(hits) == need:
             rng.bit_generator.state = state
-            chunk = np.array(domain_points(prog, hits[-1] + 1, rng))
+            chunk = domain_points(prog, hits[-1] + 1, rng)
         draws += len(chunk)
         found += len(hits)
         kept.append(chunk[hits])
@@ -255,14 +252,17 @@ def _position_mismatch(prog, fp: FramePoint) -> float:
     """Closed-form focal positions of both sheets at the first `_Y_POINTS`
     points vs. x + e3/k_i with x from `prog.position` and e3, k_i from a
     finite-difference surface jet, so no jet arithmetic enters that side;
-    per component, relative to max(|y_i|, 1e-2)."""
+    per component, relative to max(|y_i|, 1e-2), and NaN at a point whose
+    finite-difference `principal_data` fails."""
     u, v = fp.u[:_Y_POINTS], fp.v[:_Y_POINTS]
-    pd = principal_data(fd_surface_jet(prog, u, v, _Y_STEP), _TOL)
+    with np.errstate(all="ignore"):
+        pd = principal_data(fd_surface_jet(prog, u, v, _Y_STEP), _TOL)
     x = prog.position(u, v)
     normal = np.array([c.value for c in pd.e3])
     ys = (central_point(fp, s, _TOL).y[:, :_Y_POINTS] for s in (1, 2))
-    return _worst(*(np.abs(x + normal / k.value - y)
-                    / np.maximum(np.abs(y), 1e-2)
+    return _worst(*(np.where(np.equal(pd.failed, None),
+                             np.abs(x + normal / k.value - y)
+                             / np.maximum(np.abs(y), 1e-2), np.nan)
                     for k, y in zip((pd.k1, pd.k2), ys)))
 
 
@@ -512,7 +512,7 @@ def check_degeneracies(seed: int = 7) -> List[CheckResult]:
     for name, first, want in (("sphere", (0.1, 0.2), "umbilic"),
                               ("plane", (0.0, 0.0), "parabolic")):
         statuses = {point_record(_prog(name), u, v, _TOL)["status"]
-                    for u, v in [first] + domain_points(_prog(name), 20, rng)}
+                    for u, v in [first, *domain_points(_prog(name), 20, rng)]}
         results.append(CheckResult(
             f"props.status.{name}_{want}", statuses == {want},
             f"statuses={sorted(statuses)} (want only '{want}')"))
@@ -523,7 +523,7 @@ def check_degeneracies(seed: int = 7) -> List[CheckResult]:
         f"status={status} (want 'parabolic')"))
 
     recs = [point_record(_prog("torus"), u, v, _TOL)
-            for u, v in domain_points(_prog("torus"), 100, rng)]
+            for u, v in domain_points(_prog("torus"), 100, rng).tolist()]
     ok = all(r["status"].startswith("canal") and r["flags"]["canal2"]
              for r in recs)
     results.append(CheckResult(
@@ -581,7 +581,7 @@ def check_gallery(seed: int = 7) -> List[CheckResult]:
     surfaces = [(name, _prog(name)) for name in gallery_names()]
     surfaces.append(("swept", load_surface(SWEPT_SRC)))
     for name, prog in surfaces:
-        for u, v in domain_points(prog, 40, rng):
+        for u, v in domain_points(prog, 40, rng).tolist():
             rec = point_record(prog, u, v, _TOL)
             if rec["defects"] is None:
                 continue

@@ -22,6 +22,9 @@ stencil node against it, column by column (nearest-neighbor
 continuation); ambiguous alignment near umbilics is an error, never a
 guess.  The samplers read frame values only, so the stencil frames
 evaluate at the outputs' order, `eval_surface`'s default.
+Both float oracles fail alike at every shape: numpy runs silently, and a
+node that cannot be computed (an undefined position, a frame that
+`pd.failed` marks) reads NaN, as does every derivative that reads it.
 """
 from __future__ import annotations
 
@@ -32,7 +35,7 @@ import numpy as np
 
 from . import expr as ex
 from . import jet as jt
-from .errors import FocalnetError, JetDomainError
+from .errors import FocalnetError
 from .frames import FramePoint, frame_point_from_pd
 from .geometry import (SurfaceJet, eval_surface, flipped_principal,
                        principal_data)
@@ -104,26 +107,23 @@ def mp_scalar_fn(prog, coord: int):
     return f
 
 
-def fd_surface_jet(prog, u: float, v: float, h: float) -> SurfaceJet:
+def fd_surface_jet(prog, u, v, h: float) -> SurfaceJet:
     """A SurfaceJet built purely from finite differences.
 
     Feeding it through principal_data/frame_point gives an end-to-end
-    derivative path with no jet arithmetic anywhere.  At arrays u, v of
-    shape (N,) the jets carry a batch axis.  One `prog.position` call
-    takes the 5x5 nodes of every point, and each coefficient has the bits
-    of `fd_partial(prog.position, ...)`: an undefined node raises
-    JetDomainError at a point and leaves NaN in a batch.
+    derivative path with no jet arithmetic anywhere.  u and v become
+    arrays, of shape () for a point or (N,) for a batch.  One
+    `prog.position` call takes the 5x5 nodes of every point, and each
+    coefficient has the bits of `fd_partial(prog.position, ...)`; a point
+    with an undefined node gets NaN coefficients.
     """
-    nd = np.ndim(u)
-    step = np.reshape(_OFFSETS, (5,) + (1,) * nd) * h
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    step = np.reshape(_OFFSETS, (5,) + (1,) * u.ndim) * h
     xyz = prog.position(*np.broadcast_arrays(u + step[:, None], v + step))
-    if not nd and np.isnan(xyz).any():
-        raise JetDomainError(f"stencil node undefined near (u, v) = {(u, v)}")
     coeffs = np.array([_stencil_sum(lambda a, b: xyz[:, a + 2, b + 2],
                                     i, j, h)
                        / (math.factorial(i) * math.factorial(j))
                        for i, j in jt.MONOMIALS])
-    u, v = (np.asarray(w, dtype=float) if nd else float(w) for w in (u, v))
     return SurfaceJet(u, v, *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
 
 
@@ -175,20 +175,22 @@ def fd_frame_field(prog, ref: FramePoint, sampler: Callable,
     directions go in front).  The eight nodes, D(h/2)'s then D(h)'s, are
     one node-major `aligned_frame_point` batch, which `sampler` maps to a
     field or to a tuple of fields; each derivative has the bits of
-    `fd_directional` over per-node calls.  At a point a degenerate node
-    raises its `principal_data` exception."""
+    `fd_directional` over per-node calls.  numpy runs silently, and the
+    fields of a node that `nodes.pd.failed` marks read NaN, so a
+    derivative with a degenerate node is NaN."""
     u, v = ref.u, ref.v
     du, dv = direction
     steps = np.reshape([a * step for step in (h / 2, h) for a in _DIR_OFFSETS],
                        (8,) + (1,) * np.broadcast(u, v, du, dv).ndim)
-    nodes = aligned_frame_point(prog, u + steps * du, v + steps * dv,
-                                ref, tol)
-    failed = next(filter(None, nodes.pd.failed.flat), None)
-    if failed and np.ndim(u) == 0:
-        raise failed(f"stencil node degenerate near (u, v) = {(u, v)}")
-    fields = sampler(nodes)
-    out = [(16 * _directional_sum(f[:4], h / 2) - _directional_sum(f[4:], h))
-           / 15 for f in (fields if isinstance(fields, tuple) else [fields])]
+    with np.errstate(all="ignore"):
+        nodes = aligned_frame_point(prog, u + steps * du, v + steps * dv,
+                                    ref, tol)
+        fields = sampler(nodes)
+        failed = ~np.equal(nodes.pd.failed, None)
+        out = [(16 * _directional_sum(f[:4], h / 2)
+                - _directional_sum(f[4:], h)) / 15
+               for f in (np.where(failed, np.nan, f) for f in
+                         (fields if isinstance(fields, tuple) else [fields]))]
     return tuple(out) if isinstance(fields, tuple) else out[0]
 
 

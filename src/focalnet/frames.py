@@ -27,16 +27,20 @@ axis (see `jet`), through the same `principal_data` and
 classify, focal-sheet and net formulas read as it is
 (`report.grid_report`, `mesh.export_obj`, the samples of `checks`).  A
 batch never raises: `pd.failed` gives per point the class of the
-exception the call at that point raises.
+exception the call at that point raises.  numpy runs silently at both
+shapes, and a frame that overflows past every degeneracy test (a float
+field not finite) fails with JetDomainError, status `degenerate`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from . import jet as jt
+from .errors import JetDomainError
 from .geometry import PrincipalData, eval_surface, principal_data, vdot
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -104,9 +108,13 @@ def _connection(pd: PrincipalData) -> Tuple[jt.Jet4, jt.Jet4]:
 
 def frame_point_from_pd(pd: PrincipalData,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
+    """The frame point of `pd`.  A frame whose float fields are not all
+    finite (an overflow past every degeneracy test) fails with
+    JetDomainError: at S = () it raises, in a batch the point's `pd.failed`
+    entry records it unless an earlier failure is there."""
     q1_jet, q2_jet = _connection(pd)
     sj = pd.sj
-    return FramePoint(
+    fp = FramePoint(
         u=sj.u, v=sj.v, pd=pd,
         k1=pd.k1.value, k2=pd.k2.value,
         q1=q1_jet.value, q2=q2_jet.value,
@@ -114,6 +122,14 @@ def frame_point_from_pd(pd: PrincipalData,
         grad_k2=pfaffian_values(pd.k2, pd),
         x=_values(sj.pos), e1=_values(pd.e1), e2=_values(pd.e2),
         e3=_values(pd.e3))
+    fields = [fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1, *fp.grad_k2, *fp.x,
+              *fp.e1, *fp.e2, *fp.e3]
+    if pd.failed is not None:
+        finite = np.isfinite(fields).all(axis=0)
+        pd.failed[~finite & np.equal(pd.failed, None)] = JetDomainError
+    elif not all(map(math.isfinite, fields)):
+        raise JetDomainError(f"frame not finite at (u, v) = {(sj.u, sj.v)}")
+    return fp
 
 
 def frame_point(prog, u, v, tol: ToleranceSet = DEFAULT_TOLERANCES,
@@ -123,11 +139,10 @@ def frame_point(prog, u, v, tol: ToleranceSet = DEFAULT_TOLERANCES,
     `errors.FRAME_ERRORS`.  At arrays u, v of shape (N,) it is one
     FramePoint of arrays of shape (N,) and nothing raises: `pd.failed[i]`
     is None or the class of the exception the call at point i raises, and
-    that point's columns are meaningless."""
+    that point's columns are meaningless.  numpy warns at neither."""
     sj = eval_surface(prog, u, v, order)
-    if isinstance(sj.u, float):
-        return frame_point_from_pd(principal_data(sj, tol), tol)
-    # Failed points run through to the end on meaningless columns.
+    # numpy runs silently: a failed batch point runs through to the end on
+    # meaningless columns, and a point that overflows fails at the end.
     with np.errstate(all="ignore"):
         return frame_point_from_pd(principal_data(sj, tol), tol)
 

@@ -13,7 +13,11 @@ is computed on its own column, each branch becomes a per-point mask taken
 in that same order, after a first one for the points whose surface jet is
 not finite (their JetDomainError), and `PrincipalData.failed` keeps per
 point the class of the exception it would raise; no exception is built
-for a batch point.
+for a batch point.  Every threshold scale squares through `jt.power`, so
+a batch column's thresholds have its point's bits, and a square that
+overflows is inf at both shapes.  No test `value <= bound` holds for a
+NaN value, so a frame that overflows past them is failed later, by
+`frames.frame_point_from_pd`.
 """
 from __future__ import annotations
 
@@ -155,7 +159,7 @@ def principal_data(sj: SurfaceJet,
     xu, xv = _vdu(sj.pos), _vdv(sj.pos)
     E, F, G = vdot(xu, xu), vdot(xu, xv), vdot(xv, xv)
     W2 = E * G - F * F
-    trace_scale = (E.value + G.value) ** 2
+    trace_scale = jt.power(E.value + G.value, 2)
     failures.record(W2.value <= tol.metric * trace_scale,
                     DegenerateParametrization,
                     lambda: f"EG - F^2 = {W2.value:.3e}")
@@ -174,7 +178,8 @@ def principal_data(sj: SurfaceJet,
     h = (s11 + s22) * 0.5
     kgauss = s11 * s22 - s12 * s21
     disc = h * h - kgauss
-    gap_scale = 4 * abs(h.value) ** 2 + 4 * abs(disc.value) + tol.curvature_floor ** 2
+    gap_scale = (4 * jt.power(abs(h.value), 2) + 4 * abs(disc.value)
+                 + tol.curvature_floor ** 2)
     # (k1 - k2)^2 = 4 disc; at a near-umbilic point k1 = k2 = h, and the
     # squared curvature scale decides whether that point is parabolic.
     # It is the only umbilic test: past it the roots are real, so
@@ -182,7 +187,7 @@ def principal_data(sj: SurfaceJet,
     # 2 gap_scale, and (k1 - k2)^2 <= umbilic (|k1| + |k2| + floor)^2
     # would need disc <= (umbilic / 2) gap_scale, where `near` holds.
     near = disc.value <= tol.umbilic * gap_scale
-    near_scale = (abs(h.value) + abs(h.value) + tol.curvature_floor) ** 2
+    near_scale = jt.power(abs(h.value) + abs(h.value) + tol.curvature_floor, 2)
     failures.record(near & (abs(kgauss.value) <= tol.parabolic * near_scale),
                     ParabolicPoint, lambda: "principal curvature vanishes")
     failures.record(near, UmbilicPoint, lambda: f"k1 == k2 = {h.value:.6g}")
@@ -191,7 +196,7 @@ def principal_data(sj: SurfaceJet,
     k1 = h + root
     k2 = h - root
     k1v, k2v = k1.value, k2.value
-    scale = (abs(k1v) + abs(k2v) + tol.curvature_floor) ** 2
+    scale = jt.power(abs(k1v) + abs(k2v) + tol.curvature_floor, 2)
     failures.record(abs(k1v * k2v) <= tol.parabolic * scale,
                     ParabolicPoint, lambda: "principal curvature vanishes")
 

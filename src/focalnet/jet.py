@@ -674,8 +674,16 @@ _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 
 def power(x, n):
     """x ** n; in a batch `np.float_power`, the libm pow that Python calls
-    (array ``**`` multiplies instead, and can differ in the last bit)."""
-    return x ** n if isinstance(x, float) else np.float_power(x, n)
+    (array ``**`` multiplies instead, and can differ in the last bit).  At
+    a float where ``**`` raises OverflowError, np.float_power's +-inf, as a
+    batch column gets, without a warning."""
+    if isinstance(x, float):
+        try:
+            return x ** n
+        except OverflowError:
+            with np.errstate(over="ignore"):
+                return float(np.float_power(x, n))
+    return np.float_power(x, n)
 
 
 def hypot(a, b):

@@ -90,7 +90,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             raise ValueError(f"unknown net label '{n}' "
                              f"(expected one of {', '.join(NET_LABELS)})")
 
-    us, vs = np.array(grid_points(prog, nu, nv)).T
+    us, vs = np.reshape(grid_points(prog, nu, nv), (-1, 2)).T
     positions = prog.position(us, vs).T
     defined = np.isfinite(positions).all(axis=1)
     fp = frame_point(prog, us, vs, tol)
@@ -119,18 +119,20 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     # Base surface: every point with a computable position.
     _write_mesh("surface", positions, defined)
 
-    # Segment length: 0.05 x mean cell diagonal of the surface grid.
-    a, _, b, _ = _cells(nu, nv).T
-    both = defined[a] & defined[b]
-    d = positions[b[both]] - positions[a[both]]
-    # the bits of np.linalg.norm per row: norm(axis=1) and einsum differ
-    diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
-    seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
-
-    # Each sheet and net is computed once over the batch and then masked:
-    # the points without a frame, the sheet's canal points and, for a net,
-    # the points without real directions are dropped.
+    # numpy runs silently: a sum of squares may overflow, and the columns
+    # of the points without a frame are meaningless.
     with np.errstate(all="ignore"):
+        # Segment length: 0.05 x mean cell diagonal of the surface grid.
+        a, _, b, _ = _cells(nu, nv).T
+        both = defined[a] & defined[b]
+        d = positions[b[both]] - positions[a[both]]
+        # the bits of np.linalg.norm per row: norm(axis=1) and einsum differ
+        diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
+        seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
+
+        # Each sheet and net is computed once over the batch and then
+        # masked: the points without a frame, the sheet's canal points and,
+        # for a net, the points without real directions are dropped.
         usable = {sheet: framed & ~is_canal(fp, sheet, tol)
                   for sheet in {*central, *(NETS[n][1] for n in nets)}}
 

@@ -120,6 +120,8 @@ def _records(statuses, excluded, cols: dict) -> List[dict]:
     leaf columns `cols` (`_columns`' nesting; arrays for a batch, one value
     per leaf for one record): a `_NO_FRAME` status keeps the coordinates
     alone, and only a `USABLE` one keeps residuals and excluded."""
+    if not statuses:             # an empty grid, whose columns may be none
+        return []
     batch = isinstance(cols["u"], np.ndarray)
 
     def column(x) -> list:
@@ -304,9 +306,7 @@ def grid_report(prog, nu: int, nv: int,
     columns and summary come from the columns of `defect_report` over the
     grid's `frames.frame_point`, whose failed points keep their status.
     The frame's jets are released before the classification runs."""
-    pts = grid_points(prog, nu, nv)
-    us = np.array([u for u, _ in pts])
-    vs = np.array([v for _, v in pts])
+    us, vs = np.reshape(grid_points(prog, nu, nv), (-1, 2)).T
     fp = frame_point(prog, us, vs, tol)
     failed, fp.pd = fp.pd.failed, None
     with np.errstate(all="ignore"):

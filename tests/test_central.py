@@ -74,7 +74,14 @@ def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
 
 
 def test_canal_detection_torus(prog, tol):
-    """Tube sheet of the torus: curvature constant along its own line."""
+    """Tube sheet of the torus: curvature constant along its own line.  A
+    batch passes `check_canal`, and its canal columns read NaN in the
+    oracle (at (0.5, 1.1) nabla_2 k2 is 0.0 and the coframe singular)."""
+    batch = frame_point(prog("torus"), np.array([0.5, 0.9]),
+                        np.array([1.1, 0.4]), tol)
+    assert check_canal(batch, 2, tol).tolist() == [True, True]
+    cf = central_ii_oracle(batch, 2, tol)
+    assert np.isnan([cf.a, cf.b, cf.c, cf.q1, cf.q2]).all()
     fp = frame_point(prog("torus"), 0.5, 1.1, tol)
     with pytest.raises(CanalDegenerate) as ei:
         check_canal(fp, 2, tol)

@@ -8,8 +8,7 @@ import pytest
 
 from focalnet import jet as jt
 from focalnet.checks import domain_points
-from focalnet.errors import (FocalnetError, JetDomainError,
-                             ParabolicPoint, UmbilicPoint)
+from focalnet.errors import FocalnetError, ParabolicPoint, UmbilicPoint
 from focalnet.fdoracle import (aligned_frame_point, fd_directional,
                                fd_frame_field, fd_partial, fd_surface_jet,
                                jet_fd_error)
@@ -206,30 +205,35 @@ def test_fd_frame_field_is_the_per_node_richardson_pair(prog, tol, batch):
     assert np.array_equal(single, got[0])
 
 
-def test_stencil_node_outside_the_domain():
-    """A stencil node where sqrt(u) is undefined raises JetDomainError at
-    a point, as a per-node call there does, and leaves NaN in a batch:
-    for `fd_frame_field` and `fd_surface_jet`."""
-    program = compile_surface(parse_surface("""surface s {
-      x = u
-      y = v
-      z = sqrt(u) + u * v + v * v / 3
-      domain u in [0, 1] v in [-1, 1]
-    }"""))
+def test_stencil_node_outside_the_domain(graph_source):
+    """A stencil node where sqrt(u) is undefined leaves NaN, at a point as
+    in a one-column batch, and numpy stays silent (RuntimeWarning is an
+    error here): for `fd_frame_field` and `fd_surface_jet`."""
+    program = compile_surface(parse_surface(
+        graph_source("sqrt(u) + u * v + v * v / 3")))
     k1 = lambda g: g.k1
-    ref = frame_point(program, 0.05, 0.2)
-    assert np.isfinite(fd_frame_field(program, ref, k1, (1.0, 0.0), 0.02))
-    with pytest.raises(JetDomainError, match="stencil node"):
-        fd_frame_field(program, ref, k1, (1.0, 0.0), 0.03)
-    with np.errstate(all="ignore"):
-        got = fd_frame_field(
-            program, frame_point(program, np.array([0.05]), np.array([0.2])),
-            k1, (1.0, 0.0), 0.03)
-    assert np.isnan(got).all()
-    with pytest.raises(JetDomainError, match="stencil node"):
-        fd_surface_jet(program, 0.05, 0.2, 0.03)
-    got = fd_surface_jet(program, np.array([0.05]), np.array([0.2]), 0.03)
-    assert np.isnan(got.z.c).any()
+    for u, v in ((0.05, 0.2), (np.array([0.05]), np.array([0.2]))):
+        ref = frame_point(program, u, v)
+        assert np.isfinite(fd_frame_field(program, ref, k1, (1.0, 0.0), 0.02))
+        assert np.isnan(fd_frame_field(program, ref, k1, (1.0, 0.0), 0.03))
+        assert np.isnan(fd_surface_jet(program, u, v, 0.03).z.c).any()
+
+
+def test_degenerate_stencil_node_reads_nan(graph_source, tol):
+    """On z = u^3 + v^2 at (0.02, 0.3) with h = 0.02 along u, two of the
+    eight nodes lie on the parabolic line u = 0: every derivative of the
+    point frame and of a one-column batch is NaN, silently."""
+    program = compile_surface(parse_surface(graph_source("u^3 + v^2")))
+    nodes = 0.02 + np.array([-2, -1, 1, 2, -4, -2, 2, 4]) * 0.01
+    failed = frame_point(program, nodes, np.full(8, 0.3), tol).pd.failed
+    assert failed.tolist() == [ParabolicPoint] + [None] * 4 + [
+        ParabolicPoint] + [None] * 2
+    for u, v in ((0.02, 0.3), (np.array([0.02]), np.array([0.3]))):
+        got = fd_frame_field(program, frame_point(program, u, v, tol),
+                             lambda g: (g.k1, g.k2, g.e1[0]), (1.0, 0.0),
+                             0.02, tol)
+        assert all(np.shape(d) == np.shape(u) and np.isnan(d).all()
+                   for d in got)
 
 
 @pytest.mark.parametrize("surface", ["graph_generic", "dini"])

@@ -367,12 +367,16 @@ def test_series_overflow_is_a_domain_error():
 
 def test_value_helpers_give_python_bits_on_arrays(rng):
     """power, hypot, largest/smallest and pick give, point by point on
-    arrays, exactly what they give on the point's floats."""
-    x = rng.standard_normal(4000) * np.exp(rng.uniform(-20, 20, 4000))
+    arrays, exactly what they give on the point's floats; up to |x| =
+    1e300, so that power overflows, to +-inf at both shapes."""
+    x = rng.standard_normal(4000) * 10.0 ** rng.uniform(-20, 300, 4000)
     y = rng.standard_normal(4000)
     xs, ys = x.tolist(), y.tolist()
     for n in (2, 3):
-        assert jt.power(x, n).tolist() == [jt.power(a, n) for a in xs]
+        with np.errstate(over="ignore"):
+            got = jt.power(x, n)
+        assert np.isinf(got).any()
+        assert got.tolist() == [jt.power(a, n) for a in xs]
     assert jt.hypot(x, y).tolist() == [jt.hypot(a, b) for a, b in zip(xs, ys)]
     for f, py in ((jt.largest, max), (jt.smallest, min)):
         got = f(abs(x), abs(y))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -94,6 +95,21 @@ def test_json_roundtrip_and_determinism(prog, tol):
     assert d["schema"] == 1 and d["nu"] == 4 and d["nv"] == 3
     with pytest.raises(ValueError):
         GridReport.from_dict({"schema": 2})
+
+
+@pytest.mark.parametrize("nu, nv", [(0, 5), (5, 0)])
+def test_empty_grid(tmp_path, prog, tol, nu, nv):
+    """A grid with no points: its report round-trips through JSON and its
+    export writes a manifest that marks the surface unwritten."""
+    program = prog("graph_generic")
+    rep = grid_report(program, nu, nv, tol)
+    back = parse_json(emit_json(rep))
+    assert back.records == [] and back.to_dict() == rep.to_dict()
+    assert back == rep and emit_csv(back) == emit_csv(rep)
+    manifest = export_obj(program, nu, nv, str(tmp_path), central=(1, 2),
+                          nets=("13",), tol=tol)
+    assert manifest["objects"]["surface"]["written"] is False
+    assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
 
 def test_summary_recomputable(prog, tol):
@@ -337,6 +353,37 @@ def test_overflow_past_the_outputs_order_is_not_read(graph_source, tol):
     assert point_record(program, 0.0, 0.3, tol)["status"] == "degenerate"
 
 
+def _numbers(tree):
+    """The numbers among the leaves of a record."""
+    if isinstance(tree, dict):
+        return [x for value in tree.values() for x in _numbers(value)]
+    return [tree] if isinstance(tree, float) else []
+
+
+def test_overflowing_frames_fail_at_both_shapes(tmp_path, graph_source, tol):
+    """graph_generic's z scaled by 1e80 to 1e308: a frame that overflows
+    fails as `degenerate` at a point and in a batch.  Each grid record is
+    point_record's byte for byte, no record with a frame (ok, moulding,
+    canal*) holds a non-finite number, and no OBJ vertex is nan or inf."""
+    for exponent in (80, 100, 120, 150, 154, 160, 200, 250, 300, 308):
+        program = compile_surface(parse_surface(graph_source(
+            f"1e{exponent} * (sin(u) * cos(v) + u * v^2 / 5)")))
+        rep = grid_report(program, 5, 5, tol)
+        for rec in rep.records:
+            assert (json.dumps(rec, sort_keys=True)
+                    == json.dumps(point_record(program, rec["u"], rec["v"],
+                                               tol), sort_keys=True))
+            assert all(map(math.isfinite, _numbers(rec))), (exponent, rec)
+        out = tmp_path / str(exponent)
+        export_obj(program, 5, 5, str(out), central=(1, 2),
+                   nets=tuple(NETS), tol=tol)
+        for obj in out.glob("*.obj"):
+            vertices = [line for line in obj.read_text().splitlines()
+                        if line.startswith("v ")]
+            assert not any("nan" in line or "inf" in line
+                           for line in vertices), (exponent, obj.name)
+
+
 def test_frame_point_of_no_points(prog, tol):
     fp = frame_point(prog("graph_generic"), [], [], tol)
     assert fp.pd.failed.tolist() == []
@@ -526,6 +573,17 @@ def test_cli_eval_degenerate_exits_nonzero(capsys):
             ("torus", "0.4,0.9", "canal12 (CanalDegenerate(sheets 1,2))")):
         assert cli.main(["eval", "--surface", surface, "--at", at]) == 1
         assert f"status:  {status}" in capsys.readouterr().out
+
+
+def test_cli_eval_overflowing_point(capsys):
+    """A frame that overflows is a status line and exit 1: no traceback,
+    and no RuntimeWarning (an error under this test suite)."""
+    assert cli.main(["eval", "--surface", "graph_generic",
+                     "--at", "1e308,0"]) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"^status:  [a-z]+ \([A-Za-z]+\)$", captured.out,
+                     re.MULTILINE)
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("x, z, condition", [
