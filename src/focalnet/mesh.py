@@ -18,15 +18,17 @@ float evaluator's in the last bit at some points (195, 204 and 515 of the
 1600 points of 40 x 40 monkey_saddle, enneper and dini), and the manifest
 writes `segment_length` by `repr` (monkey_saddle's would move).  The
 segment length is the mean of the cell diagonals' lengths, each with the
-bits of `np.linalg.norm` of its row, summed left to right.  The frames
-behind the focal sheets and net segments come from one `frames.frame_point`
-call on the grid's arrays, and everything after it runs on whole arrays:
-`central.is_canal` masks the canal points of a sheet, `central_point` gives
-all its positions, a net builder all its coefficients and
-`nets.net_directions` all its directions with the class of each point that
-has none, so no exception is built for an undefined position, a canal
-point or an imaginary net.  Faces come from a mask of the present
-vertices, and each file's text from one % format per kind of line.
+bits of `np.linalg.norm` of its row (a scaled norm where the row's sum of
+squares overflows, so the manifest stays finite), summed left to right.
+The frames behind the focal sheets and net segments come from one
+`frames.frame_point` call on the grid's arrays, and everything after it
+runs on whole arrays: `central.is_canal` masks the canal points of a
+sheet, `central_point` gives all its positions, a net builder all its
+coefficients and `nets.net_directions` all its directions with the class
+of each point that has none, so no exception is built for an undefined
+position, a canal point or an imaginary net.  Faces come from a mask of
+the present vertices, and each file's text from one % format per kind of
+line.
 """
 from __future__ import annotations
 
@@ -126,8 +128,14 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         a, _, b, _ = _cells(nu, nv).T
         both = defined[a] & defined[b]
         d = positions[b[both]] - positions[a[both]]
-        # the bits of np.linalg.norm per row: norm(axis=1) and einsum differ
-        diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel()).tolist()
+        # the bits of np.linalg.norm per row (norm(axis=1) and einsum
+        # differ), and max|d| sqrt(sum (d / max|d|)^2) where the sum of
+        # squares overflows
+        diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+        big = np.isinf(diags)
+        top = np.abs(d[big]).max(axis=1, keepdims=True)
+        diags[big] = top[:, 0] * np.sqrt(((d[big] / top) ** 2).sum(axis=1))
+        diags = diags.tolist()
         seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
 
         # Each sheet and net is computed once over the batch and then

@@ -15,29 +15,33 @@ string instead of values — never NaN:
 
 Records are ordered u-major ((u index, v index) lexicographic).
 
-`grid_report` evaluates and classifies its whole grid as one batch
-(`frames.frame_point` on arrays, then `classify.defect_report`) and keeps
-the result as columns: a `GridReport` holds one float64 or bool array per
-leaf of a record (``k1``, ``flags.cmc``, ``defects.class.mean``,
+A report is its columns.  `grid_report` evaluates and classifies its
+whole grid as one batch (`frames.frame_point` on arrays, then
+`classify.defect_report`), and a `GridReport` keeps one float64 or bool
+array per leaf of a record (``k1``, ``flags.cmc``, ``defects.class.mean``,
 ``prop_residuals.prop1_s1.lhs_defect``, ...), nested as in a record, next
-to the status and excluded columns.  `parse_json` fills the same columns
-from the records it reads.  `_records` builds records from such columns:
-a report's ``records`` on first reading, and `point_record` from one
-point's floats, so a grid record equals the `point_record` of its point
-byte for byte.
+to the status and excluded columns.  `_columns` is the one statement of
+those leaves; the rest reads them by generic code.  `_records` splits the
+nesting into records and applies the shape rule: a report's ``records`` on
+first reading, and `point_record` from one point's floats, so a grid record
+equals the `point_record` of its point byte for byte.  `_read_columns`
+reads records back into columns, for `parse_json` and `summarize`, and
+`_summary` aggregates columns, for `grid_report` and `summarize` alike.
 
 The emitters write text straight from the columns, byte for byte what
 ``json.dumps(report.to_dict(), sort_keys=True)`` (one line) and
-``csv.writer`` would write.  A record's shape, its status and, in a full
-record, its excluded statements, fixes all of it but its float and bool
-leaves.  So each shape has one template, the record `_records` builds from
-placeholder leaves, rendered once (by ``json.dumps``, so key order and
-separators are its by construction), and each record is one ``%`` of its
-shape's template.  A float is written as its ``repr`` (the shortest
-round-trip form; JSON writes ``NaN``, ``Infinity`` and ``-Infinity`` where
-a value is not finite, as ``json.dumps`` does), and each emitter formats
-each distinct bit pattern of its floats once.  Identical inputs produce
-byte-identical files; ``python -m json.tool`` indents the JSON for reading.
+``csv.writer`` would write.  A float is written as its ``repr`` (the
+shortest round-trip form; JSON writes ``NaN``, ``Infinity`` and
+``-Infinity`` where a value is not finite, as ``json.dumps`` does), and
+each emitter formats each distinct bit pattern of its floats once.  In the
+JSON, a record's shape, its status and, in a full record, its excluded
+statements, fixes all of it but its float and bool leaves.  So each shape
+has one template, the record `_records` builds from placeholder leaves,
+rendered once by ``json.dumps`` (so key order and separators are its by
+construction), and each record is one ``%`` of its shape's template.  The
+CSV is written column by column, blank past the status where the frame
+failed.  Identical inputs produce byte-identical files; ``python -m
+json.tool`` indents the JSON for reading.
 """
 from __future__ import annotations
 
@@ -45,8 +49,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
+from itertools import compress, repeat
+from operator import is_not
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -69,20 +74,20 @@ USABLE = ("ok", "moulding")
 # Statuses of a failed frame: the record holds the coordinates alone.
 _NO_FRAME = frozenset(error.status for error in FRAME_ERRORS)
 
-_CSV_VALUES = ("u", "v", "status", "k1", "k2", "h", "k", "q1", "q2")
+_CSV_VALUES = ("k1", "k2", "h", "k", "q1", "q2")
 _CSV_FLAGS = ("weingarten", "cmc", "const_gauss", "moulding", "canal1",
               "canal2")
-_CSV_COLUMNS = (_CSV_VALUES + _CSV_FLAGS + ("w_defect",)
-                + tuple("d_" + n for n in CLASS_NAMES))
+_CSV_COLUMNS = (("u", "v", "status") + _CSV_VALUES + _CSV_FLAGS
+                + ("w_defect",) + tuple("d_" + n for n in CLASS_NAMES))
+
+
+# The keys of a record; a record without a frame holds null past status.
+_RECORD_KEYS = ("u", "v", "status", "k1", "k2", "h", "k", "q1", "q2",
+                "flags", "defects", "prop_residuals", "excluded")
 
 
 def _empty_record(u: float, v: float, status: str) -> dict:
-    return {
-        "u": u, "v": v, "status": status,
-        "k1": None, "k2": None, "h": None, "k": None,
-        "q1": None, "q2": None, "flags": None, "defects": None,
-        "prop_residuals": None, "excluded": None,
-    }
+    return {**dict.fromkeys(_RECORD_KEYS), "u": u, "v": v, "status": status}
 
 
 def point_record(prog, u: float, v: float,
@@ -115,6 +120,16 @@ def _columns(u, v, fp, rep: DefectReport) -> dict:
     }
 
 
+def _split(tree: dict, n: int) -> List[dict]:
+    """The n per-record dicts of columns over n records nested as in a
+    record: an array leaf gives its entries, an empty dict n empty ones."""
+    if not tree:
+        return [{} for _ in range(n)]
+    parts = [_split(x, n) if isinstance(x, dict) else x.tolist()
+             for x in tree.values()]
+    return [dict(zip(tree, values)) for values in zip(*parts)]
+
+
 def _records(statuses, excluded, cols: dict) -> List[dict]:
     """The records with these statuses and excluded statements from their
     leaf columns `cols` (`_columns`' nesting; arrays for a batch, one value
@@ -122,65 +137,20 @@ def _records(statuses, excluded, cols: dict) -> List[dict]:
     alone, and only a `USABLE` one keeps residuals and excluded."""
     if not statuses:             # an empty grid, whose columns may be none
         return []
-    batch = isinstance(cols["u"], np.ndarray)
-
-    def column(x) -> list:
-        return x.tolist() if batch else [x]
-
-    def per_point(d: dict) -> list:
-        if not batch:
-            return [d]
-        return [dict(zip(d, vals)) for vals in zip(*map(column, d.values()))]
-
-    us, vs = column(cols["u"]), column(cols["v"])
-    if "flags" not in cols:      # a parsed report whose frames all failed
-        return [_empty_record(u, v, s) for u, v, s in zip(us, vs, statuses)]
-    defects, prop = cols["defects"], cols.get("prop_residuals", {})
-    keys = list(prop)
+    framed = "flags" in cols     # not in a parsed report whose frames failed
     records = []
-    for (u, v, status, exc, k1, k2, h, k, q1, q2, w, md, flags, raw,
-         normed, row) in zip(
-            us, vs, statuses, excluded,
-            *map(column, (cols["k1"], cols["k2"], cols["h"], cols["k"],
-                          cols["q1"], cols["q2"], defects["w"],
-                          defects["moulding"])),
-            per_point(cols["flags"]), per_point(defects["class"]),
-            per_point(defects["class_normalized"]),
-            zip(*(per_point(prop[key]) for key in keys))
-            if keys else repeat(())):
-        if status in _NO_FRAME:
-            records.append(_empty_record(u, v, status))
-            continue
-        usable = status in USABLE
-        records.append({
-            "u": u, "v": v, "status": status, "k1": k1, "k2": k2,
-            "h": h, "k": k, "q1": q1, "q2": q2, "flags": flags,
-            "defects": {"w": w, "moulding": md, "class": raw,
-                        "class_normalized": normed},
-            "prop_residuals": dict(zip(keys, row)) if usable else None,
-            "excluded": list(exc) if usable else None,
-        })
-    return records
-
-
-def _leaves(tree: dict, path: Tuple[str, ...] = ()) -> Iterator[tuple]:
-    """(path, value) of each leaf of nested dicts, depth first."""
-    for key, x in tree.items():
-        if isinstance(x, dict):
-            yield from _leaves(x, path + (key,))
+    for status, exc, rec in zip(
+            statuses, excluded,
+            _split(cols, len(statuses))
+            if isinstance(cols["u"], np.ndarray) else [cols]):
+        if status in _NO_FRAME or not framed:
+            records.append(_empty_record(rec["u"], rec["v"], status))
+        elif status in USABLE:
+            records.append({**rec, "status": status, "excluded": list(exc)})
         else:
-            yield path + (key,), x
-
-
-def _nest(paths, values) -> dict:
-    """The nested dicts holding each value at its path."""
-    tree: dict = {}
-    for path, x in zip(paths, values):
-        node = tree
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = x
-    return tree
+            records.append({**rec, "status": status, "prop_residuals": None,
+                            "excluded": None})
+    return records
 
 
 def grid_points(prog, nu: int, nv: int):
@@ -195,47 +165,93 @@ def summarize(records: List[dict]) -> dict:
     """Aggregate a record list: status counts plus max/mean of each defect
     and identity residual over the non-degenerate (ok/moulding) records.
     Deterministic; recomputable from the records alone."""
-    live = [r for r in records if r["status"] in USABLE]
-    defects = [r["defects"] for r in live]
-    return _summary(
-        [r["status"] for r in records], [d["w"] for d in defects],
-        [d["moulding"] for d in defects],
-        {n: [d["class"][n] for d in defects] for n in CLASS_NAMES},
-        {n: [d["class_normalized"][n] for d in defects] for n in CLASS_NAMES},
-        {key: [r["prop_residuals"][key]["identity_residual"] for r in live]
-         for key in (sorted(live[0]["prop_residuals"]) if live else [])})
+    return _summary([r["status"] for r in records], _read_columns(records))
 
 
-def _summary(statuses: List[str], w: list, moulding: list, raw: dict,
-             normed: dict, identity: dict) -> dict:
-    """`summarize` from the statuses of all records and, per aggregate, its
-    values over the usable ones in record order.  Python's max and
-    left-to-right sum: np.sum adds pairwise, and would move the bits."""
-    def agg(values: list) -> dict:
-        if not values:
-            return {"max": None, "mean": None}
-        return {"max": max(values), "mean": sum(values) / len(values)}
-
+def _summary(statuses: List[str], columns: dict) -> dict:
+    """`summarize` from the statuses of all records and their columns
+    (`_columns`' nesting).  Each aggregate is Python's max and
+    left-to-right sum over its column's usable entries, in record order
+    (np.sum adds pairwise, and would move the bits); where no record is
+    usable, every aggregate is null and no column is read."""
     counts = {s: 0 for s in STATUSES}
     for status in statuses:
         counts[status] += 1
-    defects = {"w_abs": agg([abs(x) for x in w]), "moulding": agg(moulding)}
-    for n in CLASS_NAMES:
-        defects["class_" + n] = agg(raw[n])
-        defects["class_normalized_" + n] = agg(normed[n])
+    live = np.array([s in USABLE for s in statuses], dtype=bool)
+    n = int(live.sum())
+
+    def agg(*path: str, f=None) -> dict:
+        if not n:
+            return {"max": None, "mean": None}
+        col = columns
+        for key in path:
+            col = col[key]
+        values = (f(col[live]) if f else col[live]).tolist()
+        return {"max": max(values), "mean": sum(values) / n}
+
+    defects = {"w_abs": agg("defects", "w", f=np.abs),
+               "moulding": agg("defects", "moulding")}
+    for c in CLASS_NAMES:
+        for key in ("class", "class_normalized"):
+            defects[f"{key}_{c}"] = agg("defects", key, c)
+    keys = sorted(columns["prop_residuals"]) if n else []
     return {"status_counts": counts, "defects": defects,
-            "identity_residuals": {k: agg(v) for k, v in identity.items()},
-            "n_records": len(statuses), "n_summarized": len(w)}
+            "identity_residuals": {
+                k: agg("prop_residuals", k, "identity_residual")
+                for k in keys},
+            "n_records": len(statuses), "n_summarized": n}
+
+
+def _read_columns(records: List[dict]) -> dict:
+    """The columns of a record list, nested as in a record (with sorted
+    keys): each leaf a record holds (not null) fills its entry of that
+    leaf's column, a float64 or bool array over the records.  The status
+    and excluded are left out."""
+    n = len(records)
+
+    def read(nodes: list, rows: list, skip=()) -> dict:
+        tree = {}
+        for key in sorted(set().union(*nodes).difference(skip)):
+            values = list(map(dict.get, nodes, repeat(key)))
+            held = list(map(is_not, values, repeat(None)))
+            at, values = list(compress(rows, held)), list(compress(values,
+                                                                   held))
+            if not values:
+                continue
+            if isinstance(values[0], dict):
+                if not all(map(isinstance, values, repeat(dict))):
+                    raise ValueError(f"leaf {key!r} is an object in some "
+                                     f"records only")
+                tree[key] = read(values, at)
+                continue
+            tree[key] = (np.zeros(n, dtype=bool) if isinstance(values[0], bool)
+                         else np.full(n, np.nan))
+            try:
+                tree[key][at] = values
+            except TypeError:
+                raise ValueError(f"leaf {key!r} holds a value that is not a "
+                                 f"number") from None
+        return tree
+    return read(records, list(range(n)), ("status", "excluded"))
+
+
+def _require(d, keys, what: str) -> None:
+    """ValueError unless `d` is a dict holding `keys`, naming those lacking."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    missing = [key for key in keys if key not in d]
+    if missing:
+        raise ValueError(f"{what} has no {', '.join(missing)}")
 
 
 @dataclass(eq=False)
 class GridReport:
     """A grid's report as columns: per record its status and excluded
     statements (read in full records only), and `columns`, one float64 or
-    bool array over the records per leaf, nested as in a record (`_leaves`
-    gives each with its path).  A column's entries at a record whose shape
-    has no such leaf are meaningless.  ``records`` is a view, built once on
-    first reading; two reports are equal when their `to_dict` are."""
+    bool array over the records per leaf, nested as in a record.  A
+    column's entries at a record whose shape has no such leaf are
+    meaningless.  ``records`` is a view, built once on first reading; two
+    reports are equal when their `to_dict` are."""
     surface: str
     params: Dict[str, float]
     nu: int
@@ -270,34 +286,27 @@ class GridReport:
     @classmethod
     def from_dict(cls, d: dict) -> "GridReport":
         """The report of a schema-1 document, its records read into
-        columns: each leaf a record holds (not null) fills its entry of
-        that leaf's column."""
-        if d.get("schema") != 1:
-            raise ValueError(f"unsupported report schema: {d.get('schema')}")
+        columns by `_read_columns`.  ValueError names what makes `d` no
+        such document: another schema, a missing key or an unknown
+        status."""
+        _require(d, ("schema",), "the report")
+        if d["schema"] != 1:
+            raise ValueError(f"unsupported report schema: {d['schema']}")
+        _require(d, ("surface", "params", "nu", "nv", "records", "summary"),
+                 "the report")
         records = d["records"]
+        if not isinstance(records, list):
+            raise ValueError("the report's records are not a JSON array")
+        for i, rec in enumerate(records):
+            _require(rec, _RECORD_KEYS, f"record {i}")
         status = [rec["status"] for rec in records]
         unknown = set(status).difference(STATUSES)
         if unknown:
             raise ValueError(f"unknown record status: {sorted(unknown)}")
-        found: Dict[tuple, tuple] = {}
-        for i, rec in enumerate(records):
-            for path, x in _leaves(rec):
-                if x is not None and path not in (("status",), ("excluded",)):
-                    found.setdefault(path, ([], []))
-                    found[path][0].append(i)
-                    found[path][1].append(x)
-        columns = []
-        for rows, values in found.values():
-            if isinstance(values[0], bool):
-                col = np.zeros(len(records), dtype=bool)
-            else:
-                col = np.full(len(records), np.nan)
-            col[rows] = values
-            columns.append(col)
         return cls(surface=d["surface"], params=d["params"],
                    nu=d["nu"], nv=d["nv"], status=status,
                    excluded=[tuple(rec["excluded"] or ()) for rec in records],
-                   columns=_nest(found, columns), summary=d["summary"])
+                   columns=_read_columns(records), summary=d["summary"])
 
 
 def grid_report(prog, nu: int, nv: int,
@@ -314,48 +323,59 @@ def grid_report(prog, nu: int, nv: int,
         columns = _columns(us, vs, fp, rep)
     statuses = [kind.status if kind else status
                 for kind, status in zip(failed, rep.status.tolist())]
-    live = np.isin(statuses, USABLE)
-
-    def col(values) -> list:
-        return values[live].tolist()
-
-    summary = _summary(
-        statuses, col(rep.w_defect), col(rep.moulding_defect),
-        {n: col(a) for n, a in rep.class_defects.items()},
-        {n: col(a) for n, a in rep.class_defects_normalized.items()},
-        {k: col(r.identity_residual)
-         for k, r in sorted(rep.prop_residuals.items())}
-        if live.any() else {})
     return GridReport(surface=prog.definition.name,
                       params=dict(prog.params), nu=nu, nv=nv,
                       status=statuses, excluded=rep.excluded.tolist(),
-                      columns=columns, summary=summary)
+                      columns=columns, summary=_summary(statuses, columns))
 
 
-class _Format(NamedTuple):
-    """How one emitter writes a record: `render` writes a record whose
-    leaves are text, `leaf` matches a rendered `_placeholder` and takes its
-    index, `floats` writes an array of floats, and `bools` holds the text
-    of False and of True."""
-    render: Callable[[dict], str]
-    leaf: re.Pattern
-    floats: Callable[[np.ndarray], List[str]]
-    bools: Tuple[str, str]
+def _texts(cols: List[np.ndarray], bools: Tuple[str, str],
+           dumps) -> np.ndarray:
+    """The text of each entry of the columns `cols`, (len(cols), n)
+    objects: `bools` holds the text of False and of True, and a float is
+    written as `dumps` (``json.dumps`` or ``repr``) writes it in a list,
+    once per distinct bit pattern of the float columns.  Those are stacked
+    and ravelled, so that numpy 1.x and 2.x give np.unique one inverse
+    shape."""
+    texts = np.empty((len(cols), len(cols[0])), dtype=object)
+    floats = []
+    for k, col in enumerate(cols):
+        if col.dtype == bool:
+            texts[k] = np.array(bools, dtype=object)[col.view(np.uint8)]
+        else:
+            floats.append(k)
+    bits, inverse = np.unique(
+        np.stack([cols[k] for k in floats]).ravel().view(np.int64),
+        return_inverse=True)
+    written = np.array(dumps(bits.view(np.float64).tolist())[1:-1]
+                       .split(", "), dtype=object)
+    texts[floats] = written[inverse].reshape(len(floats), len(cols[0]))
+    return texts
 
 
-def _placeholder(k: int) -> str:
-    """The text standing for leaf k in a template: NUL and the index."""
-    return "\0%d" % k
+# json.dumps writes a placeholder leaf, NUL and the leaf's index, as
+# "\u0000" and the index, in quotes.
+_LEAF = re.compile(r'"\\u0000(\d+)"')
 
 
-def _record_texts(report: GridReport, fmt: _Format) -> List[str]:
-    """Each record of `report` written in `fmt`, in record order: the
-    template of its shape filled with the text of its leaves."""
-    paths, cols = [], []
-    for path, col in _leaves(report.columns):
-        paths.append(path)
-        cols.append(col)
-    marks = _nest(paths, map(_placeholder, range(len(paths))))
+def _json_records(report: GridReport) -> List[str]:
+    """Each record of `report` as JSON, in record order: the template of
+    its shape, ``json.dumps`` of the record `_records` builds from
+    placeholder leaves, filled with the text of its leaves."""
+    n = len(report.status)
+    if not n:
+        return []
+    cols: List[np.ndarray] = []
+
+    def mark(x):
+        """`x` with each leaf, depth first, put in `cols` and replaced by
+        NUL and its index there."""
+        if isinstance(x, dict):
+            return {key: mark(y) for key, y in x.items()}
+        cols.append(x)
+        return "\0%d" % (len(cols) - 1)
+
+    marks = mark(report.columns)
     shapes: Dict[tuple, List[int]] = {}     # shape -> its records
     for i, (status, excluded) in enumerate(zip(report.status,
                                                report.excluded)):
@@ -363,33 +383,12 @@ def _record_texts(report: GridReport, fmt: _Format) -> List[str]:
         shapes.setdefault(shape, []).append(i)
     templates = {}                          # shape -> (template, leaves)
     for status, excluded in shapes:
-        text = fmt.render(_records([status], [excluded], marks)[0])
-        text = text.replace("%", "%%")
+        text = json.dumps(_records([status], [excluded], marks)[0],
+                          sort_keys=True).replace("%", "%%")
         templates[status, excluded] = (
-            fmt.leaf.sub("%s", text),
-            [int(k) for k in fmt.leaf.findall(text)])
+            _LEAF.sub("%s", text), [int(k) for k in _LEAF.findall(text)])
 
-    # The text of every leaf a template reads, at every record.  The float
-    # columns are stacked and ravelled (so that numpy 1.x and 2.x give
-    # np.unique one inverse shape), and each distinct bit pattern is
-    # written once.
-    used = sorted({k for _, leaves in templates.values() for k in leaves})
-    n = len(report.status)
-    texts = np.empty((len(paths), n), dtype=object)
-    bools = np.array(fmt.bools, dtype=object)
-    floats = []
-    for k in used:
-        if cols[k].dtype == bool:
-            texts[k] = bools[cols[k].view(np.uint8)]
-        else:
-            floats.append(k)
-    if floats:
-        bits, inverse = np.unique(
-            np.stack([cols[k] for k in floats]).ravel().view(np.int64),
-            return_inverse=True)
-        written = np.array(fmt.floats(bits.view(np.float64)), dtype=object)
-        texts[floats] = written[inverse].reshape(len(floats), n)
-
+    texts = _texts(cols, ("false", "true"), json.dumps)
     out = [""] * n
     for shape, rows in shapes.items():
         template, leaves = templates[shape]
@@ -398,64 +397,46 @@ def _record_texts(report: GridReport, fmt: _Format) -> List[str]:
     return out
 
 
-def _reprs(values: np.ndarray) -> List[str]:
-    """``repr`` of each float (``nan``, ``inf`` and ``-inf`` where a value
-    is not finite, as csv.writer writes them)."""
-    return list(map(float.__repr__, values.tolist()))
-
-
-def _json_floats(values: np.ndarray) -> List[str]:
-    """``json.dumps``' text of each float: its ``repr``, or ``NaN``,
-    ``Infinity`` and ``-Infinity`` where it is not finite."""
-    texts = _reprs(values)
-    for i in np.flatnonzero(~np.isfinite(values)):
-        x = values[i]
-        texts[i] = "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-    return texts
-
-
-def _csv_row(rec: dict) -> str:
-    """A record's CSV row from its leaves' text; no cell holds a comma, a
-    quote or a line break, so csv.writer would quote none."""
-    cells = [rec[k] for k in _CSV_VALUES]
-    flags, defects = rec["flags"], rec["defects"]
-    if flags is None:
-        cells += [None] * (len(_CSV_COLUMNS) - len(cells))
-    else:
-        cells += [flags[k] for k in _CSV_FLAGS]
-        cells.append(defects["w"])
-        cells += [defects["class_normalized"][n] for n in CLASS_NAMES]
-    return ",".join("" if c is None else c for c in cells)
-
-
-# json.dumps writes a placeholder's NUL as \u0000, inside quotes.
-_JSON = _Format(render=lambda rec: json.dumps(rec, sort_keys=True),
-                leaf=re.compile(r'"\\u0000(\d+)"'), floats=_json_floats,
-                bools=("false", "true"))
-_CSV = _Format(render=_csv_row, leaf=re.compile("\0(\\d+)"), floats=_reprs,
-               bools=("0", "1"))
-
-
 def emit_json(report: GridReport) -> str:
     """The report as one line of JSON with sorted keys, byte for byte
     ``json.dumps(report.to_dict(), sort_keys=True)``: the document around
     the records by ``json.dumps``, each record from its shape's template
     (see the module docstring).  ``python -m json.tool`` indents it for
     reading."""
-    mark = _placeholder(0)
+    mark = "\0"
     head, _, tail = json.dumps(report._document(mark),
                                sort_keys=True).partition(json.dumps(mark))
-    return "".join((head, "[", ", ".join(_record_texts(report, _JSON)), "]",
+    return "".join((head, "[", ", ".join(_json_records(report)), "]",
                     tail, "\n"))
 
 
 def parse_json(text: str) -> GridReport:
+    """The report of a JSON document; ValueError if it is not a schema-1
+    report."""
     return GridReport.from_dict(json.loads(text))
 
 
 def emit_csv(report: GridReport) -> str:
     """One row per record, byte for byte what ``csv.writer`` writes of the
-    records: a float as its ``repr``, ``None`` as an empty cell, and a
-    flag as 1 or 0; each row from its shape's template."""
-    return "\n".join([",".join(_CSV_COLUMNS)]
-                     + _record_texts(report, _CSV)) + "\n"
+    records, written column by column: a float as its ``repr``, a flag as
+    1 or 0, and empty cells past the status of a record without a frame
+    (no cell holds a comma, a quote or a line break, so csv.writer would
+    quote none)."""
+    cols, n = report.columns, len(report.status)
+    table = np.full((len(_CSV_COLUMNS), n), "", dtype=object)
+    table[2] = report.status
+    if n:
+        leaves = [cols["u"], cols["v"]]
+        framed = "flags" in cols    # not in a parsed report without frames
+        if framed:
+            d = cols["defects"]
+            leaves += [cols[k] for k in _CSV_VALUES] + [
+                cols["flags"][k] for k in _CSV_FLAGS] + [d["w"]] + [
+                d["class_normalized"][c] for c in CLASS_NAMES]
+        texts = _texts(leaves, ("0", "1"), repr)
+        table[:2] = texts[:2]
+        if framed:
+            rows = np.array([s not in _NO_FRAME for s in report.status])
+            table[3:, rows] = texts[2:, rows]
+    return "".join(",".join(row) + "\n"
+                   for row in [_CSV_COLUMNS] + table.T.tolist())

@@ -27,7 +27,7 @@ from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
 from focalnet.mesh import export_obj
-from focalnet.sdl import compile_surface, parse_surface
+from focalnet.sdl import compile_surface, gallery_source, parse_surface
 
 # z undefined on the u = 0 column of a 3x3 grid (ln also on u < 0), with
 # the number of grid points where it is defined
@@ -95,6 +95,33 @@ def test_json_roundtrip_and_determinism(prog, tol):
     assert d["schema"] == 1 and d["nu"] == 4 and d["nv"] == 3
     with pytest.raises(ValueError):
         GridReport.from_dict({"schema": 2})
+
+
+def _document(*records) -> str:
+    """A schema-1 report of ok records, each with these leaves."""
+    keys = ("u", "v", "status", "k1", "k2", "h", "k", "q1", "q2", "flags",
+            "defects", "prop_residuals", "excluded")
+    return json.dumps({
+        "schema": 1, "surface": "s", "params": {}, "nu": 1,
+        "nv": len(records), "summary": {},
+        "records": [{**dict.fromkeys(keys), "u": 0.0, "v": 0.0,
+                     "status": "ok", **rec} for rec in records]})
+
+
+@pytest.mark.parametrize("text", [
+    '{"schema": 1}', '[]', '{"schema": 1, "records": [{"status": "ok"}]}',
+    '{"schema": 1, "surface": "s", "params": {}, "nu": 1, "nv": 1, '
+    '"summary": {}, "records": [{"status": "ok"}]}',
+    _document({"flags": {"cmc": True}}, {"flags": 1.0}),
+    _document({"k1": 1.0}, {"k1": {"x": 1.0}})],
+    ids=["no_records", "array", "no_surface", "record_without_leaves",
+         "object_and_number", "number_and_object"])
+def test_parse_json_refuses_what_is_no_report(text):
+    """A document that is not a schema-1 report raises ValueError naming
+    what is missing or malformed, not KeyError, AttributeError or
+    TypeError."""
+    with pytest.raises(ValueError, match="JSON object| has no |leaf '"):
+        parse_json(text)
 
 
 @pytest.mark.parametrize("nu, nv", [(0, 5), (5, 0)])
@@ -523,6 +550,32 @@ def test_segment_length_is_the_per_row_norm(tmp_path, prog):
             want = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
             got = export_obj(program, n, n, str(tmp_path / f"{name}{n}"))
             assert repr(got["segment_length"]) == repr(want), (name, n)
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+def test_segment_length_stays_finite_when_squares_overflow(tmp_path, scale):
+    """graph_generic's z scaled so far that the cell diagonals' sums of
+    squares overflow: the manifest is strict JSON, and segment_length is
+    0.05 x the mean of math.hypot over the diagonals."""
+    source = re.sub(r"z = (.*)\n", rf"z = {scale} * (\1)\n",
+                    gallery_source("graph_generic"))
+    program = compile_surface(parse_surface(source))
+    n = 6
+    export_obj(program, n, n, str(tmp_path), central=(1, 2),
+               nets=("13", "17"))
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=refuse)
+    pts = grid_points(program, n, n)
+    diags = [math.hypot(*(program.position(*pts[(iu + 1) * n + iv + 1])
+                          - program.position(*pts[iu * n + iv])))
+             for iu in range(n - 1) for iv in range(n - 1)]
+    want = 0.05 * (sum(diags) / len(diags))
+    assert math.isfinite(want)
+    assert manifest["segment_length"] == pytest.approx(want, rel=1e-14)
 
 
 @UNDEFINED
