@@ -40,7 +40,6 @@ from .nets import (NetForm, conjugacy_defect, net_asymptotic_pullback,
                    spherical_image)
 from .report import (GridReport, emit_csv, emit_json, grid_report,
                      parse_json, point_record)
-from .checks import CheckResult, run_suite
 from .sdl import (SurfaceDef, SurfaceProgram, compile_surface, gallery,
                   gallery_names, load_surface, parse_surface)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -77,3 +76,14 @@ __all__ = [
     "GridReport", "point_record", "grid_report", "emit_json", "parse_json",
     "emit_csv", "export_obj", "CheckResult", "run_suite",
 ]
+
+
+def __getattr__(name):
+    # The self-check suite (and the finite-difference oracle it alone
+    # uses) is imported on first use: the library's evaluations never
+    # need it, and it is about a sixth of the time `import focalnet`
+    # takes without it.
+    if name in ("CheckResult", "run_suite"):
+        from . import checks
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,10 +18,13 @@ nabla_i k_i from `own_curvature`, the one place a sheet number is checked.
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
 When that derivative vanishes the sheet degenerates toward a curve (canal
 case) and computation is refused rather than returning huge values.
-`is_canal` decides that; every sheet entry point goes through it by way of
-`check_canal`.  That raises at a point only: these formulas also run on
-a batch `FramePoint` of arrays, whose canal points `classify.defect_report`
-marks in their status and `mesh.export_obj` drops by `is_canal`'s mask.
+`is_canal` decides that; every public sheet entry point goes through it by
+way of `check_canal`.  That raises at a point only: these formulas also
+run on a batch `FramePoint` of arrays, whose canal points
+`classify.defect_report` marks in their status and `mesh.export_obj`
+drops by `is_canal`'s mask.  The divergence entry points have private
+cores (`_isothermic_divergence` and the like), the computation alone,
+for `classify` once it has decided a point is not canal.
 """
 from __future__ import annotations
 
@@ -192,12 +195,10 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
                                     else (pd.k2, pd.e3, pd.e1, pd.e2))
 
     inv_k = 1.0 / k_jet
-    y = tuple(p + inv_k * n for p, n in zip(sj.pos, pd.e3))
+    y = sj.pos + inv_k * pd.e3
 
-    y_u = tuple(c.du() for c in y)
-    y_v = tuple(c.dv() for c in y)
-    n_u = tuple(c.du() for c in normal)
-    n_v = tuple(c.dv() for c in normal)
+    y_u, y_v = y.du(), y.dv()
+    n_u, n_v = normal.du(), normal.dv()
 
     t_uu = -vdot(y_u, n_u).value
     t_vv = -vdot(y_v, n_v).value
@@ -217,8 +218,7 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
 
     # sheet connection form w12' = <d(first), second> over (du, dv),
     # re-expressed in the sheet coframe
-    f_u = tuple(comp.du() for comp in first)
-    f_v = tuple(comp.dv() for comp in first)
+    f_u, f_v = first.du(), first.dv()
     w = np.stack([vdot(f_u, second).value, vdot(f_v, second).value], axis=-1)
     q = np.linalg.solve(np.swapaxes(p_live, -1, -2), w[..., None])[..., 0]
 
@@ -241,6 +241,12 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
     Relabelling reverses grad_f and the two components.
     """
     check_canal(fp, sheet, tol)
+    return _central_pfaffian(fp, grad_f, sheet)
+
+
+def _central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
+                      sheet: int) -> Tuple[float, float]:
+    """`central_pfaffian` at a point already judged not canal on `sheet`."""
     k, k_other, _, _, (d1k, d2k) = _relabelled(fp, sheet)
     d1f, d2f = _in_sheet_order(grad_f, sheet)
     return _in_sheet_order(
@@ -270,7 +276,14 @@ def isothermic_divergence(fp: FramePoint, grad_q: Tuple[float, float],
     One coefficient vanishes identically per sheet, so only one term
     survives: sheet 1 -> nabla_1' Q, sheet 2 -> nabla_2' Q.
     """
-    return central_pfaffian(fp, grad_q, sheet, tol)[sheet - 1]
+    check_canal(fp, sheet, tol)
+    return _isothermic_divergence(fp, grad_q, sheet)
+
+
+def _isothermic_divergence(fp: FramePoint, grad_q: Tuple[float, float],
+                           sheet: int) -> float:
+    """`isothermic_divergence` at a point already judged not canal."""
+    return _central_pfaffian(fp, grad_q, sheet)[sheet - 1]
 
 
 def w_jacobian(fp: FramePoint) -> float:
@@ -285,6 +298,11 @@ def divergence_closed_form(fp: FramePoint, sheet: int,
     forms of the sheet connection and derivatives (see docs/derivations.md);
     a k_i^2 variant fails by exactly one factor of k_i."""
     check_canal(fp, sheet, tol)
+    return _divergence_closed_form(fp, sheet)
+
+
+def _divergence_closed_form(fp: FramePoint, sheet: int) -> float:
+    """`divergence_closed_form` at a point already judged not canal."""
     k, _, own = own_curvature(fp, sheet)
     jac = w_jacobian(fp)
     gap = fp.k1 - fp.k2
@@ -299,6 +317,11 @@ def divergence_scale(fp: FramePoint, sheet: int,
     dependent the Jacobian cancels to machine noise, so the result itself
     is a useless scale."""
     check_canal(fp, sheet, tol)
+    return _divergence_scale(fp, sheet)
+
+
+def _divergence_scale(fp: FramePoint, sheet: int) -> float:
+    """`divergence_scale` at a point already judged not canal."""
     k, _, own = own_curvature(fp, sheet)
     num = (abs(fp.grad_k1[0] * fp.grad_k2[1])
            + abs(fp.grad_k1[1] * fp.grad_k2[0]))

@@ -51,7 +51,7 @@ from .classify import (class_gradients, class_partials, prop_residuals,
 from .errors import FocalnetError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
-                     frame_point, pfaffian_values)
+                     frame_columns, frame_point, pfaffian_values)
 from .geometry import principal_data
 from .mesh import export_obj
 from .nets import (net_asymptotic_pullback, net_curvature_pullback,
@@ -120,9 +120,9 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     to |k1|+|k2|.  Chunks of max(16, 2 x still needed) draws of
     `domain_points` are judged as one batch each, and the rng is rewound
     to just past the last draw kept, so the points and the rng state are
-    those of judging one draw at a time, up to max(4000, 400 n) draws."""
-    def usable(uv: np.ndarray) -> np.ndarray:
-        fp = frame_point(prog, uv[:, 0], uv[:, 1], tol, jt.MAX_ORDER)
+    those of judging one draw at a time, up to max(4000, 400 n) draws.
+    The kept columns of each chunk's frame make the result."""
+    def usable(fp: FramePoint) -> np.ndarray:
         k1, k2 = abs(fp.k1), abs(fp.k2)
         reject = ~np.equal(fp.pd.failed, None)
         reject |= jt.smallest(k1, k2) < min_k
@@ -136,20 +136,20 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     while found < n and draws < cap:
         need, state = n - found, rng.bit_generator.state
         chunk = domain_points(prog, min(max(16, 2 * need), cap - draws), rng)
+        fp = frame_point(prog, chunk[:, 0], chunk[:, 1], tol, jt.MAX_ORDER)
         with np.errstate(all="ignore"):
-            hits = np.flatnonzero(usable(chunk))[:need]
+            hits = np.flatnonzero(usable(fp))[:need]
         if len(hits) == need:
             rng.bit_generator.state = state
             chunk = domain_points(prog, hits[-1] + 1, rng)
         draws += len(chunk)
         found += len(hits)
-        kept.append(chunk[hits])
+        kept.append((fp, hits))
     if found < n:
         raise FocalnetError(
             f"sampling exhausted on {prog.definition.name}: "
             f"{found}/{n} points after {draws} draws")
-    us, vs = np.concatenate(kept).T
-    return frame_point(prog, us, vs, tol, jt.MAX_ORDER)
+    return frame_columns(kept)
 
 
 def _worst(*values) -> float:
@@ -258,7 +258,7 @@ def _position_mismatch(prog, fp: FramePoint) -> float:
     with np.errstate(all="ignore"):
         pd = principal_data(fd_surface_jet(prog, u, v, _Y_STEP), _TOL)
     x = prog.position(u, v)
-    normal = np.array([c.value for c in pd.e3])
+    normal = pd.e3.value
     ys = (central_point(fp, s, _TOL).y[:, :_Y_POINTS] for s in (1, 2))
     return _worst(*(np.where(np.equal(pd.failed, None),
                              np.abs(x + normal / k.value - y)

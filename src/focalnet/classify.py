@@ -37,12 +37,12 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import jet as jt
-from .central import (check_canal, connection_gradient,
-                      divergence_closed_form, divergence_scale, is_canal,
-                      isothermic_divergence, w_jacobian)
+from .central import (_divergence_closed_form, _divergence_scale,
+                      _isothermic_divergence, check_canal,
+                      connection_gradient, is_canal, w_jacobian)
 from .frames import FramePoint
-from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
-                   spherical_image)
+from .nets import (_net_asymptotic_pullback, _net_curvature_pullback,
+                   net_norm, spherical_image)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -179,7 +179,7 @@ def defect_report(fp: FramePoint,
                        ())
     res: Dict[str, PropositionResidual] = {}
     if isinstance(status, np.ndarray) or status in ("ok", "moulding"):
-        res = prop_residuals(fp, grads, tol)
+        res = _prop_residuals(fp, grads)
     return DefectReport(status=status, w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
@@ -196,7 +196,17 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
     """Per-statement residuals at a non-canal point, keyed by each sheet's
     row of `_SHEET_KEYS`.  ``grads`` maps each class name to its gradient:
     `class_gradients` in reports, gradients of jet fields in the
-    self-checks.  The sheet divergences (prop1) use `connection_gradient`."""
+    self-checks.  The sheet divergences (prop1) use `connection_gradient`.
+    A canal point raises CanalDegenerate, sheet 1 first."""
+    check_canal(fp, 1, tol)
+    check_canal(fp, 2, tol)
+    return _prop_residuals(fp, grads)
+
+
+def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]]
+                    ) -> Dict[str, PropositionResidual]:
+    """`prop_residuals` at a point already judged not canal on either
+    sheet (by `defect_report`, or by `prop_residuals`' checks)."""
     k1, k2 = fp.k1, fp.k2
     g_diff, g_ratio = grads["diff"], grads["ratio"]
     g_rdiff, g_rsum = grads["radii_diff"], grads["radii_sum"]
@@ -209,15 +219,15 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
         # The divergence against its closed form (the isothermic criterion),
         # on the scale of its terms: where the curvatures are functionally
         # dependent both sides cancel to noise.
-        div = isothermic_divergence(fp, grad_q, sheet, tol)
-        closed = divergence_closed_form(fp, sheet, tol)
-        scale = divergence_scale(fp, sheet, tol) + _FLOOR
+        div = _isothermic_divergence(fp, grad_q, sheet)
+        closed = _divergence_closed_form(fp, sheet)
+        scale = _divergence_scale(fp, sheet) + _FLOOR
         res[p1] = PropositionResidual(abs(div) / scale, abs(closed) / scale,
                                       abs(div - closed) / scale)
         # Asymptotic net: orthogonality <-> d_i(k1 - k2), conjugacy <->
         # k2^2 d_i(k1/k2); its spherical image's orthogonality <->
         # -d_i(1/k1 - 1/k2).  Pure rearrangements.
-        net = net_asymptotic_pullback(fp, sheet, tol)
+        net = _net_asymptotic_pullback(fp, sheet)
         nm = net_norm(net)
         res[p3a] = _res(net.a + net.c, g_diff[i], nm)
         res[p3b] = _res(k2 * net.a + k1 * net.c,
@@ -227,7 +237,7 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
         # Curvature-line net: orthogonality <-> q_i d_i(k1 + k2), conjugacy
         # <-> q_i d_i(k1 k2); its spherical image's orthogonality <->
         # -q_i d_i(1/k1 + 1/k2).  The compatibility equations leave q_i.
-        net = net_curvature_pullback(fp, sheet, tol)
+        net = _net_curvature_pullback(fp, sheet)
         nm = net_norm(net)
         res[p5a] = _res(net.a + net.c, q * g_mean[i], nm)
         res[p5b] = _res(k2 * net.a + k1 * net.c, q * g_gauss[i], nm)

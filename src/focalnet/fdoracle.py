@@ -124,7 +124,7 @@ def fd_surface_jet(prog, u, v, h: float) -> SurfaceJet:
                                     i, j, h)
                        / (math.factorial(i) * math.factorial(j))
                        for i, j in jt.MONOMIALS])
-    return SurfaceJet(u, v, *(jt.Jet4(coeffs[:, c].copy()) for c in range(3)))
+    return SurfaceJet(u, v, jt.Jet4(coeffs))
 
 
 def _directional_sum(samples, h: float):
@@ -151,7 +151,7 @@ def aligned_frame_point(prog, u: float, v: float, ref: FramePoint,
     first such column of a batch."""
     pd = principal_data(eval_surface(prog, u, v), tol)
     ref_e1 = np.stack(ref.e1, axis=-1)[..., None, :]
-    e1 = np.stack([c.value for c in pd.e1], axis=-1)[..., :, None]
+    e1 = np.stack(pd.e1.value, axis=-1)[..., :, None]
     dot = (ref_e1 @ e1)[..., 0, 0]
     ambiguous = np.flatnonzero(abs(dot) < 0.1)
     if ambiguous.size:
@@ -201,7 +201,7 @@ def jet_fd_error(prog, u: float, v: float, coord: int, i: int, j: int,
     not float64 noise."""
     import mpmath as mp
     sj = eval_surface(prog, u, v, jt.MAX_ORDER)
-    exact = sj.pos[coord].extract(i, j)
+    exact = sj.pos.component(coord).extract(i, j)
     with mp.workdps(_MP_DPS):
         approx = fd_partial(mp_scalar_fn(prog, coord), mp.mpf(u), mp.mpf(v),
                             i, j, mp.mpf(h))

@@ -1,23 +1,28 @@
 """Curvature-line frame data: connection coefficients, Pfaffian derivatives,
 and the pointwise structure-equation residuals.
 
-`pfaffian` differentiates a scalar jet field along the principal directions:
-nabla_i f = xi_i df/du + eta_i df/dv.  Because the direction components are
-jets themselves, iterating it captures the rotation of the frame, so the
-commutator identity [nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f)
-holds exactly (validated against the finite-difference oracle; see tests).
+`pfaffian` differentiates a scalar jet field, or each component of a vector
+jet, along the principal directions: nabla_i f = xi_i df/du + eta_i df/dv.
+Because the direction components are jets themselves, iterating it
+captures the rotation of the frame, so the commutator identity
+[nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f) holds exactly
+(validated against the finite-difference oracle; see tests).
 
 The connection coefficients q1, q2 come from differentiating the frame
 vectors directly (q_i = <D_{e_i} e1, e2>), which keeps the compatibility
 checks below independent of the curvature gradients they constrain.
 
 `FramePoint` is the last layer that differentiates jets: it keeps only
-float values and first Pfaffians, and the curvature jets stay reachable as
-`pd.k1`/`pd.k2`.  Its fields read derivatives of the position up to the
-third, so `frame_point` evaluates at `jt.OUTPUT_ORDER` by default; a check
-that differentiates `pd` twice (the Gauss equation, the commutator) asks
-for `jt.MAX_ORDER`.  The gradient of any curvature function g(k1, k2)
-follows by the chain rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
+float values and first Pfaffians, and the curvature jets stay reachable
+as `pd.k1`/`pd.k2`.  `frame_point_from_pd` takes them, with q1 and q2,
+from `_connection` at valid order 1: the two Pfaffians of one vector
+field, (e1, k1, k2), give D_{e_i} e1 and nabla k1, nabla k2 at once (a
+slot's bits do not depend on the order its jet is cut to).  Its fields
+read derivatives of the position up to the third, so `frame_point`
+evaluates at `jt.OUTPUT_ORDER` by default; a check that differentiates
+`pd` twice (the Gauss equation, the commutator) asks for `jt.MAX_ORDER`.
+The gradient of any curvature function g(k1, k2) follows by the chain
+rule, nabla g = g_k1 nabla k1 + g_k2 nabla k2 (see
 `classify.class_gradients` and `central.connection_gradient`).
 
 `frame_point` is the one frame entry, for a point and for a batch.  At
@@ -30,9 +35,12 @@ batch never raises: `pd.failed` gives per point the class of the
 exception the call at that point raises.  numpy runs silently at both
 shapes, and a frame that overflows past every degeneracy test (a float
 field not finite) fails with JetDomainError, status `degenerate`.
+`frame_columns` takes and joins columns of batch frame points with their
+`pd`, so a sampler keeps the frames it judged.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -41,18 +49,20 @@ import numpy as np
 
 from . import jet as jt
 from .errors import JetDomainError
-from .geometry import PrincipalData, eval_surface, principal_data, vdot
+from .geometry import (PrincipalData, _dots, components, eval_surface,
+                       principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "FramePoint", "frame_point", "frame_point_from_pd", "pfaffian",
-    "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
-    "commutator_residual",
+    "FramePoint", "frame_point", "frame_point_from_pd", "frame_columns",
+    "pfaffian", "pfaffian_values", "check_codazzi", "codazzi_scale",
+    "check_gauss", "commutator_residual",
 ]
 
 
 def pfaffian(field: jt.Jet4, pd: PrincipalData) -> Tuple[jt.Jet4, jt.Jet4]:
-    """(nabla_1 f, nabla_2 f) as jets, one order below `field`."""
+    """(nabla_1 f, nabla_2 f) as jets, one order below `field`, of a scalar
+    or a vector jet (one field per component)."""
     fu, fv = field.du(), field.dv()
     return (pd.xi1 * fu + pd.eta1 * fv, pd.xi2 * fu + pd.eta2 * fv)
 
@@ -92,18 +102,19 @@ class FramePoint:
         return (self.u, self.v)
 
 
-def _values(vec) -> tuple:
-    return tuple(c.value for c in vec)
-
-
-def _connection(pd: PrincipalData) -> Tuple[jt.Jet4, jt.Jet4]:
+def _connection(pd: PrincipalData, order: int) -> tuple:
     """(q1, q2) as jets, q_i = <D_{e_i} e1, e2>: the ambient frame field
-    differentiated along the principal directions."""
-    e1u = (pd.e1[0].du(), pd.e1[1].du(), pd.e1[2].du())
-    e1v = (pd.e1[0].dv(), pd.e1[1].dv(), pd.e1[2].dv())
-    d1_e1 = tuple(pd.xi1 * a + pd.eta1 * b for a, b in zip(e1u, e1v))
-    d2_e1 = tuple(pd.xi2 * a + pd.eta2 * b for a, b in zip(e1u, e1v))
-    return vdot(d1_e1, pd.e2), vdot(d2_e1, pd.e2)
+    differentiated along the principal directions.  It differentiates the
+    vector field (e1, k1, k2) cut to valid order `order`, and returns with
+    q1, q2 that field's two Pfaffians, which hold nabla k1 and nabla k2 as
+    their last two components."""
+    field = jt.Jet4(np.concatenate(
+        [pd.e1.cut(order).c, pd.k1.cut(order).c[:, None],
+         pd.k2.cut(order).c[:, None]], axis=1), order)
+    d1, d2 = pfaffian(field, pd)
+    q1, q2 = _dots((jt.Jet4(d1.c[:, :3], d1.valid_order), pd.e2),
+                   (jt.Jet4(d2.c[:, :3], d2.valid_order), pd.e2)).split()
+    return q1, q2, d1, d2
 
 
 def frame_point_from_pd(pd: PrincipalData,
@@ -112,16 +123,17 @@ def frame_point_from_pd(pd: PrincipalData,
     finite (an overflow past every degeneracy test) fails with
     JetDomainError: at S = () it raises, in a batch the point's `pd.failed`
     entry records it unless an earlier failure is there."""
-    q1_jet, q2_jet = _connection(pd)
     sj = pd.sj
+    # A frame point keeps only values of the Pfaffians, so the connection
+    # is taken at valid order 1 (a slot has the same bits at every order).
+    q1, q2, d1, d2 = _connection(pd, min(pd.k1.valid_order, 1))
+    d1f, d2f = components(d1), components(d2)
     fp = FramePoint(
         u=sj.u, v=sj.v, pd=pd,
-        k1=pd.k1.value, k2=pd.k2.value,
-        q1=q1_jet.value, q2=q2_jet.value,
-        grad_k1=pfaffian_values(pd.k1, pd),
-        grad_k2=pfaffian_values(pd.k2, pd),
-        x=_values(sj.pos), e1=_values(pd.e1), e2=_values(pd.e2),
-        e3=_values(pd.e3))
+        k1=pd.k1.value, k2=pd.k2.value, q1=q1.value, q2=q2.value,
+        grad_k1=(d1f[3], d2f[3]), grad_k2=(d1f[4], d2f[4]),
+        x=components(sj.pos), e1=components(pd.e1), e2=components(pd.e2),
+        e3=components(pd.e3))
     fields = [fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1, *fp.grad_k2, *fp.x,
               *fp.e1, *fp.e2, *fp.e3]
     if pd.failed is not None:
@@ -130,6 +142,30 @@ def frame_point_from_pd(pd: PrincipalData,
     elif not all(map(math.isfinite, fields)):
         raise JetDomainError(f"frame not finite at (u, v) = {(sj.u, sj.v)}")
     return fp
+
+
+def frame_columns(parts) -> FramePoint:
+    """One batch frame point, with its `pd`, of the columns `cols` of each
+    batch frame point `fp` of `parts`, a sequence of (fp, cols), in that
+    order.  A column keeps its bits, which are its point's."""
+    return _joined([fp for fp, _ in parts], [cols for _, cols in parts])
+
+
+def _joined(xs: list, cols: list):
+    """The columns cols[i] of each xs[i] joined, for xs of one structure:
+    arrays, jets, tuples of them, the dataclasses of a frame, or None."""
+    x = xs[0]
+    if isinstance(x, (jt.Jet4, np.ndarray)):
+        taken = np.concatenate([getattr(y, "c", y)[..., c]
+                                for y, c in zip(xs, cols)], axis=-1)
+        return jt.Jet4(taken, x.valid_order) if isinstance(x, jt.Jet4) \
+            else taken
+    if isinstance(x, tuple):
+        return tuple(_joined(list(ys), cols) for ys in zip(*xs))
+    if x is None:
+        return None
+    return type(x)(**{f.name: _joined([getattr(y, f.name) for y in xs], cols)
+                      for f in dataclasses.fields(x)})
 
 
 def frame_point(prog, u, v, tol: ToleranceSet = DEFAULT_TOLERANCES,
@@ -167,7 +203,7 @@ def check_gauss(fp: FramePoint) -> Tuple[float, float]:
     component of each q gradient, as in `pfaffian`) are fourth derivatives
     of the position, so `fp.pd` must be of `jt.MAX_ORDER`."""
     pd = fp.pd
-    q1, q2 = _connection(pd)
+    q1, q2, _, _ = _connection(pd, pd.k1.valid_order)
     d2_q1 = (pd.xi2 * q1.du() + pd.eta2 * q1.dv()).value
     d1_q2 = (pd.xi1 * q2.du() + pd.eta1 * q2.dv()).value
     q1_sq, q2_sq = jt.power(fp.q1, 2), jt.power(fp.q2, 2)

@@ -4,6 +4,15 @@ Everything is computed on jets, so downstream consumers can take exact
 directional derivatives of any derived field (curvatures, frame vectors,
 connection coefficients) without finite differencing.
 
+A vector is one vector jet (see `jet`): the position `SurfaceJet.pos`,
+xu, xv and the frame e1, e2, e3.  `vdot`, `vcross` and `vcomb` are one
+jet product each, and `principal_data` forms its scalar terms the same
+way, in stacks: E, F, G from one product of the gradient (xu, xv) with
+itself, L, M, N from one of the Hessian with e3, the shape operator's
+eight terms in one and its four entries in another.  Each product keeps
+the operand order and each sum the left-to-right order of the formula
+on components, so every value has the bits of that formula.
+
 The pipeline is generic: no assumption that (u, v) are curvature-line or
 even orthogonal coordinates.  Degeneracies are decided in a fixed order:
 non-immersion point, near-umbilic (parabolic if a curvature vanishes
@@ -22,7 +31,7 @@ NaN value, so a frame that overflows past them is failed later, by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -33,53 +42,75 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "SurfaceJet", "PrincipalData", "eval_surface", "principal_data",
-    "flipped_principal", "vdot", "vcross", "vcomb",
+    "flipped_principal", "vdot", "vcross", "vcomb", "components",
 ]
 
-Vec3 = Tuple[jt.Jet4, jt.Jet4, jt.Jet4]
+def vdot(a: jt.Jet4, b: jt.Jet4) -> jt.Jet4:
+    """<a, b> of two vector jets: one product, its components summed left
+    to right."""
+    return jt.dots(a, _XYZ, b, _XYZ).component(0)
 
 
-def vdot(a: Vec3, b: Vec3) -> jt.Jet4:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+def vcross(a: jt.Jet4, b: jt.Jet4) -> jt.Jet4:
+    """a x b of two vector jets: the six products a[i] b[j] and a[j] b[i]
+    in one, then their differences."""
+    return _paired(jt.products(a, _CROSS_A, b, _CROSS_B), np.subtract)
 
 
-def vcross(a: Vec3, b: Vec3) -> Vec3:
-    return (a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0])
+_XYZ = (0, 1, 2)
+# components of the products a[i] b[j], a[j] b[i] of each entry of `vcross`
+_CROSS_A = (1, 2, 2, 0, 0, 1)
+_CROSS_B = (2, 1, 0, 2, 1, 0)
 
 
-def vcomb(s: jt.Jet4, a: Vec3, t: jt.Jet4, b: Vec3) -> Vec3:
-    """s*a + t*b componentwise."""
-    return (s * a[0] + t * b[0], s * a[1] + t * b[1], s * a[2] + t * b[2])
+def vcomb(s: jt.Jet4, a: jt.Jet4, t: jt.Jet4, b: jt.Jet4) -> jt.Jet4:
+    """s*a + t*b of scalar jets s, t and vector jets a, b."""
+    return s * a + t * b
 
 
-def _vdu(a: Vec3) -> Vec3:
-    return (a[0].du(), a[1].du(), a[2].du())
+def _dots(*pairs) -> jt.Jet4:
+    """The vector jet of <a, b> for each pair (a, b) of vector jets; the
+    left vectors share a valid order, and so do the right ones."""
+    left, right = (jt.Jet4(np.concatenate([v.c for v in vs], axis=1),
+                           vs[0].valid_order) for vs in zip(*pairs))
+    every = tuple(range(3 * len(pairs)))
+    return jt.dots(left, every, right, every)
 
 
-def _vdv(a: Vec3) -> Vec3:
-    return (a[0].dv(), a[1].dv(), a[2].dv())
+def _paired(p: jt.Jet4, op) -> jt.Jet4:
+    """The vector jet of op(p[2i], p[2i + 1]) for each pair of components
+    of p (op is np.add or np.subtract)."""
+    return jt.Jet4(op(p.c[:, 0::2], p.c[:, 1::2]), p.valid_order)
 
 
-def _vscale(a: Vec3, s) -> Vec3:
-    return (a[0] * s, a[1] * s, a[2] * s)
+def components(vec: jt.Jet4) -> tuple:
+    """The values of a vector jet's components: three floats at a point,
+    three arrays of shape S in a batch (views of one copy)."""
+    value = vec.c[0]
+    return tuple(value.tolist()) if value.ndim == 1 else tuple(value.copy())
 
 
 @dataclass
 class SurfaceJet:
     """Jets of the position map at one parameter point, or at N points when
-    u and v are arrays of shape (N,) (see `eval_surface`), all three of the
-    valid order `eval_surface` was asked for."""
+    u and v are arrays of shape (N,) (see `eval_surface`): `pos` is one
+    vector jet of the valid order `eval_surface` was asked for, and x, y, z
+    its components."""
     u: float
     v: float
-    x: jt.Jet4
-    y: jt.Jet4
-    z: jt.Jet4
+    pos: jt.Jet4
 
     @property
-    def pos(self) -> Vec3:
-        return (self.x, self.y, self.z)
+    def x(self) -> jt.Jet4:
+        return self.pos.component(0)
+
+    @property
+    def y(self) -> jt.Jet4:
+        return self.pos.component(1)
+
+    @property
+    def z(self) -> jt.Jet4:
+        return self.pos.component(2)
 
 
 def eval_surface(prog, u, v, order: int = jt.OUTPUT_ORDER) -> SurfaceJet:
@@ -90,9 +121,9 @@ def eval_surface(prog, u, v, order: int = jt.OUTPUT_ORDER) -> SurfaceJet:
     undefined point leaves its column non-finite (every column, where the
     whole evaluation fails)."""
     if np.ndim(u) == 0:
-        return SurfaceJet(float(u), float(v), *prog.jets(u, v, order))
+        return SurfaceJet(float(u), float(v), jt.stack(prog.jets(u, v, order)))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    return SurfaceJet(u, v, *prog.jets(u, v, order))
+    return SurfaceJet(u, v, jt.stack(prog.jets(u, v, order)))
 
 
 @dataclass
@@ -105,6 +136,12 @@ class PrincipalData:
     canonicalized (first ambient component above the sign tolerance is
     positive) and e2 = e3 x e1 keeps the frame right-handed.
 
+    With `sj` of valid order r, xu and xv are of valid order r - 1 and
+    every other jet of r - 2.  E, F, G and e3 are carried at the order of
+    the second derivatives of the position, which is all that their
+    readers here use; a caller that needs the metric or the normal one
+    order higher takes it from xu and xv (`vdot`, `vcross`).
+
     With a batch axis, `failed` holds per point the class of the exception
     that `eval_surface` or `principal_data` raises for it at S = (), else
     None; the jet columns of failed points hold meaningless values.
@@ -113,17 +150,17 @@ class PrincipalData:
     E: jt.Jet4
     F: jt.Jet4
     G: jt.Jet4
-    xu: Vec3
-    xv: Vec3
-    e3: Vec3
+    xu: jt.Jet4
+    xv: jt.Jet4
+    e3: jt.Jet4
     k1: jt.Jet4
     k2: jt.Jet4
     xi1: jt.Jet4
     eta1: jt.Jet4
     xi2: jt.Jet4
     eta2: jt.Jet4
-    e1: Vec3
-    e2: Vec3
+    e1: jt.Jet4
+    e2: jt.Jet4
     failed: Optional[np.ndarray] = None
 
 
@@ -137,7 +174,8 @@ class _Failures:
         self.kinds = None
         if np.ndim(sj.u):
             self.kinds = np.full(np.shape(sj.u), None, dtype=object)
-            self.record(~jt.finite(sj.pos), JetDomainError, None)
+            self.record(~np.isfinite(sj.pos.c).all(axis=(0, 1)),
+                        JetDomainError, None)
 
     def record(self, mask, kind, message) -> None:
         """Fail the points where `mask` holds with `kind`, at S = () by
@@ -149,6 +187,21 @@ class _Failures:
         self.kinds[mask & np.equal(self.kinds, None)] = kind
 
 
+# Component lists of the stacked products of `principal_data`.  In the
+# gradient (xu, xv) and the Hessian (xuu, xvu, xuv, xvv) of the position:
+# the terms of E, F, G and of L, M, N against e3.  In (E, F, G), (L, M, N),
+# s = (s11, s12, s21, s22) and (xi1, eta1): the shape operator's terms
+# (G L, F M, G M, F N, E M, F L, E N, F M), its determinant's (s11 s22,
+# s12 s21), the norm's (xi1^2, xi1 eta1, eta1^2) and the rotation's
+# (F xi1, G eta1, E xi1, F eta1).
+_FIRST_A, _FIRST_B = (0, 1, 2, 0, 1, 2, 3, 4, 5), (0, 1, 2, 3, 4, 5, 3, 4, 5)
+_SECOND_A, _SECOND_B = (0, 1, 2, 6, 7, 8, 9, 10, 11), (0, 1, 2) * 3
+_SHAPE_EFG, _SHAPE_LMN = (2, 1, 2, 1, 0, 1, 0, 1), (0, 1, 1, 2, 1, 0, 2, 1)
+_DET_A, _DET_B = (0, 1), (3, 2)
+_QUAD_A, _QUAD_B = (0, 0, 1), (0, 1, 1)
+_ROT_EFG, _ROT_XE = (1, 2, 0, 1), (0, 1, 0, 1)
+
+
 def principal_data(sj: SurfaceJet,
                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> PrincipalData:
     """The principal frame and curvatures.  At S = () a degenerate point
@@ -156,27 +209,33 @@ def principal_data(sj: SurfaceJet,
     point is computed and each degenerate one has its exception class in
     `failed`."""
     failures = _Failures(sj)
-    xu, xv = _vdu(sj.pos), _vdv(sj.pos)
-    E, F, G = vdot(xu, xu), vdot(xu, xv), vdot(xv, xv)
+    grad = sj.pos.gradient()
+    xu, xv = grad.split(3)
+    # Every reader of the metric and the normal meets them in a product
+    # with second derivatives of the position, so they are carried at the
+    # order of those (the same bits in fewer slots).
+    low = grad.cut(max(grad.valid_order - 1, 0))
+    efg = jt.dots(low, _FIRST_A, low, _FIRST_B)
+    E, F, G = efg.split()
     W2 = E * G - F * F
     trace_scale = jt.power(E.value + G.value, 2)
     failures.record(W2.value <= tol.metric * trace_scale,
                     DegenerateParametrization,
                     lambda: f"EG - F^2 = {W2.value:.3e}")
     inv_w = 1.0 / jt.sqrt(W2)
-    e3 = _vscale(vcross(xu, xv), inv_w)
+    e3 = vcross(*low.split(3)) * inv_w
 
-    xuu, xuv, xvv = _vdu(xu), _vdv(xu), _vdv(xv)
-    L, M, N = vdot(xuu, e3), vdot(xuv, e3), vdot(xvv, e3)
+    lmn = jt.dots(grad.gradient(), _SECOND_A, e3, _SECOND_B)
 
-    inv_w2 = 1.0 / W2
-    s11 = (G * L - F * M) * inv_w2
-    s12 = (G * M - F * N) * inv_w2
-    s21 = (E * M - F * L) * inv_w2
-    s22 = (E * N - F * M) * inv_w2
+    # The shape operator (G L - F M, G M - F N, E M - F L, E N - F M) / W2:
+    # its eight products in one, then its four entries in another.
+    s = (_paired(jt.products(efg, _SHAPE_EFG, lmn, _SHAPE_LMN), np.subtract)
+         * (1.0 / W2))
+    s11, s12, s21, s22 = s.split()
 
     h = (s11 + s22) * 0.5
-    kgauss = s11 * s22 - s12 * s21
+    kgauss = _paired(jt.products(s, _DET_A, s, _DET_B),
+                     np.subtract).component(0)
     disc = h * h - kgauss
     gap_scale = (4 * jt.power(abs(h.value), 2) + 4 * abs(disc.value)
                  + tol.curvature_floor ** 2)
@@ -214,26 +273,32 @@ def principal_data(sj: SurfaceJet,
     take_b = _norm2_value(*cand_b) > _norm2_value(*cand_a)
     xi1 = jt.where(take_b, cand_b[0], cand_a[0])
     eta1 = jt.where(take_b, cand_b[1], cand_a[1])
-    norm = jt.sqrt(E * (xi1 * xi1) + F * (2 * (xi1 * eta1)) + G * (eta1 * eta1))
-    inv_norm = 1.0 / norm
-    xi1, eta1 = xi1 * inv_norm, eta1 * inv_norm
+    # E xi1^2 + F 2 xi1 eta1 + G eta1^2, its three terms in one product
+    xe = jt.stack((xi1, eta1))
+    quad = jt.products(xe, _QUAD_A, xe, _QUAD_B)
+    quad.c[:, 1] *= 2
+    inv_norm = 1.0 / jt.sqrt(jt.dots(efg, _XYZ, quad, _XYZ).component(0))
+    xe = xe * inv_norm
+    xi1, eta1 = xe.split()
     e1 = vcomb(xi1, xu, eta1, xv)
 
     # The first ambient component of e1 above the sign tolerance decides.
     decided = flipped = np.zeros(k1.c.shape[1:], dtype=bool)
-    for comp in e1:
-        here = (abs(comp.value) > tol.sign) & ~decided
-        flipped = flipped | (here & (comp.value < 0))
+    for comp in e1.c[0]:
+        here = (abs(comp) > tol.sign) & ~decided
+        flipped = flipped | (here & (comp < 0))
         decided = decided | here
     if flipped.any():
-        xi1, eta1 = (jt.where(flipped, -xi1, xi1),
-                     jt.where(flipped, -eta1, eta1))
-        e1 = tuple(jt.where(flipped, -c, c) for c in e1)
+        xe = jt.where(flipped, -xe, xe)
+        xi1, eta1 = xe.split()
+        e1 = jt.where(flipped, -e1, e1)
 
     # e2 = e3 x e1; its coordinate components come from rotating (xi1, eta1)
-    # by 90 degrees in the tangent plane.
-    xi2 = (F * xi1 + G * eta1) * (-1) * inv_w
-    eta2 = (E * xi1 + F * eta1) * inv_w
+    # by 90 degrees in the tangent plane: (-(F xi1 + G eta1), E xi1 + F eta1)
+    # / W, the four products in one and both quotients in another.
+    rotated = _paired(jt.products(efg, _ROT_EFG, xe, _ROT_XE), np.add)
+    rotated.c[:, 0] *= -1
+    xi2, eta2 = (rotated * inv_w).split()
     e2 = vcross(e3, e1)
 
     return PrincipalData(sj=sj, E=E, F=F, G=G, xu=xu, xv=xv, e3=e3,
@@ -251,5 +316,4 @@ def flipped_principal(pd: PrincipalData, mask=True) -> PrincipalData:
         sj=pd.sj, E=pd.E, F=pd.F, G=pd.G, xu=pd.xu, xv=pd.xv,
         e3=pd.e3, k1=pd.k1, k2=pd.k2,
         xi1=neg(pd.xi1), eta1=neg(pd.eta1), xi2=neg(pd.xi2),
-        eta2=neg(pd.eta2), e1=tuple(map(neg, pd.e1)),
-        e2=tuple(map(neg, pd.e2)), failed=pd.failed)
+        eta2=neg(pd.eta2), e1=neg(pd.e1), e2=neg(pd.e2), failed=pd.failed)

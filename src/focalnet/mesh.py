@@ -19,7 +19,10 @@ float evaluator's in the last bit at some points (195, 204 and 515 of the
 writes `segment_length` by `repr` (monkey_saddle's would move).  The
 segment length is the mean of the cell diagonals' lengths, each with the
 bits of `np.linalg.norm` of its row (a scaled norm where the row's sum of
-squares overflows, so the manifest stays finite), summed left to right.
+squares overflows), summed left to right.  Where a difference or that sum
+passes the largest float, it is twice the mean of the lengths of the
+halved differences b/2 - a/2, summed as shares, so the manifest stays
+finite wherever the mean is.
 The frames behind the focal sheets and net segments come from one
 `frames.frame_point` call on the grid's arrays, and everything after it
 runs on whole arrays: `central.is_canal` masks the canal points of a
@@ -76,6 +79,17 @@ def _grid_mesh(points: np.ndarray, present: np.ndarray, nu: int, nv: int):
     return points[present], faces
 
 
+def _lengths(d: np.ndarray) -> np.ndarray:
+    """The length of each row of d, with the bits of np.linalg.norm of the
+    row (norm(axis=1) and einsum differ), and max|d| sqrt(sum (d / max|d|)^2)
+    where the sum of squares overflows."""
+    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    big = np.isinf(lengths)
+    top = np.abs(d[big]).max(axis=1, keepdims=True)
+    lengths[big] = top[:, 0] * np.sqrt(((d[big] / top) ** 2).sum(axis=1))
+    return lengths
+
+
 def export_obj(prog, nu: int, nv: int, out_dir: str,
                central: Iterable[int] = (),
                nets: Iterable[str] = (),
@@ -127,16 +141,16 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         # Segment length: 0.05 x mean cell diagonal of the surface grid.
         a, _, b, _ = _cells(nu, nv).T
         both = defined[a] & defined[b]
-        d = positions[b[both]] - positions[a[both]]
-        # the bits of np.linalg.norm per row (norm(axis=1) and einsum
-        # differ), and max|d| sqrt(sum (d / max|d|)^2) where the sum of
-        # squares overflows
-        diags = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
-        big = np.isinf(diags)
-        top = np.abs(d[big]).max(axis=1, keepdims=True)
-        diags[big] = top[:, 0] * np.sqrt(((d[big] / top) ** 2).sum(axis=1))
-        diags = diags.tolist()
-        seg_len = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
+        ends, starts = positions[b[both]], positions[a[both]]
+        diags = _lengths(ends - starts).tolist()
+        count = len(diags)
+        mean = sum(diags) / count if count else 0.0
+        if not np.isfinite(mean):
+            # a difference or the sum past the largest float: twice the
+            # mean of the halved differences' lengths, summed as shares
+            halves = _lengths(ends / 2 - starts / 2).tolist()
+            mean = 2 * sum(x / count for x in halves)
+        seg_len = 0.05 * mean
 
         # Each sheet and net is computed once over the batch and then
         # masked: the points without a frame, the sheet's canal points and,

@@ -247,5 +247,5 @@ def test_fd_surface_jet_is_fd_partial_per_monomial(prog, surface):
         for slot, (i, j) in enumerate(jt.MONOMIALS):
             want = (fd_partial(program.position, u, v, i, j, 0.02)
                     / (math.factorial(i) * math.factorial(j)))
-            got = np.array([c.c[slot] for c in sj.pos])
+            got = sj.pos.c[slot]
             assert np.array_equal(got, want)

@@ -7,8 +7,8 @@ import pytest
 import focalnet.jet as jt
 from focalnet import gallery_names
 from focalnet.checks import domain_points
-from focalnet.errors import (DegenerateParametrization, ParabolicPoint,
-                             UmbilicPoint)
+from focalnet.errors import (DegenerateParametrization, JetOrderError,
+                             ParabolicPoint, UmbilicPoint)
 from focalnet.geometry import (eval_surface, principal_data, vdot, vcross)
 from focalnet.sdl import compile_surface, parse_surface
 
@@ -17,8 +17,8 @@ def _pd(program, u, v, tol):
     return principal_data(eval_surface(program, u, v), tol)
 
 
-def _vec(vec3):
-    return np.array([c.value for c in vec3])
+def _vec(vec):
+    return vec.value
 
 
 def test_graph_quad_origin_curvatures(prog, tol):
@@ -57,9 +57,7 @@ def test_euler_normal_curvature(prog, tol, rng):
     for u, v in domain_points(program, 4, rng):
         pd = _pd(program, u, v, tol)
         xu, xv, e3 = pd.xu, pd.xv, pd.e3
-        xuu = tuple(c.du() for c in xu)
-        xuv = tuple(c.dv() for c in xu)
-        xvv = tuple(c.dv() for c in xv)
+        xuu, xuv, xvv = xu.du(), xu.dv(), xv.dv()
         L = vdot(xuu, e3).value
         M = vdot(xuv, e3).value
         N = vdot(xvv, e3).value
@@ -131,9 +129,8 @@ def test_shape_operator_diagonalized(prog, tol, rng):
             continue
         for xi, eta, e, k in ((pd.xi1, pd.eta1, pd.e1, pd.k1),
                               (pd.xi2, pd.eta2, pd.e2, pd.k2)):
-            de3 = np.array([
-                xi.value * c.du().value + eta.value * c.dv().value
-                for c in pd.e3])
+            de3 = (xi.value * pd.e3.du().value
+                   + eta.value * pd.e3.dv().value)
             assert de3 == pytest.approx(-k.value * _vec(e),
                                         rel=1e-9, abs=1e-9)
 
@@ -175,13 +172,34 @@ def test_normal_orientation_consistent(prog, tol):
 
 def test_batch_of_no_points_gives_float_jets(prog):
     """An empty batch is a batch like any other: every gallery surface
-    gives float position jets of shape (10, 0) at the outputs' order, the
-    default, and (15, 0) at `jt.MAX_ORDER`."""
+    gives a float position jet of shape (10, 3, 0) at the outputs' order,
+    the default, and (15, 3, 0) at `jt.MAX_ORDER`."""
     for name in gallery_names():
-        for order, shape in ((None, (10, 0)), (jt.OUTPUT_ORDER, (10, 0)),
-                             (jt.MAX_ORDER, (15, 0))):
+        for order, shape in ((None, (10, 3, 0)),
+                             (jt.OUTPUT_ORDER, (10, 3, 0)),
+                             (jt.MAX_ORDER, (15, 3, 0))):
             sj = (eval_surface(prog(name), [], []) if order is None
                   else eval_surface(prog(name), [], [], order))
-            for jet in sj.pos:
-                assert jet.c.dtype == np.float64 and jet.c.shape == shape, \
-                    name
+            assert sj.pos.c.dtype == np.float64 and sj.pos.c.shape == shape, \
+                name
+
+
+def test_principal_data_field_orders(prog, tol):
+    """From a position jet of valid order r, xu and xv are of valid order
+    r - 1 and every other jet of `PrincipalData` of r - 2, at a point and
+    in a batch; e3 one order higher is vcross(xu, xv) normalized."""
+    program = prog("enneper")
+    for r in (jt.OUTPUT_ORDER, jt.MAX_ORDER):
+        for u, v in ((0.6, -0.8), ([0.6, 0.3], [-0.8, 0.2])):
+            pd = principal_data(eval_surface(program, u, v, r), tol)
+            for name in ("xu", "xv"):
+                assert getattr(pd, name).valid_order == r - 1, (name, r)
+            for name in ("E", "F", "G", "e3", "k1", "k2", "xi1", "eta1",
+                         "xi2", "eta2", "e1", "e2"):
+                assert getattr(pd, name).valid_order == r - 2, (name, r)
+            with pytest.raises(JetOrderError):
+                pd.e3.extract(r - 1, 0)
+            n = vcross(pd.xu, pd.xv)
+            assert n.valid_order == r - 1
+            assert np.allclose(n.value / np.sqrt(vdot(n, n).value),
+                               pd.e3.value, rtol=0, atol=1e-12)

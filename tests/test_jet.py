@@ -7,6 +7,7 @@ import pytest
 
 import focalnet.jet as jt
 from focalnet.errors import JetDomainError, JetOrderError
+from focalnet.geometry import vcomb, vcross, vdot
 
 
 def _vars(u, v):
@@ -247,6 +248,98 @@ def test_batch_products_add_without_warnings():
     # every slot past the value sums two or more terms of 1e308
     assert (overflow[0] == 1e308).all() and np.isposinf(overflow[1:]).all()
     assert np.isnan(nan[1]).all()      # slot (1, 0): inf * 1 + -inf * 1
+
+
+# Widths around each form of a product: a point's, the crossover from one
+# bincount to the rank stages, and the grid's batch and three of them,
+# which the rank stages split into blocks of `_BLOCK` terms at orders 3-4
+# (936 and 468 columns).
+_WIDTHS = (1, 3, jt._BINCOUNT_MAX - 1, jt._BINCOUNT_MAX,
+           jt._BINCOUNT_MAX + 1, 1600, 4800)
+
+
+def _column_bits(got, want, n):
+    """Column bits against a point's: bit for bit up to the crossover,
+    where both sum by one bincount, and up to a NaN's sign above."""
+    if n <= jt._BINCOUNT_MAX:
+        return got.tobytes() == want.tobytes()
+    return _same_bits(got, want)
+
+
+def test_products_give_the_point_bits_at_every_width():
+    """A product over n columns, in the form its width picks (one bincount
+    up to `_BINCOUNT_MAX` columns, the rank stages in blocks of `_BLOCK`
+    terms above), gives each column its point's product at orders 0-4
+    and n = 1, 3, the crossover +- 1, 1600 and 4800, over columns with
+    signed zeros, NaN and +-inf.  So do a scalar times a vector of three
+    components and a vector times a scalar, each column against its
+    component's point product, and `jt.products` of listed components."""
+    rng = np.random.default_rng(11)
+    for n in _WIDTHS:
+        for order in range(jt.MAX_ORDER + 1):
+            k = jt.N_SLOTS[order]
+            a, b = (_edge_coeffs(rng, (n,), 0.1)[:k] for _ in range(2))
+            with np.errstate(all="ignore"):
+                got = (jt.Jet4(a, order) * jt.Jet4(b, order)).c
+                for j in range(n):
+                    want = (jt.Jet4(a[:, j].copy(), order)
+                            * jt.Jet4(b[:, j].copy(), order)).c
+                    assert _column_bits(got[:, j], want, n), (n, order, j)
+    for points in (1, 42, 43, 44, 1600):
+        order = jt.OUTPUT_ORDER
+        k = jt.N_SLOTS[order]
+        s = _edge_coeffs(rng, (points,), 0.1)[:k]
+        vec, other = (_edge_coeffs(rng, (3, points), 0.1)[:k]
+                      for _ in range(2))
+        comps_a, comps_b = (1, 2, 0, 2), (2, 0, 1, 1)
+        with np.errstate(all="ignore"):
+            scaled = (jt.Jet4(s, order) * jt.Jet4(vec, order)).c
+            scaling = (jt.Jet4(vec, order) * jt.Jet4(s, order)).c
+            taken = jt.products(jt.Jet4(vec, order), comps_a,
+                                jt.Jet4(other, order), comps_b).c
+            point = lambda x, y: (jt.Jet4(x.copy(), order)
+                                  * jt.Jet4(y.copy(), order)).c
+            for p in range(points):
+                for i in range(3):
+                    assert _column_bits(scaled[:, i, p],
+                                        point(s[:, p], vec[:, i, p]),
+                                        3 * points)
+                    assert _column_bits(scaling[:, i, p],
+                                        point(vec[:, i, p], s[:, p]),
+                                        3 * points)
+                for j, (i, m) in enumerate(zip(comps_a, comps_b)):
+                    assert _column_bits(taken[:, j, p],
+                                        point(vec[:, i, p], other[:, m, p]),
+                                        4 * points)
+
+
+def test_vector_helpers_match_their_component_formulas():
+    """vdot, vcross and vcomb of vector jets equal their formulas on the
+    component jets bit for bit, and `gradient` equals du() and dv(), at a
+    point and in batches of 5 and 1600 points, over coefficients with
+    signed zeros, NaN and +-inf, operands of two valid orders."""
+    rng = np.random.default_rng(5)
+    for shape in ((), (5,), (1600,)):
+        coeffs = lambda size: _edge_coeffs(rng, size + shape, 0.05)
+        a = jt.Jet4(coeffs((3,))[:jt.N_SLOTS[3]], 3)
+        b = jt.Jet4(coeffs((3,))[:jt.N_SLOTS[2]], 2)
+        s = jt.Jet4(coeffs(())[:jt.N_SLOTS[2]], 2)
+        t = jt.Jet4(coeffs(())[:jt.N_SLOTS[3]], 3)
+        x, y = a.split(), b.split()
+        with np.errstate(all="ignore"):
+            cases = (
+                (vdot(a, b), x[0] * y[0] + x[1] * y[1] + x[2] * y[2]),
+                (vcross(a, b), jt.stack([x[1] * y[2] - x[2] * y[1],
+                                         x[2] * y[0] - x[0] * y[2],
+                                         x[0] * y[1] - x[1] * y[0]])),
+                (vcomb(s, a, t, b), jt.stack([s * x[i] + t * y[i]
+                                              for i in range(3)])),
+                (a.gradient(), jt.Jet4(np.concatenate(
+                    [a.du().c, a.dv().c], axis=1), 2)))
+        for got, want in cases:
+            assert got.valid_order == want.valid_order
+            assert got.c.shape == want.c.shape
+            assert got.c.tobytes() == want.c.tobytes(), shape
 
 
 def _compose_by_products(g, series, order, top=jt.MAX_ORDER):

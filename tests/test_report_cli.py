@@ -578,6 +578,45 @@ def test_segment_length_stays_finite_when_squares_overflow(tmp_path, scale):
     assert manifest["segment_length"] == pytest.approx(want, rel=1e-14)
 
 
+_STEEP = """surface steep {
+  x = u
+  y = v
+  z = 6.5e307 * u * (1 - v)
+  domain u in [-1, 1] v in [-1, 1]
+}"""
+
+
+@pytest.mark.parametrize("source, nu, nv", [
+    (re.sub(r"z = (.*)\n", r"z = 1.5e308 * (\1)\n",
+            gallery_source("graph_generic")), 6, 6),
+    (_STEEP, 2, 3)])
+def test_segment_length_stays_finite_past_the_largest_float(tmp_path, source,
+                                                            nu, nv):
+    """Cell diagonals whose lengths sum past the largest float (graph_generic
+    with z scaled by 1.5e308), or whose difference itself passes it (the
+    steep graph's first cell, z from -1.3e308 to 6.5e307): the manifest is
+    strict JSON, and segment_length is 0.05 x twice the mean of
+    math.hypot over the halved differences."""
+    program = compile_surface(parse_surface(source))
+    export_obj(program, nu, nv, str(tmp_path))
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=refuse)
+    pts = grid_points(program, nu, nv)
+    ends = [(program.position(*pts[iu * nv + iv]),
+             program.position(*pts[(iu + 1) * nv + iv + 1]))
+            for iu in range(nu - 1) for iv in range(nv - 1)]
+    with np.errstate(over="ignore"):
+        assert math.isinf(sum(math.hypot(*(b - a)) for a, b in ends))
+    halves = [math.hypot(*(b / 2 - a / 2)) for a, b in ends]
+    want = 0.05 * 2 * sum(x / len(halves) for x in halves)
+    assert math.isfinite(want)
+    assert manifest["segment_length"] == pytest.approx(want, rel=1e-14)
+
+
 @UNDEFINED
 def test_export_obj_drops_undefined_vertices(tmp_path, graph_source, z,
                                              defined):

@@ -270,8 +270,8 @@ def test_whole_evaluation_failure_fails_every_batch_point(graph_source, z,
         sj = eval_surface(prog, us, vs)
         fp = frame_point(prog, us, vs)
         xyz = prog.position(us, vs)
-    assert all(jet.c.shape == (10, 3) for jet in sj.pos)
-    assert not finite(sj.pos).any()
+    assert sj.pos.c.shape == (10, 3, 3)
+    assert not finite([sj.x, sj.y, sj.z]).any()
     assert fp.pd.failed.tolist() == [JetDomainError] * 3
     assert xyz.shape == (3, 3) and np.isnan(xyz).all()
     jet_error, position_error = point_error

@@ -1,12 +1,13 @@
 """Benchmark the working tree against a base revision, in alternating pairs.
 
     python3 tools/bench_ab.py --out BENCH_N.json [--base HEAD] [--pairs 10]
-        [--seed 100]
+        [--seed 100] [--workloads NAME[,NAME]]
 
 Run from the repository root.  The base revision is exported with
 ``git archive`` into a temporary directory, so it is measured from its
 committed files; the working tree is measured as it stands.  For each
-workload in BENCHMARK.json, pair i runs ``perfbench/run.py --seed SEED+i``
+workload in BENCHMARK.json (or each one `--workloads` names, in the
+benchmark's order), pair i runs ``perfbench/run.py --seed SEED+i``
 for the benchmark's ``run_seconds`` once on each side, the side that goes
 first alternating from pair to pair, so slow spells of a shared machine
 fall on both sides alike.  Then one traced run (``--trace 1``, seed SEED)
@@ -115,12 +116,23 @@ def main(argv=None) -> int:
                     help="alternating pairs per workload (at least 2, "
                          "for the quartiles)")
     ap.add_argument("--seed", type=int, default=100)
+    ap.add_argument("--workloads", default=None,
+                    help="comma-separated workloads to pair (default: all "
+                         "of BENCHMARK.json)")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2: quartiles need two runs "
                  "per side")
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
+    names = [w["name"] for w in spec["workloads"]]
+    if args.workloads is not None:
+        wanted = args.workloads.split(",")
+        unknown = sorted(set(wanted) - set(names))
+        if unknown:
+            ap.error(f"unknown workload {unknown[0]!r} (has: "
+                     f"{', '.join(names)})")
+        names = [name for name in names if name in wanted]
     seconds = spec["run_seconds"]
     report = {"base": None, "pairs": args.pairs, "seconds": seconds,
               "seeds": [args.seed, args.seed + args.pairs - 1],
@@ -128,7 +140,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
         report["base"] = export_revision(args.base, tmp)
         roots = {"base": os.path.join(tmp, "base"), "tree": ROOT}
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in names:
             runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
             for i in range(args.pairs):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
