@@ -20,9 +20,10 @@ writes `segment_length` by `repr` (monkey_saddle's would move).  The
 segment length is the mean of the cell diagonals' lengths, each with the
 bits of `np.linalg.norm` of its row (a scaled norm where the row's sum of
 squares overflows), summed left to right.  Where a difference or that sum
-passes the largest float, it is twice the mean of the lengths of the
-halved differences b/2 - a/2, summed as shares, so the manifest stays
-finite wherever the mean is.
+passes the largest float, it is 0.1 x the mean of the lengths of the
+halved differences b/2 - a/2, summed as shares (0.05 x twice that mean,
+with the two factors folded into one), so the manifest stays finite
+wherever 0.05 x the mean is, also where the mean itself overflows.
 The frames behind the focal sheets and net segments come from one
 `frames.frame_point` call on the grid's arrays, and everything after it
 runs on whole arrays: `central.is_canal` masks the canal points of a
@@ -145,12 +146,14 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         diags = _lengths(ends - starts).tolist()
         count = len(diags)
         mean = sum(diags) / count if count else 0.0
+        seg_len = 0.05 * mean
         if not np.isfinite(mean):
             # a difference or the sum past the largest float: twice the
-            # mean of the halved differences' lengths, summed as shares
+            # mean of the halved differences' lengths, summed as shares,
+            # with 0.05 x 2 as one factor (the bits of 0.05 x (2 x mean)),
+            # as twice the mean may itself pass the largest float
             halves = _lengths(ends / 2 - starts / 2).tolist()
-            mean = 2 * sum(x / count for x in halves)
-        seg_len = 0.05 * mean
+            seg_len = 0.1 * sum(x / count for x in halves)
 
         # Each sheet and net is computed once over the batch and then
         # masked: the points without a frame, the sheet's canal points and,

@@ -25,32 +25,47 @@ those leaves; the rest reads them by generic code.  `_records` splits the
 nesting into records and applies the shape rule: a report's ``records`` on
 first reading, and `point_record` from one point's floats, so a grid record
 equals the `point_record` of its point byte for byte.  `_read_columns`
-reads records back into columns, for `parse_json` and `summarize`, and
-`_summary` aggregates columns, for `grid_report` and `summarize` alike.
+reads records back into columns, for `parse_json`.  `_summary` aggregates
+the leaves it names over the usable records, read from the columns for
+`grid_report` and from the records for `summarize`, which reads those
+leaves alone.
 
 The emitters write text straight from the columns, byte for byte what
 ``json.dumps(report.to_dict(), sort_keys=True)`` (one line) and
 ``csv.writer`` would write.  A float is written as its ``repr`` (the
-shortest round-trip form; JSON writes ``NaN``, ``Infinity`` and
-``-Infinity`` where a value is not finite, as ``json.dumps`` does), and
-each emitter formats each distinct bit pattern of its floats once.  In the
-JSON, a record's shape, its status and, in a full record, its excluded
-statements, fixes all of it but its float and bool leaves.  So each shape
-has one template, the record `_records` builds from placeholder leaves,
-rendered once by ``json.dumps`` (so key order and separators are its by
-construction), and each record is one ``%`` of its shape's template.  The
-CSV is written column by column, blank past the status where the frame
-failed.  Identical inputs produce byte-identical files; ``python -m
-json.tool`` indents the JSON for reading.
+shortest round-trip form), and the JSON writes ``NaN``, ``Infinity`` and
+``-Infinity`` where a value is not finite, as ``json.dumps`` does; which
+values those are is read from their bits.  A report has one formatting
+pass, `_format`: one np.unique over the bits of all of its float leaves
+gives every leaf int32 codes, and each distinct value is written once, as
+its ``repr``.  `emit_json` runs it over every leaf and then leaves on the
+report what `emit_csv` writes, the texts that the CSV's 15 float and 6
+flag columns use and their codes; `emit_csv` takes those off the report,
+so a CSV that follows the JSON formats no float, and after both calls the
+report holds nothing more than before.  A CSV without that handoff (first,
+alone or twice) runs `_format` over its own columns.  The handoff is the
+CSV's texts alone: keeping every distinct text of the report would raise
+its memory by the size of the JSON's texts.
+
+In the JSON, a record's shape, its status and, in a full record, its
+excluded statements, fixes all of it but its float and bool leaves.  So
+each shape has one template, the record `_records` builds from
+placeholder leaves, rendered once by ``json.dumps`` (so key order and
+separators are its by construction), and each record is one ``%`` of its
+shape's template.  The templates stay per record: one ``%`` over the
+whole document would hold every record's texts at once and raise the peak
+memory of a call.  The CSV is written column by column, blank past the
+status where the frame failed.  Identical inputs produce byte-identical
+files; ``python -m json.tool`` indents the JSON for reading.
 """
 from __future__ import annotations
 
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import is_not
+from operator import getitem, is_not
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -164,29 +179,37 @@ def grid_points(prog, nu: int, nv: int):
 def summarize(records: List[dict]) -> dict:
     """Aggregate a record list: status counts plus max/mean of each defect
     and identity residual over the non-degenerate (ok/moulding) records.
-    Deterministic; recomputable from the records alone."""
-    return _summary([r["status"] for r in records], _read_columns(records))
+    Deterministic; recomputable from the records alone.  Only the leaves
+    the summary aggregates are read, and only in those records."""
+    live = [r for r in records if r["status"] in USABLE]
+
+    def usable(*path: str) -> np.ndarray:
+        nodes = live
+        for key in path:
+            nodes = [node[key] for node in nodes]
+        return np.array(nodes, dtype=float)
+
+    keys = set().union(*(r["prop_residuals"] or () for r in live))
+    return _summary([r["status"] for r in records], usable, sorted(keys))
 
 
-def _summary(statuses: List[str], columns: dict) -> dict:
-    """`summarize` from the statuses of all records and their columns
-    (`_columns`' nesting).  Each aggregate is Python's max and
-    left-to-right sum over its column's usable entries, in record order
-    (np.sum adds pairwise, and would move the bits); where no record is
-    usable, every aggregate is null and no column is read."""
+def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
+    """`summarize` from the statuses of all records, `usable(*path)`, the
+    float64 entries of the leaf at `path` (`_columns`' nesting) in the
+    usable records, in record order, and the keys of their prop_residuals.
+    Each aggregate is Python's max and left-to-right sum over its leaf's
+    entries (np.sum adds pairwise, and would move the bits); where no
+    record is usable, every aggregate is null and no leaf is read."""
     counts = {s: 0 for s in STATUSES}
     for status in statuses:
         counts[status] += 1
-    live = np.array([s in USABLE for s in statuses], dtype=bool)
-    n = int(live.sum())
+    n = sum(counts[s] for s in USABLE)
 
     def agg(*path: str, f=None) -> dict:
         if not n:
             return {"max": None, "mean": None}
-        col = columns
-        for key in path:
-            col = col[key]
-        values = (f(col[live]) if f else col[live]).tolist()
+        col = usable(*path)
+        values = (f(col) if f else col).tolist()
         return {"max": max(values), "mean": sum(values) / n}
 
     defects = {"w_abs": agg("defects", "w", f=np.abs),
@@ -194,11 +217,10 @@ def _summary(statuses: List[str], columns: dict) -> dict:
     for c in CLASS_NAMES:
         for key in ("class", "class_normalized"):
             defects[f"{key}_{c}"] = agg("defects", key, c)
-    keys = sorted(columns["prop_residuals"]) if n else []
     return {"status_counts": counts, "defects": defects,
             "identity_residuals": {
                 k: agg("prop_residuals", k, "identity_residual")
-                for k in keys},
+                for k in (keys if n else ())},
             "n_records": len(statuses), "n_summarized": n}
 
 
@@ -323,34 +345,49 @@ def grid_report(prog, nu: int, nv: int,
         columns = _columns(us, vs, fp, rep)
     statuses = [kind.status if kind else status
                 for kind, status in zip(failed, rep.status.tolist())]
+    live = np.array([s in USABLE for s in statuses], dtype=bool)
+    summary = _summary(statuses,
+                       lambda *path: reduce(getitem, path, columns)[live],
+                       sorted(columns["prop_residuals"]))
     return GridReport(surface=prog.definition.name,
                       params=dict(prog.params), nu=nu, nv=nv,
                       status=statuses, excluded=rep.excluded.tolist(),
-                      columns=columns, summary=_summary(statuses, columns))
+                      columns=columns, summary=summary)
 
 
-def _texts(cols: List[np.ndarray], bools: Tuple[str, str],
-           dumps) -> np.ndarray:
-    """The text of each entry of the columns `cols`, (len(cols), n)
-    objects: `bools` holds the text of False and of True, and a float is
-    written as `dumps` (``json.dumps`` or ``repr``) writes it in a list,
-    once per distinct bit pattern of the float columns.  Those are stacked
-    and ravelled, so that numpy 1.x and 2.x give np.unique one inverse
-    shape."""
-    texts = np.empty((len(cols), len(cols[0])), dtype=object)
-    floats = []
-    for k, col in enumerate(cols):
-        if col.dtype == bool:
-            texts[k] = np.array(bools, dtype=object)[col.view(np.uint8)]
-        else:
-            floats.append(k)
+def _format(cols: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """The one formatting pass over the columns `cols` (n > 0 entries
+    each): int32 codes, (len(cols), n), into texts, and the distinct float
+    values.  One np.unique of the float columns' bits gives their distinct
+    bit patterns, sorted, and each is written once, as its ``repr``; the
+    flag texts "0" and "1" follow, which a bool column's codes index.  The
+    float columns are stacked and ravelled, so that numpy 1.x and 2.x give
+    np.unique one inverse shape."""
+    floats = [k for k, col in enumerate(cols) if col.dtype != bool]
+    bools = [k for k, col in enumerate(cols) if col.dtype == bool]
     bits, inverse = np.unique(
         np.stack([cols[k] for k in floats]).ravel().view(np.int64),
         return_inverse=True)
-    written = np.array(dumps(bits.view(np.float64).tolist())[1:-1]
-                       .split(", "), dtype=object)
-    texts[floats] = written[inverse].reshape(len(floats), len(cols[0]))
-    return texts
+    values = bits.view(np.float64)
+    texts = np.array([*map(repr, values.tolist()), "0", "1"], dtype=object)
+    codes = np.empty((len(cols), len(cols[0])), dtype=np.int32)
+    codes[floats] = inverse.reshape(len(floats), -1)
+    if bools:
+        codes[bools] = len(values) + np.stack([cols[k] for k in bools])
+    return codes, texts, values
+
+
+# The CSV's leaves in its column order past the status, as paths into a
+# report's columns; a report without frames has the first two alone.
+_CSV_LEAVES = ((("u",), ("v",)) + tuple((k,) for k in _CSV_VALUES)
+               + tuple(("flags", k) for k in _CSV_FLAGS) + (("defects", "w"),)
+               + tuple(("defects", "class_normalized", c)
+                       for c in CLASS_NAMES))
+
+
+def _csv_leaves(cols: dict) -> Tuple[tuple, ...]:
+    return _CSV_LEAVES if "flags" in cols else _CSV_LEAVES[:2]
 
 
 # json.dumps writes a placeholder leaf, NUL and the leaf's index, as
@@ -361,19 +398,23 @@ _LEAF = re.compile(r'"\\u0000(\d+)"')
 def _json_records(report: GridReport) -> List[str]:
     """Each record of `report` as JSON, in record order: the template of
     its shape, ``json.dumps`` of the record `_records` builds from
-    placeholder leaves, filled with the text of its leaves."""
+    placeholder leaves, filled with the texts of its leaves from one
+    `_format` of all of them.  The texts and codes of the CSV's leaves are
+    left on the report for `emit_csv`."""
     n = len(report.status)
     if not n:
         return []
     cols: List[np.ndarray] = []
+    index: Dict[tuple, int] = {}            # leaf path -> its place in cols
 
-    def mark(x):
+    def mark(x, path=()):
         """`x` with each leaf, depth first, put in `cols` and replaced by
         NUL and its index there."""
         if isinstance(x, dict):
-            return {key: mark(y) for key, y in x.items()}
+            return {key: mark(y, path + (key,)) for key, y in x.items()}
+        index[path] = len(cols)
         cols.append(x)
-        return "\0%d" % (len(cols) - 1)
+        return "\0%d" % index[path]
 
     marks = mark(report.columns)
     shapes: Dict[tuple, List[int]] = {}     # shape -> its records
@@ -388,13 +429,32 @@ def _json_records(report: GridReport) -> List[str]:
         templates[status, excluded] = (
             _LEAF.sub("%s", text), [int(k) for k in _LEAF.findall(text)])
 
-    texts = _texts(cols, ("false", "true"), json.dumps)
+    codes, texts, values = _format(cols)
+    _hand_to_csv(report, codes[[index[path] for path in
+                                _csv_leaves(report.columns)]], texts)
+    # the CSV's texts are a copy: the JSON respells its own
+    texts[-2:] = "false", "true"
+    # JSON spells the values that are not finite as json.dumps does
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = ("NaN" if np.isnan(values[k])
+                    else "Infinity" if values[k] > 0 else "-Infinity")
     out = [""] * n
     for shape, rows in shapes.items():
         template, leaves = templates[shape]
-        for i, values in zip(rows, texts[np.ix_(leaves, rows)].T.tolist()):
-            out[i] = template % tuple(values)
+        for i, leaf_texts in zip(
+                rows, texts[codes[np.ix_(leaves, rows)].T].tolist()):
+            out[i] = template % tuple(leaf_texts)
     return out
+
+
+def _hand_to_csv(report: GridReport, codes: np.ndarray,
+                 texts: np.ndarray) -> None:
+    """Leave on `report` the texts the CSV's leaves use, with their codes
+    renumbered into them, for `emit_csv` to take."""
+    used = np.zeros(len(texts), dtype=bool)
+    used[codes] = used[-2:] = True
+    renumber = np.cumsum(used, dtype=np.int32) - 1
+    report._csv_texts = renumber[codes], texts[used]
 
 
 def emit_json(report: GridReport) -> str:
@@ -402,7 +462,8 @@ def emit_json(report: GridReport) -> str:
     ``json.dumps(report.to_dict(), sort_keys=True)``: the document around
     the records by ``json.dumps``, each record from its shape's template
     (see the module docstring).  ``python -m json.tool`` indents it for
-    reading."""
+    reading.  The report keeps the texts of its CSV's cells until
+    `emit_csv` takes them."""
     mark = "\0"
     head, _, tail = json.dumps(report._document(mark),
                                sort_keys=True).partition(json.dumps(mark))
@@ -421,22 +482,22 @@ def emit_csv(report: GridReport) -> str:
     records, written column by column: a float as its ``repr``, a flag as
     1 or 0, and empty cells past the status of a record without a frame
     (no cell holds a comma, a quote or a line break, so csv.writer would
-    quote none)."""
+    quote none).  The cell texts are those `emit_json` left on the report,
+    which this takes off it (so they are the columns as that call read
+    them), or else one `_format` of the CSV's leaves."""
     cols, n = report.columns, len(report.status)
+    handed = vars(report).pop("_csv_texts", None)
     table = np.full((len(_CSV_COLUMNS), n), "", dtype=object)
     table[2] = report.status
     if n:
-        leaves = [cols["u"], cols["v"]]
-        framed = "flags" in cols    # not in a parsed report without frames
-        if framed:
-            d = cols["defects"]
-            leaves += [cols[k] for k in _CSV_VALUES] + [
-                cols["flags"][k] for k in _CSV_FLAGS] + [d["w"]] + [
-                d["class_normalized"][c] for c in CLASS_NAMES]
-        texts = _texts(leaves, ("0", "1"), repr)
-        table[:2] = texts[:2]
-        if framed:
+        if handed is None:
+            handed = _format([reduce(getitem, path, cols)
+                              for path in _csv_leaves(cols)])[:2]
+        codes, texts = handed
+        cells = texts[codes]
+        table[:2] = cells[:2]
+        if len(cells) > 2:          # not a parsed report without frames
             rows = np.array([s not in _NO_FRAME for s in report.status])
-            table[3:, rows] = texts[2:, rows]
+            table[3:, rows] = cells[2:, rows]
     return "".join(",".join(row) + "\n"
                    for row in [_CSV_COLUMNS] + table.T.tolist())

@@ -239,12 +239,10 @@ def test_point_record_matches_grid(prog, graph_source, tol):
                     == repr([float(x) for x in _floats(want)]))
 
 
-def test_non_finite_and_signed_zero_leaves_emit_as_the_encoders_do(prog,
-                                                                   tol):
-    """A parsed report whose leaves hold NaN, +-Infinity and -0.0 (in ok,
-    canal12 and umbilic records) emits the JSON text it was parsed from,
-    which is json.dumps' of its records, and csv.writer's CSV of them
-    (nan, inf, -inf, -0.0).  A NaN with its sign bit set is written alike."""
+def _non_finite_text(prog, tol):
+    """The JSON text of helicoid 4 x 5 with NaN, +-Infinity and -0.0 put
+    into leaves of an ok, a canal12 and an added umbilic record, and the
+    index of that ok record."""
     d = json.loads(emit_json(grid_report(prog("helicoid"), 4, 5, tol)))
     records = d["records"]
     i = next(k for k, r in enumerate(records) if r["status"] == "ok")
@@ -260,7 +258,16 @@ def test_non_finite_and_signed_zero_leaves_emit_as_the_encoders_do(prog,
     for key in ("k1", "k2", "h", "k", "q1", "q2", "flags", "defects",
                 "prop_residuals", "excluded"):
         records[-1][key] = None
-    text = json.dumps(d, sort_keys=True) + "\n"
+    return json.dumps(d, sort_keys=True) + "\n", i
+
+
+def test_non_finite_and_signed_zero_leaves_emit_as_the_encoders_do(prog,
+                                                                   tol):
+    """A parsed report whose leaves hold NaN, +-Infinity and -0.0 (in ok,
+    canal12 and umbilic records) emits the JSON text it was parsed from,
+    which is json.dumps' of its records, and csv.writer's CSV of them
+    (nan, inf, -inf, -0.0).  A NaN with its sign bit set is written alike."""
+    text, i = _non_finite_text(prog, tol)
     for sign in (1.0, -1.0):
         rep = parse_json(text)
         rep.columns["k1"][i] = math.copysign(math.nan, sign)
@@ -272,6 +279,89 @@ def test_non_finite_and_signed_zero_leaves_emit_as_the_encoders_do(prog,
         assert ([row[k] for k in (0, 2, 3, 4, 8, 20)]
                 == ["-0.0", "ok", "nan", "inf", "-inf", "nan"])
         assert table.splitlines()[-1].startswith("nan,")
+
+
+def _emission_report(name, prog, graph_source, tol) -> GridReport:
+    """A report that takes one way through the emitters: every leaf of a
+    grid, leaves that are not finite or are -0.0, no records, or parsed
+    records without frames (only u and v have columns)."""
+    if name == "helicoid":
+        return grid_report(prog("helicoid"), 4, 5, tol)
+    if name == "non_finite":
+        return parse_json(_non_finite_text(prog, tol)[0])
+    if name == "empty":
+        return grid_report(prog("graph_generic"), 0, 5, tol)
+    undefined = compile_surface(parse_surface(graph_source("u / 0")))
+    rep = parse_json(emit_json(grid_report(undefined, 3, 3, tol)))
+    assert set(rep.columns) == {"u", "v"}
+    return rep
+
+
+@pytest.mark.parametrize("name", ["helicoid", "non_finite", "empty",
+                                  "frameless"])
+@pytest.mark.parametrize("order", [("json", "csv"), ("csv", "json"),
+                                   ("csv", "csv"), ("csv",)],
+                         ids="-".join)
+def test_emission_order_does_not_matter(prog, graph_source, tol, name,
+                                        order):
+    """Whichever emitter runs first, and whether the CSV follows a JSON or
+    not, the JSON is json.dumps' of the report's dict and the CSV is
+    csv.writer's of its records.  Afterwards the report holds no more than
+    it did before, but for the CSV's texts where a JSON came last (an
+    empty report has none to hand on)."""
+    rep = _emission_report(name, prog, graph_source, tol)
+    before = set(vars(rep))
+    want = {"json": json.dumps(rep.to_dict(), sort_keys=True) + "\n",
+            "csv": _csv_by_writer(rep)}
+    vars(rep).pop("records")     # the view to_dict built
+    for kind in order:
+        assert (emit_json if kind == "json" else emit_csv)(rep) == want[kind]
+    handed = {"_csv_texts"} if order[-1] == "json" and name != "empty" \
+        else set()
+    assert set(vars(rep)) - before == handed and before <= set(vars(rep))
+
+
+def test_json_hands_the_csv_its_texts_alone(prog, tol):
+    """After emit_json the report holds the texts of the CSV's 15 float
+    and 6 flag columns, each once, with int32 codes that give every cell
+    the CSV writes; emit_csv takes them off the report again."""
+    rep = grid_report(prog("helicoid"), 4, 5, tol)
+    rows = [line.split(",") for line in _csv_by_writer(rep).splitlines()[1:]]
+    before = set(vars(rep))
+    emit_json(rep)
+    assert set(vars(rep)) - before == {"_csv_texts"}
+    codes, texts = rep._csv_texts
+    assert codes.dtype == np.int32 and codes.shape == (21, 20)
+    floats = [k for k in range(22) if k != 2 and not 9 <= k <= 14]
+    assert sorted(texts) == sorted(
+        {row[k] for row in rows for k in floats} | {"0", "1"})
+    cells = [row[:2] + row[3:] for row in rows]
+    assert texts[codes].T.tolist() == cells
+    emit_csv(rep)
+    assert set(vars(rep)) == before
+
+
+def test_a_csv_after_the_json_formats_no_float(prog, tol, monkeypatch):
+    """emit_json formats every leaf in one `_format` pass with one
+    np.unique; emit_csv after it makes neither call, and alone it makes
+    one of each."""
+    calls = []
+
+    def counted(name, func):
+        return lambda *args, **kwargs: calls.append(name) or func(*args,
+                                                                  **kwargs)
+
+    monkeypatch.setattr(report_module, "_format",
+                        counted("format", report_module._format))
+    monkeypatch.setattr(np, "unique", counted("unique", np.unique))
+    rep = grid_report(prog("helicoid"), 4, 5, tol)
+    calls.clear()
+    emit_json(rep)
+    assert calls == ["format", "unique"]
+    emit_csv(rep)
+    assert calls == ["format", "unique"]
+    emit_csv(rep)
+    assert calls == ["format", "unique"] * 2
 
 
 def test_records_are_built_once(prog, tol, monkeypatch):
@@ -615,6 +705,29 @@ def test_segment_length_stays_finite_past_the_largest_float(tmp_path, source,
     want = 0.05 * 2 * sum(x / len(halves) for x in halves)
     assert math.isfinite(want)
     assert manifest["segment_length"] == pytest.approx(want, rel=1e-14)
+
+
+def test_segment_length_stays_finite_where_the_mean_diagonal_overflows(
+        tmp_path, graph_source):
+    """A wave of amplitude 1.7e308 whose height alternates sign between
+    grid columns: every cell diagonal is about 3.4e308, so even twice the
+    mean of the halved ones passes the largest float, but 0.05 x the mean
+    does not.  The manifest is strict JSON and no OBJ line holds inf or
+    nan."""
+    program = compile_surface(parse_surface(
+        graph_source("1.7e308 * sin(7.853981633974483 * u)")))
+    export_obj(program, 6, 6, str(tmp_path), central=(1, 2),
+               nets=("13", "14", "17", "18"))
+
+    def refuse(name):
+        raise ValueError(f"{name} in manifest.json")
+
+    manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                          parse_constant=refuse)
+    assert 1e307 < manifest["segment_length"] < 2e307
+    for path in tmp_path.glob("*.obj"):
+        for line in path.read_text().splitlines():
+            assert "inf" not in line and "nan" not in line, (path.name, line)
 
 
 @UNDEFINED

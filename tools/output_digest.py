@@ -5,7 +5,10 @@ Six digests, one per line:
 - json: ``emit_json`` of ``grid_report`` 25x25 for each of the ten surfaces
   in ``GRID_SURFACES``, in that order (a fixed list, so the digest stays
   comparable when the gallery grows);
-- csv: ``emit_csv`` of the same ten reports, in the same order;
+- csv: ``emit_csv`` of the same ten reports, in the same order, each
+  written after the report's ``emit_json`` (from the texts that call hands
+  on); the tool also writes each CSV from a fresh report over the same
+  columns that emitted no JSON, and exits 1 if the two texts differ;
 - mesh: the name and then the bytes of every file ``export_obj`` writes
   (sorted by name) for a 20x20 grid with both focal sheets and nets
   13/14/17/18 on each surface in ``MESH_SURFACES`` (both torus sheets are
@@ -31,13 +34,15 @@ repository root:
     PYTHONPATH=src python3 tools/output_digest.py [--expect FILE]
 
 With ``--expect FILE`` the printed lines are compared with FILE's and the
-exit status is 1 if any differs.  ``tools/output_digests.txt`` pins the
+exit status is 1 if any differs (or if a CSV differs from its fresh
+report's, as without ``--expect``).  ``tools/output_digests.txt`` pins the
 current digests; CI runs the tool against it, so a change that moves an
 output must update that file and say why.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -74,12 +79,19 @@ MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
 
 
 def report_digests(reports) -> tuple:
-    """(json, csv) digests over the files each report emits, in order."""
+    """(json, csv) digests over the files each report emits, in order, the
+    CSV after the JSON; and the reports whose CSV differs from the one a
+    fresh report over the same columns writes with no JSON before it."""
     hj, hc = hashlib.sha256(), hashlib.sha256()
+    differ = []
     for rep in reports:
+        alone = emit_csv(dataclasses.replace(rep))
         hj.update(emit_json(rep).encode())
-        hc.update(emit_csv(rep).encode())
-    return hj.hexdigest(), hc.hexdigest()
+        table = emit_csv(rep)
+        hc.update(table.encode())
+        if table != alone:
+            differ.append(f"{rep.surface} {rep.nu}x{rep.nv}")
+    return hj.hexdigest(), hc.hexdigest(), differ
 
 
 def mesh_digest() -> str:
@@ -117,24 +129,29 @@ def main(argv=None) -> int:
                         help="compare the printed lines with FILE's and exit "
                              "with status 1 if any differs")
     args = parser.parse_args(argv)
-    json_digest, csv_digest = report_digests(
+    json_digest, csv_digest, differ = report_digests(
         grid_report(compile_surface(gallery(name)), 25, 25)
         for name in GRID_SURFACES)
-    json_shapes, csv_shapes = report_digests(
+    json_shapes, csv_shapes, differ_shapes = report_digests(
         grid_report(compile_surface(surface), nu, nv)
         for surface, nu, nv in SHAPE_GRIDS)
     lines = [f"json {json_digest}", f"csv {csv_digest}",
              f"mesh {mesh_digest()}", f"point {point_digest()}",
              f"json_shapes {json_shapes}", f"csv_shapes {csv_shapes}"]
     print("\n".join(lines))
+    status = 0
+    for name in differ + differ_shapes:
+        print(f"the CSV of {name} after its JSON differs from the CSV of a "
+              f"fresh report", file=sys.stderr)
+        status = 1
     if args.expect is not None:
         with open(args.expect) as fh:
             expected = fh.read().splitlines()
         if lines != expected:
             print(f"the digests differ from {args.expect}, which holds:",
                   *expected, sep="\n", file=sys.stderr)
-            return 1
-    return 0
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
