@@ -22,9 +22,7 @@ case) and computation is refused rather than returning huge values.
 way of `check_canal`.  That raises at a point only: these formulas also
 run on a batch `FramePoint` of arrays, whose canal points
 `classify.defect_report` marks in their status and `mesh.export_obj`
-drops by `is_canal`'s mask.  The divergence entry points have private
-cores (`_isothermic_divergence` and the like), the computation alone,
-for `classify` once it has decided a point is not canal.
+drops by `is_canal`'s mask.
 """
 from __future__ import annotations
 
@@ -241,12 +239,6 @@ def central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
     Relabelling reverses grad_f and the two components.
     """
     check_canal(fp, sheet, tol)
-    return _central_pfaffian(fp, grad_f, sheet)
-
-
-def _central_pfaffian(fp: FramePoint, grad_f: Tuple[float, float],
-                      sheet: int) -> Tuple[float, float]:
-    """`central_pfaffian` at a point already judged not canal on `sheet`."""
     k, k_other, _, _, (d1k, d2k) = _relabelled(fp, sheet)
     d1f, d2f = _in_sheet_order(grad_f, sheet)
     return _in_sheet_order(
@@ -276,14 +268,7 @@ def isothermic_divergence(fp: FramePoint, grad_q: Tuple[float, float],
     One coefficient vanishes identically per sheet, so only one term
     survives: sheet 1 -> nabla_1' Q, sheet 2 -> nabla_2' Q.
     """
-    check_canal(fp, sheet, tol)
-    return _isothermic_divergence(fp, grad_q, sheet)
-
-
-def _isothermic_divergence(fp: FramePoint, grad_q: Tuple[float, float],
-                           sheet: int) -> float:
-    """`isothermic_divergence` at a point already judged not canal."""
-    return _central_pfaffian(fp, grad_q, sheet)[sheet - 1]
+    return central_pfaffian(fp, grad_q, sheet, tol)[sheet - 1]
 
 
 def w_jacobian(fp: FramePoint) -> float:
@@ -298,11 +283,6 @@ def divergence_closed_form(fp: FramePoint, sheet: int,
     forms of the sheet connection and derivatives (see docs/derivations.md);
     a k_i^2 variant fails by exactly one factor of k_i."""
     check_canal(fp, sheet, tol)
-    return _divergence_closed_form(fp, sheet)
-
-
-def _divergence_closed_form(fp: FramePoint, sheet: int) -> float:
-    """`divergence_closed_form` at a point already judged not canal."""
     k, _, own = own_curvature(fp, sheet)
     jac = w_jacobian(fp)
     gap = fp.k1 - fp.k2
@@ -317,11 +297,6 @@ def divergence_scale(fp: FramePoint, sheet: int,
     dependent the Jacobian cancels to machine noise, so the result itself
     is a useless scale."""
     check_canal(fp, sheet, tol)
-    return _divergence_scale(fp, sheet)
-
-
-def _divergence_scale(fp: FramePoint, sheet: int) -> float:
-    """`divergence_scale` at a point already judged not canal."""
     k, _, own = own_curvature(fp, sheet)
     num = (abs(fp.grad_k1[0] * fp.grad_k2[1])
            + abs(fp.grad_k1[1] * fp.grad_k2[0]))

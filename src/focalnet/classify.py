@@ -24,7 +24,10 @@ the participating terms.  With chain-rule gradients the prop3-prop6
 residuals compare two float arrangements of the same expression; the
 self-checks feed `prop_residuals` gradients built on jets instead, which
 keeps that identity an independent test.  `defect_report` builds every
-report and decides its record status.
+report and decides its record status.  It calls the same public entries as
+any caller, each behind its canal gate, and no gate fires there: at a point
+it takes residuals only at ok and moulding points, never canal, and on a
+batch `check_canal` does not raise.
 
 Every formula runs on a point's floats and, unchanged and with the same
 bits, on a batch `FramePoint` of arrays, by way of `jet`'s shape helpers.
@@ -37,12 +40,12 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import jet as jt
-from .central import (_divergence_closed_form, _divergence_scale,
-                      _isothermic_divergence, check_canal,
-                      connection_gradient, is_canal, w_jacobian)
+from .central import (check_canal, connection_gradient,
+                      divergence_closed_form, divergence_scale, is_canal,
+                      isothermic_divergence, w_jacobian)
 from .frames import FramePoint
-from .nets import (_net_asymptotic_pullback, _net_curvature_pullback,
-                   net_norm, spherical_image)
+from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
+                   spherical_image)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -105,23 +108,15 @@ def class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
 def class_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
     """Pfaffian gradients (nabla_1 g, nabla_2 g) of the six class functions
     by the chain rule, nabla_i g = g_k1 nabla_i k1 + g_k2 nabla_i k2."""
-    return _chain_rule(fp, class_partials(fp.k1, fp.k2))
-
-
-def _chain_rule(fp: FramePoint, partials: Dict[str, Tuple[float, float]]):
     (d1k1, d2k1), (d1k2, d2k2) = fp.grad_k1, fp.grad_k2
     return {name: (p1 * d1k1 + p2 * d1k2, p1 * d2k1 + p2 * d2k2)
-            for name, (p1, p2) in partials.items()}
+            for name, (p1, p2) in class_partials(fp.k1, fp.k2).items()}
 
 
 def class_defects(fp: FramePoint):
     """(raw, normalized) gradient-defect maps over the six classes."""
     partials = class_partials(fp.k1, fp.k2)
-    return _class_defects(fp, partials, _chain_rule(fp, partials))
-
-
-def _class_defects(fp: FramePoint, partials: Dict[str, Tuple[float, float]],
-                   grads: Dict[str, Tuple[float, float]]):
+    grads = class_gradients(fp)
     g1 = jt.hypot(*fp.grad_k1)
     g2 = jt.hypot(*fp.grad_k2)
     raw, norm = {}, {}
@@ -165,9 +160,7 @@ def defect_report(fp: FramePoint,
     ``excluded``: the factor vanishes there, so the two sides no longer
     determine each other.  On a batch every field holds arrays, and the
     residuals, computed at every point, are meaningless at canal points."""
-    partials = class_partials(fp.k1, fp.k2)
-    grads = _chain_rule(fp, partials)
-    raw, normed = _class_defects(fp, partials, grads)
+    raw, normed = class_defects(fp)
     canal1, canal2 = is_canal(fp, 1, tol), is_canal(fp, 2, tol)
     wd = w_defect(fp)
     md = moulding_defect(fp, tol)
@@ -179,7 +172,7 @@ def defect_report(fp: FramePoint,
                        ())
     res: Dict[str, PropositionResidual] = {}
     if isinstance(status, np.ndarray) or status in ("ok", "moulding"):
-        res = _prop_residuals(fp, grads)
+        res = prop_residuals(fp, class_gradients(fp), tol)
     return DefectReport(status=status, w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
@@ -200,13 +193,6 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
     A canal point raises CanalDegenerate, sheet 1 first."""
     check_canal(fp, 1, tol)
     check_canal(fp, 2, tol)
-    return _prop_residuals(fp, grads)
-
-
-def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]]
-                    ) -> Dict[str, PropositionResidual]:
-    """`prop_residuals` at a point already judged not canal on either
-    sheet (by `defect_report`, or by `prop_residuals`' checks)."""
     k1, k2 = fp.k1, fp.k2
     g_diff, g_ratio = grads["diff"], grads["ratio"]
     g_rdiff, g_rsum = grads["radii_diff"], grads["radii_sum"]
@@ -219,15 +205,15 @@ def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]]
         # The divergence against its closed form (the isothermic criterion),
         # on the scale of its terms: where the curvatures are functionally
         # dependent both sides cancel to noise.
-        div = _isothermic_divergence(fp, grad_q, sheet)
-        closed = _divergence_closed_form(fp, sheet)
-        scale = _divergence_scale(fp, sheet) + _FLOOR
+        div = isothermic_divergence(fp, grad_q, sheet, tol)
+        closed = divergence_closed_form(fp, sheet, tol)
+        scale = divergence_scale(fp, sheet, tol) + _FLOOR
         res[p1] = PropositionResidual(abs(div) / scale, abs(closed) / scale,
                                       abs(div - closed) / scale)
         # Asymptotic net: orthogonality <-> d_i(k1 - k2), conjugacy <->
         # k2^2 d_i(k1/k2); its spherical image's orthogonality <->
         # -d_i(1/k1 - 1/k2).  Pure rearrangements.
-        net = _net_asymptotic_pullback(fp, sheet)
+        net = net_asymptotic_pullback(fp, sheet, tol)
         nm = net_norm(net)
         res[p3a] = _res(net.a + net.c, g_diff[i], nm)
         res[p3b] = _res(k2 * net.a + k1 * net.c,
@@ -237,7 +223,7 @@ def _prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]]
         # Curvature-line net: orthogonality <-> q_i d_i(k1 + k2), conjugacy
         # <-> q_i d_i(k1 k2); its spherical image's orthogonality <->
         # -q_i d_i(1/k1 + 1/k2).  The compatibility equations leave q_i.
-        net = _net_curvature_pullback(fp, sheet)
+        net = net_curvature_pullback(fp, sheet, tol)
         nm = net_norm(net)
         res[p5a] = _res(net.a + net.c, q * g_mean[i], nm)
         res[p5b] = _res(k2 * net.a + k1 * net.c, q * g_gauss[i], nm)

@@ -59,11 +59,6 @@ def net_asymptotic_pullback(fp: FramePoint, sheet: int,
     """Asymptotic directions of focal sheet i pulled back to the base:
     nabla_i k1 w1^2 - nabla_i k2 w2^2 = 0 (net "13" or "14")."""
     check_canal(fp, sheet, tol)
-    return _net_asymptotic_pullback(fp, sheet)
-
-
-def _net_asymptotic_pullback(fp: FramePoint, sheet: int) -> NetForm:
-    """`net_asymptotic_pullback` at a point already judged not canal."""
     i = sheet - 1
     return NetForm(fp.grad_k1[i], 0.0, -fp.grad_k2[i], ("13", "14")[i])
 
@@ -74,11 +69,6 @@ def net_curvature_pullback(fp: FramePoint, sheet: int,
     (net "17" or "18"): with (d1, d2) = nabla k_i,
     q1 d1 w1^2 + (k_i^2 (k1 - k2) + q2 d1 + q1 d2) w1 w2 + q2 d2 w2^2 = 0."""
     check_canal(fp, sheet, tol)
-    return _net_curvature_pullback(fp, sheet)
-
-
-def _net_curvature_pullback(fp: FramePoint, sheet: int) -> NetForm:
-    """`net_curvature_pullback` at a point already judged not canal."""
     k, (d1, d2), _ = own_curvature(fp, sheet)
     k1, k2, q1, q2 = fp.k1, fp.k2, fp.q1, fp.q2
     two_b = jt.power(k, 2) * (k1 - k2) + q2 * d1 + q1 * d2

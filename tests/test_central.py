@@ -11,6 +11,7 @@ from focalnet.central import (canal_threshold, central_ii_oracle,
                               divergence_scale, focal_coframe_matrix,
                               is_canal, isothermic_divergence, own_curvature)
 from focalnet.checks import sample_frame_points
+from focalnet.classify import class_gradients, prop_residuals
 from focalnet.errors import CanalDegenerate
 from focalnet.fdoracle import fd_frame_field
 from focalnet.frames import frame_point, pfaffian_values
@@ -73,15 +74,41 @@ def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
                 (direction[0][i], direction[1][i]), 5e-4, tol)
 
 
+def _canal_gated(fp, tol):
+    """Canal-gated entries that `defect_report` also calls, each as (the
+    sheet whose gate refuses the torus point first, a call on `fp`): sheet
+    2 where a sheet is asked for; `prop_residuals` checks both, sheet 1
+    first."""
+    return {
+        "central_pfaffian":
+            (2, lambda: central_pfaffian(fp, connection_gradient(fp), 2, tol)),
+        "divergence_closed_form":
+            (2, lambda: divergence_closed_form(fp, 2, tol)),
+        "divergence_scale": (2, lambda: divergence_scale(fp, 2, tol)),
+        "prop_residuals":
+            (1, lambda: prop_residuals(fp, class_gradients(fp), tol)),
+    }
+
+
 def test_canal_detection_torus(prog, tol):
     """Tube sheet of the torus: curvature constant along its own line.  A
     batch passes `check_canal`, and its canal columns read NaN in the
-    oracle (at (0.5, 1.1) nabla_2 k2 is 0.0 and the coframe singular)."""
+    oracle (at (0.5, 1.1) nabla_2 k2 is 0.0 and the coframe singular).
+    The gated entries return arrays on the batch and raise at the point,
+    with `check_canal`'s message."""
     batch = frame_point(prog("torus"), np.array([0.5, 0.9]),
                         np.array([1.1, 0.4]), tol)
     assert check_canal(batch, 2, tol).tolist() == [True, True]
     cf = central_ii_oracle(batch, 2, tol)
     assert np.isnan([cf.a, cf.b, cf.c, cf.q1, cf.q2]).all()
+    for name, (_, call) in _canal_gated(batch, tol).items():
+        with np.errstate(all="ignore"):
+            out = call()
+        if isinstance(out, dict):
+            out = [x for r in out.values() for x in vars(r).values()]
+        arrays = out if isinstance(out, (list, tuple)) else [out]
+        assert arrays and all(isinstance(x, np.ndarray) and x.shape == (2,)
+                              for x in arrays), name
     fp = frame_point(prog("torus"), 0.5, 1.1, tol)
     with pytest.raises(CanalDegenerate) as ei:
         check_canal(fp, 2, tol)
@@ -95,6 +122,12 @@ def test_canal_detection_torus(prog, tol):
         central_ii_oracle(fp, sheet=2, tol=tol)
     with pytest.raises(CanalDegenerate):
         isothermic_divergence(fp, connection_gradient(fp), 2, tol)
+    for name, (sheet, call) in _canal_gated(fp, tol).items():
+        with pytest.raises(CanalDegenerate) as gated:
+            call()
+        with pytest.raises(CanalDegenerate) as checked:
+            check_canal(fp, sheet, tol)
+        assert str(gated.value) == str(checked.value), name
 
 
 def test_canal_threshold_scales_with_curvature(prog, tol):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from focalnet.central import central_point, focal_coframe_matrix
 from focalnet.checks import sample_frame_points
 from focalnet.errors import (CanalDegenerate, DegenerateNetError,
                              ImaginaryNetError)
@@ -164,6 +165,31 @@ def test_curvature_pullback_identities(prog, tol, rng):
             q * g_mean[i] / norm, rel=1e-10, abs=1e-12)
         assert conjugacy_defect(net, fp.k1, fp.k2) == pytest.approx(
             q * g_gauss[i] / norm, rel=1e-10, abs=1e-12)
+
+
+def test_curvature_pullback_is_the_sheet_curvature_net(prog, tol):
+    """Every coefficient of nets 17/18, b included: the curvature lines of
+    sheet i's second form (a, b, c) in its orthonormal coframe are
+    (b, (c - a)/2, -b), and P^T N P with P = `focal_coframe_matrix` pulls
+    them back to (w1, w2).  The triples agree in direction (sine of the
+    angle between them) at 40 healthy points of five surfaces."""
+    for name in ("graph_generic", "dini", "helicoid", "enneper", "scherk"):
+        fp = sample_frame_points(prog(name), 40, np.random.default_rng(7),
+                                 tol, sheets=(1, 2))
+        for sheet in (1, 2):
+            cp = central_point(fp, sheet, tol)
+            half = 0.5 * (cp.c - cp.a)
+            sheet_net = np.stack([np.stack([cp.b, half], -1),
+                                  np.stack([half, -cp.b], -1)], -2)
+            p = focal_coframe_matrix(fp, sheet)
+            m = np.swapaxes(p, -1, -2) @ sheet_net @ p
+            want = np.stack([m[..., 0, 0], m[..., 0, 1], m[..., 1, 1]], -1)
+            got = np.stack(np.broadcast_arrays(
+                *net_curvature_pullback(fp, sheet, tol).triple()), -1)
+            sine = (np.linalg.norm(np.cross(got, want), axis=-1)
+                    / (np.linalg.norm(got, axis=-1)
+                       * np.linalg.norm(want, axis=-1)))
+            assert sine.max() < 1e-9, (name, sheet, sine.max())
 
 
 def test_principal_axes_net_orthogonal_and_conjugate():
