@@ -15,8 +15,9 @@ Layers, bottom up:
   with orthogonality / conjugacy / reality defects and direction extraction.
 - ``classify``: pointwise functional-relation defects (one per curvature
   function), flags, and per-statement residual reports.
-- ``report`` / ``mesh`` / ``cli`` / ``checks``: grid reports (JSON/CSV),
-  OBJ export, the command-line tool, and the seeded self-check suites.
+- ``report`` / ``mesh`` / ``cli`` / ``checks``: grid reports (JSON/CSV,
+  their float texts written on arrays by ``floattext``), OBJ export, the
+  command-line tool, and the seeded self-check suites.
 """
 
 from .central import (CentralFundamentals, CentralPoint, central_ii_oracle,

@@ -190,9 +190,8 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
     row of `_SHEET_KEYS`.  ``grads`` maps each class name to its gradient:
     `class_gradients` in reports, gradients of jet fields in the
     self-checks.  The sheet divergences (prop1) use `connection_gradient`.
-    A canal point raises CanalDegenerate, sheet 1 first."""
-    check_canal(fp, 1, tol)
-    check_canal(fp, 2, tol)
+    A canal point raises CanalDegenerate, sheet 1 first: the gates of the
+    closed forms it calls, sheet by sheet."""
     k1, k2 = fp.k1, fp.k2
     g_diff, g_ratio = grads["diff"], grads["ratio"]
     g_rdiff, g_rsum = grads["radii_diff"], grads["radii_sum"]

@@ -38,7 +38,14 @@ shortest round-trip form), and the JSON writes ``NaN``, ``Infinity`` and
 values those are is read from their bits.  A report has one formatting
 pass, `_format`: one np.unique over the bits of all of its float leaves
 gives every leaf int32 codes, and each distinct value is written once, as
-its ``repr``.  `emit_json` runs it over every leaf and then leaves on the
+its ``repr``.  The texts come from `floattext.reprs`, which decides the
+shortest digits of the whole array in double-double arithmetic and hands
+to ``repr`` itself each value it cannot decide with a margin of 1e-6 of
+the last digit's unit (its error is below 1e-13 of it), each of 13 or
+fewer digits, and those that are zero, subnormal, not finite or past
+1e+-280 in magnitude: 0.096% of the distinct values of the ten gallery
+40x40 reports.  So the texts are ``repr``'s by construction.
+`emit_json` runs the pass over every leaf and then leaves on the
 report what `emit_csv` writes, the texts that the CSV's 15 float and 6
 flag columns use and their codes; `emit_csv` takes those off the report,
 so a CSV that follows the JSON formats no float, and after both calls the
@@ -52,11 +59,13 @@ excluded statements, fixes all of it but its float and bool leaves.  So
 each shape has one template, the record `_records` builds from
 placeholder leaves, rendered once by ``json.dumps`` (so key order and
 separators are its by construction), and each record is one ``%`` of its
-shape's template.  The templates stay per record: one ``%`` over the
-whole document would hold every record's texts at once and raise the peak
-memory of a call.  The CSV is written column by column, blank past the
-status where the frame failed.  Identical inputs produce byte-identical
-files; ``python -m json.tool`` indents the JSON for reading.
+shape's template.  The templates stay per record, and a shape's records
+gather their leaf texts in blocks of `_BLOCK`: one ``%`` over the whole
+document, or one gather over all of a shape's records, would hold every
+record's texts at once and raise the peak memory of a call.  The CSV is
+written column by column, blank past the status where the frame failed.
+Identical inputs produce byte-identical files; ``python -m json.tool``
+indents the JSON for reading.
 """
 from __future__ import annotations
 
@@ -72,6 +81,7 @@ import numpy as np
 
 from .classify import CLASS_NAMES, DefectReport, defect_report
 from .errors import FRAME_ERRORS
+from .floattext import reprs
 from .frames import frame_point
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
@@ -360,17 +370,17 @@ def _format(cols: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray,
     """The one formatting pass over the columns `cols` (n > 0 entries
     each): int32 codes, (len(cols), n), into texts, and the distinct float
     values.  One np.unique of the float columns' bits gives their distinct
-    bit patterns, sorted, and each is written once, as its ``repr``; the
-    flag texts "0" and "1" follow, which a bool column's codes index.  The
-    float columns are stacked and ravelled, so that numpy 1.x and 2.x give
-    np.unique one inverse shape."""
+    bit patterns, sorted, and each is written once, as its ``repr``
+    (`floattext.reprs`); the flag texts "0" and "1" follow, which a bool
+    column's codes index.  The float columns are stacked and ravelled, so
+    that numpy 1.x and 2.x give np.unique one inverse shape."""
     floats = [k for k, col in enumerate(cols) if col.dtype != bool]
     bools = [k for k, col in enumerate(cols) if col.dtype == bool]
     bits, inverse = np.unique(
         np.stack([cols[k] for k in floats]).ravel().view(np.int64),
         return_inverse=True)
     values = bits.view(np.float64)
-    texts = np.array([*map(repr, values.tolist()), "0", "1"], dtype=object)
+    texts = np.array([*reprs(values), "0", "1"], dtype=object)
     codes = np.empty((len(cols), len(cols[0])), dtype=np.int32)
     codes[floats] = inverse.reshape(len(floats), -1)
     if bools:
@@ -389,6 +399,11 @@ _CSV_LEAVES = ((("u",), ("v",)) + tuple((k,) for k in _CSV_VALUES)
 def _csv_leaves(cols: dict) -> Tuple[tuple, ...]:
     return _CSV_LEAVES if "flags" in cols else _CSV_LEAVES[:2]
 
+
+# Records per block of a shape's template fill: one gather of the block's
+# leaf texts at a time, so that the gather for all of a shape's records is
+# never held at once.
+_BLOCK = 256
 
 # json.dumps writes a placeholder leaf, NUL and the leaf's index, as
 # "\u0000" and the index, in quotes.
@@ -441,9 +456,11 @@ def _json_records(report: GridReport) -> List[str]:
     out = [""] * n
     for shape, rows in shapes.items():
         template, leaves = templates[shape]
-        for i, leaf_texts in zip(
-                rows, texts[codes[np.ix_(leaves, rows)].T].tolist()):
-            out[i] = template % tuple(leaf_texts)
+        for start in range(0, len(rows), _BLOCK):
+            block = rows[start:start + _BLOCK]
+            for i, leaf_texts in zip(
+                    block, texts[codes[np.ix_(leaves, block)].T].tolist()):
+                out[i] = template % tuple(leaf_texts)
     return out
 
 

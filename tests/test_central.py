@@ -77,8 +77,8 @@ def test_oracle_batch_columns_are_point_calls(prog, tol, rng):
 def _canal_gated(fp, tol):
     """Canal-gated entries that `defect_report` also calls, each as (the
     sheet whose gate refuses the torus point first, a call on `fp`): sheet
-    2 where a sheet is asked for; `prop_residuals` checks both, sheet 1
-    first."""
+    2 where a sheet is asked for; `prop_residuals` raises from the gates
+    of the closed forms it calls, sheet 1 first."""
     return {
         "central_pfaffian":
             (2, lambda: central_pfaffian(fp, connection_gradient(fp), 2, tol)),
@@ -128,6 +128,21 @@ def test_canal_detection_torus(prog, tol):
         with pytest.raises(CanalDegenerate) as checked:
             check_canal(fp, sheet, tol)
         assert str(gated.value) == str(checked.value), name
+
+
+def test_prop_residuals_raises_at_a_canal2_point(prog, tol):
+    """At a point of dini where sheet 2 alone is canal, `prop_residuals`
+    (which has no gate of its own) raises the sheet-2 CanalDegenerate of
+    the closed forms it calls, with `check_canal`'s message."""
+    fp = frame_point(prog("dini"), 1.5164621228583437, 1.580513809546511,
+                     tol)
+    assert not is_canal(fp, 1, tol) and is_canal(fp, 2, tol)
+    with pytest.raises(CanalDegenerate) as raised:
+        prop_residuals(fp, class_gradients(fp), tol)
+    with pytest.raises(CanalDegenerate) as checked:
+        check_canal(fp, 2, tol)
+    assert raised.value.sheet == 2
+    assert str(raised.value) == str(checked.value)
 
 
 def test_canal_threshold_scales_with_curvature(prog, tol):
