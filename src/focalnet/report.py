@@ -56,16 +56,18 @@ its memory by the size of the JSON's texts.
 
 In the JSON, a record's shape, its status and, in a full record, its
 excluded statements, fixes all of it but its float and bool leaves.  So
-each shape has one template, the record `_records` builds from
-placeholder leaves, rendered once by ``json.dumps`` (so key order and
-separators are its by construction), and each record is one ``%`` of its
-shape's template.  The templates stay per record, and a shape's records
-gather their leaf texts in blocks of `_BLOCK`: one ``%`` over the whole
-document, or one gather over all of a shape's records, would hold every
-record's texts at once and raise the peak memory of a call.  The CSV is
-written column by column, blank past the status where the frame failed.
-Identical inputs produce byte-identical files; ``python -m json.tool``
-indents the JSON for reading.
+each shape is rendered once by ``json.dumps`` (so key order and
+separators are its by construction), as the record `_records` builds
+from placeholder leaves, and split at those leaves into its literal
+pieces.  A shape's records are written in blocks of `_BLOCK`: each
+record is one ``"".join`` of its row of an object array, the pieces at
+the even slots and the record's leaf texts, gathered for the whole block
+at once, at the odd ones.  The join stays per record: one join per block
+of records was slower, and one gather over all of a shape's records
+would hold every record's texts at once and raise the peak memory of a
+call.  The CSV is written column by column, blank past the status where
+the frame failed.  Identical inputs produce byte-identical files;
+``python -m json.tool`` indents the JSON for reading.
 """
 from __future__ import annotations
 
@@ -400,9 +402,12 @@ def _csv_leaves(cols: dict) -> Tuple[tuple, ...]:
     return _CSV_LEAVES if "flags" in cols else _CSV_LEAVES[:2]
 
 
-# Records per block of a shape's template fill: one gather of the block's
-# leaf texts at a time, so that the gather for all of a shape's records is
-# never held at once.
+# Records per block of a shape's records: one gather of the block's leaf
+# texts, and one object array of its rows, at a time.  emit_json of the
+# 40x40 graph_generic report (tracemalloc peak; fastest and median of 21
+# alternating calls): 128 records 9.69 MB, 45.7 / 66.1 ms; 256 9.69 MB,
+# 45.6 / 67.0 ms; 512 10.33 MB, 47.4 / 69.5 ms; all 1600 13.24 MB,
+# 51.5 / 64.5 ms.  The times are alike; past 256 the peak rises.
 _BLOCK = 256
 
 # json.dumps writes a placeholder leaf, NUL and the leaf's index, as
@@ -411,11 +416,11 @@ _LEAF = re.compile(r'"\\u0000(\d+)"')
 
 
 def _json_records(report: GridReport) -> List[str]:
-    """Each record of `report` as JSON, in record order: the template of
+    """Each record of `report` as JSON, in record order: the pieces of
     its shape, ``json.dumps`` of the record `_records` builds from
-    placeholder leaves, filled with the texts of its leaves from one
-    `_format` of all of them.  The texts and codes of the CSV's leaves are
-    left on the report for `emit_csv`."""
+    placeholder leaves split at those leaves, joined with the texts of its
+    leaves from one `_format` of all of them.  The texts and codes of the
+    CSV's leaves are left on the report for `emit_csv`."""
     n = len(report.status)
     if not n:
         return []
@@ -437,50 +442,53 @@ def _json_records(report: GridReport) -> List[str]:
                                                report.excluded)):
         shape = (status, excluded if status in USABLE else ())
         shapes.setdefault(shape, []).append(i)
-    templates = {}                          # shape -> (template, leaves)
-    for status, excluded in shapes:
-        text = json.dumps(_records([status], [excluded], marks)[0],
-                          sort_keys=True).replace("%", "%%")
-        templates[status, excluded] = (
-            _LEAF.sub("%s", text), [int(k) for k in _LEAF.findall(text)])
-
-    codes, texts, values = _format(cols)
-    _hand_to_csv(report, codes[[index[path] for path in
-                                _csv_leaves(report.columns)]], texts)
-    # the CSV's texts are a copy: the JSON respells its own
-    texts[-2:] = "false", "true"
-    # JSON spells the values that are not finite as json.dumps does
-    for k in np.flatnonzero(~np.isfinite(values)).tolist():
-        texts[k] = ("NaN" if np.isnan(values[k])
-                    else "Infinity" if values[k] > 0 else "-Infinity")
+    codes, texts = _json_texts(report, cols, [
+        index[path] for path in _csv_leaves(report.columns)])
     out = [""] * n
-    for shape, rows in shapes.items():
-        template, leaves = templates[shape]
+    for (status, excluded), rows in shapes.items():
+        parts = _LEAF.split(json.dumps(
+            _records([status], [excluded], marks)[0], sort_keys=True))
+        leaves = list(map(int, parts[1::2]))
+        row = np.empty((min(_BLOCK, len(rows)), len(parts)), dtype=object)
+        row[:, ::2] = parts[::2]
         for start in range(0, len(rows), _BLOCK):
             block = rows[start:start + _BLOCK]
-            for i, leaf_texts in zip(
-                    block, texts[codes[np.ix_(leaves, block)].T].tolist()):
-                out[i] = template % tuple(leaf_texts)
+            rec = row[:len(block)]
+            rec[:, 1::2] = texts[codes[np.ix_(leaves, block)]].T
+            for i, text in zip(block, map("".join, rec.tolist())):
+                out[i] = text
     return out
 
 
-def _hand_to_csv(report: GridReport, codes: np.ndarray,
-                 texts: np.ndarray) -> None:
-    """Leave on `report` the texts the CSV's leaves use, with their codes
-    renumbered into them, for `emit_csv` to take."""
+def _json_texts(report: GridReport, cols: List[np.ndarray],
+                csv_rows: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """The codes and JSON texts of one `_format` of the leaf columns
+    `cols`.  First a copy of the texts that the CSV's leaves, rows
+    `csv_rows` of `cols`, use is left on the report, with their codes
+    renumbered into it, for `emit_csv` to take; then the JSON respells the
+    flags and the values that are not finite as json.dumps does.  The
+    distinct values are not returned, so they are freed before the records
+    are written."""
+    codes, texts, values = _format(cols)
+    csv_codes = codes[csv_rows]
     used = np.zeros(len(texts), dtype=bool)
-    used[codes] = used[-2:] = True
+    used[csv_codes] = used[-2:] = True
     renumber = np.cumsum(used, dtype=np.int32) - 1
-    report._csv_texts = renumber[codes], texts[used]
+    report._csv_texts = renumber[csv_codes], texts[used]
+    texts[-2:] = "false", "true"
+    for k in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[k] = ("NaN" if np.isnan(values[k])
+                    else "Infinity" if values[k] > 0 else "-Infinity")
+    return codes, texts
 
 
 def emit_json(report: GridReport) -> str:
     """The report as one line of JSON with sorted keys, byte for byte
     ``json.dumps(report.to_dict(), sort_keys=True)``: the document around
-    the records by ``json.dumps``, each record from its shape's template
-    (see the module docstring).  ``python -m json.tool`` indents it for
-    reading.  The report keeps the texts of its CSV's cells until
-    `emit_csv` takes them."""
+    the records by ``json.dumps``, each record one join of its shape's
+    pieces and its leaf texts (see the module docstring).  ``python -m
+    json.tool`` indents it for reading.  The report keeps the texts of its
+    CSV's cells until `emit_csv` takes them."""
     mark = "\0"
     head, _, tail = json.dumps(report._document(mark),
                                sort_keys=True).partition(json.dumps(mark))

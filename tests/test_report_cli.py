@@ -321,6 +321,45 @@ def test_emission_order_does_not_matter(prog, graph_source, tol, name,
     assert set(vars(rep)) - before == handed and before <= set(vars(rep))
 
 
+def _vary(x, i: int):
+    """`x` with each float in it scaled by 1 + i / 1024: record i's own."""
+    if isinstance(x, dict):
+        return {key: _vary(y, i) for key, y in x.items()}
+    return x * (1 + i / 1024) if isinstance(x, float) else x
+
+
+def test_interleaved_shapes_across_blocks(prog, graph_source, tol):
+    """A report whose records, each with floats of its own, cycle through
+    the shapes ok, moulding (with its excluded statements), canal2 and
+    umbilic (no frame), 2 * _BLOCK + 3 records of each, so that each
+    shape's records fill two blocks and part of a third, every block
+    running across the other shapes' records: its JSON is json.dumps' of
+    its dict and its CSV csv.writer's of its records."""
+    def first(program, status):
+        rep = grid_report(program, 2, 2, tol)
+        return rep.records[rep.status.index(status)]
+
+    shapes = [first(prog("helicoid"), "ok"),
+              first(compile_surface(parse_surface(SWEPT_SRC)), "moulding"),
+              first(compile_surface(parse_surface(
+                  graph_source("0 - (u^2 + v^2)"))), "canal2"),
+              first(prog("sphere"), "umbilic")]
+    assert shapes[1]["excluded"]
+    records = [_vary(shapes[i % 4], i)
+               for i in range(4 * (2 * report_module._BLOCK + 3))]
+    rep = parse_json(json.dumps({
+        "schema": 1, "surface": "interleaved", "params": {}, "nu": 1,
+        "nv": len(records), "records": records,
+        "summary": summarize(records)}))
+    assert rep.status[:4] == ["ok", "moulding", "canal2", "umbilic"]
+    want = json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+    # compared record by record and line by line, where a difference is
+    # quickly shown; both splits join back into their texts
+    assert emit_json(rep).split("}, {") == want.split("}, {")
+    assert (emit_csv(rep).splitlines(keepends=True)
+            == _csv_by_writer(rep).splitlines(keepends=True))
+
+
 def test_json_hands_the_csv_its_texts_alone(prog, tol):
     """After emit_json the report holds the texts of the CSV's 15 float
     and 6 flag columns, each once, with int32 codes that give every cell
