@@ -1,4 +1,5 @@
-"""``repr`` of every entry of a float64 array, computed on arrays.
+"""Float texts computed on arrays: ``repr`` for the reports and ``%.9g``
+lines for the OBJ files.
 
 `reprs(x)` equals ``[repr(v) for v in x.tolist()]``: the shortest digits
 that read back as the same float, nearest to it among those, written
@@ -31,9 +32,32 @@ The fast path takes finite x with 1e-280 <= |x| <= 1e280:
   zeros blank, and the exponent.  One ``translate`` that drops the zero
   bytes, one ``decode`` and one ``split`` give the strings.
 
-The work runs in chunks of 2^12 values, whose few dozen transient arrays
-stay in a core's cache (chunks of 2^14, arrays of 128 KiB, ran about 28%
-slower), and the tables are built on first use.
+`write_lines(fh, key, rows)` writes an OBJ block, one line per row:
+``key``, each entry after a space as ``'%.9g' % v`` (floats) or
+``'%d' % v`` (integers), and ``\\n``.  Nine digits need no double-double:
+
+- y = |x| 10^(8-E), one product with the same power table, lies in
+  [1e8, 2e9) and is off by less than 5e-7 of its last unit; where
+  y >= 999999999.5 (ten digits once rounded) E rises by one and y is
+  divided by 10.  ``np.rint(y)`` gives the nine digits.
+- A value goes to ``format(v, ".9g")`` where y lies within 1e-5 of a
+  half-integer (a tie such as 1234567.125 among them) or of 999999999.5
+  before that division, and where it is NaN, infinite, subnormal or
+  outside [1e-280, 1e280]; zero is written on the fast path.
+- Text: each value is 8 words: the line's key on its first value, the
+  sign and the ninth-from-last integer digit, 8 more integer digits with
+  leading zeros blank, the point, 12 fraction digits with trailing zeros
+  blank (decimal exponents -4..8, as ``%g`` writes them) and, otherwise,
+  ``e±XX``, a third exponent digit and the line's ``\\n`` on its last
+  value.  An integer is 5 words: the key or a space, 12 digits, and the
+  newline.  A fallback text is written into its value's words, so each
+  chunk of rows is one ``translate`` of the words' bytes, written to the
+  binary file as it stands: no ``str`` per value, and ``\\n`` on every
+  platform.
+
+Both writers run in chunks of 2^12 values, whose few dozen transient
+arrays stay in a core's cache (chunks of 2^14, arrays of 128 KiB, ran
+about 28% slower for `reprs`), and the tables are built on first use.
 """
 from __future__ import annotations
 
@@ -43,13 +67,16 @@ from typing import List
 
 import numpy as np
 
-__all__ = ["reprs"]
+__all__ = ["reprs", "write_lines"]
 
 _LO, _HI = 1e-280, 1e280        # the fast path's magnitudes
 _MARGIN = 1e-6                  # in units of s
 _CHUNK = 1 << 12
 _SPLITTER = 134217729.0         # 2^27 + 1
 _SEP = ","
+_NINE = 999999999.5             # nine digits that round up to ten
+_MARGIN9 = 1e-5                 # in units of y's last digit
+_INT_END = 10 ** 12             # integers are written as 12 digits
 
 # The places of the digit tables in the words table: every 4-digit group,
 # then with leading zeros blank, then with trailing zeros blank.
@@ -72,12 +99,13 @@ def _tables() -> SimpleNamespace:
     """The power and text tables."""
     dec_min, dec_max = (_decimal_exponent(np.frexp(b)[1]) for b in (_LO, _HI))
     # 10^k = hi + lo, each correctly rounded (int -> float and int / int
-    # are), at dec - dec_min for k = 16 - dec
+    # are), at dec - dec_min for k = 16 - dec (and at dec - dec_min + 8
+    # for `write_lines`' k = 8 - dec)
     neg, pos = [], []
     ten = 1
     for k in range(17 - dec_min):
         pos.append((float(ten), float(ten - int(float(ten)))))
-        if 0 < k <= dec_max - 16:
+        if 0 < k <= dec_max - 8:
             pn, pd = (1 / ten).as_integer_ratio()
             neg.append((1 / ten, (pd - pn * ten) / ten / pd))
         ten *= 10
@@ -104,9 +132,18 @@ def _tables() -> SimpleNamespace:
     # remainder * `low` the last 4
     e = np.arange(-4, 16, dtype=np.int64)
     shift = 10 ** np.maximum(-e, 0)
+    # `write_lines`' integer digits: group 0 of a whole part below 10^4
+    # is "0" (the whole part is 0)
+    units = words[:_TRAIL].copy()
+    units[_LEAD] = _words("0")[0]
+    # by e + 4 over %g's positional exponents e = -4..8: the 9 digits
+    # // `unit9` are the integer digits, the rest * `scale9` the 12
+    # fraction digits
+    e9 = np.arange(-4, 9)
     return SimpleNamespace(
         dec_min=int(dec_min), hi=hi, hi1=hi1, hi2=hi - hi1, lo=lo,
-        words=words,
+        words=words, units=units,
+        unit9=10 ** (8 - e9), scale9=10 ** (4 + e9),
         # the sign and the point, "0." where there are no integer digits
         # and ".0" where there are no fraction digits
         sign=_words(_SEP, _SEP + "-"), point=_words(".", "0.", ".0"),
@@ -217,3 +254,127 @@ def _chunk(x: np.ndarray) -> List[str]:
     for k, v in zip(slow.tolist(), x[slow].tolist()):
         texts[k] = repr(v)
     return texts
+
+
+@cache
+def _key_words(key: str) -> SimpleNamespace:
+    """The words that start a value of a `key` line: a float's sign and
+    ninth-from-last integer digit (blank at 0) by digit + 10 sign + 20
+    first, an integer's space by first."""
+    heads = (" ", key + " ")
+    return SimpleNamespace(
+        sign=_words(*(h + s + (str(i) if i else "") for h in heads
+                      for s in ("", "-") for i in range(10))),
+        space=_words(*heads))
+
+
+@cache
+def _row_marks(k: int):
+    """Over a chunk of whole rows of k values: 1 at each row's first value
+    (else 0), and at its last value the word ``"\\0\\0\\0\\n"`` (else 0).
+    Zero bytes are dropped, so a byte's place in its word does not show;
+    the newline takes the last byte to be or-ed onto an exponent's word,
+    whose last byte is blank."""
+    first = np.tile(np.arange(k) == 0, max(_CHUNK // k, 1)).astype(np.intp)
+    return first, _words("", "\0\0\0\n")[np.roll(first, -1)]
+
+
+def write_lines(fh, key: str, rows: np.ndarray) -> None:
+    """Write one line per row of the 2-D array `rows` to the binary file
+    `fh`: the one-character `key`, each entry after a space as
+    ``'%.9g' % v`` (a float array) or ``'%d' % v`` (an integer array,
+    entries in [0, 10^12)), and ``\\n``."""
+    if len(key.encode()) != 1:
+        raise ValueError(f"an OBJ line key is one character, got {key!r}")
+    rows = np.asarray(rows)
+    n, k = rows.shape
+    if not n * k:
+        return
+    if rows.dtype.kind == "f":
+        words, fill, rows = 8, _g9_chunk, rows.astype(np.float64, copy=False)
+    else:
+        words, fill, rows = 5, _int_chunk, rows.astype(np.intp, copy=False)
+        if rows.min() < 0 or rows.max() >= _INT_END:
+            raise ValueError("OBJ integers lie in [0, 10^12)")
+    values = rows.ravel()
+    first, end = _row_marks(k)
+    kw = _key_words(key)
+    for start in range(0, len(values), len(first)):
+        x = values[start:start + len(first)]
+        out = np.empty((len(x), words), np.uint32)
+        fill(x, out, first[:len(x)], end[:len(x)], kw)
+        fh.write(out.tobytes().translate(None, b"\0"))
+
+
+def _int_chunk(v, out, first, end, kw) -> None:
+    t = _tables()
+    g0 = v // 10 ** 8
+    r = v - g0 * 10 ** 8
+    g1 = r // 10 ** 4
+    out[:, 0] = kw.space.take(first)
+    out[:, 1] = t.words.take(g0 + _LEAD)
+    out[:, 2] = t.words.take(g1 + _LEAD * (v < 10 ** 8))
+    out[:, 3] = t.units.take(r - g1 * 10 ** 4 + _LEAD * (v < 10 ** 4))
+    out[:, 4] = end
+
+
+def _g9_chunk(x, out, first, end, kw) -> None:
+    t = _tables()
+    a = np.abs(x)
+    # the values outside the fast path's magnitudes go to format, but
+    # zero: its digits are set to 0, which is written "0"
+    inside = _LO <= a.min() and a.max() <= _HI
+    if not inside:
+        nonzero = a != 0
+        slow = ~((a >= _LO) & (a <= _HI))
+        np.putmask(a, slow, 1.0)
+    dec = _decimal_exponent(np.frexp(a)[1])
+    # y = a 10^(8 - dec): 9 digits, or 10 where dec is one short
+    y = a * t.hi.take(dec + (8 - t.dec_min))
+    ten = y >= _NINE
+    # (the y within the margin above 999999999.5 may lie below it)
+    undecided = ten ^ (y >= _NINE + _MARGIN9)
+    y = np.where(ten, y / 10, y)
+    dec += ten
+    digits = np.rint(y)
+    undecided |= np.abs(y - digits) > 0.5 - _MARGIN9
+    digits = digits.astype(np.intp)
+    if not inside:
+        undecided |= slow & nonzero
+        digits *= nonzero
+
+    # an exponent row is written as e = 0 with its exponent after it;
+    # None where every row is positional
+    positional = None if -4 <= dec.min() and dec.max() <= 8 else (
+        dec >= -4) & (dec <= 8)
+    j = dec + 4 if positional is None else np.where(positional, dec + 4, 4)
+    unit = t.unit9.take(j)
+    whole = digits // unit
+    rest = (digits - whole * unit) * t.scale9.take(j)
+    top = whole // 10 ** 8
+    r = whole - top * 10 ** 8
+    i1 = r // 10 ** 4
+    f0 = rest // 10 ** 8
+    r8 = rest - f0 * 10 ** 8
+    f1 = r8 // 10 ** 4
+    f2 = r8 - f1 * 10 ** 4
+    w = t.words
+    out[:, 0] = kw.sign.take(top + 10 * np.signbit(x) + 20 * first)
+    out[:, 1] = w.take(i1 + _LEAD * (whole < 10 ** 8))
+    out[:, 2] = t.units.take(r - i1 * 10 ** 4 + _LEAD * (whole < 10 ** 4))
+    out[:, 3] = (rest != 0) * np.uint32(ord("."))
+    out[:, 4] = w.take(f0 + _TRAIL * (r8 == 0))
+    out[:, 5] = w.take(f1 + _TRAIL * (f2 == 0))
+    out[:, 6] = w.take(f2 + _TRAIL)
+    out[:, 7] = end
+    if positional is not None:
+        # the exponent's first four bytes after the blank last fraction
+        # digits, its third digit before the newline
+        e = t.exp.take((dec - t.dec_min + 1) * ~positional).view(np.uint32)
+        out[:, 6] |= e[::2]
+        out[:, 7] |= e[1::2]
+    for i in np.flatnonzero(undecided).tolist():
+        text = (kw.sign[20 * first[i]].tobytes()
+                + format(float(x[i]), ".9g").encode() + end[i].tobytes())
+        out[i] = np.frombuffer(text.replace(b"\0", b"").ljust(32, b"\0"),
+                               np.uint32)

@@ -1,9 +1,10 @@
 """Wavefront OBJ export of the surface, its focal sheets, and net direction
 fields over a parameter grid.
 
-Vertices are written with 9 significant digits, faces as two triangles per
-grid cell (1-based indices), and net directions as ``l i j`` segments of
-length 0.05 x the mean surface cell diagonal, centered at each sample.
+Vertices are written with 9 significant digits (``%.9g``), faces as two
+triangles per grid cell (1-based indices), and net directions as
+``l i j`` segments of length 0.05 x the mean surface cell diagonal,
+centered at each sample.
 Vertices that cannot be computed (undefined position, degenerate frame,
 canal sheet, imaginary directions) are dropped and the touching faces
 pruned.  A sheet or net with no computable vertices produces no file; the
@@ -19,7 +20,8 @@ float evaluator's in the last bit at some points (195, 204 and 515 of the
 writes `segment_length` by `repr` (monkey_saddle's would move).  The
 segment length is the mean of the cell diagonals' lengths, each with the
 bits of `np.linalg.norm` of its row (a scaled norm where the row's sum of
-squares overflows), summed left to right.  Where a difference or that sum
+squares overflows), summed left to right by a fold of + (the builtin sum
+compensates since Python 3.12).  Where a difference or that sum
 passes the largest float, it is 0.1 x the mean of the lengths of the
 halved differences b/2 - a/2, summed as shares (0.05 x twice that mean,
 with the two factors folded into one), so the manifest stays finite
@@ -31,18 +33,24 @@ sheet, `central_point` gives all its positions, a net builder all its
 coefficients and `nets.net_directions` all its directions with the class
 of each point that has none, so no exception is built for an undefined
 position, a canal point or an imaginary net.  Faces come from a mask of
-the present vertices, and each file's text from one % format per kind of
-line.
+the present vertices.  Each file is opened in binary mode and written by
+`floattext.write_lines`, one block of ``v`` lines and one of ``f`` or
+``l`` lines, as ``'%.9g'`` and ``'%d'`` would write them: the texts are
+computed on arrays, chunk by chunk, and lines end in ``\\n`` on every
+platform.
 """
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterable, Optional
+from functools import reduce
+from operator import add
+from typing import Dict, Iterable
 
 import numpy as np
 
 from .central import central_point, is_canal
+from .floattext import write_lines
 from .frames import frame_point
 from .nets import NETS, net_directions
 from .report import grid_points
@@ -51,16 +59,6 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 __all__ = ["export_obj", "NET_LABELS"]
 
 NET_LABELS = tuple(NETS)
-
-
-def _obj_text(vertices: np.ndarray, faces: np.ndarray,
-              segments: np.ndarray) -> str:
-    """Rows of (n, 3) vertices, then of 1-based (m, 3) faces and (k, 2)
-    segments (or empty ()), each kind of line by one % format."""
-    return "".join(fmt * len(rows) % tuple(np.ravel(rows).tolist())
-                   for fmt, rows in (("v %.9g %.9g %.9g\n", vertices),
-                                     ("f %d %d %d\n", faces),
-                                     ("l %d %d\n", segments)))
 
 
 def _cells(nu: int, nv: int) -> np.ndarray:
@@ -118,20 +116,24 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     objects: Dict[str, dict] = {}
 
-    def _write(name: str, text: Optional[str], stats: dict):
-        entry = {"file": f"{name}.obj", "written": text is not None}
+    def _write(name: str, blocks: dict, stats: dict):
+        """Write the `blocks` (OBJ key -> rows, vertices first) to
+        name.obj unless there are no vertices."""
+        written = len(blocks["v"]) > 0
+        entry = {"file": f"{name}.obj", "written": written}
         entry.update(stats)
-        if text is None:
+        if not written:
             entry["reason"] = "no non-degenerate vertices"
         else:
-            with open(os.path.join(out_dir, f"{name}.obj"), "w") as fh:
-                fh.write(text)
+            with open(os.path.join(out_dir, f"{name}.obj"), "wb") as fh:
+                for key, rows in blocks.items():
+                    write_lines(fh, key, rows)
         objects[name] = entry
 
     def _write_mesh(name: str, points: np.ndarray, present: np.ndarray):
         verts, faces = _grid_mesh(points, present, nu, nv)
-        text = _obj_text(verts, faces, ()) if len(verts) else None
-        _write(name, text, {"vertices": len(verts), "faces": len(faces)})
+        _write(name, {"v": verts, "f": faces},
+               {"vertices": len(verts), "faces": len(faces)})
 
     # Base surface: every point with a computable position.
     _write_mesh("surface", positions, defined)
@@ -145,7 +147,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         ends, starts = positions[b[both]], positions[a[both]]
         diags = _lengths(ends - starts).tolist()
         count = len(diags)
-        mean = sum(diags) / count if count else 0.0
+        mean = reduce(add, diags, 0) / count if count else 0.0
         seg_len = 0.05 * mean
         if not np.isfinite(mean):
             # a difference or the sum past the largest float: twice the
@@ -153,7 +155,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             # with 0.05 x 2 as one factor (the bits of 0.05 x (2 x mean)),
             # as twice the mean may itself pass the largest float
             halves = _lengths(ends / 2 - starts / 2).tolist()
-            seg_len = 0.1 * sum(x / count for x in halves)
+            seg_len = 0.1 * reduce(add, (x / count for x in halves), 0)
 
         # Each sheet and net is computed once over the batch and then
         # masked: the points without a frame, the sheet's canal points and,
@@ -178,8 +180,8 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
                 ends += [p - half, p + half]
             verts = np.stack(ends, axis=1).reshape(-1, 3)
             segments = np.arange(1, len(verts) + 1).reshape(-1, 2)
-            text = _obj_text(verts, (), segments) if len(verts) else None
-            _write(f"net{label}", text, {"segments": len(segments)})
+            _write(f"net{label}", {"v": verts, "l": segments},
+                   {"segments": len(segments)})
 
     manifest = {
         "schema": 1,

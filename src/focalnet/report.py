@@ -76,7 +76,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import getitem, is_not
+from operator import add, getitem, is_not
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -209,9 +209,10 @@ def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
     """`summarize` from the statuses of all records, `usable(*path)`, the
     float64 entries of the leaf at `path` (`_columns`' nesting) in the
     usable records, in record order, and the keys of their prop_residuals.
-    Each aggregate is Python's max and left-to-right sum over its leaf's
-    entries (np.sum adds pairwise, and would move the bits); where no
-    record is usable, every aggregate is null and no leaf is read."""
+    Each aggregate is Python's max and a left-to-right fold of + over its
+    leaf's entries (np.sum adds pairwise, and the builtin sum compensates
+    since Python 3.12: either would move the bits); where no record is
+    usable, every aggregate is null and no leaf is read."""
     counts = {s: 0 for s in STATUSES}
     for status in statuses:
         counts[status] += 1
@@ -222,7 +223,7 @@ def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
             return {"max": None, "mean": None}
         col = usable(*path)
         values = (f(col) if f else col).tolist()
-        return {"max": max(values), "mean": sum(values) / n}
+        return {"max": max(values), "mean": reduce(add, values, 0) / n}
 
     defects = {"w_abs": agg("defects", "w", f=np.abs),
                "moulding": agg("defects", "moulding")}

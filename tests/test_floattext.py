@@ -1,9 +1,12 @@
-"""`floattext.reprs` against ``repr``, class by class."""
+"""`floattext.reprs` against ``repr`` and `floattext.write_lines` against
+``%``, class by class."""
+import io
+
 import numpy as np
 import pytest
 
 from focalnet import floattext
-from focalnet.floattext import reprs
+from focalnet.floattext import reprs, write_lines
 
 
 def _same(values) -> None:
@@ -109,4 +112,107 @@ def test_fallback_runs_repr_and_the_fast_path_does_not(monkeypatch):
     assert len(calls) == len(slow)
     calls.clear()
     _same(fast)
+    assert calls == []
+
+
+def _lines(values, per_row: int = 3, key: str = "v") -> None:
+    """`write_lines` of `values` (rows of `per_row`) against ``%``."""
+    x = np.asarray(values).reshape(-1, per_row)
+    fh = io.BytesIO()
+    write_lines(fh, key, x)
+    spec = " %.9g" if x.dtype.kind == "f" else " %d"
+    want = [key + spec * per_row % tuple(row) for row in x.tolist()]
+    got = fh.getvalue().decode("ascii").split("\n")
+    assert got[-1] == "" and len(got) == len(want) + 1
+    bad = [(w, g) for w, g in zip(want, got) if w != g]
+    assert not bad, bad[:5]
+
+
+def test_nine_digit_edge_classes():
+    """Ties at the ninth digit, the carries to ten digits (a new decimal
+    exponent: to 1e+09, to 100000000 and out of the exponent form to
+    0.0001), both sides of %g's notation change at 1e-05 and 1e+09,
+    subnormals, signed zeros, NaN, infinities and 3-digit exponents, each
+    with its negative, one value per line and three."""
+    carries = {999999999.5: "1e+09", 99999999.995: "100000000",
+               9.9999999995e-05: "0.0001"}
+    fh = io.BytesIO()
+    write_lines(fh, "v", np.array(list(carries))[:, None])
+    assert fh.getvalue().decode().split("\n")[:-1] == [
+        "v " + text for text in carries.values()]
+    x = np.array([1234567.125, 1234567.375, 123456789.5, 0.5, *carries,
+                  1e-05, 1e+09, 99999.9999, 100000000.0, 5e-324,
+                  2.2250738585072014e-308, 2.225073858507201e-308,
+                  0.0, np.nan, np.inf, 1e-100, 1e+100, 1.7e308,
+                  1e-280, 1e280, 1.23456789e-205, 9.87654321e+123])
+    x = _neighbours(x)
+    x = np.concatenate([x, -x])
+    _lines(x, 1)
+    _lines(x[:len(x) // 3 * 3], 3)
+
+
+def test_nine_digit_near_ties():
+    """Ten-digit decimals ending in 5 at decimal exponents -12..12, where
+    the ninth digit's rounding is closest to a tie, and the floats next
+    to them: the margin hands the undecided ones to ``format``."""
+    rng = np.random.default_rng(31)
+    for e in range(-12, 13):
+        m = rng.integers(10 ** 8, 10 ** 9, 600) * 10 + 5
+        x = _neighbours(m * 10.0 ** (e - 9))
+        _lines(np.concatenate([x, -x]), 3)
+
+
+def test_nine_digit_carries_at_every_exponent():
+    """9999999995e-280..9999999995e279, the ten-digit decimals that round
+    up to a new decimal exponent, and the 20 floats on each side: where
+    the scaled value lies within the margin of 999999999.5, the carry is
+    left to ``format``."""
+    walks = []
+    for e in range(-280, 280):
+        down = up = float(f"9999999995e{e}")
+        for _ in range(20):
+            down, up = np.nextafter(down, 0), np.nextafter(up, np.inf)
+            walks += [down, up]
+    _lines(walks, 2)
+
+
+def test_nine_digit_random_bit_patterns():
+    rng = np.random.default_rng(20261031)
+    _lines(rng.integers(0, 2 ** 64, 60_000, dtype=np.uint64)
+           .view(np.float64), 3)
+
+
+@pytest.mark.parametrize("key, per_row", [("f", 3), ("l", 2)])
+def test_integer_lines(key, per_row):
+    """Integers across each group boundary of their 4-digit words."""
+    v = np.concatenate([np.arange(0, 20002), np.arange(10 ** 8 - 6, 10 ** 8
+                                                        + 6),
+                        [10 ** 12 - 1, 10 ** 11, 12345678901]])
+    _lines(v[:len(v) // per_row * per_row], per_row, key)
+
+
+def test_write_lines_refuses_what_it_cannot_write():
+    fh = io.BytesIO()
+    for key, rows in (("vn", [[1.0]]), ("f", [[-1]]), ("f", [[10 ** 12]])):
+        with pytest.raises(ValueError):
+            write_lines(fh, key, np.array(rows))
+    write_lines(fh, "f", np.zeros((0, 3), int))
+    assert fh.getvalue() == b""
+
+
+def test_nine_digit_fallback_is_format_and_rare(monkeypatch):
+    """Non-finite values and ties go to ``format``; fast-path values and
+    zero do not."""
+    calls = []
+
+    def counted(v, spec):
+        calls.append(v)
+        return format(v, spec)
+
+    monkeypatch.setattr(floattext, "format", counted, raising=False)
+    slow = [np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1234567.125]
+    _lines(slow, 1)
+    assert len(calls) == len(slow)
+    calls.clear()
+    _lines([0.0, -0.0, 0.1, -2.718281828459045, 6.02214076e23, 1e-5], 1)
     assert calls == []

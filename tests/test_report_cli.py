@@ -26,6 +26,7 @@ from focalnet.frames import frame_point
 from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
                              grid_report, parse_json, point_record, summarize)
+from focalnet import mesh as mesh_module
 from focalnet.mesh import export_obj
 from focalnet.sdl import compile_surface, gallery_source, parse_surface
 
@@ -585,6 +586,52 @@ def test_export_obj_torus_sheets_absent(tmp_path, prog, tol):
     assert manifest["objects"]["surface"]["written"]
     assert manifest["objects"]["central1"]["written"] is False
     assert manifest["objects"]["central2"]["written"] is False
+
+
+_OBJ_FORMATS = {"v": "v %.9g %.9g %.9g\n", "f": "f %d %d %d\n",
+                "l": "l %d %d\n"}
+
+
+@pytest.mark.parametrize("name", ["graph_generic", "dini"])
+def test_export_obj_files_equal_percent_format(tmp_path, prog, tol, name,
+                                               monkeypatch):
+    """Each OBJ file of an 8 x 8 export with both sheets and all four nets
+    is, byte for byte, its rows as one ``%`` format per kind of line
+    writes them, with ``\\n`` line ends."""
+    blocks = []
+    real = mesh_module.write_lines
+
+    def recorded(fh, key, rows):
+        blocks.append((os.path.basename(fh.name), key, np.array(rows)))
+        real(fh, key, rows)
+
+    monkeypatch.setattr(mesh_module, "write_lines", recorded)
+    manifest = export_obj(prog(name), 8, 8, str(tmp_path), central=(1, 2),
+                          nets=NETS, tol=tol)
+    want = {}
+    for file, key, rows in blocks:
+        want[file] = want.get(file, "") + _OBJ_FORMATS[key] * len(rows) % \
+            tuple(np.ravel(rows).tolist())
+    written = sorted(e["file"] for e in manifest["objects"].values()
+                     if e["written"])
+    assert sorted(want) == written and len(written) == 7
+    for file, text in want.items():
+        assert (tmp_path / file).read_bytes() == text.encode(), file
+
+
+def test_summary_means_fold_left_to_right():
+    """The means are a left-to-right fold of +: over [1, 1e100, 1, -1e100]
+    it gives 0.0, where a compensated sum (math.fsum, or the builtin sum
+    since Python 3.12) gives 2.0 (w_abs's |values| give 5e99 either
+    way)."""
+    values = np.array([1.0, 1e100, 1.0, -1e100])
+    summary = report_module._summary(["ok"] * 4, lambda *path: values,
+                                     ["k"])
+    defects = dict(summary["defects"])
+    assert defects.pop("w_abs") == {"max": 1e100, "mean": 5e99}
+    aggregates = [*defects.values(), *summary["identity_residuals"].values()]
+    assert aggregates and all(a == {"max": 1e100, "mean": 0.0}
+                              for a in aggregates)
 
 
 def test_export_obj_generic_full(tmp_path, prog, tol):

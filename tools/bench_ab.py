@@ -3,9 +3,12 @@
     python3 tools/bench_ab.py --out BENCH_N.json [--base HEAD] [--pairs 10]
         [--seed 100] [--workloads NAME[,NAME]]
 
-Run from the repository root.  The base revision is exported with
-``git archive`` into a temporary directory, so it is measured from its
-committed files; the working tree is measured as it stands.  For each
+Run from the repository root.  Both sides run from snapshots unpacked
+side by side in a temporary directory, so that they differ in nothing
+but their files: the base revision from its committed files (``git
+archive``), the working tree from ``git stash create`` (tracked files as
+they stand, or HEAD where nothing changed) plus its untracked files that
+git does not ignore.  For each
 workload in BENCHMARK.json (or each one `--workloads` names, in the
 benchmark's order), pair i runs ``perfbench/run.py --seed SEED+i``
 for the benchmark's ``run_seconds`` once on each side, the side that goes
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -36,21 +40,38 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "tree")
 
 
-def export_revision(rev: str, dest: str) -> str:
-    """Unpack the committed files of `rev` into `dest`; returns the full
-    commit id."""
-    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
-                            capture_output=True, text=True).stdout.strip()
-    archive = os.path.join(dest, "base.tar")
-    subprocess.run(["git", "archive", "--format=tar", "-o", archive, commit],
-                   cwd=ROOT, check=True)
-    checkout = os.path.join(dest, "base")
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def export_revision(rev: str, dest: str, name: str) -> str:
+    """Unpack the committed files of `rev` into `dest`/`name`; returns the
+    full commit id."""
+    commit = _git("rev-parse", rev).strip()
+    archive = os.path.join(dest, f"{name}.tar")
+    _git("archive", "--format=tar", "-o", archive, commit)
     # The "data" filter where this Python has it: plain files only.
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(archive) as tar:
-        tar.extractall(checkout, **safe)
+        tar.extractall(os.path.join(dest, name), **safe)
     os.remove(archive)
     return commit
+
+
+def export_tree(dest: str, name: str) -> dict:
+    """Unpack the working tree into `dest`/`name`: the tracked files as
+    they stand and the untracked files git does not ignore.  Returns the
+    snapshot's commit id and the untracked files' paths."""
+    commit = export_revision(_git("stash", "create").strip() or "HEAD",
+                             dest, name)
+    untracked = _git("ls-files", "--others", "--exclude-standard",
+                     "-z").split("\0")[:-1]
+    for path in untracked:
+        target = os.path.join(dest, name, path)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(os.path.join(ROOT, path), target)
+    return {"commit": commit, "untracked": untracked}
 
 
 def run_bench(root: str, workload: str, seed: int, seconds: float,
@@ -134,12 +155,14 @@ def main(argv=None) -> int:
                      f"{', '.join(names)})")
         names = [name for name in names if name in wanted]
     seconds = spec["run_seconds"]
-    report = {"base": None, "pairs": args.pairs, "seconds": seconds,
+    report = {"base": None, "tree": None, "pairs": args.pairs,
+              "seconds": seconds,
               "seeds": [args.seed, args.seed + args.pairs - 1],
               "python": platform.python_version(), "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench-ab-") as tmp:
-        report["base"] = export_revision(args.base, tmp)
-        roots = {"base": os.path.join(tmp, "base"), "tree": ROOT}
+        report["base"] = export_revision(args.base, tmp, "base")
+        report["tree"] = export_tree(tmp, "tree")
+        roots = {side: os.path.join(tmp, side) for side in SIDES}
         for workload in names:
             runs: Dict[str, List[dict]] = {side: [] for side in SIDES}
             for i in range(args.pairs):

@@ -3,9 +3,10 @@ and the working tree.
 
     python3 tools/check_ab.py [--base HEAD] [--seeds 0-31]
 
-Run from the repository root.  The base revision is exported with
-``git archive`` (as `bench_ab.export_revision` does), so it is checked from
-its committed files; the working tree is checked as it stands.  For each
+Run from the repository root.  Both sides are checked from snapshots in
+a temporary directory, as `tools/bench_ab.py` makes them: the base
+revision's committed files, and the working tree's tracked files as they
+stand plus its untracked files that git does not ignore.  For each
 seed, each side runs ``run_suite("all", seed)`` in a fresh interpreter on
 its own ``src/``, the side that goes first alternating from seed to seed,
 and every ``elapsed=`` figure is masked, as CI masks the pinned
@@ -24,7 +25,7 @@ import subprocess
 import sys
 import tempfile
 
-from bench_ab import ROOT, SIDES, export_revision
+from bench_ab import SIDES, export_revision, export_tree
 
 _WORKER = """
 import json, sys, time
@@ -64,9 +65,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     differing = 0
     with tempfile.TemporaryDirectory(prefix="check-ab-") as tmp:
-        commit = export_revision(args.base, tmp)
-        print(f"base {commit}")
-        roots = {"base": os.path.join(tmp, "base"), "tree": ROOT}
+        print(f"base {export_revision(args.base, tmp, 'base')}")
+        print(f"tree {export_tree(tmp, 'tree')['commit']}")
+        roots = {side: os.path.join(tmp, side) for side in SIDES}
         for seed in args.seeds:
             order = SIDES if seed % 2 == 0 else SIDES[::-1]
             runs = {side: run_side(roots[side], seed) for side in order}
