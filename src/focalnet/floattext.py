@@ -308,13 +308,11 @@ def write_lines(fh, key: str, rows: np.ndarray) -> None:
 
 def _int_chunk(v, out, first, end, kw) -> None:
     t = _tables()
-    g0 = v // 10 ** 8
-    r = v - g0 * 10 ** 8
-    g1 = r // 10 ** 4
+    _, g0, g1, g2 = _groups(v)
     out[:, 0] = kw.space.take(first)
     out[:, 1] = t.words.take(g0 + _LEAD)
     out[:, 2] = t.words.take(g1 + _LEAD * (v < 10 ** 8))
-    out[:, 3] = t.units.take(r - g1 * 10 ** 4 + _LEAD * (v < 10 ** 4))
+    out[:, 3] = t.units.take(g2 + _LEAD * (v < 10 ** 4))
     out[:, 4] = end
 
 
@@ -322,57 +320,41 @@ def _g9_chunk(x, out, first, end, kw) -> None:
     t = _tables()
     a = np.abs(x)
     # the values outside the fast path's magnitudes go to format, but
-    # zero: its digits are set to 0, which is written "0"
-    inside = _LO <= a.min() and a.max() <= _HI
-    if not inside:
-        nonzero = a != 0
-        slow = ~((a >= _LO) & (a <= _HI))
-        np.putmask(a, slow, 1.0)
+    # zero, whose y and digits are 0, written "0"
+    slow = ~((a >= _LO) & (a <= _HI)) & (a != 0)
+    np.putmask(a, slow, 1.0)
     dec = _decimal_exponent(np.frexp(a)[1])
     # y = a 10^(8 - dec): 9 digits, or 10 where dec is one short
     y = a * t.hi.take(dec + (8 - t.dec_min))
     ten = y >= _NINE
     # (the y within the margin above 999999999.5 may lie below it)
-    undecided = ten ^ (y >= _NINE + _MARGIN9)
+    undecided = slow | (ten ^ (y >= _NINE + _MARGIN9))
     y = np.where(ten, y / 10, y)
     dec += ten
     digits = np.rint(y)
     undecided |= np.abs(y - digits) > 0.5 - _MARGIN9
     digits = digits.astype(np.intp)
-    if not inside:
-        undecided |= slow & nonzero
-        digits *= nonzero
 
-    # an exponent row is written as e = 0 with its exponent after it;
-    # None where every row is positional
-    positional = None if -4 <= dec.min() and dec.max() <= 8 else (
-        dec >= -4) & (dec <= 8)
-    j = dec + 4 if positional is None else np.where(positional, dec + 4, 4)
+    # an exponent row is written as e = 0 with its exponent after it
+    positional = (dec >= -4) & (dec <= 8)
+    j = dec * positional + 4
     unit = t.unit9.take(j)
     whole = digits // unit
     rest = (digits - whole * unit) * t.scale9.take(j)
-    top = whole // 10 ** 8
-    r = whole - top * 10 ** 8
-    i1 = r // 10 ** 4
-    f0 = rest // 10 ** 8
-    r8 = rest - f0 * 10 ** 8
-    f1 = r8 // 10 ** 4
-    f2 = r8 - f1 * 10 ** 4
+    _, top, i1, i2 = _groups(whole)
+    _, f0, f1, f2 = _groups(rest)
     w = t.words
     out[:, 0] = kw.sign.take(top + 10 * np.signbit(x) + 20 * first)
     out[:, 1] = w.take(i1 + _LEAD * (whole < 10 ** 8))
-    out[:, 2] = t.units.take(r - i1 * 10 ** 4 + _LEAD * (whole < 10 ** 4))
+    out[:, 2] = t.units.take(i2 + _LEAD * (whole < 10 ** 4))
     out[:, 3] = (rest != 0) * np.uint32(ord("."))
-    out[:, 4] = w.take(f0 + _TRAIL * (r8 == 0))
+    out[:, 4] = w.take(f0 + _TRAIL * ((f1 == 0) & (f2 == 0)))
     out[:, 5] = w.take(f1 + _TRAIL * (f2 == 0))
-    out[:, 6] = w.take(f2 + _TRAIL)
-    out[:, 7] = end
-    if positional is not None:
-        # the exponent's first four bytes after the blank last fraction
-        # digits, its third digit before the newline
-        e = t.exp.take((dec - t.dec_min + 1) * ~positional).view(np.uint32)
-        out[:, 6] |= e[::2]
-        out[:, 7] |= e[1::2]
+    # the exponent's first four bytes after the blank last fraction
+    # digits, its third digit before the newline
+    e = t.exp.take((dec - t.dec_min + 1) * ~positional).view(np.uint32)
+    out[:, 6] = w.take(f2 + _TRAIL) | e[::2]
+    out[:, 7] = end | e[1::2]
     for i in np.flatnonzero(undecided).tolist():
         text = (kw.sign[20 * first[i]].tobytes()
                 + format(float(x[i]), ".9g").encode() + end[i].tobytes())

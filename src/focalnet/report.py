@@ -76,7 +76,7 @@ import re
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
-from operator import add, getitem, is_not
+from operator import getitem, is_not
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -210,9 +210,10 @@ def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
     float64 entries of the leaf at `path` (`_columns`' nesting) in the
     usable records, in record order, and the keys of their prop_residuals.
     Each aggregate is Python's max and a left-to-right fold of + over its
-    leaf's entries (np.sum adds pairwise, and the builtin sum compensates
-    since Python 3.12: either would move the bits); where no record is
-    usable, every aggregate is null and no leaf is read."""
+    leaf's entries, np.cumsum's last entry (np.sum adds pairwise, and the
+    builtin sum compensates since Python 3.12: either would move the
+    bits); where no record is usable, every aggregate is null and no leaf
+    is read."""
     counts = {s: 0 for s in STATUSES}
     for status in statuses:
         counts[status] += 1
@@ -222,8 +223,14 @@ def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
         if not n:
             return {"max": None, "mean": None}
         col = usable(*path)
-        values = (f(col) if f else col).tolist()
-        return {"max": max(values), "mean": reduce(add, values, 0) / n}
+        if f:
+            col = f(col)
+        # cumsum adds in order, silent where it overflows as float + is;
+        # + 0.0 writes an all -0.0 column's sum as 0.0, as a fold from the
+        # integer 0 does
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.cumsum(col)[-1]) + 0.0
+        return {"max": max(col.tolist()), "mean": total / n}
 
     defects = {"w_abs": agg("defects", "w", f=np.abs),
                "moulding": agg("defects", "moulding")}
