@@ -844,9 +844,6 @@ def finite(values):
 # give Python's bits in a batch too, and turn an `if` into a mask.  A float
 # is tested first, which is the cheap test and the one a point passes.
 
-_HYPOT = np.frompyfunc(math.hypot, 2, 1)
-
-
 def power(x, n):
     """x ** n; in a batch `np.float_power`, the libm pow that Python calls
     (array ``**`` multiplies instead, and can differ in the last bit).  At
@@ -862,10 +859,62 @@ def power(x, n):
 
 
 def hypot(a, b):
-    """math.hypot, point by point in a batch (np.hypot rounds otherwise)."""
+    """math.hypot(a, b), with its bits point by point in a batch too
+    (np.hypot rounds otherwise).  On arrays, the two-argument case of
+    CPython's `vector_norm` (Modules/mathmodule.c) op for op: |a| and |b|
+    are scaled by 2^-e, e the binary exponent of the larger one (frexp),
+    which is exact; each is squared exactly by Dekker's product and added
+    to 1 by a fast two-sum, the low parts summed apart; h is the square
+    root of the sum less 1, corrected once by its residual, h += x / (2h),
+    and unscaled.  The entries where both are zero, either is not finite,
+    or e lies outside -1023..1023 (2^-e or h / 2^-e would overflow) go to
+    math.hypot itself, one call each."""
     if isinstance(a, float) and isinstance(b, float):
         return math.hypot(a, b)
-    return np.asarray(_HYPOT(a, b), dtype=float)
+    x, y = np.broadcast_arrays(np.abs(np.asarray(a, dtype=float)),
+                               np.abs(np.asarray(b, dtype=float)))
+    big = np.maximum(x, y)
+    e = np.frexp(big)[1]
+    slow = ~np.isfinite(big) | (big == 0.0) | (np.abs(e) > 1023)
+    scale = np.ldexp(1.0, np.where(slow, 0, -e))
+    with np.errstate(all="ignore"):
+        hi, frac1 = _square(x * scale)
+        csum, frac2 = _fast_two_sum(1.0, hi)
+        hi, lo = _square(y * scale)
+        csum, low = _fast_two_sum(csum, hi)
+        frac1, frac2 = frac1 + lo, frac2 + low
+        h = np.sqrt(csum - 1.0 + (frac1 + frac2))
+        # (-h) * h is -(h * h), to the bits of both parts
+        hi, lo = _square(h)
+        csum, low = _fast_two_sum(csum, -hi)
+        frac1, frac2 = frac1 - lo, frac2 + low
+        h = np.asarray((h + (csum - 1.0 + (frac1 + frac2)) / (2.0 * h))
+                       / scale)
+    if slow.any():
+        h[slow] = list(map(math.hypot, x[slow].tolist(), y[slow].tolist()))
+    return h
+
+
+# Veltkamp's splitting constant 2^27 + 1: x * _SPLIT splits a double's 53
+# bits into two halves of at most 26 bits, whose products are exact.
+_SPLIT = 134217729.0
+
+
+def _square(x):
+    """Dekker's exact square: (p, r) with p + r = x * x exactly."""
+    t = x * _SPLIT
+    hi = t - (t - x)
+    lo = x - hi
+    p = hi * hi
+    q = hi * lo * 2.0
+    s = p + q
+    return s, p - s + q + lo * lo
+
+
+def _fast_two_sum(a, b):
+    """(s, r) with s + r = a + b exactly, where |a| >= |b|."""
+    s = a + b
+    return s, (a - s) + b
 
 
 def pick(mask, a, b):

@@ -53,7 +53,7 @@ from .central import central_point, is_canal
 from .floattext import write_lines
 from .frames import frame_point
 from .nets import NETS, net_directions
-from .report import grid_points
+from .report import _grid_coordinates
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = ["export_obj", "NET_LABELS"]
@@ -105,7 +105,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
             raise ValueError(f"unknown net label '{n}' "
                              f"(expected one of {', '.join(NET_LABELS)})")
 
-    us, vs = np.reshape(grid_points(prog, nu, nv), (-1, 2)).T
+    us, vs = _grid_coordinates(prog, nu, nv)
     positions = prog.position(us, vs).T
     defined = np.isfinite(positions).all(axis=1)
     fp = frame_point(prog, us, vs, tol)

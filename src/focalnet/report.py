@@ -26,9 +26,15 @@ nesting into records and applies the shape rule: a report's ``records`` on
 first reading, and `point_record` from one point's floats, so a grid record
 equals the `point_record` of its point byte for byte.  `_read_columns`
 reads records back into columns, for `parse_json`.  `_summary` aggregates
-the leaves it names over the usable records, read from the columns for
+the 28 leaves it names over the usable records, read from the columns for
 `grid_report` and from the records for `summarize`, which reads those
-leaves alone.
+leaves alone; it stacks them and takes every maximum and mean in one pass
+(np.cumsum along each row, left to right, and the first occurrence of a
+row's maximum where Python's max takes it), with the bits of Python's max
+and of a fold of + from 0.  `grid_report` takes its coordinates from
+`_grid_coordinates` (np.repeat and np.tile of the two np.linspace sides;
+`grid_points` is the same grid as a list of pairs) and its statuses and
+usable-record mask from arrays.
 
 The emitters write text straight from the columns, byte for byte what
 ``json.dumps(report.to_dict(), sort_keys=True)`` (one line) and
@@ -65,14 +71,18 @@ the even slots and the record's leaf texts, gathered for the whole block
 at once, at the odd ones.  The join stays per record: one join per block
 of records was slower, and one gather over all of a shape's records
 would hold every record's texts at once and raise the peak memory of a
-call.  The CSV is written column by column, blank past the status where
-the frame failed.  Identical inputs produce byte-identical files;
+call.  The CSV is one table of int32 codes, records by
+columns, into the texts it is handed followed by the statuses and an
+empty text, which fills the cells past the status where the frame
+failed; one gather reads it out and each row is one join.
+Identical inputs produce byte-identical files;
 ``python -m json.tool`` indents the JSON for reading.
 """
 from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
@@ -180,12 +190,19 @@ def _records(statuses, excluded, cols: dict) -> List[dict]:
     return records
 
 
-def grid_points(prog, nu: int, nv: int):
-    """The (u, v) grid: domain box sampled inclusively, u-major order."""
+def _grid_coordinates(prog, nu: int,
+                      nv: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The u and v arrays of the nu x nv grid: the domain box sampled
+    inclusively (np.linspace along each side), u-major order."""
     box = prog.definition.domain
-    us = np.linspace(box.u_min, box.u_max, nu)
-    vs = np.linspace(box.v_min, box.v_max, nv)
-    return [(float(u), float(v)) for u in us for v in vs]
+    return (np.repeat(np.linspace(box.u_min, box.u_max, nu), nv),
+            np.tile(np.linspace(box.v_min, box.v_max, nv), nu))
+
+
+def grid_points(prog, nu: int, nv: int) -> List[Tuple[float, float]]:
+    """The (u, v) grid as a list of float pairs, u-major order."""
+    return list(zip(*(x.tolist()
+                      for x in _grid_coordinates(prog, nu, nv))))
 
 
 def summarize(records: List[dict]) -> dict:
@@ -210,38 +227,51 @@ def _summary(statuses: List[str], usable, keys: List[str]) -> dict:
     float64 entries of the leaf at `path` (`_columns`' nesting) in the
     usable records, in record order, and the keys of their prop_residuals.
     Each aggregate is Python's max and a left-to-right fold of + over its
-    leaf's entries, np.cumsum's last entry (np.sum adds pairwise, and the
-    builtin sum compensates since Python 3.12: either would move the
-    bits); where no record is usable, every aggregate is null and no leaf
-    is read."""
+    leaf's entries, taken in one pass over the stacked leaves; where no
+    record is usable, every aggregate is null and no leaf is read."""
     counts = {s: 0 for s in STATUSES}
-    for status in statuses:
-        counts[status] += 1
+    for status, count in Counter(statuses).items():
+        counts[status] += count
     n = sum(counts[s] for s in USABLE)
-
-    def agg(*path: str, f=None) -> dict:
-        if not n:
-            return {"max": None, "mean": None}
-        col = usable(*path)
-        if f:
-            col = f(col)
-        # cumsum adds in order, silent where it overflows as float + is;
-        # + 0.0 writes an all -0.0 column's sum as 0.0, as a fold from the
-        # integer 0 does
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.cumsum(col)[-1]) + 0.0
-        return {"max": max(col.tolist()), "mean": total / n}
-
-    defects = {"w_abs": agg("defects", "w", f=np.abs),
-               "moulding": agg("defects", "moulding")}
+    names = ["w_abs", "moulding"]
+    paths = [("defects", "w"), ("defects", "moulding")]
     for c in CLASS_NAMES:
         for key in ("class", "class_normalized"):
-            defects[f"{key}_{c}"] = agg("defects", key, c)
-    return {"status_counts": counts, "defects": defects,
-            "identity_residuals": {
-                k: agg("prop_residuals", k, "identity_residual")
-                for k in (keys if n else ())},
+            names.append(f"{key}_{c}")
+            paths.append(("defects", key, c))
+    residuals = keys if n else ()
+    paths += [("prop_residuals", k, "identity_residual") for k in residuals]
+    if n:
+        table = np.stack([usable(*path) for path in paths])
+        table[0] = np.abs(table[0])
+        aggs = [{"max": top, "mean": mean} for top, mean in zip(
+            *(x.tolist() for x in _max_and_mean(table)))]
+    else:
+        aggs = [{"max": None, "mean": None} for _ in paths]
+    return {"status_counts": counts,
+            "defects": dict(zip(names, aggs)),
+            "identity_residuals": dict(zip(residuals, aggs[len(names):])),
             "n_records": len(statuses), "n_summarized": n}
+
+
+def _max_and_mean(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row of `table` (n > 0 columns), Python's max and the mean of a
+    left-to-right fold of + from the integer 0, with their bits.  max keeps
+    an entry only where a later one is greater, so its result is the row's
+    first entry if that is NaN (nothing compares greater), else the first
+    occurrence of the greatest value that is not NaN (a later NaN, or a
+    -0.0 or 0.0 that ties, never replaces it).  The sum is np.cumsum's
+    last entry, which adds in order (np.sum adds pairwise, and the builtin
+    sum compensates since Python 3.12: either would move the bits), silent
+    where it overflows as float + is; + 0.0 writes an all -0.0 row's sum as
+    0.0, as a fold from the integer 0 does."""
+    rows = np.arange(len(table))
+    top = np.fmax.reduce(table, axis=1)
+    first = table[rows, np.argmax(table == top[:, None], axis=1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.cumsum(table, axis=1)[:, -1] + 0.0
+    return (np.where(np.isnan(table[:, 0]), table[:, 0], first),
+            total / table.shape[1])
 
 
 def _read_columns(records: List[dict]) -> dict:
@@ -357,15 +387,17 @@ def grid_report(prog, nu: int, nv: int,
     columns and summary come from the columns of `defect_report` over the
     grid's `frames.frame_point`, whose failed points keep their status.
     The frame's jets are released before the classification runs."""
-    us, vs = np.reshape(grid_points(prog, nu, nv), (-1, 2)).T
+    us, vs = _grid_coordinates(prog, nu, nv)
     fp = frame_point(prog, us, vs, tol)
     failed, fp.pd = fp.pd.failed, None
     with np.errstate(all="ignore"):
         rep = defect_report(fp, tol)
         columns = _columns(us, vs, fp, rep)
-    statuses = [kind.status if kind else status
-                for kind, status in zip(failed, rep.status.tolist())]
-    live = np.array([s in USABLE for s in statuses], dtype=bool)
+    status = rep.status.astype(object)
+    for kind in set(failed[np.not_equal(failed, None)].tolist()):
+        status[np.equal(failed, kind)] = kind.status
+    live = np.isin(status, USABLE)
+    statuses = status.tolist()
     summary = _summary(statuses,
                        lambda *path: reduce(getitem, path, columns)[live],
                        sorted(columns["prop_residuals"]))
@@ -512,25 +544,30 @@ def parse_json(text: str) -> GridReport:
 
 def emit_csv(report: GridReport) -> str:
     """One row per record, byte for byte what ``csv.writer`` writes of the
-    records, written column by column: a float as its ``repr``, a flag as
-    1 or 0, and empty cells past the status of a record without a frame
-    (no cell holds a comma, a quote or a line break, so csv.writer would
-    quote none).  The cell texts are those `emit_json` left on the report,
-    which this takes off it (so they are the columns as that call read
-    them), or else one `_format` of the CSV's leaves."""
+    records: a float as its ``repr``, a flag as 1 or 0, and empty cells
+    past the status of a record without a frame (no cell holds a comma, a
+    quote or a line break, so csv.writer would quote none).  The cell
+    texts are those `emit_json` left on the report, which this takes off
+    it (so they are the columns as that call read them), or else one
+    `_format` of the CSV's leaves; with the statuses and an empty text
+    after them they fill one table of codes, records by columns, read out
+    by one gather."""
     cols, n = report.columns, len(report.status)
     handed = vars(report).pop("_csv_texts", None)
-    table = np.full((len(_CSV_COLUMNS), n), "", dtype=object)
-    table[2] = report.status
-    if n:
-        if handed is None:
-            handed = _format([reduce(getitem, path, cols)
-                              for path in _csv_leaves(cols)])[:2]
-        codes, texts = handed
-        cells = texts[codes]
-        table[:2] = cells[:2]
-        if len(cells) > 2:          # not a parsed report without frames
-            rows = np.array([s not in _NO_FRAME for s in report.status])
-            table[3:, rows] = cells[2:, rows]
-    return "".join(",".join(row) + "\n"
-                   for row in [_CSV_COLUMNS] + table.T.tolist())
+    header = ",".join(_CSV_COLUMNS) + "\n"
+    if not n:
+        return header
+    if handed is None:
+        handed = _format([reduce(getitem, path, cols)
+                          for path in _csv_leaves(cols)])[:2]
+    codes, texts = handed
+    blank = len(texts) + len(STATUSES)     # the index of the empty text
+    status = dict(zip(STATUSES, range(len(texts), blank)))
+    table = np.full((n, len(_CSV_COLUMNS)), blank, dtype=np.int32)
+    table[:, :2] = codes[:2].T
+    table[:, 2] = [status[s] for s in report.status]
+    if len(codes) > 2:              # not a parsed report without frames
+        table[:, 3:] = codes[2:].T
+        table[np.isin(report.status, tuple(_NO_FRAME)), 3:] = blank
+    cells = np.concatenate([texts, np.array([*STATUSES, ""], dtype=object)])
+    return header + "\n".join(map(",".join, cells[table].tolist())) + "\n"

@@ -480,6 +480,40 @@ def test_value_helpers_give_python_bits_on_arrays(rng):
                    for a, b in zip(xs, ys)]
 
 
+_HYPOT_EDGES = (0.0, math.inf, math.nan, 5e-324, 1e-310,
+                2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+def _bits(x) -> list:
+    return np.asarray(x, dtype=float).ravel().view(np.int64).tolist()
+
+
+def test_hypot_on_arrays_is_math_hypot(rng):
+    """jt.hypot on arrays gives math.hypot's bits: at 10^5 random pairs
+    whose binary exponents span -1074..1023 (half of them independent,
+    half within 40 of each other, where both squares count), at every
+    pair of the signed edges (zeros, infinities, NaN, subnormals, the
+    least normal and the largest float), on 0-d arrays, and with a float
+    broadcast against an array."""
+    n = 100_000
+    e = rng.integers(-1074, 1024, (2, n))
+    e[1, n // 2:] = np.clip(e[0, n // 2:] + rng.integers(-40, 41, n - n // 2),
+                            -1074, 1023)
+    x, y = np.ldexp(rng.uniform(1.0, 2.0, (2, n)), e) * rng.choice(
+        [-1.0, 1.0], (2, n))
+    edges = np.array(_HYPOT_EDGES + tuple(-v for v in _HYPOT_EDGES))
+    a, b = (np.concatenate([x, np.repeat(edges, len(edges))]),
+            np.concatenate([y, np.tile(edges, len(edges))]))
+    want = list(map(math.hypot, a.tolist(), b.tolist()))
+    assert _bits(jt.hypot(a, b)) == _bits(want)
+    for p, q in zip(a[::1000].tolist(), b[::1000].tolist()):
+        got = jt.hypot(np.asarray(p), np.asarray(q))
+        assert got.shape == () and _bits(got) == _bits(math.hypot(p, q))
+    for c in (2.5, 1e-300, 0.0, math.inf):
+        assert _bits(jt.hypot(c, b)) == _bits([math.hypot(c, q) for q in b])
+        assert _bits(jt.hypot(a, c)) == _bits([math.hypot(p, c) for p in a])
+
+
 def _overflow_edge(fn):
     """The largest x > 0 at which the float function fn does not overflow."""
     lo, hi = 1.0, 1e3

@@ -1,10 +1,12 @@
 """Grid reports, serialization, OBJ export, and the command line."""
 import csv
 import dataclasses
+import functools
 import gc
 import io
 import json
 import math
+import operator
 import os
 import re
 import sys
@@ -632,6 +634,96 @@ def test_summary_means_fold_left_to_right():
     aggregates = [*defects.values(), *summary["identity_residuals"].values()]
     assert aggregates and all(a == {"max": 1e100, "mean": 0.0}
                               for a in aggregates)
+
+
+def test_summary_equals_max_and_fold_of_each_leaf():
+    """Every aggregate of `_summary` has the bits of Python's max and of
+    ``functools.reduce(operator.add, ..., 0) / n`` over its leaf's entries
+    (|entries| for w_abs), leaf by leaf: a NaN first (max keeps it) and a
+    NaN later (max skips it), -0.0 and 0.0 tied in both orders (max keeps
+    the first), infinities of both signs, a running sum that overflows,
+    and an all -0.0 leaf (whose fold from 0 is 0.0).  Where no record is
+    usable every aggregate is null and no leaf is read."""
+    nan, inf = math.nan, math.inf
+    columns = [[nan, 1.0, 2.0, -3.0], [1.0, nan, 3.0, nan],
+               [-0.0, 0.0, -1.0, -0.0], [0.0, -0.0, -1.0, -2.0],
+               [-inf, 1.0, inf, 2.0], [inf, -inf, 1.0, 1.0],
+               [-inf, -1.0, -2.0, -inf],
+               [1e308, 1e308, -1e308, -1e308], [-0.0, -0.0, -0.0, -0.0],
+               [3.0, -5.0, 0.5, 2.0]]
+    statuses = ["ok", "umbilic", "moulding", "canal1", "ok", "ok"]
+    keys = ["prop1_s1", "prop4_16", "prop6_18"]
+    leaves = {}                  # path -> its column, in the order read
+
+    def usable(*path):
+        leaves[path] = columns[len(leaves) % len(columns)]
+        return np.array(leaves[path])
+
+    summary = report_module._summary(statuses, usable, keys)
+    assert summary["status_counts"]["ok"] == 3 and summary["n_summarized"] == 4
+    assert len(leaves) == 2 + 2 * len(CLASS_NAMES) + len(keys)
+
+    def bits(x):
+        return np.float64(x).view(np.int64)
+
+    for path, col in leaves.items():
+        if path == ("defects", "w"):
+            col, got = [abs(v) for v in col], summary["defects"]["w_abs"]
+        elif path[0] == "defects":
+            got = summary["defects"]["_".join(path[1:])]
+        else:
+            assert path[2] == "identity_residual"
+            got = summary["identity_residuals"][path[1]]
+        want = {"max": max(col),
+                "mean": functools.reduce(operator.add, col, 0) / len(col)}
+        assert {k: bits(v) for k, v in got.items()} == {
+            k: bits(v) for k, v in want.items()}, path
+    none = report_module._summary(["umbilic", "canal2"], None, keys)
+    assert none["n_summarized"] == 0 and none["identity_residuals"] == {}
+    assert all(a == {"max": None, "mean": None}
+               for a in none["defects"].values())
+
+
+def test_flag_rich_report(prog, tol, monkeypatch):
+    """A 40 x 40 report whose flag columns hold many patterns (one of them
+    at every third record, so that its records fill blocks of `_BLOCK`
+    across the others), among moulding, canal2 and umbilic (no frame)
+    records: its JSON is json.dumps' of its dict, and its CSV, after the
+    JSON and alone, csv.writer's of its records.  json.dumps renders each
+    (status, excluded) shape once, not each flag pattern."""
+    rep = grid_report(prog("helicoid"), 40, 40, tol)
+    n = len(rep.status)
+    i = np.arange(n)
+    flags = rep.columns["flags"]
+    for j, key in enumerate(sorted(flags)):
+        flags[key] = ((i * 2654435761) >> (j + 3) & 1).astype(bool)
+        flags[key][i % 3 == 0] = j % 2 == 0
+    status = np.array(rep.status, dtype=object)
+    status[i % 7 == 1], status[i % 7 == 2] = "moulding", "canal2"
+    status[i % 11 == 3] = "umbilic"
+    rep.status = status.tolist()
+    rep.excluded = [("prop5a", "prop5b", "prop6") if s == "moulding" else ()
+                    for s in rep.status]
+    framed = [s != "umbilic" for s in rep.status]
+    patterns = {tuple(bool(flags[k][r]) for k in flags)
+                for r in range(n) if framed[r]}
+    assert len(patterns) > 900 and report_module._BLOCK < n // 3
+    want = json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+    table = _csv_by_writer(rep)
+    assert "1" in [row.split(",")[10] for row in table.splitlines()]
+    vars(rep).pop("records")
+    calls = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *args, **kw: calls.append(1) or dumps(*args,
+                                                                     **kw))
+    assert emit_json(rep).split("}, {") == want.split("}, {")
+    # the document and its records' placeholder, then one shape per
+    # status (ok, moulding with its excluded statements, canal2, umbilic)
+    assert len(calls) == 2 + 4
+    monkeypatch.undo()
+    assert emit_csv(rep).splitlines() == table.splitlines()
+    assert emit_csv(rep).splitlines() == table.splitlines()
 
 
 def test_export_obj_generic_full(tmp_path, prog, tol):
