@@ -84,9 +84,10 @@ from .errors import JetDomainError, JetOrderError
 
 __all__ = [
     "MAX_ORDER", "OUTPUT_ORDER", "MONOMIALS", "MONOMIAL_INDEX", "N_SLOTS",
-    "N_COEFFS", "Jet4",
+    "Jet4",
     "jet_variables", "stack", "products", "dots", "where", "finite", "power",
-    "hypot", "pick", "largest", "smallest", "Floats", "Elementary",
+    "hypot", "fold_sum", "pick", "largest", "smallest", "Floats",
+    "Elementary",
     "ELEMENTARY",
     "JET_FUNCTIONS", "FLOATS_FUNCTIONS",
     "sqrt", "exp", "ln", "sin", "cos", "tan", "sinh", "cosh",
@@ -105,7 +106,6 @@ MONOMIALS: tuple = tuple(
 MONOMIAL_INDEX = {m: k for k, m in enumerate(MONOMIALS)}
 # Slots of a jet of valid order r: the monomials of degree <= r.
 N_SLOTS = tuple((r + 1) * (r + 2) // 2 for r in range(MAX_ORDER + 1))
-N_COEFFS = N_SLOTS[MAX_ORDER]  # 15
 
 
 # Convolution pair tables, one per valid order r: out[OUT] += a[A] * b[B]
@@ -893,6 +893,21 @@ def hypot(a, b):
     if slow.any():
         h[slow] = list(map(math.hypot, x[slow].tolist(), y[slow].tolist()))
     return h
+
+
+def fold_sum(values):
+    """The sum of `values` (an array, or a list of floats) along their
+    last axis, which is not empty, as a left-to-right fold of + from the
+    integer 0.  It is the one way the library sums floats that reach a
+    file: the report summary's means, and the export's cell diagonals and
+    segment length.  It is np.cumsum's last entry, which adds in order,
+    plus 0.0, which writes a sum of -0.0s as 0.0, as the fold from 0 does;
+    silent where the sum overflows, as float + is.  Any other sum can move
+    the bits: np.sum adds pairwise, `@` and np.linalg run the BLAS kernel
+    that OpenBLAS picks for the CPU (or by OPENBLAS_CORETYPE), and the
+    builtin sum compensates since Python 3.12."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.cumsum(values, axis=-1)[..., -1] + 0.0
 
 
 # Veltkamp's splitting constant 2^27 + 1: x * _SPLIT splits a double's 53

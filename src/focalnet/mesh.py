@@ -18,14 +18,16 @@ positions too, in `fp.x`, but the jet evaluator's floats differ from the
 float evaluator's in the last bit at some points (195, 204 and 515 of the
 1600 points of 40 x 40 monkey_saddle, enneper and dini), and the manifest
 writes `segment_length` by `repr` (monkey_saddle's would move).  The
-segment length is the mean of the cell diagonals' lengths, each with the
-bits of `np.linalg.norm` of its row (a scaled norm where the row's sum of
-squares overflows), summed left to right by a fold of + (the builtin sum
-compensates since Python 3.12).  Where a difference or that sum
-passes the largest float, it is 0.1 x the mean of the lengths of the
-halved differences b/2 - a/2, summed as shares (0.05 x twice that mean,
-with the two factors folded into one), so the manifest stays finite
-wherever 0.05 x the mean is, also where the mean itself overflows.
+segment length is 0.05 x the mean of the cell diagonals' lengths, each
+the square root of its sum of squares (a scaled norm where that sum
+overflows); every sum there is `jet.fold_sum`, the left-to-right fold
+of + that states how the library sums floats, so no BLAS kernel and no
+Python version moves its bits.  Where a difference or the sum of the
+lengths passes the largest float, it is 0.1 x the mean of the lengths of
+the halved differences b/2 - a/2, summed as shares (0.05 x twice that
+mean, with the two factors folded into one), so the manifest stays
+finite wherever 0.05 x the mean is, also where the mean itself
+overflows.
 The frames behind the focal sheets and net segments come from one
 `frames.frame_point` call on the grid's arrays, and everything after it
 runs on whole arrays: `central.is_canal` masks the canal points of a
@@ -43,8 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-from functools import reduce
-from operator import add
 from typing import Dict, Iterable
 
 import numpy as np
@@ -52,6 +52,7 @@ import numpy as np
 from .central import central_point, is_canal
 from .floattext import write_lines
 from .frames import frame_point
+from .jet import fold_sum
 from .nets import NETS, net_directions
 from .report import _grid_coordinates
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -79,13 +80,13 @@ def _grid_mesh(points: np.ndarray, present: np.ndarray, nu: int, nv: int):
 
 
 def _lengths(d: np.ndarray) -> np.ndarray:
-    """The length of each row of d, with the bits of np.linalg.norm of the
-    row (norm(axis=1) and einsum differ), and max|d| sqrt(sum (d / max|d|)^2)
-    where the sum of squares overflows."""
-    lengths = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    """The length of each row of d, sqrt(sum d^2), and
+    max|d| sqrt(sum (d / max|d|)^2) where the sum of squares overflows;
+    each sum is `fold_sum`'s."""
+    lengths = np.sqrt(fold_sum(d ** 2))
     big = np.isinf(lengths)
     top = np.abs(d[big]).max(axis=1, keepdims=True)
-    lengths[big] = top[:, 0] * np.sqrt(((d[big] / top) ** 2).sum(axis=1))
+    lengths[big] = top[:, 0] * np.sqrt(fold_sum((d[big] / top) ** 2))
     return lengths
 
 
@@ -145,17 +146,15 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         a, _, b, _ = _cells(nu, nv).T
         both = defined[a] & defined[b]
         ends, starts = positions[b[both]], positions[a[both]]
-        diags = _lengths(ends - starts).tolist()
-        count = len(diags)
-        mean = reduce(add, diags, 0) / count if count else 0.0
+        count = len(ends)
+        mean = fold_sum(_lengths(ends - starts)) / count if count else 0.0
         seg_len = 0.05 * mean
         if not np.isfinite(mean):
             # a difference or the sum past the largest float: twice the
             # mean of the halved differences' lengths, summed as shares,
             # with 0.05 x 2 as one factor (the bits of 0.05 x (2 x mean)),
             # as twice the mean may itself pass the largest float
-            halves = _lengths(ends / 2 - starts / 2).tolist()
-            seg_len = 0.1 * reduce(add, (x / count for x in halves), 0)
+            seg_len = 0.1 * fold_sum(_lengths(ends / 2 - starts / 2) / count)
 
         # Each sheet and net is computed once over the batch and then
         # masked: the points without a frame, the sheet's canal points and,
@@ -188,7 +187,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         "surface": prog.definition.name,
         "params": {k: float(v) for k, v in sorted(prog.params.items())},
         "nu": nu, "nv": nv,
-        "segment_length": seg_len,
+        "segment_length": float(seg_len),
         "objects": objects,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:

@@ -29,9 +29,10 @@ reads records back into columns, for `parse_json`.  `_summary` aggregates
 the 28 leaves it names over the usable records, read from the columns for
 `grid_report` and from the records for `summarize`, which reads those
 leaves alone; it stacks them and takes every maximum and mean in one pass
-(np.cumsum along each row, left to right, and the first occurrence of a
-row's maximum where Python's max takes it), with the bits of Python's max
-and of a fold of + from 0.  `grid_report` takes its coordinates from
+(the first occurrence of a row's maximum where Python's max takes it, and
+`jet.fold_sum` along each row, the left-to-right fold of + that states
+how the library sums floats), with the bits of Python's max and of that
+fold.  `grid_report` takes its coordinates from
 `_grid_coordinates` (np.repeat and np.tile of the two np.linspace sides;
 `grid_points` is the same grid as a list of pairs) and its statuses and
 usable-record mask from arrays.
@@ -95,6 +96,7 @@ from .classify import CLASS_NAMES, DefectReport, defect_report
 from .errors import FRAME_ERRORS
 from .floattext import reprs
 from .frames import frame_point
+from .jet import fold_sum
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
@@ -260,18 +262,13 @@ def _max_and_mean(table: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     an entry only where a later one is greater, so its result is the row's
     first entry if that is NaN (nothing compares greater), else the first
     occurrence of the greatest value that is not NaN (a later NaN, or a
-    -0.0 or 0.0 that ties, never replaces it).  The sum is np.cumsum's
-    last entry, which adds in order (np.sum adds pairwise, and the builtin
-    sum compensates since Python 3.12: either would move the bits), silent
-    where it overflows as float + is; + 0.0 writes an all -0.0 row's sum as
-    0.0, as a fold from the integer 0 does."""
+    -0.0 or 0.0 that ties, never replaces it).  The sum is `jet.fold_sum`
+    of the row."""
     rows = np.arange(len(table))
     top = np.fmax.reduce(table, axis=1)
     first = table[rows, np.argmax(table == top[:, None], axis=1)]
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = np.cumsum(table, axis=1)[:, -1] + 0.0
     return (np.where(np.isnan(table[:, 0]), table[:, 0], first),
-            total / table.shape[1])
+            fold_sum(table) / table.shape[1])
 
 
 def _read_columns(records: List[dict]) -> dict:

@@ -1,5 +1,7 @@
 """Order-4 bivariate jet arithmetic."""
+import functools
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -144,7 +146,9 @@ def test_jet_exponent_and_zero_power():
     assert np.isnan(out.c[:, 1]).all()
 
 
-# The full truncated convolution: every monomial pair of total degree <= 4.
+# The slots of a jet of valid order 4 (15), and the full truncated
+# convolution: every monomial pair of total degree <= 4.
+_SLOTS = jt.N_SLOTS[jt.MAX_ORDER]
 _FULL_PAIRS = [(ka, kb, jt.MONOMIAL_INDEX[(pa + pb, qa + qb)])
                for ka, (pa, qa) in enumerate(jt.MONOMIALS)
                for kb, (pb, qb) in enumerate(jt.MONOMIALS)
@@ -153,7 +157,7 @@ _FULL_PAIRS = [(ka, kb, jt.MONOMIAL_INDEX[(pa + pb, qa + qb)])
 
 def _full_product(a, b):
     ka, kb, out = (np.array(col) for col in zip(*_FULL_PAIRS))
-    return np.bincount(out, weights=a[ka] * b[kb], minlength=jt.N_COEFFS)
+    return np.bincount(out, weights=a[ka] * b[kb], minlength=_SLOTS)
 
 
 _EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-310, -1e-308, 1.7e308,
@@ -165,7 +169,7 @@ def _edge_coeffs(rng, shape, edge_frac):
     10^-160 to 10^160, so that products underflow, overflow, or sum finite
     terms past the largest float; a fraction `edge_frac` of the entries are
     edges: signed zeros, subnormals, the largest floats, NaN and +-inf."""
-    size = (jt.N_COEFFS,) + shape
+    size = (_SLOTS,) + shape
     scale = rng.uniform(-160, 160, shape) + rng.uniform(-2, 2, size)
     c = rng.normal(size=size) * 10.0 ** scale
     edge = rng.random(size) < edge_frac
@@ -233,10 +237,10 @@ def test_batch_products_add_without_warnings():
     """A batch product adds its terms as silently as the one-point product
     (bincount): finite terms whose sum overflows give inf, and inf + -inf
     gives NaN, with no warning even where warnings are errors."""
-    big = np.full((jt.N_COEFFS, 3), 1e154)
-    clash = np.zeros((jt.N_COEFFS, 3))
+    big = np.full((_SLOTS, 3), 1e154)
+    clash = np.zeros((_SLOTS, 3))
     clash[:2] = [[math.inf], [-math.inf]]
-    ones = np.ones((jt.N_COEFFS, 3))
+    ones = np.ones((_SLOTS, 3))
     with np.errstate(all="warn"), warnings.catch_warnings():
         warnings.simplefilter("error")
         overflow = (jt.Jet4(big) * jt.Jet4(big)).c
@@ -350,7 +354,7 @@ def _compose_by_products(g, series, order, top=jt.MAX_ORDER):
     kept = (order + 1) * (order + 2) // 2
     gh = g.copy()
     gh[0] = 0.0
-    acc = np.zeros(jt.N_COEFFS)
+    acc = np.zeros(_SLOTS)
     for k in range(top, -1, -1):
         acc = _full_product(acc, gh)
         acc[kept:] = 0.0
@@ -378,8 +382,8 @@ def test_compose_starts_from_the_scaled_series_bitwise():
     for order in range(jt.MAX_ORDER + 1):
         kept = jt.N_SLOTS[order]
         g = _edge_coeffs(rng, (n,), 0.01)
-        g[:, : n // 2] = rng.normal(size=(jt.N_COEFFS, n // 2))
-        g[:, : n // 4][rng.random((jt.N_COEFFS, n // 4)) < 0.2] = 0.0
+        g[:, : n // 2] = rng.normal(size=(_SLOTS, n // 2))
+        g[:, : n // 4][rng.random((_SLOTS, n // 4)) < 0.2] = 0.0
         series = rng.normal(size=(jt.MAX_ORDER + 1, n))
         series[rng.random(series.shape) < 0.1] = -0.0
         edge = rng.random(series.shape) < 0.01
@@ -414,7 +418,7 @@ def test_batch_columns_equal_their_points_bitwise():
     in each column the bits of the same operation on that column alone."""
     rng = np.random.default_rng(11)
     n = 400
-    coeffs = rng.normal(size=(jt.N_COEFFS, n)) * 0.3
+    coeffs = rng.normal(size=(_SLOTS, n)) * 0.3
     coeffs[0] = rng.uniform(0.05, 3.0, n)
     batch = jt.Jet4(coeffs)
     ops = [*jt.JET_FUNCTIONS.values(), lambda g: 1.0 / g,
@@ -512,6 +516,26 @@ def test_hypot_on_arrays_is_math_hypot(rng):
     for c in (2.5, 1e-300, 0.0, math.inf):
         assert _bits(jt.hypot(c, b)) == _bits([math.hypot(c, q) for q in b])
         assert _bits(jt.hypot(a, c)) == _bits([math.hypot(p, c) for p in a])
+
+
+def test_fold_sum_is_a_left_to_right_fold_from_zero(rng):
+    """jt.fold_sum gives the bits of functools.reduce(operator.add, row, 0)
+    along the last axis, silently: on rows of random magnitudes, where the
+    order of the additions shows in the last bits (pairwise np.sum moves
+    rows of 50), on [1, 1e100, 1, -1e100] (0.0, where a compensated sum
+    gives 2.0), on -0.0s (0.0), on a running sum that overflows and on
+    infinities of both signs (NaN)."""
+    table = rng.normal(size=(50, 7)) * 10.0 ** rng.integers(-8, 9, (50, 7))
+    table[:4, :4] = [[1.0, 1e100, 1.0, -1e100], [-0.0] * 4,
+                     [1e308, 1e308, -1e308, -1e308],
+                     [math.inf, 1.0, -math.inf, 2.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (table, np.ascontiguousarray(table.T)):
+            want = [functools.reduce(operator.add, row, 0)
+                    for row in rows.tolist()]
+            assert _bits(jt.fold_sum(rows)) == _bits(want)
+    assert _bits(jt.fold_sum(table[:2, :4])) == _bits([0.0, 0.0])
 
 
 def _overflow_edge(fn):

@@ -8,7 +8,9 @@ import json
 import math
 import operator
 import os
+import platform
 import re
+import subprocess
 import sys
 
 import numpy as np
@@ -791,12 +793,13 @@ def test_export_obj_matches_point_api(tmp_path, prog, graph_source, tol):
 
 
 def test_segment_length_is_the_per_row_norm(tmp_path, prog):
-    """The manifest's segment_length, written by repr, is 0.05 x the
-    left-to-right mean of np.linalg.norm per cell diagonal over the
+    """The manifest's segment_length, written by repr, is 0.05 x the mean
+    of the cell diagonals' lengths in Python floats, each
+    sqrt((dx*dx + dy*dy) + dz*dz), summed left to right from 0, over the
     positions prog.position gives point by point, on each surface of the
-    mesh digest's corpus at 20 x 20 and 40 x 40.  At 40 x 40 monkey_saddle
-    the positions of the jet evaluation (the grid frame's x) would move it
-    in the last digit."""
+    mesh digest's corpus at 20 x 20 and 40 x 40.  No BLAS kernel enters
+    the oracle.  At 40 x 40 monkey_saddle the positions of the jet
+    evaluation (the grid frame's x) would move it in the last digit."""
     for name in ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
                  "sphere", "monkey_saddle", "enneper"):
         program = prog(name)
@@ -813,11 +816,55 @@ def test_segment_length_is_the_per_row_norm(tmp_path, prog):
                 for iv in range(n - 1):
                     a, b = pts[iu * n + iv], pts[(iu + 1) * n + iv + 1]
                     if a in positions and b in positions:
-                        diags.append(float(np.linalg.norm(
-                            positions[b] - positions[a])))
-            want = 0.05 * (sum(diags) / len(diags)) if diags else 0.0
+                        dx, dy, dz = (positions[b] - positions[a]).tolist()
+                        diags.append(math.sqrt((dx * dx + dy * dy)
+                                               + dz * dz))
+            want = (0.05 * (functools.reduce(operator.add, diags, 0)
+                            / len(diags)) if diags else 0.0)
             got = export_obj(program, n, n, str(tmp_path / f"{name}{n}"))
             assert repr(got["segment_length"]) == repr(want), (name, n)
+
+
+# Writes the mesh digest's enneper and monkey_saddle exports at 20 x 20
+# under the directory named by its argument.
+_KERNEL_EXPORT = """
+import sys
+from focalnet import compile_surface, export_obj, gallery
+for name in ("enneper", "monkey_saddle"):
+    export_obj(compile_surface(gallery(name)), 20, 20,
+               f"{sys.argv[1]}/{name}", central=(1, 2),
+               nets=("13", "14", "17", "18"))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86_64 kernels")
+def test_export_obj_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    """Every file export_obj writes for enneper and monkey_saddle at
+    20 x 20 (both sheets, nets 13/14/17/18) is byte-equal whether OpenBLAS
+    picks its kernel for the CPU or runs the Prescott one.  OpenBLAS reads
+    OPENBLAS_CORETYPE when numpy loads, so each export runs in its own
+    interpreter.  Cell diagonals summed by a BLAS dot product moved
+    enneper's segment length in the last bit between kernels."""
+    src = os.path.dirname(os.path.dirname(mesh_module.__file__))
+    written = []
+    for kernel in ("", "Prescott"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = tmp_path / (kernel or "cpu")
+        subprocess.run([sys.executable, "-c", _KERNEL_EXPORT, str(out)],
+                       env=env, check=True)
+        written.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in out.rglob("*") if p.is_file()})
+    # enneper's nets 13/14 are imaginary: 7 + 5 OBJ files, 2 manifests
+    assert sorted(written[0]) == sorted(written[1])
+    assert len(written[0]) == 14
+    for name, data in written[0].items():
+        assert written[1][name] == data, name
 
 
 @pytest.mark.parametrize("scale", ["1e160", "1e300"])
