@@ -1,6 +1,6 @@
 """Print sha256 digests of focalnet's emitted outputs over a fixed corpus.
 
-Six digests, one per line:
+Seven digests, one per line:
 
 - json: ``emit_json`` of ``grid_report`` 25x25 for each of the ten surfaces
   in ``GRID_SURFACES``, in that order (a fixed list, so the digest stays
@@ -46,6 +46,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -73,6 +74,9 @@ SHAPE_GRIDS = ((parse_surface(SWEPT_SRC), 8, 8),
                (_graph("ln(u) + v^2"), 9, 9),
                (_graph("1 / u + v^2"), 9, 9),
                (_graph("u / 0"), 8, 8))
+
+POINT_POOL = 2000
+POOL_SEED = 34
 
 MESH_SURFACES = ("graph_generic", "dini", "graph_quad", "torus", "helicoid",
                  "sphere", "monkey_saddle", "enneper")
@@ -122,6 +126,20 @@ def point_digest() -> str:
     return h.hexdigest()
 
 
+def point_pool_digest() -> str:
+    h = hashlib.sha256()
+    rng = random.Random(POOL_SEED)
+    progs = [compile_surface(gallery(name)) for name in GRID_SURFACES]
+    for _ in range(POINT_POOL):
+        prog = progs[int(rng.random() * len(progs))]
+        box = prog.definition.domain
+        u = box.u_min + (box.u_max - box.u_min) * rng.random()
+        v = box.v_min + (box.v_max - box.v_min) * rng.random()
+        rec = point_record(prog, u, v)
+        h.update(json.dumps(rec, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Print sha256 digests of focalnet's emitted outputs.")
@@ -137,6 +155,7 @@ def main(argv=None) -> int:
         for surface, nu, nv in SHAPE_GRIDS)
     lines = [f"json {json_digest}", f"csv {csv_digest}",
              f"mesh {mesh_digest()}", f"point {point_digest()}",
+             f"point_pool {point_pool_digest()}",
              f"json_shapes {json_shapes}", f"csv_shapes {csv_shapes}"]
     print("\n".join(lines))
     status = 0
