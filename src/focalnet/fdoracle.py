@@ -7,11 +7,12 @@ derivative formulas along the focal coframe's dual directions.
 
 Oracle samples are plain floats from `SurfaceProgram.evaluate` (through
 `prog.position`), so no jet arithmetic enters them.  For convergence-ratio
-studies the stencil sums are taken in mpmath, with the program evaluated
-in mpmath numbers by `mp_scalar_fn`: at step sizes near 1e-4, float64
-cancellation noise exceeds the O(h^2) truncation error for second and
-higher derivatives, which would make ratio tests meaningless.  mpmath is
-imported lazily; the library runtime never needs it.
+studies the stencil sums are taken in mpmath, with a coordinate's compiled
+program (`expr.Program`) run on mpmath numbers by `mp_scalar_fn`: at step
+sizes near 1e-4, float64 cancellation noise exceeds the O(h^2) truncation
+error for second and higher derivatives, which would make ratio tests
+meaningless.  mpmath is imported lazily; the library runtime never needs
+it.
 
 The float oracles take a point or arrays u, v of shape (N,) and evaluate
 the nodes of a stencil for every point in one call, summed by the code of
@@ -93,16 +94,18 @@ def mp_scalar_fn(prog, coord: int):
     """mpmath evaluator for one coordinate expression of a program, at the
     caller's working precision: the reference sampler, kept apart from
     `SurfaceProgram.evaluate` because constants and parameters must be
-    mpmath numbers too."""
+    mpmath numbers too.  It runs the coordinate's straight-line program
+    (`expr.Program`) with the mpmath functions; the tree is compiled
+    alone, so a sample computes no other coordinate."""
     import mpmath as mp
-    node = prog.exprs[coord]
+    program = ex.Program((prog.exprs[coord],))
     params = prog.params
     funcs = {f.name: getattr(mp, f.mp_name) for f in jt.ELEMENTARY}
 
     def f(u, v):
         env = {"pi": mp.pi, "e": mp.e, "u": u, "v": v}
         env.update({k: mp.mpf(w) for k, w in params.items()})
-        return ex.evaluate(node, env, funcs)
+        return program.run(env, funcs)[0]
 
     return f
 

@@ -14,10 +14,11 @@ checks below independent of the curvature gradients they constrain.
 
 `FramePoint` is the last layer that differentiates jets: it keeps only
 float values and first Pfaffians, and the curvature jets stay reachable
-as `pd.k1`/`pd.k2`.  `frame_point_from_pd` takes them, with q1 and q2,
-from `_connection` at valid order 1: the two Pfaffians of one vector
-field, (e1, k1, k2), give D_{e_i} e1 and nabla k1, nabla k2 at once (a
-slot's bits do not depend on the order its jet is cut to).  Its fields
+as `pd.k1`/`pd.k2`.  `frame_point_from_pd` reads those first Pfaffians
+as values (`pfaffian_values`, slot 0 of `pfaffian` computed on slots
+alone): those of one vector field, (e1, k1, k2), give D_{e_i} e1 and
+nabla k1, nabla k2 at once, and q_i is the dot product of D_{e_i} e1
+with the value of e2, summed as `geometry._dots` sums it.  Its fields
 read derivatives of the position up to the third, so `frame_point`
 evaluates at `jt.OUTPUT_ORDER` by default; a check that differentiates
 `pd` twice (the Gauss equation, the commutator) asks for `jt.MAX_ORDER`.
@@ -48,7 +49,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import jet as jt
-from .errors import JetDomainError
+from .errors import JetDomainError, JetOrderError
 from .geometry import (PrincipalData, _dots, components, eval_surface,
                        principal_data)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -67,9 +68,19 @@ def pfaffian(field: jt.Jet4, pd: PrincipalData) -> Tuple[jt.Jet4, jt.Jet4]:
     return (pd.xi1 * fu + pd.eta1 * fv, pd.xi2 * fu + pd.eta2 * fv)
 
 
-def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> Tuple[float, float]:
-    d1, d2 = pfaffian(field, pd)
-    return (d1.value, d2.value)
+def pfaffian_values(field: jt.Jet4, pd: PrincipalData) -> tuple:
+    """The values of `pfaffian(field, pd)`, with their bits, from the
+    field's slots (1, 0) and (0, 1) and the directions' values alone: at
+    every order and shape a product's slot 0 is one product added to +0.0,
+    and du's and dv's factor there is 1.  Floats for a scalar field at a
+    point, else arrays of the field's components' shape."""
+    if field.valid_order < 1:
+        raise JetOrderError("cannot differentiate an order-0 jet")
+    c = field.c
+    fu, fv = c[1], c[2]
+    d1, d2 = ((xi.c[0] * fu + 0.0) + (eta.c[0] * fv + 0.0)
+              for xi, eta in ((pd.xi1, pd.eta1), (pd.xi2, pd.eta2)))
+    return (float(d1), float(d2)) if c.ndim == 1 else (d1, d2)
 
 
 @dataclass
@@ -80,7 +91,8 @@ class FramePoint:
 
     q1 and q2 are the connection coefficients and grad_k1, grad_k2 the
     Pfaffian gradients of the curvatures, the highest derivatives here
-    (third of the position).  x is the position and e1, e2, e3 the frame
+    (third of the position), all read as values (`pfaffian_values`, see
+    `frame_point_from_pd`).  x is the position and e1, e2, e3 the frame
     vectors, each as three ambient components.  Built from a batch
     `PrincipalData`, every float field holds an array of shape S."""
     u: float
@@ -102,21 +114,6 @@ class FramePoint:
         return (self.u, self.v)
 
 
-def _connection(pd: PrincipalData, order: int) -> tuple:
-    """(q1, q2) as jets, q_i = <D_{e_i} e1, e2>: the ambient frame field
-    differentiated along the principal directions.  It differentiates the
-    vector field (e1, k1, k2) cut to valid order `order`, and returns with
-    q1, q2 that field's two Pfaffians, which hold nabla k1 and nabla k2 as
-    their last two components."""
-    field = jt.Jet4(np.concatenate(
-        [pd.e1.cut(order).c, pd.k1.cut(order).c[:, None],
-         pd.k2.cut(order).c[:, None]], axis=1), order)
-    d1, d2 = pfaffian(field, pd)
-    q1, q2 = _dots((jt.Jet4(d1.c[:, :3], d1.valid_order), pd.e2),
-                   (jt.Jet4(d2.c[:, :3], d2.valid_order), pd.e2)).split()
-    return q1, q2, d1, d2
-
-
 def frame_point_from_pd(pd: PrincipalData,
                         tol: ToleranceSet = DEFAULT_TOLERANCES) -> FramePoint:
     """The frame point of `pd`.  A frame whose float fields are not all
@@ -124,14 +121,22 @@ def frame_point_from_pd(pd: PrincipalData,
     JetDomainError: at S = () it raises, in a batch the point's `pd.failed`
     entry records it unless an earlier failure is there."""
     sj = pd.sj
-    # A frame point keeps only values of the Pfaffians, so the connection
-    # is taken at valid order 1 (a slot has the same bits at every order).
-    q1, q2, d1, d2 = _connection(pd, min(pd.k1.valid_order, 1))
-    d1f, d2f = components(d1), components(d2)
+    # The first Pfaffians of (e1, k1, k2) read its slots up to degree 1.
+    field = jt.Jet4(np.concatenate(
+        [pd.e1.c[:3], pd.k1.c[:3, None], pd.k2.c[:3, None]], axis=1),
+        min(pd.k1.valid_order, 1))
+    d1, d2 = pfaffian_values(field, pd)
+    # q_i = <D_{e_i} e1, e2>: three products, each plus +0.0, summed left
+    # to right, which are the bits of `geometry._dots` at valid order 0.
+    e2 = pd.e2.c[0]
+    q1, q2 = (p[0] + p[1] + p[2] for p in (d1[:3] * e2 + 0.0,
+                                           d2[:3] * e2 + 0.0))
+    if e2.ndim == 1:            # a point: floats
+        d1, d2, q1, q2 = d1.tolist(), d2.tolist(), float(q1), float(q2)
     fp = FramePoint(
         u=sj.u, v=sj.v, pd=pd,
-        k1=pd.k1.value, k2=pd.k2.value, q1=q1.value, q2=q2.value,
-        grad_k1=(d1f[3], d2f[3]), grad_k2=(d1f[4], d2f[4]),
+        k1=pd.k1.value, k2=pd.k2.value, q1=q1, q2=q2,
+        grad_k1=(d1[3], d2[3]), grad_k2=(d1[4], d2[4]),
         x=components(sj.pos), e1=components(pd.e1), e2=components(pd.e2),
         e3=components(pd.e3))
     fields = [fp.k1, fp.k2, fp.q1, fp.q2, *fp.grad_k1, *fp.grad_k2, *fp.x,
@@ -203,7 +208,9 @@ def check_gauss(fp: FramePoint) -> Tuple[float, float]:
     component of each q gradient, as in `pfaffian`) are fourth derivatives
     of the position, so `fp.pd` must be of `jt.MAX_ORDER`."""
     pd = fp.pd
-    q1, q2, _, _ = _connection(pd, pd.k1.valid_order)
+    # q_i = <D_{e_i} e1, e2> as jets
+    d1, d2 = pfaffian(pd.e1, pd)
+    q1, q2 = _dots((d1, pd.e2), (d2, pd.e2)).split()
     d2_q1 = (pd.xi2 * q1.du() + pd.eta2 * q1.dv()).value
     d1_q2 = (pd.xi1 * q2.du() + pd.eta1 * q2.dv()).value
     q1_sq, q2_sq = jt.power(fp.q1, 2), jt.power(fp.q2, 2)

@@ -15,11 +15,15 @@ allowed), coordinate expressions may use u, v, declared parameters, pi, e,
 and the built-in functions.  `#` starts a line comment.  Parsing then
 printing then parsing again reproduces the AST exactly.
 
-`SurfaceProgram.evaluate` is the one evaluator of a compiled surface (jets,
-positions and oracle samples), and its arguments pick its functions: jets
-take `jet.JET_FUNCTIONS`, floats and `jet.Floats` the float-function map
-`jet.FLOATS_FUNCTIONS`.  The parser evaluates only constants, with the
-same map.  An undefined point raises JetDomainError; a batch never
+Compiling a surface binds its parameters and compiles its x, y and z
+expressions once into one straight-line program (`expr.Program`), in
+which a subexpression that the coordinates share is one step.
+`SurfaceProgram.evaluate` is the one evaluator of a compiled surface
+(jets, positions and oracle samples): it runs that program, and its
+arguments pick its functions: jets take `jet.JET_FUNCTIONS`, floats and
+`jet.Floats` the float-function map `jet.FLOATS_FUNCTIONS`.  The parser
+evaluates only constants, with the same map (`expr.evaluate`, which
+compiles and runs one tree).  An undefined point raises JetDomainError; a batch never
 raises, an undefined point only leaves its jet column non-finite, and
 `geometry.principal_data` gives it that class.
 """
@@ -326,13 +330,16 @@ def surface_source(sd: SurfaceDef) -> str:
 # -- compilation -------------------------------------------------------------
 
 class SurfaceProgram:
-    """A surface definition bound to concrete parameter values."""
+    """A surface definition bound to concrete parameter values, its x, y
+    and z expressions compiled once into one straight-line program
+    (`expr.Program`), which every evaluation runs."""
 
     def __init__(self, definition: SurfaceDef, params: Dict[str, float]):
         self.definition = definition
         self.name = definition.name
         self.params = dict(params)
         self.exprs = (definition.x, definition.y, definition.z)
+        self.program = ex.Program(self.exprs)
 
     def evaluate(self, u, v) -> tuple:
         """The (x, y, z) expressions with u and v bound to the given values:
@@ -351,8 +358,7 @@ class SurfaceProgram:
         at = (getattr(u, "value", u), getattr(v, "value", v))
         try:
             with np.errstate(all="ignore"):
-                out = tuple(ex.evaluate(node, env, funcs)
-                            for node in self.exprs)
+                out = self.program.run(env, funcs)
         except (ZeroDivisionError, ValueError, OverflowError,
                 JetDomainError) as exc:
             if np.ndim(at[0]):          # a batch: every point fails

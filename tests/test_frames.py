@@ -6,12 +6,14 @@ import pytest
 
 import focalnet.jet as jt
 from focalnet.checks import domain_points
-from focalnet.errors import ParabolicPoint, UmbilicPoint
+from focalnet.errors import JetOrderError, ParabolicPoint, UmbilicPoint
 from focalnet.frames import (check_codazzi, check_gauss, codazzi_scale,
                              commutator_residual, frame_point,
                              frame_point_from_pd, pfaffian,
                              pfaffian_values)
-from focalnet.geometry import flipped_principal
+from focalnet.geometry import (_dots, eval_surface, flipped_principal,
+                               principal_data)
+from focalnet.report import grid_points
 
 
 def _frame_points(program, n, rng, tol):
@@ -103,3 +105,53 @@ def test_helicoid_frame_values(prog, tol):
     assert fp.k1 == pytest.approx(expect, rel=1e-12)
     assert fp.k2 == pytest.approx(-expect, rel=1e-12)
     assert fp.k1 + fp.k2 == pytest.approx(0.0, abs=1e-13)
+
+
+def _principal(program, u, v, order):
+    return principal_data(eval_surface(program, u, v, order))
+
+
+def test_pfaffian_values_have_the_bits_of_pfaffian(prog):
+    """pfaffian_values is slot 0 of pfaffian, bit for bit: a scalar field
+    (k1) and the vector field (e1, k1, k2), at a point and on a 40 x 40
+    batch, with surface jets of the outputs' order and of MAX_ORDER; at a
+    point a scalar field gives floats."""
+    program = prog("graph_generic")
+    us, vs = np.array(grid_points(program, 40, 40)).T
+    for order in (jt.OUTPUT_ORDER, jt.MAX_ORDER):
+        for u, v in ((0.3, -0.7), (us, vs)):
+            pd = _principal(program, u, v, order)
+            vector = jt.Jet4(np.concatenate(
+                [pd.e1.c, pd.k1.c[:, None], pd.k2.c[:, None]], axis=1),
+                pd.k1.valid_order)
+            for field in (pd.k1, vector):
+                got = pfaffian_values(field, pd)
+                want = [d.value for d in pfaffian(field, pd)]
+                for g, w in zip(got, want):
+                    assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            if np.ndim(u) == 0:
+                assert all(type(g) is float
+                           for g in pfaffian_values(pd.k1, pd))
+    with pytest.raises(JetOrderError):
+        pfaffian_values(pd.k1.cut(0), pd)
+
+
+def test_frame_point_connection_has_the_bits_of_the_jet_dots(prog):
+    """q1, q2 and the curvature gradients of frame_point have the bits of
+    the order-0 jets <nabla_i e1, e2> (`_dots`) and nabla k1, nabla k2,
+    at a point (floats) and on a 40 x 40 batch of a surface with umbilic
+    and parabolic points."""
+    program = prog("monkey_saddle")
+    us, vs = np.array(grid_points(program, 40, 40)).T
+    for u, v in ((0.3, -0.7), (us, vs)):
+        fp = frame_point(program, u, v)
+        pd = fp.pd
+        d1, d2 = (d.cut(0) for d in pfaffian(pd.e1, pd))
+        q1, q2 = _dots((d1, pd.e2), (d2, pd.e2)).split()
+        want = (q1.value, q2.value, *(d.cut(0).value for d in
+                                      (*pfaffian(pd.k1, pd),
+                                       *pfaffian(pd.k2, pd))))
+        got = (fp.q1, fp.q2, *fp.grad_k1, *fp.grad_k2)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
