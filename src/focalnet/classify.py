@@ -87,12 +87,17 @@ class DefectReport:
     excluded: Tuple[str, ...] = ()
 
 
-def w_defect(fp: FramePoint) -> float:
+def _gradient_norms(fp: FramePoint) -> Tuple[float, float]:
+    """(|grad k1|, |grad k2|)."""
+    return jt.hypot(*fp.grad_k1), jt.hypot(*fp.grad_k2)
+
+
+def w_defect(fp: FramePoint, norms=None) -> float:
     """Jacobian determinant d1k1*d2k2 - d2k1*d1k2, normalized by
     |grad k1|*|grad k2| + floor.  Zero iff k1 and k2 are functionally
-    dependent at the point (the pointwise functional-relation test)."""
-    g1 = jt.hypot(*fp.grad_k1)
-    g2 = jt.hypot(*fp.grad_k2)
+    dependent at the point (the pointwise functional-relation test).
+    `norms` is `_gradient_norms(fp)`, taken here if not given."""
+    g1, g2 = _gradient_norms(fp) if norms is None else norms
     return w_jacobian(fp) / (g1 * g2 + _FLOOR)
 
 
@@ -117,12 +122,13 @@ def class_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
             for name, (p1, p2) in class_partials(fp.k1, fp.k2).items()}
 
 
-def class_defects(fp: FramePoint):
-    """(raw, normalized) gradient-defect maps over the six classes."""
+def class_defects(fp: FramePoint, norms=None, grads=None):
+    """(raw, normalized) gradient-defect maps over the six classes.
+    `norms` is `_gradient_norms(fp)` and `grads` `class_gradients(fp)`,
+    taken here if not given."""
     partials = class_partials(fp.k1, fp.k2)
-    grads = class_gradients(fp)
-    g1 = jt.hypot(*fp.grad_k1)
-    g2 = jt.hypot(*fp.grad_k2)
+    grads = class_gradients(fp) if grads is None else grads
+    g1, g2 = _gradient_norms(fp) if norms is None else norms
     raw, norm = {}, {}
     for name in CLASS_NAMES:
         p1, p2 = partials[name]
@@ -164,9 +170,10 @@ def defect_report(fp: FramePoint,
     ``excluded``: the factor vanishes there, so the two sides no longer
     determine each other.  On a batch every field holds arrays, and the
     residuals, computed at every point, are meaningless at canal points."""
-    raw, normed = class_defects(fp)
+    norms, grads = _gradient_norms(fp), class_gradients(fp)
+    raw, normed = class_defects(fp, norms, grads)
     canal1, canal2 = is_canal(fp, 1, tol), is_canal(fp, 2, tol)
-    wd = w_defect(fp)
+    wd = w_defect(fp, norms)
     md = moulding_defect(fp, tol)
     flags = flags_from_defects(wd, normed, md, canal1, canal2, tol)
     status = jt.pick(canal1, jt.pick(canal2, "canal12", "canal1"),
@@ -176,7 +183,7 @@ def defect_report(fp: FramePoint,
                        ())
     res: Dict[str, PropositionResidual] = {}
     if isinstance(status, np.ndarray) or status in ("ok", "moulding"):
-        res = prop_residuals(fp, class_gradients(fp), tol)
+        res = prop_residuals(fp, grads, tol)
     return DefectReport(status=status, w_defect=wd, class_defects=raw,
                         class_defects_normalized=normed, moulding_defect=md,
                         flags=flags, prop_residuals=res, excluded=excluded)
