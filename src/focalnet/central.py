@@ -109,6 +109,24 @@ def _matrix(rows) -> np.ndarray:
     return m.reshape(m.shape[:-1] + (2, 2))
 
 
+# The 2x2 algebra is written out on the entries: `@` and np.linalg run the
+# BLAS and LAPACK kernels that OpenBLAS picks for the CPU, whose last bits
+# differ from kernel to kernel.
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b of stacks of 2x2 matrices, shape S + (2, 2)."""
+    return _matrix([[a[..., i, 0] * b[..., 0, j] + a[..., i, 1] * b[..., 1, j]
+                     for j in (0, 1)] for i in (0, 1)])
+
+
+def _inverse(m: np.ndarray) -> np.ndarray:
+    """The inverse of a stack of 2x2 matrices by the adjugate over the
+    determinant."""
+    a, b, c, d = (m[..., i, j] for i in (0, 1) for j in (0, 1))
+    det = a * d - b * c
+    return _matrix(((d / det, -b / det), (-c / det, a / det)))
+
+
 def base_coframe_matrix(pd: PrincipalData) -> np.ndarray:
     """Rows = (w1, w2) as covectors over (du, dv): w_i = <e_i, .> via the
     first fundamental form."""
@@ -206,23 +224,23 @@ def central_ii_oracle(fp: FramePoint, sheet: int,
     # sheet coframe over (du, dv): closed-form rows composed with the base
     # coframe, and independently by projecting dy on the sheet frame
     omega = base_coframe_matrix(pd)
-    p_uv = focal_coframe_matrix(fp, sheet) @ omega
+    p_uv = _matmul(focal_coframe_matrix(fp, sheet), omega)
     p_proj = _matrix(((vdot(y_u, first).value, vdot(y_v, first).value),
                       (vdot(y_u, second).value, vdot(y_v, second).value)))
 
     p_live = np.where(np.expand_dims(canal, (-2, -1)), np.nan, p_uv)
-    p_inv = np.linalg.inv(p_live)
-    form = np.swapaxes(p_inv, -1, -2) @ t_mat @ p_inv
+    p_inv = _inverse(p_live)
+    form = _matmul(_matmul(np.swapaxes(p_inv, -1, -2), t_mat), p_inv)
 
     # sheet connection form w12' = <d(first), second> over (du, dv),
-    # re-expressed in the sheet coframe
+    # re-expressed in the sheet coframe: q = P^-T w
     f_u, f_v = first.du(), first.dv()
-    w = np.stack([vdot(f_u, second).value, vdot(f_v, second).value], axis=-1)
-    q = np.linalg.solve(np.swapaxes(p_live, -1, -2), w[..., None])[..., 0]
+    w_u, w_v = vdot(f_u, second).value, vdot(f_v, second).value
+    q1, q2 = (p_inv[..., 0, i] * w_u + p_inv[..., 1, i] * w_v for i in (0, 1))
 
     return CentralFundamentals(
         form[..., 0, 0], 0.5 * (form[..., 0, 1] + form[..., 1, 0]),
-        form[..., 1, 1], q[..., 0], q[..., 1],
+        form[..., 1, 1], q1, q2,
         coframe_uv=p_uv, coframe_uv_projected=p_proj)
 
 

@@ -45,7 +45,7 @@ from .central import (canal_threshold, central_ii_oracle, central_point,
                       central_pfaffian, connection_gradient,
                       divergence_closed_form, divergence_scale,
                       isothermic_divergence, w_jacobian, base_coframe_matrix,
-                      focal_coframe_matrix, own_curvature)
+                      focal_coframe_matrix, own_curvature, _inverse, _matmul)
 from .classify import (class_gradients, class_partials, prop_residuals,
                        proposition_report)
 from .errors import FocalnetError
@@ -303,12 +303,13 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
         fp = sample_frame_points(prog, 8, rng, _TOL, sheets=(1, 2),
                                  healthy=20.0, min_k=0.08, min_gap=0.05)
         base = base_coframe_matrix(fp.pd)
-        p_uvs = [focal_coframe_matrix(fp, sheet) @ base for sheet in (1, 2)]
-        # sheet x i x point x (du, dv)
-        direction = np.array([[np.linalg.solve(p_uv, np.eye(2)[:, i, None])
-                               for i in (0, 1)] for p_uv in p_uvs])[..., 0]
-        speed = np.sqrt(direction[..., None, :]
-                        @ direction[..., :, None])[..., 0, 0]
+        p_uvs = [_matmul(focal_coframe_matrix(fp, sheet), base)
+                 for sheet in (1, 2)]
+        # sheet x i x point x (du, dv): column i of each inverse
+        direction = np.array([[p_inv[..., i] for i in (0, 1)]
+                              for p_inv in map(_inverse, p_uvs)])
+        speed = np.sqrt(direction[..., 0] * direction[..., 0]
+                        + direction[..., 1] * direction[..., 1])
         unit = direction / speed[..., None]
         fds = fd_frame_field(prog, fp,
                              lambda fq: tuple(f.value for f in fields(fq.pd)),
@@ -320,9 +321,10 @@ def check_central_pfaffian(seed: int = 7) -> List[CheckResult]:
                                        sheet, _TOL)
                 gscale = abs(ana[0]) + abs(ana[1]) + 1e-12
                 fd_gaps.append(abs(np.stack(ana) - speed[s] * fd[s]) / gscale)
-                duv = (np.stack(ana, axis=-1)[:, None, :] @ p_uv)[:, 0]
+                d_u, d_v = (ana[0] * p_uv[:, 0, j] + ana[1] * p_uv[:, 1, j]
+                            for j in (0, 1))
                 f_u, f_v = jet_field.extract(1, 0), jet_field.extract(0, 1)
-                df_gaps.append((abs(duv[:, 0] - f_u) + abs(duv[:, 1] - f_v))
+                df_gaps.append((abs(d_u - f_u) + abs(d_v - f_v))
                                / (abs(f_u) + abs(f_v) + 1e-30))
         worst_fd, worst_df = _worst(*fd_gaps), _worst(*df_gaps)
         results.append(CheckResult(

@@ -2,9 +2,16 @@
 structure and sheet derivatives.  The sampled oracle, focal-position,
 sheet-derivative (finite-difference and df-consistency), divergence and
 cubic-power sweeps live in `focalnet.checks` (asserted by test_acceptance)."""
+import os
+import platform
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import focalnet
 from focalnet.central import (canal_threshold, central_ii_oracle,
                               central_pfaffian, central_point, check_canal,
                               connection_gradient, divergence_closed_form,
@@ -186,3 +193,35 @@ def test_sheet_argument_validated(prog, tol):
             with pytest.raises(ValueError, match="sheet must be 1 or 2"):
                 call(sheet)
                 pytest.fail(f"{name} accepted sheet {sheet}")
+
+
+_CENTRAL_SUITE = """
+from focalnet.checks import run_suite
+for r in run_suite("central", 0):
+    print(r.line())
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86_64 kernels")
+def test_central_suite_does_not_depend_on_the_blas_kernel():
+    """`run_suite("central", 0)` prints the same lines, elapsed times
+    masked, whether OpenBLAS picks its kernel for the CPU or runs the
+    Prescott one (read when numpy loads, so each run has its own
+    interpreter).  The oracle's and the sheet-derivative check's 2x2
+    algebra through `@` and np.linalg moved their figures between
+    kernels."""
+    src = os.path.dirname(os.path.dirname(focalnet.__file__))
+    lines = []
+    for kernel in ("", "Prescott"):
+        env = {k: v for k, v in os.environ.items()
+               if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", _CENTRAL_SUITE], env=env,
+                             check=True, capture_output=True, text=True)
+        lines.append(re.sub(r"elapsed=[0-9.]+s", "elapsed=-", out.stdout))
+    assert lines[0].count("central.oracle.") == 7
+    assert lines[0] == lines[1]
