@@ -205,14 +205,14 @@ def check_gauss(fp: FramePoint) -> Tuple[float, float]:
     """(raw residual, scale) of the Gauss equation
     nabla_2 q1 - nabla_1 q2 = q1^2 + q2^2 + k1 k2; divide the residual by
     the scale for a relative figure.  nabla_2 q1 and nabla_1 q2 (one
-    component of each q gradient, as in `pfaffian`) are fourth derivatives
-    of the position, so `fp.pd` must be of `jt.MAX_ORDER`."""
+    component of each q gradient, by `pfaffian_values`) are fourth
+    derivatives of the position, so `fp.pd` must be of `jt.MAX_ORDER`."""
     pd = fp.pd
     # q_i = <D_{e_i} e1, e2> as jets
     d1, d2 = pfaffian(pd.e1, pd)
     q1, q2 = _dots((d1, pd.e2), (d2, pd.e2)).split()
-    d2_q1 = (pd.xi2 * q1.du() + pd.eta2 * q1.dv()).value
-    d1_q2 = (pd.xi1 * q2.du() + pd.eta1 * q2.dv()).value
+    d2_q1 = pfaffian_values(q1, pd)[1]
+    d1_q2 = pfaffian_values(q2, pd)[0]
     q1_sq, q2_sq = jt.power(fp.q1, 2), jt.power(fp.q2, 2)
     return (d2_q1 - d1_q2 - (q1_sq + q2_sq + fp.k1 * fp.k2),
             abs(d2_q1) + abs(d1_q2) + q1_sq + q2_sq + abs(fp.k1 * fp.k2)
