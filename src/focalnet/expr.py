@@ -77,15 +77,16 @@ _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
               "/": operator.truediv, "^": _power}
 
 # Step kinds: a constant, an identifier's value in `env`, a function of
-# `funcs`, and a negation, a binary operator or a call of earlier steps.
-_CONST, _VAR, _FUNC, _NEG, _BINARY, _CALL = range(6)
+# `funcs`, and a binary operator or a function applied to earlier steps.
+_CONST, _VAR, _FUNC, _BINARY, _CALL = range(5)
 
 
 class Program:
     """The straight-line program of `trees`; `run` gives their values.
     Each step is (kind, x, a, b) with a and b the indices of earlier steps:
-    a constant x, the identifier or function named x, -a, x(a, b) for a
-    binary operator x, or step x's function applied to a.  A tree with an
+    a constant x, the identifier or function named x, x(a, b) for a binary
+    operator x, or the function of step x applied to a (negation is the
+    constant function operator.neg).  A tree with an
     unknown operator or a part that is not a node fails to compile."""
     __slots__ = ("steps", "outputs")
 
@@ -106,8 +107,9 @@ class Program:
             if isinstance(node, Var):
                 return step((Var, node.name), _VAR, node.name)
             if isinstance(node, Neg):
+                f = step((Neg,), _CONST, operator.neg)
                 a = emit(node.arg)
-                return step((Neg, a), _NEG, None, a)
+                return step((Call, f, a), _CALL, f, a)
             if isinstance(node, BinOp):
                 if node.op not in _OPERATORS:
                     raise ValueError(f"unknown operator {node.op!r}")
@@ -134,8 +136,6 @@ class Program:
                 push(vals[x](vals[a]))
             elif kind == _CONST:
                 push(x)
-            elif kind == _NEG:
-                push(-vals[a])
             elif kind == _VAR:
                 try:
                     push(env[x])

@@ -254,8 +254,11 @@ def _point_positions(prog, us, vs):
     ("ln(0 - 1) + u", (r"ln\(-1\.0\): math domain error",
                        r"s undefined \(math domain error\) at")),
     ("u / 0", ("division by zero",
-               r"s undefined \(float division by zero\) at"))],
-    ids=["log", "division"])
+               r"s undefined \(float division by zero\) at")),
+    # ln(0 - 1) is one step of the compiled program, read twice
+    ("ln(0 - 1) * u + ln(0 - 1)", (r"ln\(-1\.0\): math domain error",
+                                   r"s undefined \(math domain error\) at"))],
+    ids=["log", "division", "shared"])
 def test_whole_evaluation_failure_fails_every_batch_point(graph_source, z,
                                                           point_error):
     """A constant subexpression outside its domain fails the whole
