@@ -23,9 +23,9 @@ which a subexpression that the coordinates share is one step.
 arguments pick its functions: jets take `jet.JET_FUNCTIONS`, floats and
 `jet.Floats` the float-function map `jet.FLOATS_FUNCTIONS`.  The parser
 evaluates only constants, with the same map (`expr.evaluate`, which
-compiles and runs one tree).  An undefined point raises JetDomainError; a batch never
-raises, an undefined point only leaves its jet column non-finite, and
-`geometry.principal_data` gives it that class.
+compiles and runs one tree).  An undefined point raises JetDomainError;
+a batch never raises, an undefined point only leaves its jet column
+non-finite, and `geometry.principal_data` gives it that class.
 """
 from __future__ import annotations
 
