@@ -25,23 +25,21 @@ gives du() and dv() of a vector at once.
 A product picks its form by its width n, its columns (points times
 components).  A scalar at a point is one np.bincount over its pairs; up
 to `_BINCOUNT_MAX` = 128 columns it is one gather-multiply and one
-np.bincount over the bins slot n + column; above, one product per pair of
-scalar components, each summed in the rank stages (`_STAGES`) in blocks
-of columns of at most `_BLOCK` = 32768 terms (936 columns at order 3, 468
-at order 4; a batch of 1600 points is one block up to order 2).  At valid
-order 0 every form is one multiply plus +0.0, the bits of a bin that adds
-one term to +0.0.  Measured (timeit minimum of process time on a 2-core
-shared VM, Python 3.11.7, numpy 2.4.6), in us per product, one bincount
-against the rank stages at n = 3, 64, 128, 256: order 2 2.3/14.0,
-5.9/14.9, 14.4/27.7, 15.4/19.1; order 3 2.6/15.8, 10.3/18.1, 20.6/23.7,
-35.8/30.9; order 4 3.1/20.0, 19.0/25.9, 34.8/31.4, 153.8/40.9.  Blocks of
-16384, 32768 and 65536 terms against one pass (median of 120 interleaved
-products, same machine), at 1600 columns: order 2 89/55/54/54, order 3
-219/224/508/520, order 4 507/470/572/791; at 4800: order 2
-230/177/171/123, order 3 579/537/750/1480, order 4 1152/799/840/3410.
-Blocks of 400, 800 and 1600 columns did worse at one order or another
-(1600 columns: order 2 121/77/49, order 4 394/629/967).  A pass whose
-terms pass a few hundred kB falls off an allocation cliff.
+np.bincount over the bins slot n + column; above, one pass over the
+pairs (`_PAIRS`) adds each term, a product of two slot rows, into its
+slot of a zero-started array, with a scalar operand broadcast along a
+vector's components and listed components (`products`) gathered term by
+term.  The pass forms one term at a time, so besides its result it
+holds a few rows at any width.  Both forms start each slot at +0.0 and
+add its terms in pair order, so a column has its point's bits whatever
+the width.  Measured (minimum of timeit repeats on a 2-core shared VM,
+Python 3.11.7, numpy 2.4.6), in us per product of two scalar jets, one
+bincount against one pass at n = 3, 64, 128, 256: order 1 2.6/13.3,
+4.1/13.5, 5.2/14.2, 8.3/14.8; order 2 2.9/22.4, 6.2/23.1, 10.3/23.8,
+18.1/26.0; order 3 2.9/39.9, 11.0/40.4, 19.8/40.6, 35.6/43.7; order 4
+3.5/69.7, 19.3/71.1, 37.2/71.2, 159.6/74.4.  The pass at n = 1600, 4800
+and 16000: order 1 20.7, 26.4, 82.0; order 2 42.5, 60.0, 230.9; order 3
+84.5, 142.0, 558.8; order 4 147.8, 276.1, 1191.7.
 
 A derivative operator lowers the valid order by one, and extraction past
 it raises.  Binary operations propagate the minimum of the two orders and
@@ -128,37 +126,10 @@ def _pair_tables():
 _PAIRS = _pair_tables()
 
 
-# Rank-stage tables of a batch product, one per valid order r.  Slot (i, j)
-# sums (i+1)(j+1) terms at every order that keeps it, so once the r-th
-# prefix of slots is ranked by falling term count (ties in slot order) the
-# slots with a k-th term are a prefix of the ranking, and stage k adds the
-# k-th term of each of them in one slice add; slot (2, 2) has the most
-# terms, 9.  `ka` and `kb` list the terms stage by stage, each slot's in
-# the order of `_PAIRS`; `stages` holds (first term, slots) per stage and
-# `back` each slot's rank.
-def _stage_tables():
-    tables = []
-    for ka, kb, out in _PAIRS:
-        count = np.bincount(out)
-        rank = np.argsort(-count, kind="stable")
-        slot_pairs = [np.flatnonzero(out == slot) for slot in rank]
-        listed, stages = [], []
-        for k in range(count.max()):
-            kth = [p[k] for p in slot_pairs if len(p) > k]
-            stages.append((len(listed), len(kth)))
-            listed += kth
-        tables.append((ka[listed], kb[listed], tuple(stages),
-                       np.argsort(rank)))
-    return tuple(tables)
-
-
-_STAGES = _stage_tables()
-
-# The widths at which a product changes form (measured in the module
+# The width at which a product changes form (measured in the module
 # docstring): one np.bincount up to _BINCOUNT_MAX columns (points times
-# components), the rank stages in blocks of _BLOCK terms above.
+# components), one pass over the pairs above.
 _BINCOUNT_MAX = 128
-_BLOCK = 32768
 
 
 # d/du of a jet of valid order r, one (source slots, factors) table per
@@ -337,38 +308,38 @@ class Jet4:
 def _product(a: np.ndarray, b: np.ndarray, order: int, ia: tuple = None,
              ib: tuple = None) -> np.ndarray:
     """The truncated product of two coefficient arrays at valid order
-    `order`, in the form that suits its width (see `_BINCOUNT_MAX`).  A
-    scalar operand of a vector one is broadcast along the component axis.
-    Given
-    component lists ia and ib of two vector operands, it is the vector of
-    the products of components ia[j] and ib[j] (see `products`).  Each slot
-    starts at +0.0 and adds its terms in the order of `_PAIRS` in every
-    form, so each column has the bits of its point's product; only where
-    two NaNs meet may a rank-stage sum keep the other one's sign, a choice
-    IEEE 754 leaves open.  The adds are silent, as bincount's are: a sum
-    that overflows or meets inf - inf gives inf or NaN without a warning."""
-    if order == 0:
-        # one term per column, which bincount and the stages add to +0.0
-        if ia is not None:
-            return a[:1, ia] * b[:1, ib] + 0.0
-        return (a[:1, None] if a.ndim < b.ndim else a[:1]) * (
-            b[:1, None] if b.ndim < a.ndim else b[:1]) + 0.0
-    if ia is None and a.ndim == b.ndim and not 0 < a[0].size <= _BINCOUNT_MAX:
-        return _staged(a, b, order)
+    `order`: one np.bincount up to `_BINCOUNT_MAX` columns, one pass over
+    the pairs above.  A scalar operand of a vector one is broadcast along
+    the component axis.  Given component lists ia and ib of two vector
+    operands, it is the vector of the products of components ia[j] and
+    ib[j] (see `products`), and the pass gathers those components term by
+    term.  In both forms each slot starts at +0.0 and adds its terms in
+    the order of `_PAIRS`, so each column has the bits of its point's
+    product.  The pass is silent, as bincount's adds are: a sum that
+    overflows or meets inf - inf gives inf or NaN without a warning."""
     plan = _bincount_plan(order, a.shape[1:], b.shape[1:], ia, ib)
     if plan is not None:
         ga, gb, bins, shape = plan
         return np.bincount(bins, a.ravel()[ga] * b.ravel()[gb]).reshape(shape)
-    # wider, one scalar product per pair of components
     if ia is not None:
-        pairs = [(a[:, i], b[:, k]) for i, k in zip(ia, ib)]
-    elif a.ndim < b.ndim:
-        pairs = [(a, y) for y in b.swapaxes(0, 1)]
+        ia, ib = np.array(ia), np.array(ib)
+        shape = (len(ia),) + a.shape[2:]
     else:
-        pairs = [(x, b) for x in a.swapaxes(0, 1)]
-    sums = np.empty((N_SLOTS[order], len(pairs)) + pairs[0][0].shape[1:])
-    for j, (x, y) in enumerate(pairs):
-        sums[:, j] = _staged(x, y, order)
+        if a.ndim < b.ndim:
+            a = a[:, None]
+        elif b.ndim < a.ndim:
+            b = b[:, None]
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+    sums = np.zeros((N_SLOTS[order],) + shape)
+    rows, rows_a, rows_b = list(sums), list(a), list(b)
+    pairs = zip(*(t.tolist() for t in _PAIRS[order]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if ia is None:
+            for i, j, k in pairs:
+                rows[k] += rows_a[i] * rows_b[j]
+        else:
+            for i, j, k in pairs:
+                rows[k] += rows_a[i][ia] * rows_b[j][ib]
     return sums
 
 
@@ -399,29 +370,6 @@ def _bincount_plan(order: int, shape_a: tuple, shape_b: tuple, ia: tuple,
             (kb[:, None] * math.prod(shape_b) + col_b).ravel(),
             (out[:, None] * n + np.arange(n)).ravel(),
             (N_SLOTS[order],) + shape)
-
-
-def _staged(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    """The product of two coefficient arrays of one batch shape, summed in
-    rank stages (`_STAGES`), in blocks of columns of at most `_BLOCK`
-    terms: one gather-multiply makes every term of a block, each stage
-    adds one term to each slot that has it, and a gather puts the slots
-    back in order."""
-    ka, kb, stages, back = _STAGES[order]
-    n, step = a[0].size, max(_BLOCK // len(ka), 1)
-    if n > step:
-        a2, b2 = a.reshape(len(a), n), b.reshape(len(b), n)
-        return np.concatenate(
-            [_staged(a2[:, j:j + step], b2[:, j:j + step], order)
-             for j in range(0, n, step)], axis=1).reshape(
-                 back.shape + a.shape[1:])
-    terms = a.reshape(len(a), n)[ka]
-    terms *= b.reshape(len(b), n)[kb]
-    sums = np.zeros((len(back), n))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start, count in stages:
-            sums[:count] += terms[start:start + count]
-    return sums[back].reshape(back.shape + a.shape[1:])
 
 
 def _common(a: Jet4, b: Jet4) -> tuple:

@@ -178,13 +178,9 @@ def _edge_coeffs(rng, shape, edge_frac):
 
 
 def _same_bits(got, want) -> bool:
-    """Equal bit for bit, except that any NaN equals any NaN: where two NaNs
-    meet in a sum, IEEE 754 leaves open whose sign the result keeps, and
-    bincount and numpy's add loop keep different ones."""
-    got, want = np.atleast_1d(got), np.atleast_1d(want)
-    return got.shape == want.shape and bool((
-        (got.view(np.int64) == want.view(np.int64))
-        | (np.isnan(got) & np.isnan(want))).all())
+    """Equal in shape and bit for bit, NaN signs included."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_products_match_the_full_convolution_bitwise():
@@ -193,9 +189,9 @@ def test_products_match_the_full_convolution_bitwise():
     convolution of the full coefficients (whatever the slots above the
     operands' orders held) bit for bit in every column, at S = () and in
     batches of 0, 7 and 1600 points and of 3 x 5 points, over columns with
-    signed zeros, subnormals, sums that overflow, NaN and +-inf (a batch
-    NaN may differ in sign).  A sum, a difference, a `where` and the
-    derivatives of operands of unequal orders keep their order's slots."""
+    signed zeros, subnormals, sums that overflow, NaN and +-inf.  A sum, a
+    difference, a `where` and the derivatives of operands of unequal
+    orders keep their order's slots."""
     rng = np.random.default_rng(3)
     for shape in ((0,), (7,), (1600,), (3, 5)):
         for ra in range(jt.MAX_ORDER + 1):
@@ -255,26 +251,17 @@ def test_batch_products_add_without_warnings():
 
 
 # Widths around each form of a product: a point's, the crossover from one
-# bincount to the rank stages, and the grid's batch and three of them,
-# which the rank stages split into blocks of `_BLOCK` terms at orders 3-4
-# (936 and 468 columns).
+# bincount to the pass over the pairs, and wide batches: 1000 columns, a
+# 40x40 grid's 1600 and three times that, and 16000.
 _WIDTHS = (1, 3, jt._BINCOUNT_MAX - 1, jt._BINCOUNT_MAX,
-           jt._BINCOUNT_MAX + 1, 1600, 4800)
-
-
-def _column_bits(got, want, n):
-    """Column bits against a point's: bit for bit up to the crossover,
-    where both sum by one bincount, and up to a NaN's sign above."""
-    if n <= jt._BINCOUNT_MAX:
-        return got.tobytes() == want.tobytes()
-    return _same_bits(got, want)
+           jt._BINCOUNT_MAX + 1, 1000, 1600, 4800, 16000)
 
 
 def test_products_give_the_point_bits_at_every_width():
     """A product over n columns, in the form its width picks (one bincount
-    up to `_BINCOUNT_MAX` columns, the rank stages in blocks of `_BLOCK`
-    terms above), gives each column its point's product at orders 0-4
-    and n = 1, 3, the crossover +- 1, 1600 and 4800, over columns with
+    up to `_BINCOUNT_MAX` columns, one pass over the pairs above), gives
+    each column its point's product bit for bit at orders 0-4 and n = 1,
+    3, the crossover +- 1, 1000, 1600, 4800 and 16000, over columns with
     signed zeros, NaN and +-inf.  So do a scalar times a vector of three
     components and a vector times a scalar, each column against its
     component's point product, and `jt.products` of listed components."""
@@ -288,8 +275,8 @@ def test_products_give_the_point_bits_at_every_width():
                 for j in range(n):
                     want = (jt.Jet4(a[:, j].copy(), order)
                             * jt.Jet4(b[:, j].copy(), order)).c
-                    assert _column_bits(got[:, j], want, n), (n, order, j)
-    for points in (1, 42, 43, 44, 1600):
+                    assert _same_bits(got[:, j], want), (n, order, j)
+    for points in (1, 42, 43, 44, 1000, 1600, 16000):
         order = jt.OUTPUT_ORDER
         k = jt.N_SLOTS[order]
         s = _edge_coeffs(rng, (points,), 0.1)[:k]
@@ -305,16 +292,13 @@ def test_products_give_the_point_bits_at_every_width():
                                   * jt.Jet4(y.copy(), order)).c
             for p in range(points):
                 for i in range(3):
-                    assert _column_bits(scaled[:, i, p],
-                                        point(s[:, p], vec[:, i, p]),
-                                        3 * points)
-                    assert _column_bits(scaling[:, i, p],
-                                        point(vec[:, i, p], s[:, p]),
-                                        3 * points)
+                    assert _same_bits(scaled[:, i, p],
+                                      point(s[:, p], vec[:, i, p]))
+                    assert _same_bits(scaling[:, i, p],
+                                      point(vec[:, i, p], s[:, p]))
                 for j, (i, m) in enumerate(zip(comps_a, comps_b)):
-                    assert _column_bits(taken[:, j, p],
-                                        point(vec[:, i, p], other[:, m, p]),
-                                        4 * points)
+                    assert _same_bits(taken[:, j, p],
+                                      point(vec[:, i, p], other[:, m, p]))
 
 
 def test_vector_helpers_match_their_component_formulas():
@@ -369,14 +353,14 @@ def test_compose_starts_from_the_scaled_series_bitwise():
     S = () and in a batch, over columns with signed zeros, subnormals,
     overflows, NaN and +-inf: the result stores the slots up to the valid
     order, and against Horner by products from series[r] slot 0 has the same
-    bits (a batch NaN may differ in sign), a column is finite exactly where
-    that reference's is, and then has all its bits.  Against the full
-    five-term Horner a column has all its bits wherever that one is finite
-    (at least the half of the columns with normal inputs); below order 4 it
-    is finite in more columns, where a left-out term is inf or NaN or
-    overflows (the five-term Horner multiplies it by the zero value slot).  A
-    point fails where its surface jet is not finite and otherwise on values
-    (slot 0), so every poisoned column keeps its failure class."""
+    bits, a column is finite exactly where that reference's is, and then
+    has all its bits.  Against the full five-term Horner a column has all
+    its bits wherever that one is finite (at least the half of the columns
+    with normal inputs); below order 4 it is finite in more columns, where
+    a left-out term is inf or NaN or overflows (the five-term Horner
+    multiplies it by the zero value slot).  A point fails where its surface
+    jet is not finite and otherwise on values (slot 0), so every poisoned
+    column keeps its failure class."""
     rng = np.random.default_rng(17)
     n = 1600
     for order in range(jt.MAX_ORDER + 1):
