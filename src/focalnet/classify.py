@@ -64,7 +64,7 @@ CLASS_NAMES = ("diff", "ratio", "radii_diff", "radii_sum", "mean", "gauss")
 _FLOOR = 1e-30
 
 
-@dataclass(frozen=True)
+@dataclass
 class PropositionResidual:
     """One verified identity: defect of the net-condition side, defect of
     the curvature-function side (scaled by the conversion factor), and the
@@ -75,7 +75,7 @@ class PropositionResidual:
     identity_residual: float
 
 
-@dataclass(frozen=True)
+@dataclass
 class DefectReport:
     status: str                   # ok, moulding, canal1, canal2 or canal12
     w_defect: float
@@ -114,20 +114,25 @@ def class_partials(k1: float, k2: float) -> Dict[str, Tuple[float, float]]:
     }
 
 
-def class_gradients(fp: FramePoint) -> Dict[str, Tuple[float, float]]:
+def class_gradients(fp: FramePoint,
+                    partials=None) -> Dict[str, Tuple[float, float]]:
     """Pfaffian gradients (nabla_1 g, nabla_2 g) of the six class functions
-    by the chain rule, nabla_i g = g_k1 nabla_i k1 + g_k2 nabla_i k2."""
+    by the chain rule, nabla_i g = g_k1 nabla_i k1 + g_k2 nabla_i k2.
+    `partials` is `class_partials(fp.k1, fp.k2)`, taken here if not given."""
+    if partials is None:
+        partials = class_partials(fp.k1, fp.k2)
     (d1k1, d2k1), (d1k2, d2k2) = fp.grad_k1, fp.grad_k2
     return {name: (p1 * d1k1 + p2 * d1k2, p1 * d2k1 + p2 * d2k2)
-            for name, (p1, p2) in class_partials(fp.k1, fp.k2).items()}
+            for name, (p1, p2) in partials.items()}
 
 
-def class_defects(fp: FramePoint, norms=None, grads=None):
+def class_defects(fp: FramePoint, norms=None, grads=None, partials=None):
     """(raw, normalized) gradient-defect maps over the six classes.
-    `norms` is `_gradient_norms(fp)` and `grads` `class_gradients(fp)`,
-    taken here if not given."""
-    partials = class_partials(fp.k1, fp.k2)
-    grads = class_gradients(fp) if grads is None else grads
+    `norms` is `_gradient_norms(fp)`, `grads` `class_gradients(fp)` and
+    `partials` `class_partials(fp.k1, fp.k2)`, taken here if not given."""
+    if partials is None:
+        partials = class_partials(fp.k1, fp.k2)
+    grads = class_gradients(fp, partials) if grads is None else grads
     g1, g2 = _gradient_norms(fp) if norms is None else norms
     raw, norm = {}, {}
     for name in CLASS_NAMES:
@@ -170,8 +175,9 @@ def defect_report(fp: FramePoint,
     ``excluded``: the factor vanishes there, so the two sides no longer
     determine each other.  On a batch every field holds arrays, and the
     residuals, computed at every point, are meaningless at canal points."""
-    norms, grads = _gradient_norms(fp), class_gradients(fp)
-    raw, normed = class_defects(fp, norms, grads)
+    partials = class_partials(fp.k1, fp.k2)
+    norms, grads = _gradient_norms(fp), class_gradients(fp, partials)
+    raw, normed = class_defects(fp, norms, grads, partials)
     canal1, canal2 = is_canal(fp, 1, tol), is_canal(fp, 2, tol)
     wd = w_defect(fp, norms)
     md = moulding_defect(fp, tol)

@@ -120,7 +120,7 @@ def eval_surface(prog, u, v, order: int = jt.OUTPUT_ORDER) -> SurfaceJet:
     of shape (N,) the jets carry a batch axis, nothing raises, and an
     undefined point leaves its column non-finite (every column, where the
     whole evaluation fails)."""
-    if np.ndim(u) == 0:
+    if isinstance(u, float) or np.ndim(u) == 0:
         return SurfaceJet(float(u), float(v), jt.stack(prog.jets(u, v, order)))
     u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     return SurfaceJet(u, v, jt.stack(prog.jets(u, v, order)))
@@ -172,7 +172,7 @@ class _Failures:
     def __init__(self, sj: SurfaceJet):
         self.sj = sj
         self.kinds = None
-        if np.ndim(sj.u):
+        if not isinstance(sj.u, float) and np.ndim(sj.u):
             self.kinds = np.full(np.shape(sj.u), None, dtype=object)
             self.record(~np.isfinite(sj.pos.c).all(axis=(0, 1)),
                         JetDomainError, None)

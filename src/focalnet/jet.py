@@ -56,6 +56,11 @@ JetDomainError at S = ().  With a batch axis it poisons only the columns
 concerned, and builds no exception for them: all their coefficients become
 NaN, which every later operation keeps, and `finite` tells them apart.
 
+A quotient by a jet is a product with its reciprocal, the series of 1 / x
+composed with it.  `1.0 / g` is that reciprocal as it stands, which has
+the bits of its product by 1.0 (x * 1.0 is x, NaN and -0.0 included); any
+other number scales it.
+
 The elementary functions are the rows of one table, `ELEMENTARY`, which
 also gives `JET_FUNCTIONS`, the mpmath functions of `fdoracle` and the
 float-function map `FLOATS_FUNCTIONS`: a row's float function on a float,
@@ -245,7 +250,8 @@ class Jet4:
         return f"Jet4(value={self.c[0]!r}, valid_order={self.valid_order})"
 
     # -- ring operations ----------------------------------------------------
-    # A number operand may also be an array of shape S (one per point).
+    # A number operand of + - * may also be an array of shape S (one per
+    # point); `/` takes one number.
 
     def __add__(self, other):
         if isinstance(other, Jet4):
@@ -289,7 +295,9 @@ class Jet4:
         return Jet4(self.c / d, self.valid_order)
 
     def __rtruediv__(self, other):
-        return _reciprocal(self) * float(other)
+        inv, d = _reciprocal(self), float(other)
+        # x * 1.0 is x, to the bits of a NaN and a -0.0
+        return inv if d == 1.0 else inv * d
 
     def __pow__(self, p):
         if isinstance(p, Jet4):
@@ -422,14 +430,16 @@ def dots(a: Jet4, ia: tuple, b: Jet4, ib: tuple) -> Jet4:
     products of `products(a, ia, b, ib)`: the dot products of listed
     components.  Past `_BINCOUNT_MAX` columns it takes one run at a time,
     so that a batch holds no more products than the run's three."""
-    step = 3 if len(ia) * a.c[0, 0].size > _BINCOUNT_MAX else len(ia)
+    order = a.valid_order if a.valid_order < b.valid_order else b.valid_order
+    if len(ia) * a.c[0, 0].size <= _BINCOUNT_MAX:
+        p = _product(a.c, b.c, order, ia, ib)
+        return Jet4(p[:, 0::3] + p[:, 1::3] + p[:, 2::3], order)
     sums = []
-    for j in range(0, len(ia), step):
-        p = products(a, ia[j:j + step], b, ib[j:j + step])
-        runs = p.c.reshape((len(p.c), step // 3, 3) + p.c.shape[2:])
-        sums.append(runs[:, :, 0] + runs[:, :, 1] + runs[:, :, 2])
+    for j in range(0, len(ia), 3):
+        p = _product(a.c, b.c, order, ia[j:j + 3], ib[j:j + 3])
+        sums.append(p[:, 0::3] + p[:, 1::3] + p[:, 2::3])
     return Jet4(sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1),
-                p.valid_order)
+                order)
 
 
 def where(mask, a: Jet4, b: Jet4) -> Jet4:
@@ -450,19 +460,25 @@ def _compose(g: Jet4, series) -> Jet4:
     and sums start at +0.0, so wherever Horner over all five terms is
     finite this one has its bits.  Where a left-out term is inf or NaN (a
     non-finite series[k] for k > r, or a product of one that overflows) the
-    five-term Horner gets NaN from that zero; this one does not form it."""
+    five-term Horner gets NaN from that zero; this one does not form it.
+
+    At order 1 Horner is its first step and the constant: slots 1 and 2
+    are series[1] * g's plus +0.0, slot 0 is series[1] * 0.0 + 0.0 +
+    series[0], the same operations without the copy of g - g.value."""
     r = g.valid_order
     if r == 0:
         acc = Jet4(np.zeros_like(g.c), 0)
+    elif r == 1:
+        acc = Jet4(series[1] * g.c + 0.0, 1)
+        acc.c[0] = series[1] * 0.0 + 0.0
     else:
         gh = Jet4(g.c.copy(), r)
         gh.c[0] = 0.0
         # The first step, series[r] * gh, is a scaled copy: the one nonzero
         # term of each slot of the product with the constant jet series[r].
-        # Adding +0.0 turns the copy's -0.0 into the product's +0.0, which
-        # an order-1 result keeps (no product follows).  Where gh holds inf
-        # or NaN the product has NaN in more slots; the result is non-finite
-        # either way, with the same slot 0.
+        # Adding +0.0 turns the copy's -0.0 into the product's +0.0.  Where
+        # gh holds inf or NaN the product has NaN in more slots; the result
+        # is non-finite either way, with the same slot 0.
         acc = Jet4(series[r] * gh.c, r)
         acc.c += 0.0
         for k in range(r - 1, 0, -1):
@@ -635,17 +651,34 @@ def _reciprocal(g: Jet4) -> Jet4:
 
 
 def _int_pow(g: Jet4, n: int) -> Jet4:
+    """g ** n by squaring: the chain of products from the constant one at
+    n = 1, where 1 * g writes g's -0.0 slots as +0.0, and from its first
+    factor f at n >= 2.  A product's sums start at +0.0, so 1 * f differs
+    from a finite f at most in the sign of a zero slot: f has none where
+    it is a product, and where it is g (odd n) the product that follows
+    drops it.  Where f has an inf or NaN slot, 1 * f adds NaN (0 * inf) to
+    the slots above it, so a result that is not finite everywhere is
+    formed again from the one."""
     if n < 0:
         return _int_pow(_reciprocal(g), -n)
-    result = Jet4.const(np.ones(g.c.shape[1:]), g.valid_order)
+    if n >= 2:
+        result = _power_chain(g, n, None)
+        if np.isfinite(result.c).all():
+            return result
+    one = Jet4.const(np.ones(g.c.shape[1:]), g.valid_order)
     if n == 0:
         # 1, except where the base is already undefined
-        result.c[..., np.isnan(g.c[0])] = math.nan
-        return result
-    base = g
+        one.c[..., np.isnan(g.c[0])] = math.nan
+        return one
+    return _power_chain(g, n, one)
+
+
+def _power_chain(base: Jet4, n: int, result: Optional[Jet4]) -> Jet4:
+    """result * base ** n by squaring, n >= 1; a `result` of None stands
+    for the constant one and is left out of the first product."""
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base

@@ -38,7 +38,7 @@ _NORM_FLOOR = 1e-30
 _ROOT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass
 class NetForm:
     a: float
     b: float

@@ -369,7 +369,8 @@ class SurfaceProgram:
                 raise
             raise JetDomainError(
                 f"{self.name} undefined ({exc}) at (u, v) = {at}") from None
-        if np.ndim(at[0]) == 0 and not jt.finite(out):
+        if ((isinstance(at[0], float) or np.ndim(at[0]) == 0)
+                and not jt.finite(out)):
             raise JetDomainError(f"{self.name} not finite at (u, v) = {at}")
         return out
 

@@ -397,6 +397,169 @@ def test_compose_starts_from_the_scaled_series_bitwise():
         assert (five < finite) == (order < jt.MAX_ORDER)
 
 
+# The forms the point path's shortcuts replace, kept as references: each
+# shortcut must give their bits, NaN and -0.0 included, at a point and at
+# 100 and 1600 columns.
+_SHORTCUT_POINTS = ((), (100,), (1600,))
+
+
+def _compose_order1_by_horner(g, series):
+    """Horner at valid order 1 as it runs at order 2 and up: the scaled
+    copy series[1] * (g - g.value), plus +0.0, plus series[0]."""
+    gh = g.c.copy()
+    gh[0] = 0.0
+    acc = series[1] * gh
+    acc += 0.0
+    acc[0] += series[0]
+    return acc
+
+
+def _order1_jets(rng, shape):
+    """Order-1 jets whose value is positive and normal in half the columns
+    and otherwise an edge (signed zeros, subnormals, the largest floats,
+    NaN and +-inf), with edges among their derivative slots too."""
+    c = _edge_coeffs(rng, shape, 0.2)[:jt.N_SLOTS[1]]
+    normal = rng.random(shape) < 0.5
+    c[0] = np.where(normal, rng.uniform(0.1, 3.0, shape), c[0])
+    return c
+
+
+def _point_or_batch(fn, c, order):
+    """fn on the jet of coefficients c, or None where a point raises
+    JetDomainError."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(jt.Jet4(c, order))
+    except JetDomainError:
+        return None
+
+
+def test_order1_compose_is_the_horner_form_bitwise():
+    """`_compose` at valid order 1 writes series[1] * g plus +0.0 and sets
+    slot 0 to series[1] * 0.0 + 0.0 + series[0], without the copy of
+    g - g.value: the bits of Horner's scaled copy, with sqrt's, the
+    reciprocal's and exp's series, over values and slots with signed
+    zeros, NaN and +-inf."""
+    rng = np.random.default_rng(23)
+    named = (("sqrt", jt._sqrt_series), ("1 / x", jt._reciprocal_series),
+             ("exp", jt._exp_series))
+    for shape in _SHORTCUT_POINTS:
+        for _ in range(40 if shape == () else 1):
+            c = _order1_jets(rng, shape)
+            for name, s in named:
+                series = _point_or_batch(
+                    lambda g: jt._series(s, g, name), c, 1)
+                if series is None:
+                    continue
+                g = jt.Jet4(c, 1)
+                with np.errstate(all="ignore"):
+                    got = jt._compose(g, series)
+                    want = _compose_order1_by_horner(g, series)
+                assert got.valid_order == 1
+                assert _same_bits(got.c, want), (name, shape)
+
+
+def test_reciprocal_of_a_jet_skips_the_product_by_one():
+    """1.0 / g is `_reciprocal(g)` as it stands, with the bits of
+    `_reciprocal(g) * 1.0` (x * 1.0 is x, NaN and -0.0 included); another
+    numerator still scales it."""
+    rng = np.random.default_rng(29)
+    for shape in _SHORTCUT_POINTS:
+        for order in range(jt.MAX_ORDER + 1):
+            for _ in range(10 if shape == () else 1):
+                c = _edge_coeffs(rng, shape, 0.1)[:jt.N_SLOTS[order]]
+                got = _point_or_batch(lambda g: 1.0 / g, c, order)
+                if got is None:
+                    continue
+                with np.errstate(all="ignore"):
+                    inv = jt._reciprocal(jt.Jet4(c, order))
+                    assert _same_bits(got.c, (inv * 1.0).c)
+                    assert _same_bits((2.5 / jt.Jet4(c, order)).c,
+                                      (inv * 2.5).c)
+
+
+def _int_pow_from_one(g, n):
+    """g ** n by squaring, as the chain of products from the constant one."""
+    result = jt.Jet4.const(np.ones(g.c.shape[1:]), g.valid_order)
+    base = g
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+def test_int_pow_leaves_out_the_product_by_one_bitwise():
+    """g ** n for n = 1..5 has the bits of the chain of products from the
+    constant one: on -u, whose zero slots are -0.0 (which 1 * g writes as
+    +0.0, so n = 1 keeps that product), on bases whose powers overflow
+    (there the product by one puts NaN above an inf slot, so a result
+    that is not finite is formed from the one again) and on slots with
+    signed zeros, subnormals, NaN and +-inf, at orders 1-4."""
+    rng = np.random.default_rng(31)
+    for shape in _SHORTCUT_POINTS:
+        u, v = jt.jet_variables(rng.uniform(-2.0, 2.0, shape),
+                                rng.uniform(-2.0, 2.0, shape), jt.MAX_ORDER)
+        big = jt.jet_variables(10.0 ** rng.uniform(50, 200, shape),
+                               rng.uniform(-2.0, 2.0, shape), jt.MAX_ORDER)
+        bases = [-u, -u * v, big[0], -(big[0] * big[1])]
+        for order in range(1, jt.MAX_ORDER + 1):
+            bases.append(jt.Jet4(
+                _edge_coeffs(rng, shape, 0.1)[:jt.N_SLOTS[order]], order))
+        for g in bases:
+            for n in range(1, 6):
+                with np.errstate(all="ignore"):
+                    got, want = g ** n, _int_pow_from_one(g, n)
+                assert got.valid_order == want.valid_order
+                assert _same_bits(got.c, want.c), (shape, n)
+    assert not np.isfinite((big[0] ** 2).c).all()
+
+
+def _dots_by_runs(a, ia, b, ib):
+    """The dot products of listed components as the reshape of `products`
+    into runs of three, summed left to right, one run at a time past
+    `_BINCOUNT_MAX` columns."""
+    step = 3 if len(ia) * a.c[0, 0].size > jt._BINCOUNT_MAX else len(ia)
+    sums = []
+    for j in range(0, len(ia), step):
+        p = jt.products(a, ia[j:j + step], b, ib[j:j + step]).c
+        runs = p.reshape((len(p), step // 3, 3) + p.shape[2:])
+        sums.append(runs[:, :, 0] + runs[:, :, 1] + runs[:, :, 2])
+    return sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1)
+
+
+def test_dots_sum_the_strided_products_bitwise():
+    """`dots` sums p[:, 0::3] + p[:, 1::3] + p[:, 2::3] of one product up
+    to `_BINCOUNT_MAX` columns, and a run of three at a time above: the
+    bits of the runs of the reshaped products, at 3 (a point), 9, 42, 126
+    (the largest one-product width), 129, 387, 4800 and 14400 columns
+    (components times 1, 14, 43 and 1600 points), at orders 0-4, over
+    slots of one scale, where the order of the sum shows, and signed
+    zeros, NaN and +-inf."""
+    rng = np.random.default_rng(37)
+    lists = (((0, 1, 2), (3, 4, 5)),
+             ((0, 1, 2, 3, 4, 5, 0, 2, 4), (0, 1, 2, 0, 1, 2, 5, 5, 5)))
+
+    def coeffs(size):
+        c = rng.normal(size=size)
+        edge = rng.random(size) < 0.05
+        c[edge] = rng.choice(_EDGES, edge.sum())
+        return c
+
+    for shape in ((), (14,), (43,), (1600,)):
+        for order in range(jt.MAX_ORDER + 1):
+            k = jt.N_SLOTS[order]
+            a, b = (jt.Jet4(coeffs((k, 6) + shape), order) for _ in range(2))
+            for ia, ib in lists:
+                with np.errstate(all="ignore"):
+                    got = jt.dots(a, ia, b, ib)
+                    want = _dots_by_runs(a, ia, b, ib)
+                assert got.valid_order == order
+                assert _same_bits(got.c, want), (shape, order, len(ia))
+
+
 def test_batch_columns_equal_their_points_bitwise():
     """Every elementary function, reciprocal and power of a batch jet gives
     in each column the bits of the same operation on that column alone."""
