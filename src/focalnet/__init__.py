@@ -40,7 +40,7 @@ from .nets import (NetForm, conjugacy_defect, net_asymptotic_pullback,
                    orthogonality_defect, reality_discriminant,
                    spherical_image)
 from .report import (GridReport, emit_csv, emit_json, grid_report,
-                     parse_json, point_record)
+                     parse_json, point_record, write_csv, write_json)
 from .sdl import (SurfaceDef, SurfaceProgram, compile_surface, gallery,
                   gallery_names, load_surface, parse_surface)
 from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
@@ -74,8 +74,9 @@ __all__ = [
     "CLASS_NAMES", "DefectReport", "PropositionResidual", "w_defect",
     "class_defects", "moulding_defect", "proposition_report",
     # reports, mesh, checks
-    "GridReport", "point_record", "grid_report", "emit_json", "parse_json",
-    "emit_csv", "export_obj", "CheckResult", "run_suite",
+    "GridReport", "point_record", "grid_report", "emit_json", "write_json",
+    "parse_json", "emit_csv", "write_csv", "export_obj", "CheckResult",
+    "run_suite",
 ]
 
 

@@ -22,7 +22,8 @@ from .errors import (FRAME_ERRORS, CanalDegenerate, FocalnetError,
                      ParseError, UnknownParameterError, UnknownSurfaceError)
 from .frames import frame_point
 from .mesh import NET_LABELS, export_obj
-from .report import USABLE, emit_csv, emit_json, grid_report, point_record
+from .report import (USABLE, grid_report, point_record, write_csv,
+                     write_json)
 from .sdl import compile_surface, gallery, gallery_names, load_surface
 from .tolerances import DEFAULT_TOLERANCES
 
@@ -152,15 +153,15 @@ def cmd_grid(args, parser) -> int:
         parser.error("--nu and --nv must be at least 2")
     prog = _resolve_program(args, parser)
     rep = grid_report(prog, args.nu, args.nv, DEFAULT_TOLERANCES)
-    text = emit_json(rep)
+    # newline="": the files hold the emitters' bytes on every platform
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        with open(args.out, "w", newline="") as fh:
+            write_json(rep, fh)
     else:
-        sys.stdout.write(text)
+        write_json(rep, sys.stdout)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(emit_csv(rep))
+        with open(args.csv, "w", newline="") as fh:
+            write_csv(rep, fh)
     counts = rep.summary["status_counts"]
     usable = sum(counts[s] for s in USABLE)
     note = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()) if v)

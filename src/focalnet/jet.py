@@ -428,18 +428,10 @@ def products(a: Jet4, ia: tuple, b: Jet4, ib: tuple) -> Jet4:
 def dots(a: Jet4, ia: tuple, b: Jet4, ib: tuple) -> Jet4:
     """The vector jet of the sums, left to right, of each run of three
     products of `products(a, ia, b, ib)`: the dot products of listed
-    components.  Past `_BINCOUNT_MAX` columns it takes one run at a time,
-    so that a batch holds no more products than the run's three."""
+    components."""
     order = a.valid_order if a.valid_order < b.valid_order else b.valid_order
-    if len(ia) * a.c[0, 0].size <= _BINCOUNT_MAX:
-        p = _product(a.c, b.c, order, ia, ib)
-        return Jet4(p[:, 0::3] + p[:, 1::3] + p[:, 2::3], order)
-    sums = []
-    for j in range(0, len(ia), 3):
-        p = _product(a.c, b.c, order, ia[j:j + 3], ib[j:j + 3])
-        sums.append(p[:, 0::3] + p[:, 1::3] + p[:, 2::3])
-    return Jet4(sums[0] if len(sums) == 1 else np.concatenate(sums, axis=1),
-                order)
+    p = _product(a.c, b.c, order, ia, ib)
+    return Jet4(p[:, 0::3] + p[:, 1::3] + p[:, 2::3], order)
 
 
 def where(mask, a: Jet4, b: Jet4) -> Jet4:

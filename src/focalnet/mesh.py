@@ -190,6 +190,7 @@ def export_obj(prog, nu: int, nv: int, out_dir: str,
         "segment_length": float(seg_len),
         "objects": objects,
     }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+    with open(os.path.join(out_dir, "manifest.json"), "w",
+              newline="") as fh:
         fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

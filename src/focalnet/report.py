@@ -42,37 +42,47 @@ The emitters write text straight from the columns, byte for byte what
 ``csv.writer`` would write.  A float is written as its ``repr`` (the
 shortest round-trip form), and the JSON writes ``NaN``, ``Infinity`` and
 ``-Infinity`` where a value is not finite, as ``json.dumps`` does; which
-values those are is read from their bits.  A report has one formatting
-pass, `_format`: one np.unique over the bits of all of its float leaves
-gives every leaf int32 codes, and each distinct value is written once, as
-its ``repr``.  The texts come from `floattext.reprs`, which decides the
-shortest digits of the whole array in double-double arithmetic and hands
-to ``repr`` itself each value it cannot decide with a margin of 1e-6 of
-the last digit's unit (its error is below 1e-13 of it), each of 13 or
-fewer digits, and those that are zero, subnormal, not finite or past
-1e+-280 in magnitude: 0.096% of the distinct values of the ten gallery
-40x40 reports.  So the texts are ``repr``'s by construction.
-`emit_json` runs the pass over every leaf and then leaves on the
-report what `emit_csv` writes, the texts that the CSV's 15 float and 6
-flag columns use and their codes; `emit_csv` takes those off the report,
-so a CSV that follows the JSON formats no float, and after both calls the
-report holds nothing more than before.  A CSV without that handoff (first,
-alone or twice) runs `_format` over its own columns.  The handoff is the
-CSV's texts alone: keeping every distinct text of the report would raise
-its memory by the size of the JSON's texts.
+values those are is read from their bits.  The records are written in
+blocks of `_BLOCK` (a 40x40 report is one block), and each block has one
+formatting pass, `_format`: one np.unique over the bits of all of the
+block's float leaves gives every leaf int32 codes, and each distinct value
+is written once, as its ``repr``.  The texts come from `floattext.reprs`,
+which decides the shortest digits of the whole array in double-double
+arithmetic and hands to ``repr`` itself each value it cannot decide with a
+margin of 1e-6 of the last digit's unit (its error is below 1e-13 of it),
+each of 13 or fewer digits, and those that are zero, subnormal, not finite
+or past 1e+-280 in magnitude: 0.096% of the distinct values of the ten
+gallery 40x40 reports.  So the texts are ``repr``'s by construction.  A
+block is assembled and handed on before the next is formatted, so a call
+holds the float texts of one block at a time.
+
+Each document is made as pieces: the JSON's head up to its records'
+``[``, each record followed by its ``", "`` (the last by nothing) and the
+tail; the CSV's header and each row followed by its ``"\\n"``.
+`write_json` and `write_csv` write the pieces to a file as they are made,
+and `emit_json` and `emit_csv` are one ``"".join`` of the same pieces, so
+there is one path and no string but the one returned holds a whole
+document.  The JSON leaves on the report, per block, what the CSV writes:
+the texts that the CSV's 15 float and 6 flag columns use and their codes.
+The CSV takes those off the report, so a CSV that follows the JSON formats
+no float, and after both calls the report holds nothing more than before.
+A CSV without that handoff (first, alone or twice) runs `_format` over
+each block of its own columns.  The handoff is the CSV's texts alone:
+keeping every distinct text of the report would raise its memory by the
+size of the JSON's texts.
 
 In the JSON, a record's shape, its status and, in a full record, its
 excluded statements, fixes all of it but its float and bool leaves.  So
 each shape is rendered once by ``json.dumps`` (so key order and
 separators are its by construction), as the record `_records` builds
 from placeholder leaves, and split at those leaves into its literal
-pieces.  A shape's records are written in blocks of `_BLOCK`: each
-record is one ``"".join`` of its row of an object array, the pieces at
-the even slots and the record's leaf texts, gathered for the whole block
+pieces.  A block's records of one shape are assembled `_ROWS` at a time:
+each record is one ``"".join`` of its row of an object array, the pieces
+at the even slots and the record's leaf texts, gathered for those records
 at once, at the odd ones.  The join stays per record: one join per block
 of records was slower, and one gather over all of a shape's records
 would hold every record's texts at once and raise the peak memory of a
-call.  The CSV is one table of int32 codes, records by
+call.  The CSV of a block is one table of int32 codes, records by
 columns, into the texts it is handed followed by the statuses and an
 empty text, which fills the cells past the status where the frame
 failed; one gather reads it out and each row is one join.
@@ -88,7 +98,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import compress, repeat
 from operator import getitem, is_not
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, TextIO, Tuple
 
 import numpy as np
 
@@ -101,7 +111,8 @@ from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "GridReport", "STATUSES", "USABLE", "point_record", "grid_report",
-    "grid_points", "emit_json", "parse_json", "emit_csv", "summarize",
+    "grid_points", "emit_json", "write_json", "parse_json", "emit_csv",
+    "write_csv", "summarize",
 ]
 
 STATUSES = ("ok", "moulding", "canal1", "canal2", "canal12",
@@ -439,28 +450,58 @@ def _csv_leaves(cols: dict) -> Tuple[tuple, ...]:
     return _CSV_LEAVES if "flags" in cols else _CSV_LEAVES[:2]
 
 
-# Records per block of a shape's records: one gather of the block's leaf
-# texts, and one object array of its rows, at a time.  emit_json of the
-# 40x40 graph_generic report (tracemalloc peak; fastest and median of 21
-# alternating calls): 128 records 9.69 MB, 45.7 / 66.1 ms; 256 9.69 MB,
-# 45.6 / 67.0 ms; 512 10.33 MB, 47.4 / 69.5 ms; all 1600 13.24 MB,
-# 51.5 / 64.5 ms.  The times are alike; past 256 the peak rises.
-_BLOCK = 256
+# Records per block: each block of the report's records has its own
+# `_format` pass and is assembled and written before the next is formatted,
+# so a call holds the float texts of one block at a time; a 40x40 report
+# is one block.  focalnet grid of graph_generic with --out and --csv
+# (fresh processes, peak RSS from getrusage, two runs each) at 2048, 4096,
+# 8192, 16384 and 32768 records: 200x200 131.1, 138.7, 174.4, 242.0 and
+# 278.3 MB, 400x400 420.3, 425.8, 440.7, 474.0 and 599.7 MB.  write_json
+# and write_csv of the 200x200 report (fastest of 10 alternating calls)
+# 1.17, 1.27 and 1.29 s at 2048, 4096 and 8192; 100x100 (of 16) 0.287,
+# 0.297 and 0.312 s.
+_BLOCK = 2048
+
+# Records per object array of a shape's rows within a block: one gather of
+# their leaf texts, and one object array of their rows, at a time.
+# emit_json of the 40x40 graph_generic report (tracemalloc peak; fastest
+# and median of 21 alternating calls): 128 records 9.69 MB, 45.7 / 66.1
+# ms; 256 9.69 MB, 45.6 / 67.0 ms; 512 10.33 MB, 47.4 / 69.5 ms; all 1600
+# 13.24 MB, 51.5 / 64.5 ms.  The times are alike; past 256 the peak rises.
+_ROWS = 256
 
 # json.dumps writes a placeholder leaf, NUL and the leaf's index, as
 # "\u0000" and the index, in quotes.
 _LEAF = re.compile(r'"\\u0000(\d+)"')
 
 
-def _json_records(report: GridReport) -> List[str]:
-    """Each record of `report` as JSON, in record order: the pieces of
-    its shape, ``json.dumps`` of the record `_records` builds from
-    placeholder leaves split at those leaves, joined with the texts of its
-    leaves from one `_format` of all of them.  The texts and codes of the
-    CSV's leaves are left on the report for `emit_csv`."""
+def _blocks(n: int) -> Iterator[Tuple[int, int]]:
+    """The (start, stop) of each block of n records, in record order."""
+    return ((start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK))
+
+
+def _json_pieces(report: GridReport) -> Iterator[str]:
+    """The JSON document of `report` in pieces: the head up to the
+    records' ``[``, the pieces of `_json_records`, and the tail from
+    ``]``."""
+    mark = "\0"
+    head, _, tail = json.dumps(report._document(mark),
+                               sort_keys=True).partition(json.dumps(mark))
+    yield head + "["
+    if report.status:
+        yield from _json_records(report)
+    yield "]" + tail + "\n"
+
+
+def _json_records(report: GridReport) -> Iterator[str]:
+    """Each record of `report` as JSON followed by its ``", "`` (the last
+    by nothing), in record order, made block by block.  A record is the
+    pieces of its shape, ``json.dumps`` of the record `_records` builds
+    from placeholder leaves split at those leaves, joined with the texts
+    of its leaves from its block's `_format`.  Once the last record is
+    made, the texts and codes of each block's CSV leaves are left on the
+    report for `emit_csv`."""
     n = len(report.status)
-    if not n:
-        return []
     cols: List[np.ndarray] = []
     index: Dict[tuple, int] = {}            # leaf path -> its place in cols
 
@@ -474,44 +515,55 @@ def _json_records(report: GridReport) -> List[str]:
         return "\0%d" % index[path]
 
     marks = mark(report.columns)
-    shapes: Dict[tuple, List[int]] = {}     # shape -> its records
-    for i, (status, excluded) in enumerate(zip(report.status,
-                                               report.excluded)):
-        shape = (status, excluded if status in USABLE else ())
-        shapes.setdefault(shape, []).append(i)
-    codes, texts = _json_texts(report, cols, [
-        index[path] for path in _csv_leaves(report.columns)])
-    out = [""] * n
-    for (status, excluded), rows in shapes.items():
-        parts = _LEAF.split(json.dumps(
-            _records([status], [excluded], marks)[0], sort_keys=True))
-        leaves = list(map(int, parts[1::2]))
-        row = np.empty((min(_BLOCK, len(rows)), len(parts)), dtype=object)
-        row[:, ::2] = parts[::2]
-        for start in range(0, len(rows), _BLOCK):
-            block = rows[start:start + _BLOCK]
-            rec = row[:len(block)]
-            rec[:, 1::2] = texts[codes[np.ix_(leaves, block)]].T
-            for i, text in zip(block, map("".join, rec.tolist())):
-                out[i] = text
-    return out
+    csv_rows = [index[path] for path in _csv_leaves(report.columns)]
+    pieces: Dict[tuple, tuple] = {}     # shape -> its literal pieces, leaves
+    handed = []
+    for start, stop in _blocks(n):
+        codes, texts = _json_texts([col[start:stop] for col in cols],
+                                   csv_rows, handed)
+        shapes: Dict[tuple, List[int]] = {}     # shape -> its records
+        for i, (status, excluded) in enumerate(zip(
+                report.status[start:stop], report.excluded[start:stop])):
+            shape = (status, excluded if status in USABLE else ())
+            shapes.setdefault(shape, []).append(i)
+        out = [", "] * (2 * (stop - start))
+        for (status, excluded), rows in shapes.items():
+            if (status, excluded) not in pieces:
+                parts = _LEAF.split(json.dumps(
+                    _records([status], [excluded], marks)[0],
+                    sort_keys=True))
+                pieces[status, excluded] = (parts[::2],
+                                            list(map(int, parts[1::2])))
+            literal, leaves = pieces[status, excluded]
+            row = np.empty((min(_ROWS, len(rows)), 2 * len(literal) - 1),
+                           dtype=object)
+            row[:, ::2] = literal
+            for first in range(0, len(rows), _ROWS):
+                chunk = rows[first:first + _ROWS]
+                rec = row[:len(chunk)]
+                rec[:, 1::2] = texts[codes[np.ix_(leaves, chunk)]].T
+                for i, text in zip(chunk, map("".join, rec.tolist())):
+                    out[2 * i] = text
+        if stop == n:
+            out.pop()
+        yield from out
+    report._csv_texts = handed
 
 
-def _json_texts(report: GridReport, cols: List[np.ndarray],
-                csv_rows: List[int]) -> Tuple[np.ndarray, np.ndarray]:
+def _json_texts(cols: List[np.ndarray], csv_rows: List[int],
+                handed: list) -> Tuple[np.ndarray, np.ndarray]:
     """The codes and JSON texts of one `_format` of the leaf columns
-    `cols`.  First a copy of the texts that the CSV's leaves, rows
-    `csv_rows` of `cols`, use is left on the report, with their codes
-    renumbered into it, for `emit_csv` to take; then the JSON respells the
-    flags and the values that are not finite as json.dumps does.  The
-    distinct values are not returned, so they are freed before the records
-    are written."""
+    `cols` of a block.  First a copy of the texts that the CSV's leaves,
+    rows `csv_rows` of `cols`, use is appended to `handed`, with their
+    codes renumbered into it; then the JSON respells the flags and the
+    values that are not finite as json.dumps does.  The distinct values
+    are not returned, so they are freed before the records are written."""
     codes, texts, values = _format(cols)
     csv_codes = codes[csv_rows]
     used = np.zeros(len(texts), dtype=bool)
     used[csv_codes] = used[-2:] = True
     renumber = np.cumsum(used, dtype=np.int32) - 1
-    report._csv_texts = renumber[csv_codes], texts[used]
+    handed.append((renumber[csv_codes], texts[used]))
     texts[-2:] = "false", "true"
     for k in np.flatnonzero(~np.isfinite(values)).tolist():
         texts[k] = ("NaN" if np.isnan(values[k])
@@ -519,18 +571,22 @@ def _json_texts(report: GridReport, cols: List[np.ndarray],
     return codes, texts
 
 
+def write_json(report: GridReport, fh: TextIO) -> None:
+    """Write `emit_json(report)` to the text file `fh`, each piece as it
+    is made, so that one block's texts are held at a time.  Open `fh` with
+    ``newline=""``, so that its bytes are these on every platform."""
+    fh.writelines(_json_pieces(report))
+
+
 def emit_json(report: GridReport) -> str:
     """The report as one line of JSON with sorted keys, byte for byte
-    ``json.dumps(report.to_dict(), sort_keys=True)``: the document around
-    the records by ``json.dumps``, each record one join of its shape's
-    pieces and its leaf texts (see the module docstring).  ``python -m
-    json.tool`` indents it for reading.  The report keeps the texts of its
-    CSV's cells until `emit_csv` takes them."""
-    mark = "\0"
-    head, _, tail = json.dumps(report._document(mark),
-                               sort_keys=True).partition(json.dumps(mark))
-    return "".join((head, "[", ", ".join(_json_records(report)), "]",
-                    tail, "\n"))
+    ``json.dumps(report.to_dict(), sort_keys=True)``: one join of the
+    pieces that `write_json` writes, the document around the records by
+    ``json.dumps`` and each record one join of its shape's pieces and its
+    leaf texts (see the module docstring).  ``python -m json.tool``
+    indents it for reading.  The report keeps the texts of its CSV's
+    cells until `emit_csv` takes them."""
+    return "".join(_json_pieces(report))
 
 
 def parse_json(text: str) -> GridReport:
@@ -539,32 +595,57 @@ def parse_json(text: str) -> GridReport:
     return GridReport.from_dict(json.loads(text))
 
 
+def _csv_pieces(report: GridReport) -> Iterator[str]:
+    """The CSV of `report` in pieces: the header, then the pieces of
+    `_csv_rows`, handed the texts that `emit_json` left on the report,
+    which this takes off it."""
+    handed = vars(report).pop("_csv_texts", None)
+    yield ",".join(_CSV_COLUMNS) + "\n"
+    if report.status:
+        yield from _csv_rows(report, handed)
+
+
+def _csv_rows(report: GridReport, handed) -> Iterator[str]:
+    """Each row of `report`'s CSV followed by its ``"\\n"``, made block by
+    block.  A block's cell texts and their codes are the next of `handed`
+    (so they are the columns as the JSON read them), or else those of one
+    `_format` of the block's CSV leaves; with the statuses and an empty
+    text after them they fill one table of codes, records by columns, read
+    out by one gather."""
+    cols = report.columns
+    leaves = [reduce(getitem, path, cols) for path in _csv_leaves(cols)]
+    no_frame = tuple(_NO_FRAME)
+    for start, stop in _blocks(len(report.status)):
+        codes, texts = (handed.pop(0) if handed is not None else
+                        _format([leaf[start:stop] for leaf in leaves])[:2])
+        statuses = report.status[start:stop]
+        blank = len(texts) + len(STATUSES)     # the index of the empty text
+        status = dict(zip(STATUSES, range(len(texts), blank)))
+        table = np.full((stop - start, len(_CSV_COLUMNS)), blank,
+                        dtype=np.int32)
+        table[:, :2] = codes[:2].T
+        table[:, 2] = [status[s] for s in statuses]
+        if len(codes) > 2:              # not a parsed report without frames
+            table[:, 3:] = codes[2:].T
+            table[np.isin(statuses, no_frame), 3:] = blank
+        cells = np.concatenate([texts,
+                                np.array([*STATUSES, ""], dtype=object)])
+        out = ["\n"] * (2 * (stop - start))
+        out[::2] = map(",".join, cells[table].tolist())
+        yield from out
+
+
+def write_csv(report: GridReport, fh: TextIO) -> None:
+    """Write `emit_csv(report)` to the text file `fh`, each piece as it is
+    made, so that one block's rows are made at a time.  Open `fh` with
+    ``newline=""``, so that its bytes are these on every platform."""
+    fh.writelines(_csv_pieces(report))
+
+
 def emit_csv(report: GridReport) -> str:
     """One row per record, byte for byte what ``csv.writer`` writes of the
     records: a float as its ``repr``, a flag as 1 or 0, and empty cells
     past the status of a record without a frame (no cell holds a comma, a
-    quote or a line break, so csv.writer would quote none).  The cell
-    texts are those `emit_json` left on the report, which this takes off
-    it (so they are the columns as that call read them), or else one
-    `_format` of the CSV's leaves; with the statuses and an empty text
-    after them they fill one table of codes, records by columns, read out
-    by one gather."""
-    cols, n = report.columns, len(report.status)
-    handed = vars(report).pop("_csv_texts", None)
-    header = ",".join(_CSV_COLUMNS) + "\n"
-    if not n:
-        return header
-    if handed is None:
-        handed = _format([reduce(getitem, path, cols)
-                          for path in _csv_leaves(cols)])[:2]
-    codes, texts = handed
-    blank = len(texts) + len(STATUSES)     # the index of the empty text
-    status = dict(zip(STATUSES, range(len(texts), blank)))
-    table = np.full((n, len(_CSV_COLUMNS)), blank, dtype=np.int32)
-    table[:, :2] = codes[:2].T
-    table[:, 2] = [status[s] for s in report.status]
-    if len(codes) > 2:              # not a parsed report without frames
-        table[:, 3:] = codes[2:].T
-        table[np.isin(report.status, tuple(_NO_FRAME)), 3:] = blank
-    cells = np.concatenate([texts, np.array([*STATUSES, ""], dtype=object)])
-    return header + "\n".join(map(",".join, cells[table].tolist())) + "\n"
+    quote or a line break, so csv.writer would quote none).  One join of
+    the pieces that `write_csv` writes."""
+    return "".join(_csv_pieces(report))

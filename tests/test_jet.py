@@ -531,10 +531,10 @@ def _dots_by_runs(a, ia, b, ib):
 
 
 def test_dots_sum_the_strided_products_bitwise():
-    """`dots` sums p[:, 0::3] + p[:, 1::3] + p[:, 2::3] of one product up
-    to `_BINCOUNT_MAX` columns, and a run of three at a time above: the
-    bits of the runs of the reshaped products, at 3 (a point), 9, 42, 126
-    (the largest one-product width), 129, 387, 4800 and 14400 columns
+    """`dots` sums p[:, 0::3] + p[:, 1::3] + p[:, 2::3] of one product at
+    every width: the bits of the runs of the reshaped products (one run at
+    a time past `_BINCOUNT_MAX` columns, as `dots` once took them), at 3
+    (a point), 9, 42, 126, 129, 387, 4800 and 14400 columns
     (components times 1, 14, 43 and 1600 points), at orders 0-4, over
     slots of one scale, where the order of the sum shows, and signed
     zeros, NaN and +-inf."""

@@ -29,7 +29,8 @@ from focalnet.errors import (FRAME_ERRORS, CanalDegenerate,
 from focalnet.frames import frame_point
 from focalnet.nets import NETS, net_directions
 from focalnet.report import (GridReport, emit_csv, emit_json, grid_points,
-                             grid_report, parse_json, point_record, summarize)
+                             grid_report, parse_json, point_record, summarize,
+                             write_csv, write_json)
 from focalnet import mesh as mesh_module
 from focalnet.mesh import export_obj
 from focalnet.sdl import compile_surface, gallery_source, parse_surface
@@ -333,13 +334,10 @@ def _vary(x, i: int):
     return x * (1 + i / 1024) if isinstance(x, float) else x
 
 
-def test_interleaved_shapes_across_blocks(prog, graph_source, tol):
-    """A report whose records, each with floats of its own, cycle through
-    the shapes ok, moulding (with its excluded statements), canal2 and
-    umbilic (no frame), 2 * _BLOCK + 3 records of each, so that each
-    shape's records fill two blocks and part of a third, every block
-    running across the other shapes' records: its JSON is json.dumps' of
-    its dict and its CSV csv.writer's of its records."""
+def _interleaved_report(prog, graph_source, tol, n: int) -> GridReport:
+    """A report of n records, each with floats of its own, that cycle
+    through the shapes ok, moulding (with its excluded statements), canal2
+    and umbilic (no frame)."""
     def first(program, status):
         rep = grid_report(program, 2, 2, tol)
         return rep.records[rep.status.index(status)]
@@ -350,13 +348,23 @@ def test_interleaved_shapes_across_blocks(prog, graph_source, tol):
                   graph_source("0 - (u^2 + v^2)"))), "canal2"),
               first(prog("sphere"), "umbilic")]
     assert shapes[1]["excluded"]
-    records = [_vary(shapes[i % 4], i)
-               for i in range(4 * (2 * report_module._BLOCK + 3))]
+    records = [_vary(shapes[i % 4], i) for i in range(n)]
     rep = parse_json(json.dumps({
         "schema": 1, "surface": "interleaved", "params": {}, "nu": 1,
         "nv": len(records), "records": records,
         "summary": summarize(records)}))
     assert rep.status[:4] == ["ok", "moulding", "canal2", "umbilic"]
+    return rep
+
+
+def test_interleaved_shapes_across_blocks(prog, graph_source, tol):
+    """A report whose records cycle through four shapes (see
+    `_interleaved_report`), 2 * _ROWS + 3 records of each, so that each
+    shape's records fill two object arrays of rows and part of a third,
+    every one running across the other shapes' records: its JSON is
+    json.dumps' of its dict and its CSV csv.writer's of its records."""
+    rep = _interleaved_report(prog, graph_source, tol,
+                              4 * (2 * report_module._ROWS + 3))
     want = json.dumps(rep.to_dict(), sort_keys=True) + "\n"
     # compared record by record and line by line, where a difference is
     # quickly shown; both splits join back into their texts
@@ -365,30 +373,67 @@ def test_interleaved_shapes_across_blocks(prog, graph_source, tol):
             == _csv_by_writer(rep).splitlines(keepends=True))
 
 
-def test_json_hands_the_csv_its_texts_alone(prog, tol):
-    """After emit_json the report holds the texts of the CSV's 15 float
-    and 6 flag columns, each once, with int32 codes that give every cell
-    the CSV writes; emit_csv takes them off the report again."""
+@pytest.mark.parametrize("order", [("json", "csv"), ("csv", "json")],
+                         ids="-".join)
+def test_emitters_and_writers_across_blocks(prog, graph_source, tol,
+                                            tmp_path, order):
+    """A report of 2 * _BLOCK + 5 records in the four interleaved shapes
+    (three blocks, the last of 5 records): emit_json, and write_json to a
+    StringIO and to a file, give json.dumps' of its dict, and emit_csv and
+    write_csv csv.writer's of its records, with the CSV after the JSON
+    (handed its texts) and before it (formatting its own)."""
+    n = 2 * report_module._BLOCK + 5
+    rep = _interleaved_report(prog, graph_source, tol, n)
+    want = {"json": json.dumps(rep.to_dict(), sort_keys=True) + "\n",
+            "csv": _csv_by_writer(rep)}
+    vars(rep).pop("records")     # the view to_dict built
+    emit = {"json": emit_json, "csv": emit_csv}
+    write = {"json": write_json, "csv": write_csv}
+    for kind in order:
+        assert emit[kind](rep) == want[kind], kind
+    for kind in order:
+        buf = io.StringIO()
+        write[kind](rep, buf)
+        assert buf.getvalue() == want[kind], kind
+    for kind in order:
+        with open(tmp_path / kind, "w", newline="") as fh:
+            write[kind](rep, fh)
+        assert (tmp_path / kind).read_bytes() == want[kind].encode(), kind
+
+
+def test_json_hands_the_csv_its_texts_alone(prog, tol, monkeypatch):
+    """After emit_json the report holds, per block of records, the texts
+    of that block's cells in the CSV's 15 float and 6 flag columns, each
+    once, with int32 codes that give every cell the CSV writes of the
+    block; emit_csv takes them off the report again.  The 20 records are
+    one block, and three (7, 7 and 6 records) at a block of 7."""
     rep = grid_report(prog("helicoid"), 4, 5, tol)
     rows = [line.split(",") for line in _csv_by_writer(rep).splitlines()[1:]]
-    before = set(vars(rep))
-    emit_json(rep)
-    assert set(vars(rep)) - before == {"_csv_texts"}
-    codes, texts = rep._csv_texts
-    assert codes.dtype == np.int32 and codes.shape == (21, 20)
     floats = [k for k in range(22) if k != 2 and not 9 <= k <= 14]
-    assert sorted(texts) == sorted(
-        {row[k] for row in rows for k in floats} | {"0", "1"})
-    cells = [row[:2] + row[3:] for row in rows]
-    assert texts[codes].T.tolist() == cells
-    emit_csv(rep)
-    assert set(vars(rep)) == before
+    before = set(vars(rep))
+    for size, blocks in ((report_module._BLOCK, 1), (7, 3)):
+        monkeypatch.setattr(report_module, "_BLOCK", size)
+        emit_json(rep)
+        assert set(vars(rep)) - before == {"_csv_texts"}
+        assert len(rep._csv_texts) == blocks
+        for b, (codes, texts) in enumerate(rep._csv_texts):
+            cells = [row[:2] + row[3:]
+                     for row in rows[b * size:(b + 1) * size]]
+            assert codes.dtype == np.int32
+            assert codes.shape == (21, len(cells))
+            assert sorted(texts) == sorted(
+                {row[k - (k > 2)] for row in cells for k in floats}
+                | {"0", "1"})
+            assert texts[codes].T.tolist() == cells
+        emit_csv(rep)
+        assert set(vars(rep)) == before
 
 
 def test_a_csv_after_the_json_formats_no_float(prog, tol, monkeypatch):
-    """emit_json formats every leaf in one `_format` pass with one
-    np.unique; emit_csv after it makes neither call, and alone it makes
-    one of each."""
+    """emit_json formats each block of records in one `_format` pass with
+    one np.unique; emit_csv after it makes neither call, and alone it
+    makes one of each per block: the 20 records are one block, and three
+    at a block of 7."""
     calls = []
 
     def counted(name, func):
@@ -399,13 +444,15 @@ def test_a_csv_after_the_json_formats_no_float(prog, tol, monkeypatch):
                         counted("format", report_module._format))
     monkeypatch.setattr(np, "unique", counted("unique", np.unique))
     rep = grid_report(prog("helicoid"), 4, 5, tol)
-    calls.clear()
-    emit_json(rep)
-    assert calls == ["format", "unique"]
-    emit_csv(rep)
-    assert calls == ["format", "unique"]
-    emit_csv(rep)
-    assert calls == ["format", "unique"] * 2
+    for size, blocks in ((report_module._BLOCK, 1), (7, 3)):
+        monkeypatch.setattr(report_module, "_BLOCK", size)
+        calls.clear()
+        emit_json(rep)
+        assert calls == ["format", "unique"] * blocks
+        emit_csv(rep)
+        assert calls == ["format", "unique"] * blocks
+        emit_csv(rep)
+        assert calls == ["format", "unique"] * 2 * blocks
 
 
 def test_records_are_built_once(prog, tol, monkeypatch):
@@ -688,7 +735,7 @@ def test_summary_equals_max_and_fold_of_each_leaf():
 
 def test_flag_rich_report(prog, tol, monkeypatch):
     """A 40 x 40 report whose flag columns hold many patterns (one of them
-    at every third record, so that its records fill blocks of `_BLOCK`
+    at every third record, so that its records fill arrays of `_ROWS`
     across the others), among moulding, canal2 and umbilic (no frame)
     records: its JSON is json.dumps' of its dict, and its CSV, after the
     JSON and alone, csv.writer's of its records.  json.dumps renders each
@@ -709,7 +756,7 @@ def test_flag_rich_report(prog, tol, monkeypatch):
     framed = [s != "umbilic" for s in rep.status]
     patterns = {tuple(bool(flags[k][r]) for k in flags)
                 for r in range(n) if framed[r]}
-    assert len(patterns) > 900 and report_module._BLOCK < n // 3
+    assert len(patterns) > 900 and report_module._ROWS < n // 3
     want = json.dumps(rep.to_dict(), sort_keys=True) + "\n"
     table = _csv_by_writer(rep)
     assert "1" in [row.split(",")[10] for row in table.splitlines()]
@@ -1086,6 +1133,34 @@ def test_cli_grid_files(tmp_path, capsys):
     rep = parse_json(open(out).read())
     assert rep.nu == 3 and rep.nv == 2
     assert open(csv_path).readline().strip() == CSV_HEADER
+
+
+def _windows_open(file, mode="r", *args, newline=None, **kwargs):
+    """`open` as on Windows: a text file opened for writing without a
+    `newline` argument writes each "\\n" as "\\r\\n"."""
+    if "w" in mode and "b" not in mode and newline is None:
+        newline = "\r\n"
+    return open(file, mode, *args, newline=newline, **kwargs)
+
+
+def test_cli_files_are_the_emitters_bytes(prog, tol, tmp_path, capsys,
+                                          monkeypatch):
+    """focalnet grid's --out and --csv files hold emit_json's and
+    emit_csv's bytes, and export_obj's manifest.json json.dumps', also
+    where text files translate newlines (open as on Windows)."""
+    monkeypatch.setattr(cli, "open", _windows_open, raising=False)
+    monkeypatch.setattr(mesh_module, "open", _windows_open, raising=False)
+    out, table = tmp_path / "rep.json", tmp_path / "rep.csv"
+    assert cli.main(["grid", "--surface", "helicoid", "--nu", "4",
+                     "--nv", "5", "--out", str(out),
+                     "--csv", str(table)]) == 0
+    rep = grid_report(prog("helicoid"), 4, 5, tol)
+    assert out.read_bytes() == emit_json(rep).encode()
+    assert table.read_bytes() == emit_csv(rep).encode()
+    manifest = export_obj(prog("helicoid"), 3, 3, str(tmp_path),
+                          central=(1,))
+    assert (tmp_path / "manifest.json").read_bytes() == (json.dumps(
+        manifest, sort_keys=True, indent=2) + "\n").encode()
 
 
 def test_cli_write_failures_are_error_lines(tmp_path, capsys):
