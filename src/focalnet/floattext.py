@@ -44,16 +44,24 @@ The fast path takes finite x with 1e-280 <= |x| <= 1e280:
   half-integer (a tie such as 1234567.125 among them) or of 999999999.5
   before that division, and where it is NaN, infinite, subnormal or
   outside [1e-280, 1e280]; zero is written on the fast path.
-- Text: each value is 8 words: the line's key on its first value, the
-  sign and the ninth-from-last integer digit, 8 more integer digits with
-  leading zeros blank, the point, 12 fraction digits with trailing zeros
-  blank (decimal exponents -4..8, as ``%g`` writes them) and, otherwise,
-  ``e±XX``, a third exponent digit and the line's ``\\n`` on its last
-  value.  An integer is 5 words: the key or a space, 12 digits, and the
-  newline.  A fallback text is written into its value's words, so each
-  chunk of rows is one ``translate`` of the words' bytes, written to the
-  binary file as it stands: no ``str`` per value, and ``\\n`` on every
-  platform.
+- Text: each value is a row of words, only as wide as the values of its
+  chunk need: the line's key on its first value, the sign and the
+  ninth-from-last integer digit; integer digits 5-8 with leading zeros
+  blank, a word that only a chunk with a whole part of 10^4 or more has
+  (the whole part after the rounding and its carry: 9999.9999951 is
+  written 10000); the last 4 integer digits, the point, 12 fraction
+  digits with trailing zeros blank (decimal exponents -4..8, as ``%g``
+  writes them) and, otherwise, ``e±XX``, a third exponent digit and the
+  line's ``\\n`` on its last value.  That is 7 words, or 8.  An integer
+  is the key or a space, one 4-digit word per group above the units that
+  the block's largest integer fills, the units and the newline: 3 words
+  below 10^4, 4 below 10^8 and 5 below 10^12.  A fallback text (at most
+  19 bytes with the key, the space and the newline) is written into its
+  value's words, so each chunk of rows is one ``translate`` of the words'
+  bytes, written to the binary file as it stands: no ``str`` per value,
+  and ``\\n`` on every platform.  ``translate`` reads every byte, so the
+  words left out save time in proportion: a mesh coordinate's text is
+  about 12 bytes of its row's 28.
 
 Both writers run in chunks of 2^12 values, whose few dozen transient
 arrays stay in a core's cache (chunks of 2^14, arrays of 128 KiB, ran
@@ -61,7 +69,7 @@ about 28% slower for `reprs`), and the tables are built on first use.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 from typing import List
 
@@ -76,7 +84,7 @@ _SPLITTER = 134217729.0         # 2^27 + 1
 _SEP = ","
 _NINE = 999999999.5             # nine digits that round up to ten
 _MARGIN9 = 1e-5                 # in units of y's last digit
-_INT_END = 10 ** 12             # integers are written as 12 digits
+_INT_END = 10 ** 12             # integers have at most 12 digits
 
 # The places of the digit tables in the words table: every 4-digit group,
 # then with leading zeros blank, then with trailing zeros blank.
@@ -291,32 +299,44 @@ def write_lines(fh, key: str, rows: np.ndarray) -> None:
     if not n * k:
         return
     if rows.dtype.kind == "f":
-        words, fill, rows = 8, _g9_chunk, rows.astype(np.float64, copy=False)
+        fill, rows = _g9_chunk, rows.astype(np.float64, copy=False)
     else:
-        words, fill, rows = 5, _int_chunk, rows.astype(np.intp, copy=False)
-        if rows.min() < 0 or rows.max() >= _INT_END:
+        rows = rows.astype(np.intp, copy=False)
+        top = rows.max()
+        if rows.min() < 0 or top >= _INT_END:
             raise ValueError("OBJ integers lie in [0, 10^12)")
+        fill = partial(_int_chunk,
+                       groups=int(top >= 10 ** 4) + int(top >= 10 ** 8))
     values = rows.ravel()
     first, end = _row_marks(k)
     kw = _key_words(key)
     for start in range(0, len(values), len(first)):
         x = values[start:start + len(first)]
-        out = np.empty((len(x), words), np.uint32)
-        fill(x, out, first[:len(x)], end[:len(x)], kw)
+        out = fill(x, first[:len(x)], end[:len(x)], kw)
         fh.write(out.tobytes().translate(None, b"\0"))
 
 
-def _int_chunk(v, out, first, end, kw) -> None:
+def _int_chunk(v, first, end, kw, groups: int) -> np.ndarray:
+    """The words of integers below 10^(4 groups + 4): the key or a space,
+    `groups` 4-digit groups above the units, the units and the newline."""
     t = _tables()
-    _, g0, g1, g2 = _groups(v)
+    out = np.empty((len(v), groups + 3), np.uint32)
     out[:, 0] = kw.space.take(first)
-    out[:, 1] = t.words.take(g0 + _LEAD)
-    out[:, 2] = t.words.take(g1 + _LEAD * (v < 10 ** 8))
-    out[:, 3] = t.units.take(g2 + _LEAD * (v < 10 ** 4))
-    out[:, 4] = end
+    r, lead = v, _LEAD
+    for col in range(1, groups + 1):
+        unit = 10 ** (4 * (groups + 1 - col))
+        g = r // unit
+        out[:, col] = t.words.take(g + lead)
+        r = r - g * unit
+        lead = _LEAD * (v < unit)
+    out[:, -2] = t.units.take(r + lead)
+    out[:, -1] = end
+    return out
 
 
-def _g9_chunk(x, out, first, end, kw) -> None:
+def _g9_chunk(x, first, end, kw) -> np.ndarray:
+    """The words of `x` as ``%.9g``, 7 per value where every whole part
+    is below 10^4, else 8."""
     t = _tables()
     a = np.abs(x)
     # the values outside the fast path's magnitudes go to format, but
@@ -341,22 +361,32 @@ def _g9_chunk(x, out, first, end, kw) -> None:
     unit = t.unit9.take(j)
     whole = digits // unit
     rest = (digits - whole * unit) * t.scale9.take(j)
-    _, top, i1, i2 = _groups(whole)
     _, f0, f1, f2 = _groups(rest)
     w = t.words
+    # the word of integer digits 5-8 only where some whole part has them
+    # (whole is after the rounding and its carry: 9999.9999951 is 10000)
+    if whole.max() >= 10 ** 4:
+        _, top, i1, units = _groups(whole)
+        out = np.empty((len(x), 8), np.uint32)
+        out[:, 1] = w.take(i1 + _LEAD * (whole < 10 ** 8))
+    else:
+        top, units = 0, whole
+        out = np.empty((len(x), 7), np.uint32)
     out[:, 0] = kw.sign.take(top + 10 * np.signbit(x) + 20 * first)
-    out[:, 1] = w.take(i1 + _LEAD * (whole < 10 ** 8))
-    out[:, 2] = t.units.take(i2 + _LEAD * (whole < 10 ** 4))
-    out[:, 3] = (rest != 0) * np.uint32(ord("."))
-    out[:, 4] = w.take(f0 + _TRAIL * ((f1 == 0) & (f2 == 0)))
-    out[:, 5] = w.take(f1 + _TRAIL * (f2 == 0))
+    out[:, -6] = t.units.take(units + _LEAD * (whole < 10 ** 4))
+    out[:, -5] = (rest != 0) * np.uint32(ord("."))
+    out[:, -4] = w.take(f0 + _TRAIL * ((f1 == 0) & (f2 == 0)))
+    out[:, -3] = w.take(f1 + _TRAIL * (f2 == 0))
     # the exponent's first four bytes after the blank last fraction
     # digits, its third digit before the newline
     e = t.exp.take((dec - t.dec_min + 1) * ~positional).view(np.uint32)
-    out[:, 6] = w.take(f2 + _TRAIL) | e[::2]
-    out[:, 7] = end | e[1::2]
+    out[:, -2] = w.take(f2 + _TRAIL) | e[::2]
+    out[:, -1] = end | e[1::2]
+    # a fallback text is at most 19 bytes ("v -4.94065646e-324\n"), so it
+    # fits in 7 words
     for i in np.flatnonzero(undecided).tolist():
         text = (kw.sign[20 * first[i]].tobytes()
                 + format(float(x[i]), ".9g").encode() + end[i].tobytes())
-        out[i] = np.frombuffer(text.replace(b"\0", b"").ljust(32, b"\0"),
-                               np.uint32)
+        out[i] = np.frombuffer(
+            text.replace(b"\0", b"").ljust(out[i].nbytes, b"\0"), np.uint32)
+    return out

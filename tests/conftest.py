@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from focalnet import DEFAULT_TOLERANCES, compile_surface, gallery
+from focalnet import DEFAULT_TOLERANCES, compile_surface, floattext, gallery
 
 _PROGRAMS = {}
 
@@ -36,3 +36,17 @@ def tol():
 def rng():
     return np.random.default_rng(20260819)
 
+
+
+@pytest.fixture
+def chunk_widths(monkeypatch):
+    """The words per value of each chunk that `floattext.write_lines`
+    fills, in the order written."""
+    widths = []
+    for name in ("_g9_chunk", "_int_chunk"):
+        def measured(*args, fill=getattr(floattext, name), **kwargs):
+            out = fill(*args, **kwargs)
+            widths.append(out.shape[1])
+            return out
+        monkeypatch.setattr(floattext, name, measured)
+    return widths

@@ -191,6 +191,63 @@ def test_integer_lines(key, per_row):
     _lines(v[:len(v) // per_row * per_row], per_row, key)
 
 
+@pytest.mark.parametrize("per_row", [1, 2, 3, 4])
+@pytest.mark.parametrize("top, words", [(9999, 3), (10 ** 4, 4),
+                                        (10 ** 8 - 1, 4), (10 ** 8, 5)])
+def test_integer_rows_as_wide_as_the_block(top, words, per_row,
+                                           chunk_widths):
+    """Every row of a block has one 4-digit word per group that the
+    block's largest integer fills: small integers in a block that also
+    holds a large one, over three chunks of rows of 1-4 values."""
+    v = np.concatenate([[top], np.arange(0, 10002),
+                        np.arange(10 ** 8 - 6, 10 ** 8 + 6)])
+    v = v[v <= top]
+    _lines(v[:len(v) // per_row * per_row], per_row, "f")
+    assert len(chunk_widths) >= 3 and set(chunk_widths) == {words}
+
+
+def _mesh_range(rng, size: int) -> np.ndarray:
+    """`size` floats of either sign with magnitudes log-uniform in
+    [1e-5, 1e4), as a mesh's coordinates are."""
+    return rng.choice([-1.0, 1.0], size) * 10 ** rng.uniform(-5, 4, size)
+
+
+@pytest.mark.parametrize("per_row", [1, 2, 3, 4])
+@pytest.mark.parametrize("reach", [9999.999995, 9999.9999951, -9999.9999951,
+                                   np.nextafter(1e4, 0), 1e4, 123456789.0])
+def test_float_rows_as_wide_as_the_chunk(reach, per_row, chunk_widths):
+    """A chunk's rows keep the word of integer digits 5-8 only where some
+    value's whole part reaches 10^4 once rounded to nine digits: 9999.99999
+    and 9999.999994999 stay below it, while 9999.9999951 (the fast path)
+    and 9999.999995 (``format``) print as 10000.  Chunks narrow, wide and
+    narrow in one block, of rows of 1-4 values."""
+    rng = np.random.default_rng(43)
+    size = floattext._CHUNK // per_row * per_row
+    below = [9999.999994999, -9999.999994999, 9999.99999, 0.0, 1e-5]
+    x = _mesh_range(rng, 3 * size)
+    x[:len(below)] = below
+    x[size + size // 2] = reach
+    x[2 * size - len(below):2 * size] = below
+    _lines(x, per_row)
+    assert chunk_widths == [7, 8, 7]
+
+
+def test_longest_fallbacks_fit_a_narrow_row(chunk_widths):
+    """The longest ``%.9g`` texts, the fallbacks' among them, each the
+    only value of its line (key, space, text and newline: 19 bytes of a
+    row's 28), in chunks whose rows have 7 words."""
+    longest = [-4.94065646e-324, -1.23456789e-300, 1.23456789e-300,
+               -2.22507386e-308, -1.23456789e-100, 9.87654321e+123,
+               -1.7e308, -np.inf, np.nan, -0.0, -9999.99999, -0.000123456789]
+    rng = np.random.default_rng(47)
+    x = _mesh_range(rng, 2 * floattext._CHUNK)
+    x[::509][:len(longest)] = longest
+    x[-len(longest):] = longest
+    _lines(x, 1)
+    _lines(x[:len(x) // 3 * 3], 3)
+    assert chunk_widths == [7] * 4
+
+
 def test_write_lines_refuses_what_it_cannot_write():
     fh = io.BytesIO()
     for key, rows in (("vn", [[1.0]]), ("f", [[-1]]), ("f", [[10 ** 12]])):

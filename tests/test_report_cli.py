@@ -643,24 +643,35 @@ _OBJ_FORMATS = {"v": "v %.9g %.9g %.9g\n", "f": "f %d %d %d\n",
                 "l": "l %d %d\n"}
 
 
-@pytest.mark.parametrize("name", ["graph_generic", "dini"])
-def test_export_obj_files_equal_percent_format(tmp_path, prog, tol, name,
-                                               monkeypatch):
-    """Each OBJ file of an 8 x 8 export with both sheets and all four nets
+@pytest.mark.parametrize("name, n", [("graph_generic", 8), ("dini", 8),
+                                     ("graph_generic", 60), ("steep", 40)],
+                         ids=["graph_generic", "dini", "graph_generic-60",
+                              "steep-40"])
+def test_export_obj_files_equal_percent_format(tmp_path, prog, graph_source,
+                                               tol, name, n, monkeypatch,
+                                               chunk_widths):
+    """Each OBJ file of an n x n export with both sheets and all four nets
     is, byte for byte, its rows as one ``%`` format per kind of line
-    writes them, with ``\\n`` line ends."""
+    writes them, with ``\\n`` line ends.  The rows are as wide as their
+    values: at 60 x 60 a net's segment indices pass 10^4 within its ``l``
+    block, and the steep graph's surface block holds coordinates of 10^4
+    and more in one chunk next to a chunk of small ones."""
     blocks = []
     real = mesh_module.write_lines
 
     def recorded(fh, key, rows):
-        blocks.append((os.path.basename(fh.name), key, np.array(rows)))
+        start = len(chunk_widths)
         real(fh, key, rows)
+        blocks.append((os.path.basename(fh.name), key, np.array(rows),
+                       chunk_widths[start:]))
 
     monkeypatch.setattr(mesh_module, "write_lines", recorded)
-    manifest = export_obj(prog(name), 8, 8, str(tmp_path), central=(1, 2),
+    surface = prog(name) if name != "steep" else compile_surface(
+        parse_surface(graph_source("exp(10 * u) + u * v^2")))
+    manifest = export_obj(surface, n, n, str(tmp_path), central=(1, 2),
                           nets=NETS, tol=tol)
     want = {}
-    for file, key, rows in blocks:
+    for file, key, rows, _ in blocks:
         want[file] = want.get(file, "") + _OBJ_FORMATS[key] * len(rows) % \
             tuple(np.ravel(rows).tolist())
     written = sorted(e["file"] for e in manifest["objects"].values()
@@ -668,6 +679,14 @@ def test_export_obj_files_equal_percent_format(tmp_path, prog, tol, name,
     assert sorted(want) == written and len(written) == 7
     for file, text in want.items():
         assert (tmp_path / file).read_bytes() == text.encode(), file
+    # 3 words per index below 10^4 and 4 up to 10^8; 7 words per value
+    # where each whole part is below 10^4, else 8
+    indices = {w for _, key, _, widths in blocks if key != "v"
+               for w in widths}
+    assert indices == ({3, 4} if n == 60 else {3})
+    if name == "steep":
+        assert ("surface.obj", "v", [7, 8]) in [
+            (file, key, widths) for file, key, _, widths in blocks]
 
 
 def test_summary_means_fold_left_to_right():

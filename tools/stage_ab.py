@@ -1,5 +1,5 @@
-"""Time the point path's stages of the working tree against a base revision,
-in alternating rounds inside one interpreter.
+"""Time the point path's stages and the OBJ export of the working tree
+against a base revision, in alternating rounds inside one interpreter.
 
     python3 tools/stage_ab.py [--base HEAD] [--rounds 30] [--points 500]
         [--seed 0]
@@ -12,18 +12,23 @@ stand plus its untracked files that git does not ignore.  Each side's
 inside the package is relative), so both run in one process and share its
 state: the allocator, the caches and the CPU's clock.  Process-level pairs
 (`tools/bench_ab.py`) spread about +-5% on a shared machine, too wide to
-resolve a stage that moves by a few percent.
+resolve a stage that moves by a few percent; mesh_export's spread between
+processes is wider than between trees.
 
-The inputs are `--points` draws, chosen by `--seed`, from perfbench's eval
-pool (``perfbench/inputs.py``: surface, u, v over the whole gallery).
-Four stages are timed, each on the draws where it returns on both sides:
+The point stages take `--points` draws, chosen by `--seed`, from
+perfbench's eval pool (``perfbench/inputs.py``: surface, u, v over the
+whole gallery), each timed on the draws where it returns on both sides:
 ``point_record`` on every draw, ``eval_surface`` on each draw's surface,
 ``principal_data`` on its surface jet and ``defect_report`` on its frame
-point.  A round times every stage once per side over all its draws, the
-side that goes first alternating from round to round.  Per stage the tool
-prints each side's minimum time per call over the rounds, the median and
-quartiles of the per-round ratio base/tree (above 1: the tree is faster)
-and the number of rounds the tree won.
+point.  The export stages run ``export_obj`` as perfbench's mesh_export
+calls it (both sheets, nets 13/14/17/18, each call into a fresh
+directory): ``export_obj`` on the eight 40x40 mesh_export inputs, and
+``export_obj_3x3`` on the two 3x3 exports of the workload's warm-up, which
+its ``setup_s`` includes.  A round times every stage once per side over
+all its calls, the side that goes first alternating from round to round.
+Per stage the tool prints each side's minimum time per call over the
+rounds, the median and quartiles of the per-round ratio base/tree (above
+1: the tree is faster) and the number of rounds the tree won.
 """
 from __future__ import annotations
 
@@ -32,6 +37,7 @@ import gc
 import importlib.util
 import os
 import random
+import shutil
 import statistics
 import sys
 import tempfile
@@ -40,11 +46,16 @@ from time import perf_counter
 from bench_ab import ROOT, SIDES, export_revision, export_tree
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-from inputs import eval_pool  # noqa: E402
+from inputs import (GRID_N, MESH_CENTRAL, MESH_NETS,  # noqa: E402
+                    compile_variant, eval_pool, mesh_variants)
+from workloads import _WARM_N  # noqa: E402
 
-# Each stage by its module in the package, and its name.
+# Each point stage by its module in the package, and its name.
 STAGES = (("report", "point_record"), ("geometry", "eval_surface"),
           ("geometry", "principal_data"), ("classify", "defect_report"))
+# Each export stage by its name, the grid side and the inputs it takes of
+# each surface (None: all of them; the warm-up exports each one's first).
+EXPORTS = (("export_obj", GRID_N, None), ("export_obj_3x3", _WARM_N, 1))
 
 
 def load_package(src: str, name: str):
@@ -89,6 +100,24 @@ def stage_inputs(fn, draws):
     return out
 
 
+def export_inputs(fn):
+    """Per export stage, the (prog, n) of its calls on package `fn`, over
+    perfbench's mesh_export inputs."""
+    progs = {name: [compile_variant(fn, var) for var in vs]
+             for name, vs in mesh_variants(fn).items()}
+    return {stage: [(prog, n) for vs in progs.values() for prog in vs[:take]]
+            for stage, n, take in EXPORTS}
+
+
+def exporter(fn, root: str):
+    """``export_obj(prog, n, n, ...)`` of package `fn` as mesh_export
+    calls it, each call into a fresh directory under `root`."""
+    def export(prog, n):
+        fn.export_obj(prog, n, n, tempfile.mkdtemp(dir=root),
+                      central=MESH_CENTRAL, nets=MESH_NETS)
+    return export
+
+
 def timed(fn_call, calls) -> float:
     """Seconds per call of `fn_call` over the argument tuples `calls`."""
     gc.collect()
@@ -117,41 +146,48 @@ def main(argv=None) -> int:
         fns = {side: load_package(os.path.join(tmp, side, "src", "focalnet"),
                                   f"focalnet_{side}")
                for side in SIDES}
-        compare(fns, args, base, tree)
+        compare(fns, args, base, tree, tmp)
     return 0
 
 
-def compare(fns, args, base: str, tree: str) -> None:
-    """Time the stages of both packages in `fns` and print the table."""
+def compare(fns, args, base: str, tree: str, tmp: str) -> None:
+    """Time the stages of both packages in `fns` and print the table;
+    exports are written under `tmp`."""
     print(f"base {base[:12]}  tree {tree[:12]}  rounds {args.rounds}  "
           f"points {args.points}  seed {args.seed}")
     pool = eval_pool(fns["base"])
     draws = random.Random(args.seed).sample(pool, args.points)
     inputs = {side: stage_inputs(fns[side], draws) for side in SIDES}
+    # per stage and side, the function and its argument tuples
     calls = {}
-    for _, stage in STAGES:
+    for module, stage in STAGES:
         keep = [i for i in range(len(draws))
                 if all(inputs[side][stage][i] is not None for side in SIDES)]
-        calls[stage] = {side: [inputs[side][stage][i] for i in keep]
+        calls[stage] = {side: (getattr(getattr(fns[side], module), stage),
+                               [inputs[side][stage][i] for i in keep])
                         for side in SIDES}
-    times = {stage: {side: [] for side in SIDES} for _, stage in STAGES}
+    out = os.path.join(tmp, "exports")
+    exports = {side: export_inputs(fns[side]) for side in SIDES}
+    for stage, _, _ in EXPORTS:
+        calls[stage] = {side: (exporter(fns[side], out),
+                               exports[side][stage]) for side in SIDES}
+    times = {stage: {side: [] for side in SIDES} for stage in calls}
     for r in range(args.rounds):
         order = SIDES if r % 2 == 0 else SIDES[::-1]
-        for module, stage in STAGES:
+        for stage in calls:
             for side in order:
-                call = getattr(getattr(fns[side], module), stage)
-                times[stage][side].append(timed(call, calls[stage][side]))
+                os.mkdir(out)
+                times[stage][side].append(timed(*calls[stage][side]))
+                shutil.rmtree(out)
     print(f"{'stage':<16}{'calls':>6}{'base us':>10}{'tree us':>10}"
           f"{'base/tree':>11}{'q1':>8}{'q3':>8}{'tree won':>10}")
-    for _, stage in STAGES:
-        t = times[stage]
+    for stage, t in times.items():
         ratios = [b / w for b, w in zip(t["base"], t["tree"])]
         q1, med, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         won = sum(w < b for b, w in zip(t["base"], t["tree"]))
-        print(f"{stage:<16}{len(calls[stage]['base']):>6}"
+        print(f"{stage:<16}{len(calls[stage]['base'][1]):>6}"
               f"{min(t['base']) * 1e6:>10.1f}{min(t['tree']) * 1e6:>10.1f}"
               f"{med:>11.3f}{q1:>8.3f}{q3:>8.3f}{won:>7}/{args.rounds}")
-
 
 if __name__ == "__main__":
     sys.exit(main())
