@@ -26,6 +26,7 @@ from .central import (CentralFundamentals, CentralPoint, central_ii_oracle,
 from .classify import (CLASS_NAMES, DefectReport, PropositionResidual,
                        class_defects, moulding_defect, proposition_report,
                        w_defect)
+from .decisions import DEFAULT_TOLERANCES, ToleranceSet
 from .errors import (CanalDegenerate, DegenerateNetError,
                      DegenerateParametrization, FocalnetError,
                      ImaginaryNetError, JetDomainError, ParabolicPoint,
@@ -43,7 +44,6 @@ from .report import (GridReport, emit_csv, emit_json, grid_report,
                      parse_json, point_record, write_csv, write_json)
 from .sdl import (SurfaceDef, SurfaceProgram, compile_surface, gallery,
                   gallery_names, load_surface, parse_surface)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,7 @@ __all__ = [
     "UnknownParameterError", "DegenerateParametrization", "UmbilicPoint",
     "ParabolicPoint", "CanalDegenerate", "ImaginaryNetError",
     "DegenerateNetError",
-    # tolerances
+    # decisions
     "ToleranceSet", "DEFAULT_TOLERANCES",
     # jets and surfaces
     "Jet4", "SurfaceDef", "SurfaceProgram", "parse_surface",

@@ -13,16 +13,14 @@ Each closed form (coframe, fundamental quantities, Pfaffian derivatives)
 is written once, as sheet 1's, and gives sheet 2 by the relabelling rule of
 docs/derivations.md: `_relabelled` swaps the inputs 1 <-> 2 and
 `_in_sheet_order` reverses each pair.  Every formula reads k_i, nabla k_i and
-nabla_i k_i from `own_curvature`, the one place a sheet number is checked.
+nabla_i k_i from `decisions.own_curvature`.
 
 Everything here divides by nabla_1 k1 (sheet 1) or nabla_2 k2 (sheet 2).
-When that derivative vanishes the sheet degenerates toward a curve (canal
-case) and computation is refused rather than returning huge values.
-`is_canal` decides that; every public sheet entry point goes through it by
-way of `check_canal`.  That raises at a point only: these formulas also
-run on a batch `FramePoint` of arrays, whose canal points
-`classify.defect_report` marks in their status and `mesh.export_obj`
-drops by `is_canal`'s mask.
+Where that derivative vanishes the sheet degenerates toward a curve (canal
+case), and every public sheet entry point refuses it through
+`decisions.check_canal`, which raises at a point only.  On a batch
+`FramePoint` the formulas run everywhere; `classify.defect_report` marks
+the canal points in their status and `mesh.export_obj` drops them.
 """
 from __future__ import annotations
 
@@ -32,38 +30,20 @@ from typing import Tuple
 import numpy as np
 
 from . import jet as jt
-from .errors import CanalDegenerate
+from .decisions import (DEFAULT_TOLERANCES, ToleranceSet, canal_threshold,
+                        check_canal, is_canal, own_curvature)
 from .frames import FramePoint
 from .geometry import PrincipalData, vdot
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "CentralPoint", "CentralFundamentals", "canal_threshold", "is_canal",
-    "check_canal", "own_curvature",
-    "base_coframe_matrix", "focal_coframe_matrix", "central_point",
+    # the canal decisions, re-exported from `decisions`
+    "canal_threshold", "is_canal", "check_canal", "own_curvature",
+    "CentralPoint", "CentralFundamentals", "base_coframe_matrix",
+    "focal_coframe_matrix", "central_point",
     "central_ii_oracle", "central_pfaffian", "connection_gradient",
     "isothermic_divergence", "divergence_closed_form", "divergence_scale",
     "w_jacobian",
 ]
-
-
-def canal_threshold(fp: FramePoint, tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
-    """Degeneracy scale for |nabla_i k_i|: curvature^3 has the right units
-    (the closed forms divide k_i^3 by it)."""
-    k = jt.largest(abs(fp.k1), abs(fp.k2))
-    return tol.canal * (jt.power(k, 3) + tol.curvature_floor)
-
-
-def own_curvature(fp: FramePoint,
-                  sheet: int) -> Tuple[float, Tuple[float, float], float]:
-    """(k_i, nabla k_i, nabla_i k_i): the principal curvature whose radius
-    places focal sheet i, its Pfaffian gradient and the sheet's own
-    derivative of it; ValueError unless i is 1 or 2."""
-    if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    if sheet == 1:
-        return fp.k1, fp.grad_k1, fp.grad_k1[0]
-    return fp.k2, fp.grad_k2, fp.grad_k2[1]
 
 
 def _relabelled(fp: FramePoint, sheet: int):
@@ -80,26 +60,6 @@ def _in_sheet_order(pair, sheet: int):
     """`pair` reversed for sheet 2: a base pair relabelled, or a sheet pair
     in the order of sheet 2's frame {e3, e1; e2}."""
     return pair if sheet == 1 else pair[::-1]
-
-
-def is_canal(fp: FramePoint, sheet: int,
-             tol: ToleranceSet = DEFAULT_TOLERANCES) -> bool:
-    """Whether focal sheet `sheet` degenerates to a curve at `fp`:
-    |nabla_i k_i| at or below `canal_threshold`."""
-    return abs(own_curvature(fp, sheet)[2]) <= canal_threshold(fp, tol)
-
-
-def check_canal(fp: FramePoint, sheet: int,
-                tol: ToleranceSet = DEFAULT_TOLERANCES):
-    """`is_canal`'s verdict, having raised CanalDegenerate where it holds at
-    a point; a batch never raises."""
-    canal = is_canal(fp, sheet, tol)
-    if not isinstance(canal, np.ndarray) and canal:
-        own = own_curvature(fp, sheet)[2]
-        raise CanalDegenerate(
-            f"focal sheet {sheet} degenerates at (u, v) = {fp.point}: "
-            f"|nabla_{sheet} k{sheet}| = {abs(own):.3e}", sheet)
-    return canal
 
 
 def _matrix(rows) -> np.ndarray:

@@ -41,17 +41,19 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from . import jet as jt
-from .central import (canal_threshold, central_ii_oracle, central_point,
-                      central_pfaffian, connection_gradient,
-                      divergence_closed_form, divergence_scale,
-                      isothermic_divergence, w_jacobian, base_coframe_matrix,
-                      focal_coframe_matrix, own_curvature, _inverse, _matmul)
+from .central import (central_ii_oracle, central_point, central_pfaffian,
+                      connection_gradient, divergence_closed_form,
+                      divergence_scale, isothermic_divergence, w_jacobian,
+                      base_coframe_matrix, focal_coframe_matrix, _inverse,
+                      _matmul)
 from .classify import (class_gradients, class_partials, prop_residuals,
                        proposition_report)
+from .decisions import (DEFAULT_TOLERANCES, ToleranceSet, canal_threshold,
+                        own_curvature)
 from .errors import FocalnetError
 from .fdoracle import fd_frame_field, fd_surface_jet, jet_fd_error
 from .frames import (FramePoint, check_codazzi, check_gauss, codazzi_scale,
-                     frame_columns, frame_point, pfaffian_values)
+                     frame_point, pfaffian_values)
 from .geometry import principal_data
 from .mesh import export_obj
 from .nets import (net_asymptotic_pullback, net_curvature_pullback,
@@ -60,7 +62,6 @@ from .nets import (net_asymptotic_pullback, net_curvature_pullback,
 from .report import grid_report, emit_json, parse_json, point_record
 from .sdl import (compile_surface, gallery, gallery_names, load_surface,
                   parse_surface, surface_source)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = ["CheckResult", "run_suite", "SUITE_NAMES", "SWEPT_SRC",
            "domain_points", "sample_frame_points", "jet_gradients",
@@ -121,7 +122,8 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
     `domain_points` are judged as one batch each, and the rng is rewound
     to just past the last draw kept, so the points and the rng state are
     those of judging one draw at a time, up to max(4000, 400 n) draws.
-    The kept columns of each chunk's frame make the result."""
+    The result is one `frame_point` of the kept draws, whose columns have
+    the bits of their points, as in the chunks that judged them."""
     def usable(fp: FramePoint) -> np.ndarray:
         k1, k2 = abs(fp.k1), abs(fp.k2)
         reject = ~np.equal(fp.pd.failed, None)
@@ -139,17 +141,18 @@ def sample_frame_points(prog, n: int, rng, tol: ToleranceSet = DEFAULT_TOLERANCE
         fp = frame_point(prog, chunk[:, 0], chunk[:, 1], tol, jt.MAX_ORDER)
         with np.errstate(all="ignore"):
             hits = np.flatnonzero(usable(fp))[:need]
+        kept.append(chunk[hits])
         if len(hits) == need:
             rng.bit_generator.state = state
             chunk = domain_points(prog, hits[-1] + 1, rng)
         draws += len(chunk)
         found += len(hits)
-        kept.append((fp, hits))
     if found < n:
         raise FocalnetError(
             f"sampling exhausted on {prog.definition.name}: "
             f"{found}/{n} points after {draws} draws")
-    return frame_columns(kept)
+    u, v = np.concatenate(kept).T
+    return frame_point(prog, u, v, tol, jt.MAX_ORDER)
 
 
 def _worst(*values) -> float:

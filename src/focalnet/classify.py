@@ -1,7 +1,8 @@
 """Pointwise classification of a surface point: the functional-relation
 defect of the principal curvatures, gradient defects of six curvature
 functions, moulding/canal flags, and the per-statement identity residuals
-tying net conditions to curvature-function conditions.
+tying net conditions to curvature-function conditions.  The flags, the
+canal test and the moulding defect are `decisions`'.
 
 Each curvature class tracks one function g(k1, k2):
 
@@ -44,19 +45,20 @@ from typing import Dict, Tuple
 import numpy as np
 
 from . import jet as jt
-from .central import (check_canal, connection_gradient,
-                      divergence_closed_form, divergence_scale, is_canal,
-                      isothermic_divergence, w_jacobian)
+from .central import (connection_gradient, divergence_closed_form,
+                      divergence_scale, isothermic_divergence, w_jacobian)
+from .decisions import (DEFAULT_TOLERANCES, ToleranceSet, check_canal,
+                        flags_from_defects, is_canal, moulding_defect)
 from .frames import FramePoint
 from .nets import (net_asymptotic_pullback, net_curvature_pullback, net_norm,
                    spherical_image)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "CLASS_NAMES", "PropositionResidual", "DefectReport", "w_defect",
-    "class_partials", "class_gradients", "class_defects", "moulding_defect",
-    "is_canal", "proposition_report", "defect_report", "prop_residuals",
-    "flags_from_defects",
+    "class_partials", "class_gradients", "class_defects",
+    "proposition_report", "defect_report", "prop_residuals",
+    # the decisions a report takes, re-exported from `decisions`
+    "is_canal", "moulding_defect", "flags_from_defects",
 ]
 
 CLASS_NAMES = ("diff", "ratio", "radii_diff", "radii_sum", "mean", "gauss")
@@ -140,15 +142,6 @@ def class_defects(fp: FramePoint, norms=None, grads=None, partials=None):
         raw[name] = jt.hypot(*grads[name])
         norm[name] = raw[name] / (abs(p1) * g1 + abs(p2) * g2 + _FLOOR)
     return raw, norm
-
-
-def moulding_defect(fp: FramePoint,
-                    tol: ToleranceSet = DEFAULT_TOLERANCES) -> float:
-    """min(|q1|, |q2|) relative to the local curvature/connection scale.
-    Small at points where one family of curvature lines is geodesic."""
-    scale = (abs(fp.k1) + abs(fp.k2) + abs(fp.q1) + abs(fp.q2)
-             + tol.curvature_floor)
-    return jt.smallest(abs(fp.q1), abs(fp.q2)) / scale
 
 
 def _res(lhs_raw: float, rhs_raw: float, norm: float) -> PropositionResidual:
@@ -247,15 +240,3 @@ def prop_residuals(fp: FramePoint, grads: Dict[str, Tuple[float, float]],
         res[p6] = _res(sph.a + sph.c, -q * g_rsum[i], net_norm(sph))
     return res
 
-
-def flags_from_defects(wd: float, normed: Dict[str, float], md: float,
-                       canal1: bool, canal2: bool,
-                       tol: ToleranceSet) -> Dict[str, bool]:
-    flags = {name: normed[name] <= tol.classify for name in CLASS_NAMES}
-    flags["weingarten"] = abs(wd) <= tol.classify
-    flags["cmc"] = flags["mean"]
-    flags["const_gauss"] = flags["gauss"]
-    flags["moulding"] = md <= tol.moulding
-    flags["canal1"] = canal1
-    flags["canal2"] = canal2
-    return flags

@@ -18,6 +18,7 @@ import sys
 from typing import Dict, Optional, Tuple
 
 from .checks import SUITE_NAMES, run_suite
+from .decisions import DEFAULT_TOLERANCES
 from .errors import (FRAME_ERRORS, CanalDegenerate, FocalnetError,
                      ParseError, UnknownParameterError, UnknownSurfaceError)
 from .frames import frame_point
@@ -25,7 +26,6 @@ from .mesh import NET_LABELS, export_obj
 from .report import (USABLE, grid_report, point_record, write_csv,
                      write_json)
 from .sdl import compile_surface, gallery, gallery_names, load_surface
-from .tolerances import DEFAULT_TOLERANCES
 
 __all__ = ["main"]
 

@@ -36,11 +36,11 @@ import numpy as np
 
 from . import expr as ex
 from . import jet as jt
+from .decisions import DEFAULT_TOLERANCES, ToleranceSet
 from .errors import FocalnetError
 from .frames import FramePoint, frame_point_from_pd
 from .geometry import (SurfaceJet, eval_surface, flipped_principal,
                        principal_data)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "fd_partial", "fd_surface_jet", "fd_directional", "fd_frame_field",

@@ -6,7 +6,7 @@ jet, along the principal directions: nabla_i f = xi_i df/du + eta_i df/dv.
 Because the direction components are jets themselves, iterating it
 captures the rotation of the frame, so the commutator identity
 [nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f) holds exactly
-(validated against the finite-difference oracle; see tests).
+(asserted in the tests).
 
 The connection coefficients q1, q2 come from differentiating the frame
 vectors directly (q_i = <D_{e_i} e1, e2>), which keeps the compatibility
@@ -36,12 +36,9 @@ batch never raises: `pd.failed` gives per point the class of the
 exception the call at that point raises.  numpy runs silently at both
 shapes, and a frame that overflows past every degeneracy test (a float
 field not finite) fails with JetDomainError, status `degenerate`.
-`frame_columns` takes and joins columns of batch frame points with their
-`pd`, so a sampler keeps the frames it judged.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -49,15 +46,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import jet as jt
+from .decisions import DEFAULT_TOLERANCES, ToleranceSet
 from .errors import JetDomainError, JetOrderError
 from .geometry import (PrincipalData, _dots, components, eval_surface,
                        principal_data)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
-    "FramePoint", "frame_point", "frame_point_from_pd", "frame_columns",
-    "pfaffian", "pfaffian_values", "check_codazzi", "codazzi_scale",
-    "check_gauss", "commutator_residual",
+    "FramePoint", "frame_point", "frame_point_from_pd", "pfaffian",
+    "pfaffian_values", "check_codazzi", "codazzi_scale", "check_gauss",
 ]
 
 
@@ -149,30 +145,6 @@ def frame_point_from_pd(pd: PrincipalData,
     return fp
 
 
-def frame_columns(parts) -> FramePoint:
-    """One batch frame point, with its `pd`, of the columns `cols` of each
-    batch frame point `fp` of `parts`, a sequence of (fp, cols), in that
-    order.  A column keeps its bits, which are its point's."""
-    return _joined([fp for fp, _ in parts], [cols for _, cols in parts])
-
-
-def _joined(xs: list, cols: list):
-    """The columns cols[i] of each xs[i] joined, for xs of one structure:
-    arrays, jets, tuples of them, the dataclasses of a frame, or None."""
-    x = xs[0]
-    if isinstance(x, (jt.Jet4, np.ndarray)):
-        taken = np.concatenate([getattr(y, "c", y)[..., c]
-                                for y, c in zip(xs, cols)], axis=-1)
-        return jt.Jet4(taken, x.valid_order) if isinstance(x, jt.Jet4) \
-            else taken
-    if isinstance(x, tuple):
-        return tuple(_joined(list(ys), cols) for ys in zip(*xs))
-    if x is None:
-        return None
-    return type(x)(**{f.name: _joined([getattr(y, f.name) for y in xs], cols)
-                      for f in dataclasses.fields(x)})
-
-
 def frame_point(prog, u, v, tol: ToleranceSet = DEFAULT_TOLERANCES,
                 order: int = jt.OUTPUT_ORDER) -> FramePoint:
     """The frame point at (u, v), with `pd` of the surface jets of valid
@@ -218,16 +190,3 @@ def check_gauss(fp: FramePoint) -> Tuple[float, float]:
             abs(d2_q1) + abs(d1_q2) + q1_sq + q2_sq + abs(fp.k1 * fp.k2)
             + 1e-12)
 
-
-def commutator_residual(fp: FramePoint, field: jt.Jet4) -> float:
-    """Scale-relative residual of
-    nabla_1 nabla_2 f - nabla_2 nabla_1 f = -(q1 nabla_1 f + q2 nabla_2 f),
-    for a field of valid order 2 or more (of `jt.MAX_ORDER` surface jets
-    when f is a curvature)."""
-    d1f, d2f = pfaffian(field, fp.pd)
-    d12 = pfaffian_values(d2f, fp.pd)[0]
-    d21 = pfaffian_values(d1f, fp.pd)[1]
-    lhs = d12 - d21
-    rhs = -(fp.q1 * d1f.value + fp.q2 * d2f.value)
-    scale = abs(d12) + abs(d21) + abs(rhs) + 1e-12
-    return (lhs - rhs) / scale

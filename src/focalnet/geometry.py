@@ -14,19 +14,15 @@ the operand order and each sum the left-to-right order of the formula
 on components, so every value has the bits of that formula.
 
 The pipeline is generic: no assumption that (u, v) are curvature-line or
-even orthogonal coordinates.  Degeneracies are decided in a fixed order:
-non-immersion point, near-umbilic (parabolic if a curvature vanishes
-there, else umbilic), then parabolic.  At S = () (one point, see `jet`)
-the first one raises its typed exception.  With a batch axis every point
-is computed on its own column, each branch becomes a per-point mask taken
-in that same order, after a first one for the points whose surface jet is
-not finite (their JetDomainError), and `PrincipalData.failed` keeps per
-point the class of the exception it would raise; no exception is built
-for a batch point.  Every threshold scale squares through `jt.power`, so
-a batch column's thresholds have its point's bits, and a square that
-overflows is inf at both shapes.  No test `value <= bound` holds for a
-NaN value, so a frame that overflows past them is failed later, by
-`frames.frame_point_from_pd`.
+even orthogonal coordinates.  Degeneracies are decided by `decisions`, in a
+fixed order: non-immersion point, near-umbilic (parabolic if a curvature
+vanishes there, else umbilic), then parabolic.  At S = () the first one
+raises its typed exception.  With a batch axis every decision is a
+per-point mask taken in that same order, after a first one for the points
+whose surface jet is not finite (their JetDomainError), and
+`PrincipalData.failed` keeps per point the class of the exception it would
+raise.  A frame that overflows past them (a NaN decides nothing) is failed
+later, by `frames.frame_point_from_pd`.
 """
 from __future__ import annotations
 
@@ -36,9 +32,10 @@ from typing import Optional
 import numpy as np
 
 from . import jet as jt
+from .decisions import (DEFAULT_TOLERANCES, ToleranceSet, e1_flipped,
+                        metric_degenerate, near_umbilic, parabolic)
 from .errors import (DegenerateParametrization, JetDomainError,
                      ParabolicPoint, UmbilicPoint)
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "SurfaceJet", "PrincipalData", "eval_surface", "principal_data",
@@ -218,8 +215,7 @@ def principal_data(sj: SurfaceJet,
     efg = jt.dots(low, _FIRST_A, low, _FIRST_B)
     E, F, G = efg.split()
     W2 = E * G - F * F
-    trace_scale = jt.power(E.value + G.value, 2)
-    failures.record(W2.value <= tol.metric * trace_scale,
+    failures.record(metric_degenerate(W2.value, E.value + G.value, tol),
                     DegenerateParametrization,
                     lambda: f"EG - F^2 = {W2.value:.3e}")
     inv_w = 1.0 / jt.sqrt(W2)
@@ -237,17 +233,11 @@ def principal_data(sj: SurfaceJet,
     kgauss = _paired(jt.products(s, _DET_A, s, _DET_B),
                      np.subtract).component(0)
     disc = h * h - kgauss
-    gap_scale = (4 * jt.power(abs(h.value), 2) + 4 * abs(disc.value)
-                 + tol.curvature_floor ** 2)
-    # (k1 - k2)^2 = 4 disc; at a near-umbilic point k1 = k2 = h, and the
-    # squared curvature scale decides whether that point is parabolic.
-    # It is the only umbilic test: past it the roots are real, so
-    # (|k1| + |k2| + floor)^2 = (2 max(|h|, sqrt(disc)) + floor)^2 <=
-    # 2 gap_scale, and (k1 - k2)^2 <= umbilic (|k1| + |k2| + floor)^2
-    # would need disc <= (umbilic / 2) gap_scale, where `near` holds.
-    near = disc.value <= tol.umbilic * gap_scale
-    near_scale = jt.power(abs(h.value) + abs(h.value) + tol.curvature_floor, 2)
-    failures.record(near & (abs(kgauss.value) <= tol.parabolic * near_scale),
+    # (k1 - k2)^2 = 4 disc.  At a near-umbilic point k1 = k2 = h, so
+    # (h, h) decides whether it is parabolic.
+    hv = h.value
+    near = near_umbilic(disc.value, hv, tol)
+    failures.record(near & parabolic(kgauss.value, hv, hv, tol),
                     ParabolicPoint, lambda: "principal curvature vanishes")
     failures.record(near, UmbilicPoint, lambda: f"k1 == k2 = {h.value:.6g}")
 
@@ -255,9 +245,8 @@ def principal_data(sj: SurfaceJet,
     k1 = h + root
     k2 = h - root
     k1v, k2v = k1.value, k2.value
-    scale = jt.power(abs(k1v) + abs(k2v) + tol.curvature_floor, 2)
-    failures.record(abs(k1v * k2v) <= tol.parabolic * scale,
-                    ParabolicPoint, lambda: "principal curvature vanishes")
+    failures.record(parabolic(k1v * k2v, k1v, k2v, tol), ParabolicPoint,
+                    lambda: "principal curvature vanishes")
 
     # Eigenvector of the shape operator for k1: two algebraic candidates;
     # keep the better-conditioned one (larger ambient norm at the point,
@@ -282,13 +271,8 @@ def principal_data(sj: SurfaceJet,
     xi1, eta1 = xe.split()
     e1 = vcomb(xi1, xu, eta1, xv)
 
-    # The first ambient component of e1 above the sign tolerance decides.
-    decided = flipped = np.zeros(k1.c.shape[1:], dtype=bool)
-    for comp in e1.c[0]:
-        here = (abs(comp) > tol.sign) & ~decided
-        flipped = flipped | (here & (comp < 0))
-        decided = decided | here
-    if flipped.any():
+    flipped = e1_flipped(components(e1), tol)
+    if np.any(flipped):
         xe = jt.where(flipped, -xe, xe)
         xi1, eta1 = xe.split()
         e1 = jt.where(flipped, -e1, e1)

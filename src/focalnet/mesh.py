@@ -49,13 +49,13 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .central import central_point, is_canal
+from .central import central_point
+from .decisions import DEFAULT_TOLERANCES, ToleranceSet, is_canal
 from .floattext import write_lines
 from .frames import frame_point
 from .jet import fold_sum
 from .nets import NETS, net_directions
 from .report import _grid_coordinates
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = ["export_obj", "NET_LABELS"]
 

@@ -22,20 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jet as jt
-from .central import check_canal, own_curvature
+from .decisions import (DEFAULT_TOLERANCES, NET_NORM_FLOOR, NET_ROOT_TOL,
+                        ToleranceSet, check_canal, imaginary_net,
+                        own_curvature, zero_net)
 from .errors import DegenerateNetError, ImaginaryNetError
 from .frames import FramePoint
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "NetForm", "NETS", "net_asymptotic_pullback", "net_curvature_pullback",
     "spherical_image", "orthogonality_defect", "conjugacy_defect",
     "reality_discriminant", "net_directions", "net_norm",
 ]
-
-_NORM_FLOOR = 1e-30
-# Discriminant and zero tolerance of `net_directions` on the normalized net.
-_ROOT_TOL = 1e-12
 
 
 @dataclass
@@ -51,7 +48,7 @@ class NetForm:
 
 def net_norm(net: NetForm) -> float:
     return (jt.largest(jt.largest(abs(net.a), abs(net.b)), abs(net.c))
-            + _NORM_FLOOR)
+            + NET_NORM_FLOOR)
 
 
 def net_asymptotic_pullback(fp: FramePoint, sheet: int,
@@ -117,7 +114,9 @@ def net_directions(net: NetForm):
     ties by descending second.
 
     At a point: two arrays of shape (2,), or DegenerateNetError for the zero
-    form and ImaginaryNetError for imaginary directions.  On a net of arrays
+    form and ImaginaryNetError for imaginary directions (`decisions.zero_net`
+    and `decisions.imaginary_net`; NET_ROOT_TOL also breaks the ties
+    below).  On a net of arrays
     of shape (N,): (d0, d1, failed), d0 and d1 of shape (2, N) and failed[i]
     None or the class point i would raise (its directions are meaningless);
     no exception is built.  Both shapes run one solve on numpy floats, whose
@@ -128,8 +127,8 @@ def net_directions(net: NetForm):
         n = net_norm(net)
         a, b, c = (np.float64(x) / n for x in net.triple())
         disc = b * b - a * c
-        failed = jt.pick(n <= 2 * _NORM_FLOOR, DegenerateNetError,
-                         jt.pick(disc < -_ROOT_TOL, ImaginaryNetError, None))
+        failed = jt.pick(zero_net(n), DegenerateNetError,
+                         jt.pick(imaginary_net(disc), ImaginaryNetError, None))
         root = np.sqrt(jt.largest(disc, 0.0))
         # stable quadratic branch
         q = jt.pick(b != 0, -(b + np.copysign(root, b)), -root)
@@ -143,14 +142,14 @@ def net_directions(net: NetForm):
         double = q == 0.0
         slopes = (jt.pick(double, -b / big, q / big),
                   jt.pick(double, -b / big, small / q))
-        axes = a_leads & (abs(a) < _ROOT_TOL)
+        axes = a_leads & (abs(a) < NET_ROOT_TOL)
         pairs = []
         for slope, (ax, ay) in zip(slopes, ((1.0, 0.0), (0.0, 1.0))):
             x = jt.pick(axes, ax, jt.pick(a_leads, slope, 1.0))
             y = jt.pick(axes, ay, jt.pick(a_leads, 1.0, slope))
             s = jt.hypot(x, y)
             x, y = x / s, y / s
-            flip = (x < -_ROOT_TOL) | ((abs(x) <= _ROOT_TOL) & (y < 0))
+            flip = (x < -NET_ROOT_TOL) | ((abs(x) <= NET_ROOT_TOL) & (y < 0))
             pairs.append((jt.pick(flip, -x, x), jt.pick(flip, -y, y)))
         # a stable sort by (-x, -y): the second goes first only when its
         # key is smaller (-0.0 and 0.0 tie)

@@ -103,11 +103,11 @@ from typing import Dict, Iterator, List, TextIO, Tuple
 import numpy as np
 
 from .classify import CLASS_NAMES, DefectReport, defect_report
+from .decisions import DEFAULT_TOLERANCES, ToleranceSet
 from .errors import FRAME_ERRORS
 from .floattext import reprs
 from .frames import frame_point
 from .jet import fold_sum
-from .tolerances import DEFAULT_TOLERANCES, ToleranceSet
 
 __all__ = [
     "GridReport", "STATUSES", "USABLE", "point_record", "grid_report",

@@ -11,7 +11,7 @@ from focalnet.errors import CanalDegenerate
 from focalnet.frames import frame_point, pfaffian_values
 from focalnet.report import point_record
 from focalnet.sdl import load_surface
-from focalnet.tolerances import DEFAULT_TOLERANCES
+from focalnet.decisions import DEFAULT_TOLERANCES
 
 RESIDUAL_KEYS = {
     "prop1_s1", "prop1_s2",

@@ -8,8 +8,7 @@ import focalnet.jet as jt
 from focalnet.checks import domain_points
 from focalnet.errors import JetOrderError, ParabolicPoint, UmbilicPoint
 from focalnet.frames import (check_codazzi, check_gauss, codazzi_scale,
-                             commutator_residual, frame_point,
-                             frame_point_from_pd, pfaffian,
+                             frame_point, frame_point_from_pd, pfaffian,
                              pfaffian_values)
 from focalnet.geometry import (_dots, eval_surface, flipped_principal,
                                principal_data)
@@ -42,17 +41,20 @@ def test_graph_quad_origin_flat_connection(prog, tol):
 
 
 def test_commutator_sign_convention(prog, tol, rng):
-    """[nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f); with the
+    """[nabla_1, nabla_2] f = -(q1 nabla_1 f + q2 nabla_2 f), relative to
+    the scale of its terms, from `pfaffian` and `pfaffian_values`; with the
     opposite sign the residual is O(1)."""
     program = prog("graph_generic")
     for fp in _frame_points(program, 6, rng, tol):
         f = fp.pd.sj.x * fp.pd.sj.z + fp.pd.sj.y      # arbitrary scalar
-        assert abs(commutator_residual(fp, f)) < 1e-10
+        d1f, d2f = pfaffian(f, fp.pd)
+        d12 = pfaffian_values(d2f, fp.pd)[0]
+        d21 = pfaffian_values(d1f, fp.pd)[1]
+        rhs = -(fp.q1 * d1f.value + fp.q2 * d2f.value)
+        scale = abs(d12) + abs(d21) + abs(rhs) + 1e-12
+        assert abs((d12 - d21) - rhs) / scale < 1e-10
         # demonstrate the sign matters where q is non-negligible
         if abs(fp.q1) + abs(fp.q2) > 0.1:
-            d1f, d2f = pfaffian(f, fp.pd)
-            d12 = pfaffian_values(d2f, fp.pd)[0]
-            d21 = pfaffian_values(d1f, fp.pd)[1]
             wrong = (d12 - d21) - (fp.q1 * d1f.value + fp.q2 * d2f.value)
             scale = abs(d12) + abs(d21) + 1e-12
             assert abs(wrong) / scale > 1e-6

@@ -1,5 +1,6 @@
-"""Time the point path's stages and the OBJ export of the working tree
-against a base revision, in alternating rounds inside one interpreter.
+"""Time the point path's stages, the grid report and the OBJ export of the
+working tree against a base revision, in alternating rounds inside one
+interpreter.
 
     python3 tools/stage_ab.py [--base HEAD] [--rounds 30] [--points 500]
         [--seed 0]
@@ -20,7 +21,10 @@ perfbench's eval pool (``perfbench/inputs.py``: surface, u, v over the
 whole gallery), each timed on the draws where it returns on both sides:
 ``point_record`` on every draw, ``eval_surface`` on each draw's surface,
 ``principal_data`` on its surface jet and ``defect_report`` on its frame
-point.  The export stages run ``export_obj`` as perfbench's mesh_export
+point.  The ``grid_report`` stage runs ``grid_report(prog, 40, 40, tol)``
+as perfbench's grid_generic calls it, on the 30 grid_generic inputs
+(``inputs.grid_variants``): the batch path of every decision.  The export
+stages run ``export_obj`` as perfbench's mesh_export
 calls it (both sheets, nets 13/14/17/18, each call into a fresh
 directory): ``export_obj`` on the eight 40x40 mesh_export inputs, and
 ``export_obj_3x3`` on the two 3x3 exports of the workload's warm-up, which
@@ -47,7 +51,7 @@ from bench_ab import ROOT, SIDES, export_revision, export_tree
 
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from inputs import (GRID_N, MESH_CENTRAL, MESH_NETS,  # noqa: E402
-                    compile_variant, eval_pool, mesh_variants)
+                    compile_variant, eval_pool, grid_variants, mesh_variants)
 from workloads import _WARM_N  # noqa: E402
 
 # Each point stage by its module in the package, and its name.
@@ -98,6 +102,14 @@ def stage_inputs(fn, draws):
             fp = None
         out["defect_report"].append(None if fp is None else (fp, tol))
     return out
+
+
+def grid_inputs(fn):
+    """The arguments of ``grid_report`` on package `fn` for each of
+    perfbench's grid_generic inputs, as grid_generic passes them."""
+    tol = fn.DEFAULT_TOLERANCES
+    return [(compile_variant(fn, var), GRID_N, GRID_N, tol)
+            for vs in grid_variants(fn).values() for var in vs]
 
 
 def export_inputs(fn):
@@ -166,6 +178,8 @@ def compare(fns, args, base: str, tree: str, tmp: str) -> None:
         calls[stage] = {side: (getattr(getattr(fns[side], module), stage),
                                [inputs[side][stage][i] for i in keep])
                         for side in SIDES}
+    calls["grid_report"] = {side: (fns[side].grid_report,
+                                   grid_inputs(fns[side])) for side in SIDES}
     out = os.path.join(tmp, "exports")
     exports = {side: export_inputs(fns[side]) for side in SIDES}
     for stage, _, _ in EXPORTS:
